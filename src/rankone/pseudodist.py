@@ -6,9 +6,26 @@ graded-lexicographic table.  The defining properties (normalization
 E~ 1 = 1, E~ f^2 >= 0 for deg f <= d/2, constraint residuals ~ 0) are
 checkable from that vector alone and are what `validate` measures.
 
-Polynomials travel as sparse dicts mapping exponent tuples to float
-coefficients.  Reweighting by a sum-of-squares polynomial p sends the
-moment vector y to y'[a] = E~[p * x^a] / E~[p] at reduced degree.
+The moment path computes with dense coefficient vectors.  A polynomial
+of degree <= h is the vector of its coefficients over the first
+`count_through(h)` monomials of a `MonomialIndex`, a prefix shared by
+every table over the same variables.  One kernel serves all of it:
+
+- `MonomialIndex.sum_table(h1, h2)` is a cached integer table holding
+  the index of x^(a+b), sized to the (h1, h2) block it serves;
+- `moment_block(mu, h1, h2)` gathers Y[a, b] = E~ x^(a+b) through it,
+  so E~ f g = f^T Y g and a reweighting is one gather-matmul;
+- `linear_form_powers` expands every power of one linear form <v, x>
+  with multinomial weights, and `univariate_poly` combines them into a
+  polynomial in <v, x>; even powers and shifted powers are then quadratic
+  forms against a block gathered once per distribution;
+- `poly_product` multiplies two dense vectors through a sum table.
+
+Reweighting by a sum-of-squares polynomial p sends the moment vector y
+to y'[a] = E~[p * x^a] / E~[p] at reduced degree.  Sparse dicts mapping
+exponent tuples to float coefficients remain at the API edge:
+`ReweightPolynomial`, `ConstraintSpec`, `pseudo_expect` and the factor
+reports of the reweighting layer take and hand out dicts.
 
 Distributions embedded from an explicit finite support keep their atoms
 (`support` field).  Such objects are actual distributions, hence valid
@@ -19,7 +36,10 @@ the stored moment vector is still truncated at the declared degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +64,13 @@ NORM_EPS = 1e-10   # reweighting normalization floor
 
 class MonomialIndex:
     """Bijection between exponent tuples of degree <= max_degree and dense
-    indices, graded-lexicographic, index 0 = the constant monomial."""
+    indices, graded-lexicographic, index 0 = the constant monomial and
+    index 1 + i = x_i.  Tables over the same variables agree on their
+    common prefix, so a coefficient vector over the monomials of degree
+    <= h means the same polynomial under every table of degree >= h.
+
+    The arrays are read-only: `monomial_index` hands one instance to
+    every caller."""
 
     def __init__(self, num_vars: int, max_degree: int):
         if num_vars < 1 or max_degree < 0:
@@ -60,15 +86,30 @@ class MonomialIndex:
                     e[j] += 1
                 exps.append(tuple(e))
             offsets.append(len(exps))
-        self.exponents = np.array(exps, dtype=np.int64).reshape(len(exps), num_vars)
+        self.exponents = _frozen(np.array(exps, dtype=np.int64).reshape(len(exps), num_vars))
+        self.exponent_tuples = tuple(exps)
         self.offsets = tuple(offsets)
         self.size = len(exps)
-        self.degrees = self.exponents.sum(axis=1)
+        self.degrees = _frozen(self.exponents.sum(axis=1))
         self._lookup = {e: i for i, e in enumerate(exps)}
+        self._sum_tables: dict = {}
 
     def count_through(self, degree: int) -> int:
         """Number of monomials of total degree <= degree."""
         return self.offsets[min(degree, self.max_degree) + 1]
+
+    def degree_of_count(self, count: int) -> int:
+        """The h with count_through(h) == count: the degree bound of a
+        dense coefficient vector of that length."""
+        try:
+            return self.offsets.index(count, 1) - 1
+        except ValueError:
+            raise DimensionMismatch(
+                f"{count} coefficients fill no degree prefix of the table") from None
+
+    def block(self, degree: int) -> slice:
+        """Positions of the monomials of total degree exactly `degree`."""
+        return slice(self.offsets[degree], self.offsets[degree + 1])
 
     def index_of(self, exponent: tuple[int, ...]) -> int:
         try:
@@ -76,20 +117,43 @@ class MonomialIndex:
         except KeyError:
             raise DegreeExceeded(f"monomial {exponent} outside degree-{self.max_degree} table") from None
 
-    def indices_of_shifted(self, count: int, shift) -> np.ndarray:
-        """Indices of x^(a + shift) for the first `count` table monomials."""
-        shift = tuple(int(s) for s in shift)
-        look = self._lookup
-        base = self.exponents[:count]
-        out = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            key = tuple(int(v) for v in base[i] + shift) if any(shift) else tuple(int(v) for v in base[i])
-            try:
-                out[i] = look[key]
-            except KeyError:
+    def sum_table(self, h1: int, h2: int) -> np.ndarray:
+        """Indices of x^(a+b) for a of degree <= h1 and b of degree <= h2,
+        shape (count_through(h1), count_through(h2)).  Built once per
+        block and cached; it never spans more than the block it serves."""
+        table = self._sum_tables.get((h1, h2))
+        if table is None:
+            if h1 + h2 > self.max_degree:
                 raise DegreeExceeded(
-                    f"shift {shift} pushes a monomial past degree {self.max_degree}") from None
-        return out
+                    f"degree {h1} + {h2} products exceed the degree-{self.max_degree} table")
+            look = self._lookup
+            rows = self.exponent_tuples[:self.count_through(h1)]
+            cols = self.exponent_tuples[:self.count_through(h2)]
+            table = _frozen(np.array(
+                [[look[tuple(map(operator.add, a, b))] for b in cols] for a in rows],
+                dtype=np.int64).reshape(len(rows), len(cols)))
+            self._sum_tables[(h1, h2)] = table
+        return table
+
+    @functools.cached_property
+    def multinomials(self) -> np.ndarray:
+        """|a|! / prod_i a_i! per monomial: the coefficient of x^a in
+        (x_1 + ... + x_n)^|a|."""
+        fact = [math.factorial(j) for j in range(self.max_degree + 1)]
+        return _frozen(np.array(
+            [fact[sum(e)] // math.prod(fact[v] for v in e) for e in self.exponent_tuples],
+            dtype=float))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=32)
+def monomial_index(num_vars: int, max_degree: int) -> MonomialIndex:
+    """The shared table over num_vars variables up to max_degree."""
+    return MonomialIndex(num_vars, max_degree)
 
 
 # -- sparse polynomial helpers -----------------------------------------------
@@ -291,6 +355,69 @@ def pseudo_expect(mu: PseudoDistribution, p: dict) -> float:
     return float(total)
 
 
+def dense_poly(index: MonomialIndex, p: dict, degree: int) -> np.ndarray:
+    """Coefficient vector of the dict polynomial p over the monomials of
+    degree <= degree.  Raises DegreeExceeded when a term does not fit."""
+    count = index.count_through(degree)
+    out = np.zeros(count)
+    for e, c in p.items():
+        if c == 0.0:
+            continue
+        i = index.index_of(e)
+        if i >= count:
+            raise DegreeExceeded(f"monomial {e} above degree {degree}")
+        out[i] += c
+    return out
+
+
+def sparse_poly(index: MonomialIndex, vec: np.ndarray) -> dict:
+    """The dict polynomial with the nonzero coefficients of vec."""
+    exps = index.exponent_tuples
+    return {exps[i]: float(vec[i]) for i in np.flatnonzero(vec)}
+
+
+def moment_block(mu: PseudoDistribution, h1: int, h2: int) -> np.ndarray:
+    """Y[a, b] = E~ x^(a+b) for deg a <= h1 and deg b <= h2, so that
+    E~ f g = f^T Y g for dense f, g of those degrees."""
+    if h1 + h2 > mu.degree:
+        raise DegreeExceeded(
+            f"degree {h1} + {h2} block exceeds the degree-{mu.degree} distribution")
+    return mu.moments[mu.index.sum_table(h1, h2)]
+
+
+def linear_form_powers(index: MonomialIndex, v, top: int) -> np.ndarray:
+    """All powers <v, x>^j for j <= top in one coefficient vector: the
+    multinomial expansion puts (|a|! / a!) v^a on x^a, so the degree-j
+    block holds <v, x>^j.  A stack of directions v (shape (..., n)) gives
+    a stack of vectors."""
+    if top > index.max_degree:
+        raise DegreeExceeded(f"power {top} exceeds the degree-{index.max_degree} table")
+    count = index.count_through(top)
+    return index.multinomials[:count] * np.multiply.reduce(
+        np.asarray(v, dtype=float)[..., None, :] ** index.exponents[:count], axis=-1)
+
+
+def univariate_poly(index: MonomialIndex, powers: np.ndarray, coeffs) -> np.ndarray:
+    """Coefficient vector of sum_j coeffs[j] <v, x>^j over the monomials
+    of degree <= len(coeffs) - 1, from powers = linear_form_powers(index,
+    v, top) with top >= len(coeffs) - 1."""
+    top = len(coeffs) - 1
+    if top > index.max_degree:
+        raise DegreeExceeded(f"degree {top} exceeds the degree-{index.max_degree} table")
+    count = index.count_through(top)
+    return np.asarray(coeffs, dtype=float)[index.degrees[:count]] * powers[..., :count]
+
+
+def poly_product(index: MonomialIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense product of two coefficient vectors, each filling a degree
+    prefix of the table."""
+    ha = index.degree_of_count(a.size)
+    hb = index.degree_of_count(b.size)
+    table = index.sum_table(ha, hb)
+    return np.bincount(table.ravel(), weights=np.outer(a, b).ravel(),
+                       minlength=index.count_through(ha + hb))
+
+
 def moment_matrix(mu: PseudoDistribution, localizer: dict | None = None) -> np.ndarray:
     """Moment matrix M[a,b] = E~[loc * x^(a+b)] over monomials of degree
     <= (degree - deg loc) // 2; localizer=None means the plain matrix."""
@@ -299,32 +426,28 @@ def moment_matrix(mu: PseudoDistribution, localizer: dict | None = None) -> np.n
     if dloc > mu.degree:
         raise DegreeExceeded("localizer degree exceeds the distribution degree")
     half = (mu.degree - dloc) // 2
-    m = mu.index.count_through(half)
-    exps = mu.index.exponents[:m]
-    look = mu.index._lookup
-    out = np.zeros((m, m))
+    pairs = mu.index.sum_table(half, half)
+    shifted = mu.index.sum_table(2 * half, dloc)
+    out = np.zeros(pairs.shape)
     for e, c in loc.items():
         if c == 0.0:
             continue
-        base = np.asarray(e, dtype=np.int64)
-        for a in range(m):
-            ea = exps[a] + base
-            row = np.empty(m)
-            for b in range(m):
-                row[b] = mu.moments[look[tuple(int(v) for v in ea + exps[b])]]
-            out[a] += c * row
+        out += c * mu.moments[shifted[pairs, mu.index.index_of(e)]]
     return 0.5 * (out + out.T)
 
 
-def _check_certificate(p: ReweightPolynomial) -> bool:
+def _check_certificate(p: ReweightPolynomial, num_vars: int) -> bool:
     gs = p.certificate_polys()
-    total: dict = {}
+    half = max((poly_degree(g) for g in gs), default=0)
+    top = max(2 * half, p.degree)
+    index = monomial_index(num_vars, top)
+    diff = -dense_poly(index, p.poly(), top)
+    scale = float(np.abs(diff).max(initial=0.0))
     for g in gs:
-        total = poly_add(total, poly_mul(g, g))
-    target = p.poly()
-    scale = max((abs(c) for c in target.values()), default=0.0)
-    diff = poly_add(total, target, scale=-1.0)
-    err = max((abs(c) for c in diff.values()), default=0.0)
+        vec = dense_poly(index, g, half)
+        square = poly_product(index, vec, vec)
+        diff[:square.size] += square
+    err = float(np.abs(diff).max(initial=0.0))
     return err <= 1e-8 * max(scale, 1.0)
 
 
@@ -332,7 +455,8 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     """Reweighted pseudo-distribution mu' = p * mu / E~[p].
 
     For moment-backed mu the result has degree mu.degree - deg(p) and the
-    usual degree guard applies.  Support-backed mu is an actual
+    usual degree guard applies; its moments are one gather-matmul,
+    y'[a] = sum_b Y[a, b] p_b / E~[p].  Support-backed mu is an actual
     distribution, so the reweighting is exact at every degree and the
     declared degree is kept.
     """
@@ -341,7 +465,7 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     if poly_degree(target) != dp:
         raise IllFormed("ReweightPolynomial degree does not match its coefficients")
     if p.certificate is not None:
-        if not _check_certificate(p):
+        if not _check_certificate(p, mu.num_vars):
             raise NotSOS("certificate does not reproduce the polynomial")
     else:
         from .sos_solver import sos_gram_check
@@ -362,22 +486,20 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     if dp > mu.degree - 2:
         raise DegreeExhausted(
             f"reweighting degree {dp} exceeds budget of a degree-{mu.degree} distribution")
-    norm = pseudo_expect(mu, target)
-    scale = sum(abs(c) * abs(mu.moments[mu.index.index_of(e)]) for e, c in target.items())
+    coef = dense_poly(mu.index, target, dp)
+    low = mu.moments[:coef.size]
+    norm = float(coef @ low)
+    scale = float(np.abs(coef) @ np.abs(low))
     if norm <= NORM_EPS * max(1.0, scale):
         raise DegenerateWeight(f"E~[p] = {norm:.3e} is too small to normalize")
 
     new_degree = mu.degree - dp
-    new_index = MonomialIndex(mu.num_vars, new_degree)
-    count = new_index.size
-    new_moments = np.zeros(count)
-    for e, c in target.items():
-        idx = mu.index.indices_of_shifted(count, e)
-        new_moments += c * mu.moments[idx]
+    new_moments = moment_block(mu, new_degree, dp) @ coef
     new_moments /= norm
     new_moments[0] = 1.0
     kept = tuple(c for c in mu.constraints if c.degree() <= new_degree)
-    return PseudoDistribution(new_index, new_moments, new_degree, kept, None)
+    return PseudoDistribution(monomial_index(mu.num_vars, new_degree), new_moments,
+                              new_degree, kept, None)
 
 
 def from_support(points: np.ndarray, weights: np.ndarray, degree: int,
@@ -385,7 +507,7 @@ def from_support(points: np.ndarray, weights: np.ndarray, degree: int,
     """Build a support-backed pseudo-distribution; weights assumed normalized."""
     points = as_point_rows(points)
     weights = np.asarray(weights, dtype=float)
-    index = MonomialIndex(points.shape[1], degree)
+    index = monomial_index(points.shape[1], degree)
     moments = np.zeros(index.size)
     for i in range(index.size):
         e = index.exponents[i]
@@ -442,12 +564,7 @@ def equality_residual(mu: PseudoDistribution, q: dict) -> float:
     dq = poly_degree(q)
     if dq > mu.degree:
         return 0.0
-    count = mu.index.count_through(mu.degree - dq)
-    acc = np.zeros(count)
-    for e, c in q.items():
-        if c == 0.0:
-            continue
-        acc += c * mu.moments[mu.index.indices_of_shifted(count, e)]
+    acc = moment_block(mu, mu.degree - dq, dq) @ dense_poly(mu.index, q, dq)
     return float(np.abs(acc).max())
 
 
@@ -502,6 +619,8 @@ def read_pseudodist(path) -> PseudoDistribution:
 
 __all__ = [
     "MonomialIndex", "ConstraintSpec", "ReweightPolynomial", "PseudoDistribution",
+    "monomial_index", "dense_poly", "sparse_poly", "moment_block",
+    "linear_form_powers", "univariate_poly", "poly_product",
     "pseudo_expect", "moment_matrix", "reweight", "embed_actual_distribution",
     "from_support", "validate", "ValidationReport", "equality_residual",
     "write_pseudodist", "read_pseudodist",

@@ -24,6 +24,15 @@ table and spend 2k degrees of budget per power-k reweighting; every
 stage first checks whether its goal already holds, so distributions
 that arrive concentrated spend almost nothing.
 
+The moment path runs on the dense kernel of `pseudodist`.  Every weight
+is a polynomial in one linear form s = <v, x>, or a power of the
+projection t, held as a coefficient vector over the monomial table.
+E~ s^{2k}, E~ (s^2 - m)^{2d} and E~ (s +- m)^{2d} are quadratic forms
+of s^k, (s^2 - m)^d and (s +- m)^d against moment blocks gathered once
+per distribution, and candidate directions are screened a batch at a
+time.  Dicts appear only at the edge: in the `ReweightPolynomial`
+handed to `reweight` and in the factor reports.
+
 Degree accounting is explicit even on the support path, where the atoms
 make every power exact: reports carry degree_spent and fix_scalar
 refuses to exceed its degree_budget, keeping the complexity contract
@@ -44,18 +53,27 @@ from .errors import (
     PreconditionViolated,
     RetryExhausted,
 )
-from .pseudodist import (
+# poly_mul and poly_pow stay importable from this module although the
+# moment path runs on the dense kernel: benchmark/tracing.py counts the
+# dict-arithmetic calls made through these names
+from .pseudodist import (  # noqa: F401
     PseudoDistribution,
     ReweightPolynomial,
+    dense_poly,
     from_support,
+    linear_form_powers,
+    moment_block,
     poly_add,
     poly_constant,
     poly_linear,
     poly_mul,
     poly_pow,
+    poly_product,
     poly_quadratic,
     pseudo_expect,
     reweight,
+    sparse_poly,
+    univariate_poly,
 )
 
 DEFAULT_C = 2        # degree-budget constant: budget ~ C d log(n) / eps^2
@@ -64,6 +82,7 @@ DEFAULT_C_PRIME = 3  # direction-power constant: k ~ (dim/delta) log(dim)^C'
 _STAGE_CAP = 2000
 _MASS_FLOOR = 0.05  # accept subspace mass down to here even in low dimension
 _RELAXED_SCALAR_EPS = 0.45  # fallback scalar tolerance when degree is tight
+_DRAW_BATCH = 256  # candidate directions screened per vectorized batch
 
 
 @dataclass(frozen=True)
@@ -170,7 +189,7 @@ def fix_scalar(mu: PseudoDistribution, direction, d: int, eps: float,
         raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
     if d < 1:
         raise PreconditionViolated(f"d must be >= 1, got {d}")
-    if not np.any(direction):
+    if not direction.any():
         raise PreconditionViolated("zero direction")
     # stage A stops a factor 2^{1/2d} early so the sign split lands exactly
     # on the advertised 3 eps^{2d} contract
@@ -254,9 +273,31 @@ def _scalar_stages(pts, w, direction, eps_int, d, k_hat, budget):
     return w, m, ratio, spent, tuple(trace), total_k
 
 
+def _series_pow(base, k: int) -> np.ndarray:
+    """Coefficients of base(s)^k, base given by its coefficients in s."""
+    out = np.ones(1)
+    for _ in range(k):
+        out = np.convolve(out, base)
+    return out
+
+
+def _power_weight(index, v, base, k: int) -> ReweightPolynomial:
+    """base(s)^{2k} as a reweighting polynomial certified by base(s)^k,
+    for s = <v, x> and base given by its coefficients in s."""
+    root = _series_pow(base, k)
+    square = _series_pow(root, 2)
+    powers = linear_form_powers(index, v, len(square) - 1)
+    return ReweightPolynomial.from_coefficients(
+        sparse_poly(index, univariate_poly(index, powers, square)),
+        certificate=[sparse_poly(index, univariate_poly(index, powers, root))])
+
+
+def _expect(mu: PseudoDistribution, vec: np.ndarray) -> float:
+    """E~ of a dense coefficient vector."""
+    return float(vec @ mu.moments[:vec.size])
+
+
 def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
-    lin = poly_linear(direction)
-    t = poly_mul(lin, lin)
     d2 = 2 * d
     if mu.degree < 2 * d2:
         raise DegreeExhausted(
@@ -264,7 +305,11 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
     if budget is None:
         budget = mu.degree - d2
     budget = min(budget, mu.degree - 2)
-    if pseudo_expect(mu, t) < 1.0 - 1e-9:
+    # every weight below is a polynomial in s = <direction, x>
+    index = mu.index
+    powers = linear_form_powers(index, direction, d2)
+    t = univariate_poly(index, powers, [0.0, 0.0, 1.0])
+    if _expect(mu, t) < 1.0 - 1e-9:
         raise PreconditionViolated("E~ s^2 < 1; rescale the direction first")
 
     cur = mu
@@ -272,10 +317,12 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
     trace = []
     total_k = 0
     while True:
-        m = pseudo_expect(cur, t)
+        block = moment_block(cur, d2, d2)
+        m = _expect(cur, t)
         trace.append(m)
-        central = poly_pow(poly_add(t, poly_constant(-m, mu.num_vars)), d2)
-        dev = pseudo_expect(cur, central)
+        # E~ (s^2 - m)^{2d} as the quadratic form of (s^2 - m)^d
+        central = univariate_poly(index, powers, _series_pow([-m, 0.0, 1.0], d))
+        dev = float(central @ block @ central)
         if dev <= 3.0 * eps_int ** d2 * m ** d2:
             break
         k_stage = min(k_hat, (budget - spent - d2) // 2,
@@ -283,31 +330,26 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
         if k_stage < 1:
             raise DegreeExhausted(
                 f"scalar did not concentrate within budget (spent {spent})")
-        power = ReweightPolynomial.from_coefficients(
-            poly_pow(t, k_stage), certificate=[poly_pow(lin, k_stage)])
-        nxt = reweight(cur, power)
-        if pseudo_expect(nxt, t) < m * (1.0 - 1e-6):
+        nxt = reweight(cur, _power_weight(index, direction, [0.0, 1.0], k_stage))
+        if _expect(nxt, t) < m * (1.0 - 1e-6):
             raise PreconditionViolated(
                 "monotonicity of E~ s^2 under even-power reweighting failed")
         cur = nxt
         spent += 2 * k_stage
         total_k += k_stage
 
-    m_mean = pseudo_expect(cur, t)
-    root = math.sqrt(m_mean)
-    shift_p = poly_add(lin, poly_constant(root, mu.num_vars))
-    shift_m = poly_add(lin, poly_constant(-root, mu.num_vars))
-    e_plus = pseudo_expect(cur, poly_pow(shift_p, d2))
-    e_minus = pseudo_expect(cur, poly_pow(shift_m, d2))
+    # the loop ended at m = E~ s^2 of cur, with dev = E~ (s^2 - m)^{2d}
+    root = math.sqrt(m)
+    low = block[:index.count_through(d), :index.count_through(d)]
+    plus = univariate_poly(index, powers, _series_pow([root, 1.0], d))
+    minus = univariate_poly(index, powers, _series_pow([-root, 1.0], d))
+    e_plus = float(plus @ low @ plus)
+    e_minus = float(minus @ low @ minus)
     sign = 1.0 if e_plus > e_minus else -1.0
     m = sign * root
-    base = shift_p if sign > 0 else shift_m
-    branch = ReweightPolynomial.from_coefficients(
-        poly_pow(base, d2), certificate=[poly_pow(base, d)])
     norm = e_plus if sign > 0 else e_minus
-    central = poly_pow(poly_add(t, poly_constant(-m_mean, mu.num_vars)), d2)
-    dev = pseudo_expect(cur, central) / norm  # (s-m)^2d (s+m)^2d = (s^2-mean)^2d
-    out = reweight(cur, branch)
+    dev /= norm  # (s-m)^2d (s+m)^2d = (s^2-mean)^2d
+    out = reweight(cur, _power_weight(index, direction, [m, 1.0], d))
     spent += d2
     factors = _scalar_factors(direction, total_k, m, d)
     report = ScalarFixReport(m, dev / m ** d2, spent, tuple(trace), d, eps,
@@ -461,9 +503,10 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k, c):
     if mu.degree < 4:
         raise DegreeExhausted(
             f"subspace fixing needs degree >= 4, table has {mu.degree}")
-    proj_poly = poly_quadratic(rows.T @ rows)
+    index = mu.index
+    proj = dense_poly(index, poly_quadratic(rows.T @ rows), 2)
     dim = rows.shape[0]
-    if pseudo_expect(mu, proj_poly) < dim ** (-float(c)) * (1.0 - 1e-9):
+    if _expect(mu, proj) < dim ** (-float(c)) * (1.0 - 1e-9):
         raise PreconditionViolated(f"subspace mass below dim^-{c}")
     k = min(k, max(1, (mu.degree - 4) // 2))
     proj_rp = _projection_weight(rows)
@@ -472,7 +515,7 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k, c):
     pre = 0
     spent = 0
     while True:
-        if _moment_multiplicative_ok(cur, proj_poly, k, eps):
+        if _moment_multiplicative_ok(cur, proj, k, eps):
             break
         if cur.degree < 8 or pre >= _STAGE_CAP:
             break  # no budget to improve further; proceed with what holds
@@ -480,80 +523,93 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k, c):
         pre += 1
         spent += 2
 
-    mass = pseudo_expect(cur, proj_poly)
-    c_k = sphere_moment(dim, k)
+    # everything the draws compare against depends on cur alone: the
+    # power, E~ t^k_use, and the moment blocks of degree 1, k_use, k_use+1
+    mass = _expect(cur, proj)
+    k_use = min(k, max(1, (cur.degree - 2) // 2 - 1))
+    proj_k = proj
+    for _ in range(k_use - 1):
+        proj_k = poly_product(index, proj_k, proj)
+    e_tk = _expect(cur, proj_k)
+    c_k = sphere_moment(dim, k_use)
+    block = moment_block(cur, k_use + 1, k_use + 1)
+    lo, hi, lin_block = index.block(k_use), index.block(k_use + 1), index.block(1)
+    block_lo, block_hi = block[lo, lo], block[hi, hi]
     # second-moment matrix in subspace coordinates; its top eigenvector is
     # the first candidate direction, then uniform draws take over
-    smat = np.empty((dim, dim))
-    for a in range(dim):
-        for bb in range(a, dim):
-            pa = poly_mul(poly_linear(rows[a]), poly_linear(rows[bb]))
-            smat[a, bb] = smat[bb, a] = pseudo_expect(cur, pa)
+    smat = rows @ block[lin_block, lin_block] @ rows.T
     top = np.linalg.eigh(smat)[1][:, -1]
-    for attempt in range(1, retry_budget + 1):
-        coef = rng.standard_normal(dim)
-        if attempt == 1:
-            coef = top + 1e-9 * coef
-        coef /= np.linalg.norm(coef)
-        v = coef @ rows
-        lin = poly_linear(v)
-        sq = poly_mul(lin, lin)
-        k_use = min(k, max(1, (cur.degree - 2) // 2 - 1))
-        e_lo = pseudo_expect(cur, poly_pow(sq, k_use))
-        e_hi = pseudo_expect(cur, poly_pow(sq, k_use + 1))
-        e_tk = pseudo_expect(cur, poly_pow(proj_poly, k_use))
-        if e_lo <= 0.0:
-            continue
+    # draws are screened a batch at a time; after an accepted draw the
+    # generator is rewound to just past it, where a loop over single
+    # draws would have left it
+    attempt = 0
+    while attempt < retry_budget:
+        state = rng.bit_generator.state
+        coefs = rng.standard_normal((min(_DRAW_BATCH, retry_budget - attempt), dim))
+        if attempt == 0:
+            coefs[0] = top + 1e-9 * coefs[0]
+        coefs /= np.linalg.norm(coefs, axis=1, keepdims=True)
+        directions = coefs @ rows
+        powers = linear_form_powers(index, directions, k_use + 1)
+        e_lo = _quadratic_forms(powers[:, lo], block_lo)
+        e_hi = _quadratic_forms(powers[:, hi], block_hi)
         captures = e_hi >= (1.0 - eps) ** 3 * mass * e_lo
-        typical = e_lo >= 0.5 * sphere_moment(dim, k_use) * e_tk
-        if not (captures and typical):
-            continue
-
-        try:
-            work = cur
-            step = 0
-            powered = 0
-            if pseudo_expect(cur, sq) < (1.0 - eps) ** 3 * mass \
-                    and work.degree - 2 * k_use >= 4:
-                work = reweight(work, ReweightPolynomial.from_coefficients(
-                    poly_pow(sq, k_use), certificate=[poly_pow(lin, k_use)]))
-                step += 2 * k_use
-                powered = k_use
-            sigma2 = pseudo_expect(work, sq)
-            if sigma2 <= 0.0:
-                continue
-            sigma = math.sqrt(sigma2)
+        typical = e_lo >= 0.5 * c_k * e_tk
+        for j in np.flatnonzero((e_lo > 0.0) & captures & typical).tolist():
+            v = directions[j]
+            sq = univariate_poly(index, powers[j], [0.0, 0.0, 1.0])
             try:
-                fixed_mu, srep = fix_scalar(work, v / sigma, 1, eps)
-            except DegreeExhausted:
-                # the table is too low-degree for stage A to sharpen the
-                # scalar to eps; run the sign split anyway at a loose
-                # tolerance and let the mean-mass certificate below accept
-                # or reject the result
-                fixed_mu, srep = fix_scalar(work, v / sigma, 1,
-                                            _RELAXED_SCALAR_EPS)
-        except (DegenerateWeight, DegreeExhausted, PreconditionViolated):
-            continue
-        step += srep.degree_spent
-        mean = np.array([fixed_mu.moments[fixed_mu.index.index_of(_unit_exp(len(v), i))]
-                         for i in range(len(v))])
-        out_mass = pseudo_expect(fixed_mu, proj_poly) if fixed_mu.degree >= 2 else 0.0
-        target = max(mass, out_mass)
-        if float(mean @ mean) >= (1.0 - delta) * target:
-            factors = []
-            if pre:
-                factors.append((proj_rp, pre))
-            if powered:
-                factors.append((ReweightPolynomial.from_square(lin), powered))
-            factors.extend(srep.factors)
-            report = SubspaceFixReport(
-                v, attempt,
-                float(mean @ mean) / target if target > 0 else 0.0,
-                spent + step, k_use, pre, srep.m * sigma, srep,
-                tuple(factors))
-            return fixed_mu, report
+                work = cur
+                step = 0
+                powered = 0
+                if _expect(cur, sq) < (1.0 - eps) ** 3 * mass \
+                        and work.degree - 2 * k_use >= 4:
+                    work = reweight(work, _power_weight(index, v, [0.0, 1.0], k_use))
+                    step += 2 * k_use
+                    powered = k_use
+                sigma2 = _expect(work, sq)
+                if sigma2 <= 0.0:
+                    continue
+                sigma = math.sqrt(sigma2)
+                try:
+                    fixed_mu, srep = fix_scalar(work, v / sigma, 1, eps)
+                except DegreeExhausted:
+                    # the table is too low-degree for stage A to sharpen the
+                    # scalar to eps; run the sign split anyway at a loose
+                    # tolerance and let the mean-mass certificate below
+                    # accept or reject the result
+                    fixed_mu, srep = fix_scalar(work, v / sigma, 1,
+                                                _RELAXED_SCALAR_EPS)
+            except (DegenerateWeight, DegreeExhausted, PreconditionViolated):
+                continue
+            step += srep.degree_spent
+            mean = fixed_mu.moments[lin_block]
+            out_mass = _expect(fixed_mu, proj) if fixed_mu.degree >= 2 else 0.0
+            target = max(mass, out_mass)
+            if float(mean @ mean) >= (1.0 - delta) * target:
+                rng.bit_generator.state = state
+                rng.standard_normal((j + 1, dim))
+                factors = []
+                if pre:
+                    factors.append((proj_rp, pre))
+                if powered:
+                    factors.append((ReweightPolynomial.from_square(poly_linear(v)),
+                                    powered))
+                factors.extend(srep.factors)
+                report = SubspaceFixReport(
+                    v, attempt + j + 1,
+                    float(mean @ mean) / target if target > 0 else 0.0,
+                    spent + step, k_use, pre, srep.m * sigma, srep,
+                    tuple(factors))
+                return fixed_mu, report
+        attempt += coefs.shape[0]
     raise RetryExhausted(
         f"no direction fixed the subspace within {retry_budget} draws")
+
+
+def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows[i] @ matrix @ rows[i] for every row."""
+    return np.einsum("ij,ij->i", rows @ matrix, rows)
 
 
 def _projection_weight(rows: np.ndarray) -> ReweightPolynomial:
@@ -563,22 +619,19 @@ def _projection_weight(rows: np.ndarray) -> ReweightPolynomial:
         certificate=[poly_linear(rows[i]) for i in range(rows.shape[0])])
 
 
-def _unit_exp(n: int, i: int):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
-
-
 def _moment_multiplicative_ok(mu, p, k, eps):
-    acc = poly_constant(1.0, mu.num_vars)
-    y1 = pseudo_expect(mu, p)
+    """E~ p^j <= (1 + eps)^{j-1} (E~ p)^j for all j <= k within the degree;
+    p is a dense quadratic."""
+    acc = p
+    y1 = _expect(mu, p)
     bound = 1.0
     for j in range(1, k + 1):
         if 2 * j > mu.degree:
             return True
-        acc = poly_mul(acc, p)
+        if j > 1:
+            acc = poly_product(mu.index, acc, p)
         bound *= (1.0 + eps) * y1
-        if pseudo_expect(mu, acc) > bound + 1e-300:
+        if _expect(mu, acc) > bound + 1e-300:
             return False
     return True
 

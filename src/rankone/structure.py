@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolated,
     RetryExhausted,
 )
-from .pseudodist import PseudoDistribution
+from .pseudodist import PseudoDistribution, moment_block
 from .reweighting import fix_subspace
 
 _MEAN_EPS = 1e-12
@@ -121,18 +121,9 @@ class CompositeWeight:
 def first_moments(mu: PseudoDistribution, offset: int = 0, count: int | None = None):
     """Mean vector and raw second-moment matrix of a block of variables."""
     n = mu.num_vars if count is None else count
-    mean = np.empty(n)
-    second = np.empty((n, n))
-    for i in range(n):
-        e = [0] * mu.num_vars
-        e[offset + i] = 1
-        mean[i] = mu.moments[mu.index.index_of(tuple(e))]
-        for j in range(i, n):
-            e2 = [0] * mu.num_vars
-            e2[offset + i] += 1
-            e2[offset + j] += 1
-            second[i, j] = second[j, i] = mu.moments[mu.index.index_of(tuple(e2))]
-    return mean, second
+    block = moment_block(mu, 1, 1)   # row and column 1 + i belong to x_i
+    sel = np.arange(1 + offset, 1 + offset + n)
+    return block[0, sel], block[np.ix_(sel, sel)]
 
 
 def cross_second_moment(mu: PseudoDistribution) -> np.ndarray:
@@ -148,23 +139,9 @@ def cross_second_moment(mu: PseudoDistribution) -> np.ndarray:
         raise PreconditionViolated(
             f"cross moments need degree >= 4, table has {mu.degree}")
     n = mu.num_vars // 2
-    out = np.empty((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            row = i * n + j
-            for k in range(n):
-                for l in range(n):
-                    col = k * n + l
-                    if col < row:
-                        continue
-                    e = [0] * mu.num_vars
-                    e[i] += 1
-                    e[n + j] += 1
-                    e[k] += 1
-                    e[n + l] += 1
-                    val = mu.moments[mu.index.index_of(tuple(e))]
-                    out[row, col] = out[col, row] = val
-    return out
+    # index of the monomial u_i v_j at position i * n + j
+    pairs = mu.index.sum_table(1, 1)[1:n + 1, n + 1:].ravel()
+    return moment_block(mu, 2, 2)[np.ix_(pairs, pairs)]
 
 
 def stopping_gap(mu: PseudoDistribution):

@@ -161,6 +161,19 @@ def test_solve_planted_instances(n, dim_w, seed):
     assert cand.quality == pytest.approx(again, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed,quality", [
+    (0, 0.9999923182327565), (2, 0.9994183120624573), (3, 0.9999693923213103)])
+def test_structure_rounds_lift_spectral_misses(seed, quality):
+    """At eps = 0.05 the spectral candidate misses 1 - eps^2, and one
+    structure step reaches it; the qualities are the seeded values."""
+    w, _, _ = planted_yes(2, 2, seed)
+    cand, rep = solve_bss(w, 0.05, degree=6)
+    assert rep.structure_steps == 1
+    assert rep.quality >= 1.0 - 0.05 ** 2
+    assert rep.quality == pytest.approx(quality, abs=1e-9)
+    assert cand.quality == rep.quality
+
+
 def test_solve_far_instance_refuses():
     # the antisymmetric line contains no rank-one point at all
     j = unit(np.array([[0.0, 1.0], [-1.0, 0.0]]))

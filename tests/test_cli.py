@@ -18,7 +18,7 @@ from rankone.bss import (
     write_subspace,
 )
 from rankone.cli import load_config, main, read_candidate, write_candidate
-from rankone.errors import IllFormed
+from rankone.errors import DimensionMismatch, IllFormed
 from rankone.rectangle import FactorMatrix, write_factors
 
 

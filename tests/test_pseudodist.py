@@ -26,20 +26,29 @@ from rankone.pseudodist import (
     ReweightPolynomial,
     embed_actual_distribution,
     equality_residual,
+    dense_poly,
     from_support,
+    linear_form_powers,
+    moment_block,
     moment_matrix,
+    monomial_index,
     poly_add,
     poly_degree,
     poly_eval,
     poly_linear,
     poly_mul,
     poly_pow,
+    poly_product,
     poly_quadratic,
+    pseudo_expect,
     read_pseudodist,
     reweight,
+    sparse_poly,
+    univariate_poly,
     validate,
     write_pseudodist,
 )
+from rankone.reweighting import fix_scalar, fix_subspace
 
 
 def brute_monomials(num_vars, max_degree):
@@ -129,15 +138,35 @@ def test_index_rejects_out_of_range():
         MonomialIndex(0, 2)
 
 
-def test_shifted_indices_match_direct_lookup():
+def test_sum_table_matches_direct_lookup():
     ix = MonomialIndex(3, 6)
-    count = ix.count_through(3)
-    got = ix.indices_of_shifted(count, (1, 0, 2))
-    for i in range(count):
-        e = tuple(int(v) for v in ix.exponents[i] + np.array([1, 0, 2]))
-        assert got[i] == ix.index_of(e)
+    table = ix.sum_table(3, 2)
+    assert table.shape == (ix.count_through(3), ix.count_through(2))
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
+            e = tuple(int(v) for v in ix.exponents[i] + ix.exponents[j])
+            assert table[i, j] == ix.index_of(e)
+    assert ix.sum_table(3, 2) is table
+    ix.sum_table(0, 6)
     with pytest.raises(DegreeExceeded):
-        ix.indices_of_shifted(ix.size, (1, 0, 0))
+        ix.sum_table(4, 3)
+
+
+def test_index_layout_and_memoization():
+    """x_i sits at 1 + i, tables share their degree prefix, and the
+    memoized table is one read-only instance per (num_vars, degree)."""
+    ix = monomial_index(3, 4)
+    assert ix is monomial_index(3, 4)
+    for i in range(3):
+        assert ix.index_of(tuple(int(j == i) for j in range(3))) == 1 + i
+    big = MonomialIndex(3, 6)
+    assert big.exponent_tuples[:ix.size] == ix.exponent_tuples
+    assert ix.block(2) == slice(ix.count_through(1), ix.count_through(2))
+    assert ix.degree_of_count(ix.count_through(3)) == 3
+    with pytest.raises(DimensionMismatch):
+        ix.degree_of_count(ix.count_through(3) + 1)
+    with pytest.raises(ValueError):
+        ix.exponents[0, 0] = 1
 
 
 # -- polynomial helpers --------------------------------------------------------
@@ -426,6 +455,177 @@ def test_reweight_keeps_constraints_within_budget():
     nu = reweight(mu, rw)
     assert circle in nu.constraints
     assert equality_residual(nu, circle.poly()) < 1e-10
+
+
+# -- dense moment kernel --------------------------------------------------------
+
+KERNEL_SEEDS = range(20)
+REL = 1e-12
+
+
+def random_moments(rng, num_vars, degree):
+    """A random moment vector: normalized, otherwise unconstrained."""
+    ix = MonomialIndex(num_vars, degree)
+    y = rng.standard_normal(ix.size)
+    y[0] = 1.0
+    return PseudoDistribution(ix, y, degree)
+
+
+def assert_rel(got, ref, scale):
+    """|got - ref| <= REL * scale, scale being the sum of the magnitudes
+    the result is accumulated from."""
+    assert np.all(np.abs(np.asarray(got) - np.asarray(ref)) <= REL * scale)
+
+
+def shift_loop_reweight(mu, p):
+    """Oracle: y'[a] = sum_e p_e y[a + e] / E~ p, one term at a time."""
+    dp = poly_degree(p)
+    new_ix = MonomialIndex(mu.num_vars, mu.degree - dp)
+    out = np.zeros(new_ix.size)
+    for e, c in p.items():
+        for i in range(new_ix.size):
+            shifted = tuple(int(v) for v in new_ix.exponents[i] + np.array(e))
+            out[i] += c * mu.moments[mu.index.index_of(shifted)]
+    out /= pseudo_expect(mu, p)
+    out[0] = 1.0
+    return out
+
+
+def test_dense_product_matches_dict_reference():
+    for seed in KERNEL_SEEDS:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        h1, h2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        ix = monomial_index(n, h1 + h2)
+        p, q = random_poly(rng, ix, h1), random_poly(rng, ix, h2)
+        got = poly_product(ix, dense_poly(ix, p, h1), dense_poly(ix, q, h2))
+        ref = dense_poly(ix, poly_mul(p, q), h1 + h2)
+        scale = sum(abs(c) for c in p.values()) * sum(abs(c) for c in q.values())
+        assert_rel(got, ref, scale)
+        np.testing.assert_array_equal(dense_poly(ix, sparse_poly(ix, got), h1 + h2), got)
+
+
+def test_linear_form_powers_match_dict_reference():
+    for seed in KERNEL_SEEDS:
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1, 5))
+        top = int(rng.integers(1, 7))
+        ix = monomial_index(n, top)
+        v = rng.standard_normal(n)
+        coeffs = rng.standard_normal(top + 1)
+        got = univariate_poly(ix, linear_form_powers(ix, v, top), coeffs)
+        ref: dict = {}
+        for j, c in enumerate(coeffs):
+            ref = poly_add(ref, poly_pow(poly_linear(v), j), scale=c)
+        scale = float(np.abs(coeffs) @ (np.abs(v).sum() ** np.arange(top + 1)))
+        assert_rel(got, dense_poly(ix, ref, top), scale)
+        # a stack of directions gives the stack of expansions
+        stack = rng.standard_normal((3, n))
+        np.testing.assert_array_equal(
+            linear_form_powers(ix, stack, top)[1],
+            linear_form_powers(ix, stack[1], top))
+
+
+def test_quadratic_form_expectations_match_dict_reference():
+    """f^T Y g = E~ f g for random moment vectors, including the even and
+    shifted linear-form powers the reweighting layer evaluates."""
+    for seed in KERNEL_SEEDS:
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(1, 5))
+        degree = int(rng.integers(2, 7))
+        mu = random_moments(rng, n, degree)
+        h1 = int(rng.integers(0, degree + 1))
+        h2 = int(rng.integers(0, degree - h1 + 1))
+        f, g = random_poly(rng, mu.index, h1), random_poly(rng, mu.index, h2)
+        block = moment_block(mu, h1, h2)
+        got = dense_poly(mu.index, f, h1) @ block @ dense_poly(mu.index, g, h2)
+        abs_y = np.abs(mu.moments).max()
+        scale = sum(abs(c) for c in f.values()) * sum(abs(c) for c in g.values()) * abs_y
+        assert_rel(got, pseudo_expect(mu, poly_mul(f, g)), scale)
+
+        k = degree // 2
+        v = rng.standard_normal(n)
+        shift = float(rng.standard_normal())
+        coeffs = np.zeros(k + 1)
+        for j in range(k + 1):
+            coeffs[j] = math.comb(k, j) * shift ** (k - j)
+        half = univariate_poly(mu.index, linear_form_powers(mu.index, v, k), coeffs)
+        ref_poly = poly_pow(poly_add(poly_linear(v), {(0,) * n: shift}), 2 * k)
+        scale = (np.abs(v).sum() + abs(shift)) ** (2 * k) * abs_y
+        got = half @ moment_block(mu, k, k) @ half
+        assert_rel(got, pseudo_expect(mu, ref_poly), scale)
+
+
+def test_reweight_matches_shift_loop_reference():
+    for seed in KERNEL_SEEDS:
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 4))
+        degree = int(rng.choice([4, 6]))
+        _, _, mu = random_discrete(rng, 6, n, degree)
+        blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
+        g = poly_add(poly_linear(rng.standard_normal(n)),
+                     {(0,) * n: float(rng.standard_normal())})
+        if degree == 6 and seed % 2:
+            g = poly_add(g, poly_quadratic(rng.standard_normal((n, n))))
+        rw = ReweightPolynomial.from_square(g)
+        got = reweight(blind, rw)
+        ref = shift_loop_reweight(blind, rw.poly())
+        assert got.degree == degree - rw.degree
+        norm = pseudo_expect(blind, rw.poly())
+        scale = sum(abs(c) for c in rw.poly().values()) * np.abs(mu.moments).max() / norm
+        assert_rel(got.moments, ref, scale)
+
+
+def test_kernel_keeps_degree_boundaries():
+    """DegreeExceeded and DegreeExhausted fire at the same degrees as the
+    dict definitions they replace."""
+    rng = np.random.default_rng(400)
+    for degree in (2, 3, 4, 5, 6):
+        mu = random_moments(rng, 2, degree)
+        for h1 in range(degree + 2):
+            for h2 in range(degree + 2):
+                if h1 + h2 <= degree:
+                    moment_block(mu, h1, h2)
+                    pseudo_expect(mu, {(h1 + h2, 0): 1.0})
+                else:
+                    with pytest.raises(DegreeExceeded):
+                        moment_block(mu, h1, h2)
+                    with pytest.raises(DegreeExceeded):
+                        pseudo_expect(mu, {(h1 + h2, 0): 1.0})
+        # a moment-backed table pays deg p and keeps at least degree 2
+        for half in range(1, degree):
+            rw = ReweightPolynomial.from_square(
+                poly_pow(poly_add(poly_linear([1.0, 0.5]), {(0, 0): 2.0}), half))
+            _, _, actual = random_discrete(rng, 5, 2, degree)
+            blind = PseudoDistribution(actual.index, actual.moments, degree)
+            if 2 * half <= degree - 2:
+                assert reweight(blind, rw).degree == degree - 2 * half
+            else:
+                with pytest.raises(DegreeExhausted):
+                    reweight(blind, rw)
+        # a constraint is measured against every multiplier that fits
+        cubic = {(3, 0): 1.0, (1, 1): -0.5, (0, 0): -1.0}
+        if degree < 3:
+            assert equality_residual(mu, cubic) == 0.0
+        else:
+            ref = max(abs(pseudo_expect(mu, poly_mul(cubic, {e: 1.0})))
+                      for e in mu.index.exponent_tuples[:mu.index.count_through(degree - 3)])
+            assert abs(equality_residual(mu, cubic) - ref) <= REL * 3.0 * np.abs(mu.moments).max()
+
+    # the scalar fix needs degree 4d, the subspace fix degree 4
+    pts = np.array([[2.0, 0.0], [-2.0, 0.5], [1.5, 1.0]])
+    for degree in (3, 4, 5, 6):
+        actual = embed_actual_distribution(pts, np.ones(3) / 3.0, degree)
+        blind = PseudoDistribution(actual.index, actual.moments, degree)
+        if degree < 4:
+            with pytest.raises(DegreeExhausted):
+                fix_scalar(blind, [1.0, 0.0], 1, 0.45)
+            with pytest.raises(DegreeExhausted):
+                fix_subspace(blind, np.eye(2), 0.5)
+        else:
+            assert fix_scalar(blind, [1.0, 0.0], 1, 0.45)[0].degree == degree - 2
+        with pytest.raises(DegreeExhausted):
+            fix_scalar(blind, [1.0, 0.0], degree // 4 + 1, 0.45)
 
 
 # -- serialization -------------------------------------------------------------
