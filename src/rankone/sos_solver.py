@@ -16,10 +16,13 @@ moment-matrix blocks S:
     C2 = { T(y) : L y = b }, the affine image of the constraint set.
 
 Both projections are exact: C1 is an eigenvalue clip per block, C2 is a
-precomputed linearly-constrained least squares (null-space basis of L
-from one symmetric eigendecomposition, then a Cholesky backsolve).  All
-reductions are in fixed order, so a given problem yields bit-identical
-output on every run.
+precomputed linearly-constrained least squares (null-space basis of L,
+then a Cholesky backsolve).  L is one sparse matrix; the null space is
+taken per connected block of it, where two moments share a block when
+some equality touches both, so no p x p array is ever formed.  For the
+rank-one problem the blocks follow the sign classes of u -> -u, v -> -v.
+All reductions are in fixed order, so a given problem yields
+bit-identical output on every run.
 
 Infeasibility is declared when the inter-set distance stalls above
 10 * tol for 500 consecutive iterations; the stalled displacement vector
@@ -39,10 +42,10 @@ from .pseudodist import (
     ConstraintSpec,
     MonomialIndex,
     PseudoDistribution,
+    monomial_index,
     poly_clean,
     poly_constant,
     poly_degree,
-    poly_mul,
 )
 
 DEFAULT_TOL = 1e-7
@@ -57,17 +60,19 @@ _CHECK_EVERY = 10
 class SdpProblem:
     """Moment feasibility problem over `index`.
 
-    equalities: (functional dict exponent->coef, rhs) pairs, meaning
-        sum_e coef * y[e] = rhs.
+    lmat, rhs: the equalities lmat @ y = rhs, as a CSR matrix with one
+        column per moment.  Row 0 is the normalization E~ 1 = 1; then each
+        equality spec q gives one row E~[q x^m] = 0 per multiplier x^m,
+        in graded order.  Those rows are the coefficient vectors of the
+        truncated-ideal members q x^m that back the facial reduction.
     psd_blocks: localizer polynomials; poly 1 is the plain moment matrix.
-    ideal_polys: truncated-ideal members backing the facial reduction.
     constraints: the originating ConstraintSpecs, recorded on the output.
     """
 
     index: MonomialIndex
-    equalities: tuple
+    lmat: sp.csr_matrix
+    rhs: np.ndarray
     psd_blocks: tuple
-    ideal_polys: tuple
     constraints: tuple
 
 
@@ -92,11 +97,11 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
     """
     if degree < 2 or degree % 2 != 0:
         raise DegreeTooSmall(f"need an even degree >= 2, got {degree}")
-    index = MonomialIndex(num_vars, degree)
-    one = (0,) * num_vars
-    equalities = [({one: 1.0}, 1.0)]
+    index = monomial_index(num_vars, degree)
+    # row 0 is the normalization E~ 1 = 1
+    rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
+    num_rows = 1
     blocks = [poly_constant(1.0, num_vars)]
-    ideal = []
     for spec in constraints:
         q = poly_clean(spec.poly())
         dq = poly_degree(q)
@@ -105,24 +110,26 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
         if dq > degree:
             raise IllFormed(f"constraint degree {dq} exceeds problem degree {degree}")
         if spec.kind == "eq":
-            mult_count = index.count_through(degree - dq)
-            for mi in range(mult_count):
-                shift = tuple(int(v) for v in index.exponents[mi])
-                functional = {}
-                for e, c in q.items():
-                    key = tuple(a + b for a, b in zip(e, shift))
-                    functional[key] = functional.get(key, 0.0) + c
-                equalities.append((poly_clean(functional), 0.0))
-                ideal.append(poly_clean({
-                    tuple(a + b for a, b in zip(e, shift)): c for e, c in q.items()}))
+            # Row num_rows + m is q x^m: term x^e lands on column table[e, m].
+            table = index.sum_table(dq, degree - dq)
+            terms = np.array([index.index_of(e) for e in q])
+            mult_count = table.shape[1]
+            rows.append(np.tile(np.arange(num_rows, num_rows + mult_count), len(q)))
+            cols.append(table[terms].reshape(-1))
+            data.append(np.repeat(np.fromiter(q.values(), float, len(q)), mult_count))
+            num_rows += mult_count
         elif spec.kind == "ineq":
             if dq > degree - 2:
                 raise IllFormed("inequality constraint too high-degree to localize")
             blocks.append(q)
         else:
             raise IllFormed(f"unknown constraint kind {spec.kind!r}")
-    return SdpProblem(index, tuple(equalities), tuple(blocks), tuple(ideal),
-                      tuple(constraints))
+    lmat = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(num_rows, index.size))
+    rhs = np.zeros(num_rows)
+    rhs[0] = 1.0
+    return SdpProblem(index, lmat, rhs, tuple(blocks), tuple(constraints))
 
 
 def build_bss_problem(w, degree: int) -> SdpProblem:
@@ -172,21 +179,20 @@ class _BlockMap:
         for loc in localizers:
             dloc = poly_degree(loc)
             half = (degree - dloc) // 2
+            # Entry (a, b) of the block for term c x^e reads c * y[a + b + e].
+            base = index.sum_table(half, half).reshape(-1)
+            shift = index.sum_table(2 * half, dloc)
             m = index.count_through(half)
             self.sizes.append(m)
-            exps = index.exponents[:m]
             for e, c in sorted(loc.items()):
-                base = np.asarray(e, dtype=np.int64)
-                for a in range(m):
-                    ea = exps[a] + base
-                    for b in range(m):
-                        rows.append(offset + a * m + b)
-                        cols.append(index._lookup[tuple(int(v) for v in ea + exps[b])])
-                        data.append(c)
+                rows.append(np.arange(offset, offset + m * m))
+                cols.append(shift[base, index.index_of(e)])
+                data.append(np.full(m * m, c))
             offset += m * m
         self.total = offset
         self.matrix = sp.csr_matrix(
-            (data, (rows, cols)), shape=(self.total, index.size))
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.total, index.size))
         self.adjoint = self.matrix.T.tocsr()
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -201,28 +207,20 @@ class _BlockMap:
         return out
 
 
-def _face_basis(index: MonomialIndex, degree: int, ideal_polys) -> np.ndarray | None:
+def _face_basis(index: MonomialIndex, degree: int, lmat: sp.csr_matrix) -> np.ndarray | None:
     """Orthonormal basis of the main block's face (complement of the span of
-    truncated-ideal coefficient vectors)."""
-    half = degree // 2
-    m = index.count_through(half)
-    cols = []
-    for q in ideal_polys:
-        if poly_degree(q) > half:
-            continue
-        vec = np.zeros(m)
-        usable = True
-        for e, c in q.items():
-            pos = index._lookup.get(e)
-            if pos is None or pos >= m:
-                usable = False
-                break
-            vec[pos] = c
-        if usable and np.any(vec):
-            cols.append(vec)
-    if not cols:
+    truncated-ideal coefficient vectors).
+
+    The ideal members are the rows of `lmat` after the normalization row;
+    those supported on the main block's monomials (the first m columns, as
+    the table is graded) are the ones it annihilates."""
+    m = index.count_through(degree // 2)
+    row_of = np.repeat(np.arange(lmat.shape[0]), np.diff(lmat.indptr))
+    outside = np.bincount(row_of[lmat.indices >= m], minlength=lmat.shape[0])
+    keep = np.flatnonzero(outside[1:] == 0) + 1
+    if keep.size == 0:
         return None
-    k = np.column_stack(cols)
+    k = lmat[keep][:, :m].toarray().T
     u, s, _ = np.linalg.svd(k, full_matrices=True)
     rank = int((s > _RANK_EPS * max(s[0], 1.0)).sum())
     if rank == 0:
@@ -264,31 +262,65 @@ def _project_cone(block_map: _BlockMap, stacked: np.ndarray, face: np.ndarray | 
     return out, min_eig
 
 
+def _column_components(lmat: sp.csr_matrix) -> np.ndarray:
+    """Label of each column: the smallest column in its connected block,
+    where two columns are linked when some row has both.  Min-label
+    propagation with pointer jumping; a column in no row is its own block."""
+    counts = np.diff(lmat.indptr)
+    starts = lmat.indptr[:-1][counts > 0]
+    counts = counts[counts > 0]
+    labels = np.arange(lmat.shape[1])
+    while True:
+        row_min = np.minimum.reduceat(labels[lmat.indices], starts)
+        new = labels.copy()
+        np.minimum.at(new, lmat.indices, np.repeat(row_min, counts))
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The part of G^+ rhs carried by the given eigenpairs of G."""
+    return vecs @ ((vecs.T @ rhs) / vals)
+
+
 class _AffineGeometry:
     """Precomputed least-squares projector onto { T(y) : L y = b }."""
 
     def __init__(self, problem: SdpProblem, block_map: _BlockMap):
-        index = problem.index
-        p = index.size
-        rows, cols, data, rhs = [], [], [], []
-        for r, (functional, value) in enumerate(problem.equalities):
-            rhs.append(value)
-            for e, c in functional.items():
-                rows.append(r)
-                cols.append(index._lookup[e])
-                data.append(c)
-        lmat = sp.csr_matrix((data, (rows, cols)), shape=(len(rhs), p))
-        b = np.array(rhs)
-
-        gram = np.asarray((lmat.T @ lmat).todense())
-        vals, vecs = np.linalg.eigh(gram)
-        cut = _RANK_EPS * max(float(vals[-1]), 1.0)
-        null_mask = vals <= cut
-        self.null_basis = vecs[:, null_mask]
-        row_vecs = vecs[:, ~null_mask]
-        row_vals = vals[~null_mask]
+        lmat, b = problem.lmat, problem.rhs
+        p = lmat.shape[1]
+        # L^T L is block diagonal over the column blocks: one eigh per block.
+        labels = _column_components(lmat)
+        order = np.argsort(labels, kind="stable")
+        splits = np.flatnonzero(np.diff(labels[order])) + 1
+        lcols = lmat.tocsc()
         ltb = lmat.T @ b
-        self.y_particular = row_vecs @ ((row_vecs.T @ ltb) / row_vals)
+        # trace(L^T L) bounds every block's top eigenvalue, so eigenvalues
+        # above `clear` are row space whatever the global cut; only the
+        # eigenvectors below it are kept until the cut is known.
+        clear = _RANK_EPS * max(float(lmat.data @ lmat.data), 1.0)
+        top = 0.0
+        pending = []
+        self.y_particular = np.zeros(p)
+        for ix in np.split(order, splits):
+            sub = lcols[:, ix]
+            vals, vecs = np.linalg.eigh((sub.T @ sub).toarray())
+            top = max(top, float(vals[-1]))
+            low = int(np.searchsorted(vals, clear, side="right"))  # vals ascend
+            self.y_particular[ix] = _eigen_solve(vals[low:], vecs[:, low:], ltb[ix])
+            pending.append((ix, vals[:low], vecs[:, :low].copy()))
+        cut = _RANK_EPS * max(top, 1.0)
+
+        null_cols = []
+        for ix, vals, vecs in pending:
+            null = int(np.searchsorted(vals, cut, side="right"))
+            col = np.zeros((p, null))
+            col[ix] = vecs[:, :null]
+            null_cols.append(col)
+            self.y_particular[ix] += _eigen_solve(vals[null:], vecs[:, null:], ltb[ix])
+        self.null_basis = np.hstack(null_cols)
         self.lmat = lmat
         self.b = b
 
@@ -330,7 +362,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     """
     index = problem.index
     block_map = _BlockMap(index, index.max_degree, problem.psd_blocks)
-    face = _face_basis(index, index.max_degree, problem.ideal_polys)
+    face = _face_basis(index, index.max_degree, problem.lmat)
     geo = _AffineGeometry(problem, block_map)
 
     z = block_map.apply(geo.y_particular)

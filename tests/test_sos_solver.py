@@ -7,21 +7,31 @@ polynomials with known sum-of-squares status.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rankone.errors import DegreeTooSmall, IllFormed
 from rankone.pseudodist import (
     ConstraintSpec,
     MonomialIndex,
+    monomial_index,
+    poly_degree,
     poly_linear,
     poly_mul,
     validate,
 )
 from rankone.sos_solver import (
+    _RANK_EPS,
+    _AffineGeometry,
+    _BlockMap,
+    _face_basis,
+    SdpProblem,
     build_bss_problem,
     build_problem,
     sos_gram_check,
     solve_feasibility,
 )
+
+EQUIVALENCE_SEEDS = range(24)
 
 
 class SpanStub:
@@ -93,7 +103,7 @@ def test_build_problem_counts_multipliers():
     c = ConstraintSpec.equality({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
     prob = build_problem(2, 4, [c])
     ix = MonomialIndex(2, 4)
-    assert len(prob.equalities) == 1 + ix.count_through(2)  # normalization + shifts
+    assert prob.lmat.shape[0] == 1 + ix.count_through(2)  # normalization + shifts
     assert len(prob.psd_blocks) == 1
 
 
@@ -104,7 +114,7 @@ def test_build_bss_problem_shapes():
     assert prob.index.num_vars == 4
     # two spheres + three complement directions, each times 15 multipliers of
     # degree <= 2 over four variables, plus normalization
-    assert len(prob.equalities) == 1 + 5 * MonomialIndex(4, 4).count_through(2)
+    assert prob.lmat.shape[0] == 1 + 5 * MonomialIndex(4, 4).count_through(2)
     with pytest.raises(DegreeTooSmall):
         build_bss_problem(SpanStub(2, comp), 3)
     with pytest.raises(DegreeTooSmall):
@@ -217,3 +227,175 @@ def test_iter_limit_reported():
     assert mu is None
     assert rep.status == "iter_limit"
     assert rep.iterations == 40
+
+
+# -- sparse set-up against the dict and dense references --------------------------
+
+
+def random_spec_poly(rng, ix, top):
+    """A few random terms of degree <= top (the constant term half the time)."""
+    count = ix.count_through(top)
+    picks = rng.choice(count, size=min(count, int(rng.integers(1, 5))), replace=False)
+    poly = {ix.exponent_tuples[int(i)]: float(rng.standard_normal()) for i in picks}
+    if rng.random() < 0.5:
+        poly[ix.exponent_tuples[0]] = float(rng.standard_normal())
+    return poly
+
+
+def random_problem_specs(rng, num_vars, degree):
+    """Equalities of mixed degree and parity, sometimes a degree-0 equality,
+    and sometimes a multi-term inequality localizer."""
+    ix = MonomialIndex(num_vars, degree)
+    specs = [ConstraintSpec.equality(random_spec_poly(rng, ix, int(rng.integers(1, degree + 1))))
+             for _ in range(int(rng.integers(0, 3)))]
+    if rng.random() < 0.2:
+        specs.append(ConstraintSpec.equality({ix.exponent_tuples[0]: 2.0}))
+    if rng.random() < 0.5:
+        specs.append(ConstraintSpec.inequality(
+            random_spec_poly(rng, ix, int(rng.integers(0, degree - 1)))))
+    rng.shuffle(specs)
+    return specs
+
+
+def random_problem(seed):
+    rng = np.random.default_rng(seed)
+    num_vars = int(rng.integers(1, 4))
+    degree = int(rng.choice([2, 4, 6] if num_vars < 3 else [2, 4]))
+    specs = random_problem_specs(rng, num_vars, degree)
+    return num_vars, degree, specs
+
+
+def dict_equalities(num_vars, degree, constraints):
+    """Oracle: each equality spec times each multiplier, expanded through
+    dicts.  Returns the (functional, rhs) pairs, normalization first."""
+    index = MonomialIndex(num_vars, degree)
+    equalities = [({(0,) * num_vars: 1.0}, 1.0)]
+    for spec in constraints:
+        q = spec.poly()
+        if not q or spec.kind != "eq":
+            continue
+        for shift in index.exponent_tuples[:index.count_through(degree - poly_degree(q))]:
+            equalities.append(
+                ({tuple(a + b for a, b in zip(e, shift)): c for e, c in q.items()}, 0.0))
+    return equalities
+
+
+def dict_lmat(index, equalities):
+    rows, cols, data = [], [], []
+    for r, (functional, _) in enumerate(equalities):
+        for e, c in functional.items():
+            rows.append(r)
+            cols.append(index.index_of(e))
+            data.append(c)
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(equalities), index.size))
+
+
+def loop_block_matrix(index, degree, localizers):
+    """Oracle: block entry (a, b) of term c x^e reads c * y[x^(a + b + e)]."""
+    rows, cols, data = [], [], []
+    offset = 0
+    for loc in localizers:
+        m = index.count_through((degree - poly_degree(loc)) // 2)
+        exps = index.exponents[:m]
+        for e, c in sorted(loc.items()):
+            for a in range(m):
+                for b in range(m):
+                    rows.append(offset + a * m + b)
+                    cols.append(index.index_of(tuple(int(v) for v in exps[a] + exps[b] + e)))
+                    data.append(c)
+        offset += m * m
+    return sp.csr_matrix((data, (rows, cols)), shape=(offset, index.size))
+
+
+def dict_face_basis(index, degree, equalities):
+    """Oracle: the ideal members of degree <= half, as dense columns."""
+    m = index.count_through(degree // 2)
+    cols = []
+    for functional, _ in equalities[1:]:
+        if poly_degree(functional) > degree // 2:
+            continue
+        vec = np.zeros(m)
+        for e, c in functional.items():
+            vec[index.index_of(e)] = c
+        cols.append(vec)
+    if not cols:
+        return None
+    u, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=True)
+    rank = int((s > _RANK_EPS * max(s[0], 1.0)).sum())
+    if rank == 0:
+        return None
+    if rank == m:
+        return np.zeros((m, 0))
+    return u[:, rank:]
+
+
+def dense_null_space(lmat, b):
+    """Oracle: null basis and minimum-norm solution from one eigh of L^T L."""
+    vals, vecs = np.linalg.eigh((lmat.T @ lmat).toarray())
+    null_mask = vals <= _RANK_EPS * max(float(vals[-1]), 1.0)
+    row_vecs = vecs[:, ~null_mask]
+    y = row_vecs @ ((row_vecs.T @ (lmat.T @ b)) / vals[~null_mask])
+    return vecs[:, null_mask], y
+
+
+def assert_same_csr(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.indptr, ref.indptr)
+    np.testing.assert_array_equal(got.indices, ref.indices)
+    np.testing.assert_array_equal(got.data, ref.data)
+
+
+def test_lmat_matches_dict_expansion():
+    for seed in EQUIVALENCE_SEEDS:
+        num_vars, degree, specs = random_problem(seed)
+        prob = build_problem(num_vars, degree, specs)
+        equalities = dict_equalities(num_vars, degree, specs)
+        assert_same_csr(prob.lmat, dict_lmat(prob.index, equalities))
+        np.testing.assert_array_equal(prob.rhs, [b for _, b in equalities])
+        assert prob.index is build_problem(num_vars, degree, []).index  # memoized
+
+
+def test_block_map_matches_triple_loop():
+    for seed in EQUIVALENCE_SEEDS:
+        num_vars, degree, specs = random_problem(100 + seed)
+        prob = build_problem(num_vars, degree, specs)
+        got = _BlockMap(prob.index, degree, prob.psd_blocks).matrix
+        assert_same_csr(got, loop_block_matrix(prob.index, degree, prob.psd_blocks))
+
+
+def test_face_basis_matches_dict_ideal():
+    for seed in EQUIVALENCE_SEEDS:
+        num_vars, degree, specs = random_problem(200 + seed)
+        prob = build_problem(num_vars, degree, specs)
+        got = _face_basis(prob.index, degree, prob.lmat)
+        ref = dict_face_basis(prob.index, degree, dict_equalities(num_vars, degree, specs))
+        if ref is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_block_null_space_matches_dense_eigh():
+    """Per-block null space: same projector N N^T and minimum-norm point as
+    one eigh of the whole Gram matrix, isolated columns included."""
+    isolated = build_problem(2, 4, [ConstraintSpec.equality({(4, 0): 1.0, (3, 0): -1.0})])
+    rng = np.random.default_rng(5)
+    sign_classes = build_bss_problem(
+        SpanStub(2, complement_of_line(2, rng.standard_normal((2, 2)), rng)), 6)
+    # column blocks with eigenvalues 1e6, 1e6 | 1 | 1.5e-4 | 5e-5: the global
+    # cut 1e-10 * 1e6 frees the last moment, and 1.5e-4 sits below 1e-10 * trace
+    scaled = SdpProblem(
+        monomial_index(1, 4), sp.csr_matrix(np.diag([1.0, 1e3, 1e3, 1.5e-4 ** 0.5, 5e-5 ** 0.5])),
+        np.ones(5), ({(0,): 1.0},), ())
+    cases = [isolated, sign_classes, scaled] + [build_problem(*random_problem(300 + seed))
+                          for seed in EQUIVALENCE_SEEDS]
+    for prob in cases:
+        degree = prob.index.max_degree
+        geo = _AffineGeometry(prob, _BlockMap(prob.index, degree, prob.psd_blocks))
+        null_ref, y_ref = dense_null_space(prob.lmat, prob.rhs)
+        assert geo.null_basis.shape == null_ref.shape
+        np.testing.assert_allclose(geo.null_basis @ geo.null_basis.T,
+                                   null_ref @ null_ref.T, rtol=0, atol=1e-10)
+        # the dense reference mixes blocks, so its error grows with |y|
+        np.testing.assert_allclose(geo.y_particular, y_ref, rtol=0,
+                                   atol=1e-10 * max(1.0, np.abs(y_ref).max()))
