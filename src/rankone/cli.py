@@ -18,7 +18,9 @@ win when both are given, and all randomness flows from the single seed.
 
 Exit codes: 0 positive verdict, 1 clean negative verdict (infeasible
 instance, quality below the bar), 2 malformed inputs or files, 3
-exhausted search or solver budgets, 4 anything unexpected.
+exhausted search or solver budgets, 4 anything unexpected.  `solve`
+says OK for any candidate it finds; its `checks.meets_target` applies
+the bar 1 - eps^2 (`result.target`) that `check` applies.
 """
 
 from __future__ import annotations
@@ -240,6 +242,16 @@ def _candidate_payload(cand) -> dict:
             "quality": float(cand.quality)}
 
 
+def _target(eps: float) -> float:
+    """The quality bar 1 - eps^2."""
+    return 1.0 - eps ** 2
+
+
+def _meets_target(record, eps: float) -> bool:
+    """The verdict of `check`: a consistent record at or above the bar."""
+    return bool(record.ok() and record.quality >= _target(eps) - 1e-12)
+
+
 def _cmd_solve(args):
     cfg = _effective(args, {"in_path": None, "out": None, "eps": 0.25,
                             "degree": 6, "seed": 0, "tol": 1e-7})
@@ -263,18 +275,22 @@ def _cmd_solve(args):
     result = {"solver_status": report.solver_status,
               "solver_iterations": report.solver_iterations,
               "structure_steps": report.structure_steps,
-              "degree_left": report.degree_left}
+              "degree_left": report.degree_left,
+              "target": _target(cfg["eps"])}
     if cand is None:
         result["note"] = (f"degree-{cfg['degree']} relaxation is infeasible: "
                           "no unit rank-one lies in the subspace")
-        return cfg, "FAIL", result, {}
+        return cfg, "FAIL", result, {"meets_target": False}
 
     result["candidate"] = _candidate_payload(cand)
     record = verify_candidate(
         cand, w, measurement if kind == "MEASUREMENT" else None)
+    # The verdict stays OK below the bar (the candidate is still the best
+    # found); meets_target applies the bar that `check` applies.
     checks = {"quality": record.quality,
               "quality_via_complement": record.quality_via_complement,
-              "consistent": record.ok()}
+              "consistent": record.ok(),
+              "meets_target": _meets_target(record, cfg["eps"])}
     if record.acceptance is not None:
         checks["acceptance"] = record.acceptance
         checks["acceptance_floor"] = record.acceptance_floor
@@ -376,9 +392,8 @@ def _cmd_check(args):
         raise IllFormed(f"cannot check against a {kind} file")
 
     record = verify_candidate(RankOneCandidate(u0, v0, 0.0), w, measurement)
-    target = 1.0 - cfg["eps"] ** 2
-    passed = record.ok() and record.quality >= target - 1e-12
-    result = {"quality": record.quality, "target": target, **extra}
+    passed = _meets_target(record, cfg["eps"])
+    result = {"quality": record.quality, "target": _target(cfg["eps"]), **extra}
     checks = {"quality_via_complement": record.quality_via_complement,
               "consistent": record.ok()}
     if record.acceptance is not None:

@@ -19,10 +19,20 @@ Both projections are exact: C1 is an eigenvalue clip per block, C2 is a
 precomputed linearly-constrained least squares (null-space basis of L,
 then a Cholesky backsolve).  L is one sparse matrix; the null space is
 taken per connected block of it, where two moments share a block when
-some equality touches both, so no p x p array is ever formed.  For the
-rank-one problem the blocks follow the sign classes of u -> -u, v -> -v.
-All reductions are in fixed order, so a given problem yields
-bit-identical output on every run.
+some equality touches both, so no p x p array is ever formed.
+
+The SDP is first reduced by its sign symmetry (Gatermann & Parrilo,
+JPAA 2004).  The flips x_i -> -x_i that fix every equality up to sign,
+every localizer term and every row with a nonzero right-hand side are
+read off the problem over GF(2) and split the monomials into sign
+classes; for the rank-one problem those are the parities of the degrees
+in u and in v.  The group average of a feasible y is feasible, and both
+projections commute with the flips, so the solver works with the moments
+of the invariant class only: each localizing matrix splits into one
+block per class of its row monomials, and every other moment is an
+exact zero.  When no flip fixes the problem there is one class and the
+blocks are the plain ones.  All reductions are in fixed order, so a
+given problem yields bit-identical output on every run.
 
 Infeasibility is declared when the inter-set distance stalls above
 10 * tol for 500 consecutive iterations; the stalled displacement vector
@@ -67,6 +77,9 @@ class SdpProblem:
         truncated-ideal members q x^m that back the facial reduction.
     psd_blocks: localizer polynomials; poly 1 is the plain moment matrix.
     constraints: the originating ConstraintSpecs, recorded on the output.
+
+    The solver keeps only the moments of the invariant sign class (see
+    `_sign_classes`); in a solution every other moment is an exact zero.
     """
 
     index: MonomialIndex
@@ -78,6 +91,10 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """Outcome of one solve.  `witness` is the stalled displacement in the
+    reduced stacked coordinates: one block per (localizer, sign class),
+    each flattened row-major, in the order of `_BlockMap`."""
+
     status: str  # feasible | infeasible | iter_limit
     iterations: int
     max_constraint_residual: float
@@ -164,13 +181,79 @@ def build_bss_problem(w, degree: int) -> SdpProblem:
     return build_problem(num_vars, degree, specs)
 
 
+# -- sign symmetry -----------------------------------------------------------
+
+
+def _row_of(lmat: sp.csr_matrix) -> np.ndarray:
+    """Row number of each stored entry of a CSR matrix."""
+    return np.repeat(np.arange(lmat.shape[0]), np.diff(lmat.indptr))
+
+
+def _reduce(v: int, basis: list) -> int:
+    """v modulo the GF(2) span of `basis`, whose members each have the
+    leading bits of all earlier members clear: the coset member with every
+    leading bit clear (min(v, v ^ b) clears the leading bit of b)."""
+    for b in basis:
+        v = min(v, v ^ b)
+    return v
+
+
+def _sign_classes(problem: SdpProblem) -> np.ndarray:
+    """Sign class of each monomial under the flips that fix the problem.
+
+    The flip s in {+1, -1}^n sends y[a] to s^a y[a], so it acts through
+    the parity bitmask par(a) of each exponent.  It fixes the problem when
+    it maps every equality row to +- itself and fixes every localizer term
+    and every term of a row with a nonzero right-hand side.  Those
+    conditions are a set V of parities that the kept flips must
+    annihilate over GF(2): the par(a) ^ par(a0) of each row, with a0 its
+    first column, and the par(e) of each fixed term.  Two monomials are
+    moved alike by every kept flip exactly when their parities differ by
+    a member of span(V), so the class is the parity reduced modulo V,
+    numbered in increasing order; class 0 is the invariant class.
+    """
+    index, lmat = problem.index, problem.lmat
+    parity = ((index.exponents & 1) << np.arange(index.num_vars)).sum(axis=1)
+    col_parity = parity[lmat.indices]
+    row_of = _row_of(lmat)
+    first = col_parity[lmat.indptr[row_of]]
+    local = [index.index_of(e) for loc in problem.psd_blocks for e in loc]
+    generators = np.concatenate([col_parity ^ first,
+                                 col_parity[problem.rhs[row_of] != 0],
+                                 parity[np.array(local, dtype=np.int64)]])
+    basis: list = []
+    for v in set(generators.tolist()):
+        v = _reduce(v, basis)
+        if v:
+            basis.append(v)
+    # the leading bits of any such basis are those of span(V), so the
+    # reduced parities do not depend on the order the generators come in
+    reduced = {v: _reduce(v, basis) for v in set(parity.tolist())}
+    number = {v: k for k, v in enumerate(sorted(set(reduced.values())))}
+    return np.array([number[reduced[v]] for v in parity.tolist()], dtype=np.int64)
+
+
+def _class_members(labels: np.ndarray) -> list:
+    """Positions holding each label, labels ascending, positions ascending."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 # -- internal geometry -------------------------------------------------------
 
 
 class _BlockMap:
-    """Linear map y -> stacked symmetric blocks, with gather/scatter arrays."""
+    """Linear map from the invariant moments to the stacked symmetric
+    blocks, with gather/scatter arrays.
 
-    def __init__(self, index: MonomialIndex, degree: int, localizers):
+    Each localizer's matrix splits into one block per sign class of its
+    row monomials, in class order: entry (a, b) reads y[a + b + e], an
+    invariant moment when a and b share a class, and zero otherwise."""
+
+    def __init__(self, index: MonomialIndex, degree: int, localizers, labels: np.ndarray):
+        invariant = np.flatnonzero(labels == 0)
+        column = np.full(index.size, -1)
+        column[invariant] = np.arange(invariant.size)
         self.sizes = []
         rows = []
         cols = []
@@ -180,58 +263,66 @@ class _BlockMap:
             dloc = poly_degree(loc)
             half = (degree - dloc) // 2
             # Entry (a, b) of the block for term c x^e reads c * y[a + b + e].
-            base = index.sum_table(half, half).reshape(-1)
+            table = index.sum_table(half, half)
             shift = index.sum_table(2 * half, dloc)
-            m = index.count_through(half)
-            self.sizes.append(m)
-            for e, c in sorted(loc.items()):
-                rows.append(np.arange(offset, offset + m * m))
-                cols.append(shift[base, index.index_of(e)])
-                data.append(np.full(m * m, c))
-            offset += m * m
+            for members in _class_members(labels[:index.count_through(half)]):
+                m = members.size
+                base = table[np.ix_(members, members)].reshape(-1)
+                self.sizes.append(m)
+                for e, c in sorted(loc.items()):
+                    rows.append(np.arange(offset, offset + m * m))
+                    cols.append(column[shift[base, index.index_of(e)]])
+                    data.append(np.full(m * m, c))
+                offset += m * m
         self.total = offset
         self.matrix = sp.csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.total, index.size))
+            shape=(self.total, invariant.size))
         self.adjoint = self.matrix.T.tocsr()
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         return self.matrix @ y
 
-    def blocks(self, stacked: np.ndarray):
-        out = []
-        offset = 0
-        for m in self.sizes:
-            out.append(stacked[offset:offset + m * m].reshape(m, m))
-            offset += m * m
-        return out
 
-
-def _face_basis(index: MonomialIndex, degree: int, lmat: sp.csr_matrix) -> np.ndarray | None:
-    """Orthonormal basis of the main block's face (complement of the span of
-    truncated-ideal coefficient vectors).
+def _face_basis(index: MonomialIndex, degree: int, lmat: sp.csr_matrix,
+                labels: np.ndarray) -> list:
+    """Orthonormal basis of the face of each class block of the main
+    moment matrix (complement of the span of truncated-ideal coefficient
+    vectors), in the block order of `_BlockMap`.
 
     The ideal members are the rows of `lmat` after the normalization row;
     those supported on the main block's monomials (the first m columns, as
-    the table is graded) are the ones it annihilates."""
+    the table is graded) are the ones it annihilates, and each lies in the
+    block of its class.  An entry is None where the class has no ideal
+    member above the rank cut, which is global over the classes, and has
+    no columns where the members span the whole class."""
     m = index.count_through(degree // 2)
-    row_of = np.repeat(np.arange(lmat.shape[0]), np.diff(lmat.indptr))
-    outside = np.bincount(row_of[lmat.indices >= m], minlength=lmat.shape[0])
-    keep = np.flatnonzero(outside[1:] == 0) + 1
-    if keep.size == 0:
-        return None
-    k = lmat[keep][:, :m].toarray().T
-    u, s, _ = np.linalg.svd(k, full_matrices=True)
-    rank = int((s > _RANK_EPS * max(s[0], 1.0)).sum())
-    if rank == 0:
-        return None
-    if rank == m:
-        return np.zeros((m, 0))
-    return u[:, rank:]
+    outside = np.bincount(_row_of(lmat)[lmat.indices >= m], minlength=lmat.shape[0])
+    ideal = lmat[np.flatnonzero(outside[1:] == 0) + 1][:, :m]
+    svds = []
+    for members in _class_members(labels[:m]):
+        k = ideal[:, members]
+        k = k[np.diff(k.indptr) > 0]
+        svds.append(np.linalg.svd(k.toarray().T, full_matrices=True)
+                    if k.shape[0] else None)
+    top = max((s[0] for u, s, _ in filter(None, svds)), default=0.0)
+    faces = []
+    for svd in svds:
+        face = None
+        if svd is not None:
+            u, s, _ = svd
+            rank = int((s > _RANK_EPS * max(top, 1.0)).sum())
+            if rank == u.shape[0]:
+                face = np.zeros((rank, 0))
+            elif rank:
+                face = u[:, rank:]
+        faces.append(face)
+    return faces
 
 
-def _project_cone(block_map: _BlockMap, stacked: np.ndarray, face: np.ndarray | None):
-    """Project each block onto its PSD cone (main block onto its face).
+def _project_cone(block_map: _BlockMap, stacked: np.ndarray, faces: list):
+    """Project each block onto its PSD cone (main-block classes, the first
+    len(faces) blocks, onto their faces).
 
     Returns the projected stack and the smallest eigenvalue seen.
     """
@@ -241,7 +332,8 @@ def _project_cone(block_map: _BlockMap, stacked: np.ndarray, face: np.ndarray | 
     for bi, m in enumerate(block_map.sizes):
         mat = stacked[offset:offset + m * m].reshape(m, m)
         mat = 0.5 * (mat + mat.T)
-        if bi == 0 and face is not None:
+        face = faces[bi] if bi < len(faces) else None
+        if face is not None:
             if face.shape[1] == 0:
                 out[offset:offset + m * m] = 0.0
                 offset += m * m
@@ -249,12 +341,12 @@ def _project_cone(block_map: _BlockMap, stacked: np.ndarray, face: np.ndarray | 
             small = face.T @ mat @ face
             vals, vecs = np.linalg.eigh(small)
             min_eig = min(min_eig, float(vals[0]))
-            clipped = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+            clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.T
             proj = face @ clipped @ face.T
         else:
             vals, vecs = np.linalg.eigh(mat)
             min_eig = min(min_eig, float(vals[0]))
-            proj = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+            proj = (vecs * np.maximum(vals, 0.0)) @ vecs.T
         out[offset:offset + m * m] = proj.reshape(-1)
         offset += m * m
     if not np.isfinite(min_eig):
@@ -288,13 +380,9 @@ def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndar
 class _AffineGeometry:
     """Precomputed least-squares projector onto { T(y) : L y = b }."""
 
-    def __init__(self, problem: SdpProblem, block_map: _BlockMap):
-        lmat, b = problem.lmat, problem.rhs
+    def __init__(self, lmat: sp.csr_matrix, b: np.ndarray, block_map: _BlockMap):
         p = lmat.shape[1]
         # L^T L is block diagonal over the column blocks: one eigh per block.
-        labels = _column_components(lmat)
-        order = np.argsort(labels, kind="stable")
-        splits = np.flatnonzero(np.diff(labels[order])) + 1
         lcols = lmat.tocsc()
         ltb = lmat.T @ b
         # trace(L^T L) bounds every block's top eigenvalue, so eigenvalues
@@ -304,7 +392,7 @@ class _AffineGeometry:
         top = 0.0
         pending = []
         self.y_particular = np.zeros(p)
-        for ix in np.split(order, splits):
+        for ix in _class_members(_column_components(lmat)):
             sub = lcols[:, ix]
             vals, vecs = np.linalg.eigh((sub.T @ sub).toarray())
             top = max(top, float(vals[-1]))
@@ -361,9 +449,13 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     the stalled separation; `iter_limit` is indeterminate.
     """
     index = problem.index
-    block_map = _BlockMap(index, index.max_degree, problem.psd_blocks)
-    face = _face_basis(index, index.max_degree, problem.lmat)
-    geo = _AffineGeometry(problem, block_map)
+    labels = _sign_classes(problem)
+    invariant = np.flatnonzero(labels == 0)
+    block_map = _BlockMap(index, index.max_degree, problem.psd_blocks, labels)
+    faces = _face_basis(index, index.max_degree, problem.lmat, labels)
+    # Each row of L lies in one class, and rows with a nonzero right-hand
+    # side in class 0, so the rows of other classes drop out here as empty.
+    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs, block_map)
 
     z = block_map.apply(geo.y_particular)
     best = None
@@ -375,7 +467,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     witness = None
 
     while iterations < iter_limit:
-        s_cone, _ = _project_cone(block_map, z, face)
+        s_cone, _ = _project_cone(block_map, z, faces)
         _, s_affine = geo.project(2.0 * s_cone - z)
         z += s_affine - s_cone
         iterations += 1
@@ -384,7 +476,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
             continue
         y_hat, s_hat = geo.project(s_cone)
         gap = float(np.linalg.norm(s_cone - s_hat))
-        _, min_eig = _project_cone(block_map, s_hat, face)
+        _, min_eig = _project_cone(block_map, s_hat, faces)
         resid = geo.residual(y_hat)
         best = (y_hat, min_eig, resid)
         if min_eig >= -tol and resid <= max(tol, 1e-9):
@@ -415,7 +507,8 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     )
     if status != "feasible":
         return None, report
-    moments = y_hat / y_hat[0]
+    moments = np.zeros(index.size)
+    moments[invariant] = y_hat / y_hat[0]
     dist = PseudoDistribution(index, moments, index.max_degree,
                               tuple(problem.constraints), None)
     return dist, report

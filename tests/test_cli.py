@@ -103,8 +103,28 @@ def test_solve_planted_subspace(tmp_path, capsys):
     assert report["config"]["input_kind"] == "SUBSPACE"
     assert report["checks"]["quality"] >= 1 - 0.25 ** 2
     assert report["checks"]["consistent"] is True
+    assert report["checks"]["meets_target"] is True
     cand = report["result"]["candidate"]
     assert len(cand["u0"]) == 2 and len(cand["v0"]) == 2
+
+
+def test_solve_reports_meets_target_below_the_bar(tmp_path, capsys):
+    """A candidate below 1 - eps^2 keeps the OK verdict and exit 0, and
+    meets_target says what `check` would say of it."""
+    out = tmp_path / "w.txt"
+    write_subspace(out, planted_yes(2, 2, 0)[0])
+    code, report, _ = run_cli(capsys, "solve", str(out), "--degree", "4",
+                              "--eps", "0.25")
+    assert code == 0
+    assert report["status"] == "OK"
+    assert report["result"]["target"] == 1 - 0.25 ** 2
+    assert report["checks"]["quality"] == pytest.approx(0.926, abs=5e-4)
+    assert report["checks"]["meets_target"] is False
+    cand = tmp_path / "c.txt"
+    write_candidate(cand, report["result"]["candidate"]["u0"],
+                    report["result"]["candidate"]["v0"])
+    code, check, _ = run_cli(capsys, "check", str(out), str(cand), "--eps", "0.25")
+    assert (code, check["status"]) == (1, "FAIL")
 
 
 def test_solve_measurement_routing(tmp_path, capsys):

@@ -5,10 +5,14 @@ masses), problems infeasible for elementary algebraic reasons, and
 polynomials with known sum-of-squares status.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from rankone import sos_solver
+from rankone.bss import planted_yes, random_no
 from rankone.errors import DegreeTooSmall, IllFormed
 from rankone.pseudodist import (
     ConstraintSpec,
@@ -21,9 +25,11 @@ from rankone.pseudodist import (
 )
 from rankone.sos_solver import (
     _RANK_EPS,
+    DEFAULT_ITER_LIMIT,
     _AffineGeometry,
     _BlockMap,
     _face_basis,
+    _sign_classes,
     SdpProblem,
     build_bss_problem,
     build_problem,
@@ -338,6 +344,20 @@ def dense_null_space(lmat, b):
     return vecs[:, null_mask], y
 
 
+def scaled_problem():
+    """Column blocks with eigenvalues 1e6, 1e6 | 1 | 1.5e-4 | 5e-5: the global
+    cut 1e-10 * 1e6 frees the last moment, and 1.5e-4 sits below 1e-10 * trace.
+    Every row has a nonzero right-hand side, odd moments included."""
+    return SdpProblem(
+        monomial_index(1, 4), sp.csr_matrix(np.diag([1.0, 1e3, 1e3, 1.5e-4 ** 0.5, 5e-5 ** 0.5])),
+        np.ones(5), ({(0,): 1.0},), ())
+
+
+def one_class(problem):
+    """Sign labels that put every monomial in the invariant class."""
+    return np.zeros(problem.index.size, dtype=np.int64)
+
+
 def assert_same_csr(got, ref):
     assert got.shape == ref.shape
     np.testing.assert_array_equal(got.indptr, ref.indptr)
@@ -359,7 +379,7 @@ def test_block_map_matches_triple_loop():
     for seed in EQUIVALENCE_SEEDS:
         num_vars, degree, specs = random_problem(100 + seed)
         prob = build_problem(num_vars, degree, specs)
-        got = _BlockMap(prob.index, degree, prob.psd_blocks).matrix
+        got = _BlockMap(prob.index, degree, prob.psd_blocks, one_class(prob)).matrix
         assert_same_csr(got, loop_block_matrix(prob.index, degree, prob.psd_blocks))
 
 
@@ -367,7 +387,7 @@ def test_face_basis_matches_dict_ideal():
     for seed in EQUIVALENCE_SEEDS:
         num_vars, degree, specs = random_problem(200 + seed)
         prob = build_problem(num_vars, degree, specs)
-        got = _face_basis(prob.index, degree, prob.lmat)
+        got, = _face_basis(prob.index, degree, prob.lmat, one_class(prob))
         ref = dict_face_basis(prob.index, degree, dict_equalities(num_vars, degree, specs))
         if ref is None:
             assert got is None
@@ -382,16 +402,12 @@ def test_block_null_space_matches_dense_eigh():
     rng = np.random.default_rng(5)
     sign_classes = build_bss_problem(
         SpanStub(2, complement_of_line(2, rng.standard_normal((2, 2)), rng)), 6)
-    # column blocks with eigenvalues 1e6, 1e6 | 1 | 1.5e-4 | 5e-5: the global
-    # cut 1e-10 * 1e6 frees the last moment, and 1.5e-4 sits below 1e-10 * trace
-    scaled = SdpProblem(
-        monomial_index(1, 4), sp.csr_matrix(np.diag([1.0, 1e3, 1e3, 1.5e-4 ** 0.5, 5e-5 ** 0.5])),
-        np.ones(5), ({(0,): 1.0},), ())
-    cases = [isolated, sign_classes, scaled] + [build_problem(*random_problem(300 + seed))
-                          for seed in EQUIVALENCE_SEEDS]
+    cases = [isolated, sign_classes, scaled_problem()] + [
+        build_problem(*random_problem(300 + seed)) for seed in EQUIVALENCE_SEEDS]
     for prob in cases:
         degree = prob.index.max_degree
-        geo = _AffineGeometry(prob, _BlockMap(prob.index, degree, prob.psd_blocks))
+        geo = _AffineGeometry(prob.lmat, prob.rhs,
+                              _BlockMap(prob.index, degree, prob.psd_blocks, one_class(prob)))
         null_ref, y_ref = dense_null_space(prob.lmat, prob.rhs)
         assert geo.null_basis.shape == null_ref.shape
         np.testing.assert_allclose(geo.null_basis @ geo.null_basis.T,
@@ -399,3 +415,165 @@ def test_block_null_space_matches_dense_eigh():
         # the dense reference mixes blocks, so its error grows with |y|
         np.testing.assert_allclose(geo.y_particular, y_ref, rtol=0,
                                    atol=1e-10 * max(1.0, np.abs(y_ref).max()))
+
+
+# -- sign-symmetry reduction against brute force and the one-class path ----------
+
+
+def oracle_sign_signatures(problem):
+    """Oracle: keep each sign vector s under which every row of L maps to
+    +- itself, every localizer term is fixed and every term of a row with a
+    nonzero right-hand side is fixed.  Row a of the result lists s^a over
+    the kept s, so two monomials share a class iff their rows agree."""
+    index, lmat = problem.index, problem.lmat
+    kept = []
+    for signs in itertools.product((1, -1), repeat=index.num_vars):
+        flip = np.prod(np.array(signs) ** index.exponents, axis=1)
+        fixed = all(flip[index.index_of(e)] == 1 for loc in problem.psd_blocks for e in loc)
+        for r in range(lmat.shape[0]):
+            row = flip[lmat.indices[lmat.indptr[r]:lmat.indptr[r + 1]]]
+            fixed &= bool(np.all(row == row[:1]))
+            if problem.rhs[r] != 0:
+                fixed &= bool(np.all(row == 1))
+        if fixed:
+            kept.append(flip)
+    return np.array(kept).T
+
+
+def assert_classes_match_oracle(problem):
+    labels = _sign_classes(problem)
+    signatures = oracle_sign_signatures(problem)
+    _, oracle = np.unique(signatures, axis=0, return_inverse=True)
+    oracle = oracle.reshape(-1)
+    pairs = np.unique(np.column_stack([labels, oracle]), axis=0)
+    # the partitions agree: each label meets exactly one oracle class
+    assert len(pairs) == len(np.unique(labels)) == len(np.unique(oracle))
+    # class 0 is the invariant class, labelled in increasing order
+    np.testing.assert_array_equal(labels == 0, np.all(signatures == 1, axis=1))
+    np.testing.assert_array_equal(np.unique(labels), np.arange(labels.max() + 1))
+    return labels
+
+
+def test_sign_classes_match_brute_force_oracle():
+    for seed in EQUIVALENCE_SEEDS:
+        assert_classes_match_oracle(build_problem(*random_problem(seed)))
+    rng = np.random.default_rng(6)
+    for n, degree in ((2, 4), (2, 6), (3, 4)):
+        comp = complement_of_line(n, rng.standard_normal((n, n)), rng)
+        problem = build_bss_problem(SpanStub(n, comp), degree)
+        labels = assert_classes_match_oracle(problem)
+        exps = problem.index.exponents
+        # the classes are the parities of the degree in u and in v
+        parity = 2 * (exps[:, :n].sum(axis=1) % 2) + exps[:, n:].sum(axis=1) % 2
+        assert labels.max() + 1 == len(np.unique(np.column_stack([labels, parity]), axis=0)) == 4
+    # W the whole space: every flip fixes the two spheres
+    labels = assert_classes_match_oracle(build_bss_problem(SpanStub(2, []), 4))
+    assert labels.max() + 1 == 16
+    mixed = build_problem(2, 4, [ConstraintSpec.equality({(1, 0): 1.0, (0, 1): 1.0,
+                                                          (0, 0): -1.0})])
+    for problem in (scaled_problem(), mixed):
+        assert not assert_classes_match_oracle(problem).any()
+
+
+def symmetric_problem(seed):
+    """A unit sphere, two equalities whose terms share a parity (an even
+    one with a constant term), and a localizer with an even part: a
+    nontrivial sign group, with localizer blocks split by class."""
+    rng = np.random.default_rng(seed)
+    num_vars = int(rng.integers(2, 4))
+    degree = int(rng.choice([4, 6] if num_vars == 2 else [4]))
+    ix = MonomialIndex(num_vars, degree)
+    terms = ix.exponent_tuples[1:ix.count_through(3)]
+    parities = np.array(terms) % 2
+
+    def same_parity(parity, count):
+        same = [e for e, q in zip(terms, parities) if np.array_equal(q, parity)]
+        picks = rng.choice(len(same), size=min(len(same), count), replace=False)
+        return {same[int(i)]: float(rng.standard_normal()) for i in picks}
+
+    sphere = {tuple(2 * int(i == j) for j in range(num_vars)): 1.0 for i in range(num_vars)}
+    sphere[(0,) * num_vars] = -1.0
+    even = same_parity(np.zeros(num_vars, dtype=int), 2)
+    even[(0,) * num_vars] = 0.3
+    linked = same_parity(parities[int(rng.integers(len(terms)))], int(rng.integers(1, 4)))
+    local = {(0,) * num_vars: 1.0, tuple(2 * int(j == 0) for j in range(num_vars)): -1.5}
+    if rng.random() < 0.5:
+        local[terms[int(rng.integers(num_vars, ix.count_through(2) - 1))]] = 0.3
+    specs = [ConstraintSpec.equality(sphere), ConstraintSpec.equality(even),
+             ConstraintSpec.equality(linked), ConstraintSpec.inequality(local)]
+    return build_problem(num_vars, degree, specs)
+
+
+def solve_both_ways(problem, monkeypatch, iter_limit=DEFAULT_ITER_LIMIT):
+    reduced = solve_feasibility(problem, iter_limit=iter_limit)
+    with monkeypatch.context() as m:
+        m.setattr(sos_solver, "_sign_classes", one_class)
+        whole = solve_feasibility(problem, iter_limit=iter_limit)
+    return reduced, whole
+
+
+def assert_same_solve(reduced, whole):
+    (mu, rep), (mu_ref, rep_ref) = reduced, whole
+    assert (rep.status, rep.iterations) == (rep_ref.status, rep_ref.iterations)
+    assert rep.gap == pytest.approx(rep_ref.gap, rel=1e-6, abs=1e-12)
+    if mu_ref is None:
+        assert mu is None
+    else:
+        np.testing.assert_allclose(mu.moments, mu_ref.moments, rtol=0, atol=1e-9)
+
+
+def test_reduced_solve_matches_one_class_path(monkeypatch):
+    """Same status, iteration count and moments (within 1e-9) as the same
+    solver with every monomial in one class, and exact zeros off class 0."""
+    statuses = set()
+    for seed in EQUIVALENCE_SEEDS:
+        problem = symmetric_problem(seed)
+        labels = _sign_classes(problem)
+        assert labels.max() > 0
+        reduced, whole = solve_both_ways(problem, monkeypatch, iter_limit=3000)
+        assert_same_solve(reduced, whole)
+        statuses.add(reduced[1].status)
+        if reduced[0] is not None:
+            assert not reduced[0].moments[labels != 0].any()
+    assert "feasible" in statuses
+
+
+def face_projector(problem, labels):
+    """N N^T over the main block for the faces of `_face_basis`, with a
+    class that has no face restriction contributing its identity."""
+    m = problem.index.count_through(problem.index.max_degree // 2)
+    faces = _face_basis(problem.index, problem.index.max_degree, problem.lmat, labels)
+    members = sos_solver._class_members(labels[:m])
+    assert len(faces) == len(members)
+    proj = np.zeros((m, m))
+    for ix, face in zip(members, faces):
+        proj[np.ix_(ix, ix)] = np.eye(ix.size) if face is None else face @ face.T
+    return proj
+
+
+def test_class_faces_split_the_one_class_face():
+    """Each ideal row lies in one class, so the class faces assemble into
+    the one-class face, with one rank cut over all classes: here the odd
+    class's only ideal member (1e-5 x) falls below the cut 1e-10 * 1e6 set
+    by the even class."""
+    rng = np.random.default_rng(7)
+    scales = build_problem(1, 4, [ConstraintSpec.equality({(2,): 1e6}),
+                                  ConstraintSpec.equality({(1,): 1e-5})])
+    cases = [scales] + [symmetric_problem(seed) for seed in EQUIVALENCE_SEEDS] + [
+        build_bss_problem(SpanStub(n, complement_of_line(n, rng.standard_normal((n, n)), rng)), d)
+        for n, d in ((2, 4), (2, 6), (3, 4), (3, 6))]
+    for problem in cases:
+        labels = _sign_classes(problem)
+        assert labels.max() > 0
+        np.testing.assert_allclose(face_projector(problem, labels),
+                                   face_projector(problem, one_class(problem)),
+                                   rtol=0, atol=1e-10)
+
+
+def test_reduction_keeps_degree_four_refusals(monkeypatch):
+    """random_no(3, 1, 0) at degree 4 (L y = b inconsistent, T(y0) off the
+    face), and the plant planted_yes(3, 5, 3) that degree 4 wrongly calls
+    infeasible after 640 iterations: the reduction neither fixes nor
+    hides that verdict."""
+    for w in (random_no(3, 1, 0)[0], planted_yes(3, 5, 3)[0]):
+        assert_same_solve(*solve_both_ways(build_bss_problem(w, 4), monkeypatch))
