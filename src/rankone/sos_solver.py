@@ -5,8 +5,8 @@ equalities (constraint polynomials times all admissible monomial
 multipliers, plus the normalization E~ 1 = 1) and to PSD conditions on
 one or more localizing moment matrices.
 
-The solver runs Douglas-Rachford splitting in the space of stacked
-moment-matrix blocks S:
+The solver runs Douglas-Rachford splitting between two sets of stacked
+moment-matrix blocks:
 
     C1 = product of PSD cones, with the main block restricted to the
          face { M >= 0, M K = 0 } where K collects the coefficient
@@ -15,11 +15,28 @@ moment-matrix blocks S:
          repairs the lost interior);
     C2 = { T(y) : L y = b }, the affine image of the constraint set.
 
-Both projections are exact: C1 is an eigenvalue clip per block, C2 is a
-precomputed linearly-constrained least squares (null-space basis of L,
-then a Cholesky backsolve).  L is one sparse matrix; the null space is
-taken per connected block of it, where two moments share a block when
-some equality touches both, so no p x p array is ever formed.
+It iterates in face coordinates (Permenter & Parrilo, Partial facial
+reduction, Math. Prog. 2018): one k x k matrix X per block, standing for
+M = F X F^T with F the block's orthonormal face basis (F = I where there
+is no face restriction; a block whose face has no columns drops out).
+X -> F X F^T is an isometry, C1 lies in its range, and so does every
+direction T(N w) of C2: for L_h y = 0, M(y) k reads E~[x^a q x^m], itself
+an equality row.  So both projections are exact there:
+
+    the cone step is one eigh per k x k block and a clip;
+    the affine step onto c + range(B), with c the face part of T(y_p)
+         and B the face part of T N, is c + B (G^T (x - c)) with the
+         rank-r G^T = (B^T B)^-1 B^T precomputed (the splitting of
+         O'Donoghue et al., SCS, JOTA 2016): two matrix-vector products,
+         and w = G^T (x - c) gives y = y_p + N w.
+
+Here y_p and N are the minimum-norm solution and a null-space basis of
+L y = b.  L is one sparse matrix; the null space is taken per connected
+block of it, where two moments share a block when some equality touches
+both, so no p x p array is ever formed.  The one thing the face
+coordinates leave out is the constant off-face part of T(y_p), nonzero
+only when L y = b is inconsistent; its squared norm enters the gap
+between the sets.  All dense algebra runs in NumPy, on one BLAS.
 
 The SDP is first reduced by its sign symmetry (Gatermann & Parrilo,
 JPAA 2004).  The flips x_i -> -x_i that fix every equality up to sign,
@@ -35,8 +52,8 @@ blocks are the plain ones.  All reductions are in fixed order, so a
 given problem yields bit-identical output on every run.
 
 Infeasibility is declared when the inter-set distance stalls above
-10 * tol for 500 consecutive iterations; the stalled displacement vector
-is reported as the separating witness.
+10 * tol for 500 consecutive iterations; the stalled displacement, in
+face coordinates, is reported as the separating witness.
 """
 
 from __future__ import annotations
@@ -45,7 +62,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegreeTooSmall, IllFormed, IterLimit
 from .pseudodist import (
@@ -91,9 +107,12 @@ class SdpProblem:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """Outcome of one solve.  `witness` is the stalled displacement in the
-    reduced stacked coordinates: one block per (localizer, sign class),
-    each flattened row-major, in the order of `_BlockMap`."""
+    """Outcome of one solve.  `witness` is the stalled displacement in
+    face coordinates: one k x k block X per (localizer, sign class) that
+    the DR space keeps, each flattened row-major, in the order of
+    `_BlockMap`; it lifts to the stacked blocks as F X F^T.  The gap it
+    reports also counts the off-face part of T(y_p), which the witness
+    leaves out."""
 
     status: str  # feasible | infeasible | iter_limit
     iterations: int
@@ -278,10 +297,6 @@ class _BlockMap:
         self.matrix = sp.csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.total, invariant.size))
-        self.adjoint = self.matrix.T.tocsr()
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        return self.matrix @ y
 
 
 def _face_basis(index: MonomialIndex, degree: int, lmat: sp.csr_matrix,
@@ -320,40 +335,6 @@ def _face_basis(index: MonomialIndex, degree: int, lmat: sp.csr_matrix,
     return faces
 
 
-def _project_cone(block_map: _BlockMap, stacked: np.ndarray, faces: list):
-    """Project each block onto its PSD cone (main-block classes, the first
-    len(faces) blocks, onto their faces).
-
-    Returns the projected stack and the smallest eigenvalue seen.
-    """
-    out = np.empty_like(stacked)
-    offset = 0
-    min_eig = np.inf
-    for bi, m in enumerate(block_map.sizes):
-        mat = stacked[offset:offset + m * m].reshape(m, m)
-        mat = 0.5 * (mat + mat.T)
-        face = faces[bi] if bi < len(faces) else None
-        if face is not None:
-            if face.shape[1] == 0:
-                out[offset:offset + m * m] = 0.0
-                offset += m * m
-                continue
-            small = face.T @ mat @ face
-            vals, vecs = np.linalg.eigh(small)
-            min_eig = min(min_eig, float(vals[0]))
-            clipped = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-            proj = face @ clipped @ face.T
-        else:
-            vals, vecs = np.linalg.eigh(mat)
-            min_eig = min(min_eig, float(vals[0]))
-            proj = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-        out[offset:offset + m * m] = proj.reshape(-1)
-        offset += m * m
-    if not np.isfinite(min_eig):
-        min_eig = 0.0
-    return out, min_eig
-
-
 def _column_components(lmat: sp.csr_matrix) -> np.ndarray:
     """Label of each column: the smallest column in its connected block,
     where two columns are linked when some row has both.  Min-label
@@ -378,9 +359,11 @@ def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndar
 
 
 class _AffineGeometry:
-    """Precomputed least-squares projector onto { T(y) : L y = b }."""
+    """The solution set of L y = b as y_particular + range(null_basis):
+    the minimum-norm (least-squares) point and an orthonormal basis of
+    null(L), taken per connected block of L."""
 
-    def __init__(self, lmat: sp.csr_matrix, b: np.ndarray, block_map: _BlockMap):
+    def __init__(self, lmat: sp.csr_matrix, b: np.ndarray):
         p = lmat.shape[1]
         # L^T L is block diagonal over the column blocks: one eigh per block.
         lcols = lmat.tocsc()
@@ -412,31 +395,82 @@ class _AffineGeometry:
         self.lmat = lmat
         self.b = b
 
-        tt = block_map.adjoint @ block_map.matrix
-        h = self.null_basis.T @ (tt @ self.null_basis)
-        r_n = self.null_basis.shape[1]
-        if r_n:
-            self.h_factor = cho_factor(h + 1e-13 * np.eye(r_n), lower=True)
-        else:
-            self.h_factor = None
-        self.u_particular = tt @ self.y_particular
-        self.block_map = block_map
-
-    def project(self, stacked: np.ndarray):
-        """Return (y_hat, T(y_hat)): least squares onto the affine image."""
-        if self.h_factor is None:
-            y = self.y_particular
-            return y, self.block_map.apply(y)
-        t_s = self.block_map.adjoint @ stacked
-        rhs = self.null_basis.T @ (t_s - self.u_particular)
-        w = cho_solve(self.h_factor, rhs)
-        y = self.y_particular + self.null_basis @ w
-        return y, self.block_map.apply(y)
-
     def residual(self, y: np.ndarray) -> float:
         if self.b.size == 0:
             return 0.0
         return float(np.abs(self.lmat @ y - self.b).max())
+
+
+class _FaceSpace:
+    """The Douglas-Rachford space: one k x k matrix X per block, with the
+    block's moment matrix M = F X F^T, flattened row-major and stacked in
+    the order of `_BlockMap`.
+
+    F is the block's face basis; a block with no face restriction has
+    F = I, and one whose face has no columns is dropped.  The affine set
+    { T(y) : L y = b } reads c + range(B) here, with c the face part of
+    T(y_particular) and column j of B the face part of T(N e_j), and
+    `off2` is the squared norm of the off-face part of T(y_particular)
+    that the face coordinates leave out."""
+
+    def __init__(self, block_map: _BlockMap, faces: list, geo: _AffineGeometry):
+        null = geo.null_basis
+        r = null.shape[1]
+        self.blocks = []
+        c_parts, b_parts = [], []
+        self.off2 = 0.0
+        offset = start = 0
+        for bi, m in enumerate(block_map.sizes):
+            rows = block_map.matrix[offset:offset + m * m]
+            offset += m * m
+            face = faces[bi] if bi < len(faces) else None
+            const = (rows @ geo.y_particular).reshape(m, m)
+            moving = rows @ null  # column j: T(N e_j), flattened row-major
+            k = m
+            if face is not None:
+                kept = face @ face.T
+                self.off2 += float(np.sum((const - kept @ const @ kept) ** 2))
+                k = face.shape[1]
+                if k == 0:
+                    continue
+                const = face.T @ const @ face
+                # F^T M F of every column, as two plain matrix products
+                half = (face.T @ moving.reshape(m, m * r)).reshape(k, m, r)
+                moving = (half.transpose(0, 2, 1).reshape(k * r, m) @ face
+                          ).reshape(k, r, k).transpose(0, 2, 1).reshape(k * k, r)
+            self.blocks.append((slice(start, start + k * k), k))
+            start += k * k
+            c_parts.append(const.reshape(-1))
+            b_parts.append(moving)
+        self.c = np.concatenate([np.zeros(0)] + c_parts)
+        self.b = np.vstack([np.zeros((0, r))] + b_parts)
+        # least squares onto c + range(B): w = G^T (x - c), G^T = H^-1 B^T;
+        # one r x r inverse, as a solve with the D right-hand sides is slower
+        h = self.b.T @ self.b + 1e-13 * np.eye(r)
+        self.g_t = np.linalg.inv(h) @ self.b.T
+
+    def clip(self, x: np.ndarray) -> np.ndarray:
+        """Project each block onto the PSD cone: X + X^T is twice the
+        symmetric part, so its eigenvalues are halved before the clip."""
+        out = np.empty_like(x)
+        for cut, k in self.blocks:
+            mat = x[cut].reshape(k, k)
+            vals, vecs = np.linalg.eigh(mat + mat.T)
+            out[cut] = ((vecs * np.maximum(0.5 * vals, 0.0)) @ vecs.T).reshape(-1)
+        return out
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """The w of the affine point nearest x, which lifts to y_p + N w."""
+        return self.g_t @ (x - self.c)
+
+    def point(self, w: np.ndarray) -> np.ndarray:
+        return self.c + self.b @ w
+
+    def min_eigenvalue(self, x: np.ndarray) -> float:
+        if not self.blocks:
+            return 0.0
+        return float(min(np.linalg.eigvalsh(x[cut].reshape(k, k))[0]
+                         for cut, k in self.blocks))
 
 
 def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
@@ -446,8 +480,13 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     Returns (PseudoDistribution | None, SolverReport).  Status `feasible`
     comes with a distribution whose equality residuals are at solver
     precision and whose moment matrices clear -tol; `infeasible` reports
-    the stalled separation; `iter_limit` is indeterminate.
+    the stalled separation; `iter_limit` is indeterminate.  Raises
+    IllFormed unless tol is finite and positive and iter_limit >= 1.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise IllFormed(f"solver tolerance must be finite and positive, got {tol}")
+    if not iter_limit >= 1:
+        raise IllFormed(f"iteration limit must be at least 1, got {iter_limit}")
     index = problem.index
     labels = _sign_classes(problem)
     invariant = np.flatnonzero(labels == 0)
@@ -455,9 +494,10 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     faces = _face_basis(index, index.max_degree, problem.lmat, labels)
     # Each row of L lies in one class, and rows with a nonzero right-hand
     # side in class 0, so the rows of other classes drop out here as empty.
-    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs, block_map)
+    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs)
+    space = _FaceSpace(block_map, faces, geo)
 
-    z = block_map.apply(geo.y_particular)
+    x = space.c.copy()
     best = None
     stall_ref = np.inf
     stall_count = 0
@@ -467,16 +507,18 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     witness = None
 
     while iterations < iter_limit:
-        s_cone, _ = _project_cone(block_map, z, faces)
-        _, s_affine = geo.project(2.0 * s_cone - z)
-        z += s_affine - s_cone
+        s_cone = space.clip(x)
+        x += space.point(space.coefficients(2.0 * s_cone - x)) - s_cone
         iterations += 1
 
         if iterations % _CHECK_EVERY and iterations < iter_limit:
             continue
-        y_hat, s_hat = geo.project(s_cone)
-        gap = float(np.linalg.norm(s_cone - s_hat))
-        _, min_eig = _project_cone(block_map, s_hat, faces)
+        w = space.coefficients(s_cone)
+        s_hat = space.point(w)
+        displacement = s_cone - s_hat
+        gap = float(np.sqrt(displacement @ displacement + space.off2))
+        min_eig = space.min_eigenvalue(s_hat)
+        y_hat = geo.y_particular + geo.null_basis @ w
         resid = geo.residual(y_hat)
         best = (y_hat, min_eig, resid)
         if min_eig >= -tol and resid <= max(tol, 1e-9):
@@ -490,7 +532,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
             stall_ref = min(stall_ref, gap)
             if stall_count >= _STALL_ITERS:
                 status = "infeasible"
-                witness = s_cone - s_hat
+                witness = displacement
                 break
         else:
             stall_count = 0

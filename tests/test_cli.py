@@ -6,6 +6,10 @@ they wrap, and determinism is checked as byte equality of stdout.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,41 @@ def test_solve_rejects_wrong_file_kind(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "solve", str(path))
     assert code == 2
     assert report["error"]["type"] == "IllFormed"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_solve_rejects_bad_tolerance(tmp_path, capsys, tol):
+    """A tolerance that is not finite and positive is an input error, not
+    a false `infeasible` or a run to the iteration limit."""
+    out = tmp_path / "w.txt"
+    main(["gen", "planted-yes", "--n", "2", "--dim-w", "2", "--seed", "1",
+          "--out", str(out)])
+    capsys.readouterr()
+    code, report, _ = run_cli(capsys, "solve", str(out), "--degree", "4",
+                              "--tol", tol)
+    assert code == 2
+    assert report["status"] == "ERROR"
+    assert report["error"]["type"] == "IllFormed"
+
+
+def test_solve_leaves_scipy_linalg_unloaded(tmp_path):
+    """A solve runs all dense algebra in NumPy: scipy.linalg, which links
+    a second BLAS and thread pool, is never imported."""
+    script = (
+        "import sys\n"
+        "from rankone.cli import main\n"
+        f"path = {str(tmp_path / 'w.txt')!r}\n"
+        "assert main(['gen', 'planted-yes', '--n', '2', '--dim-w', '2',"
+        " '--seed', '4', '--out', path]) == 0\n"
+        "assert main(['solve', path, '--degree', '4']) == 0\n"
+        "print('LOADED' if 'scipy.linalg' in sys.modules else 'CLEAN')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "CLEAN"
 
 
 def test_missing_file_is_an_input_error(capsys):

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
 from rankone import sos_solver
 from rankone.bss import planted_yes, random_no
@@ -405,9 +406,7 @@ def test_block_null_space_matches_dense_eigh():
     cases = [isolated, sign_classes, scaled_problem()] + [
         build_problem(*random_problem(300 + seed)) for seed in EQUIVALENCE_SEEDS]
     for prob in cases:
-        degree = prob.index.max_degree
-        geo = _AffineGeometry(prob.lmat, prob.rhs,
-                              _BlockMap(prob.index, degree, prob.psd_blocks, one_class(prob)))
+        geo = _AffineGeometry(prob.lmat, prob.rhs)
         null_ref, y_ref = dense_null_space(prob.lmat, prob.rhs)
         assert geo.null_basis.shape == null_ref.shape
         np.testing.assert_allclose(geo.null_basis @ geo.null_basis.T,
@@ -577,3 +576,197 @@ def test_reduction_keeps_degree_four_refusals(monkeypatch):
     hides that verdict."""
     for w in (random_no(3, 1, 0)[0], planted_yes(3, 5, 3)[0]):
         assert_same_solve(*solve_both_ways(build_bss_problem(w, 4), monkeypatch))
+
+
+# -- face-coordinate DR against the stacked-space reference -----------------------
+
+
+def stacked_project_cone(block_map, stacked, faces):
+    """Reference cone step on the stacked blocks: each block onto its PSD
+    cone, main-block classes onto their faces.  Returns the projected
+    stack and the smallest eigenvalue seen."""
+    out = np.empty_like(stacked)
+    offset = 0
+    min_eig = np.inf
+    for bi, m in enumerate(block_map.sizes):
+        mat = stacked[offset:offset + m * m].reshape(m, m)
+        mat = 0.5 * (mat + mat.T)
+        face = faces[bi] if bi < len(faces) else None
+        if face is not None:
+            if face.shape[1] == 0:
+                out[offset:offset + m * m] = 0.0
+                offset += m * m
+                continue
+            vals, vecs = np.linalg.eigh(face.T @ mat @ face)
+            proj = face @ ((vecs * np.maximum(vals, 0.0)) @ vecs.T) @ face.T
+        else:
+            vals, vecs = np.linalg.eigh(mat)
+            proj = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        min_eig = min(min_eig, float(vals[0]))
+        out[offset:offset + m * m] = proj.reshape(-1)
+        offset += m * m
+    return out, (min_eig if np.isfinite(min_eig) else 0.0)
+
+
+class StackedAffine:
+    """Reference affine step: least squares onto { T(y) : L y = b } over
+    the stacked blocks, through the normal equations in the null-space
+    coordinates w of y = y_p + N w."""
+
+    def __init__(self, geo, block_map):
+        self.geo, self.matrix = geo, block_map.matrix
+        tt = (block_map.matrix.T @ block_map.matrix).toarray()
+        r = geo.null_basis.shape[1]
+        self.h_factor = cho_factor(
+            geo.null_basis.T @ tt @ geo.null_basis + 1e-13 * np.eye(r), lower=True)
+        self.u_particular = tt @ geo.y_particular
+
+    def project(self, stacked):
+        """(y_hat, T(y_hat)) for the least-squares y_hat."""
+        w = cho_solve(self.h_factor, self.geo.null_basis.T
+                      @ (self.matrix.T @ stacked - self.u_particular))
+        y = self.geo.y_particular + self.geo.null_basis @ w
+        return y, self.matrix @ y
+
+
+def solver_parts(problem):
+    """The set-up of `solve_feasibility`, shared by both DR spaces."""
+    index = problem.index
+    labels = _sign_classes(problem)
+    invariant = np.flatnonzero(labels == 0)
+    block_map = _BlockMap(index, index.max_degree, problem.psd_blocks, labels)
+    faces = _face_basis(index, index.max_degree, problem.lmat, labels)
+    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs)
+    return invariant, block_map, faces, geo
+
+
+def stacked_solve(problem, tol=sos_solver.DEFAULT_TOL, iter_limit=DEFAULT_ITER_LIMIT):
+    """Reference solver: the same Douglas-Rachford loop and rules, with the
+    iterate the stacked moment-matrix blocks.  Returns (moments or None,
+    status, iterations, gap)."""
+    invariant, block_map, faces, geo = solver_parts(problem)
+    affine = StackedAffine(geo, block_map)
+    z = block_map.matrix @ geo.y_particular
+    stall_ref, stall_count, gap, iterations, status = np.inf, 0, np.inf, 0, "iter_limit"
+    while iterations < iter_limit:
+        s_cone, _ = stacked_project_cone(block_map, z, faces)
+        _, s_affine = affine.project(2.0 * s_cone - z)
+        z += s_affine - s_cone
+        iterations += 1
+        if iterations % sos_solver._CHECK_EVERY and iterations < iter_limit:
+            continue
+        y_hat, s_hat = affine.project(s_cone)
+        gap = float(np.linalg.norm(s_cone - s_hat))
+        _, min_eig = stacked_project_cone(block_map, s_hat, faces)
+        if min_eig >= -tol and geo.residual(y_hat) <= max(tol, 1e-9):
+            status = "feasible"
+            break
+        if gap > 10.0 * tol:
+            if gap >= 0.999 * stall_ref:
+                stall_count += sos_solver._CHECK_EVERY
+            else:
+                stall_count = 0
+            stall_ref = min(stall_ref, gap)
+            if stall_count >= sos_solver._STALL_ITERS:
+                status = "infeasible"
+                break
+        else:
+            stall_count = 0
+    moments = None
+    if status == "feasible":
+        moments = np.zeros(problem.index.size)
+        moments[invariant] = y_hat / y_hat[0]
+    return moments, status, iterations, gap
+
+
+def lift(block_map, faces, x):
+    """Stacked blocks F X F^T of face coordinates x (zero where the face
+    has no columns)."""
+    out = np.zeros(block_map.total)
+    offset = start = 0
+    for bi, m in enumerate(block_map.sizes):
+        face = faces[bi] if bi < len(faces) else None
+        if face is None:
+            face = np.eye(m)
+        k = face.shape[1]
+        mat = x[start:start + k * k].reshape(k, k)
+        out[offset:offset + m * m] = (face @ mat @ face.T).reshape(-1)
+        offset += m * m
+        start += k * k
+    assert start == x.size
+    return out
+
+
+def pinned_problem():
+    """x = 1 at degree 4: L y = b pins every moment, so the null space is
+    empty (r = 0)."""
+    return build_problem(1, 4, [ConstraintSpec.equality({(1,): 1.0, (0,): -1.0})])
+
+
+def reference_cases():
+    """Symmetric and random problems, BSS lines and plants at n = 2 and 3,
+    then random_no(3, 1, 0) and planted_yes(3, 5, 3) at degree 4 and the
+    pinned problem."""
+    rng = np.random.default_rng(8)
+    cases = [symmetric_problem(seed) for seed in EQUIVALENCE_SEEDS]
+    cases += [build_problem(*random_problem(400 + seed)) for seed in EQUIVALENCE_SEEDS]
+    for n in (2, 3):
+        line = SpanStub(n, complement_of_line(n, rng.standard_normal((n, n)), rng))
+        cases += [build_bss_problem(w, d) for w in (line, planted_yes(n, n, 1)[0])
+                  for d in (4, 6)]
+    cases += [build_bss_problem(random_no(3, 1, 0)[0], 4),
+              build_bss_problem(planted_yes(3, 5, 3)[0], 4),
+              pinned_problem()]
+    return cases
+
+
+def test_face_affine_step_is_the_stacked_projection_of_the_lift():
+    """c + B G^T (x - c) lifts to the stacked least-squares projection of
+    the lift of x, less the constant off-face part of T(y_p), and its w
+    gives the same y."""
+    rng = np.random.default_rng(9)
+    cases = reference_cases()
+    for problem in cases[::3] + cases[-3:]:
+        _, block_map, faces, geo = solver_parts(problem)
+        space = sos_solver._FaceSpace(block_map, faces, geo)
+        affine = StackedAffine(geo, block_map)
+        const = block_map.matrix @ geo.y_particular
+        off_face = const - lift(block_map, faces, space.c)
+        assert float(off_face @ off_face) == pytest.approx(space.off2, rel=1e-6, abs=1e-20)
+        for _ in range(3):
+            x = rng.standard_normal(space.c.size)
+            w = space.coefficients(x)
+            y_ref, s_ref = affine.project(lift(block_map, faces, x))
+            np.testing.assert_allclose(geo.y_particular + geo.null_basis @ w, y_ref,
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(lift(block_map, faces, space.point(w)) + off_face,
+                                       s_ref, rtol=0, atol=1e-10)
+
+
+def test_face_solve_matches_stacked_reference():
+    """Same status and iteration count, the gap to rel 1e-6 and the moments
+    to 1e-9 as the stacked-space DR, on problems with and without an
+    off-face term and with an empty null space."""
+    statuses = set()
+    off_face = []
+    for problem in reference_cases():
+        mu, rep = solve_feasibility(problem, iter_limit=3000)
+        moments, status, iterations, gap = stacked_solve(problem, iter_limit=3000)
+        assert (rep.status, rep.iterations) == (status, iterations)
+        assert rep.gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
+        if moments is None:
+            assert mu is None
+        else:
+            np.testing.assert_allclose(mu.moments, moments, rtol=0, atol=1e-9)
+        statuses.add(status)
+        off_face.append(sos_solver._FaceSpace(*solver_parts(problem)[1:]).off2)
+    assert {"feasible", "infeasible"} <= statuses
+    assert off_face[-3] > 1e-3  # random_no(3, 1, 0): L y = b inconsistent
+    assert solver_parts(pinned_problem())[3].null_basis.shape[1] == 0
+
+
+@pytest.mark.parametrize("tol, iter_limit", [(0.0, 10), (-1.0, 10), (np.nan, 10),
+                                             (np.inf, 10), (1e-7, 0)])
+def test_solver_rejects_bad_tolerance_and_limit(tol, iter_limit):
+    with pytest.raises(IllFormed):
+        solve_feasibility(pinned_problem(), tol=tol, iter_limit=iter_limit)
