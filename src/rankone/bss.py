@@ -31,7 +31,7 @@ from .errors import (
     ZeroCandidate,
 )
 from .linalg import gram_schmidt
-from .sos_solver import build_bss_problem, solve_feasibility
+from .sos_solver import Certificate, build_bss_problem, solve_feasibility
 from .structure import (
     StructureConfig,
     cross_second_moment,
@@ -176,6 +176,7 @@ class BssReport:
     structure_steps: int
     quality: float | None = None
     degree_left: int | None = None
+    certificate: Certificate | None = None  # the solver's, when infeasible
 
 
 # -- measurement front end ----------------------------------------------------
@@ -253,14 +254,16 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6,
     Returns (RankOneCandidate | None, BssReport).  A candidate comes
     with quality = ||proj_W u0 v0^T||_F^2 / ||u0 v0^T||_F^2; None means
     the degree-`degree` relaxation is infeasible, which soundly rules
-    out unit pairs with uv^T in W.  Rounding starts from the spectral
-    baseline (top cross-moment eigendirections, immune to sign and
-    phase symmetry) and then retries the structure rounds over fresh
-    seeds and a gradually relaxed stopping bar until a trial reaches
-    quality 1 - eps^2; the best verified candidate wins, so low degrees
-    that cannot support the strict bar still round whatever the moments
-    contain.  Raises NoConvergence when the SDP solver reaches its
-    iteration limit without a verdict (no certificate either way), and
+    out unit pairs with uv^T in W: the report then carries the solver's
+    checked certificate (`sos_solver.Certificate`, whose margin
+    `certificate_margin` recomputes from the problem).  Rounding starts
+    from the spectral baseline (top cross-moment eigendirections, immune
+    to sign and phase symmetry) and then retries the structure rounds
+    over fresh seeds and a gradually relaxed stopping bar until a trial
+    reaches quality 1 - eps^2; the best verified candidate wins, so low
+    degrees that cannot support the strict bar still round whatever the
+    moments contain.  Raises NoConvergence when the SDP solver reaches its
+    iteration limit with neither a certificate nor a feasible point, and
     ZeroCandidate when every rounding path fails outright.
     """
     if w.dim == 0:
@@ -271,7 +274,8 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6,
     mu, solver_report = solve_feasibility(problem, tol=solver_tol)
     if solver_report.status == "infeasible":
         report = BssReport("infeasible", eps, degree, solver_report.status,
-                           solver_report.iterations, 0)
+                           solver_report.iterations, 0,
+                           certificate=solver_report.certificate)
         return None, report
     if solver_report.status != "feasible":
         raise NoConvergence(

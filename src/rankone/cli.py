@@ -16,11 +16,15 @@ for the other commands --out stores a copy of the report.  A --config
 file holds `key = value` lines with the same names as the flags; flags
 win when both are given, and all randomness flows from the single seed.
 
-Exit codes: 0 positive verdict, 1 clean negative verdict (infeasible
-instance, quality below the bar), 2 malformed inputs or files, 3
-exhausted search or solver budgets, 4 anything unexpected.  `solve`
+Exit codes: 0 positive verdict, 1 clean negative verdict (an instance
+whose relaxation is certified infeasible, quality below the bar), 2
+malformed inputs or files, 3 exhausted search or solver budgets (for
+`solve`, neither an infeasibility certificate nor a feasible point
+within the solver's iteration limit), 4 anything unexpected.  `solve`
 says OK for any candidate it finds; its `checks.meets_target` applies
-the bar 1 - eps^2 (`result.target`) that `check` applies.
+the bar 1 - eps^2 (`result.target`) that `check` applies.  A refusal
+reports `result.certificate`: its kind and its margin, which is
+positive.
 """
 
 from __future__ import annotations
@@ -280,6 +284,8 @@ def _cmd_solve(args):
     if cand is None:
         result["note"] = (f"degree-{cfg['degree']} relaxation is infeasible: "
                           "no unit rank-one lies in the subspace")
+        result["certificate"] = {"kind": report.certificate.kind,
+                                 "margin": report.certificate.margin}
         return cfg, "FAIL", result, {"meets_target": False}
 
     result["candidate"] = _candidate_payload(cand)

@@ -208,10 +208,6 @@ def poly_add(p: dict, q: dict, scale: float = 1.0) -> dict:
     return poly_clean(out)
 
 
-def poly_scale(p: dict, scale: float) -> dict:
-    return {e: c * scale for e, c in p.items() if c * scale != 0.0}
-
-
 def poly_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for e1, c1 in p.items():
@@ -625,6 +621,6 @@ __all__ = [
     "from_support", "validate", "ValidationReport", "equality_residual",
     "write_pseudodist", "read_pseudodist",
     "poly_clean", "poly_degree", "poly_constant", "poly_linear", "poly_quadratic",
-    "poly_add", "poly_scale", "poly_mul", "poly_pow", "poly_eval", "as_point_rows",
+    "poly_add", "poly_mul", "poly_pow", "poly_eval", "as_point_rows",
     "PSD_EPS", "CON_EPS", "NORM_EPS",
 ]

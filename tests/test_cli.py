@@ -148,10 +148,13 @@ def test_solve_far_instance_reports_fail(tmp_path, capsys):
     main(["gen", "random-no", "--n", "2", "--dim-w", "1", "--seed", "1",
           "--out", str(out)])
     capsys.readouterr()
-    code, report, _ = run_cli(capsys, "solve", str(out))
+    code, report, text = run_cli(capsys, "solve", str(out))
     assert code == 1
     assert report["status"] == "FAIL"
     assert "infeasible" in report["result"]["note"]
+    assert report["result"]["certificate"]["kind"] == "linear"
+    assert report["result"]["certificate"]["margin"] > 0
+    assert run_cli(capsys, "solve", str(out))[2] == text
 
 
 def test_solve_complex_reduces_and_lifts(tmp_path, capsys):

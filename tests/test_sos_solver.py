@@ -34,6 +34,8 @@ from rankone.sos_solver import (
     SdpProblem,
     build_bss_problem,
     build_problem,
+    certificate_margin,
+    moment_bound,
     sos_gram_check,
     solve_feasibility,
 )
@@ -186,13 +188,19 @@ def test_random_planted_subspace_is_feasible_and_valid():
 
 
 def test_contradictory_equalities_are_infeasible():
+    """x = 0 and x = 1: refused at set-up, and the witness is the equality
+    Farkas vector lam, which the checker accepts on its own.  No sphere
+    bounds the moments, so L^T lam has to vanish up to rounding."""
     zero = ConstraintSpec.equality({(1,): 1.0})
     one = ConstraintSpec.equality({(1,): 1.0, (0,): -1.0})
-    mu, rep = solve_feasibility(build_problem(1, 4, [zero, one]))
+    problem = build_problem(1, 4, [zero, one])
+    mu, rep = solve_feasibility(problem)
     assert mu is None
-    assert rep.status == "infeasible"
-    assert rep.gap > 0.01
-    assert rep.witness is not None and rep.witness_value > 0.0
+    assert (rep.status, rep.iterations) == ("infeasible", 0)
+    cert = rep.certificate
+    assert cert.kind == "linear" and cert.bound == np.inf
+    assert cert.margin > 0.01
+    assert certificate_margin(problem, cert.multipliers) == cert.margin
 
 
 def test_zero_subspace_is_infeasible():
@@ -200,9 +208,46 @@ def test_zero_subspace_is_infeasible():
     n = 2
     comp = [np.eye(n)[i][:, None] * np.eye(n)[j][None, :]
             for i in range(n) for j in range(n)]
-    mu, rep = solve_feasibility(build_bss_problem(SpanStub(n, comp), 4))
+    problem = build_bss_problem(SpanStub(n, comp), 4)
+    mu, rep = solve_feasibility(problem)
     assert mu is None
     assert rep.status == "infeasible"
+    assert rep.certificate.bound == 1.0
+    assert certificate_margin(problem, rep.certificate.multipliers) == rep.certificate.margin > 0
+
+
+def test_moment_bound_needs_spheres_over_every_variable():
+    sphere = ConstraintSpec.equality({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    half = ConstraintSpec.equality({(2, 0): 2.0, (0, 0): -2.0})
+    tilted = ConstraintSpec.equality({(2, 0): 1.0, (0, 2): 2.0, (0, 0): -1.0})
+    assert moment_bound(build_problem(2, 4, [sphere])) == 1.0
+    assert moment_bound(build_problem(2, 4, [half, ConstraintSpec.equality(
+        {(0, 2): 1.0, (0, 0): -1.0})])) == 1.0
+    assert moment_bound(build_problem(2, 4, [half])) == np.inf
+    assert moment_bound(build_problem(2, 4, [tilted])) == np.inf
+    assert moment_bound(build_problem(2, 4, [ConstraintSpec.inequality(
+        {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])) == np.inf
+    assert moment_bound(scaled_problem()) == np.inf
+
+
+def test_certificate_checker_rejects_perturbed_and_flipped_multipliers():
+    """A refusal's lam passes the checker; -lam, and lam moved by a tenth
+    of its norm in a random direction, fail it, with a sphere bound and
+    without one."""
+    zero = ConstraintSpec.equality({(1,): 1.0})
+    one = ConstraintSpec.equality({(1,): 1.0, (0,): -1.0})
+    problems = [build_problem(1, 4, [zero, one])] + [
+        build_bss_problem(random_no(n, 1, 0)[0], d) for n, d in ((2, 4), (2, 6), (3, 4))]
+    rng = np.random.default_rng(10)
+    for problem in problems:
+        _, rep = solve_feasibility(problem)
+        lam = rep.certificate.multipliers
+        assert certificate_margin(problem, lam) > 0
+        assert certificate_margin(problem, -lam) < 0
+        for _ in range(5):
+            step = rng.standard_normal(lam.size)
+            step *= 0.1 * np.linalg.norm(lam) / np.linalg.norm(step)
+            assert certificate_margin(problem, lam + step) < 0
 
 
 # -- solver behavior --------------------------------------------------------------
@@ -228,12 +273,14 @@ def test_tighter_tolerance_still_converges():
 
 
 def test_iter_limit_reported():
-    zero = ConstraintSpec.equality({(1,): 1.0})
-    one = ConstraintSpec.equality({(1,): 1.0, (0,): -1.0})
-    mu, rep = solve_feasibility(build_problem(1, 4, [zero, one]), iter_limit=40)
+    """x^2 = -1: L y = b is consistent, so there is no certificate, and no
+    moment matrix with E~ x^2 = -1 is PSD, so DR runs to the limit."""
+    minus_one = ConstraintSpec.equality({(2,): 1.0, (0,): 1.0})
+    mu, rep = solve_feasibility(build_problem(1, 2, [minus_one]), iter_limit=40)
     assert mu is None
     assert rep.status == "iter_limit"
     assert rep.iterations == 40
+    assert rep.certificate is None
 
 
 # -- sparse set-up against the dict and dense references --------------------------
@@ -569,13 +616,32 @@ def test_class_faces_split_the_one_class_face():
                                    rtol=0, atol=1e-10)
 
 
+def plain_dr(monkeypatch):
+    """The solver with Anderson acceleration off: every step the plain DR
+    step, as the memory stays empty."""
+    monkeypatch.setattr(sos_solver, "_ANDERSON_MEMORY", 0)
+
+
 def test_reduction_keeps_degree_four_refusals(monkeypatch):
-    """random_no(3, 1, 0) at degree 4 (L y = b inconsistent, T(y0) off the
-    face), and the plant planted_yes(3, 5, 3) that degree 4 wrongly calls
-    infeasible after 640 iterations: the reduction neither fixes nor
-    hides that verdict."""
-    for w in (random_no(3, 1, 0)[0], planted_yes(3, 5, 3)[0]):
-        assert_same_solve(*solve_both_ways(build_bss_problem(w, 4), monkeypatch))
+    """random_no(3, 1, 0) at degree 4 (L y = b inconsistent) is refused at
+    set-up on both paths, with the same certificate, and the plant
+    planted_yes(3, 5, 3) is feasible on both: the reduction neither fixes
+    nor hides a verdict.  Rounding sends the accelerated iterations of the
+    two paths apart (2490 against 2580 steps), so step for step the paths
+    are compared under plain DR, which takes 7050 steps."""
+    refusal = build_bss_problem(random_no(3, 1, 0)[0], 4)
+    plant = build_bss_problem(planted_yes(3, 5, 3)[0], 4)
+    reduced, whole = solve_both_ways(refusal, monkeypatch)
+    assert_same_solve(reduced, whole)
+    assert reduced[1].status == "infeasible"
+    np.testing.assert_array_equal(reduced[1].certificate.multipliers,
+                                  whole[1].certificate.multipliers)
+    reduced, whole = solve_both_ways(plant, monkeypatch)
+    assert reduced[1].status == whole[1].status == "feasible"
+    plain_dr(monkeypatch)
+    reduced, whole = solve_both_ways(plant, monkeypatch)
+    assert_same_solve(reduced, whole)
+    assert reduced[1].status == "feasible"
 
 
 # -- face-coordinate DR against the stacked-space reference -----------------------
@@ -638,45 +704,6 @@ def solver_parts(problem):
     faces = _face_basis(index, index.max_degree, problem.lmat, labels)
     geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs)
     return invariant, block_map, faces, geo
-
-
-def stacked_solve(problem, tol=sos_solver.DEFAULT_TOL, iter_limit=DEFAULT_ITER_LIMIT):
-    """Reference solver: the same Douglas-Rachford loop and rules, with the
-    iterate the stacked moment-matrix blocks.  Returns (moments or None,
-    status, iterations, gap)."""
-    invariant, block_map, faces, geo = solver_parts(problem)
-    affine = StackedAffine(geo, block_map)
-    z = block_map.matrix @ geo.y_particular
-    stall_ref, stall_count, gap, iterations, status = np.inf, 0, np.inf, 0, "iter_limit"
-    while iterations < iter_limit:
-        s_cone, _ = stacked_project_cone(block_map, z, faces)
-        _, s_affine = affine.project(2.0 * s_cone - z)
-        z += s_affine - s_cone
-        iterations += 1
-        if iterations % sos_solver._CHECK_EVERY and iterations < iter_limit:
-            continue
-        y_hat, s_hat = affine.project(s_cone)
-        gap = float(np.linalg.norm(s_cone - s_hat))
-        _, min_eig = stacked_project_cone(block_map, s_hat, faces)
-        if min_eig >= -tol and geo.residual(y_hat) <= max(tol, 1e-9):
-            status = "feasible"
-            break
-        if gap > 10.0 * tol:
-            if gap >= 0.999 * stall_ref:
-                stall_count += sos_solver._CHECK_EVERY
-            else:
-                stall_count = 0
-            stall_ref = min(stall_ref, gap)
-            if stall_count >= sos_solver._STALL_ITERS:
-                status = "infeasible"
-                break
-        else:
-            stall_count = 0
-    moments = None
-    if status == "feasible":
-        moments = np.zeros(problem.index.size)
-        moments[invariant] = y_hat / y_hat[0]
-    return moments, status, iterations, gap
 
 
 def lift(block_map, faces, x):
@@ -744,25 +771,112 @@ def test_face_affine_step_is_the_stacked_projection_of_the_lift():
 
 
 def test_face_solve_matches_stacked_reference():
-    """Same status and iteration count, the gap to rel 1e-6 and the moments
-    to 1e-9 as the stacked-space DR, on problems with and without an
-    off-face term and with an empty null space."""
-    statuses = set()
+    """The face-coordinate DR map against the stacked-space one, step for
+    step: from z_0 = T(y_p) and x_0 = c, each stacked iterate is the lift
+    of the face iterate plus k + 1 copies of the constant off-face part of
+    T(y_p), which neither projection sees.  At each step the cone steps
+    agree to 1e-9, and so do the y of the affine step, and the gap to rel
+    1e-6, on problems with and without an off-face term and with an empty
+    null space."""
     off_face = []
     for problem in reference_cases():
-        mu, rep = solve_feasibility(problem, iter_limit=3000)
-        moments, status, iterations, gap = stacked_solve(problem, iter_limit=3000)
-        assert (rep.status, rep.iterations) == (status, iterations)
-        assert rep.gap == pytest.approx(gap, rel=1e-6, abs=1e-12)
-        if moments is None:
-            assert mu is None
-        else:
-            np.testing.assert_allclose(mu.moments, moments, rtol=0, atol=1e-9)
-        statuses.add(status)
-        off_face.append(sos_solver._FaceSpace(*solver_parts(problem)[1:]).off2)
-    assert {"feasible", "infeasible"} <= statuses
+        _, block_map, faces, geo = solver_parts(problem)
+        space = sos_solver._FaceSpace(block_map, faces, geo)
+        affine = StackedAffine(geo, block_map)
+        off = block_map.matrix @ geo.y_particular - lift(block_map, faces, space.c)
+        z = block_map.matrix @ geo.y_particular
+        x = space.c.copy()
+        for step in range(20):
+            np.testing.assert_allclose(lift(block_map, faces, x) + (step + 1) * off, z,
+                                       rtol=0, atol=1e-9 * max(1.0, np.abs(z).max()))
+            s_cone, _ = stacked_project_cone(block_map, z, faces)
+            x_cone, g = space.fixed_point_residual(x)
+            np.testing.assert_allclose(lift(block_map, faces, x_cone), s_cone, rtol=0, atol=1e-9)
+            y_ref, s_hat = affine.project(s_cone)
+            w = space.coefficients(x_cone)
+            np.testing.assert_allclose(geo.y_particular + geo.null_basis @ w, y_ref,
+                                       rtol=0, atol=1e-9)
+            shown = x_cone - space.point(w)
+            gap = np.sqrt(shown @ shown + space.off2)
+            assert gap == pytest.approx(np.linalg.norm(s_cone - s_hat), rel=1e-6, abs=1e-12)
+            _, s_affine = affine.project(2.0 * s_cone - z)
+            z = z + s_affine - s_cone
+            x = x + g
+        off_face.append(space.off2)
     assert off_face[-3] > 1e-3  # random_no(3, 1, 0): L y = b inconsistent
     assert solver_parts(pinned_problem())[3].null_basis.shape[1] == 0
+
+
+# -- verdicts over seeded instances -------------------------------------------------
+
+
+@pytest.mark.parametrize("degree", [4, 6])
+def test_no_planted_yes_instance_is_refused(degree):
+    """Every planted_yes(n, dim_w, seed) for n in {2, 3}, every dim_w and
+    seeds 0-7 is feasible.  Among them are planted_yes(3, 5, 3) and
+    (3, 5, 7) at degree 4 and (3, 5, 0), (3, 5, 3) and (3, 6, 4) at
+    degree 6, which plain DR takes 2,310 to 41,240 steps to settle.  The
+    grid uses Anderson steps, and the safeguard turns some of them back."""
+    accepted = rejected = 0
+    for n in (2, 3):
+        for dim_w in range(1, n * n + 1):
+            for seed in range(8):
+                _, rep = solve_feasibility(build_bss_problem(planted_yes(n, dim_w, seed)[0], degree))
+                assert rep.status == "feasible", (n, dim_w, seed)
+                assert rep.certificate is None
+                accepted += rep.anderson_accepted
+                rejected += rep.anderson_rejected
+    assert accepted > 0 and rejected > 0
+
+
+def test_random_no_instances_are_refused_with_checked_certificates():
+    """random_no for n <= 3 at degrees 4 and 6: every instance is refused
+    at set-up with the linear certificate, whose recorded margin the
+    checker reproduces.  n = 2 takes seeds 0-7; n = 3 takes seeds 0 and 1
+    for each dim_w the generator can certify (1-3), as certifying them
+    costs about 0.5-1.7 s each."""
+    cases = [(2, 1, seed) for seed in range(8)]
+    cases += [(3, dim_w, seed) for dim_w in (1, 2, 3) for seed in (0, 1)]
+    for n, dim_w, seed in cases:
+        w = random_no(n, dim_w, seed)[0]
+        for degree in (4, 6):
+            problem = build_bss_problem(w, degree)
+            mu, rep = solve_feasibility(problem)
+            assert mu is None and (rep.status, rep.iterations) == ("infeasible", 0)
+            cert = rep.certificate
+            assert (cert.kind, cert.bound) == ("linear", 1.0)
+            assert certificate_margin(problem, cert.multipliers) == cert.margin > 0.5
+
+
+# Problems whose feasible set holds more than one moment vector, where the
+# two iterations stop at different members, both valid: random_problem(13)
+# bounds no moment, and the two answers differ by 0.33; symmetric_problem(17)
+# differs by 2.5e-4.
+SPREAD_FEASIBLE = {("random", 13), ("symmetric", 17)}
+
+
+def test_accelerated_and_plain_dr_agree(monkeypatch):
+    """Same status on the seeded symmetric and random problems, and the
+    same moments within 1e-6 wherever the feasible point found is not one
+    of several (SPREAD_FEASIBLE)."""
+    cases = [("symmetric", seed, symmetric_problem(seed)) for seed in EQUIVALENCE_SEEDS]
+    cases += [("random", seed, build_problem(*random_problem(seed)))
+              for seed in EQUIVALENCE_SEEDS]
+    accelerated = [solve_feasibility(problem, iter_limit=500) for _, _, problem in cases]
+    plain_dr(monkeypatch)
+    statuses = set()
+    for (family, seed, problem), (mu, rep) in zip(cases, accelerated):
+        mu_ref, rep_ref = solve_feasibility(problem, iter_limit=500)
+        assert rep.status == rep_ref.status, (family, seed)
+        statuses.add(rep.status)
+        if mu is None:
+            continue
+        spread = np.abs(mu.moments - mu_ref.moments).max()
+        if (family, seed) in SPREAD_FEASIBLE:
+            assert spread > 1e-6 and validate(mu).ok() and validate(mu_ref).ok()
+        else:
+            assert spread <= 1e-6, (family, seed)
+    assert statuses == {"feasible", "infeasible", "iter_limit"}
 
 
 @pytest.mark.parametrize("tol, iter_limit", [(0.0, 10), (-1.0, 10), (np.nan, 10),
