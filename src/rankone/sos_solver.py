@@ -30,13 +30,19 @@ an equality row.  So both projections are exact there:
          O'Donoghue et al., SCS, JOTA 2016): two matrix-vector products,
          and w = G^T (x - c) gives y = y_p + N w.
 
-Here y_p and N are the minimum-norm solution and a null-space basis of
-L y = b.  L is one sparse matrix; the null space is taken per connected
-block of it, where two moments share a block when some equality touches
-both, so no p x p array is ever formed.  The one thing the face
-coordinates leave out is the constant off-face part of T(y_p), nonzero
-only when L y = b is inconsistent; its squared norm enters the gap
-between the sets.  All dense algebra runs in NumPy, on one BLAS.
+Here y_p and N are the minimum-norm solution and an orthonormal
+null-space basis of L y = b, taken in two levels, each one eigh per
+connected block (two columns share a block when some row touches both),
+so no p x p array is ever formed.  Level 1 takes the homogeneous rows,
+whose monomials all have one total degree: for the rank-one problem the
+normalization and the membership rows, which split by bidegree.  Level 2
+takes the other rows (the sphere rows, which join the bidegrees) on the
+null space N1 of level 1, where they join only the blocks that have null
+vectors, so N = N1 V2 needs no eigh of the whole coupled block.  The one
+thing the face coordinates leave out is the constant off-face part of
+T(y_p), nonzero only when L y = b is inconsistent; its squared norm
+enters the gap between the sets.  All dense algebra runs in NumPy, on one
+BLAS.
 
 The SDP is first reduced by its sign symmetry (Gatermann & Parrilo,
 JPAA 2004).  The flips x_i -> -x_i that fix every equality up to sign,
@@ -52,14 +58,14 @@ blocks are the plain ones.  All reductions are in fixed order, so a
 given problem yields bit-identical output on every run.
 
 Infeasibility is decided at set-up, and only on a checked certificate.
-When L y = b has no solution, the least-squares residual r = b - L y_p
-gives the equality Farkas vector lam = r / ||r||^2, with b^T lam = 1 and
-L^T lam = 0 up to rounding.  Recomputed on the sparse L, it proves the
-problem infeasible when b^T lam - R ||L^T lam||_1 > 0, where R bounds
-every |y_a| over the feasible set (R = 1 under sphere equalities that
-cover every variable; with no bound, L^T lam must vanish up to
-rounding).  Without a certificate DR runs until it finds a feasible
-point or reaches the iteration limit, reported as `iter_limit`.
+The two levels also give a vector r with L^T r = 0 up to rounding and
+b^T r > 0 exactly when L y = b has no solution; then the equality
+Farkas vector lam = r / b^T r has b^T lam = 1.  Recomputed on the sparse
+L, it proves the problem infeasible when b^T lam - R ||L^T lam||_1 > 0,
+where R bounds every |y_a| over the feasible set (R = 1 under sphere
+equalities that cover every variable; with no bound, L^T lam must vanish
+up to rounding).  Without a certificate DR runs until it finds a
+feasible point or reaches the iteration limit, reported as `iter_limit`.
 
 Every 10 iterations the current iterate is checked for feasibility.  Up
 to the first check the steps are plain DR, so a problem settled there
@@ -145,9 +151,13 @@ class SolverReport:
     """Outcome of one solve.  `infeasible` always carries the checked
     `certificate`, found at set-up with no DR iteration; `iter_limit`
     means neither a certificate nor a feasible point within the budget.
-    `gap` is the distance between the DR sets at the last check, and the
-    Anderson counts tell how many extrapolated DR steps the safeguard
-    accepted and how many it replaced by the plain step."""
+    `max_constraint_residual` is max |L y - b| at the returned point, or
+    at the last checked iterate; on a refusal, where L y = b has no
+    solution, it is taken at the set-up point y_p of `_AffineGeometry`,
+    which is not the least-squares point.  `gap` is the distance between
+    the DR sets at the last check, and the Anderson counts tell how many
+    extrapolated DR steps the safeguard accepted and how many it replaced
+    by the plain step."""
 
     status: str  # feasible | infeasible | iter_limit
     iterations: int
@@ -269,30 +279,33 @@ def certificate_margin(problem: SdpProblem, multipliers: np.ndarray) -> float:
     problem infeasible.  With no bound, L^T lam must vanish up to
     rounding (||L^T lam||_1 <= 1e-9 || |L|^T |lam| ||_1); the margin is
     then b^T lam, and -inf otherwise."""
-    lam = np.asarray(multipliers, dtype=float)
-    slack = float(np.abs(problem.lmat.T @ lam).sum())
-    bound = moment_bound(problem)
+    return _margin(problem, np.asarray(multipliers, dtype=float), moment_bound(problem))
+
+
+def _margin(problem: SdpProblem, lam: np.ndarray, bound: float) -> float:
+    """`certificate_margin` with the moment bound R given."""
+    lmat = problem.lmat
+    terms = lmat.data * np.repeat(lam, np.diff(lmat.indptr))  # the entries of diag(lam) L
+    slack = float(np.abs(np.bincount(lmat.indices, weights=terms, minlength=lmat.shape[1])).sum())
     if np.isfinite(bound):
         return float(problem.rhs @ lam) - bound * slack
-    scale = float((abs(problem.lmat).T @ np.abs(lam)).sum())
-    return float(problem.rhs @ lam) if slack <= _ROUNDING * scale else -np.inf
+    return float(problem.rhs @ lam) if slack <= _ROUNDING * np.abs(terms).sum() else -np.inf
 
 
 def _linear_certificate(problem: SdpProblem, geo: _AffineGeometry):
-    """The equality Farkas vector lam = r / ||r||^2, with r = b - L y_p the
-    least-squares residual, when its margin is positive; else None.  As
-    r is orthogonal to the range of L, b^T lam = 1 and L^T lam = 0 up to
-    rounding whenever L y = b has no solution.  The rows that the sign
-    reduction empties have b = 0, so r vanishes there."""
-    r = problem.rhs - geo.lmat @ geo.y_particular
-    r2 = float(r @ r)
-    if r2 == 0.0:
+    """The geometry's Farkas vector r scaled to lam = r / b^T r, when
+    b^T r > 0 (L y = b has no solution) and the margin of lam is positive;
+    else None.  The rows that the sign reduction empties have b = 0, so r
+    vanishes there."""
+    scale = float(problem.rhs @ geo.farkas)
+    if not scale > 0.0:
         return None
-    lam = r / r2
-    margin = certificate_margin(problem, lam)
+    lam = geo.farkas / scale
+    bound = moment_bound(problem)
+    margin = _margin(problem, lam, bound)
     if not margin > 0.0:
         return None
-    return Certificate("linear", lam, moment_bound(problem), margin)
+    return Certificate("linear", lam, bound, margin)
 
 
 # -- sign symmetry -----------------------------------------------------------
@@ -430,22 +443,55 @@ def _face_basis(index: MonomialIndex, degree: int, lmat: sp.csr_matrix,
     return faces
 
 
-def _column_components(lmat: sp.csr_matrix) -> np.ndarray:
-    """Label of each column: the smallest column in its connected block,
-    where two columns are linked when some row has both.  Min-label
-    propagation with pointer jumping; a column in no row is its own block."""
-    counts = np.diff(lmat.indptr)
-    starts = lmat.indptr[:-1][counts > 0]
+def _column_components(indptr: np.ndarray, indices: np.ndarray, size: int) -> np.ndarray:
+    """Label of each of `size` columns of the compressed rows (indptr,
+    indices): the smallest column in its connected block, where two
+    columns are linked when some row has both.  Min-label propagation with
+    pointer jumping; a column in no row is its own block."""
+    counts = np.diff(indptr)
+    starts = indptr[:-1][counts > 0]
     counts = counts[counts > 0]
-    labels = np.arange(lmat.shape[1])
+    labels = np.arange(size)
     while True:
-        row_min = np.minimum.reduceat(labels[lmat.indices], starts)
+        row_min = np.minimum.reduceat(labels[indices], starts)
         new = labels.copy()
-        np.minimum.at(new, lmat.indices, np.repeat(row_min, counts))
+        np.minimum.at(new, indices, np.repeat(row_min, counts))
         new = new[new]
         if np.array_equal(new, labels):
             return labels
         labels = new
+
+
+def _runs(labels: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of equal values in a sorted array: the start of
+    each run, then the length."""
+    if not labels.size:
+        return np.zeros(1, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1], [True])))
+
+
+# The geometry works on the arrays of compressed matrices, with scipy.sparse
+# for one product: on problems of a few dozen moments each scipy.sparse call
+# costs more than the eigh it feeds.
+
+
+def _entries(indptr: np.ndarray, rows: np.ndarray):
+    """Positions of the stored entries of the listed compressed rows, row
+    by row, and the number in each row."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    return np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts), counts
+
+
+def _transpose(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+               shape: tuple) -> sp.csr_matrix:
+    """The transpose of the matrix of the given shape with entries
+    (rows, cols, data) in row order, as a CSR matrix whose rows list their
+    entries in that order."""
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(shape[1] + 1, dtype=cols.dtype)
+    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
+    return sp.csr_matrix((data[order], rows[order].astype(cols.dtype), indptr), shape=shape[::-1])
 
 
 def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -454,39 +500,186 @@ def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndar
 
 
 class _AffineGeometry:
-    """The solution set of L y = b as y_particular + range(null_basis):
-    the minimum-norm (least-squares) point and an orthonormal basis of
-    null(L), taken per connected block of L."""
+    """The solution set of L y = b as y_particular + range(null_basis),
+    and the equality Farkas vector `farkas`, in two levels that each take
+    one eigh per connected block.  `degrees` holds the total degree of the
+    monomial of each column.
 
-    def __init__(self, lmat: sp.csr_matrix, b: np.ndarray):
+    Level 1 takes the homogeneous rows L1, whose entries all sit on
+    monomials of one total degree.  The eigh of each block of L1^T L1
+    gives its null vectors and the minimum-norm least-squares point y1 of
+    L1 y = b1; with an identity column for each column that no row of L1
+    touches, the null vectors make the orthonormal null basis N1.  Level 2
+    takes the other rows L2 on range(N1): M = L2 N1 splits into groups of
+    level-1 blocks that rows of L2 join, and the eigh of each group's
+    M^T M gives its null basis V2 and t = M^+ (b2 - L2 y1).  Level 1 cuts
+    at _RANK_EPS times its top eigenvalue, level 2 at _RANK_EPS times the
+    top of both levels, each at least _RANK_EPS.
+
+    N = N1 V2 is orthonormal, and y_particular = y0 - N N^T y0, with
+    y0 = y1 + N1 t, is the minimum-norm solution whenever L y = b is
+    consistent.  `farkas` is r = [b1 - L1 (y1 + z); r2] in the row order
+    of L, with r2 = b2 - L2 y0 and z = (L1^T L1)^+ L2^T r2: L^T r =
+    N1 M^T r2 vanishes up to rounding, as t is a least-squares point, and
+    b^T r = ||b1 - L1 y1||^2 + ||r2||^2 is positive exactly when L y = b
+    has no solution."""
+
+    def __init__(self, lmat: sp.csr_matrix, b: np.ndarray, degrees: np.ndarray):
         p = lmat.shape[1]
-        # L^T L is block diagonal over the column blocks: one eigh per block.
-        lcols = lmat.tocsc()
-        ltb = lmat.T @ b
-        # trace(L^T L) bounds every block's top eigenvalue, so eigenvalues
-        # above `clear` are row space whatever the global cut; only the
-        # eigenvectors below it are kept until the cut is known.
-        clear = _RANK_EPS * max(float(lmat.data @ lmat.data), 1.0)
-        top = 0.0
-        pending = []
-        self.y_particular = np.zeros(p)
-        for ix in _class_members(_column_components(lmat)):
-            sub = lcols[:, ix]
-            vals, vecs = np.linalg.eigh((sub.T @ sub).toarray())
-            top = max(top, float(vals[-1]))
-            low = int(np.searchsorted(vals, clear, side="right"))  # vals ascend
-            self.y_particular[ix] = _eigen_solve(vals[low:], vecs[:, low:], ltb[ix])
-            pending.append((ix, vals[:low], vecs[:, :low].copy()))
-        cut = _RANK_EPS * max(top, 1.0)
+        deg = degrees[lmat.indices]
+        counts = np.diff(lmat.indptr)
+        filled = np.flatnonzero(counts)
+        starts = lmat.indptr[filled]
+        mixed = np.zeros(lmat.shape[0], dtype=bool)
+        mixed[filled] = np.minimum.reduceat(deg, starts) < np.maximum.reduceat(deg, starts)
+        rows1, rows2 = np.flatnonzero(~mixed), np.flatnonzero(mixed)
+        b1, b2 = b[rows1], b[rows2]
+        in_l2 = np.repeat(mixed, counts)
+        ptr1 = np.zeros(rows1.size + 1, dtype=lmat.indptr.dtype)
+        np.cumsum(counts[rows1], out=ptr1[1:])
+        col1, val1 = lmat.indices[~in_l2], lmat.data[~in_l2]
+        row1 = np.repeat(np.arange(rows1.size), counts[rows1])
+        row2 = np.repeat(np.arange(rows2.size), counts[rows2])
+        col2, val2 = lmat.indices[in_l2], lmat.data[in_l2]
 
-        null_cols = []
-        for ix, vals, vecs in pending:
+        # Level 1.  A block is labelled by its smallest column, which
+        # leads its run in `cols`; its dense Gram matrix is
+        # gram[base[k]:base[k + 1]].
+        label = _column_components(ptr1, col1, p)
+        free = np.bincount(col1, minlength=p) == 0
+        cols = np.flatnonzero(~free)
+        cols = cols[np.argsort(label[cols], kind="stable")]
+        bounds = _runs(label[cols])
+        size = np.diff(bounds)
+        block = np.zeros(p, dtype=np.int64)
+        block[cols] = np.repeat(np.arange(size.size), size)
+        local = np.zeros(p, dtype=np.int64)
+        local[cols] = np.arange(cols.size) - np.repeat(bounds[:-1], size)
+        base = np.concatenate([[0], np.cumsum(size * size)])
+        # L1^T L1 as L1^T L, the transpose indexed by the rows of L
+        product = _transpose(rows1[row1], col1, val1, lmat.shape) @ lmat
+        row = np.repeat(np.arange(p), np.diff(product.indptr))
+        gram = np.zeros(base[-1])
+        at = base[block[row]] + local[row] * size[block[row]] + local[product.indices]
+        gram[at] = product.data
+        del product
+        top = 0.0
+        level1 = []
+        for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+            vals, vecs = np.linalg.eigh(gram[base[k]:base[k + 1]].reshape(size[k], size[k]))
+            top = max(top, float(vals[-1]))
+            level1.append((cols[start:stop], vals, vecs))
+        del gram
+        cut = _RANK_EPS * max(top, 1.0)
+        ltb = np.bincount(col1, weights=val1 * b1[row1], minlength=p)
+        y1 = np.zeros(p)
+        width = free.astype(np.int64)  # columns of N1: per block at its label, 1 per free column
+        for k, (ix, vals, vecs) in enumerate(level1):
             null = int(np.searchsorted(vals, cut, side="right"))
-            col = np.zeros((p, null))
-            col[ix] = vecs[:, :null]
-            null_cols.append(col)
-            self.y_particular[ix] += _eigen_solve(vals[null:], vecs[:, null:], ltb[ix])
-        self.null_basis = np.hstack(null_cols)
+            y1[ix] = _eigen_solve(vals[null:], vecs[:, null:], ltb[ix])
+            width[ix[0]] = null
+            level1[k] = (ix, vals[null:], vecs[:, null:], vecs[:, :null])
+
+        # The groups: blocks with null vectors, joined by the rows of L2
+        # (the columns of other blocks drop out of L2 N1).  The columns of
+        # N1 run over the blocks that rows of L2 touch, group by group,
+        # then over the rest.
+        unit = np.where(width[label] > 0, label, -1)[col2]
+        keep = unit >= 0
+        indptr = np.zeros(rows2.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row2[keep], minlength=rows2.size), out=indptr[1:])
+        group = _column_components(indptr, unit[keep], p)
+        linked = np.zeros(p, dtype=bool)
+        linked[unit[keep]] = True
+        units = np.flatnonzero(width)
+        units = units[np.lexsort((units, group[units], ~linked[units]))]
+        offset = np.zeros(p, dtype=np.int64)
+        offset[units] = np.cumsum(width[units]) - width[units]
+        head = int(width[linked].sum())
+        spans = _runs(np.repeat(group[units], width[units])[:head])
+        # N1 in compressed rows, one row per column of L
+        n1_ptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(width[label], out=n1_ptr[1:])
+        n1_col = np.zeros(n1_ptr[-1], dtype=np.int64)
+        n1_val = np.ones(n1_ptr[-1])
+        n1_col[n1_ptr[:-1][free]] = offset[free]
+        for ix, _, _, vecs in level1:
+            pos = n1_ptr[ix][:, None] + np.arange(vecs.shape[1])
+            n1_col[pos] = offset[ix[0]] + np.arange(vecs.shape[1])
+            n1_val[pos] = vecs
+        n1_row = np.repeat(np.arange(p), np.diff(n1_ptr))
+
+        # Level 2: M = L2 N1, one dense block per group, each entry summed
+        # over the row of L2 in order.
+        row_group = np.full(rows2.size, -1)
+        row_group[row2[keep]] = group[unit[keep]]
+        order = np.argsort(row_group, kind="stable")
+        order = order[row_group[order] >= 0]
+        row_bounds = _runs(row_group[order])
+        shape = np.diff(spans)
+        height = np.diff(row_bounds)
+        base = np.concatenate([[0], np.cumsum(height * shape)])
+        # entry (i, j) of M sits at m_flat[at_row[i] + j]
+        at_row = np.zeros(rows2.size, dtype=np.int64)
+        at_row[order] = (np.repeat(base[:-1] - row_bounds[:-1] * shape - spans[:-1], height)
+                         + np.arange(order.size) * np.repeat(shape, height))
+        pos, repeats = _entries(n1_ptr, col2[keep])
+        m_flat = np.bincount(np.repeat(at_row[row2[keep]], repeats) + n1_col[pos],
+                             weights=np.repeat(val2[keep], repeats) * n1_val[pos],
+                             minlength=base[-1])
+        rhs2 = b2 - np.bincount(row2, weights=val2 * y1[col2], minlength=rows2.size)
+        level2 = []
+        for k in range(shape.size):
+            part = m_flat[base[k]:base[k + 1]].reshape(-1, shape[k])
+            vals, vecs = np.linalg.eigh(part.T @ part)
+            top = max(top, float(vals[-1]))
+            level2.append((vals, vecs, part.T @ rhs2[order[row_bounds[k]:row_bounds[k + 1]]]))
+        cut = _RANK_EPS * max(top, 1.0)
+        t = np.zeros(int(width.sum()))
+        v2_parts = []
+        for (vals, vecs, rhs), start, stop in zip(level2, spans[:-1], spans[1:]):
+            null = int(np.searchsorted(vals, cut, side="right"))
+            t[start:stop] = _eigen_solve(vals[null:], vecs[:, null:], rhs)
+            v2_parts.append(vecs[:, :null])
+
+        # N = N1 V2, with V2 block diagonal over the groups and the
+        # identity on the columns of N1 that no row of L2 touches.
+        ends = [0]
+        for v in v2_parts:
+            ends.append(ends[-1] + v.shape[1])
+        v2 = np.zeros((head, ends[-1]))
+        for v, start, stop, lo, hi in zip(v2_parts, spans[:-1], spans[1:], ends[:-1], ends[1:]):
+            v2[start:stop, lo:hi] = v
+        shift = ends[-1] - head
+        self.null_basis = np.zeros((p, t.size + shift))
+        fr = np.flatnonzero(free)
+        linked_fr = offset[fr] < head
+        self.null_basis[fr[linked_fr], :ends[-1]] = v2[offset[fr[linked_fr]]]
+        self.null_basis[fr[~linked_fr], shift + offset[fr[~linked_fr]]] = 1.0
+        for ix, _, _, vecs in level1:
+            start, stop = offset[ix[0]], offset[ix[0]] + vecs.shape[1]
+            if start >= head:
+                self.null_basis[ix, shift + start:shift + stop] = vecs
+            elif stop > start:
+                k = int(np.searchsorted(spans, start, side="right")) - 1
+                into = slice(ends[k], ends[k + 1])
+                self.null_basis[ix, into] = vecs @ v2[start:stop, into]
+
+        y0 = y1 + np.bincount(n1_row, weights=n1_val * t[n1_col], minlength=p)
+        coef = np.bincount(n1_col, weights=n1_val * y0[n1_row], minlength=t.size)
+        for v, start, stop in zip(v2_parts, spans[:-1], spans[1:]):
+            coef[start:stop] = v @ (v.T @ coef[start:stop])
+        self.y_particular = y0 - np.bincount(n1_row, weights=n1_val * coef[n1_col], minlength=p)
+
+        r2 = b2 - np.bincount(row2, weights=val2 * y0[col2], minlength=rows2.size)
+        lift = np.bincount(col2, weights=val2 * r2[row2], minlength=p)
+        z = np.zeros(p)
+        for ix, vals, vecs, _ in level1:
+            z[ix] = _eigen_solve(vals, vecs, lift[ix])
+        self.farkas = np.zeros(lmat.shape[0])
+        self.farkas[rows1] = b1 - np.bincount(row1, weights=val1 * (y1 + z)[col1],
+                                              minlength=rows1.size)
+        self.farkas[rows2] = r2
         self.lmat = lmat
         self.b = b
 
@@ -637,7 +830,8 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     invariant = np.flatnonzero(labels == 0)
     # Each row of L lies in one class, and rows with a nonzero right-hand
     # side in class 0, so the rows of other classes drop out here as empty.
-    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs)
+    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs,
+                          index.degrees[invariant])
     certificate = _linear_certificate(problem, geo)
     if certificate is not None:
         return None, SolverReport(

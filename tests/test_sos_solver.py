@@ -30,6 +30,7 @@ from rankone.sos_solver import (
     _AffineGeometry,
     _BlockMap,
     _face_basis,
+    _linear_certificate,
     _sign_classes,
     SdpProblem,
     build_bss_problem,
@@ -443,24 +444,81 @@ def test_face_basis_matches_dict_ideal():
             np.testing.assert_array_equal(got, ref)
 
 
+def assert_geometry_matches_dense(prob, columns):
+    """The two-level geometry of L y = b on the given columns against one
+    eigh of the whole Gram matrix: the same projector N N^T, and where the
+    dense point solves L y = b to 1e-9 the same minimum-norm point;
+    elsewhere a certificate exactly when the dense least-squares residual
+    r gives one, as lam = r / ||r||^2.  Returns whether L y = b is
+    consistent."""
+    lmat = prob.lmat[:, columns]
+    geo = _AffineGeometry(lmat, prob.rhs, prob.index.degrees[columns])
+    null_ref, y_ref = dense_null_space(lmat, prob.rhs)
+    assert geo.null_basis.shape == null_ref.shape
+    np.testing.assert_allclose(geo.null_basis @ geo.null_basis.T,
+                               null_ref @ null_ref.T, rtol=0, atol=1e-10)
+    r = prob.rhs - lmat @ y_ref
+    if np.abs(r).max() <= 1e-9:
+        # the dense reference mixes blocks, so its error grows with |y|
+        np.testing.assert_allclose(geo.y_particular, y_ref, rtol=0,
+                                   atol=1e-10 * max(1.0, np.abs(y_ref).max()))
+        return True
+    refused = certificate_margin(prob, r / (r @ r)) > 0
+    assert (_linear_certificate(prob, geo) is not None) == refused
+    return False
+
+
 def test_block_null_space_matches_dense_eigh():
-    """Per-block null space: same projector N N^T and minimum-norm point as
-    one eigh of the whole Gram matrix, isolated columns included."""
+    """Isolated columns included.  The point of an inconsistent L y = b
+    has no use (a refusal returns at set-up), so there only the refusal
+    is compared: on the BSS line, scaled_problem() and random problems
+    303, 305, 306, 312, 317 and 318."""
     isolated = build_problem(2, 4, [ConstraintSpec.equality({(4, 0): 1.0, (3, 0): -1.0})])
     rng = np.random.default_rng(5)
     sign_classes = build_bss_problem(
         SpanStub(2, complement_of_line(2, rng.standard_normal((2, 2)), rng)), 6)
     cases = [isolated, sign_classes, scaled_problem()] + [
         build_problem(*random_problem(300 + seed)) for seed in EQUIVALENCE_SEEDS]
-    for prob in cases:
-        geo = _AffineGeometry(prob.lmat, prob.rhs)
-        null_ref, y_ref = dense_null_space(prob.lmat, prob.rhs)
-        assert geo.null_basis.shape == null_ref.shape
-        np.testing.assert_allclose(geo.null_basis @ geo.null_basis.T,
-                                   null_ref @ null_ref.T, rtol=0, atol=1e-10)
-        # the dense reference mixes blocks, so its error grows with |y|
-        np.testing.assert_allclose(geo.y_particular, y_ref, rtol=0,
-                                   atol=1e-10 * max(1.0, np.abs(y_ref).max()))
+    consistent = [assert_geometry_matches_dense(prob, np.arange(prob.index.size))
+                  for prob in cases]
+    assert sum(consistent) == 19
+
+
+def row_degree_spans(prob):
+    """Oracle: lowest and highest degree of the monomials in each row of L."""
+    spans = []
+    for r in range(prob.lmat.shape[0]):
+        cols = prob.lmat.indices[prob.lmat.indptr[r]:prob.lmat.indptr[r + 1]]
+        degrees = [sum(prob.index.exponent_tuples[c]) for c in cols]
+        spans.append((min(degrees), max(degrees)))
+    return spans
+
+
+def test_two_level_null_space_matches_dense_eigh_on_workload_shapes():
+    """The BSS shapes the workloads solve, on the invariant columns as
+    the solver takes them, and the two degenerate splits: every row
+    homogeneous (one level of blocks) and none (one level over the
+    whole L)."""
+    cases = [build_bss_problem(planted_yes(2, dim_w, 1)[0], degree)
+             for dim_w in range(1, 5) for degree in (4, 6)]
+    cases += [build_bss_problem(planted_yes(3, dim_w, 1)[0], 6) for dim_w in (1, 3, 5, 8)]
+    cases += [build_bss_problem(planted_yes(3, 3, 0)[0], 8),
+              build_bss_problem(planted_yes(4, 3, 0)[0], 6),
+              build_bss_problem(random_no(3, 2, 0)[0], 8)]
+    consistent = [assert_geometry_matches_dense(prob, np.flatnonzero(_sign_classes(prob) == 0))
+                  for prob in cases]
+    assert consistent == [True] * (len(cases) - 1) + [False]
+
+    homogeneous = build_problem(2, 4, [ConstraintSpec.equality(
+        {(2, 0): 1.0, (1, 1): -2.0, (0, 2): 0.5})])
+    sphere = build_problem(2, 4, [ConstraintSpec.equality(
+        {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
+    rhs = np.random.default_rng(10).standard_normal(sphere.lmat.shape[0] - 1)
+    mixed = SdpProblem(sphere.index, sphere.lmat[1:], rhs, sphere.psd_blocks, ())
+    assert all(lo == hi for lo, hi in row_degree_spans(homogeneous))
+    assert all(lo < hi for lo, hi in row_degree_spans(mixed))
+    for prob in (homogeneous, mixed):
+        assert assert_geometry_matches_dense(prob, np.arange(prob.index.size))
 
 
 # -- sign-symmetry reduction against brute force and the one-class path ----------
@@ -702,7 +760,7 @@ def solver_parts(problem):
     invariant = np.flatnonzero(labels == 0)
     block_map = _BlockMap(index, index.max_degree, problem.psd_blocks, labels)
     faces = _face_basis(index, index.max_degree, problem.lmat, labels)
-    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs)
+    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs, index.degrees[invariant])
     return invariant, block_map, faces, geo
 
 
