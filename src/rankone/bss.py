@@ -7,7 +7,8 @@ the solved moment table is concentrated by the bilinear structure
 rounds, and the candidate u0 v0^T is read off the first moments.  The
 module also houses the verifier for candidates against measurements,
 the complex-to-real reduction with its lift, instance generators with
-a grid-certified farness oracle, and the subspace text file formats.
+a grid-certified farness oracle, and the SUBSPACE, MEASUREMENT and
+CSUBSPACE file formats (matrix blocks, see `linalg`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     RetryExhausted,
     ZeroCandidate,
 )
-from .linalg import gram_schmidt
+from .linalg import BlockReader, gram_schmidt, write_blocks
 from .sos_solver import Certificate, build_bss_problem, solve_feasibility
 from .structure import (
     StructureConfig,
@@ -673,107 +674,39 @@ def complex_planted(n: int, dim_w: int, seed: int = 0):
 # -- text file formats --------------------------------------------------------
 
 
-def _matrix_lines(a: np.ndarray) -> list:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise IllFormed("refusing to write non-finite entries")
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return lines
-
-
-def _take_matrix(tokens, pos):
-    try:
-        rows, cols = int(tokens[pos]), int(tokens[pos + 1])
-        entries = [float(t) for t in tokens[pos + 2:pos + 2 + rows * cols]]
-    except (ValueError, IndexError) as exc:
-        raise IllFormed(f"malformed matrix block: {exc}") from None
-    if rows < 0 or cols < 0 or len(entries) != rows * cols:
-        raise IllFormed(f"matrix block truncated at token {pos}")
-    return np.array(entries).reshape(rows, cols), pos + 2 + rows * cols
-
-
 def write_subspace(path, w: SubspaceBasis) -> None:
     """Write 'SUBSPACE n k' followed by the k basis matrices."""
-    lines = [f"SUBSPACE {w.ambient} {w.dim}"]
-    for b in w.basis:
-        lines.extend(_matrix_lines(b))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_blocks(path, f"SUBSPACE {w.ambient} {w.dim}", w.basis)
 
 
 def read_subspace(path) -> SubspaceBasis:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != "SUBSPACE":
-        raise IllFormed("expected a SUBSPACE header")
-    try:
-        n, k = int(tokens[1]), int(tokens[2])
-    except ValueError as exc:
-        raise IllFormed(f"bad SUBSPACE header: {exc}") from None
-    pos = 3
-    mats = []
-    for _ in range(k):
-        mat, pos = _take_matrix(tokens, pos)
-        if mat.shape != (n, n):
-            raise IllFormed(f"subspace matrix shape {mat.shape}, expected ({n}, {n})")
-        mats.append(mat)
-    return SubspaceBasis(n, tuple(mats))
+    fh = BlockReader(path, "SUBSPACE", count=2)
+    n, k = fh.header
+    return SubspaceBasis(n, tuple(fh.take((n, n)) for _ in range(k)))
 
 
 def write_measurement(path, measurement: MeasurementOperator) -> None:
     """Write 'MEASUREMENT n' followed by the n^2 x n^2 matrix."""
-    lines = [f"MEASUREMENT {measurement.ambient}"]
-    lines.extend(_matrix_lines(measurement.matrix))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_blocks(path, f"MEASUREMENT {measurement.ambient}", [measurement.matrix])
 
 
 def read_measurement(path) -> MeasurementOperator:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2 or tokens[0] != "MEASUREMENT":
-        raise IllFormed("expected a MEASUREMENT header")
-    try:
-        n = int(tokens[1])
-    except ValueError as exc:
-        raise IllFormed(f"bad MEASUREMENT header: {exc}") from None
-    mat, _ = _take_matrix(tokens, 2)
-    if mat.shape != (n * n, n * n):
-        raise IllFormed(
-            f"measurement matrix shape {mat.shape}, expected ({n * n}, {n * n})")
-    return MeasurementOperator(mat)
+    fh = BlockReader(path, "MEASUREMENT", count=1)
+    (n,) = fh.header
+    return MeasurementOperator(fh.take((n * n, n * n)))
 
 
 def write_complex_subspace(path, wc: ComplexSubspace) -> None:
     """Write 'CSUBSPACE n k' followed by the k constraint pairs (C, D)."""
-    lines = [f"CSUBSPACE {wc.ambient} {wc.num_constraints}"]
-    for c, d in wc.pairs:
-        lines.extend(_matrix_lines(c))
-        lines.extend(_matrix_lines(d))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_blocks(path, f"CSUBSPACE {wc.ambient} {wc.num_constraints}",
+                 [m for pair in wc.pairs for m in pair])
 
 
 def read_complex_subspace(path) -> ComplexSubspace:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != "CSUBSPACE":
-        raise IllFormed("expected a CSUBSPACE header")
-    try:
-        n, k = int(tokens[1]), int(tokens[2])
-    except ValueError as exc:
-        raise IllFormed(f"bad CSUBSPACE header: {exc}") from None
-    pos = 3
-    pairs = []
-    for _ in range(k):
-        c, pos = _take_matrix(tokens, pos)
-        d, pos = _take_matrix(tokens, pos)
-        if c.shape != (n, n) or d.shape != (n, n):
-            raise IllFormed("constraint pair shape mismatch")
-        pairs.append((c, d))
-    return ComplexSubspace(n, tuple(pairs))
+    fh = BlockReader(path, "CSUBSPACE", count=2)
+    n, k = fh.header
+    return ComplexSubspace(
+        n, tuple((fh.take((n, n)), fh.take((n, n))) for _ in range(k)))
 
 
 __all__ = [

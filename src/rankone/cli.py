@@ -38,9 +38,7 @@ import time
 import numpy as np
 
 from .bss import (
-    MeasurementOperator,
     RankOneCandidate,
-    certify_farness,
     complex_planted,
     lift_real_solution,
     measurement_to_subspace,
@@ -59,7 +57,6 @@ from .bss import (
 from .errors import (
     BadDims,
     DimensionMismatch,
-    EmptySet,
     EmptySubspace,
     IllFormed,
     NotPSD,
@@ -67,6 +64,7 @@ from .errors import (
     PreconditionViolated,
     RankOneError,
 )
+from .linalg import BlockReader, write_blocks
 from .rectangle import default_k, find_rectangle, read_factors
 
 _SCHEMA = 1
@@ -74,7 +72,7 @@ _GRID_LIMIT = 3            # largest ambient with a farness grid certificate
 
 # a clean negative verdict uses 1; these families map to 2 and 3
 _INPUT_ERRORS = (IllFormed, BadDims, DimensionMismatch, EmptySubspace,
-                 EmptySet, NotSymmetric, NotPSD, PreconditionViolated)
+                 NotSymmetric, NotPSD, PreconditionViolated)
 
 
 # -- candidate files -----------------------------------------------------------
@@ -91,35 +89,17 @@ def write_candidate(path, u0, v0, complex_pair: bool = False) -> None:
     if u0.ndim != 1 or u0.shape != v0.shape:
         raise DimensionMismatch(
             f"candidate vectors must match, got {u0.shape} and {v0.shape}")
-    rows = np.vstack([u0, v0])
-    if not np.all(np.isfinite(rows)):
-        raise IllFormed("refusing to write non-finite entries")
     header = "CCANDIDATE" if complex_pair else "CANDIDATE"
-    n = rows.shape[1] // 2 if complex_pair else rows.shape[1]
-    lines = [f"{header} {n}", f"2 {rows.shape[1]}"]
-    for row in rows:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    n = u0.size // 2 if complex_pair else u0.size
+    write_blocks(path, f"{header} {n}", [np.vstack([u0, v0])])
 
 
 def read_candidate(path):
     """Return (u0, v0, kind) with kind CANDIDATE or CCANDIDATE."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 4 or tokens[0] not in ("CANDIDATE", "CCANDIDATE"):
-        raise IllFormed("expected a CANDIDATE or CCANDIDATE header")
-    try:
-        n = int(tokens[1])
-        rows, cols = int(tokens[2]), int(tokens[3])
-        entries = [float(t) for t in tokens[4:4 + rows * cols]]
-    except (ValueError, IndexError) as exc:
-        raise IllFormed(f"malformed candidate file: {exc}") from None
-    width = 2 * n if tokens[0] == "CCANDIDATE" else n
-    if rows != 2 or cols != width or len(entries) != rows * cols:
-        raise IllFormed("candidate block does not match its header")
-    block = np.array(entries).reshape(2, cols)
-    return block[0], block[1], tokens[0]
+    fh = BlockReader(path, "CANDIDATE", "CCANDIDATE", count=1)
+    (n,) = fh.header
+    block = fh.take((2, 2 * n if fh.kind == "CCANDIDATE" else n))
+    return block[0], block[1], fh.kind
 
 
 def _sniff(path) -> str:

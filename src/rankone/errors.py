@@ -17,7 +17,7 @@ class NotSymmetric(RankOneError):
 
 
 class NoConvergence(RankOneError):
-    """An iterative eigensolver or SVD sweep failed to converge."""
+    """An iterative solver stopped at its limit without an answer."""
 
 
 class NotPSD(RankOneError):

@@ -1,244 +1,25 @@
-"""Dense real linear algebra used throughout the package.
+"""Small dense helpers and the matrix-block text format.
 
-Symmetric eigendecomposition is a cyclic Jacobi iteration and the SVD is
-its one-sided (Hestenes) variant.  Both are deterministic: no pivoting
-heuristics, stable sorting, and a fixed sign convention for the computed
-vectors, so repeated runs on the same input give bit-identical output.
-Sizes here are desk scale (a few hundred dimensions at most), where
-Jacobi's accuracy is excellent and its cost irrelevant.
+`gram_schmidt` orthonormalizes rows, `project_onto` projects onto the
+span of orthonormal columns and `sample_gaussian` draws from a centred
+Gaussian through an eigendecomposition of its covariance.
+
+Every file the package reads or writes (SUBSPACE, MEASUREMENT,
+CSUBSPACE, CANDIDATE/CCANDIDATE, FACTORS, PD) is one header line, a magic
+word followed by integers, and then matrix blocks.  A block is a
+`rows cols` line followed by one whitespace-separated row per line, each
+entry written with repr so that it reads back exactly.  `write_blocks`
+writes such a file and `BlockReader` reads one: it opens the file,
+checks the magic word, parses the header integers, and hands out the
+blocks one at a time, each checked against its expected shape.  Every
+malformed file, a non-finite entry included, raises IllFormed.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, IllFormed, NoConvergence, NotPSD, NotSymmetric
-
-# Default tolerances.  EIG_TOL bounds the relative off-diagonal mass at
-# convergence; PSD_CLIP is the relative eigenvalue floor below which a
-# covariance is rejected rather than clipped.
-EIG_TOL = 1e-10
-PSD_CLIP = 1e-9
-
-_MAX_SWEEPS = 64
-
-
-@dataclass(frozen=True)
-class SymEigDecomposition:
-    """Eigenvalues (descending) and matching orthonormal eigenvectors.
-
-    ``matrix ~= vectors @ diag(values) @ vectors.T``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class SvdDecomposition:
-    """Economy SVD: ``matrix ~= left @ diag(values) @ right.T``.
-
-    values are the singular values, descending and nonnegative; left is
-    m x k and right is n x k with k = min(m, n), both with orthonormal
-    columns.
-    """
-
-    values: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
-def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    if vectors.size == 0:
-        return vectors
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
-
-
-def sym_eig(a, tol: float = EIG_TOL) -> SymEigDecomposition:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Raises NotSymmetric when the asymmetry exceeds tol relative to the
-    largest entry, NoConvergence if the sweep limit is hit.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return SymEigDecomposition(np.zeros(0), np.zeros((0, 0)))
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > tol * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-
-    work = 0.5 * (a + a.T)
-    vecs = np.eye(n)
-    fro = max(float(np.linalg.norm(work)), 1e-300)
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.linalg.norm(work - np.diag(np.diag(work))))
-        if off <= tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                tau = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau
-                elif tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = work[p, :].copy()
-                rq = work[q, :].copy()
-                work[p, :] = c * rp - s * rq
-                work[q, :] = s * rp + c * rq
-                cp = work[:, p].copy()
-                cq = work[:, q].copy()
-                work[:, p] = c * cp - s * cq
-                work[:, q] = s * cp + c * cq
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    else:
-        raise NoConvergence("Jacobi eigendecomposition did not converge")
-
-    vals = np.diag(work).copy()
-    order = np.argsort(-vals, kind="stable")
-    return SymEigDecomposition(vals[order], _fix_column_signs(vecs[:, order]))
-
-
-def _complete_orthonormal(columns: np.ndarray, need: int) -> np.ndarray:
-    """Append standard-basis completions until `need` orthonormal columns."""
-    m = columns.shape[0]
-    cols = [columns[:, j] for j in range(columns.shape[1])]
-    for j in range(m):
-        if len(cols) == need:
-            break
-        cand = np.zeros(m)
-        cand[j] = 1.0
-        for c in cols:
-            cand -= (c @ cand) * c
-        norm = float(np.linalg.norm(cand))
-        if norm > 1e-8:
-            cols.append(cand / norm)
-    return np.column_stack(cols) if cols else np.zeros((m, 0))
-
-
-def svd(a, tol: float = EIG_TOL) -> SvdDecomposition:
-    """One-sided Jacobi SVD.  Singular values descending; zero singular
-    values get orthonormal filler columns on the left so shapes stay
-    economy-sized."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d array, got shape {a.shape}")
-    m, n = a.shape
-    if m == 0 or n == 0:
-        k = min(m, n)
-        return SvdDecomposition(np.zeros(k), np.zeros((m, k)), np.zeros((n, k)))
-    if m < n:
-        flipped = svd(a.T, tol=tol)
-        return SvdDecomposition(flipped.values, flipped.right, flipped.left)
-
-    work = a.copy()
-    vecs = np.eye(n)
-    limit = max(float(np.abs(a).max()), 1e-300)
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                x = work[:, p]
-                y = work[:, q]
-                apq = float(x @ y)
-                app = float(x @ x)
-                aqq = float(y @ y)
-                if abs(apq) <= tol * math.sqrt(app * aqq) + (tol * limit) ** 2:
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                xp = x.copy()
-                work[:, p] = c * xp - s * y
-                work[:, q] = s * xp + c * y
-                vp = vecs[:, p].copy()
-                vecs[:, p] = c * vp - s * vecs[:, q]
-                vecs[:, q] = s * vp + c * vecs[:, q]
-        if not rotated:
-            break
-    else:
-        raise NoConvergence("Jacobi SVD did not converge")
-
-    sig = np.linalg.norm(work, axis=0)
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
-    work = work[:, order]
-    vecs = vecs[:, order]
-
-    cutoff = tol * max(1.0, sig[0] if sig.size else 1.0)
-    left_cols = []
-    for j in range(n):
-        if sig[j] > cutoff:
-            left_cols.append(work[:, j] / sig[j])
-        else:
-            sig[j] = 0.0
-    left = np.column_stack(left_cols) if left_cols else np.zeros((m, 0))
-    left = _complete_orthonormal(left, n)
-
-    right = _fix_column_signs(vecs)
-    # keep left consistent with the sign flips applied to right
-    flip = np.sign(np.sum(right * vecs, axis=0))
-    flip[flip == 0] = 1.0
-    left = left * flip
-    return SvdDecomposition(sig, left, right)
-
-
-def sample_gaussian(dim: int, covariance, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw from N(0, covariance) via the eigendecomposition transform.
-
-    Eigenvalues in [-PSD_CLIP * trace, 0) are clipped to zero; anything
-    lower raises NotPSD.  Returns shape (dim,) or (size, dim).
-    """
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (dim, dim):
-        raise DimensionMismatch(f"covariance shape {cov.shape} does not match dim {dim}")
-    eig = sym_eig(0.5 * (cov + cov.T), tol=math.sqrt(EIG_TOL))
-    floor = PSD_CLIP * max(1.0, float(np.trace(cov)))
-    if eig.values.size and float(eig.values[-1]) < -floor:
-        raise NotPSD(f"covariance has eigenvalue {eig.values[-1]:.3e} below -{floor:.3e}")
-    vals = np.where(eig.values > EIG_TOL * max(1.0, float(np.trace(cov))), eig.values, 0.0)
-    root = np.sqrt(vals)
-    if size is None:
-        z = rng.standard_normal(dim)
-        return eig.vectors @ (root * z)
-    z = rng.standard_normal((size, dim))
-    return (z * root) @ eig.vectors.T
-
-
-def project_onto(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto the span of orthonormal columns."""
-    basis = np.asarray(basis, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if basis.ndim != 2 or x.ndim != 1 or basis.shape[0] != x.shape[0]:
-        raise DimensionMismatch(
-            f"basis shape {basis.shape} incompatible with vector shape {x.shape}")
-    if basis.shape[1] == 0:
-        return np.zeros_like(x)
-    return basis @ (basis.T @ x)
+from .errors import DimensionMismatch, IllFormed, NotPSD
 
 
 def gram_schmidt(rows, drop_tol: float = 1e-10):
@@ -261,34 +42,91 @@ def gram_schmidt(rows, drop_tol: float = 1e-10):
     return ortho
 
 
-def write_matrix_text(path, a) -> None:
-    """Write a dense matrix as 'rows cols' then one whitespace row per line."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise IllFormed("refusing to write non-finite entries")
-    rows, cols = a.shape
-    lines = [f"{rows} {cols}"]
-    for i in range(rows):
-        lines.append(" ".join(repr(float(x)) for x in a[i]))
+def sample_gaussian(dim: int, covariance, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Draw from N(0, covariance) via the eigendecomposition transform.
+
+    With t = max(1, trace): eigenvalues in [-1e-9 t, 1e-10 t] are taken
+    as zero and anything lower raises NotPSD.  Returns shape (dim,) or
+    (size, dim).
+    """
+    cov = np.asarray(covariance, dtype=float)
+    if cov.shape != (dim, dim):
+        raise DimensionMismatch(f"covariance shape {cov.shape} does not match dim {dim}")
+    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    scale = max(1.0, float(np.trace(cov)))
+    if vals.size and float(vals[0]) < -1e-9 * scale:
+        raise NotPSD(f"covariance has eigenvalue {vals[0]:.3e} below -{1e-9 * scale:.3e}")
+    root = np.sqrt(np.where(vals > 1e-10 * scale, vals, 0.0))
+    if size is None:
+        return vecs @ (root * rng.standard_normal(dim))
+    return (rng.standard_normal((size, dim)) * root) @ vecs.T
+
+
+def project_onto(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of x onto the span of orthonormal columns."""
+    basis = np.asarray(basis, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if basis.ndim != 2 or x.ndim != 1 or basis.shape[0] != x.shape[0]:
+        raise DimensionMismatch(
+            f"basis shape {basis.shape} incompatible with vector shape {x.shape}")
+    if basis.shape[1] == 0:
+        return np.zeros_like(x)
+    return basis @ (basis.T @ x)
+
+
+def write_blocks(path, header: str, blocks) -> None:
+    """Write the header line, then each matrix as a `rows cols` block."""
+    lines = [header]
+    for block in blocks:
+        a = np.atleast_2d(np.asarray(block, dtype=float))
+        if not np.all(np.isfinite(a)):
+            raise IllFormed("refusing to write non-finite entries")
+        lines.append(f"{a.shape[0]} {a.shape[1]}")
+        lines.extend(" ".join(repr(float(x)) for x in row) for row in a)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_text(path) -> np.ndarray:
-    """Read the matrix text format written by write_matrix_text."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise IllFormed("matrix file is missing its header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-        entries = [float(t) for t in tokens[2:]]
-    except ValueError as exc:
-        raise IllFormed(f"matrix file is malformed: {exc}") from None
-    if rows < 0 or cols < 0 or len(entries) != rows * cols:
-        raise IllFormed(
-            f"expected {rows}x{cols} = {rows * cols} entries, found {len(entries)}")
-    a = np.array(entries, dtype=float).reshape(rows, cols)
-    if not np.all(np.isfinite(a)):
-        raise IllFormed("matrix file contains non-finite entries")
-    return a
+class BlockReader:
+    """A block-format file, read from its header onward.
+
+    `kind` is the magic word, one of `magics`; `header` holds the
+    `count` integers that follow it.  Each `take(shape)` returns the next
+    block.
+    """
+
+    def __init__(self, path, *magics: str, count: int):
+        with open(path) as fh:
+            self._tokens = fh.read().split()
+        if not self._tokens or self._tokens[0] not in magics:
+            raise IllFormed(f"expected a {' or '.join(magics)} header")
+        self.kind = self._tokens[0]
+        try:
+            self.header = [int(t) for t in self._tokens[1:1 + count]]
+        except ValueError as exc:
+            raise IllFormed(f"bad {self.kind} header: {exc}") from None
+        if len(self.header) != count:
+            raise IllFormed(f"{self.kind} header needs {count} integers")
+        self._pos = 1 + count
+
+    def take(self, shape) -> np.ndarray:
+        """The next block, which must have this shape and finite entries."""
+        tokens, pos = self._tokens, self._pos
+        try:
+            rows, cols = int(tokens[pos]), int(tokens[pos + 1])
+            entries = [float(t) for t in tokens[pos + 2:pos + 2 + rows * cols]]
+        except (ValueError, IndexError) as exc:
+            raise IllFormed(f"malformed matrix block: {exc}") from None
+        if rows < 0 or cols < 0 or len(entries) != rows * cols:
+            raise IllFormed(f"matrix block truncated at token {pos}")
+        if (rows, cols) != tuple(shape):
+            raise IllFormed(
+                f"{self.kind} block shape {(rows, cols)}, expected {tuple(shape)}")
+        block = np.array(entries).reshape(rows, cols)
+        if not np.all(np.isfinite(block)):
+            raise IllFormed(f"{self.kind} block at token {pos} has non-finite entries")
+        self._pos = pos + 2 + rows * cols
+        return block
+
+
+__all__ = ["gram_schmidt", "sample_gaussian", "project_onto", "write_blocks", "BlockReader"]

@@ -53,6 +53,7 @@ from .errors import (
     IllFormed,
     NotSOS,
 )
+from .linalg import BlockReader, write_blocks
 
 PSD_EPS = 1e-7     # moment-matrix eigenvalue floor
 CON_EPS = 1e-6     # equality-constraint residual ceiling
@@ -587,30 +588,15 @@ def validate(mu: PseudoDistribution) -> ValidationReport:
 
 
 def write_pseudodist(path, mu: PseudoDistribution) -> None:
-    """Write as 'PD num_vars degree' then the moment vector on one line."""
-    with open(path, "w") as fh:
-        fh.write(f"PD {mu.num_vars} {mu.degree}\n")
-        fh.write(" ".join(repr(float(x)) for x in mu.moments) + "\n")
+    """Write 'PD num_vars degree' then the moment vector as one 1 x size block."""
+    write_blocks(path, f"PD {mu.num_vars} {mu.degree}", [mu.moments])
 
 
 def read_pseudodist(path) -> PseudoDistribution:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != "PD":
-        raise IllFormed("expected a 'PD num_vars degree' header")
-    try:
-        num_vars, degree = int(tokens[1]), int(tokens[2])
-        moments = np.array([float(t) for t in tokens[3:]])
-    except ValueError as exc:
-        raise IllFormed(f"malformed pseudo-distribution file: {exc}") from None
+    fh = BlockReader(path, "PD", count=2)
+    num_vars, degree = fh.header
     index = MonomialIndex(num_vars, degree)
-    if moments.shape[0] != index.size:
-        raise IllFormed(
-            f"expected {index.size} moments for {num_vars} vars at degree {degree}, "
-            f"found {moments.shape[0]}")
-    if not np.all(np.isfinite(moments)):
-        raise IllFormed("non-finite moments")
-    return PseudoDistribution(index, moments, degree)
+    return PseudoDistribution(index, fh.take((1, index.size))[0], degree)
 
 
 __all__ = [

@@ -38,14 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadDims,
-    DimensionMismatch,
-    Emptied,
-    EmptySet,
-    IllFormed,
-    MaxRounds,
-)
+from .errors import BadDims, DimensionMismatch, Emptied, EmptySet, IllFormed, MaxRounds
+from .linalg import BlockReader, write_blocks
 
 _UNIT_TOL = 1e-10
 _SPECTRAL_TOL = 1e-10      # slack on the stopping inequality
@@ -316,30 +310,13 @@ def flat_reweighting_view(indices, count: int) -> float:
 
 def write_factors(path, fm: FactorMatrix) -> None:
     """Write 'FACTORS n N' followed by the N x n matrix of columns."""
-    v = fm.vectors
-    if not np.all(np.isfinite(v)):
-        raise IllFormed("refusing to write non-finite entries")
-    lines = [f"FACTORS {fm.n} {fm.count}", f"{fm.count} {fm.n}"]
-    for row in v:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_blocks(path, f"FACTORS {fm.n} {fm.count}", [fm.vectors])
 
 
 def read_factors(path) -> FactorMatrix:
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3 or tokens[0] != "FACTORS":
-        raise IllFormed("expected a FACTORS header")
-    try:
-        n, count = int(tokens[1]), int(tokens[2])
-        rows, cols = int(tokens[3]), int(tokens[4])
-        entries = [float(t) for t in tokens[5:5 + rows * cols]]
-    except (ValueError, IndexError) as exc:
-        raise IllFormed(f"malformed FACTORS file: {exc}") from None
-    if rows != count or cols != n or len(entries) != rows * cols:
-        raise IllFormed("FACTORS block does not match its header")
-    return FactorMatrix(np.array(entries).reshape(rows, cols))
+    fh = BlockReader(path, "FACTORS", count=2)
+    n, count = fh.header
+    return FactorMatrix(fh.take((count, n)))
 
 
 __all__ = [

@@ -1,23 +1,18 @@
-"""Iterative structure rounds: driving a pseudo-distribution toward a
-near-point mass by repeated subspace fixing.
+"""Bilinear structure rounds: driving a pseudo-distribution over pairs
+(u, v) toward a near-point mass by repeated subspace fixing.
 
-The engine is the progress step: while the covariance is large relative
-to the squared mean (the stopping condition fails), the mass of the
-second moment concentrates on a low-dimensional subspace S' spanned by
-the top sqrt(n)-ish covariance eigenvectors plus the mean direction, and
-fixing that subspace grows |E~ x|^2 by a (1 + eps/4) factor (or lifts it
-to the 1/(4 sqrt(n)) floor from near zero).  Since |E~ x|^2 <= 1 on the
-sphere, O(log n / eps) rounds suffice.
+While a coordinate's second moment is large against its squared mean
+(the stopping condition ||m_i m_i^T - E~ u_i u_i^T||_F <= eps |m_i|^2
+fails), its mass concentrates on a low-dimensional subspace spanned by
+the top sqrt(n)-ish eigenvectors of the component orthogonal to the mean
+plus the mean direction, and fixing that subspace grows |m_i|^2.  The
+potential |m_1|^2 |m_2|^2 is at most 1 on the sphere, so O(log n / eps)
+rounds suffice.
 
-`run_structure` iterates to the stopping condition and returns the
-composite reweighting (a product of certified SOS factors kept in
-base^power form: expanding powers like <v,x>^{2k} over several variables
-is exponentially large, the factored form is exact and replayable).
-`run_structure_2d` runs the bilinear variant over pairs (u, v) with
-per-coordinate stopping against the uncentered second moment, tracking
-the potential |E~ u|^2 |E~ v|^2.  `run_structure_rank_r` concatenates r
-blocks into one variable, runs the plain rounds, and reads out
-per-block diagnostics.
+`run_structure_2d` runs these rounds and returns the composite
+reweighting, a product of certified SOS factors kept in base^power form:
+expanding powers like <v,x>^{2k} over several variables is exponentially
+large, while the factored form is exact and replayable.
 """
 
 from __future__ import annotations
@@ -66,24 +61,19 @@ class StructureConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    mean_sq: float          # |E~ x|^2 after the step
-    cov_norm: float         # ||E~ xx^T - (E~ x)(E~ x)^T||_F before the step
+    mean_sq: float          # |m_i|^2 of the worked coordinate after the step
+    gap: float              # ||m_i m_i^T - E~ u_i u_i^T||_F after the step
     degree_left: int
-    chain_mass: float       # E~ |proj_{S'} x|^2 before fixing
-    subspace_dim: int
     samples_tried: int
     degree_spent: int
-    kind: str = "progress"  # progress | initial | scalar
-    potential: float = 0.0  # |m_1|^2 |m_2|^2, bilinear rounds only
-    factors: tuple = ()     # reweighting factors applied by this step
+    kind: str               # initial | progress
+    potential: float        # |m_1|^2 |m_2|^2 after the step
+    factors: tuple          # reweighting factors applied by this step
 
 
 @dataclass
 class StructureTrace:
     records: list = field(default_factory=list)
-
-    def mean_history(self):
-        return [r.mean_sq for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -108,15 +98,6 @@ class CompositeWeight:
                 cur = reweight(cur, base)
         return cur
 
-    def expanded(self):
-        """Single polynomial dict; only for small degrees."""
-        from .pseudodist import poly_mul, poly_pow
-        out = {}
-        for base, power in self.factors:
-            p = poly_pow(base.poly(), power)
-            out = poly_mul(out, p) if out else p
-        return out
-
 
 def first_moments(mu: PseudoDistribution, offset: int = 0, count: int | None = None):
     """Mean vector and raw second-moment matrix of a block of variables."""
@@ -124,6 +105,14 @@ def first_moments(mu: PseudoDistribution, offset: int = 0, count: int | None = N
     block = moment_block(mu, 1, 1)   # row and column 1 + i belong to x_i
     sel = np.arange(1 + offset, 1 + offset + n)
     return block[0, sel], block[np.ix_(sel, sel)]
+
+
+def stopping_gap(mu: PseudoDistribution):
+    """(cov_norm, mean_sq): the stopping condition is
+    cov_norm <= eps * mean_sq."""
+    mean, second = first_moments(mu)
+    cov = second - np.outer(mean, mean)
+    return float(np.linalg.norm(cov)), float(mean @ mean)
 
 
 def cross_second_moment(mu: PseudoDistribution) -> np.ndarray:
@@ -144,99 +133,7 @@ def cross_second_moment(mu: PseudoDistribution) -> np.ndarray:
     return moment_block(mu, 2, 2)[np.ix_(pairs, pairs)]
 
 
-def stopping_gap(mu: PseudoDistribution):
-    """(cov_norm, mean_sq): the stopping condition is
-    cov_norm <= eps * mean_sq."""
-    mean, second = first_moments(mu)
-    cov = second - np.outer(mean, mean)
-    return float(np.linalg.norm(cov)), float(mean @ mean)
-
-
-def _progress_subspace(mean, second, top_count):
-    """Rows spanning top covariance eigenvectors plus the mean direction."""
-    cov = second - np.outer(mean, mean)
-    vals, vecs = np.linalg.eigh(cov)
-    rows = [vecs[:, -(i + 1)] for i in range(min(top_count, len(vals)))]
-    nm = np.linalg.norm(mean)
-    if nm > _MEAN_EPS:
-        rows.append(mean / nm)
-    return np.array(rows)
-
-
-def making_progress_step(mu: PseudoDistribution, eps: float,
-                         cfg: StructureConfig, rng=None):
-    """One structure round.  Requires the stopping condition to fail;
-    returns (mu', StepRecord) with
-    |E~_{mu'} x|^2 > max((1 + eps/4) |E~_mu x|^2, 1/(4 sqrt(n)))."""
-    n = mu.num_vars
-    mean, second = first_moments(mu)
-    cov = second - np.outer(mean, mean)
-    cov_norm = float(np.linalg.norm(cov))
-    mean_sq = float(mean @ mean)
-    if cov_norm <= eps * mean_sq:
-        raise PreconditionViolated(
-            f"stopping condition already holds ({cov_norm:.3e} <= "
-            f"{eps * mean_sq:.3e})")
-    top_count = math.ceil(math.sqrt(n)) + 1
-    rows = _progress_subspace(mean, second, top_count)
-
-    # mass chain: the subspace must carry at least (1+eps) |E~ x|^2, which
-    # is what makes the subsequent fix a strict improvement
-    chain_mass = float(sum(r @ second @ r for r in rows))
-    if chain_mass < (1.0 + eps) * mean_sq - 1e-7:
-        raise PreconditionViolated(
-            f"progress subspace carries {chain_mass:.3e} "
-            f"< (1+eps) |mean|^2 = {(1 + eps) * mean_sq:.3e}")
-
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    delta = cfg.step_delta()
-    k = None if mu.support is not None else max(1, (cfg.per_iter_degree - 2) // 2)
-    target = max((1.0 + eps / 4.0) * mean_sq, 1.0 / (4.0 * math.sqrt(n)))
-    last = None
-    for _ in range(3):
-        out, rep = fix_subspace(mu, rows, delta, k=k, seed=rng)
-        new_mean, _ = first_moments(out)
-        new_sq = float(new_mean @ new_mean)
-        if new_sq > target:
-            record = StepRecord(new_sq, cov_norm, out.degree, chain_mass,
-                                rows.shape[0], rep.samples_tried,
-                                rep.degree_spent, factors=rep.factors)
-            return out, record
-        last = (out, rep, new_sq)
-    raise RetryExhausted(
-        f"progress step improved |mean|^2 only to {last[2]:.3e}, "
-        f"needed > {target:.3e}")
-
-
-def run_structure(mu: PseudoDistribution, cfg: StructureConfig):
-    """Iterate progress steps until the covariance is small against the
-    squared mean: ||E~ xx^T - mm^T||_F <= eps |m|^2.
-
-    Returns (mu', CompositeWeight, StructureTrace).  Raises IterLimit if
-    the bound on rounds is hit first (the sign of an insufficient degree
-    budget on moment-backed inputs)."""
-    rng = np.random.default_rng(cfg.seed)
-    trace = StructureTrace()
-    factors = []
-    cur = mu
-    bound = cfg.iter_bound(mu.num_vars)
-    for _ in range(bound):
-        cov_norm, mean_sq = stopping_gap(cur)
-        if cov_norm <= cfg.eps * mean_sq:
-            return cur, CompositeWeight(tuple(factors)), trace
-        cur, record = making_progress_step(cur, cfg.eps, cfg, rng)
-        factors.extend(record.factors)
-        trace.records.append(record)
-    cov_norm, mean_sq = stopping_gap(cur)
-    if cov_norm <= cfg.eps * mean_sq:
-        return cur, CompositeWeight(tuple(factors)), trace
-    raise IterLimit(
-        f"no convergence in {bound} rounds "
-        f"(gap {cov_norm:.3e} vs {cfg.eps * mean_sq:.3e})")
-
-
-# -- bilinear variant --------------------------------------------------------
+# -- the rounds --------------------------------------------------------------
 
 
 def _block_rows(rows_small: np.ndarray, offset: int, total: int) -> np.ndarray:
@@ -274,15 +171,15 @@ def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
     eps = cfg.eps
     delta = cfg.step_delta()
     bound = cfg.iter_bound(n) + 2
+    # atoms stay atoms and moments stay moments through every fix
+    k = None if mu.support is not None else max(1, (cfg.per_iter_degree - 2) // 2)
 
     def record_step(kind, rep, coord):
         g1, m1, _, _ = block_stopping(cur, 0, n)
         g2, m2, _, _ = block_stopping(cur, n, n)
         trace.records.append(StepRecord(
-            (m1, m2)[coord], (g1, g2)[coord], cur.degree, 0.0, 0,
-            rep.samples_tried if rep else 0,
-            rep.degree_spent if rep else 0, kind, m1 * m2,
-            rep.factors if rep else ()))
+            (m1, m2)[coord], (g1, g2)[coord], cur.degree, rep.samples_tried,
+            rep.degree_spent, kind, m1 * m2, rep.factors))
 
     # phase one.  When both means are tiny the blocks are typically sign
     # symmetric (u, v) ~ (u, -v), so every per-coordinate mean stays zero
@@ -307,7 +204,6 @@ def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
         root1 = vecs1 * np.sqrt(np.clip(vals1, 0.0, None))
         root2 = vecs2 * np.sqrt(np.clip(vals2, 0.0, None))
         half = math.sqrt(0.5)
-        k = None if cur.support is not None else max(1, (cfg.per_iter_degree - 2) // 2)
         for attempt in range(_JOINT_PLANES):
             if attempt == 0:
                 alpha = vecs1[:, -1]
@@ -347,7 +243,6 @@ def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
         small = np.array([vecs[:, -(i + 1)]
                           for i in range(min(top_count, n))])
         rows = _block_rows(small, offset, mu.num_vars)
-        k = None if cur.support is not None else max(1, (cfg.per_iter_degree - 2) // 2)
         cur, rep = fix_subspace(cur, rows, delta, k=k, seed=rng)
         factors.extend(rep.factors)
         record_step("initial", rep, coord)
@@ -378,7 +273,6 @@ def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
         if nm > _MEAN_EPS:
             small.append(mean / nm)
         rows = _block_rows(np.array(small), offset, mu.num_vars)
-        k = None if cur.support is not None else max(1, (cfg.per_iter_degree - 2) // 2)
         cur, rep = fix_subspace(cur, rows, delta, k=k, seed=rng)
         factors.extend(rep.factors)
         record_step("progress", rep, coord)
@@ -391,35 +285,8 @@ def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
         f"(gaps {g1:.3e}/{m1:.3e}, {g2:.3e}/{m2:.3e})")
 
 
-def run_structure_rank_r(mu: PseudoDistribution, r: int, cfg: StructureConfig):
-    """Structure rounds for r concatenated blocks with total mass 1.
-
-    Treats the concatenation as one variable and runs the plain rounds;
-    the guarantee sum_i ||m_i m_i^T - E~ u_i u_i^T||_F^2 <=
-    eps^2 sum_i ||m_i m_i^T||_F^2 follows from the global stopping
-    condition.  Returns (mu', CompositeWeight)."""
-    if mu.num_vars % r:
-        raise PreconditionViolated(
-            f"{mu.num_vars} variables do not split into {r} blocks")
-    out, weight, _ = run_structure(mu, cfg)
-    return out, weight
-
-
-def block_residuals(mu: PseudoDistribution, r: int):
-    """Per-block ||m_i m_i^T - E~ u_i u_i^T||_F and ||m_i m_i^T||_F."""
-    n = mu.num_vars // r
-    gaps = []
-    sizes = []
-    for i in range(r):
-        mean, second = first_moments(mu, i * n, n)
-        gaps.append(float(np.linalg.norm(np.outer(mean, mean) - second)))
-        sizes.append(float(mean @ mean))
-    return np.array(gaps), np.array(sizes)
-
-
 __all__ = [
     "StructureConfig", "StructureTrace", "StepRecord", "CompositeWeight",
-    "cross_second_moment", "making_progress_step", "run_structure",
-    "run_structure_2d", "run_structure_rank_r", "block_stopping",
-    "block_residuals", "stopping_gap", "first_moments",
+    "cross_second_moment", "run_structure_2d", "block_stopping",
+    "first_moments", "stopping_gap",
 ]

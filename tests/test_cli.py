@@ -219,6 +219,36 @@ def test_missing_file_is_an_input_error(capsys):
     assert report["status"] == "ERROR"
 
 
+def with_nan_first_entry(path):
+    """Rewrite a block-format file with its first matrix entry set to nan."""
+    lines = Path(path).read_text().splitlines()
+    row = lines[2].split()           # header, block shape, first row
+    lines[2] = " ".join(["nan"] + row[1:])
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def test_non_finite_entries_are_input_errors(tmp_path, capsys):
+    w, u, v = planted_yes(2, 1, seed=8)
+    sub, meas, csub, cand, fac = (tmp_path / f"{name}.txt" for name in
+                                  ("sub", "meas", "csub", "cand", "fac"))
+    write_subspace(sub, w)
+    proj = sum(np.outer(b.ravel(), b.ravel()) for b in w.basis)
+    write_measurement(meas, MeasurementOperator(proj))
+    main(["gen", "complex-planted", "--n", "2", "--dim-w", "1", "--seed", "2",
+          "--out", str(csub)])
+    capsys.readouterr()
+    write_candidate(cand, u, v)
+    write_factors(fac, FactorMatrix(np.eye(3)))
+    calls = [("solve", sub), ("solve", meas), ("solve", csub),
+             ("rectangle", fac), ("check", tmp_path / "sub.ok", cand)]
+    write_subspace(tmp_path / "sub.ok", w)
+    for command, *paths in calls:
+        with_nan_first_entry(paths[-1])
+        code, report, _ = run_cli(capsys, command, *map(str, paths))
+        assert code == 2, (command, paths[-1].name, report)
+        assert report["error"]["type"] == "IllFormed"
+
+
 # ------------------------------------------------------------ rectangle
 
 

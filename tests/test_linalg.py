@@ -1,174 +1,16 @@
-"""Tests for the dense linear algebra kernel."""
+"""Tests for the dense helpers and the shared matrix-block text format."""
 
 import numpy as np
 import pytest
 
-from rankone.errors import DimensionMismatch, IllFormed, NotPSD, NotSymmetric
+from rankone.errors import DimensionMismatch, IllFormed, NotPSD
 from rankone.linalg import (
-    SvdDecomposition,
+    BlockReader,
     gram_schmidt,
     project_onto,
-    read_matrix_text,
     sample_gaussian,
-    svd,
-    sym_eig,
-    write_matrix_text,
+    write_blocks,
 )
-
-
-def char_poly_roots(a):
-    """Independent eigenvalue oracle: Faddeev-LeVerrier characteristic
-    polynomial coefficients, then roots via the companion matrix."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros_like(a)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[k - 1] * np.eye(n)
-        coeffs[k] = -np.trace(a @ m) / k
-    roots = np.roots(coeffs)
-    return np.sort(roots.real)[::-1]
-
-
-def random_symmetric(rng, n, scale=1.0):
-    a = rng.standard_normal((n, n)) * scale
-    return 0.5 * (a + a.T)
-
-
-def random_psd(rng, n):
-    b = rng.standard_normal((n, n))
-    return b @ b.T
-
-
-# -- sym_eig -----------------------------------------------------------------
-
-
-def test_sym_eig_identity():
-    """Identity has all-ones spectrum and orthonormal eigenvectors."""
-    dec = sym_eig(np.eye(3))
-    np.testing.assert_allclose(dec.values, np.ones(3), atol=1e-12)
-    np.testing.assert_allclose(dec.vectors @ dec.vectors.T, np.eye(3), atol=1e-10)
-
-
-def test_sym_eig_diagonal():
-    """A diagonal matrix returns its entries sorted descending."""
-    dec = sym_eig(np.diag([3.0, 1.0, -2.0]))
-    np.testing.assert_allclose(dec.values, [3.0, 1.0, -2.0], atol=1e-12)
-    np.testing.assert_allclose(np.abs(dec.vectors), np.eye(3), atol=1e-12)
-
-
-def test_sym_eig_matches_char_poly_oracle():
-    """Eigenvalues of a random symmetric 8x8 agree with the
-    characteristic-polynomial root oracle to 1e-8."""
-    rng = np.random.default_rng(801)
-    a = random_symmetric(rng, 8)
-    dec = sym_eig(a)
-    np.testing.assert_allclose(dec.values, char_poly_roots(a), atol=1e-8)
-
-
-def test_sym_eig_reconstruction_and_orthonormality():
-    """A = V diag(l) V^T and V^T V = I within 1e-8 on a random corpus."""
-    rng = np.random.default_rng(802)
-    for n in [1, 2, 3, 5, 9, 17, 33]:
-        a = random_symmetric(rng, n)
-        dec = sym_eig(a)
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
-        assert np.abs(recon - a).max() < 1e-8
-        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(n)).max() < 1e-8
-        assert np.all(np.diff(dec.values) <= 1e-12)
-
-
-def test_sym_eig_trace_and_frobenius_identities():
-    """tr(A) = sum of eigenvalues and |A|_F^2 = sum of squares, to 1e-8."""
-    rng = np.random.default_rng(803)
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        a = random_symmetric(rng, n)
-        dec = sym_eig(a)
-        assert abs(np.trace(a) - dec.values.sum()) < 1e-8
-        assert abs(np.linalg.norm(a) ** 2 - (dec.values**2).sum()) < 1e-8
-
-
-def test_sym_eig_top_block_eigenvalue_inequality():
-    """For PSD A with descending eigenvalues and l = ceil(sqrt(n)) + 1,
-    (sum of the top l)^2 dominates the sum of all squares."""
-    rng = np.random.default_rng(804)
-    for _ in range(100):
-        n = int(rng.integers(2, 30))
-        dec = sym_eig(random_psd(rng, n))
-        top = int(np.ceil(np.sqrt(n))) + 1
-        lhs = dec.values[:top].sum() ** 2
-        rhs = (dec.values**2).sum()
-        assert lhs >= rhs - 1e-9
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
-        sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_sym_eig_rejects_nonsquare():
-    with pytest.raises(DimensionMismatch):
-        sym_eig(np.zeros((2, 3)))
-
-
-def test_sym_eig_deterministic():
-    rng = np.random.default_rng(805)
-    a = random_symmetric(rng, 7)
-    d1 = sym_eig(a)
-    d2 = sym_eig(a)
-    assert np.array_equal(d1.values, d2.values)
-    assert np.array_equal(d1.vectors, d2.vectors)
-
-
-# -- svd ---------------------------------------------------------------------
-
-
-def test_svd_rank_one():
-    """A unit rank-one matrix has singular values (1, 0, ...)."""
-    u = np.array([0.6, 0.8, 0.0])
-    v = np.array([0.0, 1.0, 0.0])
-    dec = svd(np.outer(u, v))
-    np.testing.assert_allclose(dec.values, [1.0, 0.0, 0.0], atol=1e-10)
-
-
-def test_svd_zero_matrix():
-    dec = svd(np.zeros((3, 4)))
-    assert isinstance(dec, SvdDecomposition)
-    np.testing.assert_allclose(dec.values, np.zeros(3), atol=0)
-    np.testing.assert_allclose(dec.left.T @ dec.left, np.eye(3), atol=1e-10)
-
-
-def test_svd_squares_match_gram_eigenvalues():
-    """Singular values squared equal the eigenvalues of A^T A to 1e-8."""
-    rng = np.random.default_rng(806)
-    a = rng.standard_normal((5, 5))
-    dec = svd(a)
-    gram = sym_eig(a.T @ a)
-    np.testing.assert_allclose(dec.values**2, np.clip(gram.values, 0, None), atol=1e-8)
-
-
-def test_svd_reconstruction_various_shapes():
-    rng = np.random.default_rng(807)
-    for shape in [(4, 4), (6, 3), (3, 6), (1, 5), (5, 1), (8, 8)]:
-        a = rng.standard_normal(shape)
-        dec = svd(a)
-        recon = dec.left @ np.diag(dec.values) @ dec.right.T
-        assert np.abs(recon - a).max() < 1e-8
-        k = min(shape)
-        assert np.abs(dec.left.T @ dec.left - np.eye(k)).max() < 1e-8
-        assert np.abs(dec.right.T @ dec.right - np.eye(k)).max() < 1e-8
-        assert np.all(np.diff(dec.values) <= 1e-12)
-        assert np.all(dec.values >= 0)
-
-
-def test_svd_rank_deficient_fills_left_basis():
-    rng = np.random.default_rng(808)
-    a = np.outer(rng.standard_normal(6), rng.standard_normal(4))
-    dec = svd(a)
-    assert (dec.values > 1e-9).sum() == 1
-    assert np.abs(dec.left.T @ dec.left - np.eye(4)).max() < 1e-8
 
 
 # -- sample_gaussian ---------------------------------------------------------
@@ -271,22 +113,38 @@ def test_matrix_text_round_trip(tmp_path):
     rng = np.random.default_rng(816)
     a = rng.standard_normal((3, 5))
     path = tmp_path / "m.txt"
-    write_matrix_text(path, a)
-    b = read_matrix_text(path)
+    write_blocks(path, "M 1", [a])
+    b = BlockReader(path, "M", count=1).take((3, 5))
     assert np.array_equal(a, b)
     first = path.read_bytes()
-    write_matrix_text(path, b)
+    write_blocks(path, "M 1", [b])
     assert path.read_bytes() == first
 
 
 def test_matrix_text_header(tmp_path):
     path = tmp_path / "m.txt"
-    write_matrix_text(path, np.zeros((2, 3)))
-    assert path.read_text().splitlines()[0] == "2 3"
+    write_blocks(path, "M 7 2", [np.zeros((2, 3)), np.ones((1, 1))])
+    assert path.read_text().splitlines() == [
+        "M 7 2", "2 3", "0.0 0.0 0.0", "0.0 0.0 0.0", "1 1", "1.0"]
+    fh = BlockReader(path, "X", "M", count=2)
+    assert (fh.kind, fh.header) == ("M", [7, 2])
+    assert fh.take((2, 3)).shape == (2, 3)
+    assert fh.take((1, 1))[0, 0] == 1.0
 
 
 def test_matrix_text_rejects_bad_payload(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text("2 2\n1.0 2.0\n3.0\n")
+    for text in ("M 1\n2 2\n1.0 2.0\n3.0\n",      # truncated block
+                 "M 1\n2 2\n1.0 2.0\n3.0 x\n",    # non-numeric entry
+                 "M 1\n2 2\n1.0 nan\n3.0 4.0\n",  # non-finite entries
+                 "M 1\n2 2\n1.0 2.0\n3.0 -inf\n",
+                 "M 1\n1 4\n1.0 2.0 3.0 4.0\n"):  # wrong shape
+        path.write_text(text)
+        with pytest.raises(IllFormed):
+            BlockReader(path, "M", count=1).take((2, 2))
+    for text in ("N 1\n", "M\n", "M x\n", ""):    # bad header
+        path.write_text(text)
+        with pytest.raises(IllFormed):
+            BlockReader(path, "M", count=1)
     with pytest.raises(IllFormed):
-        read_matrix_text(path)
+        write_blocks(path, "M 1", [np.array([[1.0, np.nan]])])

@@ -9,23 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from rankone.errors import IterLimit, PreconditionViolated
+from rankone.errors import PreconditionViolated
 from rankone.pseudodist import (
     PseudoDistribution,
     embed_actual_distribution,
     validate,
 )
 from rankone.structure import (
-    CompositeWeight,
     StructureConfig,
-    block_residuals,
     block_stopping,
     cross_second_moment,
     first_moments,
-    making_progress_step,
-    run_structure,
     run_structure_2d,
-    run_structure_rank_r,
     stopping_gap,
 )
 
@@ -100,112 +95,6 @@ def test_stopping_gap_on_known_mixture():
     assert gap == pytest.approx(math.hypot(0.09, 0.1))
 
 
-def test_progress_step_rejects_point_mass():
-    mu = embed_actual_distribution(np.array([[0.6, 0.8]]), np.array([1.0]), 6)
-    with pytest.raises(PreconditionViolated):
-        making_progress_step(mu, 0.25, StructureConfig(eps=0.25))
-
-
-def test_progress_step_lifts_isotropic_input_to_floor():
-    cfg = StructureConfig(eps=0.25)
-    for n in (3, 4, 6):
-        mu = embed_actual_distribution(np.eye(n), np.full(n, 1 / n), 6)
-        out, rec = making_progress_step(mu, 0.25, cfg)
-        assert rec.mean_sq > 1.0 / (4.0 * math.sqrt(n))
-        # subspace must carry more second-moment mass than the mean had
-        assert rec.chain_mass >= (1 + 0.25) * 0.0 - 1e-9
-
-
-def test_progress_step_grows_mixture_mean():
-    pts = np.array([[1., 0.], [0., 1.], [0., -1.]])
-    mu = embed_actual_distribution(pts, np.array([.9, .05, .05]), 6)
-    _, mean_sq = stopping_gap(mu)
-    out, rec = making_progress_step(mu, 0.1, StructureConfig(eps=0.1))
-    assert rec.mean_sq > (1 + 0.1 / 4) * mean_sq
-
-
-def test_run_structure_zero_iterations_when_already_stopped():
-    mu = embed_actual_distribution(np.array([[0.6, 0.8]]), np.array([1.0]), 6)
-    out, weight, trace = run_structure(mu, StructureConfig(eps=0.25))
-    assert len(trace.records) == 0
-    assert weight.factors == ()
-    np.testing.assert_array_equal(out.moments, mu.moments)
-
-
-def test_run_structure_sign_pair():
-    mu = embed_actual_distribution(
-        np.array([[1., 0.], [-1., 0.]]), np.array([.5, .5]), 8)
-    out, weight, trace = run_structure(mu, StructureConfig(eps=0.25, seed=1))
-    gap, mean_sq = stopping_gap(out)
-    assert gap <= 0.25 * mean_sq
-    assert mean_sq >= 0.9
-    mean, _ = first_moments(out)
-    assert abs(abs(mean[0]) - 1.0) <= 0.05  # landed on +-e1
-
-
-def test_run_structure_planted_pairs_halt_fast():
-    rng = np.random.default_rng(3)
-    for trial in range(6):
-        n = int(rng.integers(2, 7))
-        a, b = sphere_points(rng, 2, n)
-        mu = embed_actual_distribution(np.array([a, b]), np.array([.5, .5]), 8)
-        out, weight, trace = run_structure(mu, StructureConfig(eps=0.25, seed=trial))
-        gap, mean_sq = stopping_gap(out)
-        assert gap <= 0.25 * mean_sq + 1e-12
-        assert mean_sq >= 1 - 0.25
-        assert len(trace.records) <= math.ceil(40 * math.log(max(n, 2)) / 0.25)
-
-
-def test_run_structure_trace_growth_invariant():
-    rng = np.random.default_rng(12)
-    pts = sphere_points(rng, 40, 5)
-    mu = embed_actual_distribution(pts, np.full(40, 1 / 40), 8)
-    out, weight, trace = run_structure(mu, StructureConfig(eps=0.2, seed=0))
-    means = trace.mean_history()
-    for prev, cur in zip(means, means[1:]):
-        assert cur > (1 + 0.2 / 4) * prev or prev < 1 / (4 * math.sqrt(5))
-
-
-def test_run_structure_composite_replays():
-    mu = embed_actual_distribution(
-        np.array([[1., 0.], [-1., 0.]]), np.array([.5, .5]), 8)
-    out, weight, trace = run_structure(mu, StructureConfig(eps=0.25, seed=1))
-    again = weight.apply(mu)
-    np.testing.assert_allclose(again.moments, out.moments, atol=1e-10)
-    assert weight.degree == sum(b.degree * p for b, p in weight.factors)
-
-
-def test_run_structure_iter_limit():
-    # sign times one-hot noise, as a moment table with a loose per-step
-    # delta: the first round fixes the sign coordinate but the strict
-    # global eps still fails, so max_iters=1 trips the round bound
-    c = 0.566
-    atoms = []
-    for s in (1.0, -1.0):
-        for j in range(1, 9):
-            for sg in (1.0, -1.0):
-                a = np.zeros(9)
-                a[0] = s
-                a[j] = sg * c
-                atoms.append(a)
-    mu_s = embed_actual_distribution(np.array(atoms), np.full(32, 1 / 32), 8)
-    mu = PseudoDistribution(mu_s.index, mu_s.moments, mu_s.degree,
-                            mu_s.constraints, None)
-    with pytest.raises(IterLimit):
-        run_structure(mu, StructureConfig(eps=0.05, delta=0.45, seed=2,
-                                          max_iters=1))
-
-
-def test_run_structure_deterministic():
-    rng = np.random.default_rng(8)
-    pts = sphere_points(rng, 30, 4)
-    mu = embed_actual_distribution(pts, np.full(30, 1 / 30), 8)
-    out1, w1, t1 = run_structure(mu, StructureConfig(eps=0.25, seed=9))
-    out2, w2, t2 = run_structure(mu, StructureConfig(eps=0.25, seed=9))
-    np.testing.assert_array_equal(out1.moments, out2.moments)
-    assert len(t1.records) == len(t2.records)
-
-
 # -- bilinear rounds ---------------------------------------------------------
 
 
@@ -262,49 +151,30 @@ def test_2d_moment_table_mixture_no_degree_left_over():
         assert validate(out).ok()
 
 
+def test_run_structure_composite_replays():
+    # the composite weight reapplied to the input reproduces the output,
+    # and its degree is the sum of its factor degrees
+    pts = np.array([[1., 0., 1., 0.], [0., 1., 0., 1.]])
+    mu = embed_actual_distribution(pts, np.array([.5, .5]), 10)
+    out, weight, trace = run_structure_2d(mu, StructureConfig(eps=0.25, seed=0))
+    assert weight.factors
+    again = weight.apply(mu)
+    np.testing.assert_allclose(again.moments, out.moments, atol=1e-10)
+    assert weight.degree == sum(b.degree * p for b, p in weight.factors)
+
+
+def test_run_structure_deterministic():
+    rng = np.random.default_rng(8)
+    pts = sphere_points(rng, 30, 4)
+    mu = embed_actual_distribution(pts, np.full(30, 1 / 30), 8)
+    out1, w1, t1 = run_structure_2d(mu, StructureConfig(eps=0.25, seed=9))
+    out2, w2, t2 = run_structure_2d(mu, StructureConfig(eps=0.25, seed=9))
+    np.testing.assert_array_equal(out1.moments, out2.moments)
+    assert len(t1.records) == len(t2.records) > 0
+    assert [r.factors for r in t1.records] == [r.factors for r in t2.records]
+
+
 def test_2d_rejects_odd_variable_count():
     mu = embed_actual_distribution(np.eye(3), np.full(3, 1 / 3), 6)
     with pytest.raises(PreconditionViolated):
         run_structure_2d(mu, StructureConfig(eps=0.25))
-
-
-# -- rank-r reduction --------------------------------------------------------
-
-
-def test_rank_one_reduction_matches_plain_rounds():
-    mu = embed_actual_distribution(
-        np.array([[1., 0.], [-1., 0.]]), np.array([.5, .5]), 8)
-    out_r, w_r = run_structure_rank_r(mu, 1, StructureConfig(eps=0.25, seed=1))
-    out_s, w_s, _ = run_structure(mu, StructureConfig(eps=0.25, seed=1))
-    np.testing.assert_array_equal(out_r.moments, out_s.moments)
-
-
-def test_rank_two_blocks_satisfy_summed_residual():
-    rng = np.random.default_rng(4)
-    a, b = sphere_points(rng, 2, 3)
-    atoms = np.array([np.concatenate([a, b]) / math.sqrt(2),
-                      -np.concatenate([a, b]) / math.sqrt(2)])
-    mu = embed_actual_distribution(atoms, np.array([.5, .5]), 8)
-    out, weight = run_structure_rank_r(mu, 2, StructureConfig(eps=0.2, seed=0))
-    gaps, sizes = block_residuals(out, 2)
-    assert float(gaps @ gaps) <= 0.2 ** 2 * float(sizes @ sizes) + 1e-9
-
-
-def test_rank_r_rejects_bad_split():
-    mu = embed_actual_distribution(np.eye(3), np.full(3, 1 / 3), 6)
-    with pytest.raises(PreconditionViolated):
-        run_structure_rank_r(mu, 2, StructureConfig(eps=0.25))
-
-
-def test_composite_weight_expanded_matches_small_case():
-    from rankone.pseudodist import poly_eval
-    mu = embed_actual_distribution(
-        np.array([[1., 0.], [-1., 0.]]), np.array([.5, .5]), 8)
-    out, weight, _ = run_structure(mu, StructureConfig(eps=0.25, seed=1))
-    poly = weight.expanded()
-    pts = np.array([[1., 0.], [-1., 0.], [0.3, 0.4]])
-    vals = poly_eval(poly, pts)
-    direct = np.ones(3)
-    for base, power in weight.factors:
-        direct *= poly_eval(base.poly(), pts) ** power
-    np.testing.assert_allclose(vals, direct, rtol=1e-9)
