@@ -14,7 +14,7 @@ CSUBSPACE file formats (matrix blocks, see `linalg`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +33,7 @@ from .errors import (
 )
 from .linalg import BlockReader, gram_schmidt, write_blocks
 from .sos_solver import Certificate, build_bss_problem, solve_feasibility
-from .structure import (
-    StructureConfig,
-    cross_second_moment,
-    first_moments,
-    run_structure_2d,
-)
+from .structure import cross_second_moment, first_moments, run_structure_2d
 
 _ORTHO_TOL = 1e-10
 _PSD_SLACK = 1e-8
@@ -76,6 +71,8 @@ class SubspaceBasis:
             if b.shape != (n, n):
                 raise DimensionMismatch(
                     f"basis matrix shape {b.shape} does not match ambient {n}")
+            if not np.all(np.isfinite(b)):
+                raise IllFormed("basis matrix has non-finite entries")
         rows = self.matrix_rows()
         gram = rows @ rows.T
         if gram.size and float(np.abs(gram - np.eye(len(self.basis))).max()) > _ORTHO_TOL:
@@ -135,6 +132,8 @@ class MeasurementOperator:
         n = math.isqrt(side)
         if n * n != side:
             raise BadDims(f"measurement side {side} is not a perfect square")
+        if not np.all(np.isfinite(m)):
+            raise IllFormed("measurement has non-finite entries")
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.T).max()) > _ORTHO_TOL * scale:
             raise NotSymmetric("measurement is not symmetric")
@@ -156,7 +155,6 @@ class RankOneCandidate:
     u0: np.ndarray
     v0: np.ndarray
     quality: float
-    acceptance: float | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -178,6 +176,15 @@ class BssReport:
     quality: float | None = None
     degree_left: int | None = None
     certificate: Certificate | None = None  # the solver's, when infeasible
+
+
+def projected_quality(w: SubspaceBasis, mat: np.ndarray) -> float:
+    """||proj_W mat||_F^2 / ||mat||_F^2, the share of mat's mass in W.
+
+    `solve`, `check` and the plant report of `gen` all score a candidate
+    u0 v0^T with this one expression, so their qualities agree exactly.
+    """
+    return float(np.linalg.norm(w.project(mat)) ** 2 / np.linalg.norm(mat) ** 2)
 
 
 # -- measurement front end ----------------------------------------------------
@@ -238,16 +245,13 @@ def _spectral_rounding(mu, w: SubspaceBasis):
             continue
         u0 = uu[:, 0] * math.sqrt(ss[0])
         v0 = vv[0] * math.sqrt(ss[0])
-        mat = np.outer(u0, v0)
-        quality = float(np.linalg.norm(w.project(mat)) ** 2
-                        / np.linalg.norm(mat) ** 2)
+        quality = projected_quality(w, np.outer(u0, v0))
         if best is None or quality > best[0]:
             best = (quality, RankOneCandidate(u0, v0, quality))
     return best
 
 
-def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6,
-              cfg: StructureConfig | None = None, seed: int = 0,
+def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
               solver_tol: float = 1e-7):
     """Find an approximately-in-W rank-one matrix, or certify none at
     this degree.
@@ -260,7 +264,8 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6,
     `certificate_margin` recomputes from the problem).  Rounding starts
     from the spectral baseline (top cross-moment eigendirections, immune
     to sign and phase symmetry) and then retries the structure rounds
-    over fresh seeds and a gradually relaxed stopping bar until a trial
+    over fresh seeds (trial t runs `run_structure_2d` with seed
+    `seed + t`) and a gradually relaxed stopping bar until a trial
     reaches quality 1 - eps^2; the best verified candidate wins, so low
     degrees that cannot support the strict bar still round whatever the
     moments contain.  Raises NoConvergence when the SDP solver reaches its
@@ -282,9 +287,7 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6,
         raise NoConvergence(
             f"feasibility solver returned {solver_report.status} after "
             f"{solver_report.iterations} iterations")
-    if cfg is None:
-        cfg = StructureConfig(eps=_default_structure_eps(eps, w.ambient),
-                              seed=seed)
+    structure_eps = _default_structure_eps(eps, w.ambient)
     n = w.ambient
     target = 1.0 - eps * eps
     best = None
@@ -296,10 +299,9 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6,
         if best is not None and best[0] >= target:
             break
         eps_t = min(_MAX_STRUCTURE_EPS,
-                    cfg.eps * _EPS_GROWTH ** (trial // _SEEDS_PER_LEVEL))
-        cfg_t = replace(cfg, eps=eps_t, seed=cfg.seed + trial)
+                    structure_eps * _EPS_GROWTH ** (trial // _SEEDS_PER_LEVEL))
         try:
-            out, _, trace = run_structure_2d(mu, cfg_t)
+            out, _, trace = run_structure_2d(mu, eps_t, seed + trial)
         except (DegreeExhausted, RetryExhausted, IterLimit) as err:
             failure = err
             continue
@@ -308,9 +310,7 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6,
         scale = float(np.linalg.norm(u0) * np.linalg.norm(v0))
         if scale <= _ZERO_NORM:
             continue
-        mat = np.outer(u0, v0)
-        quality = float(np.linalg.norm(w.project(mat)) ** 2
-                        / np.linalg.norm(mat) ** 2)
+        quality = projected_quality(w, np.outer(u0, v0))
         if best is None or quality > best[0]:
             best = (quality, RankOneCandidate(u0, v0, quality),
                     len(trace.records), out.degree)
@@ -363,7 +363,7 @@ def verify_candidate(candidate: RankOneCandidate, w: SubspaceBasis,
     total = float(np.linalg.norm(mat) ** 2)
     if total <= _ZERO_NORM ** 2:
         raise ZeroCandidate("candidate outer product has vanishing norm")
-    quality = float(np.linalg.norm(w.project(mat)) ** 2 / total)
+    quality = projected_quality(w, mat)
     comp_rows = np.array([c.reshape(-1) for c in w.complement_matrices()])
     if comp_rows.size:
         comp_mass = float(np.linalg.norm(comp_rows @ mat.reshape(-1)) ** 2)
@@ -407,6 +407,8 @@ class ComplexSubspace:
                 raise DimensionMismatch(
                     f"constraint pair shapes {c.shape}/{d.shape} do not "
                     f"match ambient {n}")
+            if not (np.all(np.isfinite(c)) and np.all(np.isfinite(d))):
+                raise IllFormed("constraint pair has non-finite entries")
         if self.pairs:
             rows = np.array([np.concatenate([c.reshape(-1), d.reshape(-1)])
                              for c, d in self.pairs])
@@ -712,8 +714,9 @@ def read_complex_subspace(path) -> ComplexSubspace:
 __all__ = [
     "SubspaceBasis", "MeasurementOperator", "RankOneCandidate", "BssReport",
     "ComplexSubspace", "LiftResult", "VerificationRecord",
-    "subspace_from_matrices", "measurement_to_subspace", "solve_bss",
-    "verify_candidate", "reduce_complex_to_real", "lift_real_solution",
+    "subspace_from_matrices", "measurement_to_subspace", "projected_quality",
+    "solve_bss", "verify_candidate", "reduce_complex_to_real",
+    "lift_real_solution",
     "planted_yes", "random_no", "complex_planted", "certify_farness",
     "write_subspace", "read_subspace", "write_measurement",
     "read_measurement", "write_complex_subspace", "read_complex_subspace",

@@ -43,6 +43,7 @@ from .bss import (
     lift_real_solution,
     measurement_to_subspace,
     planted_yes,
+    projected_quality,
     random_no,
     read_complex_subspace,
     read_measurement,
@@ -56,6 +57,7 @@ from .bss import (
 )
 from .errors import (
     BadDims,
+    DegreeTooSmall,
     DimensionMismatch,
     EmptySubspace,
     IllFormed,
@@ -71,8 +73,8 @@ _SCHEMA = 1
 _GRID_LIMIT = 3            # largest ambient with a farness grid certificate
 
 # a clean negative verdict uses 1; these families map to 2 and 3
-_INPUT_ERRORS = (IllFormed, BadDims, DimensionMismatch, EmptySubspace,
-                 NotSymmetric, NotPSD, PreconditionViolated)
+_INPUT_ERRORS = (IllFormed, BadDims, DegreeTooSmall, DimensionMismatch,
+                 EmptySubspace, NotSymmetric, NotPSD, PreconditionViolated)
 
 
 # -- candidate files -----------------------------------------------------------
@@ -108,6 +110,26 @@ def _sniff(path) -> str:
     if not head:
         raise IllFormed(f"{path} is empty")
     return head[0]
+
+
+def _read_instance(path, kind: str, verb: str):
+    """(w, measurement, wc) from a SUBSPACE, MEASUREMENT or CSUBSPACE file.
+
+    `kind` is the file's magic word; w is the real subspace to search,
+    measurement is set for a MEASUREMENT file and wc for a CSUBSPACE one.
+    """
+    measurement = wc = None
+    if kind == "SUBSPACE":
+        w = read_subspace(path)
+    elif kind == "MEASUREMENT":
+        measurement = read_measurement(path)
+        w = measurement_to_subspace(measurement)
+    elif kind == "CSUBSPACE":
+        wc = read_complex_subspace(path)
+        w = reduce_complex_to_real(wc)
+    else:
+        raise IllFormed(f"cannot {verb} a {kind} file")
+    return w, measurement, wc
 
 
 # -- config --------------------------------------------------------------------
@@ -173,9 +195,7 @@ def _cmd_gen(args):
         w, u, v = planted_yes(n, dim_w, seed)
         write_subspace(cfg["out"], w)
         write_candidate(answer, u, v)
-        plant = np.outer(u, v)
-        quality = float(np.linalg.norm(w.project(plant)) ** 2
-                        / np.linalg.norm(plant) ** 2)
+        quality = projected_quality(w, np.outer(u, v))
         result = {"instance": str(cfg["out"]), "answer": answer,
                   "ambient": n, "dim": w.dim}
         checks = {"plant_quality": quality}
@@ -241,17 +261,7 @@ def _cmd_solve(args):
                             "degree": 6, "seed": 0, "tol": 1e-7})
     cfg["in_path"] = args.in_path
     kind = _sniff(args.in_path)
-    wc = None
-    if kind == "SUBSPACE":
-        w = read_subspace(args.in_path)
-    elif kind == "MEASUREMENT":
-        measurement = read_measurement(args.in_path)
-        w = measurement_to_subspace(measurement)
-    elif kind == "CSUBSPACE":
-        wc = read_complex_subspace(args.in_path)
-        w = reduce_complex_to_real(wc)
-    else:
-        raise IllFormed(f"cannot solve a {kind} file")
+    w, measurement, wc = _read_instance(args.in_path, kind, "solve")
     cfg["input_kind"] = kind
 
     cand, report = solve_bss(w, cfg["eps"], degree=cfg["degree"],
@@ -269,8 +279,7 @@ def _cmd_solve(args):
         return cfg, "FAIL", result, {"meets_target": False}
 
     result["candidate"] = _candidate_payload(cand)
-    record = verify_candidate(
-        cand, w, measurement if kind == "MEASUREMENT" else None)
+    record = verify_candidate(cand, w, measurement)
     # The verdict stays OK below the bar (the candidate is still the best
     # found); meets_target applies the bar that `check` applies.
     checks = {"quality": record.quality,
@@ -356,26 +365,16 @@ def _cmd_check(args):
     cfg["instance"], cfg["candidate"] = args.instance, args.candidate
     u0, v0, cand_kind = read_candidate(args.candidate)
     kind = _sniff(args.instance)
-    measurement = None
+    needed = "CCANDIDATE" if kind == "CSUBSPACE" else "CANDIDATE"
+    if cand_kind != needed:
+        raise IllFormed(f"a {kind} instance needs a {needed} file")
+    w, measurement, wc = _read_instance(args.instance, kind, "check against")
     extra = {}
-    if kind == "CSUBSPACE":
-        if cand_kind != "CCANDIDATE":
-            raise IllFormed("a CSUBSPACE instance needs a CCANDIDATE file")
-        wc = read_complex_subspace(args.instance)
-        w = reduce_complex_to_real(wc)
+    if wc is not None:
         lift = lift_real_solution(RankOneCandidate(u0, v0, 0.0), wc)
         scale = float(np.linalg.norm(np.outer(lift.u, np.conj(lift.v))))
         extra = {"lift_residual": lift.residual,
                  "lift_relative_residual": lift.residual / scale}
-    elif cand_kind != "CANDIDATE":
-        raise IllFormed(f"a {kind} instance needs a CANDIDATE file")
-    elif kind == "SUBSPACE":
-        w = read_subspace(args.instance)
-    elif kind == "MEASUREMENT":
-        measurement = read_measurement(args.instance)
-        w = measurement_to_subspace(measurement)
-    else:
-        raise IllFormed(f"cannot check against a {kind} file")
 
     record = verify_candidate(RankOneCandidate(u0, v0, 0.0), w, measurement)
     passed = _meets_target(record, cfg["eps"])

@@ -95,9 +95,5 @@ class MaxRounds(RankOneError):
     """Rectangle search exceeded its round limit."""
 
 
-class EmptySet(RankOneError):
-    """An operation received an empty index set."""
-
-
 class BadDims(RankOneError):
     """Factor matrices have incompatible dimensions."""

@@ -1,11 +1,7 @@
-"""Small dense helpers and the matrix-block text format.
-
-`gram_schmidt` orthonormalizes rows, `project_onto` projects onto the
-span of orthonormal columns and `sample_gaussian` draws from a centred
-Gaussian through an eigendecomposition of its covariance.
+"""Gram-Schmidt orthonormalization and the matrix-block text format.
 
 Every file the package reads or writes (SUBSPACE, MEASUREMENT,
-CSUBSPACE, CANDIDATE/CCANDIDATE, FACTORS, PD) is one header line, a magic
+CSUBSPACE, CANDIDATE/CCANDIDATE, FACTORS) is one header line, a magic
 word followed by integers, and then matrix blocks.  A block is a
 `rows cols` line followed by one whitespace-separated row per line, each
 entry written with repr so that it reads back exactly.  `write_blocks`
@@ -19,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllFormed, NotPSD
+from .errors import IllFormed
 
 
 def gram_schmidt(rows, drop_tol: float = 1e-10):
@@ -40,38 +36,6 @@ def gram_schmidt(rows, drop_tol: float = 1e-10):
         if norm > drop_tol * ref:
             ortho.append(v / norm)
     return ortho
-
-
-def sample_gaussian(dim: int, covariance, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Draw from N(0, covariance) via the eigendecomposition transform.
-
-    With t = max(1, trace): eigenvalues in [-1e-9 t, 1e-10 t] are taken
-    as zero and anything lower raises NotPSD.  Returns shape (dim,) or
-    (size, dim).
-    """
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (dim, dim):
-        raise DimensionMismatch(f"covariance shape {cov.shape} does not match dim {dim}")
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    scale = max(1.0, float(np.trace(cov)))
-    if vals.size and float(vals[0]) < -1e-9 * scale:
-        raise NotPSD(f"covariance has eigenvalue {vals[0]:.3e} below -{1e-9 * scale:.3e}")
-    root = np.sqrt(np.where(vals > 1e-10 * scale, vals, 0.0))
-    if size is None:
-        return vecs @ (root * rng.standard_normal(dim))
-    return (rng.standard_normal((size, dim)) * root) @ vecs.T
-
-
-def project_onto(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto the span of orthonormal columns."""
-    basis = np.asarray(basis, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if basis.ndim != 2 or x.ndim != 1 or basis.shape[0] != x.shape[0]:
-        raise DimensionMismatch(
-            f"basis shape {basis.shape} incompatible with vector shape {x.shape}")
-    if basis.shape[1] == 0:
-        return np.zeros_like(x)
-    return basis @ (basis.T @ x)
 
 
 def write_blocks(path, header: str, blocks) -> None:
@@ -129,4 +93,4 @@ class BlockReader:
         return block
 
 
-__all__ = ["gram_schmidt", "sample_gaussian", "project_onto", "write_blocks", "BlockReader"]
+__all__ = ["gram_schmidt", "write_blocks", "BlockReader"]

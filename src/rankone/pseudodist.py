@@ -53,7 +53,6 @@ from .errors import (
     IllFormed,
     NotSOS,
 )
-from .linalg import BlockReader, write_blocks
 
 PSD_EPS = 1e-7     # moment-matrix eigenvalue floor
 CON_EPS = 1e-6     # equality-constraint residual ceiling
@@ -584,28 +583,12 @@ def validate(mu: PseudoDistribution) -> ValidationReport:
     return ValidationReport(min_eig, max_res, min_loc, normalized)
 
 
-# -- serialization -----------------------------------------------------------
-
-
-def write_pseudodist(path, mu: PseudoDistribution) -> None:
-    """Write 'PD num_vars degree' then the moment vector as one 1 x size block."""
-    write_blocks(path, f"PD {mu.num_vars} {mu.degree}", [mu.moments])
-
-
-def read_pseudodist(path) -> PseudoDistribution:
-    fh = BlockReader(path, "PD", count=2)
-    num_vars, degree = fh.header
-    index = MonomialIndex(num_vars, degree)
-    return PseudoDistribution(index, fh.take((1, index.size))[0], degree)
-
-
 __all__ = [
     "MonomialIndex", "ConstraintSpec", "ReweightPolynomial", "PseudoDistribution",
     "monomial_index", "dense_poly", "sparse_poly", "moment_block",
     "linear_form_powers", "univariate_poly", "poly_product",
     "pseudo_expect", "moment_matrix", "reweight", "embed_actual_distribution",
     "from_support", "validate", "ValidationReport", "equality_residual",
-    "write_pseudodist", "read_pseudodist",
     "poly_clean", "poly_degree", "poly_constant", "poly_linear", "poly_quadratic",
     "poly_add", "poly_mul", "poly_pow", "poly_eval", "as_point_rows",
     "PSD_EPS", "CON_EPS", "NORM_EPS",

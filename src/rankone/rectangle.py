@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, DimensionMismatch, Emptied, EmptySet, IllFormed, MaxRounds
+from .errors import BadDims, DimensionMismatch, Emptied, IllFormed, MaxRounds
 from .linalg import BlockReader, write_blocks
 
 _UNIT_TOL = 1e-10
@@ -59,6 +59,8 @@ class FactorMatrix:
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise BadDims(f"factor matrix needs shape (N, n), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise IllFormed("factor matrix has non-finite entries")
         norms = np.linalg.norm(v, axis=1)
         if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
             raise IllFormed("columns must be unit norm; use normalized()")
@@ -265,46 +267,6 @@ def _search(u, v, eps, k, max_rounds, rng, growth, floor, two_sided, retries):
     raise MaxRounds(f"spectral test still failing after {max_rounds} rounds")
 
 
-def spectrum_equivalence_check(u: FactorMatrix, v: FactorMatrix,
-                               rel_tol: float = 1e-8) -> bool:
-    """Whether (1/N) sum u_i v_i^T and (1/N) U^T V share their spectrum.
-
-    The first matrix is n x n and the second N x N, but both are
-    products of the same factors in opposite orders, so their nonzero
-    eigenvalues coincide exactly.  This verifies that the sorted
-    eigenvalue magnitudes agree within rel_tol relative to the largest.
-    In the symmetric case V = U both matrices are positive
-    semidefinite and the shared eigenvalues are the singular values.
-    """
-    if u.count != v.count:
-        raise DimensionMismatch(
-            f"factor matrices pair columns, got {u.count} and {v.count}")
-    if u.n != v.n:
-        raise DimensionMismatch(
-            f"columns live in different spaces: {u.n} and {v.n}")
-    small = np.sort(np.abs(np.linalg.eigvals(
-        u.vectors.T @ v.vectors / u.count)))[::-1]
-    big = np.sort(np.abs(np.linalg.eigvals(
-        u.vectors @ v.vectors.T / u.count)))[::-1]
-    width = min(small.size, big.size)
-    scale = max(float(big[0]), float(small[0]), 1e-300)
-    if float(np.max(big[width:], initial=0.0)) > rel_tol * scale:
-        return False
-    if float(np.max(small[width:], initial=0.0)) > rel_tol * scale:
-        return False
-    return bool(np.max(np.abs(small[:width] - big[:width])) <= rel_tol * scale)
-
-
-def flat_reweighting_view(indices, count: int) -> float:
-    """KL divergence log(N/|I|) of the flat restriction to I from uniform."""
-    idx = np.unique(np.asarray(indices, dtype=int))
-    if idx.size == 0:
-        raise EmptySet("flat restriction needs a nonempty index set")
-    if count < 1 or idx.min() < 0 or idx.max() >= count:
-        raise IllFormed(f"indices must lie in [0, {count})")
-    return float(math.log(count / idx.size))
-
-
 # -- text format --------------------------------------------------------------
 
 
@@ -324,9 +286,7 @@ __all__ = [
     "RectangleResult",
     "default_k",
     "find_rectangle",
-    "flat_reweighting_view",
     "random_factors",
     "read_factors",
-    "spectrum_equivalence_check",
     "write_factors",
 ]

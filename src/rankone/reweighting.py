@@ -48,15 +48,11 @@ import numpy as np
 
 from .errors import (
     DegenerateWeight,
-    DegreeExceeded,
     DegreeExhausted,
     PreconditionViolated,
     RetryExhausted,
 )
-# poly_mul and poly_pow stay importable from this module although the
-# moment path runs on the dense kernel: benchmark/tracing.py counts the
-# dict-arithmetic calls made through these names
-from .pseudodist import (  # noqa: F401
+from .pseudodist import (
     PseudoDistribution,
     ReweightPolynomial,
     dense_poly,
@@ -66,18 +62,18 @@ from .pseudodist import (  # noqa: F401
     poly_add,
     poly_constant,
     poly_linear,
-    poly_mul,
-    poly_pow,
     poly_product,
     poly_quadratic,
-    pseudo_expect,
     reweight,
     sparse_poly,
     univariate_poly,
 )
+# poly_mul and poly_pow stay importable from this module although the
+# moment path runs on the dense kernel: benchmark/tracing.py counts the
+# dict-arithmetic calls made through these names
+from .pseudodist import poly_mul, poly_pow  # noqa: F401
 
-DEFAULT_C = 2        # degree-budget constant: budget ~ C d log(n) / eps^2
-DEFAULT_C_PRIME = 3  # direction-power constant: k ~ (dim/delta) log(dim)^C'
+DEFAULT_C = 2  # fix_subspace needs subspace mass E~ |proj_S x|^2 >= dim(S)^-C
 
 _STAGE_CAP = 2000
 _MASS_FLOOR = 0.05  # accept subspace mass down to here even in low dimension
@@ -139,22 +135,6 @@ def sphere_moment(dim: int, k: int) -> float:
     for j in range(k):
         c *= (1.0 + 2.0 * j) / (dim + 2.0 * j)
     return c
-
-
-def monotonicity_check(mu: PseudoDistribution, ell: int, tol: float = 1e-9) -> bool:
-    """Whether reweighting a univariate mu by x^{2 ell} does not shrink the
-    second moment: E~ x^{2 ell + 2} / E~ x^{2 ell} >= E~ x^2 - tol."""
-    if mu.num_vars != 1:
-        raise PreconditionViolated("monotonicity_check expects a univariate input")
-    if mu.degree < 2 * ell + 3:
-        raise DegreeExceeded(
-            f"need degree >= {2 * ell + 3} to check power {ell}, have {mu.degree}")
-    e_low = pseudo_expect(mu, {(2 * ell,): 1.0})
-    e_high = pseudo_expect(mu, {(2 * ell + 2,): 1.0})
-    e_two = pseudo_expect(mu, {(2,): 1.0})
-    if e_low <= 0.0:
-        return e_high <= tol
-    return e_high / e_low >= e_two - tol * max(1.0, abs(e_two))
 
 
 def _support_arrays(mu: PseudoDistribution):
@@ -361,13 +341,12 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
 
 
 def fix_subspace(mu: PseudoDistribution, basis, delta: float,
-                 k: int | None = None, retry_budget: int = 2000,
-                 seed=0, c: int = DEFAULT_C):
+                 k: int | None = None, retry_budget: int = 2000, seed=0):
     """Concentrate mu so its mean vector carries the subspace mass.
 
     `basis` holds spanning rows of the subspace S (an array or any
     object with a `rows` attribute); it is orthonormalized internally.
-    Requires E~ |proj_S x|^2 >= dim(S)^{-c}.  Draws up to retry_budget
+    Requires E~ |proj_S x|^2 >= dim(S)^{-DEFAULT_C}.  Draws up to retry_budget
     random unit directions v in S; one is accepted when it captures the
     subspace mass at even power 2k and is not atypically small, after
     which the distribution is reweighted by <v, x>^{2k} and the scalar
@@ -388,9 +367,8 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     if mu.support is not None:
-        return _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget,
-                                     k, c)
-    return _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k, c)
+        return _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget, k)
+    return _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k)
 
 
 def _orthonormal_rows(basis: np.ndarray) -> np.ndarray:
@@ -401,13 +379,13 @@ def _orthonormal_rows(basis: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget, k, c):
+def _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget, k):
     pts, w = _support_arrays(mu)
     proj = pts @ rows.T                      # subspace coordinates per atom
     t = np.einsum("ij,ij->i", proj, proj)    # |proj_S x|^2
     b2 = float(t.max(initial=0.0))
     dim = rows.shape[0]
-    floor = min(dim ** (-float(c)), _MASS_FLOOR)
+    floor = min(dim ** (-float(DEFAULT_C)), _MASS_FLOOR)
     if float(np.dot(w, t)) < floor * (1.0 - 1e-9):
         raise PreconditionViolated(
             f"subspace mass {np.dot(w, t):.3e} below {floor:.3e}")
@@ -499,15 +477,15 @@ def _multiplicative_ok(w, tn, k, eps):
     return bool(np.all(moments <= bounds + 1e-300))
 
 
-def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k, c):
+def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
     if mu.degree < 4:
         raise DegreeExhausted(
             f"subspace fixing needs degree >= 4, table has {mu.degree}")
     index = mu.index
     proj = dense_poly(index, poly_quadratic(rows.T @ rows), 2)
     dim = rows.shape[0]
-    if _expect(mu, proj) < dim ** (-float(c)) * (1.0 - 1e-9):
-        raise PreconditionViolated(f"subspace mass below dim^-{c}")
+    if _expect(mu, proj) < dim ** (-float(DEFAULT_C)) * (1.0 - 1e-9):
+        raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
     k = min(k, max(1, (mu.degree - 4) // 2))
     proj_rp = _projection_weight(rows)
 
@@ -638,6 +616,5 @@ def _moment_multiplicative_ok(mu, p, k, eps):
 
 __all__ = [
     "ScalarFixReport", "SubspaceFixReport", "fix_scalar", "fix_subspace",
-    "monotonicity_check", "sphere_moment", "stage_power", "direction_power",
-    "DEFAULT_C", "DEFAULT_C_PRIME",
+    "sphere_moment", "stage_power", "direction_power", "DEFAULT_C",
 ]

@@ -84,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegreeTooSmall, IllFormed, IterLimit
+from .errors import DegreeTooSmall, IllFormed
 from .pseudodist import (
     ConstraintSpec,
     MonomialIndex,

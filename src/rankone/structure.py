@@ -9,7 +9,8 @@ plus the mean direction, and fixing that subspace grows |m_i|^2.  The
 potential |m_1|^2 |m_2|^2 is at most 1 on the sphere, so O(log n / eps)
 rounds suffice.
 
-`run_structure_2d` runs these rounds and returns the composite
+`run_structure_2d(mu, eps, seed)` runs these rounds and returns the
+concentrated table, a trace of its steps and the composite
 reweighting, a product of certified SOS factors kept in base^power form:
 expanding powers like <v,x>^{2k} over several variables is exponentially
 large, while the factored form is exact and replayable.
@@ -34,29 +35,6 @@ from .reweighting import fix_subspace
 _MEAN_EPS = 1e-12
 _JOINT_PLANES = 12         # coupled planes tried per bilinear seeding phase
 _JOINT_RETRY_BUDGET = 120  # draws per coupled plane before trying the next
-
-
-@dataclass(frozen=True)
-class StructureConfig:
-    eps: float
-    max_iters: int | None = None    # None: ceil(40 log(n) / eps) at run time
-    per_iter_degree: int = 4        # moment-path degree reserved per round
-    delta: float | None = None      # None: min(1/2, eps/2)
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise PreconditionViolated(f"eps must be in (0, 1), got {self.eps}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise PreconditionViolated("max_iters must be >= 1")
-
-    def iter_bound(self, num_vars: int) -> int:
-        if self.max_iters is not None:
-            return self.max_iters
-        return math.ceil(40.0 * math.log(max(num_vars, 2)) / self.eps)
-
-    def step_delta(self) -> float:
-        return self.delta if self.delta is not None else min(0.5, self.eps / 2.0)
 
 
 @dataclass(frozen=True)
@@ -107,14 +85,6 @@ def first_moments(mu: PseudoDistribution, offset: int = 0, count: int | None = N
     return block[0, sel], block[np.ix_(sel, sel)]
 
 
-def stopping_gap(mu: PseudoDistribution):
-    """(cov_norm, mean_sq): the stopping condition is
-    cov_norm <= eps * mean_sq."""
-    mean, second = first_moments(mu)
-    cov = second - np.outer(mean, mean)
-    return float(np.linalg.norm(cov)), float(mean @ mean)
-
-
 def cross_second_moment(mu: PseudoDistribution) -> np.ndarray:
     """E~ vec(u v^T) vec(u v^T)^T for a table over pairs (u, v).
 
@@ -149,11 +119,15 @@ def block_stopping(mu: PseudoDistribution, offset: int, n: int):
     return gap, float(mean @ mean), mean, second
 
 
-def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
+def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     """Bilinear structure rounds over pairs (u, v) of n-vectors.
 
     Halts when both coordinates satisfy the uncentered stopping
-    condition ||m_i m_i^T - E~ u_i u_i^T||_F <= eps |m_i|^2.  Phase one
+    condition ||m_i m_i^T - E~ u_i u_i^T||_F <= eps |m_i|^2, for eps in
+    (0, 1); raises IterLimit after ceil(40 log max(n, 2) / eps) + 2
+    progress rounds.  Every fix asks for a mean carrying a (1 - delta)
+    share of the subspace mass, delta = min(1/2, eps/2), and on a moment
+    table it powers its direction only to <v, x>^2 (k = 1).  Phase one
     seeds near-zero means: first a joint fix on the two-dimensional
     coupled plane (cheapest when the blocks are sign symmetric), then a
     top-eigenspace fix for any coordinate still near zero.  Phase two
@@ -161,18 +135,19 @@ def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
     component orthogonal to the current mean.  The trace records the
     potential |m_1|^2 |m_2|^2 after every step.
     """
+    if not 0.0 < eps < 1.0:
+        raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
     if mu.num_vars % 2:
         raise PreconditionViolated("bilinear rounds need an even variable count")
     n = mu.num_vars // 2
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     trace = StructureTrace()
     factors = []
     cur = mu
-    eps = cfg.eps
-    delta = cfg.step_delta()
-    bound = cfg.iter_bound(n) + 2
+    delta = min(0.5, eps / 2.0)
+    bound = math.ceil(40.0 * math.log(max(n, 2)) / eps) + 2
     # atoms stay atoms and moments stay moments through every fix
-    k = None if mu.support is not None else max(1, (cfg.per_iter_degree - 2) // 2)
+    k = None if mu.support is not None else 1
 
     def record_step(kind, rep, coord):
         g1, m1, _, _ = block_stopping(cur, 0, n)
@@ -286,7 +261,6 @@ def run_structure_2d(mu: PseudoDistribution, cfg: StructureConfig):
 
 
 __all__ = [
-    "StructureConfig", "StructureTrace", "StepRecord", "CompositeWeight",
-    "cross_second_moment", "run_structure_2d", "block_stopping",
-    "first_moments", "stopping_gap",
+    "StructureTrace", "StepRecord", "CompositeWeight", "cross_second_moment",
+    "run_structure_2d", "block_stopping", "first_moments",
 ]

@@ -41,6 +41,7 @@ from rankone.errors import (
     IllFormed,
     ZeroCandidate,
 )
+from rankone.rectangle import FactorMatrix
 
 
 def unit(mat):
@@ -54,6 +55,31 @@ def projector_measurement(w):
 
 
 # ---------------------------------------------------------------- bases
+
+
+def _with_entry(mat, value):
+    mat = np.array(mat, dtype=float)
+    mat[0, 0] = value
+    return mat
+
+
+# one non-finite entry in an otherwise valid input of each type
+_NON_FINITE = {
+    "SubspaceBasis": lambda x: SubspaceBasis(
+        2, (_with_entry(np.diag([0.0, 1.0]), x),)),
+    "MeasurementOperator": lambda x: MeasurementOperator(
+        _with_entry(np.eye(4), x)),
+    "ComplexSubspace": lambda x: ComplexSubspace(
+        2, ((_with_entry(np.eye(2), x), np.zeros((2, 2))),)),
+    "FactorMatrix": lambda x: FactorMatrix(_with_entry(np.eye(2), x)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", sorted(_NON_FINITE))
+def test_constructors_reject_non_finite_entries(kind, value):
+    with pytest.raises(IllFormed):
+        _NON_FINITE[kind](value)
 
 
 def test_subspace_basis_validates_orthonormality():

@@ -178,6 +178,20 @@ def test_solve_rejects_wrong_file_kind(tmp_path, capsys):
     assert report["error"]["type"] == "IllFormed"
 
 
+@pytest.mark.parametrize("degree", ["2", "3", "5"])
+def test_solve_rejects_bad_degree(tmp_path, capsys, degree):
+    """A degree the relaxation cannot take is malformed input (exit 2),
+    not an exhausted budget (exit 3)."""
+    out = tmp_path / "w.txt"
+    main(["gen", "planted-yes", "--n", "2", "--dim-w", "2", "--seed", "1",
+          "--out", str(out)])
+    capsys.readouterr()
+    code, report, _ = run_cli(capsys, "solve", str(out), "--degree", degree)
+    assert code == 2
+    assert report["status"] == "ERROR"
+    assert report["error"]["type"] == "DegreeTooSmall"
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_solve_rejects_bad_tolerance(tmp_path, capsys, tol):
     """A tolerance that is not finite and positive is an input error, not

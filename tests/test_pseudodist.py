@@ -16,7 +16,6 @@ from rankone.errors import (
     DegreeExceeded,
     DegreeExhausted,
     DimensionMismatch,
-    IllFormed,
     NotSOS,
 )
 from rankone.pseudodist import (
@@ -41,12 +40,10 @@ from rankone.pseudodist import (
     poly_product,
     poly_quadratic,
     pseudo_expect,
-    read_pseudodist,
     reweight,
     sparse_poly,
     univariate_poly,
     validate,
-    write_pseudodist,
 )
 from rankone.reweighting import fix_scalar, fix_subspace
 
@@ -626,33 +623,3 @@ def test_kernel_keeps_degree_boundaries():
             assert fix_scalar(blind, [1.0, 0.0], 1, 0.45)[0].degree == degree - 2
         with pytest.raises(DegreeExhausted):
             fix_scalar(blind, [1.0, 0.0], degree // 4 + 1, 0.45)
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def test_pseudodist_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(19)
-    _, _, mu = random_discrete(rng, 6, 3, 4)
-    path = tmp_path / "dist.txt"
-    write_pseudodist(path, mu)
-    back = read_pseudodist(path)
-    assert back.num_vars == 3 and back.degree == 4
-    np.testing.assert_array_equal(back.moments, mu.moments)
-    write_pseudodist(path, back)
-    again = read_pseudodist(path)
-    np.testing.assert_array_equal(again.moments, mu.moments)
-
-
-def test_read_pseudodist_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("XX 2 4\n1.0\n")
-    with pytest.raises(IllFormed):
-        read_pseudodist(path)
-    path.write_text("PD 2 4\n1.0 2.0\n")
-    with pytest.raises(IllFormed):
-        read_pseudodist(path)
-    ix = MonomialIndex(1, 2)
-    path.write_text("PD 1 2\n1.0 nan 0.5\n")
-    with pytest.raises(IllFormed):
-        read_pseudodist(path)

@@ -13,7 +13,6 @@ from rankone.errors import (
     BadDims,
     DimensionMismatch,
     Emptied,
-    EmptySet,
     IllFormed,
     MaxRounds,
 )
@@ -21,10 +20,8 @@ from rankone.rectangle import (
     FactorMatrix,
     default_k,
     find_rectangle,
-    flat_reweighting_view,
     random_factors,
     read_factors,
-    spectrum_equivalence_check,
     write_factors,
 )
 
@@ -211,64 +208,6 @@ def test_first_round_density_stays_in_band():
         ]
         mean = float(np.mean(dens))
         assert np.exp(-4.0 * k) <= mean <= np.exp(-k / 4.0)
-
-
-# ------------------------------------------------------ spectrum equivalence
-
-
-def test_spectrum_equivalence_single_pair():
-    u = FactorMatrix(np.array([[1.0, 0.0]]))
-    v = FactorMatrix(np.array([[0.6, 0.8]]))
-    # both products are the scalar <u, v> here, up to embedding
-    assert spectrum_equivalence_check(u, v)
-
-
-def test_spectrum_equivalence_random_pairs():
-    for seed in range(5):
-        u = random_factors(6, 50, seed=seed)
-        v = random_factors(6, 50, seed=seed + 100)
-        assert spectrum_equivalence_check(u, v)
-
-
-def test_spectrum_equivalence_symmetric_case_matches_singular_values():
-    fm = random_factors(5, 30, seed=9)
-    assert spectrum_equivalence_check(fm, fm)
-    small = fm.vectors.T @ fm.vectors / fm.count
-    big = fm.vectors @ fm.vectors.T / fm.count
-    sv_small = np.linalg.svd(small, compute_uv=False)
-    sv_big = np.linalg.svd(big, compute_uv=False)
-    assert np.allclose(sv_small, sv_big[: sv_small.size], atol=1e-10)
-
-
-def test_spectrum_equivalence_wide_factors():
-    # fewer columns than dimensions: the small product carries the zeros
-    u = random_factors(7, 3, seed=1)
-    v = random_factors(7, 3, seed=2)
-    assert spectrum_equivalence_check(u, v)
-
-
-def test_spectrum_equivalence_rejects_mismatch():
-    with pytest.raises(DimensionMismatch):
-        spectrum_equivalence_check(random_factors(4, 10), random_factors(4, 11))
-
-
-# ------------------------------------------------------------- reweighting
-
-
-def test_flat_reweighting_view_values():
-    assert flat_reweighting_view(np.arange(10), 10) == 0.0
-    assert np.isclose(flat_reweighting_view(np.arange(5), 10), np.log(2.0))
-    # duplicates collapse before the ratio is taken
-    assert flat_reweighting_view([0, 0, 1], 4) == pytest.approx(np.log(2.0))
-
-
-def test_flat_reweighting_view_rejects_bad_sets():
-    with pytest.raises(EmptySet):
-        flat_reweighting_view([], 10)
-    with pytest.raises(IllFormed):
-        flat_reweighting_view([0, 10], 10)
-    with pytest.raises(IllFormed):
-        flat_reweighting_view([-1], 10)
 
 
 # -------------------------------------------------------------------- files

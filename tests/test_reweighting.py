@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from rankone.errors import (
-    DegreeExceeded,
     DegreeExhausted,
     PreconditionViolated,
     RetryExhausted,
@@ -24,7 +23,6 @@ from rankone.reweighting import (
     direction_power,
     fix_scalar,
     fix_subspace,
-    monotonicity_check,
     sphere_moment,
     stage_power,
 )
@@ -87,42 +85,6 @@ def test_sphere_moment_ratio_eventually_stays_above_bar():
             assert sphere_moment(dim, k + 1) >= (1.0 - eps) * sphere_moment(dim, k)
         if k_star > 2:
             assert sphere_moment(dim, 2) < (1.0 - eps) * sphere_moment(dim, 1)
-
-
-# -- monotonicity check ------------------------------------------------------
-
-
-def test_monotonicity_two_point():
-    # uniform {1,2}: E x^4 / E x^2 = 8.5/2.5 = 3.4 >= 2.5
-    mu = two_point(1.0, 2.0, degree=6)
-    assert monotonicity_check(mu, 1)
-
-
-def test_monotonicity_point_mass_equality():
-    mu = embed_actual_distribution(np.array([[1.7]]), np.array([1.0]), 8)
-    assert monotonicity_check(mu, 2)
-
-
-def test_monotonicity_random_corpus():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        pts = rng.uniform(-3, 3, (8, 1))
-        w = rng.dirichlet(np.ones(8))
-        mu = embed_actual_distribution(pts, w, degree=9)
-        for ell in (1, 2, 3):
-            assert monotonicity_check(mu, ell)
-
-
-def test_monotonicity_requires_degree():
-    mu = two_point(1.0, 2.0, degree=4)
-    with pytest.raises(DegreeExceeded):
-        monotonicity_check(mu, 1)  # needs degree >= 5
-
-
-def test_monotonicity_requires_univariate():
-    mu = embed_actual_distribution(np.eye(2), np.array([.5, .5]), 6)
-    with pytest.raises(PreconditionViolated):
-        monotonicity_check(mu, 1)
 
 
 # -- scalar fixing -----------------------------------------------------------

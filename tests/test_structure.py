@@ -4,7 +4,6 @@ Oracles: exact moments of two- and three-point distributions, and
 direct recomputation of means/covariances from atom lists.
 """
 
-import math
 
 import numpy as np
 import pytest
@@ -16,12 +15,10 @@ from rankone.pseudodist import (
     validate,
 )
 from rankone.structure import (
-    StructureConfig,
     block_stopping,
     cross_second_moment,
     first_moments,
     run_structure_2d,
-    stopping_gap,
 )
 
 
@@ -31,13 +28,12 @@ def sphere_points(rng, n_pts, dim):
 
 
 def test_config_validation():
+    mu = embed_actual_distribution(
+        np.array([[0., 1., 1., 0.]]), np.array([1.]), 8)
     with pytest.raises(PreconditionViolated):
-        StructureConfig(eps=0.0)
+        run_structure_2d(mu, 0.0)
     with pytest.raises(PreconditionViolated):
-        StructureConfig(eps=1.5)
-    with pytest.raises(PreconditionViolated):
-        StructureConfig(eps=0.2, max_iters=0)
-    assert StructureConfig(eps=0.25).iter_bound(4) == math.ceil(40 * math.log(4) / 0.25)
+        run_structure_2d(mu, 1.5)
 
 
 def test_first_moments_match_direct_computation():
@@ -86,22 +82,13 @@ def test_cross_second_moment_rejects_bad_tables():
         cross_second_moment(shallow)
 
 
-def test_stopping_gap_on_known_mixture():
-    # 0.9 point(e1) + 0.1 uniform{+-e2}: cov = diag(0.09, 0.1)
-    pts = np.array([[1., 0.], [0., 1.], [0., -1.]])
-    mu = embed_actual_distribution(pts, np.array([.9, .05, .05]), 4)
-    gap, mean_sq = stopping_gap(mu)
-    assert mean_sq == pytest.approx(0.81)
-    assert gap == pytest.approx(math.hypot(0.09, 0.1))
-
-
 # -- bilinear rounds ---------------------------------------------------------
 
 
 def test_2d_product_point_mass_unchanged():
     mu = embed_actual_distribution(
         np.array([[0., 1., 1., 0.]]), np.array([1.]), 8)
-    out, weight, trace = run_structure_2d(mu, StructureConfig(eps=0.25))
+    out, weight, trace = run_structure_2d(mu, 0.25)
     assert weight.factors == ()
     np.testing.assert_array_equal(out.moments, mu.moments)
 
@@ -109,7 +96,7 @@ def test_2d_product_point_mass_unchanged():
 def test_2d_pair_mixture_concentrates():
     pts = np.array([[1., 0., 1., 0.], [0., 1., 0., 1.]])
     mu = embed_actual_distribution(pts, np.array([.5, .5]), 10)
-    out, weight, trace = run_structure_2d(mu, StructureConfig(eps=0.25, seed=0))
+    out, weight, trace = run_structure_2d(mu, 0.25, 0)
     for offset in (0, 2):
         gap, mean_sq, mean, _ = block_stopping(out, offset, 2)
         assert gap <= 0.25 * mean_sq
@@ -122,7 +109,7 @@ def test_2d_pair_mixture_concentrates():
 def test_2d_potential_never_collapses():
     pts = np.array([[1., 0., 1., 0.], [0., 1., 0., 1.]])
     mu = embed_actual_distribution(pts, np.array([.5, .5]), 10)
-    out, weight, trace = run_structure_2d(mu, StructureConfig(eps=0.25, seed=0))
+    out, weight, trace = run_structure_2d(mu, 0.25, 0)
     pots = [r.potential for r in trace.records]
     for prev, cur in zip(pots, pots[1:]):
         assert cur >= (1 - 0.25 / 10) * prev - 1e-12
@@ -141,8 +128,7 @@ def test_2d_moment_table_mixture_no_degree_left_over():
         mu_s = embed_actual_distribution(pts, w, degree=6)
         mu = PseudoDistribution(mu_s.index, mu_s.moments, mu_s.degree,
                                 mu_s.constraints, None)
-        out, weight, trace = run_structure_2d(
-            mu, StructureConfig(eps=0.25, seed=trial))
+        out, weight, trace = run_structure_2d(mu, 0.25, trial)
         g1, m1, mean1, _ = block_stopping(out, 0, n)
         g2, m2, mean2, _ = block_stopping(out, n, n)
         assert g1 <= 0.25 * m1 and g2 <= 0.25 * m2
@@ -156,7 +142,7 @@ def test_run_structure_composite_replays():
     # and its degree is the sum of its factor degrees
     pts = np.array([[1., 0., 1., 0.], [0., 1., 0., 1.]])
     mu = embed_actual_distribution(pts, np.array([.5, .5]), 10)
-    out, weight, trace = run_structure_2d(mu, StructureConfig(eps=0.25, seed=0))
+    out, weight, trace = run_structure_2d(mu, 0.25, 0)
     assert weight.factors
     again = weight.apply(mu)
     np.testing.assert_allclose(again.moments, out.moments, atol=1e-10)
@@ -167,8 +153,8 @@ def test_run_structure_deterministic():
     rng = np.random.default_rng(8)
     pts = sphere_points(rng, 30, 4)
     mu = embed_actual_distribution(pts, np.full(30, 1 / 30), 8)
-    out1, w1, t1 = run_structure_2d(mu, StructureConfig(eps=0.25, seed=9))
-    out2, w2, t2 = run_structure_2d(mu, StructureConfig(eps=0.25, seed=9))
+    out1, w1, t1 = run_structure_2d(mu, 0.25, 9)
+    out2, w2, t2 = run_structure_2d(mu, 0.25, 9)
     np.testing.assert_array_equal(out1.moments, out2.moments)
     assert len(t1.records) == len(t2.records) > 0
     assert [r.factors for r in t1.records] == [r.factors for r in t2.records]
@@ -177,4 +163,4 @@ def test_run_structure_deterministic():
 def test_2d_rejects_odd_variable_count():
     mu = embed_actual_distribution(np.eye(3), np.full(3, 1 / 3), 6)
     with pytest.raises(PreconditionViolated):
-        run_structure_2d(mu, StructureConfig(eps=0.25))
+        run_structure_2d(mu, 0.25)
