@@ -6,10 +6,10 @@ graded-lexicographic table.  The defining properties (normalization
 E~ 1 = 1, E~ f^2 >= 0 for deg f <= d/2, constraint residuals ~ 0) are
 checkable from that vector alone and are what `validate` measures.
 
-The moment path computes with dense coefficient vectors.  A polynomial
-of degree <= h is the vector of its coefficients over the first
-`count_through(h)` monomials of a `MonomialIndex`, a prefix shared by
-every table over the same variables.  One kernel serves all of it:
+Every polynomial is a dense coefficient vector.  A polynomial of degree
+<= h is the vector of its coefficients over the first `count_through(h)`
+monomials of a `MonomialIndex`, a prefix shared by every table over the
+same variables.  One kernel serves all of it:
 
 - `MonomialIndex.sum_table(h1, h2)` is a cached integer table holding
   the index of x^(a+b), sized to the (h1, h2) block it serves;
@@ -19,19 +19,23 @@ every table over the same variables.  One kernel serves all of it:
   with multinomial weights, and `univariate_poly` combines them into a
   polynomial in <v, x>; even powers and shifted powers are then quadratic
   forms against a block gathered once per distribution;
-- `poly_product` multiplies two dense vectors through a sum table.
+- `poly_mul` multiplies two dense vectors through a sum table, and
+  `poly_pow` folds it into a power.
+
+`dense_poly` writes a polynomial down from {exponent: coefficient}
+literals; nothing computes on that form.  Constraints, localizers,
+reweighting polynomials and their certificates are all dense vectors.
 
 Reweighting by a sum-of-squares polynomial p sends the moment vector y
-to y'[a] = E~[p * x^a] / E~[p] at reduced degree.  Sparse dicts mapping
-exponent tuples to float coefficients remain at the API edge:
-`ReweightPolynomial`, `ConstraintSpec`, `pseudo_expect` and the factor
-reports of the reweighting layer take and hand out dicts.
+to y'[a] = E~[p * x^a] / E~[p] at reduced degree.  Every
+`ReweightPolynomial` carries roots g_i with p = sum g_i^2, and
+`reweight` checks that identity before it uses p.
 
 Distributions embedded from an explicit finite support keep their atoms
 (`support` field).  Such objects are actual distributions, hence valid
-pseudo-distributions of every degree: the reweighting machinery uses the
-atoms to evaluate arbitrarily high-degree reweightings exactly, while
-the stored moment vector is still truncated at the declared degree.
+pseudo-distributions of every degree: `reweight` evaluates the weight
+at the atoms, exact at every degree, while the stored moment vector is
+still truncated at the declared degree.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .errors import (
     DegreeExceeded,
     DegreeExhausted,
     DimensionMismatch,
-    IllFormed,
     NotSOS,
 )
 
@@ -107,6 +110,17 @@ class MonomialIndex:
             raise DimensionMismatch(
                 f"{count} coefficients fill no degree prefix of the table") from None
 
+    def degree_of(self, vec: np.ndarray) -> int:
+        """Total degree of the dense polynomial vec, 0 for the zero
+        polynomial.  The graded order runs on past the table, so a vector
+        longer than the table has a degree too."""
+        nonzero = np.flatnonzero(vec)
+        last = int(nonzero[-1]) if nonzero.size else 0
+        degree = 0
+        while math.comb(self.num_vars + degree, degree) <= last:
+            degree += 1
+        return degree
+
     def block(self, degree: int) -> slice:
         """Positions of the monomials of total degree exactly `degree`."""
         return slice(self.offsets[degree], self.offsets[degree + 1])
@@ -156,82 +170,6 @@ def monomial_index(num_vars: int, max_degree: int) -> MonomialIndex:
     return MonomialIndex(num_vars, max_degree)
 
 
-# -- sparse polynomial helpers -----------------------------------------------
-
-
-def poly_clean(p: dict) -> dict:
-    return {e: c for e, c in p.items() if c != 0.0}
-
-
-def poly_degree(p: dict) -> int:
-    return max((sum(e) for e, c in p.items() if c != 0.0), default=0)
-
-
-def poly_constant(c: float, num_vars: int) -> dict:
-    return {(0,) * num_vars: float(c)}
-
-
-def poly_linear(vec) -> dict:
-    """<vec, x> as a sparse polynomial."""
-    vec = np.asarray(vec, dtype=float)
-    n = vec.shape[0]
-    out = {}
-    for i in range(n):
-        if vec[i] != 0.0:
-            e = [0] * n
-            e[i] = 1
-            out[tuple(e)] = float(vec[i])
-    return out
-
-
-def poly_quadratic(q) -> dict:
-    """x^T Q x as a sparse polynomial (Q symmetrized)."""
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    s = 0.5 * (q + q.T)
-    out: dict = {}
-    for i in range(n):
-        for j in range(i, n):
-            c = s[i, i] if i == j else 2.0 * s[i, j]
-            if c != 0.0:
-                e = [0] * n
-                e[i] += 1
-                e[j] += 1
-                out[tuple(e)] = c
-    return out
-
-
-def poly_add(p: dict, q: dict, scale: float = 1.0) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0.0) + scale * c
-    return poly_clean(out)
-
-
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return poly_clean(out)
-
-
-def poly_pow(p: dict, k: int) -> dict:
-    if k < 0:
-        raise ValueError("negative power")
-    num_vars = len(next(iter(p))) if p else 1
-    out = poly_constant(1.0, num_vars)
-    base = dict(p)
-    while k:
-        if k & 1:
-            out = poly_mul(out, base)
-        k >>= 1
-        if k:
-            base = poly_mul(base, base)
-    return out
-
-
 def as_point_rows(points) -> np.ndarray:
     """Coerce to shape (num_points, num_vars); 1-d input means univariate."""
     arr = np.asarray(points, dtype=float)
@@ -240,87 +178,39 @@ def as_point_rows(points) -> np.ndarray:
     return arr
 
 
-def poly_eval(p: dict, points: np.ndarray) -> np.ndarray:
-    """Evaluate at each row of points; returns shape (len(points),)."""
-    points = as_point_rows(points)
-    vals = np.zeros(points.shape[0])
-    for e, c in p.items():
-        term = np.ones(points.shape[0])
-        for j, ej in enumerate(e):
-            if ej:
-                term = term * points[:, j] ** ej
-        vals += c * term
-    return vals
-
-
 # -- core types --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSpec:
-    """Polynomial constraint: `polynomial == 0` (eq) or `polynomial >= 0` (ineq)."""
+    """Polynomial constraint `polynomial == 0` (eq) or `polynomial >= 0`
+    (ineq), the polynomial a dense coefficient vector."""
 
-    polynomial: tuple  # canonicalized dict items, kept hashable
+    polynomial: np.ndarray
     kind: str = "eq"
 
-    @staticmethod
-    def equality(p: dict) -> "ConstraintSpec":
-        return ConstraintSpec(tuple(sorted(poly_clean(p).items())), "eq")
 
-    @staticmethod
-    def inequality(p: dict) -> "ConstraintSpec":
-        return ConstraintSpec(tuple(sorted(poly_clean(p).items())), "ineq")
-
-    def poly(self) -> dict:
-        return dict(self.polynomial)
-
-    def degree(self) -> int:
-        return poly_degree(self.poly())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReweightPolynomial:
-    """A sum-of-squares reweighting polynomial.
+    """A sum-of-squares reweighting polynomial p with its certificate.
 
-    `certificate` is an optional tuple of polynomials g_i with
-    sum g_i^2 = coefficients; reweight() verifies it (or falls back to a
-    numeric Gram check when absent).
+    `coefficients` is the dense vector of p and `certificate` the tuple
+    of dense roots g_i with p = sum_i g_i^2, all filling degree prefixes
+    of `index`, which also holds the squares g_i^2.  reweight() checks
+    the identity before it uses p.
     """
 
-    coefficients: tuple
-    degree: int
-    certificate: tuple | None = None
+    index: MonomialIndex
+    coefficients: np.ndarray
+    certificate: tuple
 
-    @staticmethod
-    def from_square(g: dict) -> "ReweightPolynomial":
-        p = poly_mul(g, g)
-        return ReweightPolynomial(
-            tuple(sorted(p.items())), poly_degree(p),
-            (tuple(sorted(poly_clean(g).items())),))
+    def __post_init__(self):
+        # the roots are a tuple, never None: every reweighting is checked
+        object.__setattr__(self, "certificate", tuple(self.certificate))
 
-    @staticmethod
-    def from_coefficients(p: dict, certificate=None) -> "ReweightPolynomial":
-        p = poly_clean(p)
-        cert = None
-        if certificate is not None:
-            cert = tuple(tuple(sorted(poly_clean(g).items())) for g in certificate)
-        return ReweightPolynomial(tuple(sorted(p.items())), poly_degree(p), cert)
-
-    def poly(self) -> dict:
-        return dict(self.coefficients)
-
-    def certificate_polys(self):
-        if self.certificate is None:
-            return None
-        return [dict(g) for g in self.certificate]
-
-    def product(self, other: "ReweightPolynomial") -> "ReweightPolynomial":
-        p = poly_mul(self.poly(), other.poly())
-        cert = None
-        if self.certificate is not None and other.certificate is not None:
-            cert = [poly_mul(dict(g), dict(h))
-                    for g in self.certificate for h in other.certificate]
-        return ReweightPolynomial.from_coefficients(p, cert)
+    @property
+    def degree(self) -> int:
+        return self.index.degree_of(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -337,26 +227,22 @@ class PseudoDistribution:
     def num_vars(self) -> int:
         return self.index.num_vars
 
-    def expect(self, p: dict) -> float:
-        return pseudo_expect(self, p)
+    def expect(self, vec: np.ndarray) -> float:
+        """E~ of the dense polynomial vec.  Raises DegreeExceeded when vec
+        runs past the moment table."""
+        if vec.size > self.moments.size:
+            raise DegreeExceeded(
+                f"{vec.size} coefficients exceed the degree-{self.degree} table")
+        return float(vec @ self.moments[:vec.size])
 
 
-def pseudo_expect(mu: PseudoDistribution, p: dict) -> float:
-    """E~_mu[p].  Raises DegreeExceeded when deg p > mu.degree."""
-    total = 0.0
-    for e, c in p.items():
-        if c == 0.0:
-            continue
-        total += c * mu.moments[mu.index.index_of(e)]
-    return float(total)
-
-
-def dense_poly(index: MonomialIndex, p: dict, degree: int) -> np.ndarray:
-    """Coefficient vector of the dict polynomial p over the monomials of
-    degree <= degree.  Raises DegreeExceeded when a term does not fit."""
+def dense_poly(index: MonomialIndex, terms: dict, degree: int) -> np.ndarray:
+    """Coefficient vector of the polynomial written as {exponent:
+    coefficient} literals, over the monomials of degree <= degree.
+    Raises DegreeExceeded when a term does not fit."""
     count = index.count_through(degree)
     out = np.zeros(count)
-    for e, c in p.items():
+    for e, c in terms.items():
         if c == 0.0:
             continue
         i = index.index_of(e)
@@ -364,12 +250,6 @@ def dense_poly(index: MonomialIndex, p: dict, degree: int) -> np.ndarray:
             raise DegreeExceeded(f"monomial {e} above degree {degree}")
         out[i] += c
     return out
-
-
-def sparse_poly(index: MonomialIndex, vec: np.ndarray) -> dict:
-    """The dict polynomial with the nonzero coefficients of vec."""
-    exps = index.exponent_tuples
-    return {exps[i]: float(vec[i]) for i in np.flatnonzero(vec)}
 
 
 def moment_block(mu: PseudoDistribution, h1: int, h2: int) -> np.ndarray:
@@ -404,7 +284,7 @@ def univariate_poly(index: MonomialIndex, powers: np.ndarray, coeffs) -> np.ndar
     return np.asarray(coeffs, dtype=float)[index.degrees[:count]] * powers[..., :count]
 
 
-def poly_product(index: MonomialIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def poly_mul(index: MonomialIndex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense product of two coefficient vectors, each filling a degree
     prefix of the table."""
     ha = index.degree_of_count(a.size)
@@ -414,41 +294,52 @@ def poly_product(index: MonomialIndex, a: np.ndarray, b: np.ndarray) -> np.ndarr
                        minlength=index.count_through(ha + hb))
 
 
-def moment_matrix(mu: PseudoDistribution, localizer: dict | None = None) -> np.ndarray:
+def poly_pow(index: MonomialIndex, a: np.ndarray, k: int) -> np.ndarray:
+    """a^k as the left fold (...((a a) a)...) a of `poly_mul`; the
+    constant 1 when k = 0."""
+    if k < 0:
+        raise ValueError("negative power")
+    out = a if k else np.ones(1)
+    for _ in range(k - 1):
+        out = poly_mul(index, out, a)
+    return out
+
+
+def moment_matrix(mu: PseudoDistribution, localizer: np.ndarray | None = None) -> np.ndarray:
     """Moment matrix M[a,b] = E~[loc * x^(a+b)] over monomials of degree
-    <= (degree - deg loc) // 2; localizer=None means the plain matrix."""
-    loc = localizer if localizer is not None else poly_constant(1.0, mu.num_vars)
-    dloc = poly_degree(loc)
+    <= (degree - deg loc) // 2, for the dense localizer loc; None means
+    the plain matrix."""
+    loc = np.ones(1) if localizer is None else localizer
+    dloc = mu.index.degree_of(loc)
     if dloc > mu.degree:
         raise DegreeExceeded("localizer degree exceeds the distribution degree")
     half = (mu.degree - dloc) // 2
     pairs = mu.index.sum_table(half, half)
     shifted = mu.index.sum_table(2 * half, dloc)
     out = np.zeros(pairs.shape)
-    for e, c in loc.items():
-        if c == 0.0:
-            continue
-        out += c * mu.moments[shifted[pairs, mu.index.index_of(e)]]
+    for i in np.flatnonzero(loc):
+        out += loc[i] * mu.moments[shifted[pairs, i]]
     return 0.5 * (out + out.T)
 
 
-def _check_certificate(p: ReweightPolynomial, num_vars: int) -> bool:
-    gs = p.certificate_polys()
-    half = max((poly_degree(g) for g in gs), default=0)
-    top = max(2 * half, p.degree)
-    index = monomial_index(num_vars, top)
-    diff = -dense_poly(index, p.poly(), top)
-    scale = float(np.abs(diff).max(initial=0.0))
-    for g in gs:
-        vec = dense_poly(index, g, half)
-        square = poly_product(index, vec, vec)
+def _check_certificate(p: ReweightPolynomial) -> bool:
+    """Whether sum g_i^2 reproduces p: every coefficient of the difference
+    within 1e-8 of the largest coefficient of p and of the squares.  The
+    bound scales with p and has no absolute floor, because reweight()
+    divides by E~ p, so the scale of p never protects a false claim."""
+    squares = [poly_mul(p.index, g, g) for g in p.certificate]
+    vectors = [p.coefficients, *squares]
+    diff = np.zeros(max(vec.size for vec in vectors))
+    diff[:p.coefficients.size] -= p.coefficients
+    for square in squares:
         diff[:square.size] += square
-    err = float(np.abs(diff).max(initial=0.0))
-    return err <= 1e-8 * max(scale, 1.0)
+    scale = max(float(np.abs(vec).max(initial=0.0)) for vec in vectors)
+    return float(np.abs(diff).max()) <= 1e-8 * scale
 
 
 def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistribution:
-    """Reweighted pseudo-distribution mu' = p * mu / E~[p].
+    """Reweighted pseudo-distribution mu' = p * mu / E~[p], once the
+    certificate of p checks out (NotSOS otherwise).
 
     For moment-backed mu the result has degree mu.degree - deg(p) and the
     usual degree guard applies; its moments are one gather-matmul,
@@ -456,22 +347,17 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     distribution, so the reweighting is exact at every degree and the
     declared degree is kept.
     """
-    dp = p.degree
-    target = p.poly()
-    if poly_degree(target) != dp:
-        raise IllFormed("ReweightPolynomial degree does not match its coefficients")
-    if p.certificate is not None:
-        if not _check_certificate(p, mu.num_vars):
-            raise NotSOS("certificate does not reproduce the polynomial")
-    else:
-        from .sos_solver import sos_gram_check
-        if not sos_gram_check(target):
-            raise NotSOS("polynomial failed the numeric Gram feasibility check")
+    if p.index.num_vars != mu.num_vars:
+        raise DimensionMismatch(
+            f"weight over {p.index.num_vars} variables, distribution over {mu.num_vars}")
+    if not _check_certificate(p):
+        raise NotSOS("certificate does not reproduce the polynomial")
 
     if mu.support is not None:
         points = np.array([pt for pt, _ in mu.support], dtype=float)
         weights = np.array([w for _, w in mu.support], dtype=float)
-        vals = poly_eval(target, points)
+        exps = p.index.exponents[:p.coefficients.size]
+        vals = np.prod(points[:, None, :] ** exps, axis=2) @ p.coefficients
         vals = np.where(vals < 0.0, 0.0, vals)  # SOS up to float noise
         new_w = weights * vals
         norm = float(new_w.sum())
@@ -479,10 +365,11 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
             raise DegenerateWeight("reweighting annihilates the support")
         return from_support(points, new_w / norm, mu.degree, mu.constraints)
 
+    dp = p.degree
     if dp > mu.degree - 2:
         raise DegreeExhausted(
             f"reweighting degree {dp} exceeds budget of a degree-{mu.degree} distribution")
-    coef = dense_poly(mu.index, target, dp)
+    coef = p.coefficients[:mu.index.count_through(dp)]
     low = mu.moments[:coef.size]
     norm = float(coef @ low)
     scale = float(np.abs(coef) @ np.abs(low))
@@ -493,7 +380,8 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     new_moments = moment_block(mu, new_degree, dp) @ coef
     new_moments /= norm
     new_moments[0] = 1.0
-    kept = tuple(c for c in mu.constraints if c.degree() <= new_degree)
+    kept = tuple(c for c in mu.constraints
+                 if mu.index.degree_of(c.polynomial) <= new_degree)
     return PseudoDistribution(monomial_index(mu.num_vars, new_degree), new_moments,
                               new_degree, kept, None)
 
@@ -555,12 +443,13 @@ class ValidationReport:
                 and self.min_localizer_eig >= -psd_tol)
 
 
-def equality_residual(mu: PseudoDistribution, q: dict) -> float:
-    """max over multipliers x^m of |E~[q * x^m]| with deg(q x^m) <= degree."""
-    dq = poly_degree(q)
+def equality_residual(mu: PseudoDistribution, q: np.ndarray) -> float:
+    """max over multipliers x^m of |E~[q * x^m]| with deg(q x^m) <= degree,
+    for the dense polynomial q."""
+    dq = mu.index.degree_of(q)
     if dq > mu.degree:
         return 0.0
-    acc = moment_block(mu, mu.degree - dq, dq) @ dense_poly(mu.index, q, dq)
+    acc = moment_block(mu, mu.degree - dq, dq) @ q[:mu.index.count_through(dq)]
     return float(np.abs(acc).max())
 
 
@@ -572,24 +461,20 @@ def validate(mu: PseudoDistribution) -> ValidationReport:
     max_res = 0.0
     min_loc = 0.0
     for c in mu.constraints:
-        q = c.poly()
+        q = c.polynomial
         if c.kind == "eq":
             max_res = max(max_res, equality_residual(mu, q))
-        else:
-            if poly_degree(q) <= mu.degree - 2:
-                loc_eigs = np.linalg.eigvalsh(moment_matrix(mu, q))
-                if loc_eigs.size:
-                    min_loc = min(min_loc, float(loc_eigs[0]))
+        elif mu.index.degree_of(q) <= mu.degree - 2:
+            loc_eigs = np.linalg.eigvalsh(moment_matrix(mu, q))
+            if loc_eigs.size:
+                min_loc = min(min_loc, float(loc_eigs[0]))
     return ValidationReport(min_eig, max_res, min_loc, normalized)
 
 
 __all__ = [
     "MonomialIndex", "ConstraintSpec", "ReweightPolynomial", "PseudoDistribution",
-    "monomial_index", "dense_poly", "sparse_poly", "moment_block",
-    "linear_form_powers", "univariate_poly", "poly_product",
-    "pseudo_expect", "moment_matrix", "reweight", "embed_actual_distribution",
-    "from_support", "validate", "ValidationReport", "equality_residual",
-    "poly_clean", "poly_degree", "poly_constant", "poly_linear", "poly_quadratic",
-    "poly_add", "poly_mul", "poly_pow", "poly_eval", "as_point_rows",
-    "PSD_EPS", "CON_EPS", "NORM_EPS",
+    "monomial_index", "dense_poly", "moment_block", "linear_form_powers",
+    "univariate_poly", "poly_mul", "poly_pow", "moment_matrix", "reweight",
+    "embed_actual_distribution", "from_support", "validate", "ValidationReport",
+    "equality_residual", "as_point_rows", "PSD_EPS", "CON_EPS", "NORM_EPS",
 ]

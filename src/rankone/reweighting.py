@@ -30,8 +30,8 @@ projection t, held as a coefficient vector over the monomial table.
 E~ s^{2k}, E~ (s^2 - m)^{2d} and E~ (s +- m)^{2d} are quadratic forms
 of s^k, (s^2 - m)^d and (s +- m)^d against moment blocks gathered once
 per distribution, and candidate directions are screened a batch at a
-time.  Dicts appear only at the edge: in the `ReweightPolynomial`
-handed to `reweight` and in the factor reports.
+time.  The factor reports hold the same dense form: each factor is a
+`ReweightPolynomial` certified by its roots, as `reweight` requires.
 
 Degree accounting is explicit even on the support path, where the atoms
 make every power exact: reports carry degree_spent and fix_scalar
@@ -55,23 +55,15 @@ from .errors import (
 from .pseudodist import (
     PseudoDistribution,
     ReweightPolynomial,
-    dense_poly,
     from_support,
     linear_form_powers,
     moment_block,
-    poly_add,
-    poly_constant,
-    poly_linear,
-    poly_product,
-    poly_quadratic,
+    monomial_index,
+    poly_mul,
+    poly_pow,
     reweight,
-    sparse_poly,
     univariate_poly,
 )
-# poly_mul and poly_pow stay importable from this module although the
-# moment path runs on the dense kernel: benchmark/tracing.py counts the
-# dict-arithmetic calls made through these names
-from .pseudodist import poly_mul, poly_pow  # noqa: F401
 
 DEFAULT_C = 2  # fix_subspace needs subspace mass E~ |proj_S x|^2 >= dim(S)^-C
 
@@ -190,12 +182,10 @@ def fix_scalar(mu: PseudoDistribution, direction, d: int, eps: float,
 
 def _scalar_factors(direction, total_k, m, d):
     """The applied weight as (base, power) pairs: (s^2)^total_k (s + m)^{2d}."""
-    lin = poly_linear(direction)
     factors = []
     if total_k:
-        factors.append((ReweightPolynomial.from_square(lin), total_k))
-    shift = poly_add(lin, poly_constant(m, len(np.atleast_1d(direction))))
-    factors.append((ReweightPolynomial.from_square(shift), d))
+        factors.append((_linear_square(direction), total_k))
+    factors.append((_linear_square(direction, m), d))
     return tuple(factors)
 
 
@@ -267,14 +257,14 @@ def _power_weight(index, v, base, k: int) -> ReweightPolynomial:
     root = _series_pow(base, k)
     square = _series_pow(root, 2)
     powers = linear_form_powers(index, v, len(square) - 1)
-    return ReweightPolynomial.from_coefficients(
-        sparse_poly(index, univariate_poly(index, powers, square)),
-        certificate=[sparse_poly(index, univariate_poly(index, powers, root))])
+    return ReweightPolynomial(index, univariate_poly(index, powers, square),
+                              (univariate_poly(index, powers, root),))
 
 
-def _expect(mu: PseudoDistribution, vec: np.ndarray) -> float:
-    """E~ of a dense coefficient vector."""
-    return float(vec @ mu.moments[:vec.size])
+def _linear_square(v, shift: float = 0.0) -> ReweightPolynomial:
+    """(<v, x> + shift)^2 as a reweighting polynomial certified by
+    <v, x> + shift: a factor base in the reports."""
+    return _power_weight(monomial_index(len(v), 2), v, [shift, 1.0], 1)
 
 
 def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
@@ -289,7 +279,7 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
     index = mu.index
     powers = linear_form_powers(index, direction, d2)
     t = univariate_poly(index, powers, [0.0, 0.0, 1.0])
-    if _expect(mu, t) < 1.0 - 1e-9:
+    if mu.expect(t) < 1.0 - 1e-9:
         raise PreconditionViolated("E~ s^2 < 1; rescale the direction first")
 
     cur = mu
@@ -298,7 +288,7 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
     total_k = 0
     while True:
         block = moment_block(cur, d2, d2)
-        m = _expect(cur, t)
+        m = cur.expect(t)
         trace.append(m)
         # E~ (s^2 - m)^{2d} as the quadratic form of (s^2 - m)^d
         central = univariate_poly(index, powers, _series_pow([-m, 0.0, 1.0], d))
@@ -311,7 +301,7 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
             raise DegreeExhausted(
                 f"scalar did not concentrate within budget (spent {spent})")
         nxt = reweight(cur, _power_weight(index, direction, [0.0, 1.0], k_stage))
-        if _expect(nxt, t) < m * (1.0 - 1e-6):
+        if nxt.expect(t) < m * (1.0 - 1e-6):
             raise PreconditionViolated(
                 "monotonicity of E~ s^2 under even-power reweighting failed")
         cur = nxt
@@ -452,14 +442,11 @@ def _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget, k):
             srep = ScalarFixReport(
                 m_fix, ratio, fix_spent, trace, 1, eps, stage_power(1, eps),
                 _scalar_factors(v / sigma, total_k, m_fix, 1))
-            lin_v = poly_linear(v)
             factors = []
             if pre:
                 factors.append((_projection_weight(rows), pre))
-            factors.append((ReweightPolynomial.from_square(lin_v),
-                            k + total_k))
-            factors.append((ReweightPolynomial.from_square(poly_add(
-                lin_v, poly_constant(m_fix * sigma, pts.shape[1]))), 1))
+            factors.append((_linear_square(v), k + total_k))
+            factors.append((_linear_square(v, m_fix * sigma), 1))
             report = SubspaceFixReport(
                 v, attempt, float(mean @ mean) / mass if mass > 0 else 0.0,
                 spent + step, k, pre, m_fix * sigma, srep, tuple(factors))
@@ -482,12 +469,12 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
         raise DegreeExhausted(
             f"subspace fixing needs degree >= 4, table has {mu.degree}")
     index = mu.index
-    proj = dense_poly(index, poly_quadratic(rows.T @ rows), 2)
+    proj_rp = _projection_weight(rows)
+    proj = proj_rp.coefficients
     dim = rows.shape[0]
-    if _expect(mu, proj) < dim ** (-float(DEFAULT_C)) * (1.0 - 1e-9):
+    if mu.expect(proj) < dim ** (-float(DEFAULT_C)) * (1.0 - 1e-9):
         raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
     k = min(k, max(1, (mu.degree - 4) // 2))
-    proj_rp = _projection_weight(rows)
 
     cur = mu
     pre = 0
@@ -503,12 +490,9 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
 
     # everything the draws compare against depends on cur alone: the
     # power, E~ t^k_use, and the moment blocks of degree 1, k_use, k_use+1
-    mass = _expect(cur, proj)
+    mass = cur.expect(proj)
     k_use = min(k, max(1, (cur.degree - 2) // 2 - 1))
-    proj_k = proj
-    for _ in range(k_use - 1):
-        proj_k = poly_product(index, proj_k, proj)
-    e_tk = _expect(cur, proj_k)
+    e_tk = cur.expect(poly_pow(index, proj, k_use))
     c_k = sphere_moment(dim, k_use)
     block = moment_block(cur, k_use + 1, k_use + 1)
     lo, hi, lin_block = index.block(k_use), index.block(k_use + 1), index.block(1)
@@ -540,12 +524,12 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
                 work = cur
                 step = 0
                 powered = 0
-                if _expect(cur, sq) < (1.0 - eps) ** 3 * mass \
+                if cur.expect(sq) < (1.0 - eps) ** 3 * mass \
                         and work.degree - 2 * k_use >= 4:
                     work = reweight(work, _power_weight(index, v, [0.0, 1.0], k_use))
                     step += 2 * k_use
                     powered = k_use
-                sigma2 = _expect(work, sq)
+                sigma2 = work.expect(sq)
                 if sigma2 <= 0.0:
                     continue
                 sigma = math.sqrt(sigma2)
@@ -562,7 +546,7 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
                 continue
             step += srep.degree_spent
             mean = fixed_mu.moments[lin_block]
-            out_mass = _expect(fixed_mu, proj) if fixed_mu.degree >= 2 else 0.0
+            out_mass = fixed_mu.expect(proj) if fixed_mu.degree >= 2 else 0.0
             target = max(mass, out_mass)
             if float(mean @ mean) >= (1.0 - delta) * target:
                 rng.bit_generator.state = state
@@ -571,8 +555,7 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
                 if pre:
                     factors.append((proj_rp, pre))
                 if powered:
-                    factors.append((ReweightPolynomial.from_square(poly_linear(v)),
-                                    powered))
+                    factors.append((_linear_square(v), powered))
                 factors.extend(srep.factors)
                 report = SubspaceFixReport(
                     v, attempt + j + 1,
@@ -591,25 +574,29 @@ def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def _projection_weight(rows: np.ndarray) -> ReweightPolynomial:
-    """|proj_S x|^2 as a certified reweighting polynomial."""
-    return ReweightPolynomial.from_coefficients(
-        poly_quadratic(rows.T @ rows),
-        certificate=[poly_linear(rows[i]) for i in range(rows.shape[0])])
+    """|proj_S x|^2 = x^T (R^T R) x as a reweighting polynomial certified
+    by the linear forms <r_i, x> of the orthonormal rows r_i."""
+    index = monomial_index(rows.shape[1], 2)
+    pairs = index.sum_table(1, 1)[1:, 1:]   # pairs[i, j] is the index of x_i x_j
+    quadratic = np.bincount(pairs.ravel(), weights=(rows.T @ rows).ravel(),
+                            minlength=index.count_through(2))
+    linear = univariate_poly(index, linear_form_powers(index, rows, 1), [0.0, 1.0])
+    return ReweightPolynomial(index, quadratic, tuple(linear))
 
 
 def _moment_multiplicative_ok(mu, p, k, eps):
     """E~ p^j <= (1 + eps)^{j-1} (E~ p)^j for all j <= k within the degree;
     p is a dense quadratic."""
     acc = p
-    y1 = _expect(mu, p)
+    y1 = mu.expect(p)
     bound = 1.0
     for j in range(1, k + 1):
         if 2 * j > mu.degree:
             return True
         if j > 1:
-            acc = poly_product(mu.index, acc, p)
+            acc = poly_mul(mu.index, acc, p)
         bound *= (1.0 + eps) * y1
-        if _expect(mu, acc) > bound + 1e-300:
+        if mu.expect(acc) > bound + 1e-300:
             return False
     return True
 

@@ -90,9 +90,6 @@ from .pseudodist import (
     MonomialIndex,
     PseudoDistribution,
     monomial_index,
-    poly_clean,
-    poly_constant,
-    poly_degree,
 )
 
 DEFAULT_TOL = 1e-7
@@ -116,7 +113,8 @@ class SdpProblem:
         equality spec q gives one row E~[q x^m] = 0 per multiplier x^m,
         in graded order.  Those rows are the coefficient vectors of the
         truncated-ideal members q x^m that back the facial reduction.
-    psd_blocks: localizer polynomials; poly 1 is the plain moment matrix.
+    psd_blocks: localizer polynomials as dense coefficient vectors; the
+        constant 1 (the vector [1.0]) gives the plain moment matrix.
     constraints: the originating ConstraintSpecs, recorded on the output.
 
     The solver keeps only the moments of the invariant sign class (see
@@ -174,8 +172,9 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
 
     Equalities q = 0 become E~[q * x^m] = 0 for every multiplier with
     deg(q x^m) <= degree; inequalities q >= 0 contribute a localizing
-    PSD block.  Degree must be even (the main moment matrix must reach
-    every stored moment).
+    PSD block.  Each q is a dense coefficient vector over the monomial
+    table.  Degree must be even (the main moment matrix must reach every
+    stored moment).
     """
     if degree < 2 or degree % 2 != 0:
         raise DegreeTooSmall(f"need an even degree >= 2, got {degree}")
@@ -183,22 +182,22 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
     # row 0 is the normalization E~ 1 = 1
     rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
     num_rows = 1
-    blocks = [poly_constant(1.0, num_vars)]
+    blocks = [np.ones(1)]
     for spec in constraints:
-        q = poly_clean(spec.poly())
-        dq = poly_degree(q)
-        if not q:
+        q = spec.polynomial
+        terms = np.flatnonzero(q)
+        if not terms.size:
             continue
+        dq = index.degree_of(q)
         if dq > degree:
             raise IllFormed(f"constraint degree {dq} exceeds problem degree {degree}")
         if spec.kind == "eq":
             # Row num_rows + m is q x^m: term x^e lands on column table[e, m].
             table = index.sum_table(dq, degree - dq)
-            terms = np.array([index.index_of(e) for e in q])
             mult_count = table.shape[1]
-            rows.append(np.tile(np.arange(num_rows, num_rows + mult_count), len(q)))
+            rows.append(np.tile(np.arange(num_rows, num_rows + mult_count), terms.size))
             cols.append(table[terms].reshape(-1))
-            data.append(np.repeat(np.fromiter(q.values(), float, len(q)), mult_count))
+            data.append(np.repeat(q[terms], mult_count))
             num_rows += mult_count
         elif spec.kind == "ineq":
             if dq > degree - 2:
@@ -223,27 +222,20 @@ def build_bss_problem(w, degree: int) -> SdpProblem:
     if degree < 4 or degree % 2 != 0:
         raise DegreeTooSmall(f"rank-one search needs an even degree >= 4, got {degree}")
     n = w.ambient
-    num_vars = 2 * n
+    index = monomial_index(2 * n, degree)
+    pairs = index.sum_table(1, 1)   # pairs[1 + i, 1 + j] is the index of x_i x_j
+    u, v = np.arange(1, n + 1), np.arange(n + 1, 2 * n + 1)
     specs = []
-    for offset in (0, n):
-        sphere = {}
-        for i in range(n):
-            e = [0] * num_vars
-            e[offset + i] = 2
-            sphere[tuple(e)] = 1.0
-        sphere[(0,) * num_vars] = -1.0
-        specs.append(ConstraintSpec.equality(sphere))
+    for block in (u, v):
+        sphere = np.zeros(index.count_through(2))
+        sphere[0] = -1.0
+        sphere[pairs[block, block]] = 1.0
+        specs.append(ConstraintSpec(sphere))
     for mat in w.complement_matrices():
-        bil = {}
-        for i in range(n):
-            for j in range(n):
-                if mat[i, j] != 0.0:
-                    e = [0] * num_vars
-                    e[i] += 1
-                    e[n + j] += 1
-                    bil[tuple(e)] = float(mat[i, j])
-        specs.append(ConstraintSpec.equality(bil))
-    return build_problem(num_vars, degree, specs)
+        bilinear = np.zeros(index.count_through(2))
+        bilinear[pairs[np.ix_(u, v)]] = mat
+        specs.append(ConstraintSpec(bilinear))
+    return build_problem(2 * n, degree, specs)
 
 
 # -- infeasibility certificate -----------------------------------------------
@@ -259,18 +251,19 @@ def moment_bound(problem: SdpProblem) -> float:
     E~[x^2a], every term a diagonal entry of the moment matrix, so
     E~ x^2a <= E~ 1 = 1 by induction on the degree, and then
     |E~ x^(a+b)| <= sqrt(E~ x^2a E~ x^2b) <= 1."""
-    n = problem.index.num_vars
-    if poly_constant(1.0, n) not in problem.psd_blocks:
+    index = problem.index
+    if not any(loc[0] == 1.0 and not loc[1:].any() for loc in problem.psd_blocks):
         return np.inf
     covered = set()
     for spec in problem.constraints:
-        q = poly_clean(spec.poly())
-        const = q.pop((0,) * n, 0.0)
-        squares = [e.index(2) for e, c in q.items()
-                   if c == -const and sum(e) == 2 and max(e) == 2]
-        if spec.kind == "eq" and const and len(squares) == len(q):
-            covered.update(squares)
-    return 1.0 if len(covered) == n else np.inf
+        q = spec.polynomial
+        const = q[0]
+        terms = np.flatnonzero(q[1:]) + 1
+        exps = index.exponents[terms]
+        squares = (q[terms] == -const) & (index.degrees[terms] == 2) & (exps.max(axis=1) == 2)
+        if spec.kind == "eq" and const and squares.all():
+            covered.update(exps.argmax(axis=1).tolist())
+    return 1.0 if len(covered) == index.num_vars else np.inf
 
 
 def certificate_margin(problem: SdpProblem, multipliers: np.ndarray) -> float:
@@ -344,10 +337,10 @@ def _sign_classes(problem: SdpProblem) -> np.ndarray:
     col_parity = parity[lmat.indices]
     row_of = _row_of(lmat)
     first = col_parity[lmat.indptr[row_of]]
-    local = [index.index_of(e) for loc in problem.psd_blocks for e in loc]
+    local = np.concatenate([np.flatnonzero(loc) for loc in problem.psd_blocks])
     generators = np.concatenate([col_parity ^ first,
                                  col_parity[problem.rhs[row_of] != 0],
-                                 parity[np.array(local, dtype=np.int64)]])
+                                 parity[local]])
     basis: list = []
     for v in set(generators.tolist()):
         v = _reduce(v, basis)
@@ -387,7 +380,7 @@ class _BlockMap:
         data = []
         offset = 0
         for loc in localizers:
-            dloc = poly_degree(loc)
+            dloc = index.degree_of(loc)
             half = (degree - dloc) // 2
             # Entry (a, b) of the block for term c x^e reads c * y[a + b + e].
             table = index.sum_table(half, half)
@@ -396,10 +389,10 @@ class _BlockMap:
                 m = members.size
                 base = table[np.ix_(members, members)].reshape(-1)
                 self.sizes.append(m)
-                for e, c in sorted(loc.items()):
+                for e in np.flatnonzero(loc):
                     rows.append(np.arange(offset, offset + m * m))
-                    cols.append(column[shift[base, index.index_of(e)]])
-                    data.append(np.full(m * m, c))
+                    cols.append(column[shift[base, e]])
+                    data.append(np.full(m * m, loc[e]))
                 offset += m * m
         self.total = offset
         self.matrix = sp.csr_matrix(
@@ -901,59 +894,3 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     dist = PseudoDistribution(index, moments, index.max_degree,
                               tuple(problem.constraints), None)
     return dist, report
-
-
-# -- numeric SOS check -------------------------------------------------------
-
-
-def sos_gram_check(p: dict, tol: float = 1e-8, iterations: int = 5000) -> bool:
-    """Decide whether p admits a PSD Gram matrix, by alternating projections
-    between the PSD cone and the affine set of Gram matrices of p."""
-    p = poly_clean(p)
-    if not p:
-        return True
-    deg = poly_degree(p)
-    if deg % 2:
-        return False
-    num_vars = len(next(iter(p)))
-    half = MonomialIndex(num_vars, deg // 2)
-    m = half.size
-    exps = half.exponents
-
-    class_of = {}
-    class_ids = np.empty((m, m), dtype=np.int64)
-    for a in range(m):
-        for b in range(m):
-            key = tuple(int(v) for v in exps[a] + exps[b])
-            class_ids[a, b] = class_of.setdefault(key, len(class_of))
-    n_classes = len(class_of)
-    target = np.zeros(n_classes)
-    for e, c in p.items():
-        cid = class_of.get(e)
-        if cid is None:
-            return False  # a coefficient no Gram entry can reach
-        target[cid] = c
-    counts = np.bincount(class_ids.reshape(-1), minlength=n_classes).astype(float)
-
-    scale = max(1.0, float(np.abs(target).max()))
-    flat_ids = class_ids.reshape(-1)
-    gram = np.zeros((m, m))
-    best = np.inf
-    since_best = 0
-    for _ in range(iterations):
-        sums = np.bincount(flat_ids, weights=gram.reshape(-1), minlength=n_classes)
-        gram = gram + ((target - sums) / counts)[class_ids]
-        vals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
-        gram = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        sums = np.bincount(flat_ids, weights=gram.reshape(-1), minlength=n_classes)
-        res = float(np.abs(sums - target).max())
-        if res <= tol * scale:
-            return True
-        if res < 0.999 * best:
-            best = res
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > 300:
-                return False
-    return False

@@ -13,7 +13,9 @@ rounds suffice.
 concentrated table, a trace of its steps and the composite
 reweighting, a product of certified SOS factors kept in base^power form:
 expanding powers like <v,x>^{2k} over several variables is exponentially
-large, while the factored form is exact and replayable.
+large, while the factored form is exact and replayable.  Each base is a
+dense `ReweightPolynomial` carrying its roots, so a replay checks every
+certificate again.
 """
 
 from __future__ import annotations

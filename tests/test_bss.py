@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from rankone.bss import (
-    BssReport,
     ComplexSubspace,
     MeasurementOperator,
     RankOneCandidate,

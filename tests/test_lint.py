@@ -1,8 +1,9 @@
-"""Static checks on the package source.
+"""Static checks on the package source and the tests.
 
-Every import in `src/rankone` binds a name the module uses (a line
-marked `# noqa: F401` keeps a deliberate re-export), and every entry of
-a module's `__all__` resolves to an attribute of that module.
+Every import in `src/rankone` and in `tests` binds a name the module
+uses (a line marked `# noqa: F401` keeps a deliberate re-export), and
+every entry of a package module's `__all__` resolves to an attribute of
+that module.
 """
 
 import ast
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rankone").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "rankone").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(path: Path) -> list:
@@ -37,7 +40,7 @@ def _unused_imports(path: Path) -> list:
     return unused
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 

@@ -1,7 +1,9 @@
 """Tests for the pseudo-distribution moment machinery.
 
 Oracles: brute-force monomial enumeration, direct weighted power sums
-over explicit support points, and polynomial evaluation on random grids.
+over explicit support points, polynomial evaluation at more random
+points than monomials, and expectations taken term by term, each
+monomial looked up by its exponent.
 """
 
 import itertools
@@ -26,26 +28,17 @@ from rankone.pseudodist import (
     embed_actual_distribution,
     equality_residual,
     dense_poly,
-    from_support,
     linear_form_powers,
     moment_block,
     moment_matrix,
     monomial_index,
-    poly_add,
-    poly_degree,
-    poly_eval,
-    poly_linear,
     poly_mul,
     poly_pow,
-    poly_product,
-    poly_quadratic,
-    pseudo_expect,
     reweight,
-    sparse_poly,
     univariate_poly,
     validate,
 )
-from rankone.reweighting import fix_scalar, fix_subspace
+from rankone.reweighting import _projection_weight, fix_scalar, fix_subspace
 
 
 def brute_monomials(num_vars, max_degree):
@@ -82,14 +75,42 @@ def random_discrete(rng, num_points, num_vars, degree):
 
 
 def random_poly(rng, index, max_degree):
-    count = index.count_through(max_degree)
-    coefs = rng.standard_normal(count)
-    return {tuple(int(v) for v in index.exponents[i]): float(coefs[i])
-            for i in range(count)}
+    """A dense polynomial with standard normal coefficients up to max_degree."""
+    return rng.standard_normal(index.count_through(max_degree))
 
 
-def poly_constant_2(c):
-    return {(0, 0): float(c)}
+def dense(terms):
+    """The dense vector of {exponent: coefficient} literals, over the
+    table of their own variable count and degree."""
+    num_vars = len(next(iter(terms)))
+    degree = max(sum(e) for e in terms)
+    return dense_poly(monomial_index(num_vars, degree), terms, degree)
+
+
+def evaluate(index, vec, points):
+    """Oracle: sum_a vec[a] x^a at each row of points, monomial by monomial."""
+    points = np.asarray(points, dtype=float)
+    return sum(vec[i] * np.prod(points ** index.exponents[i], axis=1)
+               for i in range(vec.size))
+
+
+def loop_expect(mu, vec, shift=None):
+    """Oracle: E~[vec * x^shift], term by term, each monomial looked up
+    by its exponent."""
+    exps = mu.index.exponents
+    shift = np.zeros(mu.num_vars, dtype=np.int64) if shift is None else shift
+    return sum(vec[i] * mu.moments[mu.index.index_of(tuple(int(v) for v in exps[i] + shift))]
+               for i in np.flatnonzero(vec))
+
+
+def square(index, g):
+    """g^2 as a reweighting polynomial certified by g."""
+    return ReweightPolynomial(index, poly_mul(index, g, g), (g,))
+
+
+def linear(v, const=0.0):
+    """Dense vector of const + <v, x>."""
+    return np.concatenate([[const], np.asarray(v, dtype=float)])
 
 
 # -- monomial table ----------------------------------------------------------
@@ -170,40 +191,51 @@ def test_index_layout_and_memoization():
 
 
 def test_poly_builders_evaluate_correctly():
-    """Linear and quadratic builders agree with direct formulas on a grid."""
+    """Linear and quadratic builders agree with direct formulas on a
+    grid: <v, x> through linear_form_powers and |R x|^2 through the
+    projection weight of the reweighting layer."""
     rng = np.random.default_rng(11)
+    ix = monomial_index(3, 2)
     vec = rng.standard_normal(3)
-    q = rng.standard_normal((3, 3))
+    rows = rng.standard_normal((2, 3))
     pts = rng.standard_normal((40, 3))
-    lin = poly_eval(poly_linear(vec), pts)
-    np.testing.assert_allclose(lin, pts @ vec, atol=1e-12)
-    quad = poly_eval(poly_quadratic(q), pts)
-    direct = np.einsum("ki,ij,kj->k", pts, 0.5 * (q + q.T), pts)
-    np.testing.assert_allclose(quad, direct, atol=1e-10)
+    lin = univariate_poly(ix, linear_form_powers(ix, vec, 1), [0.0, 1.0])
+    np.testing.assert_allclose(evaluate(ix, lin, pts), pts @ vec, atol=1e-12)
+    np.testing.assert_array_equal(lin, linear(vec))
+    quad = _projection_weight(rows).coefficients
+    direct = ((pts @ rows.T) ** 2).sum(axis=1)
+    np.testing.assert_allclose(evaluate(ix, quad, pts), direct, atol=1e-10)
 
 
 def test_poly_arithmetic_against_evaluation():
-    """add/mul/pow commute with pointwise evaluation."""
+    """mul and pow commute with pointwise evaluation, at more points than
+    the product has monomials."""
     rng = np.random.default_rng(5)
-    ix = MonomialIndex(2, 3)
-    pts = rng.uniform(-1, 1, size=(25, 2))
+    ix = MonomialIndex(2, 6)
+    pts = rng.uniform(-1, 1, size=(40, 2))
     for _ in range(20):
         p = random_poly(rng, ix, 2)
         q = random_poly(rng, ix, 3)
         np.testing.assert_allclose(
-            poly_eval(poly_add(p, q, scale=-2.0), pts),
-            poly_eval(p, pts) - 2.0 * poly_eval(q, pts), atol=1e-10)
-        np.testing.assert_allclose(
-            poly_eval(poly_mul(p, q), pts),
-            poly_eval(p, pts) * poly_eval(q, pts), atol=1e-9)
+            evaluate(ix, poly_mul(ix, p, q), pts),
+            evaluate(ix, p, pts) * evaluate(ix, q, pts), atol=1e-9)
     p = random_poly(rng, ix, 2)
     np.testing.assert_allclose(
-        poly_eval(poly_pow(p, 3), pts), poly_eval(p, pts) ** 3, rtol=1e-9, atol=1e-9)
+        evaluate(ix, poly_pow(ix, p, 3), pts), evaluate(ix, p, pts) ** 3,
+        rtol=1e-9, atol=1e-9)
+    np.testing.assert_array_equal(poly_pow(ix, p, 0), [1.0])
+    assert poly_pow(ix, p, 1) is p
+    with pytest.raises(ValueError):
+        poly_pow(ix, p, -1)
 
 
 def test_poly_degree_ignores_zero_coefficients():
-    assert poly_degree({(3, 0): 0.0, (1, 1): 2.0}) == 2
-    assert poly_degree({}) == 0
+    ix = monomial_index(2, 3)
+    assert ix.degree_of(dense_poly(ix, {(3, 0): 0.0, (1, 1): 2.0}, 3)) == 2
+    assert ix.degree_of(np.zeros(1)) == 0
+    assert ix.degree_of(np.array([0.0, 0.0, 1.5])) == 1
+    # the graded order runs on past the table
+    assert monomial_index(2, 1).degree_of(dense({(3, 1): 1.0})) == 4
 
 
 # -- embedding and expectation -------------------------------------------------
@@ -225,9 +257,11 @@ def test_expectation_is_linear_and_matches_evaluation():
     for _ in range(30):
         p = random_poly(rng, ix, 4)
         q = random_poly(rng, ix, 2)
-        direct = float(np.dot(w, poly_eval(p, pts)))
+        direct = float(np.dot(w, evaluate(ix, p, pts)))
         assert abs(mu.expect(p) - direct) < 1e-10
-        lhs = mu.expect(poly_add(p, q, scale=3.0))
+        combined = p.copy()
+        combined[:q.size] += 3.0 * q
+        lhs = mu.expect(combined)
         assert abs(lhs - (mu.expect(p) + 3.0 * mu.expect(q))) < 1e-10
 
 
@@ -235,15 +269,15 @@ def test_expectation_rejects_high_degree():
     rng = np.random.default_rng(4)
     _, _, mu = random_discrete(rng, 4, 2, 4)
     with pytest.raises(DegreeExceeded):
-        mu.expect({(3, 2): 1.0})
+        mu.expect(dense({(3, 2): 1.0}))
 
 
 def test_univariate_points_accepted_as_flat_array():
     """1-d point input means one variable, not one point."""
     mu = embed_actual_distribution(np.array([1.0, -1.0]), np.array([0.5, 0.5]), 4)
     assert mu.num_vars == 1
-    assert abs(mu.expect({(2,): 1.0}) - 1.0) < 1e-12
-    assert abs(mu.expect({(1,): 1.0})) < 1e-12
+    assert abs(mu.expect(dense({(2,): 1.0})) - 1.0) < 1e-12
+    assert abs(mu.expect(dense({(1,): 1.0}))) < 1e-12
 
 
 def test_embed_rejects_bad_weights():
@@ -281,7 +315,7 @@ def test_square_expectations_nonnegative():
     worst = 0.0
     for _ in range(10_000):
         f = random_poly(rng, ix, 3)
-        worst = min(worst, mu.expect(poly_mul(f, f)))
+        worst = min(worst, mu.expect(poly_mul(ix, f, f)))
     assert worst >= -1e-9
 
 
@@ -292,9 +326,9 @@ def test_cauchy_schwarz_on_pseudo_expectations():
     for _ in range(200):
         f = random_poly(rng, ix, 2)
         g = random_poly(rng, ix, 2)
-        lhs = mu.expect(poly_mul(f, g))
-        rhs = math.sqrt(max(mu.expect(poly_mul(f, f)), 0.0)
-                        * max(mu.expect(poly_mul(g, g)), 0.0))
+        lhs = mu.expect(poly_mul(ix, f, g))
+        rhs = math.sqrt(max(mu.expect(poly_mul(ix, f, f)), 0.0)
+                        * max(mu.expect(poly_mul(ix, g, g)), 0.0))
         assert lhs <= rhs + 1e-9
 
 
@@ -305,7 +339,7 @@ def test_localized_moment_matrix_psd_for_valid_localizer():
     pts *= (0.9 * rng.uniform(0.2, 1.0, 7) / np.linalg.norm(pts, axis=1))[:, None]
     w = np.full(7, 1.0 / 7.0)
     mu = embed_actual_distribution(pts, w, 6)
-    ball = poly_add(poly_constant_2(1.0), poly_quadratic(-np.eye(2)))  # 1 - |x|^2
+    ball = dense({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})  # 1 - |x|^2
     loc = moment_matrix(mu, ball)
     assert np.linalg.eigvalsh(loc)[0] >= -1e-10
 
@@ -331,12 +365,15 @@ def test_validate_flags_corrupted_moments():
     assert not validate(broken).ok()
 
 
+CIRCLE = {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}  # x^2 + y^2 - 1
+
+
 def test_equality_residual_measures_constraint():
     """Residual is ~0 on the constraint's support, large off it."""
     pts = np.array([[1.0, 0.0], [-1.0, 0.0]])  # on the circle x^2 + y^2 = 1
     w = np.array([0.5, 0.5])
-    circle = poly_add(poly_quadratic(np.eye(2)), poly_constant_2(-1.0))
-    mu = embed_actual_distribution(pts, w, 6, (ConstraintSpec.equality(circle),))
+    circle = dense(CIRCLE)
+    mu = embed_actual_distribution(pts, w, 6, (ConstraintSpec(circle),))
     assert equality_residual(mu, circle) < 1e-12
     assert validate(mu).ok()
     off = embed_actual_distribution(2.0 * pts, w, 6)
@@ -350,16 +387,16 @@ def test_reweight_matches_direct_formula_on_support():
     """mu' weights are w_i p(x_i) / sum, so every moment follows."""
     rng = np.random.default_rng(13)
     pts, w, mu = random_discrete(rng, 6, 2, 6)
-    g = poly_linear(rng.standard_normal(2))
-    rw = ReweightPolynomial.from_square(g)
+    ix = monomial_index(2, 2)
+    rw = square(ix, linear(rng.standard_normal(2)))
     nu = reweight(mu, rw)
-    vals = poly_eval(rw.poly(), pts)
+    vals = evaluate(ix, rw.coefficients, pts)
     w2 = w * vals
     w2 /= w2.sum()
     ix = MonomialIndex(2, 4)
     for _ in range(50):
         p = random_poly(rng, ix, 4)
-        direct = float(np.dot(w2, poly_eval(p, pts)))
+        direct = float(np.dot(w2, evaluate(ix, p, pts)))
         assert abs(nu.expect(p) - direct) < 1e-10
 
 
@@ -369,25 +406,26 @@ def test_reweight_moment_path_agrees_with_support_path():
     rng = np.random.default_rng(14)
     pts, w, mu = random_discrete(rng, 5, 2, 6)
     blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
-    g = poly_add(poly_linear(rng.standard_normal(2)), poly_constant_2(0.7))
-    rw = ReweightPolynomial.from_square(g)
+    rw = square(monomial_index(2, 2), linear(rng.standard_normal(2), 0.7))
     a = reweight(mu, rw)
     b = reweight(blind, rw)
     assert b.degree == mu.degree - 2
-    for i in range(b.index.size):
-        e = tuple(int(v) for v in b.index.exponents[i])
-        assert abs(b.moments[i] - a.expect({e: 1.0})) < 1e-9
+    np.testing.assert_allclose(b.moments, a.moments[:b.index.size], rtol=0, atol=1e-9)
 
 
 def test_reweight_composition_matches_product():
-    """Reweighting twice equals reweighting once by the product."""
+    """Reweighting twice equals reweighting once by the product, whose
+    certificate is the product of the roots."""
     rng = np.random.default_rng(15)
     pts, w, mu = random_discrete(rng, 6, 2, 8)
-    r1 = ReweightPolynomial.from_square(poly_linear(rng.standard_normal(2)))
-    r2 = ReweightPolynomial.from_square(
-        poly_add(poly_linear(rng.standard_normal(2)), poly_constant_2(0.3)))
+    ix = monomial_index(2, 4)
+    g = linear(rng.standard_normal(2))
+    h = linear(rng.standard_normal(2), 0.3)
+    r1, r2 = square(ix, g), square(ix, h)
+    product = ReweightPolynomial(ix, poly_mul(ix, r1.coefficients, r2.coefficients),
+                                 (poly_mul(ix, g, h),))
     seq = reweight(reweight(mu, r1), r2)
-    par = reweight(mu, r1.product(r2))
+    par = reweight(mu, product)
     ix = MonomialIndex(2, 4)
     for _ in range(30):
         p = random_poly(rng, ix, 4)
@@ -395,37 +433,44 @@ def test_reweight_composition_matches_product():
 
 
 def test_reweight_checks_certificates():
-    claim = ReweightPolynomial.from_coefficients(
-        {(2, 0): 1.0, (0, 0): -1.0},  # x^2 - 1 is nowhere a sum of squares
-        certificate=[{(1, 0): 1.0}])
+    """A certificate that does not reproduce the weight is refused, and a
+    weight cannot be built without one."""
+    ix = monomial_index(2, 2)
+    claim = ReweightPolynomial(  # x^2 - 1 is nowhere a sum of squares
+        ix, dense({(2, 0): 1.0, (0, 0): -1.0}), (dense({(1, 0): 1.0}),))
     rng = np.random.default_rng(16)
     _, _, mu = random_discrete(rng, 4, 2, 6)
     with pytest.raises(NotSOS):
         reweight(mu, claim)
+    with pytest.raises(TypeError):
+        ReweightPolynomial(ix, claim.coefficients)
+    with pytest.raises(TypeError):
+        ReweightPolynomial(ix, claim.coefficients, None)
 
 
-def test_reweight_without_certificate_uses_gram_check():
-    rng = np.random.default_rng(17)
-    _, _, mu = random_discrete(rng, 4, 2, 6)
-    ok = ReweightPolynomial.from_coefficients(
-        {(2, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0})  # (x + y)^2, no certificate
-    nu = reweight(mu, ok)
-    assert validate(nu).ok()
-    bad = ReweightPolynomial.from_coefficients({(1, 0): 1.0, (0, 0): 1.0})
-    with pytest.raises(NotSOS):
-        reweight(mu, bad)
+def test_reweight_rejects_tiny_weight_with_false_certificate():
+    """The certificate check scales with the weight: 1e-9 x_1, which is
+    not a sum of squares, fails against a zero root although every
+    coefficient it gets wrong is below 1e-8."""
+    pts = np.array([[2.0, 0.0], [-2.0, 0.5], [1.5, 1.0]])
+    actual = embed_actual_distribution(pts, np.ones(3) / 3.0, 6)
+    blind = PseudoDistribution(actual.index, actual.moments, 6)
+    tiny = ReweightPolynomial(monomial_index(2, 1), dense({(1, 0): 1e-9}), (np.zeros(1),))
+    for mu in (actual, blind):
+        with pytest.raises(NotSOS):
+            reweight(mu, tiny)
 
 
 def test_reweight_degree_bookkeeping():
     """Moment-backed loses deg p, support-backed keeps the declared degree."""
     rng = np.random.default_rng(18)
     _, _, mu = random_discrete(rng, 5, 2, 6)
-    rw = ReweightPolynomial.from_square(poly_linear(np.array([1.0, 1.0])))
+    rw = square(monomial_index(2, 2), linear([1.0, 1.0]))
     assert reweight(mu, rw).degree == 6
     blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
     low = reweight(blind, rw)
     assert low.degree == 4
-    quartic = ReweightPolynomial.from_square(poly_quadratic(np.eye(2)))
+    quartic = square(monomial_index(2, 4), dense({(2, 0): 1.0, (0, 2): 1.0}))
     with pytest.raises(DegreeExhausted):
         reweight(low, quartic)
 
@@ -434,7 +479,7 @@ def test_reweight_rejects_degenerate_weight():
     """Reweighting by a square vanishing on the whole support has no mass."""
     pts = np.array([[1.0, 0.0], [2.0, 0.0]])
     mu = embed_actual_distribution(pts, np.array([0.5, 0.5]), 6)
-    rw = ReweightPolynomial.from_square(poly_linear(np.array([0.0, 1.0])))
+    rw = square(monomial_index(2, 2), linear([0.0, 1.0]))
     with pytest.raises(DegenerateWeight):
         reweight(mu, rw)
     blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
@@ -443,15 +488,13 @@ def test_reweight_rejects_degenerate_weight():
 
 
 def test_reweight_keeps_constraints_within_budget():
-    circle = ConstraintSpec.equality(
-        poly_add(poly_quadratic(np.eye(2)), poly_constant_2(-1.0)))
+    circle = ConstraintSpec(dense(CIRCLE))
     pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
     mu = embed_actual_distribution(pts, np.ones(3) / 3.0, 6, (circle,))
-    rw = ReweightPolynomial.from_square(
-        poly_add(poly_linear(np.array([1.0, 0.0])), poly_constant_2(2.0)))
+    rw = square(monomial_index(2, 2), linear([1.0, 0.0], 2.0))
     nu = reweight(mu, rw)
     assert circle in nu.constraints
-    assert equality_residual(nu, circle.poly()) < 1e-10
+    assert equality_residual(nu, circle.polynomial) < 1e-10
 
 
 # -- dense moment kernel --------------------------------------------------------
@@ -475,34 +518,34 @@ def assert_rel(got, ref, scale):
 
 
 def shift_loop_reweight(mu, p):
-    """Oracle: y'[a] = sum_e p_e y[a + e] / E~ p, one term at a time."""
-    dp = poly_degree(p)
-    new_ix = MonomialIndex(mu.num_vars, mu.degree - dp)
-    out = np.zeros(new_ix.size)
-    for e, c in p.items():
-        for i in range(new_ix.size):
-            shifted = tuple(int(v) for v in new_ix.exponents[i] + np.array(e))
-            out[i] += c * mu.moments[mu.index.index_of(shifted)]
-    out /= pseudo_expect(mu, p)
+    """Oracle: y'[a] = E~[p x^a] / E~ p, one term at a time."""
+    new_ix = MonomialIndex(mu.num_vars, mu.degree - mu.index.degree_of(p))
+    out = np.array([loop_expect(mu, p, e) for e in new_ix.exponents])
+    out /= loop_expect(mu, p)
     out[0] = 1.0
     return out
 
 
 def test_dense_product_matches_dict_reference():
+    """poly_mul against evaluation at more random points than the
+    product has monomials."""
     for seed in KERNEL_SEEDS:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 5))
         h1, h2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         ix = monomial_index(n, h1 + h2)
         p, q = random_poly(rng, ix, h1), random_poly(rng, ix, h2)
-        got = poly_product(ix, dense_poly(ix, p, h1), dense_poly(ix, q, h2))
-        ref = dense_poly(ix, poly_mul(p, q), h1 + h2)
-        scale = sum(abs(c) for c in p.values()) * sum(abs(c) for c in q.values())
-        assert_rel(got, ref, scale)
-        np.testing.assert_array_equal(dense_poly(ix, sparse_poly(ix, got), h1 + h2), got)
+        got = poly_mul(ix, p, q)
+        assert got.size == ix.count_through(h1 + h2)
+        pts = rng.uniform(-1.0, 1.0, size=(got.size + 5, n))
+        scale = np.abs(p).sum() * np.abs(q).sum()
+        assert_rel(evaluate(ix, got, pts), evaluate(ix, p, pts) * evaluate(ix, q, pts),
+                   10 * scale)
 
 
 def test_linear_form_powers_match_dict_reference():
+    """sum_j c_j <v, x>^j against evaluation at more random points than
+    it has monomials."""
     for seed in KERNEL_SEEDS:
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(1, 5))
@@ -511,11 +554,10 @@ def test_linear_form_powers_match_dict_reference():
         v = rng.standard_normal(n)
         coeffs = rng.standard_normal(top + 1)
         got = univariate_poly(ix, linear_form_powers(ix, v, top), coeffs)
-        ref: dict = {}
-        for j, c in enumerate(coeffs):
-            ref = poly_add(ref, poly_pow(poly_linear(v), j), scale=c)
+        pts = rng.uniform(-1.0, 1.0, size=(got.size + 5, n))
+        ref = np.polynomial.polynomial.polyval(pts @ v, coeffs)
         scale = float(np.abs(coeffs) @ (np.abs(v).sum() ** np.arange(top + 1)))
-        assert_rel(got, dense_poly(ix, ref, top), scale)
+        assert_rel(evaluate(ix, got, pts), ref, 10 * scale)
         # a stack of directions gives the stack of expansions
         stack = rng.standard_normal((3, n))
         np.testing.assert_array_equal(
@@ -524,8 +566,9 @@ def test_linear_form_powers_match_dict_reference():
 
 
 def test_quadratic_form_expectations_match_dict_reference():
-    """f^T Y g = E~ f g for random moment vectors, including the even and
-    shifted linear-form powers the reweighting layer evaluates."""
+    """f^T Y g = E~ f g for random moment vectors, against the term-by-
+    term sum; and the even and shifted linear-form powers the reweighting
+    layer evaluates, against exact atom sums."""
     for seed in KERNEL_SEEDS:
         rng = np.random.default_rng(200 + seed)
         n = int(rng.integers(1, 5))
@@ -535,22 +578,24 @@ def test_quadratic_form_expectations_match_dict_reference():
         h2 = int(rng.integers(0, degree - h1 + 1))
         f, g = random_poly(rng, mu.index, h1), random_poly(rng, mu.index, h2)
         block = moment_block(mu, h1, h2)
-        got = dense_poly(mu.index, f, h1) @ block @ dense_poly(mu.index, g, h2)
+        got = f @ block @ g
         abs_y = np.abs(mu.moments).max()
-        scale = sum(abs(c) for c in f.values()) * sum(abs(c) for c in g.values()) * abs_y
-        assert_rel(got, pseudo_expect(mu, poly_mul(f, g)), scale)
+        scale = np.abs(f).sum() * np.abs(g).sum() * abs_y
+        ref = sum(g[b] * loop_expect(mu, f, mu.index.exponents[b]) for b in range(g.size))
+        assert_rel(got, ref, scale)
 
         k = degree // 2
+        pts, w, atoms = random_discrete(rng, 6, n, 2 * k)
         v = rng.standard_normal(n)
         shift = float(rng.standard_normal())
         coeffs = np.zeros(k + 1)
         for j in range(k + 1):
             coeffs[j] = math.comb(k, j) * shift ** (k - j)
-        half = univariate_poly(mu.index, linear_form_powers(mu.index, v, k), coeffs)
-        ref_poly = poly_pow(poly_add(poly_linear(v), {(0,) * n: shift}), 2 * k)
-        scale = (np.abs(v).sum() + abs(shift)) ** (2 * k) * abs_y
-        got = half @ moment_block(mu, k, k) @ half
-        assert_rel(got, pseudo_expect(mu, ref_poly), scale)
+        half = univariate_poly(atoms.index, linear_form_powers(atoms.index, v, k), coeffs)
+        ref = float(w @ (pts @ v + shift) ** (2 * k))
+        scale = (np.abs(v).sum() * 1.5 + abs(shift)) ** (2 * k)
+        got = half @ moment_block(atoms, k, k) @ half
+        assert_rel(got, ref, 10 * scale)
 
 
 def test_reweight_matches_shift_loop_reference():
@@ -560,22 +605,23 @@ def test_reweight_matches_shift_loop_reference():
         degree = int(rng.choice([4, 6]))
         _, _, mu = random_discrete(rng, 6, n, degree)
         blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
-        g = poly_add(poly_linear(rng.standard_normal(n)),
-                     {(0,) * n: float(rng.standard_normal())})
+        ix = monomial_index(n, 4)
+        g = linear(rng.standard_normal(n), float(rng.standard_normal()))
         if degree == 6 and seed % 2:
-            g = poly_add(g, poly_quadratic(rng.standard_normal((n, n))))
-        rw = ReweightPolynomial.from_square(g)
+            g = np.concatenate([g, rng.standard_normal(ix.count_through(2) - g.size)])
+        rw = square(ix, g)
         got = reweight(blind, rw)
-        ref = shift_loop_reweight(blind, rw.poly())
+        ref = shift_loop_reweight(blind, rw.coefficients)
         assert got.degree == degree - rw.degree
-        norm = pseudo_expect(blind, rw.poly())
-        scale = sum(abs(c) for c in rw.poly().values()) * np.abs(mu.moments).max() / norm
+        norm = blind.expect(rw.coefficients)
+        scale = np.abs(rw.coefficients).sum() * np.abs(mu.moments).max() / norm
         assert_rel(got.moments, ref, scale)
 
 
 def test_kernel_keeps_degree_boundaries():
-    """DegreeExceeded and DegreeExhausted fire at the same degrees as the
-    dict definitions they replace."""
+    """DegreeExceeded and DegreeExhausted fire at the degrees the
+    definitions fix: a block or an expectation past the table, a
+    reweighting that leaves less than degree 2."""
     rng = np.random.default_rng(400)
     for degree in (2, 3, 4, 5, 6):
         mu = random_moments(rng, 2, degree)
@@ -583,16 +629,16 @@ def test_kernel_keeps_degree_boundaries():
             for h2 in range(degree + 2):
                 if h1 + h2 <= degree:
                     moment_block(mu, h1, h2)
-                    pseudo_expect(mu, {(h1 + h2, 0): 1.0})
+                    mu.expect(dense({(h1 + h2, 0): 1.0}))
                 else:
                     with pytest.raises(DegreeExceeded):
                         moment_block(mu, h1, h2)
                     with pytest.raises(DegreeExceeded):
-                        pseudo_expect(mu, {(h1 + h2, 0): 1.0})
+                        mu.expect(dense({(h1 + h2, 0): 1.0}))
         # a moment-backed table pays deg p and keeps at least degree 2
+        big = monomial_index(2, 2 * degree)
         for half in range(1, degree):
-            rw = ReweightPolynomial.from_square(
-                poly_pow(poly_add(poly_linear([1.0, 0.5]), {(0, 0): 2.0}), half))
+            rw = square(big, poly_pow(big, linear([1.0, 0.5], 2.0), half))
             _, _, actual = random_discrete(rng, 5, 2, degree)
             blind = PseudoDistribution(actual.index, actual.moments, degree)
             if 2 * half <= degree - 2:
@@ -601,12 +647,12 @@ def test_kernel_keeps_degree_boundaries():
                 with pytest.raises(DegreeExhausted):
                     reweight(blind, rw)
         # a constraint is measured against every multiplier that fits
-        cubic = {(3, 0): 1.0, (1, 1): -0.5, (0, 0): -1.0}
+        cubic = dense({(3, 0): 1.0, (1, 1): -0.5, (0, 0): -1.0})
         if degree < 3:
             assert equality_residual(mu, cubic) == 0.0
         else:
-            ref = max(abs(pseudo_expect(mu, poly_mul(cubic, {e: 1.0})))
-                      for e in mu.index.exponent_tuples[:mu.index.count_through(degree - 3)])
+            ref = max(abs(loop_expect(mu, cubic, e))
+                      for e in mu.index.exponents[:mu.index.count_through(degree - 3)])
             assert abs(equality_residual(mu, cubic) - ref) <= REL * 3.0 * np.abs(mu.moments).max()
 
     # the scalar fix needs degree 4d, the subspace fix degree 4
