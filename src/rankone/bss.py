@@ -1,14 +1,16 @@
 """Rank-one search in matrix subspaces.
 
 Pipeline: a subspace W of n x n matrices (given directly, or as the
-top eigenspace of a measurement operator) is turned into a moment
-feasibility problem over pairs (u, v) of unit vectors with uv^T in W,
-the solved moment table is concentrated by the bilinear structure
-rounds, and the candidate u0 v0^T is read off the first moments.  The
-module also houses the verifier for candidates against measurements,
-the complex-to-real reduction with its lift, instance generators with
-a grid-certified farness oracle, and the SUBSPACE, MEASUREMENT and
-CSUBSPACE file formats (matrix blocks, see `linalg`).
+top eigenspace of a measurement operator) is turned into moment
+feasibility problems over pairs (u, v) of unit vectors with uv^T in W,
+at degrees 4, 6, ... up to a top degree, until one refuses W or rounds
+spectrally to the target; at the top degree the solved moment table is
+concentrated by the bilinear structure rounds, and the candidate u0 v0^T
+is read off the first moments.  The module also houses the verifier for
+candidates against measurements, the complex-to-real reduction with its
+lift, instance generators with a grid-certified farness oracle, and the
+SUBSPACE, MEASUREMENT and CSUBSPACE file formats (matrix blocks, see
+`linalg`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import (
     BadDims,
     DegreeExhausted,
+    DegreeTooSmall,
     DimensionMismatch,
     EmptySubspace,
     IllFormed,
@@ -167,9 +170,14 @@ class RankOneCandidate:
 
 @dataclass(frozen=True)
 class BssReport:
+    """Outcome of `solve_bss`.  `degree` is the top rung asked for and
+    `rung` the degree whose relaxation decided; the solver fields describe
+    the solve at that rung."""
+
     status: str              # candidate | infeasible
     eps: float
     degree: int
+    rung: int
     solver_status: str
     solver_iterations: int
     structure_steps: int
@@ -253,40 +261,74 @@ def _spectral_rounding(mu, w: SubspaceBasis):
 
 def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
               solver_tol: float = 1e-7):
-    """Find an approximately-in-W rank-one matrix, or certify none at
-    this degree.
+    """Find an approximately-in-W rank-one matrix, or certify none, by
+    climbing the degree ladder 4, 6, ..., `degree`.
 
     Returns (RankOneCandidate | None, BssReport).  A candidate comes
     with quality = ||proj_W u0 v0^T||_F^2 / ||u0 v0^T||_F^2; None means
-    the degree-`degree` relaxation is infeasible, which soundly rules
-    out unit pairs with uv^T in W: the report then carries the solver's
-    checked certificate (`sos_solver.Certificate`, whose margin
-    `certificate_margin` recomputes from the problem).  Rounding starts
-    from the spectral baseline (top cross-moment eigendirections, immune
-    to sign and phase symmetry) and then retries the structure rounds
-    over fresh seeds (trial t runs `run_structure_2d` with seed
-    `seed + t`) and a gradually relaxed stopping bar until a trial
-    reaches quality 1 - eps^2; the best verified candidate wins, so low
-    degrees that cannot support the strict bar still round whatever the
-    moments contain.  Raises NoConvergence when the SDP solver reaches its
-    iteration limit with neither a certificate nor a feasible point, and
-    ZeroCandidate when every rounding path fails outright.
+    the relaxation at some rung d <= degree is infeasible, which soundly
+    rules out unit pairs with uv^T in W: the degree-d relaxation is a
+    projection of every higher one, so a refusal at d is one at `degree`.
+    The report then carries the solver's checked certificate
+    (`sos_solver.Certificate`, whose margin `certificate_margin`
+    recomputes from the problem of that rung).
+
+    Each rung below the top refuses on a certificate, returns the
+    spectral candidate (top cross-moment eigendirections, immune to sign
+    and phase symmetry) when it reaches 1 - eps^2, and otherwise climbs,
+    as it also does when its solver reaches the iteration limit.  The top
+    rung rounds as a single solve at `degree` would: from the spectral
+    baseline it retries the structure rounds over fresh seeds (trial t
+    runs `run_structure_2d` with seed `seed + t`) and a gradually relaxed
+    stopping bar until a trial reaches quality 1 - eps^2; the best
+    verified candidate wins, so a top rung that cannot support the strict
+    bar still rounds whatever the moments contain.  Raises
+    DegreeTooSmall unless `degree` is even and at least 4, NoConvergence
+    when the top rung's solver reaches its iteration limit with neither a
+    certificate nor a feasible point, and ZeroCandidate when every
+    rounding path fails outright.
     """
     if w.dim == 0:
         raise EmptySubspace("cannot search an empty subspace")
     if not 0.0 < eps < 1.0:
         raise IllFormed(f"eps must lie in (0, 1), got {eps}")
-    problem = build_bss_problem(w, degree)
-    mu, solver_report = solve_feasibility(problem, tol=solver_tol)
-    if solver_report.status == "infeasible":
-        report = BssReport("infeasible", eps, degree, solver_report.status,
-                           solver_report.iterations, 0,
-                           certificate=solver_report.certificate)
-        return None, report
+    if degree < 4 or degree % 2 != 0:
+        raise DegreeTooSmall(f"rank-one search needs an even degree >= 4, got {degree}")
+    target = 1.0 - eps * eps
+    for rung in range(4, degree + 1, 2):
+        # looked up on the module at call time, so a tracer that wraps
+        # these names sees every rung
+        problem = build_bss_problem(w, rung)
+        mu, solver_report = solve_feasibility(problem, tol=solver_tol)
+        if solver_report.status == "infeasible":
+            report = BssReport("infeasible", eps, degree, rung, solver_report.status,
+                               solver_report.iterations, 0,
+                               certificate=solver_report.certificate)
+            return None, report
+        if rung == degree:
+            break
+        if solver_report.status == "feasible":
+            baseline = _spectral_rounding(mu, w)
+            if baseline is not None and baseline[0] >= target:
+                report = BssReport("candidate", eps, degree, rung, solver_report.status,
+                                   solver_report.iterations, 0,
+                                   quality=baseline[0], degree_left=mu.degree)
+                return baseline[1], report
     if solver_report.status != "feasible":
         raise NoConvergence(
             f"feasibility solver returned {solver_report.status} after "
             f"{solver_report.iterations} iterations")
+    quality, candidate, steps, degree_left = _round(mu, w, eps, seed)
+    report = BssReport("candidate", eps, degree, degree, solver_report.status,
+                       solver_report.iterations, steps,
+                       quality=quality, degree_left=degree_left)
+    return candidate, report
+
+
+def _round(mu, w: SubspaceBasis, eps: float, seed: int):
+    """The best verified candidate of the spectral baseline and the
+    structure trials, as (quality, candidate, structure steps, degree
+    left); see `solve_bss`."""
     structure_eps = _default_structure_eps(eps, w.ambient)
     n = w.ambient
     target = 1.0 - eps * eps
@@ -320,11 +362,7 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
         raise ZeroCandidate(
             "every rounding trial failed; the relaxation is feasible but "
             "produced no direction") from failure
-    quality, candidate, steps, degree_left = best
-    report = BssReport("candidate", eps, degree, solver_report.status,
-                       solver_report.iterations, steps,
-                       quality=quality, degree_left=degree_left)
-    return candidate, report
+    return best
 
 
 # -- verification -------------------------------------------------------------

@@ -20,11 +20,13 @@ Exit codes: 0 positive verdict, 1 clean negative verdict (an instance
 whose relaxation is certified infeasible, quality below the bar), 2
 malformed inputs or files, 3 exhausted search or solver budgets (for
 `solve`, neither an infeasibility certificate nor a feasible point
-within the solver's iteration limit), 4 anything unexpected.  `solve`
-says OK for any candidate it finds; its `checks.meets_target` applies
-the bar 1 - eps^2 (`result.target`) that `check` applies.  A refusal
-reports `result.certificate`: its kind and its margin, which is
-positive.
+within the solver's iteration limit at the top degree), 4 anything
+unexpected.  `solve` climbs the relaxation degrees 4, 6, ... up to
+--degree and reports the one that decided as `result.rung`.  It says OK
+for any candidate it finds; its `checks.meets_target` applies the bar
+1 - eps^2 (`result.target`) that `check` applies.  A refusal reports
+`result.certificate`: its kind (`linear` or `conic`) and its margin,
+which is positive.
 """
 
 from __future__ import annotations
@@ -266,13 +268,14 @@ def _cmd_solve(args):
 
     cand, report = solve_bss(w, cfg["eps"], degree=cfg["degree"],
                              seed=cfg["seed"], solver_tol=cfg["tol"])
-    result = {"solver_status": report.solver_status,
+    result = {"rung": report.rung,
+              "solver_status": report.solver_status,
               "solver_iterations": report.solver_iterations,
               "structure_steps": report.structure_steps,
               "degree_left": report.degree_left,
               "target": _target(cfg["eps"])}
     if cand is None:
-        result["note"] = (f"degree-{cfg['degree']} relaxation is infeasible: "
+        result["note"] = (f"degree-{report.rung} relaxation is infeasible: "
                           "no unit rank-one lies in the subspace")
         result["certificate"] = {"kind": report.certificate.kind,
                                  "margin": report.certificate.margin}
@@ -416,7 +419,9 @@ def _build_parser():
     p = sub.add_parser("solve", help="run the pipeline on an instance file")
     p.add_argument("in_path", help="SUBSPACE, MEASUREMENT, or CSUBSPACE file")
     p.add_argument("--eps", type=float, help="target accuracy (default 0.25)")
-    p.add_argument("--degree", type=int, help="relaxation degree (default 6)")
+    p.add_argument("--degree", type=int,
+                   help="top relaxation degree: the rungs 4, 6, ... up to it "
+                        "are tried in turn (default 6)")
     p.add_argument("--tol", type=float, help="solver tolerance (default 1e-7)")
     common(p, "also write the report here")
 

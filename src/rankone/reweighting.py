@@ -479,9 +479,8 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
     cur = mu
     pre = 0
     spent = 0
-    while True:
-        if _moment_multiplicative_ok(cur, proj, k, eps):
-            break
+    # at k = 1 the test reads E~ t <= (1 + eps) E~ t, which always holds
+    while k > 1 and not _moment_multiplicative_ok(cur, proj, k, eps):
         if cur.degree < 8 or pre >= _STAGE_CAP:
             break  # no budget to improve further; proceed with what holds
         cur = reweight(cur, proj_rp)
@@ -492,7 +491,7 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
     # power, E~ t^k_use, and the moment blocks of degree 1, k_use, k_use+1
     mass = cur.expect(proj)
     k_use = min(k, max(1, (cur.degree - 2) // 2 - 1))
-    e_tk = cur.expect(poly_pow(index, proj, k_use))
+    e_tk = mass if k_use == 1 else cur.expect(poly_pow(index, proj, k_use))
     c_k = sphere_moment(dim, k_use)
     block = moment_block(cur, k_use + 1, k_use + 1)
     lo, hi, lin_block = index.block(k_use), index.block(k_use + 1), index.block(1)

@@ -57,15 +57,29 @@ exact zero.  When no flip fixes the problem there is one class and the
 blocks are the plain ones.  All reductions are in fixed order, so a
 given problem yields bit-identical output on every run.
 
-Infeasibility is decided at set-up, and only on a checked certificate.
-The two levels also give a vector r with L^T r = 0 up to rounding and
-b^T r > 0 exactly when L y = b has no solution; then the equality
-Farkas vector lam = r / b^T r has b^T lam = 1.  Recomputed on the sparse
-L, it proves the problem infeasible when b^T lam - R ||L^T lam||_1 > 0,
-where R bounds every |y_a| over the feasible set (R = 1 under sphere
-equalities that cover every variable; with no bound, L^T lam must vanish
-up to rounding).  Without a certificate DR runs until it finds a
-feasible point or reaches the iteration limit, reported as `iter_limit`.
+Infeasibility is decided only on a checked certificate, of one of two
+kinds.  A `linear` one is found at set-up: the two levels also give a
+vector r with L^T r = 0 up to rounding and b^T r > 0 exactly when L y = b
+has no solution, and the equality Farkas vector lam = r / b^T r has
+b^T lam = 1.  Recomputed on the sparse L, it proves the problem
+infeasible when b^T lam - R ||L^T lam||_1 > 0, where R bounds every |y_a|
+over the feasible set (R = 1 under sphere equalities that cover every
+variable; with no bound, L^T lam must vanish up to rounding).
+
+A `conic` one is read off the DR iterates when L y = b is consistent but
+meets no PSD point (Banjac, Goulart, Stellato & Boyd, JOTA 2019; Liu, Ryu
+& Yin, Math. Prog. 2019).  Then the displacement Z = s - P_A(s), s the
+cone point, tends to a PSD matrix orthogonal to range(B) with
+<c, Z> = -||Z||^2 < 0, which no feasible point allows.  The check keeps
+the PSD part of Z as a factor G G^T per block, lifts it to F G G^T F^T,
+splits t = T^T(Z) = L^T lam + r on the sparse L, and refuses when
+-b^T lam - R ||r||_1 > 0: a feasible y would give 0 <= <T(y), Z> = t^T y
+= b^T lam + r^T y.  It is tried at checks 1, 2, 4, 8, ... and at the
+last, so a feasible run pays for about log2(iter_limit) tries: first on
+the displacement of the last accepted iterate, then on the one after a
+few plain DR steps from it, which the run itself does not take.
+Without a certificate DR runs until it finds a feasible point or reaches
+the iteration limit, reported as `iter_limit`.
 
 Every 10 iterations the current iterate is checked for feasibility.  Up
 to the first check the steps are plain DR, so a problem settled there
@@ -101,6 +115,10 @@ _CHECK_EVERY = 10
 # and at 10 one plant spent half its 22,350 iterations on rejected steps
 _ANDERSON_MEMORY = 7
 _RIDGE = 1e-10
+# plain DR steps behind a conic certificate try: 20 settle the displacement
+# of the dim-(n-1)^2 no-instances at n = 3, 4 by the second try, and 50
+# save no try there
+_PLAIN_STEPS = 20
 _ROUNDING = 1e-9
 
 
@@ -135,27 +153,39 @@ class Certificate:
     kind `linear`: multipliers lam, one per row of the problem's L, with
     `margin` = b^T lam - R ||L^T lam||_1 > 0, where R = `bound` bounds
     every |y_a| over the feasible set.  A feasible y would give
-    b^T lam = (L^T lam)^T y <= R ||L^T lam||_1.  `certificate_margin`
-    recomputes the margin from the problem."""
+    b^T lam = (L^T lam)^T y <= R ||L^T lam||_1.
+
+    kind `conic`: also `factors` H, one per block of the solver's block
+    map, so that Z = H H^T is PSD by construction, and t = T^T(Z) reads Z
+    against the localizing matrices; `margin` = b^T lam -
+    R ||L^T lam + t||_1 > 0, scaled to b^T lam = 1.  A feasible y would
+    give 0 <= t^T y = (L^T lam + t)^T y - b^T lam.
+
+    `certificate_margin(problem, multipliers, factors)` recomputes the
+    margin from the problem."""
 
     kind: str
     multipliers: np.ndarray
     bound: float
     margin: float
+    factors: tuple = ()
 
 
 @dataclass(frozen=True)
 class SolverReport:
     """Outcome of one solve.  `infeasible` always carries the checked
-    `certificate`, found at set-up with no DR iteration; `iter_limit`
-    means neither a certificate nor a feasible point within the budget.
-    `max_constraint_residual` is max |L y - b| at the returned point, or
-    at the last checked iterate; on a refusal, where L y = b has no
-    solution, it is taken at the set-up point y_p of `_AffineGeometry`,
-    which is not the least-squares point.  `gap` is the distance between
-    the DR sets at the last check, and the Anderson counts tell how many
-    extrapolated DR steps the safeguard accepted and how many it replaced
-    by the plain step."""
+    `certificate`: a `linear` one found at set-up with no DR iteration,
+    or a `conic` one found at the check after `iterations` DR steps;
+    `iter_limit` means neither a certificate nor a feasible point within
+    the budget.  `iterations` counts the steps of the run, not the plain
+    steps that certificate tries take aside.  `max_constraint_residual`
+    is max |L y - b| at the returned point, or at the last checked
+    iterate; on a linear refusal, where L y = b has no solution, it is
+    taken at the set-up point y_p of `_AffineGeometry`, which is not the
+    least-squares point.  `gap` is the distance between the DR sets at
+    the last check, and the Anderson counts tell how many extrapolated DR
+    steps the safeguard accepted and how many it replaced by the plain
+    step."""
 
     status: str  # feasible | infeasible | iter_limit
     iterations: int
@@ -266,23 +296,56 @@ def moment_bound(problem: SdpProblem) -> float:
     return 1.0 if len(covered) == index.num_vars else np.inf
 
 
-def certificate_margin(problem: SdpProblem, multipliers: np.ndarray) -> float:
-    """b^T lam - R ||L^T lam||_1, recomputed on the problem's sparse L and
-    b with R = `moment_bound(problem)`; a positive margin proves the
-    problem infeasible.  With no bound, L^T lam must vanish up to
-    rounding (||L^T lam||_1 <= 1e-9 || |L|^T |lam| ||_1); the margin is
-    then b^T lam, and -inf otherwise."""
-    return _margin(problem, np.asarray(multipliers, dtype=float), moment_bound(problem))
+def certificate_margin(problem: SdpProblem, multipliers: np.ndarray,
+                       factors=()) -> float:
+    """b^T lam - R ||L^T lam + t||_1, recomputed on the problem's sparse L
+    and b with R = `moment_bound(problem)`, where t = T^T(Z) reads the
+    PSD matrices Z = H H^T of the `factors` H against the localizing
+    matrices (t = 0 with no factors); a positive margin proves the
+    problem infeasible.  With no bound, L^T lam + t must vanish up to
+    rounding (||L^T lam + t||_1 <= 1e-9 (|| |L|^T |lam| ||_1 + ||t||_1));
+    the margin is then b^T lam, and -inf otherwise.
+
+    The factors are one m x r matrix per block of the solver's block map
+    (`_BlockMap`): block j is the principal submatrix of a localizing
+    matrix on the monomials of one sign class, so <M(y), Z> >= 0 for every
+    feasible y.  Raises IllFormed when they do not fit the blocks."""
+    conic = None
+    if len(factors):
+        labels = _sign_classes(problem)
+        block_map = _BlockMap(problem.index, problem.index.max_degree,
+                              problem.psd_blocks, labels)
+        conic = _conic_term(problem, labels, block_map, factors)
+    return _margin(problem, np.asarray(multipliers, dtype=float), moment_bound(problem), conic)
 
 
-def _margin(problem: SdpProblem, lam: np.ndarray, bound: float) -> float:
-    """`certificate_margin` with the moment bound R given."""
+def _margin(problem: SdpProblem, lam: np.ndarray, bound: float,
+            conic: np.ndarray | None = None) -> float:
+    """`certificate_margin` with the moment bound R and the term t given."""
     lmat = problem.lmat
     terms = lmat.data * np.repeat(lam, np.diff(lmat.indptr))  # the entries of diag(lam) L
-    slack = float(np.abs(np.bincount(lmat.indices, weights=terms, minlength=lmat.shape[1])).sum())
+    sums = np.bincount(lmat.indices, weights=terms, minlength=lmat.shape[1])
+    size = np.abs(terms).sum()
+    if conic is not None:
+        sums += conic
+        size += np.abs(conic).sum()
+    slack = float(np.abs(sums).sum())
     if np.isfinite(bound):
         return float(problem.rhs @ lam) - bound * slack
-    return float(problem.rhs @ lam) if slack <= _ROUNDING * np.abs(terms).sum() else -np.inf
+    return float(problem.rhs @ lam) if slack <= _ROUNDING * size else -np.inf
+
+
+def _conic_term(problem: SdpProblem, labels: np.ndarray, block_map: _BlockMap,
+                factors) -> np.ndarray:
+    """t = T^T(Z) over every moment, for Z = H H^T block by block: a
+    feasible y has t^T y = <T(y), Z> >= 0."""
+    if len(factors) != len(block_map.sizes) or any(
+            np.ndim(h) != 2 or np.shape(h)[0] != m for h, m in zip(factors, block_map.sizes)):
+        raise IllFormed("certificate factors do not fit the problem's blocks")
+    stacked = np.concatenate([np.zeros(0)] + [(h @ h.T).reshape(-1) for h in factors])
+    out = np.zeros(problem.index.size)
+    out[labels == 0] = block_map.matrix.T @ stacked
+    return out
 
 
 def _linear_certificate(problem: SdpProblem, geo: _AffineGeometry):
@@ -299,6 +362,31 @@ def _linear_certificate(problem: SdpProblem, geo: _AffineGeometry):
     if not margin > 0.0:
         return None
     return Certificate("linear", lam, bound, margin)
+
+
+def _conic_certificate(problem: SdpProblem, labels: np.ndarray, block_map: _BlockMap,
+                       geo: _AffineGeometry, space: _FaceSpace, zp: np.ndarray,
+                       factors: list, bound: float):
+    """The conic certificate read off the PSD part Zp of a DR
+    displacement, given with the factors of its lift F Zp F^T, or None.
+    The lift gives t = T^T(Z); lam fits L^T lam to t, and scaled to
+    b^T lam = -1, -lam and Z are kept when their margin is positive.  In
+    face coordinates <c, Zp> = t^T y_p and B^T Zp = N^T t, so
+    ||t - L^T lam|| = ||B^T Zp||, and under a finite bound -<c, Zp> must
+    exceed R ||B^T Zp|| before lam is worth finding."""
+    if np.isfinite(bound) and not (
+            bound * float(np.linalg.norm(space.b.T @ zp)) < -float(space.c @ zp)):
+        return None
+    lam = geo.multipliers(_conic_term(problem, labels, block_map, factors)[labels == 0])
+    scale = -float(problem.rhs @ lam)
+    if not scale > 0.0:
+        return None
+    lam = -lam / scale
+    factors = tuple(h / np.sqrt(scale) for h in factors)
+    margin = _margin(problem, lam, bound, _conic_term(problem, labels, block_map, factors))
+    if not margin > 0.0:
+        return None
+    return Certificate("conic", lam, bound, margin, factors)
 
 
 # -- sign symmetry -----------------------------------------------------------
@@ -630,10 +718,14 @@ class _AffineGeometry:
         cut = _RANK_EPS * max(top, 1.0)
         t = np.zeros(int(width.sum()))
         v2_parts = []
-        for (vals, vecs, rhs), start, stop in zip(level2, spans[:-1], spans[1:]):
+        self._level2 = []
+        for k, ((vals, vecs, rhs), start, stop) in enumerate(zip(level2, spans[:-1], spans[1:])):
             null = int(np.searchsorted(vals, cut, side="right"))
             t[start:stop] = _eigen_solve(vals[null:], vecs[:, null:], rhs)
             v2_parts.append(vecs[:, :null])
+            part = m_flat[base[k]:base[k + 1]].reshape(-1, shape[k])
+            self._level2.append((order[row_bounds[k]:row_bounds[k + 1]], part,
+                                 vals[null:], vecs[:, null:], start, stop))
 
         # N = N1 V2, with V2 block diagonal over the groups and the
         # identity on the columns of N1 that no row of L2 touches.
@@ -675,6 +767,32 @@ class _AffineGeometry:
         self.farkas[rows2] = r2
         self.lmat = lmat
         self.b = b
+        self._level1 = [(ix, vals, vecs) for ix, vals, vecs, _ in level1]
+        self._rows = (rows1, row1, col1, val1, rows2, row2, col2, val2)
+        self._n1 = (n1_row, n1_col, n1_val, t.size)
+
+    def multipliers(self, t: np.ndarray) -> np.ndarray:
+        """lam, one per row of L, with L^T lam the least-squares fit of t,
+        in the two levels of the set-up.  Level 2 fits the part N1^T t
+        that L1^T cannot reach with lam2 = M (M^T M)^+ N1^T t, one group at
+        a time; level 1 fits the rest u = t - L2^T lam2 with lam1 =
+        L1 (L1^T L1)^+ u, one block at a time.  What is left,
+        t - L^T lam, is N N^T t."""
+        rows1, row1, col1, val1, rows2, row2, col2, val2 = self._rows
+        n1_row, n1_col, n1_val, width = self._n1
+        p = t.size
+        coef = np.bincount(n1_col, weights=n1_val * t[n1_row], minlength=width)
+        lam2 = np.zeros(rows2.size)
+        for rows, part, vals, vecs, start, stop in self._level2:
+            lam2[rows] = part @ _eigen_solve(vals, vecs, coef[start:stop])
+        u = t - np.bincount(col2, weights=val2 * lam2[row2], minlength=p)
+        z = np.zeros(p)
+        for ix, vals, vecs in self._level1:
+            z[ix] = _eigen_solve(vals, vecs, u[ix])
+        lam = np.zeros(self.lmat.shape[0])
+        lam[rows1] = np.bincount(row1, weights=val1 * z[col1], minlength=rows1.size)
+        lam[rows2] = lam2
+        return lam
 
     def residual(self, y: np.ndarray) -> float:
         if self.b.size == 0:
@@ -698,6 +816,8 @@ class _FaceSpace:
         null = geo.null_basis
         r = null.shape[1]
         self.blocks = []
+        self.sources = []  # (block of `_BlockMap`, face basis or None) per block
+        self.sizes = block_map.sizes
         c_parts, b_parts = [], []
         self.off2 = 0.0
         offset = start = 0
@@ -720,6 +840,7 @@ class _FaceSpace:
                 moving = (half.transpose(0, 2, 1).reshape(k * r, m) @ face
                           ).reshape(k, r, k).transpose(0, 2, 1).reshape(k * k, r)
             self.blocks.append((slice(start, start + k * k), k))
+            self.sources.append((bi, face))
             start += k * k
             c_parts.append(const.reshape(-1))
             b_parts.append(moving)
@@ -739,6 +860,21 @@ class _FaceSpace:
             vals, vecs = np.linalg.eigh(mat + mat.T)
             out[cut] = ((vecs * np.maximum(0.5 * vals, 0.0)) @ vecs.T).reshape(-1)
         return out
+
+    def psd_part(self, z: np.ndarray):
+        """The PSD part of each block of z, as the stacked blocks G G^T and
+        the factors H = F G of their lifts F G G^T F^T, one per block of
+        `_BlockMap` (no columns where a block dropped out)."""
+        zp = np.zeros_like(z)
+        factors = [np.zeros((m, 0)) for m in self.sizes]
+        for (cut, k), (bi, face) in zip(self.blocks, self.sources):
+            mat = z[cut].reshape(k, k)
+            vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+            keep = vals > 0.0
+            g = vecs[:, keep] * np.sqrt(vals[keep])
+            zp[cut] = (g @ g.T).reshape(-1)
+            factors[bi] = g if face is None else face @ g
+        return zp, factors
 
     def fixed_point_residual(self, x: np.ndarray):
         """clip(x) and g(x) = T(x) - x for the DR map T(x) = x +
@@ -803,6 +939,29 @@ class _Anderson:
         return x + g - gamma @ self.step[:m], True
 
 
+def _try_conic(problem, labels, block_map, geo, space, base, z, bound):
+    """A conic certificate from the displacement z at the last accepted
+    iterate, else from the one after _PLAIN_STEPS plain DR steps taken
+    from it, which the run itself does not take.  Each is tried only when
+    it points the way of a certificate, with <c, Zp> < 0 for its PSD
+    part Zp (the limit has <c, Z> = -||Z||^2)."""
+    x = base[0]
+    for plain in (0, _PLAIN_STEPS):
+        if plain:
+            for _ in range(plain):
+                x = x + space.fixed_point_residual(x)[1]
+            s_cone = space.clip(x)
+            z = s_cone - space.point(space.coefficients(s_cone))
+        zp, factors = space.psd_part(z)
+        if not float(space.c @ zp) < 0.0:
+            return None
+        certificate = _conic_certificate(problem, labels, block_map, geo, space,
+                                         zp, factors, bound)
+        if certificate is not None:
+            return certificate
+    return None
+
+
 def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
                       iter_limit: int = DEFAULT_ITER_LIMIT):
     """Find a moment vector satisfying the problem, or prove there is none.
@@ -810,9 +969,10 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     Returns (PseudoDistribution | None, SolverReport).  Status `feasible`
     comes with a distribution whose equality residuals are at solver
     precision and whose moment matrices clear -tol; `infeasible` comes
-    with a checked certificate, found at set-up; `iter_limit` means
-    neither within iter_limit DR iterations.  Raises IllFormed unless tol
-    is finite and positive and iter_limit >= 1.
+    with a checked certificate, linear from set-up or conic from the DR
+    displacement; `iter_limit` means neither within iter_limit DR
+    iterations.  Raises IllFormed unless tol is finite and positive and
+    iter_limit >= 1.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise IllFormed(f"solver tolerance must be finite and positive, got {tol}")
@@ -834,6 +994,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     block_map = _BlockMap(index, index.max_degree, problem.psd_blocks, labels)
     faces = _face_basis(index, index.max_degree, problem.lmat, labels)
     space = _FaceSpace(block_map, faces, geo)
+    bound = moment_bound(problem)
 
     x = space.c.copy()
     accel = _Anderson(_ANDERSON_MEMORY, x.size)
@@ -844,6 +1005,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     gap = np.inf
     iterations = 0
     status = "iter_limit"
+    certificate = None
 
     while iterations < iter_limit:
         s_cone, g = space.fixed_point_residual(x)
@@ -876,6 +1038,13 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
         if min_eig >= -tol and resid <= max(tol, 1e-9):
             status = "feasible"
             break
+        checks = iterations // _CHECK_EVERY
+        if checks and (checks & (checks - 1) == 0 or iterations >= iter_limit):
+            certificate = _try_conic(problem, labels, block_map, geo, space, base,
+                                     displacement, bound)
+            if certificate is not None:
+                status = "infeasible"
+                break
 
     y_hat, min_eig, resid = best
     report = SolverReport(
@@ -884,6 +1053,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
         max_constraint_residual=resid,
         min_block_eigenvalue=min_eig,
         gap=gap,
+        certificate=certificate,
         anderson_accepted=accepted,
         anderson_rejected=rejected,
     )

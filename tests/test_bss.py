@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from rankone import bss
 from rankone.bss import (
     ComplexSubspace,
     MeasurementOperator,
@@ -33,14 +34,17 @@ from rankone.bss import (
     write_measurement,
     write_subspace,
 )
+from rankone.cli import _uncertified_subspace
 from rankone.errors import (
     BadDims,
+    DegreeTooSmall,
     DimensionMismatch,
     EmptySubspace,
     IllFormed,
     ZeroCandidate,
 )
 from rankone.rectangle import FactorMatrix
+from rankone.sos_solver import certificate_margin
 
 
 def unit(mat):
@@ -189,10 +193,12 @@ def test_solve_planted_instances(n, dim_w, seed):
 @pytest.mark.parametrize("seed,quality", [
     (0, 0.9999923182327565), (2, 0.9994183120624573), (3, 0.9999693923213103)])
 def test_structure_rounds_lift_spectral_misses(seed, quality):
-    """At eps = 0.05 the spectral candidate misses 1 - eps^2, and one
-    structure step reaches it; the qualities are the seeded values."""
+    """At eps = 0.05 the spectral candidate misses 1 - eps^2 at both rungs,
+    and at the top rung one structure step reaches it; the qualities are
+    the seeded values."""
     w, _, _ = planted_yes(2, 2, seed)
     cand, rep = solve_bss(w, 0.05, degree=6)
+    assert (rep.degree, rep.rung) == (6, 6)
     assert rep.structure_steps == 1
     assert rep.quality >= 1.0 - 0.05 ** 2
     assert rep.quality == pytest.approx(quality, abs=1e-9)
@@ -207,6 +213,80 @@ def test_solve_far_instance_refuses():
     cand, rep = solve_bss(w, eps=0.25, degree=6, seed=0)
     assert rep.status == "infeasible"
     assert cand is None
+
+
+def record_rungs(monkeypatch):
+    """(problem, solver report) of every rung, through the names that
+    `solve_bss` looks up on its module at call time."""
+    rungs = []
+    solve = bss.solve_feasibility
+
+    def solving(problem, **kwargs):
+        mu, rep = solve(problem, **kwargs)
+        rungs.append((problem, rep))
+        return mu, rep
+    monkeypatch.setattr(bss, "solve_feasibility", solving)
+    return rungs
+
+
+def test_ladder_never_refuses_a_planted_yes_instance(monkeypatch):
+    """planted_yes(n, dim_w, seed) for n in {2, 3}, every dim_w and seeds
+    8-15, with eps 0.05 so that most climb to the top rung 6: no rung is
+    refused, and a rung below the top decides only with a candidate at
+    1 - eps^2.  The top rung's rounding, which the ladder leaves as it
+    was, is stubbed out."""
+    rungs = record_rungs(monkeypatch)
+    monkeypatch.setattr(bss, "_round", lambda mu, w, eps, seed: (0.0, None, 0, mu.degree))
+    decided = []
+    for n in (2, 3):
+        for dim_w in range(1, n * n + 1):
+            for seed in range(8, 16):
+                rungs.clear()
+                cand, rep = solve_bss(planted_yes(n, dim_w, seed)[0], 0.05, degree=6)
+                assert rep.status == "candidate", (n, dim_w, seed)
+                assert [p.index.max_degree for p, _ in rungs] == list(range(4, rep.rung + 1, 2))
+                assert all(r.status != "infeasible" for _, r in rungs)
+                if rep.rung < 6:
+                    assert cand.quality >= 1.0 - 0.05 ** 2
+                decided.append(rep.rung)
+    assert set(decided) == {4, 6}
+
+
+def test_ladder_refusals_check_on_their_own_rung(monkeypatch):
+    """No-instances: random_no(2, 1, seed) and the dim-(n-1)^2 subspaces
+    _uncertified_subspace(3, 4, seed) and (4, 9, seed), seeds 0-5, and the
+    antisymmetric line.  Each is refused; its certificate is the one of
+    the last rung solved, the rung the report names, and `certificate_margin`
+    reproduces its margin on that rung's problem."""
+    rungs = record_rungs(monkeypatch)
+    cases = [random_no(2, 1, seed)[0] for seed in range(6)]
+    cases += [_uncertified_subspace(n, (n - 1) ** 2, seed) for n in (3, 4) for seed in range(6)]
+    cases.append(SubspaceBasis(2, (unit(np.array([[0.0, 1.0], [-1.0, 0.0]])),)))
+    kinds = set()
+    for w in cases:
+        rungs.clear()
+        cand, rep = solve_bss(w, 0.25, degree=6)
+        assert cand is None and rep.status == "infeasible"
+        problem, solver = rungs[-1]
+        assert problem.index.max_degree == rep.rung
+        cert = rep.certificate
+        assert solver.certificate is cert
+        assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
+        kinds.add(cert.kind)
+    assert kinds == {"linear", "conic"}
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5, 7])
+def test_ladder_checks_the_top_degree_before_any_rung(monkeypatch, degree):
+    """An odd or too small top degree is refused before any rung's
+    problem is built."""
+    built = []
+    build = bss.build_bss_problem
+    monkeypatch.setattr(bss, "build_bss_problem",
+                        lambda w, d: built.append(d) or build(w, d))
+    with pytest.raises(DegreeTooSmall):
+        solve_bss(planted_yes(2, 2, 0)[0], 0.25, degree=degree)
+    assert built == []
 
 
 def test_solve_rejects_bad_eps():

@@ -21,7 +21,13 @@ from rankone.bss import (
     write_measurement,
     write_subspace,
 )
-from rankone.cli import load_config, main, read_candidate, write_candidate
+from rankone.cli import (
+    _uncertified_subspace,
+    load_config,
+    main,
+    read_candidate,
+    write_candidate,
+)
 from rankone.errors import DimensionMismatch, IllFormed
 from rankone.rectangle import FactorMatrix, write_factors
 
@@ -154,7 +160,25 @@ def test_solve_far_instance_reports_fail(tmp_path, capsys):
     assert "infeasible" in report["result"]["note"]
     assert report["result"]["certificate"]["kind"] == "linear"
     assert report["result"]["certificate"]["margin"] > 0
+    assert report["result"]["rung"] == 4
     assert run_cli(capsys, "solve", str(out))[2] == text
+
+
+@pytest.mark.parametrize("degree", ["4", "6"])
+def test_solve_refuses_a_cone_infeasible_subspace_at_rung_four(tmp_path, capsys, degree):
+    """_uncertified_subspace(4, 9, 0) has a consistent L y = b at degree 4
+    and no PSD point: under either top degree it is refused at rung 4
+    with a conic certificate, and the note names that rung."""
+    out = tmp_path / "no.txt"
+    write_subspace(out, _uncertified_subspace(4, 9, 0))
+    code, report, _ = run_cli(capsys, "solve", str(out), "--degree", degree)
+    assert (code, report["status"]) == (1, "FAIL")
+    result = report["result"]
+    assert (result["rung"], result["solver_status"]) == (4, "infeasible")
+    assert result["note"].startswith("degree-4 relaxation is infeasible")
+    assert result["certificate"]["kind"] == "conic"
+    assert result["certificate"]["margin"] > 0
+    assert report["config"]["degree"] == int(degree)
 
 
 def test_solve_complex_reduces_and_lifts(tmp_path, capsys):

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from rankone import reweighting
 from rankone.errors import (
     DegreeExhausted,
     PreconditionViolated,
@@ -360,6 +361,31 @@ def test_fix_subspace_moment_path_spends_declared_degree():
     assert out.degree == mu.degree - rep.degree_spent
     assert rep.achieved >= 0.7
     assert validate(out).ok()
+
+
+def test_fix_subspace_moment_path_skips_the_pre_stage_at_power_one(monkeypatch):
+    """At k = 1 the pre-stage test reads E~ t <= (1 + eps) E~ t, which
+    always holds: the moment path neither runs it nor forms t^1, and gives
+    the fix it gave with both, over several seeds and tables."""
+    pts = np.array([[0.9, 0.1, 0.0], [0.85, -0.05, 0.2], [-0.1, 0.9, 0.3]])
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    tables = [strip_support(embed_actual_distribution(pts[:2], np.array([.6, .4]), d))
+              for d in (6, 8)]
+    tables.append(strip_support(embed_actual_distribution(pts, np.array([.5, .3, .2]), 8)))
+    expected = [fix_subspace(mu, np.eye(3), delta=0.3, k=1, seed=seed)
+                for mu in tables for seed in range(3)]
+
+    def unused(*args):
+        raise AssertionError("called at k = 1")
+    monkeypatch.setattr(reweighting, "_moment_multiplicative_ok", unused)
+    monkeypatch.setattr(reweighting, "poly_pow", unused)
+    got = [fix_subspace(mu, np.eye(3), delta=0.3, k=1, seed=seed)
+           for mu in tables for seed in range(3)]
+    for (out, rep), (ref, ref_rep) in zip(got, expected):
+        assert (rep.k, rep.pre_stages) == (1, 0)
+        np.testing.assert_array_equal(out.moments, ref.moments)
+        assert (rep.samples_tried, rep.degree_spent) == (ref_rep.samples_tried,
+                                                         ref_rep.degree_spent)
 
 
 def test_fix_subspace_moment_path_sign_symmetric():

@@ -14,6 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from rankone import sos_solver
 from rankone.bss import planted_yes, random_no
+from rankone.cli import _uncertified_subspace
 from rankone.errors import DegreeTooSmall, IllFormed
 from rankone.pseudodist import (
     ConstraintSpec,
@@ -218,6 +219,67 @@ def test_moment_bound_needs_spheres_over_every_variable():
     assert moment_bound(scaled_problem()) == np.inf
 
 
+def oracle_conic_margin(problem, cert):
+    """Oracle: the margin of a certificate from the whole localizing
+    matrices of `loop_block_matrix`, with each factor's H H^T placed on
+    the rows and columns of its class, checked PSD, and a dense L.  With
+    no moment bound, L^T lam + t must vanish within 1e-9 of its terms."""
+    index = problem.index
+    degree = index.max_degree
+    labels = _sign_classes(problem)
+    full = loop_block_matrix(index, degree, problem.psd_blocks)
+    stacked = []
+    factors = iter(cert.factors)
+    for loc in problem.psd_blocks:
+        m = index.count_through((degree - index.degree_of(loc)) // 2)
+        z = np.zeros((m, m))
+        for members in sos_solver._class_members(labels[:m]):
+            h = next(factors)
+            z[np.ix_(members, members)] = h @ h.T
+        assert np.linalg.eigvalsh(z)[0] >= -1e-12 * max(1.0, np.abs(z).max())
+        stacked.append(z.reshape(-1))
+    assert next(factors, None) is None
+    t = full.T @ np.concatenate(stacked)
+    lam = cert.multipliers
+    lt = problem.lmat.toarray().T * lam
+    resid = lt.sum(axis=1) + t
+    bound = moment_bound(problem)
+    if np.isfinite(bound):
+        return float(problem.rhs @ lam - bound * np.abs(resid).sum())
+    assert np.abs(resid).sum() <= 1e-9 * (np.abs(lt).sum() + np.abs(t).sum())
+    return float(problem.rhs @ lam)
+
+
+def test_conic_certificate_refuses_a_no_instance_at_degree_four():
+    """_uncertified_subspace(4, 9, 0) (dim (n-1)^2, a generic no-instance)
+    at degree 4: L y = b is consistent, so no linear certificate, but the
+    relaxation is strongly infeasible and the DR displacement gives a
+    conic one.  The checker reproduces its margin, the oracle agrees, and
+    -lam, factors moved by a tenth of their norm, and factors that do not
+    fit the blocks are all rejected."""
+    problem = build_bss_problem(_uncertified_subspace(4, 9, 0), 4)
+    mu, rep = solve_feasibility(problem)
+    assert mu is None and rep.status == "infeasible" and rep.iterations <= 100
+    cert = rep.certificate
+    assert (cert.kind, cert.bound) == ("conic", 1.0)
+    assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
+    assert oracle_conic_margin(problem, cert) == pytest.approx(cert.margin, rel=1e-9)
+    assert certificate_margin(problem, -cert.multipliers, cert.factors) < 0
+    assert certificate_margin(problem, cert.multipliers) < 0
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        moved = []
+        for h in cert.factors:
+            step = rng.standard_normal(h.shape)
+            moved.append(h + 0.1 * np.linalg.norm(h) * step / max(np.linalg.norm(step), 1e-300))
+        assert certificate_margin(problem, cert.multipliers, moved) < 0
+    with pytest.raises(IllFormed):
+        certificate_margin(problem, cert.multipliers, cert.factors[:-1])
+    with pytest.raises(IllFormed):
+        certificate_margin(problem, cert.multipliers,
+                           [np.zeros((h.shape[0] + 1, 1)) for h in cert.factors])
+
+
 def test_certificate_checker_rejects_perturbed_and_flipped_multipliers():
     """A refusal's lam passes the checker; -lam, and lam moved by a tenth
     of its norm in a random direction, fail it, with a sphere bound and
@@ -261,14 +323,30 @@ def test_tighter_tolerance_still_converges():
 
 
 def test_iter_limit_reported():
-    """x^2 = -1: L y = b is consistent, so there is no certificate, and no
-    moment matrix with E~ x^2 = -1 is PSD, so DR runs to the limit."""
-    minus_one = eq({(2,): 1.0, (0,): 1.0})
-    mu, rep = solve_feasibility(build_problem(1, 2, [minus_one]), iter_limit=40)
+    """planted_yes(3, 5, 3) at degree 4 is feasible, so no certificate
+    exists, and DR takes 2,490 steps to settle it: with a limit of 40 the
+    run ends at the limit."""
+    problem = build_bss_problem(planted_yes(3, 5, 3)[0], 4)
+    mu, rep = solve_feasibility(problem, iter_limit=40)
     assert mu is None
     assert rep.status == "iter_limit"
     assert rep.iterations == 40
     assert rep.certificate is None
+
+
+def test_strongly_infeasible_cone_is_refused_with_a_conic_certificate():
+    """x^2 = -1: L y = b is consistent, so there is no linear certificate,
+    but no moment matrix with E~ x^2 = -1 is PSD.  The displacement of DR
+    gives Z = e_x e_x^T on the odd class block, and T^T(Z) = e_{x^2} lies in
+    range(L^T) exactly, so the certificate holds with no moment bound."""
+    minus_one = eq({(2,): 1.0, (0,): 1.0})
+    problem = build_problem(1, 2, [minus_one])
+    mu, rep = solve_feasibility(problem, iter_limit=40)
+    assert mu is None and rep.status == "infeasible"
+    cert = rep.certificate
+    assert (cert.kind, cert.bound) == ("conic", np.inf)
+    assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
+    assert oracle_conic_margin(problem, cert) == pytest.approx(cert.margin, rel=1e-9)
 
 
 # -- sparse set-up against the dict and dense references --------------------------
@@ -875,6 +953,41 @@ def test_no_planted_yes_instance_is_refused(degree):
     assert accepted > 0 and rejected > 0
 
 
+def test_no_planted_yes_instance_gets_a_conic_certificate(monkeypatch):
+    """planted_yes(n, dim_w, seed) for n in {2, 3}, every dim_w and seeds
+    8-15 at degree 4, with a limit of 40, and the five plants that take
+    longest to settle (see above) run until they do.  The conic
+    certificate is tried at checks 1, 2, 4, ... of every unsettled run and
+    never passes; and at each try the displacement, scaled as a
+    certificate would be wherever -b^T lam > 0, fails
+    `certificate_margin`, with no gate in front."""
+    tries, margins = [], []
+    original = sos_solver._try_conic
+
+    def probed(problem, labels, block_map, geo, space, base, z, bound):
+        _, factors = space.psd_part(z)
+        t = sos_solver._conic_term(problem, labels, block_map, factors)
+        lam = geo.multipliers(t[labels == 0])
+        scale = -float(problem.rhs @ lam)
+        if scale > 0:
+            margins.append(certificate_margin(problem, -lam / scale,
+                                              [h / np.sqrt(scale) for h in factors]))
+        tries.append(original(problem, labels, block_map, geo, space, base, z, bound))
+        return tries[-1]
+    monkeypatch.setattr(sos_solver, "_try_conic", probed)
+    cases = [(n, dim_w, seed, 4, 40) for n in (2, 3) for dim_w in range(1, n * n + 1)
+             for seed in range(8, 16)]
+    cases += [(3, 5, 3, 4, DEFAULT_ITER_LIMIT), (3, 5, 7, 4, DEFAULT_ITER_LIMIT),
+              (3, 5, 0, 6, DEFAULT_ITER_LIMIT), (3, 5, 3, 6, DEFAULT_ITER_LIMIT),
+              (3, 6, 4, 6, DEFAULT_ITER_LIMIT)]
+    for n, dim_w, seed, degree, limit in cases:
+        problem = build_bss_problem(planted_yes(n, dim_w, seed)[0], degree)
+        _, rep = solve_feasibility(problem, iter_limit=limit)
+        assert rep.status in ("feasible", "iter_limit"), (n, dim_w, seed, degree)
+    assert len(tries) > 100 and not any(tries)
+    assert margins and max(margins) <= 0
+
+
 def test_random_no_instances_are_refused_with_checked_certificates():
     """random_no for n <= 3 at degrees 4 and 6: every instance is refused
     at set-up with the linear certificate, whose recorded margin the
@@ -894,6 +1007,28 @@ def test_random_no_instances_are_refused_with_checked_certificates():
             assert certificate_margin(problem, cert.multipliers) == cert.margin > 0.5
 
 
+def test_cone_infeasible_seeded_problems_get_checked_conic_certificates():
+    """Every seeded symmetric and random problem that L y = b does not
+    refuse at set-up is feasible, refused with a conic certificate that
+    the checker and the oracle both accept, or still at the limit; the
+    conic path refuses some of each family."""
+    refused = set()
+    for family, make in (("symmetric", symmetric_problem),
+                         ("random", lambda seed: build_problem(*random_problem(seed)))):
+        for seed in EQUIVALENCE_SEEDS:
+            problem = make(seed)
+            mu, rep = solve_feasibility(problem, iter_limit=3000)
+            assert rep.status in ("feasible", "infeasible", "iter_limit")
+            if rep.status != "infeasible" or rep.certificate.kind == "linear":
+                continue
+            cert = rep.certificate
+            assert rep.iterations > 0
+            assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
+            assert oracle_conic_margin(problem, cert) == pytest.approx(cert.margin, rel=1e-9)
+            refused.add(family)
+    assert refused == {"symmetric", "random"}
+
+
 # Problems whose feasible set holds more than one moment vector, where the
 # two iterations stop at different members, both valid: random_problem(13)
 # bounds no moment, and the two answers differ by 0.33; symmetric_problem(17)
@@ -904,10 +1039,14 @@ SPREAD_FEASIBLE = {("random", 13), ("symmetric", 17)}
 def test_accelerated_and_plain_dr_agree(monkeypatch):
     """Same status on the seeded symmetric and random problems, and the
     same moments within 1e-6 wherever the feasible point found is not one
-    of several (SPREAD_FEASIBLE)."""
+    of several (SPREAD_FEASIBLE).  The cone-infeasible ones among them are
+    refused with conic certificates either way, so planted_yes(3, 5, 3) at
+    degree 4, feasible but 2,490 accelerated and 7,050 plain steps from
+    settled, stands for the iteration limit."""
     cases = [("symmetric", seed, symmetric_problem(seed)) for seed in EQUIVALENCE_SEEDS]
     cases += [("random", seed, build_problem(*random_problem(seed)))
               for seed in EQUIVALENCE_SEEDS]
+    cases.append(("plant", 3, build_bss_problem(planted_yes(3, 5, 3)[0], 4)))
     accelerated = [solve_feasibility(problem, iter_limit=500) for _, _, problem in cases]
     plain_dr(monkeypatch)
     statuses = set()
