@@ -268,9 +268,18 @@ def linear_form_powers(index: MonomialIndex, v, top: int) -> np.ndarray:
     a stack of vectors."""
     if top > index.max_degree:
         raise DegreeExceeded(f"power {top} exceeds the degree-{index.max_degree} table")
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (index.num_vars,):
+        raise DimensionMismatch(
+            f"direction of shape {v.shape} for a table over {index.num_vars} variables")
     count = index.count_through(top)
-    return index.multinomials[:count] * np.multiply.reduce(
-        np.asarray(v, dtype=float)[..., None, :] ** index.exponents[:count], axis=-1)
+    # v_i^e for every variable and every e <= top, gathered by the exponent
+    # table: the factors of v^a and their product order are those of
+    # v ** exponents, so the result is bit-identical, without one power per
+    # monomial and variable
+    table = v[..., :, None] ** np.arange(top + 1)
+    factors = table[..., np.arange(index.num_vars), index.exponents[:count]]
+    return index.multinomials[:count] * np.multiply.reduce(factors, axis=-1)
 
 
 def univariate_poly(index: MonomialIndex, powers: np.ndarray, coeffs) -> np.ndarray:

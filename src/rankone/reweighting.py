@@ -33,6 +33,22 @@ per distribution, and candidate directions are screened a batch at a
 time.  The factor reports hold the same dense form: each factor is a
 `ReweightPolynomial` certified by its roots, as `reweight` requires.
 
+A batch passes two screens before any draw is reweighted.  The first
+is the capture test on E~ s^{2k+2} against E~ s^{2k}.  The second
+decides in closed form every draw whose fixed table has degree 4, that
+is, whose optional power step s^{2p}, p in {0, k}, leaves degree 4.  On
+such a table `fix_scalar` has no degree for stage A, so the scalar fix is
+one gate on E s^4 / (E s^2)^2 at the relaxed tolerance and then the sign
+split.  The fixed table is the current one reweighted by
+r^2 = s^{2p} (s / sigma +- 1)^2, and its mean and subspace mass are
+ratios of moment quadratic forms gathered once per call.  A draw is
+dropped only when the gate fails, or when the mean-mass test fails under
+both signs, each by a relative margin of 1e-6.  A draw within the
+margin, with a non-finite value, or on a table of another degree goes
+through `_fix_draw`, the only code that accepts a draw, with its
+certified reweightings.  A dropped draw's weight is never applied, so
+the screen changes no result and no generator state.
+
 Degree accounting is explicit even on the support path, where the atoms
 make every power exact: reports carry degree_spent and fix_scalar
 refuses to exceed its degree_budget, keeping the complexity contract
@@ -42,6 +58,7 @@ observable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +88,7 @@ _STAGE_CAP = 2000
 _MASS_FLOOR = 0.05  # accept subspace mass down to here even in low dimension
 _RELAXED_SCALAR_EPS = 0.45  # fallback scalar tolerance when degree is tight
 _DRAW_BATCH = 256  # candidate directions screened per vectorized batch
+_SCREEN_MARGIN = 1e-6  # relative margin a closed-form rejection must clear
 
 
 @dataclass(frozen=True)
@@ -349,6 +367,9 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         raise PreconditionViolated("empty subspace basis")
     if not 0.0 < delta < 1.0:
         raise PreconditionViolated(f"delta must be in (0, 1), got {delta}")
+    if k is not None:
+        _require_count("k", k)
+    _require_count("retry_budget", retry_budget)
     rows = _orthonormal_rows(rows)
     dim = rows.shape[0]
     eps = delta / 10.0
@@ -359,6 +380,11 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     if mu.support is not None:
         return _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget, k)
     return _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k)
+
+
+def _require_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise PreconditionViolated(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _orthonormal_rows(basis: np.ndarray) -> np.ndarray:
@@ -500,6 +526,11 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
     # the first candidate direction, then uniform draws take over
     smat = rows @ block[lin_block, lin_block] @ rows.T
     top = np.linalg.eigh(smat)[1][:, -1]
+    # a draw whose power step p leaves a degree-4 table is decided in
+    # closed form by _doomed, from one block gathered here
+    screen_power = next((p for p in (0, k_use) if cur.degree - 2 * p == 4), None)
+    if screen_power is not None:
+        screen_block = moment_block(cur, 2, 2 * screen_power + 2)
     # draws are screened a batch at a time; after an accepted draw the
     # generator is rewound to just past it, where a loop over single
     # draws would have left it
@@ -516,55 +547,117 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
         e_hi = _quadratic_forms(powers[:, hi], block_hi)
         captures = e_hi >= (1.0 - eps) ** 3 * mass * e_lo
         typical = e_lo >= 0.5 * c_k * e_tk
-        for j in np.flatnonzero((e_lo > 0.0) & captures & typical).tolist():
+        drawn = np.flatnonzero((e_lo > 0.0) & captures & typical)
+        if screen_power is not None and drawn.size:
+            drawn = drawn[~_doomed(cur, directions[drawn], screen_block, proj,
+                                   screen_power, mass, eps, delta)]
+        for j in drawn.tolist():
             v = directions[j]
-            sq = univariate_poly(index, powers[j], [0.0, 0.0, 1.0])
-            try:
-                work = cur
-                step = 0
-                powered = 0
-                if cur.expect(sq) < (1.0 - eps) ** 3 * mass \
-                        and work.degree - 2 * k_use >= 4:
-                    work = reweight(work, _power_weight(index, v, [0.0, 1.0], k_use))
-                    step += 2 * k_use
-                    powered = k_use
-                sigma2 = work.expect(sq)
-                if sigma2 <= 0.0:
-                    continue
-                sigma = math.sqrt(sigma2)
-                try:
-                    fixed_mu, srep = fix_scalar(work, v / sigma, 1, eps)
-                except DegreeExhausted:
-                    # the table is too low-degree for stage A to sharpen the
-                    # scalar to eps; run the sign split anyway at a loose
-                    # tolerance and let the mean-mass certificate below
-                    # accept or reject the result
-                    fixed_mu, srep = fix_scalar(work, v / sigma, 1,
-                                                _RELAXED_SCALAR_EPS)
-            except (DegenerateWeight, DegreeExhausted, PreconditionViolated):
+            fixed = _fix_draw(cur, v, powers[j], proj, mass, k_use, eps, delta)
+            if fixed is None:
                 continue
-            step += srep.degree_spent
+            fixed_mu, srep, sigma, powered, target = fixed
+            rng.bit_generator.state = state
+            rng.standard_normal((j + 1, dim))
+            factors = []
+            if pre:
+                factors.append((proj_rp, pre))
+            if powered:
+                factors.append((_linear_square(v), powered))
+            factors.extend(srep.factors)
             mean = fixed_mu.moments[lin_block]
-            out_mass = fixed_mu.expect(proj) if fixed_mu.degree >= 2 else 0.0
-            target = max(mass, out_mass)
-            if float(mean @ mean) >= (1.0 - delta) * target:
-                rng.bit_generator.state = state
-                rng.standard_normal((j + 1, dim))
-                factors = []
-                if pre:
-                    factors.append((proj_rp, pre))
-                if powered:
-                    factors.append((_linear_square(v), powered))
-                factors.extend(srep.factors)
-                report = SubspaceFixReport(
-                    v, attempt + j + 1,
-                    float(mean @ mean) / target if target > 0 else 0.0,
-                    spent + step, k_use, pre, srep.m * sigma, srep,
-                    tuple(factors))
-                return fixed_mu, report
+            report = SubspaceFixReport(
+                v, attempt + j + 1,
+                float(mean @ mean) / target if target > 0 else 0.0,
+                spent + 2 * powered + srep.degree_spent, k_use, pre,
+                srep.m * sigma, srep, tuple(factors))
+            return fixed_mu, report
         attempt += coefs.shape[0]
     raise RetryExhausted(
         f"no direction fixed the subspace within {retry_budget} draws")
+
+
+def _fix_draw(cur, v, powers, proj, mass, k_use, eps, delta):
+    """The per-draw path, the only code that accepts a draw: reweight by
+    <v, x>^{2 k_use} when E~ <v, x>^2 misses the capture bar and the degree
+    allows, fix the scalar <v, x>, and keep the result when its mean
+    carries (1 - delta) of the subspace mass before and after.  `powers`
+    holds the powers of <v, x> up to degree 2.  Returns (fixed table,
+    ScalarFixReport, sigma, power applied, target mass), or None."""
+    index = cur.index
+    sq = univariate_poly(index, powers, [0.0, 0.0, 1.0])
+    try:
+        work = cur
+        powered = 0
+        if cur.expect(sq) < (1.0 - eps) ** 3 * mass and cur.degree - 2 * k_use >= 4:
+            work = reweight(cur, _power_weight(index, v, [0.0, 1.0], k_use))
+            powered = k_use
+        sigma2 = work.expect(sq)
+        if sigma2 <= 0.0:
+            return None
+        sigma = math.sqrt(sigma2)
+        try:
+            fixed_mu, srep = fix_scalar(work, v / sigma, 1, eps)
+        except DegreeExhausted:
+            # the table is too low-degree for stage A to sharpen the
+            # scalar to eps; run the sign split anyway at a loose
+            # tolerance and let the mean-mass certificate below
+            # accept or reject the result
+            fixed_mu, srep = fix_scalar(work, v / sigma, 1, _RELAXED_SCALAR_EPS)
+    except (DegenerateWeight, DegreeExhausted, PreconditionViolated):
+        return None
+    mean = fixed_mu.moments[index.block(1)]
+    out_mass = fixed_mu.expect(proj) if fixed_mu.degree >= 2 else 0.0
+    target = max(mass, out_mass)
+    if float(mean @ mean) >= (1.0 - delta) * target:
+        return fixed_mu, srep, sigma, powered, target
+    return None
+
+
+def _doomed(cur, directions, block, proj, p, mass, eps, delta):
+    """Which draws provably fail `_fix_draw` when their power step p leaves
+    a degree-4 table.
+
+    On that table `fix_scalar` has no degree for stage A: the draw passes
+    the gate on E_w s^4 / (E_w s^2)^2 - 1 at the relaxed tolerance or
+    fails, and the sign split reweights by (s / sigma + m)^2, m = +-1,
+    sigma^2 = E_w s^2, for s = <v, x> and w = s^{2p} * cur.  So the fixed
+    table is cur reweighted by r^2, r = s^p (s / sigma + m), and its mean
+    and subspace mass are E~ x r^2 / E~ r^2 and E~ t r^2 / E~ r^2: forms in
+    E~ x^a s^j, deg a <= 2 and 2p <= j <= 2p + 2, read off `block` =
+    moment_block(cur, 2, 2p + 2).  A draw is doomed when it fails the gate,
+    or when its mean misses (1 - delta) of the larger of the two masses
+    under both signs; every test clears a relative margin of
+    _SCREEN_MARGIN, and a draw within it, with a non-finite value, or
+    whose power step is within it of the other choice, is kept.
+    """
+    margin = _SCREEN_MARGIN
+    index = cur.index
+    powers = linear_form_powers(index, directions, 2 * p + 2)
+    low, mid, high = (powers[:, index.block(j)] @ block[:, index.block(j)].T
+                      for j in (2 * p, 2 * p + 1, 2 * p + 2))
+    quad = index.block(2)
+    bar = 1.0 + 3.0 * (_RELAXED_SCALAR_EPS * 2.0 ** -0.5) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma = np.sqrt(high[:, 0] / low[:, 0])[:, None]
+        kurtosis = np.einsum("ij,ij->i", powers[:, quad], high[:, quad]) \
+            * low[:, 0] / high[:, 0] ** 2
+        settled = (low[:, 0] > 0.0) & (high[:, 0] > 0.0) & np.isfinite(kurtosis)
+        doomed = settled & (kurtosis > bar * (1.0 + margin))
+        missed = settled & (kurtosis < bar * (1.0 - margin))
+        for m in (1.0, -1.0):
+            weighted = high / sigma ** 2 + 2.0 * m * mid / sigma + low
+            norm = weighted[:, 0]
+            mean = weighted[:, index.block(1)] / norm[:, None]
+            mean_sq = np.einsum("ij,ij->i", mean, mean)
+            target = np.maximum(mass, weighted @ proj / norm)
+            missed &= (norm > 0.0) & np.isfinite(mean_sq) & np.isfinite(target) \
+                & (mean_sq < (1.0 - delta) * target * (1.0 - margin))
+    doomed |= missed
+    if p:
+        s2 = powers[:, quad] @ cur.moments[quad]
+        doomed &= s2 < (1.0 - eps) ** 3 * mass * (1.0 - margin)
+    return doomed
 
 
 def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

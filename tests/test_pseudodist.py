@@ -565,6 +565,25 @@ def test_linear_form_powers_match_dict_reference():
             linear_form_powers(ix, stack[1], top))
 
 
+def test_linear_form_powers_bit_identical_to_monomial_powers():
+    """The gathered power table gives exactly the multinomial weights
+    times prod_i v_i^{a_i} of v ** exponents, for one direction and
+    stacks of them, every top up to the table degree, 2-6 variables."""
+    rng = np.random.default_rng(61)
+    for n in range(2, 7):
+        ix = monomial_index(n, 6)
+        for top in range(ix.max_degree + 1):
+            count = ix.count_through(top)
+            for shape in [(n,), (7, n), (2, 3, n)]:
+                v = rng.standard_normal(shape) * rng.uniform(0.1, 3.0)
+                ref = ix.multinomials[:count] * np.multiply.reduce(
+                    v[..., None, :] ** ix.exponents[:count], axis=-1)
+                np.testing.assert_array_equal(linear_form_powers(ix, v, top), ref)
+        for wrong in (n - 1, n + 1):
+            with pytest.raises(DimensionMismatch):
+                linear_form_powers(ix, np.ones((3, wrong)), 2)
+
+
 def test_quadratic_form_expectations_match_dict_reference():
     """f^T Y g = E~ f g for random moment vectors, against the term-by-
     term sum; and the even and shifted linear-form powers the reweighting

@@ -4,6 +4,7 @@ Oracles: two-point and three-point distributions computed by hand, exact
 sphere-moment closed forms, and Monte Carlo integration for the rest.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from rankone.errors import (
 from rankone.pseudodist import (
     PseudoDistribution,
     embed_actual_distribution,
+    linear_form_powers,
+    moment_block,
     validate,
 )
 from rankone.reweighting import (
@@ -439,3 +442,150 @@ def test_subspace_factors_reproduce_output_both_paths():
     again2 = replay_factors(mu2, rep2.factors)
     np.testing.assert_allclose(again2.moments, out2.moments, atol=1e-10)
     assert again2.degree == out2.degree
+
+
+# -- the closed-form draw screen ---------------------------------------------
+
+
+def screen_cases():
+    """(table, basis, delta, k, retry_budget) over moment tables whose draws
+    reach the screen: atom tables of degree 4, 6 and 8, spread, on the
+    unit sphere or clustered, half of them sign symmetric (x and -x with
+    equal weight), the corners of a box, and the degree-4 SDP tables of the planted (2, 2, s)
+    instances that the structure rounds run on.  Degree 4 screens at power
+    0, degree 6 at power 1, and degree 8 with k = 2 at power 2, or at
+    power 1 after a pre-stage (which the sphere tables skip)."""
+    from rankone.bss import planted_yes
+    from rankone.sos_solver import build_bss_problem, solve_feasibility
+    rng = np.random.default_rng(404)
+    tables = []
+    for degree in (4, 6, 8):
+        for shape in ("spread", "sphere", "cluster"):
+            for symmetric in (False, True):
+                n = int(rng.integers(2, 5))
+                pts = rng.standard_normal((int(rng.integers(3, 10)) * (1 + 3 * (shape == "sphere")), n))
+                if shape == "spread":
+                    pts *= rng.uniform(0.4, 1.4, n)
+                elif shape == "sphere":
+                    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+                else:
+                    pts = rng.standard_normal(n) + 0.15 * pts
+                w = rng.dirichlet(np.ones(len(pts)))
+                if symmetric:
+                    pts, w = np.concatenate([pts, -pts]), np.concatenate([w, w]) / 2
+                pts /= math.sqrt(w @ (pts ** 2).sum(axis=1))  # E~ |x|^2 = 1
+                tables.append(strip_support(embed_actual_distribution(pts, w, degree)))
+        # the corners of a box: |x| is constant, so a degree-8 table skips
+        # the pre-stage, and most draws align with no corner
+        n = int(rng.integers(2, 5))
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        pts = corners * rng.uniform(0.3, 1.0, n)
+        w = np.full(len(pts), 1.0 / len(pts))
+        tables.append(strip_support(embed_actual_distribution(pts, w, degree)))
+    for seed in (0, 2, 3):
+        mu, rep = solve_feasibility(build_bss_problem(planted_yes(2, 2, seed)[0], 4))
+        assert rep.status == "feasible"
+        tables.append(mu)
+    cases = []
+    for mu in tables:
+        n = mu.num_vars
+        k = 2 if mu.degree == 8 else 1
+        # the top eigenvectors of E~ x x^T, as the structure rounds pick
+        top = np.linalg.eigh(moment_block(mu, 1, 1)[1:, 1:])[1][:, ::-1].T
+        for delta, dim in ((0.05, n), (0.125, 2), (0.3, min(3, n))):
+            cases.append((mu, top[:dim], delta, k, 90))
+    return cases
+
+
+def fix_outcome(mu, basis, delta, k, budget, seed):
+    """fix_subspace's result, or its RetryExhausted message, and the
+    generator state afterwards."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = fix_subspace(mu, basis, delta=delta, k=k, retry_budget=budget, seed=rng)
+    except RetryExhausted as err:
+        result = str(err)
+    return result, rng.bit_generator.state
+
+
+def assert_same_fix(got, ref):
+    (result, state), (ref_result, ref_state) = got, ref
+    assert state == ref_state
+    if isinstance(ref_result, str):
+        assert result == ref_result
+        return
+    (out, rep), (ref_out, ref_rep) = result, ref_result
+    np.testing.assert_array_equal(out.moments, ref_out.moments)
+    np.testing.assert_array_equal(rep.chosen_direction, ref_rep.chosen_direction)
+    assert (rep.samples_tried, rep.degree_spent, rep.k, rep.pre_stages) == (
+        ref_rep.samples_tried, ref_rep.degree_spent, ref_rep.k, ref_rep.pre_stages)
+    assert len(rep.factors) == len(ref_rep.factors)
+    for (base, power), (ref_base, ref_power) in zip(rep.factors, ref_rep.factors):
+        assert power == ref_power
+        np.testing.assert_array_equal(base.coefficients, ref_base.coefficients)
+        for root, ref_root in zip(base.certificate, ref_base.certificate, strict=True):
+            np.testing.assert_array_equal(root, ref_root)
+
+
+def test_draw_screen_changes_no_fix(monkeypatch):
+    """With the screen forced to keep every draw, fix_subspace gives the
+    same table, direction, draws, degree and factors, or the same
+    RetryExhausted, and leaves the generator where it was, over many
+    tables and seeds.  The screen sees draws at powers 0, 1 and 2 and
+    rejects many at 0 and 1; at power 2 the capture test at E~ s^6 passes
+    only draws that the fix then accepts."""
+    cases = screen_cases()
+    seeds = range(3)
+    screened = [fix_outcome(*case, seed) for case in cases for seed in seeds]
+    seen, rejected = np.zeros(3, dtype=int), np.zeros(3, dtype=int)
+    doomed = reweighting._doomed
+
+    def keep_all(cur, directions, block, proj, p, *args):
+        seen[p] += len(directions)
+        rejected[p] += doomed(cur, directions, block, proj, p, *args).sum()
+        return np.zeros(len(directions), dtype=bool)
+    monkeypatch.setattr(reweighting, "_doomed", keep_all)
+    forced = [fix_outcome(*case, seed) for case in cases for seed in seeds]
+    for got, ref in zip(screened, forced):
+        assert_same_fix(got, ref)
+    assert sum(isinstance(result, str) for result, _ in forced) >= 10
+    assert sum(not isinstance(result, str) for result, _ in forced) >= 10
+    assert seen.min() >= 100 and rejected[:2].min() >= 100, (seen, rejected)
+
+
+def test_draw_screen_rejects_only_draws_the_per_draw_path_rejects(monkeypatch):
+    """Every draw the screen rejects, run alone through the per-draw path,
+    is rejected there too."""
+    calls = []
+    doomed = reweighting._doomed
+
+    def recording(cur, directions, block, proj, p, mass, eps, delta):
+        mask = doomed(cur, directions, block, proj, p, mass, eps, delta)
+        calls.append((cur, directions[mask], proj, p, mass, eps, delta))
+        return mask
+    monkeypatch.setattr(reweighting, "_doomed", recording)
+    for case in screen_cases():
+        fix_outcome(*case, seed=7)
+    checked = 0
+    for cur, directions, proj, p, mass, eps, delta in calls:
+        k_use = max(p, 1)  # a power-0 screen runs only on degree 4, where k_use = 1
+        for v in directions:
+            powers = linear_form_powers(cur.index, v, 2)
+            assert reweighting._fix_draw(cur, v, powers, proj, mass, k_use, eps, delta) is None
+            checked += 1
+    assert checked >= 100
+
+
+def test_fix_subspace_rejects_bad_counts():
+    """k and retry_budget must be integers >= 1, on both paths; k = 0 used
+    to index an empty moment block."""
+    pts = np.array([[0.9, 0.1, 0.0], [0.85, -0.05, 0.2]])
+    atoms = embed_actual_distribution(pts, np.array([.6, .4]), 6)
+    for mu in (atoms, strip_support(atoms)):
+        for bad in (0, -1, 1.5, 2.0, True, "2"):
+            with pytest.raises(PreconditionViolated, match="k must be an integer"):
+                fix_subspace(mu, np.eye(3), delta=0.3, k=bad, seed=0)
+        for bad in (0, -5, 10.0, None):
+            with pytest.raises(PreconditionViolated, match="retry_budget must be an integer"):
+                fix_subspace(mu, np.eye(3), delta=0.3, retry_budget=bad, seed=0)
+        fix_subspace(mu, np.eye(3), delta=0.3, k=np.int64(1), retry_budget=np.int32(50), seed=0)
