@@ -43,10 +43,6 @@ class DegenerateWeight(RankOneError):
     """Reweighting polynomial has vanishing pseudo-expectation."""
 
 
-class BadWeights(RankOneError):
-    """Distribution weights are negative or do not sum to one."""
-
-
 # -- reweighting pipeline ---------------------------------------------------
 
 class DegreeExhausted(RankOneError):

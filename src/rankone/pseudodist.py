@@ -30,12 +30,6 @@ Reweighting by a sum-of-squares polynomial p sends the moment vector y
 to y'[a] = E~[p * x^a] / E~[p] at reduced degree.  Every
 `ReweightPolynomial` carries roots g_i with p = sum g_i^2, and
 `reweight` checks that identity before it uses p.
-
-Distributions embedded from an explicit finite support keep their atoms
-(`support` field).  Such objects are actual distributions, hence valid
-pseudo-distributions of every degree: `reweight` evaluates the weight
-at the atoms, exact at every degree, while the stored moment vector is
-still truncated at the declared degree.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadWeights,
     DegenerateWeight,
     DegreeExceeded,
     DegreeExhausted,
@@ -170,14 +163,6 @@ def monomial_index(num_vars: int, max_degree: int) -> MonomialIndex:
     return MonomialIndex(num_vars, max_degree)
 
 
-def as_point_rows(points) -> np.ndarray:
-    """Coerce to shape (num_points, num_vars); 1-d input means univariate."""
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        return arr.reshape(-1, 1)
-    return arr
-
-
 # -- core types --------------------------------------------------------------
 
 
@@ -221,7 +206,6 @@ class PseudoDistribution:
     moments: np.ndarray
     degree: int
     constraints: tuple = ()
-    support: tuple | None = None  # ((point ndarray, weight), ...) when exact
 
     @property
     def num_vars(self) -> int:
@@ -350,29 +334,15 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     """Reweighted pseudo-distribution mu' = p * mu / E~[p], once the
     certificate of p checks out (NotSOS otherwise).
 
-    For moment-backed mu the result has degree mu.degree - deg(p) and the
-    usual degree guard applies; its moments are one gather-matmul,
-    y'[a] = sum_b Y[a, b] p_b / E~[p].  Support-backed mu is an actual
-    distribution, so the reweighting is exact at every degree and the
-    declared degree is kept.
+    The result has degree mu.degree - deg(p), and at least degree 2 must
+    remain (DegreeExhausted otherwise); its moments are one gather-matmul,
+    y'[a] = sum_b Y[a, b] p_b / E~[p].
     """
     if p.index.num_vars != mu.num_vars:
         raise DimensionMismatch(
             f"weight over {p.index.num_vars} variables, distribution over {mu.num_vars}")
     if not _check_certificate(p):
         raise NotSOS("certificate does not reproduce the polynomial")
-
-    if mu.support is not None:
-        points = np.array([pt for pt, _ in mu.support], dtype=float)
-        weights = np.array([w for _, w in mu.support], dtype=float)
-        exps = p.index.exponents[:p.coefficients.size]
-        vals = np.prod(points[:, None, :] ** exps, axis=2) @ p.coefficients
-        vals = np.where(vals < 0.0, 0.0, vals)  # SOS up to float noise
-        new_w = weights * vals
-        norm = float(new_w.sum())
-        if norm <= NORM_EPS * max(1.0, float(np.abs(weights * vals).max(initial=0.0)) * len(new_w)):
-            raise DegenerateWeight("reweighting annihilates the support")
-        return from_support(points, new_w / norm, mu.degree, mu.constraints)
 
     dp = p.degree
     if dp > mu.degree - 2:
@@ -392,47 +362,7 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     kept = tuple(c for c in mu.constraints
                  if mu.index.degree_of(c.polynomial) <= new_degree)
     return PseudoDistribution(monomial_index(mu.num_vars, new_degree), new_moments,
-                              new_degree, kept, None)
-
-
-def from_support(points: np.ndarray, weights: np.ndarray, degree: int,
-                 constraints: tuple = ()) -> PseudoDistribution:
-    """Build a support-backed pseudo-distribution; weights assumed normalized."""
-    points = as_point_rows(points)
-    weights = np.asarray(weights, dtype=float)
-    index = monomial_index(points.shape[1], degree)
-    moments = np.zeros(index.size)
-    for i in range(index.size):
-        e = index.exponents[i]
-        term = weights.copy()
-        for j, ej in enumerate(e):
-            if ej:
-                term = term * points[:, j] ** int(ej)
-        moments[i] = term.sum()
-    moments[0] = 1.0
-    support = tuple((points[i].copy(), float(weights[i])) for i in range(len(weights)))
-    return PseudoDistribution(index, moments, degree, tuple(constraints), support)
-
-
-def embed_actual_distribution(points, weights, degree: int,
-                              constraints: tuple = ()) -> PseudoDistribution:
-    """Exact moment vector of a finitely supported distribution.
-
-    Weights must be nonnegative and sum to 1 within 1e-9.
-    """
-    points = as_point_rows(points)
-    weights = np.asarray(weights, dtype=float)
-    if points.shape[0] != weights.shape[0]:
-        raise DimensionMismatch("points and weights disagree in length")
-    if weights.size == 0:
-        raise BadWeights("empty support")
-    if float(weights.min()) < -1e-12:
-        raise BadWeights(f"negative weight {weights.min()}")
-    if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise BadWeights(f"weights sum to {weights.sum()}, not 1")
-    weights = np.clip(weights, 0.0, None)
-    weights = weights / weights.sum()
-    return from_support(points, weights, degree, constraints)
+                              new_degree, kept)
 
 
 # -- validation --------------------------------------------------------------
@@ -484,6 +414,6 @@ __all__ = [
     "MonomialIndex", "ConstraintSpec", "ReweightPolynomial", "PseudoDistribution",
     "monomial_index", "dense_poly", "moment_block", "linear_form_powers",
     "univariate_poly", "poly_mul", "poly_pow", "moment_matrix", "reweight",
-    "embed_actual_distribution", "from_support", "validate", "ValidationReport",
-    "equality_residual", "as_point_rows", "PSD_EPS", "CON_EPS", "NORM_EPS",
+    "validate", "ValidationReport", "equality_residual", "PSD_EPS", "CON_EPS",
+    "NORM_EPS",
 ]

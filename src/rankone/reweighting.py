@@ -16,15 +16,11 @@ mean vector collects the subspace mass:
 
     |E~ x|^2  >=  (1 - delta) E~ |proj_S x|^2.
 
-Support-backed distributions are reweighted through their atom weights:
-exact at every power, values rescaled by their maximum before powering
-so no power sum over- or underflows, and the moment table is rebuilt
-once at the end.  Moment-backed distributions go through the moment
-table and spend 2k degrees of budget per power-k reweighting; every
-stage first checks whether its goal already holds, so distributions
-that arrive concentrated spend almost nothing.
+Every power-k reweighting spends 2k degrees of the moment table, and
+every stage first checks whether its goal already holds, so
+distributions that arrive concentrated spend almost nothing.
 
-The moment path runs on the dense kernel of `pseudodist`.  Every weight
+The fixes run on the dense kernel of `pseudodist`.  Every weight
 is a polynomial in one linear form s = <v, x>, or a power of the
 projection t, held as a coefficient vector over the monomial table.
 E~ s^{2k}, E~ (s^2 - m)^{2d} and E~ (s +- m)^{2d} are quadratic forms
@@ -49,10 +45,7 @@ through `_fix_draw`, the only code that accepts a draw, with its
 certified reweightings.  A dropped draw's weight is never applied, so
 the screen changes no result and no generator state.
 
-Degree accounting is explicit even on the support path, where the atoms
-make every power exact: reports carry degree_spent and fix_scalar
-refuses to exceed its degree_budget, keeping the complexity contract
-observable.
+Reports carry degree_spent, so the degree each fix pays is observable.
 """
 
 from __future__ import annotations
@@ -72,7 +65,6 @@ from .errors import (
 from .pseudodist import (
     PseudoDistribution,
     ReweightPolynomial,
-    from_support,
     linear_form_powers,
     moment_block,
     monomial_index,
@@ -85,7 +77,6 @@ from .pseudodist import (
 DEFAULT_C = 2  # fix_subspace needs subspace mass E~ |proj_S x|^2 >= dim(S)^-C
 
 _STAGE_CAP = 2000
-_MASS_FLOOR = 0.05  # accept subspace mass down to here even in low dimension
 _RELAXED_SCALAR_EPS = 0.45  # fallback scalar tolerance when degree is tight
 _DRAW_BATCH = 256  # candidate directions screened per vectorized batch
 _SCREEN_MARGIN = 1e-6  # relative margin a closed-form rejection must clear
@@ -147,55 +138,7 @@ def sphere_moment(dim: int, k: int) -> float:
     return c
 
 
-def _support_arrays(mu: PseudoDistribution):
-    pts = np.array([pt for pt, _ in mu.support], dtype=float)
-    w = np.array([wt for _, wt in mu.support], dtype=float)
-    return pts, w
-
-
-def _renormalize(w: np.ndarray, values: np.ndarray) -> np.ndarray:
-    new_w = w * np.clip(values, 0.0, None)
-    total = float(new_w.sum())
-    if total <= 1e-300 or not np.isfinite(total):
-        raise DegenerateWeight("reweighting values annihilate the support")
-    return new_w / total
-
-
 # -- scalar fixing -----------------------------------------------------------
-
-
-def fix_scalar(mu: PseudoDistribution, direction, d: int, eps: float,
-               degree_budget: int | None = None):
-    """Fix s = <direction, x> to a value m with |m| = sqrt(E~ s^2) >= 1.
-
-    Requires E~ s^2 >= 1 (callers rescale the direction first).  Stage-A
-    reweightings spend 2k degrees each and the sign split spends 2d; the
-    total never exceeds degree_budget (default: the whole moment budget
-    on the moment path, uncapped on the support path).  Returns
-    (mu', ScalarFixReport) with E~ (s - m)^{2d} <= 3 eps^{2d} m^{2d}.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if not 0.0 < eps < 1.0:
-        raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
-    if d < 1:
-        raise PreconditionViolated(f"d must be >= 1, got {d}")
-    if not direction.any():
-        raise PreconditionViolated("zero direction")
-    # stage A stops a factor 2^{1/2d} early so the sign split lands exactly
-    # on the advertised 3 eps^{2d} contract
-    eps_int = eps * 2.0 ** (-1.0 / (2 * d))
-    k_hat = stage_power(d, eps)
-
-    if mu.support is not None:
-        pts, w = _support_arrays(mu)
-        w2, m, ratio, spent, trace, total_k = _scalar_stages(
-            pts, w, direction, eps_int, d, k_hat, degree_budget)
-        out = from_support(pts, w2, mu.degree, mu.constraints)
-        factors = _scalar_factors(direction, total_k, m, d)
-        report = ScalarFixReport(m, ratio, spent, trace, d, eps, k_hat, factors)
-        return out, report
-    return _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat,
-                               degree_budget)
 
 
 def _scalar_factors(direction, total_k, m, d):
@@ -205,60 +148,6 @@ def _scalar_factors(direction, total_k, m, d):
         factors.append((_linear_square(direction), total_k))
     factors.append((_linear_square(direction, m), d))
     return tuple(factors)
-
-
-def _scalar_stages(pts, w, direction, eps_int, d, k_hat, budget):
-    """Stage loop over raw atom weights; returns
-    (weights, m, achieved_ratio, degree_spent, stage_trace, total_power)."""
-    s = pts @ direction
-    scale = float(np.abs(s).max(initial=0.0))
-    if scale == 0.0:
-        raise PreconditionViolated("the linear form vanishes on the support")
-    sn = s / scale
-    tn = sn * sn
-    d2 = 2 * d
-    if float(np.dot(w, s * s)) < 1.0 - 1e-9:
-        raise PreconditionViolated("E~ s^2 < 1; rescale the direction first")
-
-    spent = 0
-    trace = []
-    stages = 0
-    total_k = 0
-    while True:
-        m = float(np.dot(w, tn))
-        trace.append(m * scale * scale)
-        dev = float(np.dot(w, (tn - m) ** d2))
-        if dev <= 3.0 * eps_int ** d2 * m ** d2:
-            break
-        k_stage = k_hat
-        if budget is not None:
-            k_stage = min(k_hat, (budget - spent - d2) // 2)
-        if k_stage < 1 or stages >= _STAGE_CAP:
-            raise DegreeExhausted(
-                f"scalar did not concentrate within budget "
-                f"(spent {spent}, stages {stages})")
-        new_w = _renormalize(w, tn ** k_stage)
-        new_m = float(np.dot(new_w, tn))
-        if new_m < m * (1.0 - 1e-6):  # even-power reweighting never shrinks it
-            raise PreconditionViolated(
-                "monotonicity of E~ s^2 under even-power reweighting failed")
-        w = new_w
-        spent += 2 * k_stage
-        stages += 1
-        total_k += k_stage
-
-    m_mean = float(np.dot(w, tn))
-    root = math.sqrt(m_mean)
-    e_plus = float(np.dot(w, (sn + root) ** d2))
-    e_minus = float(np.dot(w, (sn - root) ** d2))
-    sign = 1.0 if e_plus > e_minus else -1.0
-    fixed_n = sign * root
-    w = _renormalize(w, (sn + fixed_n) ** d2)
-    spent += d2
-    dev_n = float(np.dot(w, (sn - fixed_n) ** d2))
-    m = fixed_n * scale
-    ratio = dev_n / fixed_n ** d2    # scale cancels between dev and m^{2d}
-    return w, m, ratio, spent, tuple(trace), total_k
 
 
 def _series_pow(base, k: int) -> np.ndarray:
@@ -285,14 +174,30 @@ def _linear_square(v, shift: float = 0.0) -> ReweightPolynomial:
     return _power_weight(monomial_index(len(v), 2), v, [shift, 1.0], 1)
 
 
-def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
+def fix_scalar(mu: PseudoDistribution, direction, d: int, eps: float):
+    """Fix s = <direction, x> to a value m with |m| = sqrt(E~ s^2) >= 1.
+
+    Requires E~ s^2 >= 1 (callers rescale the direction first) and degree
+    >= 4d.  Stage-A reweightings spend 2k degrees each and the sign split
+    spends 2d, all paid from the table's own degree: a stage that cannot
+    leave 4d of it raises DegreeExhausted.  Returns (mu', ScalarFixReport)
+    with E~ (s - m)^{2d} <= 3 eps^{2d} m^{2d}.
+    """
+    direction = np.asarray(direction, dtype=float)
+    if not 0.0 < eps < 1.0:
+        raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
+    if d < 1:
+        raise PreconditionViolated(f"d must be >= 1, got {d}")
+    if not direction.any():
+        raise PreconditionViolated("zero direction")
+    # stage A stops a factor 2^{1/2d} early so the sign split lands exactly
+    # on the advertised 3 eps^{2d} contract
+    eps_int = eps * 2.0 ** (-1.0 / (2 * d))
+    k_hat = stage_power(d, eps)
     d2 = 2 * d
     if mu.degree < 2 * d2:
         raise DegreeExhausted(
             f"degree {mu.degree} cannot certify a {d2}-th central moment")
-    if budget is None:
-        budget = mu.degree - d2
-    budget = min(budget, mu.degree - 2)
     # every weight below is a polynomial in s = <direction, x>
     index = mu.index
     powers = linear_form_powers(index, direction, d2)
@@ -313,11 +218,10 @@ def _fix_scalar_moments(mu, direction, eps, eps_int, d, k_hat, budget):
         dev = float(central @ block @ central)
         if dev <= 3.0 * eps_int ** d2 * m ** d2:
             break
-        k_stage = min(k_hat, (budget - spent - d2) // 2,
-                      (cur.degree - 2 * d2) // 2)
+        k_stage = min(k_hat, (cur.degree - 2 * d2) // 2)
         if k_stage < 1:
             raise DegreeExhausted(
-                f"scalar did not concentrate within budget (spent {spent})")
+                f"scalar did not concentrate within degree {mu.degree} (spent {spent})")
         nxt = reweight(cur, _power_weight(index, direction, [0.0, 1.0], k_stage))
         if nxt.expect(t) < m * (1.0 - 1e-6):
             raise PreconditionViolated(
@@ -354,11 +258,11 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
 
     `basis` holds spanning rows of the subspace S (an array or any
     object with a `rows` attribute); it is orthonormalized internally.
-    Requires E~ |proj_S x|^2 >= dim(S)^{-DEFAULT_C}.  Draws up to retry_budget
-    random unit directions v in S; one is accepted when it captures the
-    subspace mass at even power 2k and is not atypically small, after
-    which the distribution is reweighted by <v, x>^{2k} and the scalar
-    <v, x> is fixed.  Returns (mu', SubspaceFixReport) with
+    Requires degree >= 4 and E~ |proj_S x|^2 >= dim(S)^{-DEFAULT_C}.
+    Draws up to retry_budget random unit directions v in S; one is
+    accepted when it captures the subspace mass at even power 2k and is
+    not atypically small, after which the distribution is reweighted by
+    <v, x>^{2k} and the scalar <v, x> is fixed.  Returns (mu', SubspaceFixReport) with
 
         |E~ x|^2  >=  (1 - delta) E~ |proj_S x|^2.
     """
@@ -376,128 +280,12 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     if k is None:
         k = direction_power(dim, delta)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-    if mu.support is not None:
-        return _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget, k)
-    return _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k)
-
-
-def _require_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise PreconditionViolated(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _orthonormal_rows(basis: np.ndarray) -> np.ndarray:
-    from .linalg import gram_schmidt
-    rows = gram_schmidt([basis[i] for i in range(basis.shape[0])])
-    if not rows:
-        raise PreconditionViolated("subspace basis has rank zero")
-    return np.array(rows)
-
-
-def _fix_subspace_support(mu, rows, delta, eps, rng, retry_budget, k):
-    pts, w = _support_arrays(mu)
-    proj = pts @ rows.T                      # subspace coordinates per atom
-    t = np.einsum("ij,ij->i", proj, proj)    # |proj_S x|^2
-    b2 = float(t.max(initial=0.0))
-    dim = rows.shape[0]
-    floor = min(dim ** (-float(DEFAULT_C)), _MASS_FLOOR)
-    if float(np.dot(w, t)) < floor * (1.0 - 1e-9):
-        raise PreconditionViolated(
-            f"subspace mass {np.dot(w, t):.3e} below {floor:.3e}")
-    tn = t / b2
-
-    pre = 0
-    spent = 0
-    while not _multiplicative_ok(w, tn, k, eps):
-        if pre >= _STAGE_CAP:
-            raise DegreeExhausted(
-                f"subspace mass did not concentrate within {pre} stages")
-        w = _renormalize(w, tn)
-        pre += 1
-        spent += 2
-
-    mass_n = float(np.dot(w, tn))
-    c_k = sphere_moment(dim, k)
-    # candidates alternate between uniform draws (cover the isotropic case,
-    # where the c_k bound is tight) and draws pointing at a mass-tilted atom
-    # (cover concentrated mass, where a uniform draw rarely aligns); each
-    # accepted v is certified by the same event, so the mix only affects
-    # how fast a certifiable direction is found
-    tilt = w * tn ** min(k, 60)
-    tilt_total = float(tilt.sum())
-    for attempt in range(1, retry_budget + 1):
-        coef = rng.standard_normal(dim)
-        if attempt % 2 == 0 and tilt_total > 0.0:
-            i = int(rng.choice(len(w), p=tilt / tilt_total))
-            nrm = np.linalg.norm(proj[i])
-            if nrm > 0.0:
-                coef = proj[i] / nrm + 1e-9 * coef
-        coef /= np.linalg.norm(coef)
-        v = coef @ rows
-        sn = (proj @ coef) / math.sqrt(b2)   # <v, x> in t's units
-        s2 = sn * sn
-        e_lo = float(np.dot(w, s2 ** k))
-        e_hi = float(np.dot(w, s2 ** (k + 1)))
-        e_tk = float(np.dot(w, tn ** k))
-        if e_lo <= 0.0:
-            continue
-        captures = e_hi >= (1.0 - eps) ** 3 * mass_n * e_lo
-        typical = e_lo >= 0.5 * c_k * e_tk
-        if not (captures and typical):
-            continue
-
-        try:
-            top = float(s2.max())
-            w2 = _renormalize(w, (s2 / top) ** k)
-            step = 2 * k
-            sigma2 = float(np.dot(w2, s2)) * b2
-            if sigma2 <= 0.0:
-                continue
-            sigma = math.sqrt(sigma2)
-            w3, m_fix, ratio, fix_spent, trace, total_k = _scalar_stages(
-                pts, w2, v / sigma, eps * 2.0 ** (-0.5), 1,
-                stage_power(1, eps), None)
-        except (DegenerateWeight, PreconditionViolated, DegreeExhausted):
-            continue
-        step += fix_spent
-        mean = w3 @ pts
-        mass = float(np.dot(w3, t))
-        if float(mean @ mean) >= (1.0 - delta) * mass:
-            out = from_support(pts, w3, mu.degree, mu.constraints)
-            srep = ScalarFixReport(
-                m_fix, ratio, fix_spent, trace, 1, eps, stage_power(1, eps),
-                _scalar_factors(v / sigma, total_k, m_fix, 1))
-            factors = []
-            if pre:
-                factors.append((_projection_weight(rows), pre))
-            factors.append((_linear_square(v), k + total_k))
-            factors.append((_linear_square(v, m_fix * sigma), 1))
-            report = SubspaceFixReport(
-                v, attempt, float(mean @ mean) / mass if mass > 0 else 0.0,
-                spent + step, k, pre, m_fix * sigma, srep, tuple(factors))
-            return out, report
-    raise RetryExhausted(
-        f"no direction fixed the subspace within {retry_budget} draws")
-
-
-def _multiplicative_ok(w, tn, k, eps):
-    """E~ t^j <= (1 + eps)^j (E~ t)^j for all j <= k."""
-    j = np.arange(1, k + 1, dtype=float)
-    moments = (tn[None, :] ** j[:, None]) @ w
-    y1 = moments[0]
-    bounds = y1 ** j * (1.0 + eps) ** (j - 1.0)
-    return bool(np.all(moments <= bounds + 1e-300))
-
-
-def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
     if mu.degree < 4:
         raise DegreeExhausted(
             f"subspace fixing needs degree >= 4, table has {mu.degree}")
     index = mu.index
     proj_rp = _projection_weight(rows)
     proj = proj_rp.coefficients
-    dim = rows.shape[0]
     if mu.expect(proj) < dim ** (-float(DEFAULT_C)) * (1.0 - 1e-9):
         raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
     k = min(k, max(1, (mu.degree - 4) // 2))
@@ -575,6 +363,19 @@ def _fix_subspace_moments(mu, rows, delta, eps, rng, retry_budget, k):
         attempt += coefs.shape[0]
     raise RetryExhausted(
         f"no direction fixed the subspace within {retry_budget} draws")
+
+
+def _require_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise PreconditionViolated(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _orthonormal_rows(basis: np.ndarray) -> np.ndarray:
+    from .linalg import gram_schmidt
+    rows = gram_schmidt([basis[i] for i in range(basis.shape[0])])
+    if not rows:
+        raise PreconditionViolated("subspace basis has rank zero")
+    return np.array(rows)
 
 
 def _fix_draw(cur, v, powers, proj, mass, k_use, eps, delta):

@@ -1062,5 +1062,5 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     moments = np.zeros(index.size)
     moments[invariant] = y_hat / y_hat[0]
     dist = PseudoDistribution(index, moments, index.max_degree,
-                              tuple(problem.constraints), None)
+                              tuple(problem.constraints))
     return dist, report

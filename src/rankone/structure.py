@@ -128,14 +128,14 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     condition ||m_i m_i^T - E~ u_i u_i^T||_F <= eps |m_i|^2, for eps in
     (0, 1); raises IterLimit after ceil(40 log max(n, 2) / eps) + 2
     progress rounds.  Every fix asks for a mean carrying a (1 - delta)
-    share of the subspace mass, delta = min(1/2, eps/2), and on a moment
-    table it powers its direction only to <v, x>^2 (k = 1).  Phase one
-    seeds near-zero means: first a joint fix on the two-dimensional
-    coupled plane (cheapest when the blocks are sign symmetric), then a
-    top-eigenspace fix for any coordinate still near zero.  Phase two
-    runs per-coordinate progress steps on the covariance of the
-    component orthogonal to the current mean.  The trace records the
-    potential |m_1|^2 |m_2|^2 after every step.
+    share of the subspace mass, delta = min(1/2, eps/2), and powers its
+    direction only to <v, x>^2 (k = 1).  Phase one seeds near-zero means:
+    first a joint fix on the two-dimensional coupled plane (cheapest when
+    the blocks are sign symmetric), then a top-eigenspace fix for any
+    coordinate still near zero.  Phase two runs per-coordinate progress
+    steps on the covariance of the component orthogonal to the current
+    mean.  The trace records the potential |m_1|^2 |m_2|^2 after every
+    step.
     """
     if not 0.0 < eps < 1.0:
         raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
@@ -148,8 +148,6 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     cur = mu
     delta = min(0.5, eps / 2.0)
     bound = math.ceil(40.0 * math.log(max(n, 2)) / eps) + 2
-    # atoms stay atoms and moments stay moments through every fix
-    k = None if mu.support is not None else 1
 
     def record_step(kind, rep, coord):
         g1, m1, _, _ = block_stopping(cur, 0, n)
@@ -196,14 +194,14 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
             rows = np.array([np.concatenate([alpha, beta]) * half,
                              np.concatenate([alpha, -beta]) * half])
             try:
-                nxt, rep = fix_subspace(cur, rows, delta, k=k, seed=rng,
+                nxt, rep = fix_subspace(cur, rows, delta, k=1, seed=rng,
                                         retry_budget=_JOINT_RETRY_BUDGET)
             except (RetryExhausted, PreconditionViolated, DegreeExhausted):
                 continue    # next plane, or the per-coordinate schedule
             ng1, nm1 = block_stopping(nxt, 0, n)[:2]
             ng2, nm2 = block_stopping(nxt, n, n)[:2]
             settled = ng1 <= eps * nm1 and ng2 <= eps * nm2
-            if not settled and (nxt.support is None and nxt.degree < 4):
+            if not settled and nxt.degree < 4:
                 continue
             cur = nxt
             factors.extend(rep.factors)
@@ -220,7 +218,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
         small = np.array([vecs[:, -(i + 1)]
                           for i in range(min(top_count, n))])
         rows = _block_rows(small, offset, mu.num_vars)
-        cur, rep = fix_subspace(cur, rows, delta, k=k, seed=rng)
+        cur, rep = fix_subspace(cur, rows, delta, k=1, seed=rng)
         factors.extend(rep.factors)
         record_step("initial", rep, coord)
 
@@ -250,7 +248,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
         if nm > _MEAN_EPS:
             small.append(mean / nm)
         rows = _block_rows(np.array(small), offset, mu.num_vars)
-        cur, rep = fix_subspace(cur, rows, delta, k=k, seed=rng)
+        cur, rep = fix_subspace(cur, rows, delta, k=1, seed=rng)
         factors.extend(rep.factors)
         record_step("progress", rep, coord)
     g1, m1, _, _ = block_stopping(cur, 0, n)

@@ -1,12 +1,14 @@
 """Static checks on the package source and the tests.
 
 Every import in `src/rankone` and in `tests` binds a name the module
-uses (a line marked `# noqa: F401` keeps a deliberate re-export), and
-every entry of a package module's `__all__` resolves to an attribute of
-that module.
+uses (a line marked `# noqa: F401` keeps a deliberate re-export), every
+entry of a package module's `__all__` resolves to an attribute of that
+module, and every top-level name of a package module is referenced from
+the package or the benchmark: code that only tests reach is dead code.
 """
 
 import ast
+import collections
 import importlib
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "rankone").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCHMARK = sorted((ROOT / "benchmark").glob("*.py"))
 
 
 def _unused_imports(path: Path) -> list:
@@ -51,3 +54,49 @@ def test_all_entries_resolve(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+def _references(tree) -> collections.Counter:
+    """Names read, attributes read and names imported under a node."""
+    refs = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def _top_level_names(tree):
+    """(name, node) for every function, class and variable a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node
+
+
+# the public checkers the tests verify results with, and the literal
+# polynomial writer they state them in: documented package API that no
+# package path runs itself
+TEST_ORACLES = {"pseudodist.py: validate", "pseudodist.py: dense_poly",
+                "sos_solver.py: certificate_margin"}
+
+
+def test_every_package_name_is_reached():
+    """Each top-level name of `src/rankone` is read somewhere in `src/` or
+    `benchmark/` outside its own definition; `__all__` and the tests do
+    not count.  The exceptions are exactly TEST_ORACLES."""
+    trees = {path: ast.parse(path.read_text()) for path in SOURCES + BENCHMARK}
+    total = collections.Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    unreached = {f"{path.name}: {name}" for path in SOURCES
+                 for name, node in _top_level_names(trees[path])
+                 if total[name] - _references(node)[name] <= 0}
+    assert unreached == TEST_ORACLES

@@ -1,9 +1,11 @@
 """Tests for the pseudo-distribution moment machinery.
 
-Oracles: brute-force monomial enumeration, direct weighted power sums
-over explicit support points, polynomial evaluation at more random
-points than monomials, and expectations taken term by term, each
-monomial looked up by its exponent.
+Finite distributions enter as the moment tables of their atoms
+(`moment_tables.atom_table`).  Oracles: brute-force monomial
+enumeration, direct weighted power sums over the atoms, reweighted atom
+weights w_i p(x_i), polynomial evaluation at more random points than
+monomials, and expectations taken term by term, each monomial looked up
+by its exponent.
 """
 
 import itertools
@@ -12,8 +14,8 @@ import math
 import numpy as np
 import pytest
 
+from moment_tables import atom_table
 from rankone.errors import (
-    BadWeights,
     DegenerateWeight,
     DegreeExceeded,
     DegreeExhausted,
@@ -25,7 +27,6 @@ from rankone.pseudodist import (
     MonomialIndex,
     PseudoDistribution,
     ReweightPolynomial,
-    embed_actual_distribution,
     equality_residual,
     dense_poly,
     linear_form_powers,
@@ -71,7 +72,7 @@ def random_discrete(rng, num_points, num_vars, degree):
     pts = rng.uniform(-1.5, 1.5, size=(num_points, num_vars))
     w = rng.uniform(0.1, 1.0, size=num_points)
     w /= w.sum()
-    return pts, w, embed_actual_distribution(pts, w, degree)
+    return pts, w, atom_table(pts, w, degree)
 
 
 def random_poly(rng, index, max_degree):
@@ -272,24 +273,6 @@ def test_expectation_rejects_high_degree():
         mu.expect(dense({(3, 2): 1.0}))
 
 
-def test_univariate_points_accepted_as_flat_array():
-    """1-d point input means one variable, not one point."""
-    mu = embed_actual_distribution(np.array([1.0, -1.0]), np.array([0.5, 0.5]), 4)
-    assert mu.num_vars == 1
-    assert abs(mu.expect(dense({(2,): 1.0})) - 1.0) < 1e-12
-    assert abs(mu.expect(dense({(1,): 1.0}))) < 1e-12
-
-
-def test_embed_rejects_bad_weights():
-    pts = np.zeros((2, 2))
-    with pytest.raises(BadWeights):
-        embed_actual_distribution(pts, np.array([0.7, 0.7]), 2)
-    with pytest.raises(BadWeights):
-        embed_actual_distribution(pts, np.array([1.5, -0.5]), 2)
-    with pytest.raises(DimensionMismatch):
-        embed_actual_distribution(pts, np.array([1.0]), 2)
-
-
 # -- positivity ----------------------------------------------------------------
 
 
@@ -338,7 +321,7 @@ def test_localized_moment_matrix_psd_for_valid_localizer():
     pts = rng.standard_normal((7, 2))
     pts *= (0.9 * rng.uniform(0.2, 1.0, 7) / np.linalg.norm(pts, axis=1))[:, None]
     w = np.full(7, 1.0 / 7.0)
-    mu = embed_actual_distribution(pts, w, 6)
+    mu = atom_table(pts, w, 6)
     ball = dense({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})  # 1 - |x|^2
     loc = moment_matrix(mu, ball)
     assert np.linalg.eigvalsh(loc)[0] >= -1e-10
@@ -373,10 +356,10 @@ def test_equality_residual_measures_constraint():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0]])  # on the circle x^2 + y^2 = 1
     w = np.array([0.5, 0.5])
     circle = dense(CIRCLE)
-    mu = embed_actual_distribution(pts, w, 6, (ConstraintSpec(circle),))
+    mu = atom_table(pts, w, 6, (ConstraintSpec(circle),))
     assert equality_residual(mu, circle) < 1e-12
     assert validate(mu).ok()
-    off = embed_actual_distribution(2.0 * pts, w, 6)
+    off = atom_table(2.0 * pts, w, 6)
     assert equality_residual(off, circle) > 1.0
 
 
@@ -401,16 +384,16 @@ def test_reweight_matches_direct_formula_on_support():
 
 
 def test_reweight_moment_path_agrees_with_support_path():
-    """Dropping the atoms and reweighting through moments gives the same
-    truncated table, at the reduced degree."""
+    """Reweighting through the moments gives the table of the atoms
+    reweighted to w_i p(x_i), at the reduced degree."""
     rng = np.random.default_rng(14)
     pts, w, mu = random_discrete(rng, 5, 2, 6)
-    blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
     rw = square(monomial_index(2, 2), linear(rng.standard_normal(2), 0.7))
-    a = reweight(mu, rw)
-    b = reweight(blind, rw)
-    assert b.degree == mu.degree - 2
-    np.testing.assert_allclose(b.moments, a.moments[:b.index.size], rtol=0, atol=1e-9)
+    got = reweight(mu, rw)
+    w2 = w * evaluate(rw.index, rw.coefficients, pts)
+    ref = atom_table(pts, w2 / w2.sum(), mu.degree - 2)
+    assert got.degree == mu.degree - 2
+    np.testing.assert_allclose(got.moments, ref.moments, rtol=0, atol=1e-9)
 
 
 def test_reweight_composition_matches_product():
@@ -453,22 +436,18 @@ def test_reweight_rejects_tiny_weight_with_false_certificate():
     not a sum of squares, fails against a zero root although every
     coefficient it gets wrong is below 1e-8."""
     pts = np.array([[2.0, 0.0], [-2.0, 0.5], [1.5, 1.0]])
-    actual = embed_actual_distribution(pts, np.ones(3) / 3.0, 6)
-    blind = PseudoDistribution(actual.index, actual.moments, 6)
+    mu = atom_table(pts, np.ones(3) / 3.0, 6)
     tiny = ReweightPolynomial(monomial_index(2, 1), dense({(1, 0): 1e-9}), (np.zeros(1),))
-    for mu in (actual, blind):
-        with pytest.raises(NotSOS):
-            reweight(mu, tiny)
+    with pytest.raises(NotSOS):
+        reweight(mu, tiny)
 
 
 def test_reweight_degree_bookkeeping():
-    """Moment-backed loses deg p, support-backed keeps the declared degree."""
+    """Reweighting by p costs deg p, down to a floor of degree 2."""
     rng = np.random.default_rng(18)
     _, _, mu = random_discrete(rng, 5, 2, 6)
     rw = square(monomial_index(2, 2), linear([1.0, 1.0]))
-    assert reweight(mu, rw).degree == 6
-    blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
-    low = reweight(blind, rw)
+    low = reweight(mu, rw)
     assert low.degree == 4
     quartic = square(monomial_index(2, 4), dense({(2, 0): 1.0, (0, 2): 1.0}))
     with pytest.raises(DegreeExhausted):
@@ -478,19 +457,16 @@ def test_reweight_degree_bookkeeping():
 def test_reweight_rejects_degenerate_weight():
     """Reweighting by a square vanishing on the whole support has no mass."""
     pts = np.array([[1.0, 0.0], [2.0, 0.0]])
-    mu = embed_actual_distribution(pts, np.array([0.5, 0.5]), 6)
+    mu = atom_table(pts, np.array([0.5, 0.5]), 6)
     rw = square(monomial_index(2, 2), linear([0.0, 1.0]))
     with pytest.raises(DegenerateWeight):
         reweight(mu, rw)
-    blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
-    with pytest.raises(DegenerateWeight):
-        reweight(blind, rw)
 
 
 def test_reweight_keeps_constraints_within_budget():
     circle = ConstraintSpec(dense(CIRCLE))
     pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
-    mu = embed_actual_distribution(pts, np.ones(3) / 3.0, 6, (circle,))
+    mu = atom_table(pts, np.ones(3) / 3.0, 6, (circle,))
     rw = square(monomial_index(2, 2), linear([1.0, 0.0], 2.0))
     nu = reweight(mu, rw)
     assert circle in nu.constraints
@@ -623,16 +599,15 @@ def test_reweight_matches_shift_loop_reference():
         n = int(rng.integers(1, 4))
         degree = int(rng.choice([4, 6]))
         _, _, mu = random_discrete(rng, 6, n, degree)
-        blind = PseudoDistribution(mu.index, mu.moments, mu.degree)
         ix = monomial_index(n, 4)
         g = linear(rng.standard_normal(n), float(rng.standard_normal()))
         if degree == 6 and seed % 2:
             g = np.concatenate([g, rng.standard_normal(ix.count_through(2) - g.size)])
         rw = square(ix, g)
-        got = reweight(blind, rw)
-        ref = shift_loop_reweight(blind, rw.coefficients)
+        got = reweight(mu, rw)
+        ref = shift_loop_reweight(mu, rw.coefficients)
         assert got.degree == degree - rw.degree
-        norm = blind.expect(rw.coefficients)
+        norm = mu.expect(rw.coefficients)
         scale = np.abs(rw.coefficients).sum() * np.abs(mu.moments).max() / norm
         assert_rel(got.moments, ref, scale)
 
@@ -654,17 +629,16 @@ def test_kernel_keeps_degree_boundaries():
                         moment_block(mu, h1, h2)
                     with pytest.raises(DegreeExceeded):
                         mu.expect(dense({(h1 + h2, 0): 1.0}))
-        # a moment-backed table pays deg p and keeps at least degree 2
+        # a reweighting pays deg p and keeps at least degree 2
         big = monomial_index(2, 2 * degree)
         for half in range(1, degree):
             rw = square(big, poly_pow(big, linear([1.0, 0.5], 2.0), half))
-            _, _, actual = random_discrete(rng, 5, 2, degree)
-            blind = PseudoDistribution(actual.index, actual.moments, degree)
+            _, _, atoms = random_discrete(rng, 5, 2, degree)
             if 2 * half <= degree - 2:
-                assert reweight(blind, rw).degree == degree - 2 * half
+                assert reweight(atoms, rw).degree == degree - 2 * half
             else:
                 with pytest.raises(DegreeExhausted):
-                    reweight(blind, rw)
+                    reweight(atoms, rw)
         # a constraint is measured against every multiplier that fits
         cubic = dense({(3, 0): 1.0, (1, 1): -0.5, (0, 0): -1.0})
         if degree < 3:
@@ -677,14 +651,13 @@ def test_kernel_keeps_degree_boundaries():
     # the scalar fix needs degree 4d, the subspace fix degree 4
     pts = np.array([[2.0, 0.0], [-2.0, 0.5], [1.5, 1.0]])
     for degree in (3, 4, 5, 6):
-        actual = embed_actual_distribution(pts, np.ones(3) / 3.0, degree)
-        blind = PseudoDistribution(actual.index, actual.moments, degree)
+        mu = atom_table(pts, np.ones(3) / 3.0, degree)
         if degree < 4:
             with pytest.raises(DegreeExhausted):
-                fix_scalar(blind, [1.0, 0.0], 1, 0.45)
+                fix_scalar(mu, [1.0, 0.0], 1, 0.45)
             with pytest.raises(DegreeExhausted):
-                fix_subspace(blind, np.eye(2), 0.5)
+                fix_subspace(mu, np.eye(2), 0.5)
         else:
-            assert fix_scalar(blind, [1.0, 0.0], 1, 0.45)[0].degree == degree - 2
+            assert fix_scalar(mu, [1.0, 0.0], 1, 0.45)[0].degree == degree - 2
         with pytest.raises(DegreeExhausted):
-            fix_scalar(blind, [1.0, 0.0], degree // 4 + 1, 0.45)
+            fix_scalar(mu, [1.0, 0.0], degree // 4 + 1, 0.45)

@@ -1,19 +1,18 @@
 """Tests for the iterative structure rounds.
 
-Oracles: exact moments of two- and three-point distributions, and
-direct recomputation of means/covariances from atom lists.
+Distributions are the moment tables of finitely many atoms
+(`moment_tables.atom_table`).  Oracles: exact moments of two- and
+three-point distributions, and direct recomputation of means and
+covariances from the atoms.
 """
 
 
 import numpy as np
 import pytest
 
+from moment_tables import atom_table
 from rankone.errors import PreconditionViolated
-from rankone.pseudodist import (
-    PseudoDistribution,
-    embed_actual_distribution,
-    validate,
-)
+from rankone.pseudodist import validate
 from rankone.structure import (
     block_stopping,
     cross_second_moment,
@@ -28,7 +27,7 @@ def sphere_points(rng, n_pts, dim):
 
 
 def test_config_validation():
-    mu = embed_actual_distribution(
+    mu = atom_table(
         np.array([[0., 1., 1., 0.]]), np.array([1.]), 8)
     with pytest.raises(PreconditionViolated):
         run_structure_2d(mu, 0.0)
@@ -40,7 +39,7 @@ def test_first_moments_match_direct_computation():
     rng = np.random.default_rng(1)
     pts = sphere_points(rng, 9, 3)
     w = rng.dirichlet(np.ones(9))
-    mu = embed_actual_distribution(pts, w, 4)
+    mu = atom_table(pts, w, 4)
     mean, second = first_moments(mu)
     np.testing.assert_allclose(mean, w @ pts, atol=1e-12)
     np.testing.assert_allclose(second, pts.T @ (w[:, None] * pts), atol=1e-12)
@@ -50,7 +49,7 @@ def test_cross_second_moment_matches_direct_computation():
     rng = np.random.default_rng(5)
     pts = sphere_points(rng, 7, 4)        # (u, v) pairs with n = 2
     w = rng.dirichlet(np.ones(7))
-    mu = embed_actual_distribution(pts, w, 4)
+    mu = atom_table(pts, w, 4)
     got = cross_second_moment(mu)
     outer = np.array([np.outer(p[:2], p[2:]).ravel() for p in pts])
     expect = outer.T @ (w[:, None] * outer)
@@ -62,7 +61,7 @@ def test_cross_second_moment_survives_sign_symmetry():
     # mirrored atoms zero the means but leave the cross matrix intact
     pair = np.array([0.6, 0.8, 1.0, 0.0])
     pts = np.vstack([pair, -pair])
-    mu = embed_actual_distribution(pts, np.array([0.5, 0.5]), 4)
+    mu = atom_table(pts, np.array([0.5, 0.5]), 4)
     mean, _ = first_moments(mu)
     assert np.linalg.norm(mean) < 1e-12
     single = np.outer(pair[:2], pair[2:]).ravel()
@@ -72,12 +71,10 @@ def test_cross_second_moment_survives_sign_symmetry():
 
 def test_cross_second_moment_rejects_bad_tables():
     rng = np.random.default_rng(0)
-    odd = embed_actual_distribution(sphere_points(rng, 3, 3),
-                                    np.ones(3) / 3, 4)
+    odd = atom_table(sphere_points(rng, 3, 3), np.ones(3) / 3, 4)
     with pytest.raises(PreconditionViolated):
         cross_second_moment(odd)
-    shallow = embed_actual_distribution(sphere_points(rng, 3, 4),
-                                        np.ones(3) / 3, 2)
+    shallow = atom_table(sphere_points(rng, 3, 4), np.ones(3) / 3, 2)
     with pytest.raises(PreconditionViolated):
         cross_second_moment(shallow)
 
@@ -86,7 +83,7 @@ def test_cross_second_moment_rejects_bad_tables():
 
 
 def test_2d_product_point_mass_unchanged():
-    mu = embed_actual_distribution(
+    mu = atom_table(
         np.array([[0., 1., 1., 0.]]), np.array([1.]), 8)
     out, weight, trace = run_structure_2d(mu, 0.25)
     assert weight.factors == ()
@@ -95,7 +92,7 @@ def test_2d_product_point_mass_unchanged():
 
 def test_2d_pair_mixture_concentrates():
     pts = np.array([[1., 0., 1., 0.], [0., 1., 0., 1.]])
-    mu = embed_actual_distribution(pts, np.array([.5, .5]), 10)
+    mu = atom_table(pts, np.array([.5, .5]), 10)
     out, weight, trace = run_structure_2d(mu, 0.25, 0)
     for offset in (0, 2):
         gap, mean_sq, mean, _ = block_stopping(out, offset, 2)
@@ -108,7 +105,7 @@ def test_2d_pair_mixture_concentrates():
 
 def test_2d_potential_never_collapses():
     pts = np.array([[1., 0., 1., 0.], [0., 1., 0., 1.]])
-    mu = embed_actual_distribution(pts, np.array([.5, .5]), 10)
+    mu = atom_table(pts, np.array([.5, .5]), 10)
     out, weight, trace = run_structure_2d(mu, 0.25, 0)
     pots = [r.potential for r in trace.records]
     for prev, cur in zip(pots, pots[1:]):
@@ -125,9 +122,7 @@ def test_2d_moment_table_mixture_no_degree_left_over():
         pair = np.concatenate([u0, v0])
         pts = np.array([pair, -pair])
         w = np.array([.5, .5])
-        mu_s = embed_actual_distribution(pts, w, degree=6)
-        mu = PseudoDistribution(mu_s.index, mu_s.moments, mu_s.degree,
-                                mu_s.constraints, None)
+        mu = atom_table(pts, w, degree=6)
         out, weight, trace = run_structure_2d(mu, 0.25, trial)
         g1, m1, mean1, _ = block_stopping(out, 0, n)
         g2, m2, mean2, _ = block_stopping(out, n, n)
@@ -141,7 +136,7 @@ def test_run_structure_composite_replays():
     # the composite weight reapplied to the input reproduces the output,
     # and its degree is the sum of its factor degrees
     pts = np.array([[1., 0., 1., 0.], [0., 1., 0., 1.]])
-    mu = embed_actual_distribution(pts, np.array([.5, .5]), 10)
+    mu = atom_table(pts, np.array([.5, .5]), 10)
     out, weight, trace = run_structure_2d(mu, 0.25, 0)
     assert weight.factors
     again = weight.apply(mu)
@@ -150,9 +145,10 @@ def test_run_structure_composite_replays():
 
 
 def test_run_structure_deterministic():
+    # four random unit pairs (u, v): one fix settles them
     rng = np.random.default_rng(8)
-    pts = sphere_points(rng, 30, 4)
-    mu = embed_actual_distribution(pts, np.full(30, 1 / 30), 8)
+    pts = np.hstack([sphere_points(rng, 4, 2), sphere_points(rng, 4, 2)])
+    mu = atom_table(pts, rng.dirichlet(np.ones(4)), 8)
     out1, w1, t1 = run_structure_2d(mu, 0.25, 9)
     out2, w2, t2 = run_structure_2d(mu, 0.25, 9)
     np.testing.assert_array_equal(out1.moments, out2.moments)
@@ -167,6 +163,6 @@ def factor_values(trace):
 
 
 def test_2d_rejects_odd_variable_count():
-    mu = embed_actual_distribution(np.eye(3), np.full(3, 1 / 3), 6)
+    mu = atom_table(np.eye(3), np.full(3, 1 / 3), 6)
     with pytest.raises(PreconditionViolated):
         run_structure_2d(mu, 0.25)

@@ -5,8 +5,8 @@ the tests instead of in a traced benchmark run."""
 
 import numpy as np
 
+from moment_tables import atom_table
 from rankone import bss, cli, structure
-from rankone.pseudodist import embed_actual_distribution
 from rankone.rectangle import random_factors
 from test_benchmark_targets import import_benchmark
 
@@ -17,7 +17,7 @@ def test_span_notes_read_real_results():
     noted = {name for _, _, name, note in tracing._targets(tracer)
              if note is not None and note is not tracing.COUNT}
     w = bss.planted_yes(2, 1, 0)[0]
-    pairs = embed_actual_distribution(
+    pairs = atom_table(
         np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]), np.array([0.5, 0.5]), 10)
     factors = random_factors(8, 400, seed=2)
     with tracing.installed(tracer):
