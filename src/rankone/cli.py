@@ -248,6 +248,13 @@ def _candidate_payload(cand) -> dict:
             "quality": float(cand.quality)}
 
 
+def _require_eps(eps: float) -> None:
+    """The eps range that `solve_bss` and `find_rectangle` enforce; NaN
+    fails the comparison too."""
+    if not 0.0 < eps < 1.0:
+        raise IllFormed(f"eps must lie in (0, 1), got {eps}")
+
+
 def _target(eps: float) -> float:
     """The quality bar 1 - eps^2."""
     return 1.0 - eps ** 2
@@ -317,7 +324,9 @@ def _cmd_rectangle(args):
     cfg["in_path"] = args.in_path
     u = read_factors(args.in_path)
     v = read_factors(cfg["right"]) if cfg["right"] else u
-    # resolve every default so the echo states what actually ran
+    # resolve every default so the echo states what actually ran; the
+    # defaults divide by eps, so it is checked first
+    _require_eps(cfg["eps"])
     if cfg["k"] is None:
         cfg["k"] = default_k(u.n, cfg["eps"])
     if cfg["max_iters"] is None:
@@ -365,6 +374,7 @@ def _cmd_reduce(args):
 def _cmd_check(args):
     cfg = _effective(args, {"instance": None, "candidate": None,
                             "out": None, "eps": 0.25})
+    _require_eps(cfg["eps"])
     cfg["instance"], cfg["candidate"] = args.instance, args.candidate
     u0, v0, cand_kind = read_candidate(args.candidate)
     kind = _sniff(args.instance)

@@ -22,9 +22,8 @@ same variables.  One kernel serves all of it:
 - `poly_mul` multiplies two dense vectors through a sum table, and
   `poly_pow` folds it into a power.
 
-`dense_poly` writes a polynomial down from {exponent: coefficient}
-literals; nothing computes on that form.  Constraints, localizers,
-reweighting polynomials and their certificates are all dense vectors.
+Constraints, localizers, reweighting polynomials and their
+certificates are all dense vectors.
 
 Reweighting by a sum-of-squares polynomial p sends the moment vector y
 to y'[a] = E~[p * x^a] / E~[p] at reduced degree.  Every
@@ -220,22 +219,6 @@ class PseudoDistribution:
         return float(vec @ self.moments[:vec.size])
 
 
-def dense_poly(index: MonomialIndex, terms: dict, degree: int) -> np.ndarray:
-    """Coefficient vector of the polynomial written as {exponent:
-    coefficient} literals, over the monomials of degree <= degree.
-    Raises DegreeExceeded when a term does not fit."""
-    count = index.count_through(degree)
-    out = np.zeros(count)
-    for e, c in terms.items():
-        if c == 0.0:
-            continue
-        i = index.index_of(e)
-        if i >= count:
-            raise DegreeExceeded(f"monomial {e} above degree {degree}")
-        out[i] += c
-    return out
-
-
 def moment_block(mu: PseudoDistribution, h1: int, h2: int) -> np.ndarray:
     """Y[a, b] = E~ x^(a+b) for deg a <= h1 and deg b <= h2, so that
     E~ f g = f^T Y g for dense f, g of those degrees."""
@@ -412,7 +395,7 @@ def validate(mu: PseudoDistribution) -> ValidationReport:
 
 __all__ = [
     "MonomialIndex", "ConstraintSpec", "ReweightPolynomial", "PseudoDistribution",
-    "monomial_index", "dense_poly", "moment_block", "linear_form_powers",
+    "monomial_index", "moment_block", "linear_form_powers",
     "univariate_poly", "poly_mul", "poly_pow", "moment_matrix", "reweight",
     "validate", "ValidationReport", "equality_residual", "PSD_EPS", "CON_EPS",
     "NORM_EPS",

@@ -175,10 +175,15 @@ def find_rectangle(u: FactorMatrix, v: FactorMatrix, eps: float,
         raise IllFormed(f"eps must be in (0, 1), got {eps}")
     if k is None:
         k = default_k(u.n, eps)
-    if k < 1:
+    if not k >= 1:
         raise IllFormed(f"k must be at least 1, got {k}")
     if max_rounds is None:
         max_rounds = max(4, math.ceil(math.log(max(u.n, 2)) / eps))
+    if max_rounds < 0:
+        raise IllFormed(f"max_rounds must be at least 0, got {max_rounds}")
+    for name, count in (("restarts", restarts), ("retries", retries)):
+        if count < 1:
+            raise IllFormed(f"{name} must be at least 1, got {count}")
     if min_size is None:
         # the tail estimate averages |I| samples of an (n-1)-dimensional
         # residual, so a handful more than n keeps it meaningful
@@ -186,7 +191,7 @@ def find_rectangle(u: FactorMatrix, v: FactorMatrix, eps: float,
     floor = max(1, min(min_size, u.count))
 
     failure = None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         rng = np.random.default_rng((seed, restart))
         try:
             return _search(u, v, eps, k, max_rounds, rng, growth, floor,

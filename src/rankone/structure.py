@@ -31,7 +31,7 @@ from .errors import (
     PreconditionViolated,
     RetryExhausted,
 )
-from .pseudodist import PseudoDistribution, moment_block
+from .pseudodist import PseudoDistribution, moment_block, reweight
 from .reweighting import fix_subspace
 
 _MEAN_EPS = 1e-12
@@ -71,7 +71,6 @@ class CompositeWeight:
         return sum(base.degree * power for base, power in self.factors)
 
     def apply(self, mu: PseudoDistribution) -> PseudoDistribution:
-        from .pseudodist import reweight
         cur = mu
         for base, power in self.factors:
             for _ in range(power):
@@ -129,7 +128,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     (0, 1); raises IterLimit after ceil(40 log max(n, 2) / eps) + 2
     progress rounds.  Every fix asks for a mean carrying a (1 - delta)
     share of the subspace mass, delta = min(1/2, eps/2), and powers its
-    direction only to <v, x>^2 (k = 1).  Phase one seeds near-zero means:
+    direction at most to <v, x>^2.  Phase one seeds near-zero means:
     first a joint fix on the two-dimensional coupled plane (cheapest when
     the blocks are sign symmetric), then a top-eigenspace fix for any
     coordinate still near zero.  Phase two runs per-coordinate progress
@@ -194,7 +193,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
             rows = np.array([np.concatenate([alpha, beta]) * half,
                              np.concatenate([alpha, -beta]) * half])
             try:
-                nxt, rep = fix_subspace(cur, rows, delta, k=1, seed=rng,
+                nxt, rep = fix_subspace(cur, rows, delta, seed=rng,
                                         retry_budget=_JOINT_RETRY_BUDGET)
             except (RetryExhausted, PreconditionViolated, DegreeExhausted):
                 continue    # next plane, or the per-coordinate schedule
@@ -212,13 +211,13 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     top_count = math.ceil(2.0 * math.sqrt(n))
     for coord, offset in ((0, 0), (1, n)):
         _, mean_sq, mean, second = block_stopping(cur, offset, n)
-        if mean_sq > 1.0 / (4.0 * math.sqrt(n)):
+        if mean_sq > floor:
             continue
         vals, vecs = np.linalg.eigh(second)
         small = np.array([vecs[:, -(i + 1)]
                           for i in range(min(top_count, n))])
         rows = _block_rows(small, offset, mu.num_vars)
-        cur, rep = fix_subspace(cur, rows, delta, k=1, seed=rng)
+        cur, rep = fix_subspace(cur, rows, delta, seed=rng)
         factors.extend(rep.factors)
         record_step("initial", rep, coord)
 
@@ -248,7 +247,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
         if nm > _MEAN_EPS:
             small.append(mean / nm)
         rows = _block_rows(np.array(small), offset, mu.num_vars)
-        cur, rep = fix_subspace(cur, rows, delta, k=1, seed=rng)
+        cur, rep = fix_subspace(cur, rows, delta, seed=rng)
         factors.extend(rep.factors)
         record_step("progress", rep, coord)
     g1, m1, _, _ = block_stopping(cur, 0, n)

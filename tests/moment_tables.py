@@ -1,9 +1,11 @@
 """Moment tables of finitely supported distributions, built exactly in
-NumPy, so the tests can check the moment path against the atoms."""
+NumPy, so the tests can check the moment path against the atoms, and
+dense polynomials written down from {exponent: coefficient} literals."""
 
 import numpy as np
 
-from rankone.pseudodist import PseudoDistribution, monomial_index
+from rankone.errors import DegreeExceeded
+from rankone.pseudodist import MonomialIndex, PseudoDistribution, monomial_index
 
 
 def atom_table(points, weights, degree, constraints=()):
@@ -18,3 +20,19 @@ def atom_table(points, weights, degree, constraints=()):
     moments = weights @ np.prod(points[:, None, :] ** index.exponents, axis=2)
     moments[0] = 1.0
     return PseudoDistribution(index, moments, degree, tuple(constraints))
+
+
+def dense_poly(index: MonomialIndex, terms: dict, degree: int) -> np.ndarray:
+    """Coefficient vector of the polynomial written as {exponent:
+    coefficient} literals, over the monomials of degree <= degree.
+    Raises DegreeExceeded when a term does not fit."""
+    count = index.count_through(degree)
+    out = np.zeros(count)
+    for e, c in terms.items():
+        if c == 0.0:
+            continue
+        i = index.index_of(e)
+        if i >= count:
+            raise DegreeExceeded(f"monomial {e} above degree {degree}")
+        out[i] += c
+    return out

@@ -324,6 +324,21 @@ def test_rectangle_is_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flags", [
+    ("--eps", "nan"), ("--eps", "0"), ("--eps", "1.5"), ("--k", "nan"),
+    ("--k", "0.5"), ("--max-iters", "-3"), ("--restarts", "0"),
+    ("--restarts", "-2")], ids="=".join)
+def test_rectangle_rejects_bad_options(tmp_path, capsys, flags):
+    """A numeric option outside its range is an input error (exit 2), not
+    a crash (exit 4), an exhausted search (exit 3) or a run that
+    substitutes a value other than the echoed one."""
+    path = orthonormal_class_factors(tmp_path)
+    code, report, _ = run_cli(capsys, "rectangle", str(path), *flags)
+    assert code == 2
+    assert report["status"] == "ERROR"
+    assert report["error"]["type"] == "IllFormed"
+
+
 def test_rectangle_budget_exhaustion_exits_three(tmp_path, capsys):
     rng = np.random.default_rng(0)
     fm = FactorMatrix.normalized(rng.standard_normal((60, 6)))
@@ -384,6 +399,21 @@ def test_check_rejects_quality_below_bar(tmp_path, capsys):
     assert code == 1
     assert report["status"] == "FAIL"
     assert report["result"]["quality"] < report["result"]["target"]
+
+
+@pytest.mark.parametrize("eps", ["nan", "0", "-0.1", "1.5", "inf"])
+def test_check_rejects_bad_eps(tmp_path, capsys, eps):
+    """check takes eps in (0, 1), as solve does: at eps >= 1 the bar
+    1 - eps^2 is at most 0, which any candidate would pass."""
+    out = tmp_path / "w.txt"
+    main(["gen", "planted-yes", "--n", "2", "--dim-w", "2", "--seed", "1",
+          "--out", str(out)])
+    capsys.readouterr()
+    code, report, _ = run_cli(capsys, "check", str(out), str(out) + ".answer",
+                              "--eps", eps)
+    assert code == 2
+    assert report["status"] == "ERROR"
+    assert report["error"]["type"] == "IllFormed"
 
 
 def test_check_rejects_mismatched_candidate_kind(tmp_path, capsys):

@@ -81,11 +81,9 @@ def _top_level_names(tree):
                     yield target.id, node
 
 
-# the public checkers the tests verify results with, and the literal
-# polynomial writer they state them in: documented package API that no
-# package path runs itself
-TEST_ORACLES = {"pseudodist.py: validate", "pseudodist.py: dense_poly",
-                "sos_solver.py: certificate_margin"}
+# the public checkers the tests verify results with: documented package
+# API that no package path runs itself
+TEST_ORACLES = {"pseudodist.py: validate", "sos_solver.py: certificate_margin"}
 
 
 def test_every_package_name_is_reached():

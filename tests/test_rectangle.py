@@ -169,6 +169,13 @@ def test_bad_parameters_are_rejected():
         find_rectangle(fm, fm, eps=1.0)
     with pytest.raises(IllFormed):
         find_rectangle(fm, fm, eps=0.3, k=0)
+    with pytest.raises(IllFormed):
+        find_rectangle(fm, fm, eps=0.3, k=float("nan"))
+    with pytest.raises(IllFormed, match="max_rounds"):
+        find_rectangle(fm, fm, eps=0.3, max_rounds=-1)
+    for name in ("restarts", "retries"):
+        with pytest.raises(IllFormed, match=name):
+            find_rectangle(fm, fm, eps=0.3, **{name: 0})
 
 
 def test_round_budget_exhaustion_raises():

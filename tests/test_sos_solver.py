@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
+from moment_tables import dense_poly
 from rankone import sos_solver
 from rankone.bss import planted_yes, random_no
 from rankone.cli import _uncertified_subspace
@@ -19,7 +20,6 @@ from rankone.errors import DegreeTooSmall, IllFormed
 from rankone.pseudodist import (
     ConstraintSpec,
     MonomialIndex,
-    dense_poly,
     monomial_index,
     validate,
 )
