@@ -1,7 +1,7 @@
 """Rank-one search in matrix subspaces.
 
 Pipeline: a subspace W of n x n matrices (given directly, or as the
-top eigenspace of a measurement operator) is turned into moment
+eigenvalue-1 eigenspace of a measurement operator) is turned into moment
 feasibility problems over pairs (u, v) of unit vectors with uv^T in W,
 at degrees 4, 6, ... up to a top degree, until one refuses W or rounds
 spectrally to the target; at the top degree the solved moment table is
@@ -35,12 +35,15 @@ from .errors import (
     ZeroCandidate,
 )
 from .linalg import BlockReader, gram_schmidt, write_blocks
-from .sos_solver import Certificate, build_bss_problem, solve_feasibility
+from .sos_solver import DEFAULT_TOL, Certificate, build_bss_problem, solve_feasibility
 from .structure import cross_second_moment, first_moments, run_structure_2d
 
 _ORTHO_TOL = 1e-10
 _PSD_SLACK = 1e-8
 _ZERO_NORM = 1e-12
+_MIN_FARNESS = 0.5         # the farness `random_no` certifies
+_NO_TRIES = 40             # `random_no` draws before giving up
+_ACCEPT_TOL = 1e-7         # slack on a verified acceptance floor
 
 # rounding retries: every level relaxes the structure stopping bar by
 # _EPS_GROWTH and each level redraws _SEEDS_PER_LEVEL times; acceptance
@@ -104,8 +107,7 @@ class SubspaceBasis:
         return (rows.T @ coefs).reshape(self.ambient, self.ambient)
 
 
-def subspace_from_matrices(matrices, ambient: int | None = None,
-                           drop_tol: float = 1e-10) -> SubspaceBasis:
+def subspace_from_matrices(matrices, ambient: int | None = None) -> SubspaceBasis:
     """Orthonormalize a spanning set of n x n matrices into a SubspaceBasis.
 
     Dependent members are dropped; raises EmptySubspace when nothing
@@ -115,7 +117,7 @@ def subspace_from_matrices(matrices, ambient: int | None = None,
     if not mats:
         raise EmptySubspace("no matrices given")
     n = ambient if ambient is not None else mats[0].shape[0]
-    ortho = gram_schmidt([m.reshape(-1) for m in mats], drop_tol=drop_tol)
+    ortho = gram_schmidt([m.reshape(-1) for m in mats])
     if not ortho:
         raise EmptySubspace("all spanning matrices were dropped as dependent")
     return SubspaceBasis(n, tuple(v.reshape(n, n) for v in ortho))
@@ -198,22 +200,19 @@ def projected_quality(w: SubspaceBasis, mat: np.ndarray) -> float:
 # -- measurement front end ----------------------------------------------------
 
 
-def measurement_to_subspace(measurement: MeasurementOperator,
-                            threshold: float | None = None) -> SubspaceBasis:
-    """Span of measurement eigenvectors with eigenvalue >= threshold.
+def measurement_to_subspace(measurement: MeasurementOperator) -> SubspaceBasis:
+    """The eigenvalue-1 eigenspace of the measurement: the states it
+    accepts with probability 1.
 
-    Eigenvectors are reshaped to n x n matrices.  The default threshold
-    1 - 1/n keeps exactly the near-perfect acceptance directions.
+    Eigenvectors with eigenvalue at least 1 - 1e-8 (the slack validation
+    allows above 1) are reshaped to n x n matrices.
     """
     n = measurement.ambient
-    if threshold is None:
-        threshold = 1.0 - 1.0 / n
     vals, vecs = np.linalg.eigh(0.5 * (measurement.matrix + measurement.matrix.T))
-    keep = vals >= threshold
+    keep = vals >= 1.0 - _PSD_SLACK
     if not keep.any():
         raise EmptySubspace(
-            f"no eigenvalue clears the threshold {threshold} "
-            f"(largest is {vals[-1]:.6f})")
+            f"no eigenvalue-1 direction (largest eigenvalue is {vals[-1]:.6f})")
     mats = tuple(vecs[:, i].reshape(n, n) for i in np.flatnonzero(keep)[::-1])
     return SubspaceBasis(n, mats)
 
@@ -239,8 +238,6 @@ def _spectral_rounding(mu, w: SubspaceBasis):
     leading singular pair of one eigendirection, scored by its actual
     projected mass; returns (quality, candidate) or None.
     """
-    if mu.degree < 4:
-        return None
     n = w.ambient
     vals, vecs = np.linalg.eigh(cross_second_moment(mu))
     best = None
@@ -260,7 +257,7 @@ def _spectral_rounding(mu, w: SubspaceBasis):
 
 
 def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
-              solver_tol: float = 1e-7):
+              solver_tol: float = DEFAULT_TOL):
     """Find an approximately-in-W rank-one matrix, or certify none, by
     climbing the degree ladder 4, 6, ..., `degree`.
 
@@ -273,16 +270,16 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
     (`sos_solver.Certificate`, whose margin `certificate_margin`
     recomputes from the problem of that rung).
 
-    Each rung below the top refuses on a certificate, returns the
-    spectral candidate (top cross-moment eigendirections, immune to sign
-    and phase symmetry) when it reaches 1 - eps^2, and otherwise climbs,
-    as it also does when its solver reaches the iteration limit.  The top
-    rung rounds as a single solve at `degree` would: from the spectral
-    baseline it retries the structure rounds over fresh seeds (trial t
-    runs `run_structure_2d` with seed `seed + t`) and a gradually relaxed
-    stopping bar until a trial reaches quality 1 - eps^2; the best
-    verified candidate wins, so a top rung that cannot support the strict
-    bar still rounds whatever the moments contain.  Raises
+    Each rung refuses on a certificate or returns the spectral candidate
+    (top cross-moment eigendirections, immune to sign and phase
+    symmetry) when it reaches 1 - eps^2.  A rung below the top otherwise
+    climbs, as it also does when its solver reaches the iteration limit.
+    The top rung goes on from its spectral baseline: it retries the
+    structure rounds over fresh seeds (trial t runs `run_structure_2d`
+    with seed `seed + t`) and a gradually relaxed stopping bar until a
+    trial reaches quality 1 - eps^2; the best verified candidate wins,
+    so a top rung that cannot support the strict bar still rounds
+    whatever the moments contain.  Raises
     DegreeTooSmall unless `degree` is even and at least 4, NoConvergence
     when the top rung's solver reaches its iteration limit with neither a
     certificate nor a feasible point, and ZeroCandidate when every
@@ -305,8 +302,6 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
                                solver_report.iterations, 0,
                                certificate=solver_report.certificate)
             return None, report
-        if rung == degree:
-            break
         if solver_report.status == "feasible":
             baseline = _spectral_rounding(mu, w)
             if baseline is not None and baseline[0] >= target:
@@ -314,32 +309,27 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
                                    solver_report.iterations, 0,
                                    quality=baseline[0], degree_left=mu.degree)
                 return baseline[1], report
-    if solver_report.status != "feasible":
-        raise NoConvergence(
-            f"feasibility solver returned {solver_report.status} after "
-            f"{solver_report.iterations} iterations")
-    quality, candidate, steps, degree_left = _round(mu, w, eps, seed)
+        elif rung == degree:
+            raise NoConvergence(
+                f"feasibility solver returned {solver_report.status} after "
+                f"{solver_report.iterations} iterations")
+    quality, candidate, steps, degree_left = _round(mu, w, eps, seed, baseline)
     report = BssReport("candidate", eps, degree, degree, solver_report.status,
                        solver_report.iterations, steps,
                        quality=quality, degree_left=degree_left)
     return candidate, report
 
 
-def _round(mu, w: SubspaceBasis, eps: float, seed: int):
-    """The best verified candidate of the spectral baseline and the
-    structure trials, as (quality, candidate, structure steps, degree
-    left); see `solve_bss`."""
+def _round(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
+    """The best verified candidate of the spectral `baseline` (the top
+    rung's, below the target) and the structure trials, as (quality,
+    candidate, structure steps, degree left); see `solve_bss`."""
     structure_eps = _default_structure_eps(eps, w.ambient)
     n = w.ambient
     target = 1.0 - eps * eps
-    best = None
-    baseline = _spectral_rounding(mu, w)
-    if baseline is not None:
-        best = (baseline[0], baseline[1], 0, mu.degree)
+    best = None if baseline is None else (baseline[0], baseline[1], 0, mu.degree)
     failure = None
     for trial in range(_ROUND_TRIALS):
-        if best is not None and best[0] >= target:
-            break
         eps_t = min(_MAX_STRUCTURE_EPS,
                     structure_eps * _EPS_GROWTH ** (trial // _SEEDS_PER_LEVEL))
         try:
@@ -375,11 +365,11 @@ class VerificationRecord:
     acceptance: float | None
     acceptance_floor: float | None
 
-    def ok(self, tol: float = 1e-7) -> bool:
+    def ok(self) -> bool:
         agree = abs(self.quality - self.quality_via_complement) <= 1e-10
         if self.acceptance is None:
             return agree
-        return agree and self.acceptance >= self.acceptance_floor - tol
+        return agree and self.acceptance >= self.acceptance_floor - _ACCEPT_TOL
 
 
 def verify_candidate(candidate: RankOneCandidate, w: SubspaceBasis,
@@ -391,7 +381,7 @@ def verify_candidate(candidate: RankOneCandidate, w: SubspaceBasis,
     Quality is computed twice (through the basis and through the
     complement) as a cross-check.  With a measurement, acceptance is
     Tr(M rho) for rho the normalized pure state of vec(u0 v0^T), which
-    must reach 2*quality - 1 when W is the top eigenspace of M.
+    must reach 2*quality - 1 when W is the eigenvalue-1 eigenspace of M.
     """
     if candidate.u0.shape != (w.ambient,) or candidate.v0.shape != (w.ambient,):
         raise DimensionMismatch(
@@ -614,17 +604,16 @@ def _sphere_grid(n: int, step: float):
     raise BadDims(f"grid certification supports n in {{2, 3}}, got {n}")
 
 
-def certify_farness(w: SubspaceBasis, grid_step: float | None = None) -> float:
+def certify_farness(w: SubspaceBasis) -> float:
     """Certified lower bound on the distance of W from unit rank-ones.
 
     The distance is min over unit u, v of ||proj_{W-complement} uv^T||_F;
     the map is 1-Lipschitz in each factor, so a grid with geodesic
-    covering radius r certifies grid_min - 2r.
+    covering radius r (step 0.01 at n = 2, 0.05 at n = 3) certifies
+    grid_min - 2r.
     """
     n = w.ambient
-    if grid_step is None:
-        grid_step = 0.01 if n == 2 else 0.05
-    pts_u, radius = _sphere_grid(n, grid_step)
+    pts_u, radius = _sphere_grid(n, 0.01 if n == 2 else 0.05)
     pts_v = pts_u
     rows = w.matrix_rows()  # k x n^2
     # <B, uv^T> = u^T B v, batched over the grid
@@ -645,19 +634,18 @@ def _antisymmetric_part(mats):
     return [0.5 * (m - m.T) for m in mats]
 
 
-def random_no(n: int, dim_w: int, seed: int = 0, min_farness: float = 0.5,
-              grid_step: float | None = None, max_tries: int = 40):
-    """Random subspace certified far from all unit rank-ones.
+def random_no(n: int, dim_w: int, seed: int = 0):
+    """Random subspace certified _MIN_FARNESS-far from all unit rank-ones.
 
-    Returns (SubspaceBasis, farness).  Draws are retried with a growing
-    antisymmetric bias (antisymmetric spans capture at most half the
-    norm of any rank-one), so certification at min_farness <= 0.7
+    Returns (SubspaceBasis, farness).  Up to _NO_TRIES draws are tried
+    with a growing antisymmetric bias (antisymmetric spans capture at
+    most half the norm of any rank-one), so certification at 0.5
     eventually succeeds when dim_w fits the antisymmetric dimension.
     """
     if n < 1 or not 1 <= dim_w <= n * n:
         raise BadDims(f"need 1 <= dim_w <= n^2, got n={n}, dim_w={dim_w}")
     rng = np.random.default_rng(seed)
-    for attempt in range(max_tries):
+    for attempt in range(_NO_TRIES):
         tilt = min(1.0, attempt / 8.0)
         mats = [rng.standard_normal((n, n)) for _ in range(dim_w)]
         if tilt > 0.0:
@@ -669,11 +657,11 @@ def random_no(n: int, dim_w: int, seed: int = 0, min_farness: float = 0.5,
             continue
         if w.dim != dim_w:
             continue
-        farness = certify_farness(w, grid_step)
-        if farness >= min_farness:
+        farness = certify_farness(w)
+        if farness >= _MIN_FARNESS:
             return w, farness
     raise RetryExhausted(
-        f"no subspace certified {min_farness}-far in {max_tries} draws "
+        f"no subspace certified {_MIN_FARNESS}-far in {_NO_TRIES} draws "
         f"(n={n}, dim_w={dim_w})")
 
 

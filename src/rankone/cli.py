@@ -13,8 +13,11 @@ inputs, flags, and seed produce byte-identical stdout, so wall-clock
 timing goes to stderr.  For gen and reduce the --out flag names the
 generated artifact (gen also writes an `.answer` sidecar next to it);
 for the other commands --out stores a copy of the report.  A --config
-file holds `key = value` lines with the same names as the flags; flags
-win when both are given, and all randomness flows from the single seed.
+file holds `key = value` lines.  Every key is a flag of the subcommand
+(`dim_w` or `dim-w` for --dim-w), and its value is typed like the
+flag's, so an unknown key or a value the flag would reject is an input
+error.  Flags win when both are given, and all randomness flows from
+the single seed.
 
 Exit codes: 0 positive verdict, 1 clean negative verdict (an instance
 whose relaxation is certified infeasible, quality below the bar), 2
@@ -69,7 +72,8 @@ from .errors import (
     RankOneError,
 )
 from .linalg import BlockReader, write_blocks
-from .rectangle import default_k, find_rectangle, read_factors
+from .rectangle import default_k, default_max_rounds, find_rectangle, read_factors
+from .sos_solver import DEFAULT_TOL
 
 _SCHEMA = 1
 _GRID_LIMIT = 3            # largest ambient with a farness grid certificate
@@ -137,20 +141,9 @@ def _read_instance(path, kind: str, verb: str):
 # -- config --------------------------------------------------------------------
 
 
-def _parse_value(raw: str):
-    text = raw.strip().strip('"').strip("'")
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
-
-
 def load_config(path) -> dict:
-    """Read `key = value` lines; blank lines and # comments are skipped."""
+    """Read `key = value` lines as strings, unquoted; blank lines and #
+    comments are skipped."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -160,30 +153,33 @@ def load_config(path) -> dict:
             if "=" not in text:
                 raise IllFormed(f"{path}:{lineno}: expected key = value")
             key, raw = text.split("=", 1)
-            values[key.strip().replace("-", "_")] = _parse_value(raw)
+            values[key.strip().replace("-", "_")] = raw.strip().strip('"').strip("'")
     return values
 
 
-def _effective(args, defaults: dict) -> dict:
-    """Overlay: explicit flags beat config values beat defaults."""
+def _effective(args, parser, defaults: dict) -> dict:
+    """Every argument of the subcommand: explicit flags beat config values
+    beat `defaults`.  A config value is converted by the type of the flag
+    of its name in `parser`, the subcommand's parser."""
+    types = {action.dest: action.type or str for action in parser._actions
+             if action.option_strings and action.dest not in ("config", "help")}
     config = load_config(args.config) if args.config else {}
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise IllFormed(f"unknown config keys: {sorted(unknown)}")
-    out = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
-        out[key] = flag if flag is not None else config.get(key, fallback)
-    return out
+    for key, raw in config.items():
+        if key not in types:
+            raise IllFormed(f"unknown config key {key!r}")
+        try:
+            config[key] = types[key](raw)
+        except ValueError:
+            raise IllFormed(f"config key {key!r} needs {types[key].__name__}, "
+                            f"got {raw!r}") from None
+    return {key: value if value is not None else config.get(key, defaults.get(key))
+            for key, value in vars(args).items() if key not in ("command", "config")}
 
 
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_gen(args):
-    cfg = _effective(args, {"kind": None, "n": None, "dim_w": None,
-                            "seed": 0, "out": None})
-    cfg["kind"] = args.kind
+def _cmd_gen(cfg):
     if cfg["n"] is None:
         raise IllFormed("gen needs n (flag --n or config)")
     if cfg["out"] is None:
@@ -193,7 +189,7 @@ def _cmd_gen(args):
     n, dim_w, seed = cfg["n"], cfg["dim_w"], cfg["seed"]
     answer = str(cfg["out"]) + ".answer"
 
-    if args.kind == "planted-yes":
+    if cfg["kind"] == "planted-yes":
         w, u, v = planted_yes(n, dim_w, seed)
         write_subspace(cfg["out"], w)
         write_candidate(answer, u, v)
@@ -201,7 +197,7 @@ def _cmd_gen(args):
         result = {"instance": str(cfg["out"]), "answer": answer,
                   "ambient": n, "dim": w.dim}
         checks = {"plant_quality": quality}
-    elif args.kind == "random-no":
+    elif cfg["kind"] == "random-no":
         if n <= _GRID_LIMIT:
             w, farness = random_no(n, dim_w, seed)
             certified = True
@@ -220,13 +216,10 @@ def _cmd_gen(args):
         write_complex_subspace(cfg["out"], wc)
         write_candidate(answer, np.concatenate([x.real, x.imag]),
                         np.concatenate([y.real, y.imag]), complex_pair=True)
-        plant = np.outer(x, np.conj(y))
-        residual = max((abs(np.vdot(c + 1j * d, plant))
-                        for c, d in wc.pairs), default=0.0)
         result = {"instance": str(cfg["out"]), "answer": answer,
                   "ambient": n, "constraints": wc.num_constraints}
-        checks = {"constraint_residual": float(residual)}
-    return cfg, "OK", result, checks
+        checks = {"constraint_residual": wc.residual(np.outer(x, np.conj(y)))}
+    return "OK", result, checks
 
 
 def _uncertified_subspace(n, dim_w, seed):
@@ -265,12 +258,9 @@ def _meets_target(record, eps: float) -> bool:
     return bool(record.ok() and record.quality >= _target(eps) - 1e-12)
 
 
-def _cmd_solve(args):
-    cfg = _effective(args, {"in_path": None, "out": None, "eps": 0.25,
-                            "degree": 6, "seed": 0, "tol": 1e-7})
-    cfg["in_path"] = args.in_path
-    kind = _sniff(args.in_path)
-    w, measurement, wc = _read_instance(args.in_path, kind, "solve")
+def _cmd_solve(cfg):
+    kind = _sniff(cfg["in_path"])
+    w, measurement, wc = _read_instance(cfg["in_path"], kind, "solve")
     cfg["input_kind"] = kind
 
     cand, report = solve_bss(w, cfg["eps"], degree=cfg["degree"],
@@ -286,7 +276,7 @@ def _cmd_solve(args):
                           "no unit rank-one lies in the subspace")
         result["certificate"] = {"kind": report.certificate.kind,
                                  "margin": report.certificate.margin}
-        return cfg, "FAIL", result, {"meets_target": False}
+        return "FAIL", result, {"meets_target": False}
 
     result["candidate"] = _candidate_payload(cand)
     record = verify_candidate(cand, w, measurement)
@@ -312,17 +302,11 @@ def _cmd_solve(args):
         }
         checks["lift_within_eps"] = bool(
             lift.residual <= cfg["eps"] * scale)
-    return cfg, "OK", result, checks
+    return "OK", result, checks
 
 
-def _cmd_rectangle(args):
-    cfg = _effective(args, {"in_path": None, "right": None, "out": None,
-                            "eps": 0.25, "seed": 0, "k": None,
-                            "max_iters": None, "restarts": 8,
-                            "retries": 50, "min_size": None,
-                            "growth": 0.05, "two_sided": True})
-    cfg["in_path"] = args.in_path
-    u = read_factors(args.in_path)
+def _cmd_rectangle(cfg):
+    u = read_factors(cfg["in_path"])
     v = read_factors(cfg["right"]) if cfg["right"] else u
     # resolve every default so the echo states what actually ran; the
     # defaults divide by eps, so it is checked first
@@ -330,14 +314,10 @@ def _cmd_rectangle(args):
     if cfg["k"] is None:
         cfg["k"] = default_k(u.n, cfg["eps"])
     if cfg["max_iters"] is None:
-        cfg["max_iters"] = max(4, math.ceil(math.log(max(u.n, 2)) / cfg["eps"]))
-    if cfg["min_size"] is None:
-        cfg["min_size"] = u.n + 4
+        cfg["max_iters"] = default_max_rounds(u.n, cfg["eps"])
 
     res = find_rectangle(u, v, cfg["eps"], k=cfg["k"],
                          max_rounds=cfg["max_iters"], seed=cfg["seed"],
-                         growth=cfg["growth"], min_size=cfg["min_size"],
-                         two_sided=cfg["two_sided"], retries=cfg["retries"],
                          restarts=cfg["restarts"])
     sub = u.vectors[res.indices] @ v.vectors[res.indices].T
     sv = np.linalg.svd(sub, compute_uv=False)
@@ -353,35 +333,30 @@ def _cmd_rectangle(args):
                   abs(svd_distance - res.rank_one_distance) <= 1e-8),
               "passes_at_eps": bool(
                   cfg["eps"] ** 2 * sv[0] ** 2 >= tail - 1e-10)}
-    return cfg, "OK", result, checks
+    return "OK", result, checks
 
 
-def _cmd_reduce(args):
-    cfg = _effective(args, {"in_path": None, "out": None})
-    cfg["in_path"] = args.in_path
+def _cmd_reduce(cfg):
     if cfg["out"] is None:
         raise IllFormed("reduce needs an output path (--out)")
-    wc = read_complex_subspace(args.in_path)
+    wc = read_complex_subspace(cfg["in_path"])
     w = reduce_complex_to_real(wc)
     write_subspace(cfg["out"], w)
     result = {"instance": str(cfg["out"]), "ambient": w.ambient, "dim": w.dim}
     checks = {"expected_dim": 4 * wc.ambient ** 2 - 2 * wc.num_constraints,
               "dim_matches": w.dim == 4 * wc.ambient ** 2
               - 2 * wc.num_constraints}
-    return cfg, "OK", result, checks
+    return "OK", result, checks
 
 
-def _cmd_check(args):
-    cfg = _effective(args, {"instance": None, "candidate": None,
-                            "out": None, "eps": 0.25})
+def _cmd_check(cfg):
     _require_eps(cfg["eps"])
-    cfg["instance"], cfg["candidate"] = args.instance, args.candidate
-    u0, v0, cand_kind = read_candidate(args.candidate)
-    kind = _sniff(args.instance)
+    u0, v0, cand_kind = read_candidate(cfg["candidate"])
+    kind = _sniff(cfg["instance"])
     needed = "CCANDIDATE" if kind == "CSUBSPACE" else "CANDIDATE"
     if cand_kind != needed:
         raise IllFormed(f"a {kind} instance needs a {needed} file")
-    w, measurement, wc = _read_instance(args.instance, kind, "check against")
+    w, measurement, wc = _read_instance(cfg["instance"], kind, "check against")
     extra = {}
     if wc is not None:
         lift = lift_real_solution(RankOneCandidate(u0, v0, 0.0), wc)
@@ -397,11 +372,17 @@ def _cmd_check(args):
     if record.acceptance is not None:
         checks["acceptance"] = record.acceptance
         checks["acceptance_floor"] = record.acceptance_floor
-    return cfg, ("OK" if passed else "FAIL"), result, checks
+    return ("OK" if passed else "FAIL"), result, checks
 
 
-_COMMANDS = {"gen": _cmd_gen, "solve": _cmd_solve, "rectangle": _cmd_rectangle,
-             "reduce": _cmd_reduce, "check": _cmd_check}
+# each command with the defaults of its unset flags
+_COMMANDS = {
+    "gen": (_cmd_gen, {"seed": 0}),
+    "solve": (_cmd_solve, {"eps": 0.25, "degree": 6, "seed": 0, "tol": DEFAULT_TOL}),
+    "rectangle": (_cmd_rectangle, {"eps": 0.25, "seed": 0, "restarts": 8}),
+    "reduce": (_cmd_reduce, {}),
+    "check": (_cmd_check, {"eps": 0.25}),
+}
 
 
 # -- wiring --------------------------------------------------------------------
@@ -414,7 +395,6 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_help):
-        p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--config", help="key = value file; flags win")
         p.add_argument("--out", help=out_help)
 
@@ -424,6 +404,7 @@ def _build_parser():
     p.add_argument("--n", type=int, help="ambient dimension")
     p.add_argument("--dim-w", dest="dim_w", type=int,
                    help="subspace dimension (default n)")
+    p.add_argument("--seed", type=int, help="random seed (default 0)")
     common(p, "instance path (required); answer goes to <out>.answer")
 
     p = sub.add_parser("solve", help="run the pipeline on an instance file")
@@ -432,7 +413,9 @@ def _build_parser():
     p.add_argument("--degree", type=int,
                    help="top relaxation degree: the rungs 4, 6, ... up to it "
                         "are tried in turn (default 6)")
-    p.add_argument("--tol", type=float, help="solver tolerance (default 1e-7)")
+    p.add_argument("--tol", type=float,
+                   help=f"solver tolerance (default {DEFAULT_TOL:g})")
+    p.add_argument("--seed", type=int, help="structure-round seed (default 0)")
     common(p, "also write the report here")
 
     p = sub.add_parser("rectangle", help="rank-one rectangle search")
@@ -443,6 +426,7 @@ def _build_parser():
     p.add_argument("--restarts", type=int, help="search restarts (default 8)")
     p.add_argument("--max-iters", dest="max_iters", type=int,
                    help="threshold rounds per search")
+    p.add_argument("--seed", type=int, help="Gaussian stream seed (default 0)")
     common(p, "also write the report here")
 
     p = sub.add_parser("reduce", help="complex subspace to its real lift")
@@ -455,7 +439,7 @@ def _build_parser():
     p.add_argument("--eps", type=float,
                    help="quality bar 1 - eps^2 (default 0.25)")
     common(p, "also write the report here")
-    return parser
+    return parser, sub.choices
 
 
 def _error_code(err: Exception) -> int:
@@ -467,11 +451,14 @@ def _error_code(err: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     started = time.perf_counter()
     report = {"schema": _SCHEMA, "command": args.command, "config": {}}
     try:
-        cfg, status, result, checks = _COMMANDS[args.command](args)
+        run, defaults = _COMMANDS[args.command]
+        cfg = _effective(args, commands[args.command], defaults)
+        status, result, checks = run(cfg)
         report.update(config=cfg, status=status, result=result, checks=checks)
         code = 0 if status == "OK" else 1
     except Exception as err:

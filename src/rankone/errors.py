@@ -74,7 +74,8 @@ class IllFormed(RankOneError):
 # -- separable-state front end ----------------------------------------------
 
 class EmptySubspace(RankOneError):
-    """No eigenvector cleared the measurement's eigenvalue threshold."""
+    """The subspace to search is empty: the measurement has no
+    eigenvalue-1 direction, or no spanning matrix survived."""
 
 
 class ZeroCandidate(RankOneError):

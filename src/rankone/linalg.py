@@ -17,13 +17,15 @@ import numpy as np
 
 from .errors import IllFormed
 
+_DROP_TOL = 1e-10          # relative residual below which a row is dependent
 
-def gram_schmidt(rows, drop_tol: float = 1e-10):
+
+def gram_schmidt(rows):
     """Orthonormalize a sequence of vectors (rows), dropping dependents.
 
     Modified Gram-Schmidt with one re-orthogonalization pass; a vector
-    whose residual norm falls below drop_tol relative to its input norm
-    is discarded.  Returns a list of unit vectors.
+    whose residual norm falls below 1e-10 relative to its input norm is
+    discarded.  Returns a list of unit vectors.
     """
     ortho: list[np.ndarray] = []
     for row in rows:
@@ -33,7 +35,7 @@ def gram_schmidt(rows, drop_tol: float = 1e-10):
             for u in ortho:
                 v -= (u @ v) * u
         norm = float(np.linalg.norm(v))
-        if norm > drop_tol * ref:
+        if norm > _DROP_TOL * ref:
             ortho.append(v / norm)
     return ortho
 

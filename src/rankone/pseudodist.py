@@ -358,11 +358,11 @@ class ValidationReport:
     min_localizer_eig: float
     normalized: bool
 
-    def ok(self, psd_tol: float = PSD_EPS, con_tol: float = CON_EPS) -> bool:
+    def ok(self) -> bool:
         return (self.normalized
-                and self.min_moment_eig >= -psd_tol
-                and self.max_equality_residual <= con_tol
-                and self.min_localizer_eig >= -psd_tol)
+                and self.min_moment_eig >= -PSD_EPS
+                and self.max_equality_residual <= CON_EPS
+                and self.min_localizer_eig >= -PSD_EPS)
 
 
 def equality_residual(mu: PseudoDistribution, q: np.ndarray) -> float:

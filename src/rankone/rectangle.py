@@ -20,12 +20,13 @@ for S the centered second moment, and keeps the indices whose centered
 inner product with g clears sqrt(k) ||S||_F in magnitude.  The average
 of those inner products' variances equals ||S||_F^2, making the cut a
 sqrt(k)-sigma event with density exp(-O(k)); the cut level clamps so
-the survivors never drop below a floor.  Thresholding is two-sided by
-default: a cap and its mirror image contribute identical second
+the survivors never drop below n + _FLOOR_MARGIN.  Thresholding is
+two-sided only: a cap and its mirror image contribute identical second
 moments, and the submatrix of a sign-split cap is still rank one (its
 entries follow the sign pattern s_i t_j), so both halves of the sphere
-are usable population.  Draws repeat until the survivors' uncentered
-second moment grows in Frobenius norm; that norm is capped by the unit
+are usable population.  Up to _RETRIES draws per round are tried until
+the survivors' uncentered second moment grows by the factor
+1 + _GROWTH in Frobenius norm; that norm is capped by the unit
 columns, so sustained growth forces the spectrum toward rank one and
 the stopping test fires.  Whole searches restart from fresh Gaussian
 streams when rounds stall, which escapes the occasional bad early cap.
@@ -44,6 +45,8 @@ from .linalg import BlockReader, write_blocks
 _UNIT_TOL = 1e-10
 _SPECTRAL_TOL = 1e-10      # slack on the stopping inequality
 _RETRIES = 50              # Gaussian redraws per thresholding round
+_GROWTH = 0.05             # second-moment growth that ends a round early
+_FLOOR_MARGIN = 4          # survivors kept beyond n: the density floor
 _RESTARTS = 8              # fresh searches before giving up
 _ZERO_COV = 1e-15
 _DESK_FACTOR = 0.25        # scales the theory-size k down to desk scale
@@ -110,14 +113,20 @@ class RectangleResult:
     growth: tuple
 
 
-def default_k(n: int, eps: float, desk: float = _DESK_FACTOR) -> int:
-    """Threshold strength ceil(desk * sqrt(n) log^2(n) / eps^2).
+def default_k(n: int, eps: float) -> int:
+    """Threshold strength ceil(_DESK_FACTOR * sqrt(n) log^2(n) / eps^2).
 
-    The undiscounted value is the theory-scale choice; desk shrinks it
-    because at small N a strong cut empties the index set in one round.
+    The undiscounted value is the theory-scale choice; _DESK_FACTOR
+    shrinks it because at small N a strong cut empties the index set in
+    one round.
     """
-    raw = desk * math.sqrt(n) * math.log(max(n, 2)) ** 2 / (eps * eps)
+    raw = _DESK_FACTOR * math.sqrt(n) * math.log(max(n, 2)) ** 2 / (eps * eps)
     return max(1, math.ceil(raw))
+
+
+def default_max_rounds(n: int, eps: float) -> int:
+    """Thresholding rounds per search, max(4, ceil(log n / eps))."""
+    return max(4, math.ceil(math.log(max(n, 2)) / eps))
 
 
 def _second_moment(side: FactorMatrix, idx) -> np.ndarray:
@@ -144,26 +153,23 @@ def _passes(sigma, eps):
 
 def find_rectangle(u: FactorMatrix, v: FactorMatrix, eps: float,
                    k: float | None = None, max_rounds: int | None = None,
-                   seed: int = 0, growth: float = 0.05,
-                   min_size: int | None = None, two_sided: bool = True,
-                   retries: int = _RETRIES,
-                   restarts: int = _RESTARTS) -> RectangleResult:
+                   seed: int = 0, restarts: int = _RESTARTS) -> RectangleResult:
     """Shrink [N] to an index set whose submatrix is eps-close to rank one.
 
     Rounds alternate between the U side and the V side.  A round draws
-    up to ``retries`` Gaussians and thresholds the centered inner
-    products at sqrt(k) ||S||_F, clamping the cut so that at least
-    min_size indices survive (the density target, default n + 4:
-    enough columns that the tail estimate is not noise).  The first
-    draw whose survivors already pass the stopping test ends the
+    up to _RETRIES Gaussians and thresholds the absolute centered inner
+    products |<u_i - mean, g>| at sqrt(k) ||S||_F, so both sign caps
+    count, clamping the cut so that at least n + _FLOOR_MARGIN indices
+    survive (enough columns that the tail estimate is not noise).  The
+    first draw whose survivors already pass the stopping test ends the
     round; otherwise the first draw growing the active side's
-    uncentered second moment by (1 + growth) wins, and failing that
-    the draw with the largest norm keeps the search moving.  two_sided
-    thresholds |<u_i - mean, g>|, using both sign caps; set it False
-    for the one-sided rule.  A search that exhausts max_rounds restarts
-    with a fresh Gaussian stream, up to ``restarts`` times.  Emptied
-    means every draw of some round wiped the index set in every
-    restart; MaxRounds means the stopping test never passed.
+    uncentered second moment by (1 + _GROWTH) wins, and failing that
+    the draw with the largest norm keeps the search moving.  k and
+    max_rounds default to `default_k` and `default_max_rounds`.  A
+    search that exhausts max_rounds restarts with a fresh Gaussian
+    stream, up to ``restarts`` times.  Emptied means every draw of some
+    round wiped the index set in every restart; MaxRounds means the
+    stopping test never passed.
     """
     if u.count != v.count:
         raise DimensionMismatch(
@@ -178,30 +184,26 @@ def find_rectangle(u: FactorMatrix, v: FactorMatrix, eps: float,
     if not k >= 1:
         raise IllFormed(f"k must be at least 1, got {k}")
     if max_rounds is None:
-        max_rounds = max(4, math.ceil(math.log(max(u.n, 2)) / eps))
+        max_rounds = default_max_rounds(u.n, eps)
     if max_rounds < 0:
         raise IllFormed(f"max_rounds must be at least 0, got {max_rounds}")
-    for name, count in (("restarts", restarts), ("retries", retries)):
-        if count < 1:
-            raise IllFormed(f"{name} must be at least 1, got {count}")
-    if min_size is None:
-        # the tail estimate averages |I| samples of an (n-1)-dimensional
-        # residual, so a handful more than n keeps it meaningful
-        min_size = u.n + 4
-    floor = max(1, min(min_size, u.count))
+    if restarts < 1:
+        raise IllFormed(f"restarts must be at least 1, got {restarts}")
+    # the tail estimate averages |I| samples of an (n-1)-dimensional
+    # residual, so a handful more than n keeps it meaningful
+    floor = max(1, min(u.n + _FLOOR_MARGIN, u.count))
 
     failure = None
     for restart in range(restarts):
         rng = np.random.default_rng((seed, restart))
         try:
-            return _search(u, v, eps, k, max_rounds, rng, growth, floor,
-                           two_sided, retries)
+            return _search(u, v, eps, k, max_rounds, rng, floor)
         except (Emptied, MaxRounds) as err:
             failure = err
     raise failure
 
 
-def _search(u, v, eps, k, max_rounds, rng, growth, floor, two_sided, retries):
+def _search(u, v, eps, k, max_rounds, rng, floor):
     total = u.count
     idx = np.arange(total)
     densities = []
@@ -242,11 +244,9 @@ def _search(u, v, eps, k, max_rounds, rng, growth, floor, two_sided, retries):
         finisher = None        # first draw whose survivors pass the test
         grower = None          # first draw meeting the growth target
         fallback = None        # largest-norm draw, in case neither shows
-        for _ in range(retries):
+        for _ in range(_RETRIES):
             g = root @ rng.standard_normal(side.n)
-            scores = dev @ g
-            if two_sided:
-                scores = np.abs(scores)
+            scores = np.abs(dev @ g)
             # keep the cut from dropping the set below the target
             hold = min(floor, idx.size)
             level = min(cut, float(np.partition(scores, -hold)[-hold]))
@@ -257,7 +257,7 @@ def _search(u, v, eps, k, max_rounds, rng, growth, floor, two_sided, retries):
             if _passes(_submatrix_spectrum(u, v, keep), eps):
                 finisher = (keep, after)
                 break
-            if grower is None and after >= (1.0 + growth) * before:
+            if grower is None and after >= (1.0 + _GROWTH) * before:
                 grower = (keep, after)
             if fallback is None or after > fallback[1]:
                 fallback = (keep, after)
@@ -290,6 +290,7 @@ __all__ = [
     "FactorMatrix",
     "RectangleResult",
     "default_k",
+    "default_max_rounds",
     "find_rectangle",
     "random_factors",
     "read_factors",

@@ -156,16 +156,18 @@ def test_measurement_to_subspace_projector_round_trip():
 
 
 def test_measurement_to_subspace_threshold():
-    # eigenvalues 1 and 0.6 on n=2: default threshold 1 - 1/n = 0.5 keeps
-    # both, a higher threshold keeps only the leading block
-    b1 = unit(np.diag([1.0, 0.0]))
-    b2 = unit(np.diag([0.0, 1.0]))
-    p = np.outer(b1.ravel(), b1.ravel()) + 0.6 * np.outer(b2.ravel(), b2.ravel())
-    m = MeasurementOperator(p)
-    assert measurement_to_subspace(m).dim == 2
-    assert measurement_to_subspace(m, threshold=0.8).dim == 1
-    with pytest.raises(EmptySubspace):
-        measurement_to_subspace(MeasurementOperator(np.zeros((4, 4))))
+    # W is the eigenvalue-1 eigenspace, within the 1e-8 slack validation
+    # allows: of the eigenvalues 1, 0.999, 0.6 and 1 - 1e-9 on n=2, the
+    # first and the last are kept, whose eigenvectors are diag(1, 0) and
+    # diag(0, 1)
+    back = measurement_to_subspace(
+        MeasurementOperator(np.diag([1.0, 0.999, 0.6, 1.0 - 1e-9])))
+    assert back.dim == 2
+    for b in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+        assert np.linalg.norm(back.project(b) - b) < 1e-10
+    for eigs in ([0.999, 0.6, 0.0, 0.0], [0.0] * 4):
+        with pytest.raises(EmptySubspace):
+            measurement_to_subspace(MeasurementOperator(np.diag(eigs)))
 
 
 # ---------------------------------------------------------------- solve
@@ -236,7 +238,8 @@ def test_ladder_never_refuses_a_planted_yes_instance(monkeypatch):
     1 - eps^2.  The top rung's rounding, which the ladder leaves as it
     was, is stubbed out."""
     rungs = record_rungs(monkeypatch)
-    monkeypatch.setattr(bss, "_round", lambda mu, w, eps, seed: (0.0, None, 0, mu.degree))
+    monkeypatch.setattr(bss, "_round",
+                        lambda mu, w, eps, seed, baseline: (0.0, None, 0, mu.degree))
     decided = []
     for n in (2, 3):
         for dim_w in range(1, n * n + 1):

@@ -149,6 +149,21 @@ def test_solve_measurement_routing(tmp_path, capsys):
     assert report["checks"]["quality"] >= 1 - 0.25 ** 2
 
 
+def test_solve_measurement_searches_the_eigenvalue_one_space(tmp_path, capsys):
+    """M = |psi-><psi-| + 0.75 |00><00| on n = 2 accepts no product state
+    with probability 1.  W is span{psi-}, not the 0.75 direction too, and
+    its degree-4 relaxation is refused with a certificate."""
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    e00 = np.array([1.0, 0.0, 0.0, 0.0])
+    path = tmp_path / "m.txt"
+    write_measurement(path, MeasurementOperator(
+        np.outer(psi, psi) + 0.75 * np.outer(e00, e00)))
+    code, report, _ = run_cli(capsys, "solve", str(path), "--degree", "4")
+    assert (code, report["status"]) == (1, "FAIL")
+    assert report["result"]["certificate"]["kind"] == "linear"
+    assert report["result"]["certificate"]["margin"] > 0
+
+
 def test_solve_far_instance_reports_fail(tmp_path, capsys):
     out = tmp_path / "no.txt"
     main(["gen", "random-no", "--n", "2", "--dim-w", "1", "--seed", "1",
@@ -309,7 +324,6 @@ def test_rectangle_search_reports_verified_submatrix(tmp_path, capsys):
     assert report["result"]["size"] == len(report["result"]["indices"])
     assert report["config"]["k"] == 2
     # resolved defaults are echoed, not left null
-    assert report["config"]["min_size"] == 8
     assert report["config"]["max_iters"] >= 4
 
 
@@ -481,8 +495,61 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "epsilon" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("command, line", [
+    ("solve", "eps = abc"), ("solve", "tol = abc"), ("solve", "degree = 6.0"),
+    ("solve", "seed = 1.5"), ("check", "eps = abc"), ("gen", "n = 2.0"),
+    ("rectangle", "restarts = x"), ("rectangle", "growth = 0.5")])
+def test_config_values_are_typed_by_their_flags(tmp_path, capsys, command, line):
+    """A config value its flag's type rejects, or a key that is no flag,
+    is an input error that names the key."""
+    w = tmp_path / "w.txt"
+    main(["gen", "planted-yes", "--n", "2", "--out", str(w)])
+    capsys.readouterr()
+    operands = {"solve": [w], "check": [w, f"{w}.answer"],
+                "gen": ["planted-yes", "--out", tmp_path / "g.txt"],
+                "rectangle": [orthonormal_class_factors(tmp_path)]}[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, report, _ = run_cli(capsys, command, *map(str, operands), "--config", str(cfg))
+    assert (code, report["error"]["type"]) == (2, "IllFormed")
+    assert repr(line.split()[0]) in report["error"]["message"]
+
+
+FLAGS = {"gen": {"n", "dim_w", "seed", "out"},
+         "solve": {"eps", "degree", "tol", "seed", "out"},
+         "rectangle": {"right", "eps", "k", "restarts", "max_iters", "seed", "out"},
+         "reduce": {"out"},
+         "check": {"eps", "out"}}
+
+
+def test_config_keys_are_exactly_the_flags(tmp_path, capsys):
+    """Each subcommand takes as config keys its flags and nothing else:
+    not its operands, not --config, not the removed rectangle settings.
+    reduce and check take no --seed."""
+    keys = set().union(*FLAGS.values()) | {
+        "in_path", "kind", "instance", "candidate", "config",
+        "growth", "min_size", "two_sided", "retries"}
+    missing = str(tmp_path / "missing.txt")
+    operands = {"gen": ["planted-yes"], "solve": [missing], "rectangle": [missing],
+                "reduce": [missing], "check": [missing, missing]}
+    cfg = tmp_path / "run.cfg"
+    for command, flags in FLAGS.items():
+        accepted = set()
+        for key in keys:
+            cfg.write_text(f"{key} = {tmp_path / 'value'}\n")
+            code, report, _ = run_cli(capsys, command, *operands[command],
+                                      "--config", str(cfg))
+            assert code == 2
+            if "unknown config key" not in report["error"]["message"]:
+                accepted.add(key)
+        assert accepted == flags, command
+    for command in ("reduce", "check"):
+        with pytest.raises(SystemExit):
+            main([command, *operands[command], "--seed", "7"])
+
+
 def test_load_config_parses_types(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text('a = 3\nb = 0.5\nc = true\nd = "text"\n\n# comment\n')
     values = load_config(cfg)
-    assert values == {"a": 3, "b": 0.5, "c": True, "d": "text"}
+    assert values == {"a": "3", "b": "0.5", "c": "true", "d": "text"}

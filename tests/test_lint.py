@@ -3,8 +3,10 @@
 Every import in `src/rankone` and in `tests` binds a name the module
 uses (a line marked `# noqa: F401` keeps a deliberate re-export), every
 entry of a package module's `__all__` resolves to an attribute of that
-module, and every top-level name of a package module is referenced from
-the package or the benchmark: code that only tests reach is dead code.
+module, every top-level name of a package module is referenced from
+the package or the benchmark: code that only tests reach is dead code,
+and every defaulted parameter of a package function is passed by some
+package or benchmark caller: an option nothing sets is a constant.
 """
 
 import ast
@@ -98,3 +100,50 @@ def test_every_package_name_is_reached():
                  for name, node in _top_level_names(trees[path])
                  if total[name] - _references(node)[name] <= 0}
     assert unreached == TEST_ORACLES
+
+
+# defaulted parameters that only the tests pass: the oracles' own options
+TEST_ORACLE_OPTIONS = {"sos_solver.py: certificate_margin(factors)"}
+
+
+def _defaulted(func):
+    """(name, position or None) of each parameter of `func` with a default;
+    the position counts from the first argument a caller writes."""
+    args = func.args.posonlyargs + func.args.args
+    skip = 1 if args and args[0].arg in ("self", "cls") else 0
+    first = len(args) - len(func.args.defaults)
+    for i, arg in enumerate(args[first:], start=first):
+        yield arg.arg, i - skip
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position) -> bool:
+    """Whether `call` writes the parameter, by keyword or by position."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position is not None and (starred or position < len(call.args))
+
+
+def test_every_default_is_set_by_some_caller():
+    """Each defaulted parameter of a `src/rankone` function is passed at
+    some call site in `src/` or `benchmark/` that names the function, so
+    no option is held at one value by every caller.  The exceptions are
+    exactly TEST_ORACLE_OPTIONS."""
+    calls = collections.defaultdict(list)
+    for path in SOURCES + BENCHMARK:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[getattr(func, "id", None) or getattr(func, "attr", None)].append(node)
+    unset = set()
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for name, position in _defaulted(func):
+                if not any(_passes(c, name, position) for c in calls[func.name]):
+                    unset.add(f"{path.name}: {func.name}({name})")
+    assert unset == TEST_ORACLE_OPTIONS
