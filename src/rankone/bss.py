@@ -44,6 +44,7 @@ _ZERO_NORM = 1e-12
 _MIN_FARNESS = 0.5         # the farness `random_no` certifies
 _NO_TRIES = 40             # `random_no` draws before giving up
 _ACCEPT_TOL = 1e-7         # slack on a verified acceptance floor
+DEFAULT_DEGREE = 6         # top rung of the degree ladder
 
 # rounding retries: every level relaxes the structure stopping bar by
 # _EPS_GROWTH and each level redraws _SEEDS_PER_LEVEL times; acceptance
@@ -180,7 +181,7 @@ class BssReport:
     eps: float
     degree: int
     rung: int
-    solver_status: str
+    solver_status: str       # feasible | rounded | infeasible
     solver_iterations: int
     structure_steps: int
     quality: float | None = None
@@ -256,7 +257,7 @@ def _spectral_rounding(mu, w: SubspaceBasis):
     return best
 
 
-def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
+def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: int = 0,
               solver_tol: float = DEFAULT_TOL):
     """Find an approximately-in-W rank-one matrix, or certify none, by
     climbing the degree ladder 4, 6, ..., `degree`.
@@ -272,8 +273,13 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
 
     Each rung refuses on a certificate or returns the spectral candidate
     (top cross-moment eigendirections, immune to sign and phase
-    symmetry) when it reaches 1 - eps^2.  A rung below the top otherwise
-    climbs, as it also does when its solver reaches the iteration limit.
+    symmetry) when it reaches 1 - eps^2.  A rung need not wait for a
+    converged table: the solver offers its iterate at each conic check,
+    and the rung stops at the first one whose spectral candidate reaches
+    1 - eps^2, with solver status `rounded`.  Either way the candidate is
+    accepted on its own recomputed quality, so a certified eps-far W can
+    never be rounded.  A rung below the top otherwise climbs, as it also
+    does when its solver reaches the iteration limit.
     The top rung goes on from its spectral baseline: it retries the
     structure rounds over fresh seeds (trial t runs `run_structure_2d`
     with seed `seed + t`) and a gradually relaxed stopping bar until a
@@ -292,17 +298,24 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = 6, seed: int = 0,
     if degree < 4 or degree % 2 != 0:
         raise DegreeTooSmall(f"rank-one search needs an even degree >= 4, got {degree}")
     target = 1.0 - eps * eps
+
+    def verifies(dist) -> bool:
+        rounded = _spectral_rounding(dist, w)
+        return rounded is not None and rounded[0] >= target
+
     for rung in range(4, degree + 1, 2):
         # looked up on the module at call time, so a tracer that wraps
         # these names sees every rung
         problem = build_bss_problem(w, rung)
-        mu, solver_report = solve_feasibility(problem, tol=solver_tol)
+        mu, solver_report = solve_feasibility(problem, tol=solver_tol, accept=verifies)
         if solver_report.status == "infeasible":
             report = BssReport("infeasible", eps, degree, rung, solver_report.status,
                                solver_report.iterations, 0,
                                certificate=solver_report.certificate)
             return None, report
-        if solver_report.status == "feasible":
+        if solver_report.status in ("feasible", "rounded"):
+            # a rounded table is rounded again here: the rounding is
+            # deterministic, so this is the candidate the hook verified
             baseline = _spectral_rounding(mu, w)
             if baseline is not None and baseline[0] >= target:
                 report = BssReport("candidate", eps, degree, rung, solver_report.status,

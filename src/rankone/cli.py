@@ -25,11 +25,16 @@ malformed inputs or files, 3 exhausted search or solver budgets (for
 `solve`, neither an infeasibility certificate nor a feasible point
 within the solver's iteration limit at the top degree), 4 anything
 unexpected.  `solve` climbs the relaxation degrees 4, 6, ... up to
---degree and reports the one that decided as `result.rung`.  It says OK
-for any candidate it finds; its `checks.meets_target` applies the bar
-1 - eps^2 (`result.target`) that `check` applies.  A refusal reports
-`result.certificate`: its kind (`linear` or `conic`) and its margin,
-which is positive.
+--degree and reports the one that decided as `result.rung`, and how the
+solve at that rung ended as `result.solver_status`: `feasible` (a
+converged moment table, then rounded), `rounded` (stopped early at an
+iterate whose spectral candidate already meets 1 - eps^2) or
+`infeasible` (refused).  It says OK for any candidate it finds; its
+`checks.meets_target` applies the bar 1 - eps^2 (`result.target`) that
+`check` applies.  A refusal reports `result.certificate`: its kind
+(`linear` or `conic`) and its margin, which is positive.  A command
+that fails after its configuration resolved echoes that configuration,
+config-file values and defaults included.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import time
 import numpy as np
 
 from .bss import (
+    DEFAULT_DEGREE,
     RankOneCandidate,
     complex_planted,
     lift_real_solution,
@@ -72,11 +78,18 @@ from .errors import (
     RankOneError,
 )
 from .linalg import BlockReader, write_blocks
-from .rectangle import default_k, default_max_rounds, find_rectangle, read_factors
+from .rectangle import (
+    DEFAULT_RESTARTS,
+    default_k,
+    default_max_rounds,
+    find_rectangle,
+    read_factors,
+)
 from .sos_solver import DEFAULT_TOL
 
 _SCHEMA = 1
 _GRID_LIMIT = 3            # largest ambient with a farness grid certificate
+_EPS = 0.25                # default eps of solve, rectangle and check
 
 # a clean negative verdict uses 1; these families map to 2 and 3
 _INPUT_ERRORS = (IllFormed, BadDims, DegreeTooSmall, DimensionMismatch,
@@ -378,10 +391,11 @@ def _cmd_check(cfg):
 # each command with the defaults of its unset flags
 _COMMANDS = {
     "gen": (_cmd_gen, {"seed": 0}),
-    "solve": (_cmd_solve, {"eps": 0.25, "degree": 6, "seed": 0, "tol": DEFAULT_TOL}),
-    "rectangle": (_cmd_rectangle, {"eps": 0.25, "seed": 0, "restarts": 8}),
+    "solve": (_cmd_solve, {"eps": _EPS, "degree": DEFAULT_DEGREE, "seed": 0,
+                           "tol": DEFAULT_TOL}),
+    "rectangle": (_cmd_rectangle, {"eps": _EPS, "seed": 0, "restarts": DEFAULT_RESTARTS}),
     "reduce": (_cmd_reduce, {}),
-    "check": (_cmd_check, {"eps": 0.25}),
+    "check": (_cmd_check, {"eps": _EPS}),
 }
 
 
@@ -409,10 +423,10 @@ def _build_parser():
 
     p = sub.add_parser("solve", help="run the pipeline on an instance file")
     p.add_argument("in_path", help="SUBSPACE, MEASUREMENT, or CSUBSPACE file")
-    p.add_argument("--eps", type=float, help="target accuracy (default 0.25)")
+    p.add_argument("--eps", type=float, help=f"target accuracy (default {_EPS:g})")
     p.add_argument("--degree", type=int,
                    help="top relaxation degree: the rungs 4, 6, ... up to it "
-                        "are tried in turn (default 6)")
+                        f"are tried in turn (default {DEFAULT_DEGREE})")
     p.add_argument("--tol", type=float,
                    help=f"solver tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--seed", type=int, help="structure-round seed (default 0)")
@@ -421,9 +435,9 @@ def _build_parser():
     p = sub.add_parser("rectangle", help="rank-one rectangle search")
     p.add_argument("in_path", help="FACTORS file (left side)")
     p.add_argument("--right", help="FACTORS file for the right side")
-    p.add_argument("--eps", type=float, help="target accuracy (default 0.25)")
+    p.add_argument("--eps", type=float, help=f"target accuracy (default {_EPS:g})")
     p.add_argument("--k", type=float, help="threshold strength")
-    p.add_argument("--restarts", type=int, help="search restarts (default 8)")
+    p.add_argument("--restarts", type=int, help=f"search restarts (default {DEFAULT_RESTARTS})")
     p.add_argument("--max-iters", dest="max_iters", type=int,
                    help="threshold rounds per search")
     p.add_argument("--seed", type=int, help="Gaussian stream seed (default 0)")
@@ -437,7 +451,7 @@ def _build_parser():
     p.add_argument("instance", help="SUBSPACE, MEASUREMENT, or CSUBSPACE file")
     p.add_argument("candidate", help="CANDIDATE or CCANDIDATE file")
     p.add_argument("--eps", type=float,
-                   help="quality bar 1 - eps^2 (default 0.25)")
+                   help=f"quality bar 1 - eps^2 (default {_EPS:g})")
     common(p, "also write the report here")
     return parser, sub.choices
 
@@ -455,6 +469,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     report = {"schema": _SCHEMA, "command": args.command, "config": {}}
+    cfg = None
     try:
         run, defaults = _COMMANDS[args.command]
         cfg = _effective(args, commands[args.command], defaults)
@@ -462,9 +477,10 @@ def main(argv=None) -> int:
         report.update(config=cfg, status=status, result=result, checks=checks)
         code = 0 if status == "OK" else 1
     except Exception as err:
-        # the resolved config never materialized; echo the raw flags
-        flags = {k: v for k, v in vars(args).items() if k != "command"}
-        report.update(config=flags, status="ERROR",
+        if cfg is None:
+            # the config did not resolve; echo the raw flags
+            cfg = {k: v for k, v in vars(args).items() if k != "command"}
+        report.update(config=cfg, status="ERROR",
                       error={"type": type(err).__name__, "message": str(err)})
         code = _error_code(err)
     text = json.dumps(report, indent=2, sort_keys=True)

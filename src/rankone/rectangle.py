@@ -47,7 +47,7 @@ _SPECTRAL_TOL = 1e-10      # slack on the stopping inequality
 _RETRIES = 50              # Gaussian redraws per thresholding round
 _GROWTH = 0.05             # second-moment growth that ends a round early
 _FLOOR_MARGIN = 4          # survivors kept beyond n: the density floor
-_RESTARTS = 8              # fresh searches before giving up
+DEFAULT_RESTARTS = 8       # fresh searches before giving up
 _ZERO_COV = 1e-15
 _DESK_FACTOR = 0.25        # scales the theory-size k down to desk scale
 
@@ -153,7 +153,7 @@ def _passes(sigma, eps):
 
 def find_rectangle(u: FactorMatrix, v: FactorMatrix, eps: float,
                    k: float | None = None, max_rounds: int | None = None,
-                   seed: int = 0, restarts: int = _RESTARTS) -> RectangleResult:
+                   seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> RectangleResult:
     """Shrink [N] to an index set whose submatrix is eps-close to rank one.
 
     Rounds alternate between the U side and the V side.  A round draws

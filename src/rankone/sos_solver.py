@@ -81,6 +81,13 @@ few plain DR steps from it, which the run itself does not take.
 Without a certificate DR runs until it finds a feasible point or reaches
 the iteration limit, reported as `iter_limit`.
 
+A caller that needs less than a feasible point may pass an `accept` hook.
+At each check where a conic try is due and the iterate is not yet
+feasible, the hook sees that iterate, which meets L y = b but need not be
+PSD, before the try; when it accepts, the run stops with status
+`rounded`.  The rank-one search uses it to stop at the first iterate
+whose spectral candidate already verifies at its target quality.
+
 Every 10 iterations the current iterate is checked for feasibility.  Up
 to the first check the steps are plain DR, so a problem settled there
 gets the plain DR point.  After it the DR map T(x) = x + g(x) runs under
@@ -176,6 +183,8 @@ class SolverReport:
     """Outcome of one solve.  `infeasible` always carries the checked
     `certificate`: a `linear` one found at set-up with no DR iteration,
     or a `conic` one found at the check after `iterations` DR steps;
+    `rounded` means the caller's `accept` hook took the iterate of the
+    check after `iterations` DR steps, which need not be feasible;
     `iter_limit` means neither a certificate nor a feasible point within
     the budget.  `iterations` counts the steps of the run, not the plain
     steps that certificate tries take aside.  `max_constraint_residual`
@@ -187,7 +196,7 @@ class SolverReport:
     steps the safeguard accepted and how many it replaced by the plain
     step."""
 
-    status: str  # feasible | infeasible | iter_limit
+    status: str  # feasible | rounded | infeasible | iter_limit
     iterations: int
     max_constraint_residual: float
     min_block_eigenvalue: float
@@ -963,7 +972,7 @@ def _try_conic(problem, labels, block_map, geo, space, base, z, bound):
 
 
 def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
-                      iter_limit: int = DEFAULT_ITER_LIMIT):
+                      iter_limit: int = DEFAULT_ITER_LIMIT, accept=None):
     """Find a moment vector satisfying the problem, or prove there is none.
 
     Returns (PseudoDistribution | None, SolverReport).  Status `feasible`
@@ -971,8 +980,18 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     precision and whose moment matrices clear -tol; `infeasible` comes
     with a checked certificate, linear from set-up or conic from the DR
     displacement; `iter_limit` means neither within iter_limit DR
-    iterations.  Raises IllFormed unless tol is finite and positive and
-    iter_limit >= 1.
+    iterations.
+
+    `accept(dist) -> bool`, when given, lets the caller stop on an
+    iterate that is good enough for its purpose.  It is called at the
+    checks where the iterate is not yet feasible and a conic certificate
+    is due (checks 1, 2, 4, 8, ... and the last), before that try, with
+    the checked iterate as a distribution built like the `feasible` one:
+    it meets L y = b but need not be PSD.  When it returns True the
+    status is `rounded`, that distribution is returned, and `iterations`
+    is the iteration of that check.  A run that never gets True returns
+    what it returns with no hook.  Raises IllFormed unless tol is finite
+    and positive and iter_limit >= 1.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise IllFormed(f"solver tolerance must be finite and positive, got {tol}")
@@ -1040,6 +1059,9 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
             break
         checks = iterations // _CHECK_EVERY
         if checks and (checks & (checks - 1) == 0 or iterations >= iter_limit):
+            if accept is not None and accept(_distribution(problem, invariant, y_hat)):
+                status = "rounded"
+                break
             certificate = _try_conic(problem, labels, block_map, geo, space, base,
                                      displacement, bound)
             if certificate is not None:
@@ -1057,10 +1079,16 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
         anderson_accepted=accepted,
         anderson_rejected=rejected,
     )
-    if status != "feasible":
+    if status not in ("feasible", "rounded"):
         return None, report
+    return _distribution(problem, invariant, y_hat), report
+
+
+def _distribution(problem: SdpProblem, invariant: np.ndarray,
+                  y_hat: np.ndarray) -> PseudoDistribution:
+    """The moment table of the invariant moments y_hat, normalized to
+    E~ 1 = 1, with every other moment zero."""
+    index = problem.index
     moments = np.zeros(index.size)
     moments[invariant] = y_hat / y_hat[0]
-    dist = PseudoDistribution(index, moments, index.max_degree,
-                              tuple(problem.constraints))
-    return dist, report
+    return PseudoDistribution(index, moments, index.max_degree, tuple(problem.constraints))

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from instances import tiles_complement
 from rankone import bss
 from rankone.bss import (
     ComplexSubspace,
@@ -256,27 +257,81 @@ def test_ladder_never_refuses_a_planted_yes_instance(monkeypatch):
 
 
 def test_ladder_refusals_check_on_their_own_rung(monkeypatch):
-    """No-instances: random_no(2, 1, seed) and the dim-(n-1)^2 subspaces
-    _uncertified_subspace(3, 4, seed) and (4, 9, seed), seeds 0-5, and the
-    antisymmetric line.  Each is refused; its certificate is the one of
-    the last rung solved, the rung the report names, and `certificate_margin`
-    reproduces its margin on that rung's problem."""
+    """The promise problem at eps: W holds a unit rank-one within eps, or
+    every unit rank-one is eps-far from W.  The certified-far cases,
+    random_no(2, 1, seed) for seeds 0-5 and the antisymmetric line at
+    eps 0.25, and the Tiles complement at eps 0.05, must all be refused:
+    their certificate is the one of the last rung solved, the rung the
+    report names, and `certificate_margin` reproduces its margin on that
+    rung's problem.  The dim-(n-1)^2 subspaces _uncertified_subspace(3,
+    4, seed) and (4, 9, seed), seeds 0-5, are in neither case at eps
+    0.25: each is refused with such a certificate or gets a candidate
+    that verifies at 1 - eps^2."""
     rungs = record_rungs(monkeypatch)
-    cases = [random_no(2, 1, seed)[0] for seed in range(6)]
-    cases += [_uncertified_subspace(n, (n - 1) ** 2, seed) for n in (3, 4) for seed in range(6)]
-    cases.append(SubspaceBasis(2, (unit(np.array([[0.0, 1.0], [-1.0, 0.0]])),)))
-    kinds = set()
-    for w in cases:
-        rungs.clear()
-        cand, rep = solve_bss(w, 0.25, degree=6)
-        assert cand is None and rep.status == "infeasible"
+
+    def checked_refusal(rep):
         problem, solver = rungs[-1]
+        assert rep.status == "infeasible"
         assert problem.index.max_degree == rep.rung
         cert = rep.certificate
         assert solver.certificate is cert
         assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
-        kinds.add(cert.kind)
+        return cert.kind
+
+    far = [(random_no(2, 1, seed)[0], 0.25) for seed in range(6)]
+    far.append((SubspaceBasis(2, (unit(np.array([[0.0, 1.0], [-1.0, 0.0]])),)), 0.25))
+    far.append((tiles_complement(), 0.05))
+    kinds = set()
+    for w, eps in far:
+        assert certify_farness(w) >= eps
+        rungs.clear()
+        cand, rep = solve_bss(w, eps, degree=6)
+        assert cand is None
+        kinds.add(checked_refusal(rep))
     assert kinds == {"linear", "conic"}
+
+    for n in (3, 4):
+        for seed in range(6):
+            w = _uncertified_subspace(n, (n - 1) ** 2, seed)
+            rungs.clear()
+            cand, rep = solve_bss(w, 0.25, degree=6)
+            if cand is None:
+                checked_refusal(rep)
+            else:
+                record = verify_candidate(cand, w)
+                assert record.ok() and record.quality >= 1.0 - 0.25 ** 2, (n, seed)
+
+
+def test_rounded_rungs_verify_and_far_instances_never_round(monkeypatch):
+    """A rung the solver stops early, with status `rounded`, returns a
+    candidate that verifies at 1 - eps^2: over planted_yes(n, dim_w,
+    seed) for n in {2, 3}, every dim_w and seeds 0-7 at degree 4, at eps
+    0.25 and 0.05.  random_no(n, 1, seed) for n in {2, 3} and seeds 0-7,
+    certified 0.5-far, is never rounded on any rung.  The structure
+    rounds, which only a converged top rung runs, are stubbed out."""
+    rungs = record_rungs(monkeypatch)
+    monkeypatch.setattr(bss, "_round",
+                        lambda mu, w, eps, seed, baseline: (0.0, None, 0, mu.degree))
+    rounded = 0
+    for eps in (0.25, 0.05):
+        for n in (2, 3):
+            for dim_w in range(1, n * n + 1):
+                for seed in range(8):
+                    w = planted_yes(n, dim_w, seed)[0]
+                    cand, rep = solve_bss(w, eps, degree=4)
+                    if rep.solver_status != "rounded":
+                        continue
+                    record = verify_candidate(cand, w)
+                    assert record.ok() and record.quality >= 1.0 - eps ** 2, (eps, n, dim_w, seed)
+                    assert record.quality == rep.quality
+                    rounded += 1
+    assert rounded > 0
+    rungs.clear()
+    for n in (2, 3):
+        for seed in range(8):
+            cand, rep = solve_bss(random_no(n, 1, seed)[0], 0.25, degree=6)
+            assert cand is None and rep.solver_status == "infeasible"
+    assert rungs and all(r.status != "rounded" for _, r in rungs)
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5, 7])

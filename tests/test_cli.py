@@ -5,6 +5,7 @@ are parsed back as JSON and cross-checked against the library calls
 they wrap, and determinism is checked as byte equality of stdout.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -14,22 +15,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from instances import tiles_complement
 from rankone.bss import (
     MeasurementOperator,
     planted_yes,
     read_subspace,
+    solve_bss,
     write_measurement,
     write_subspace,
 )
 from rankone.cli import (
-    _uncertified_subspace,
     load_config,
     main,
     read_candidate,
     write_candidate,
 )
 from rankone.errors import DimensionMismatch, IllFormed
-from rankone.rectangle import FactorMatrix, write_factors
+from rankone.rectangle import FactorMatrix, find_rectangle, write_factors
 
 
 def run_cli(capsys, *argv):
@@ -181,12 +183,14 @@ def test_solve_far_instance_reports_fail(tmp_path, capsys):
 
 @pytest.mark.parametrize("degree", ["4", "6"])
 def test_solve_refuses_a_cone_infeasible_subspace_at_rung_four(tmp_path, capsys, degree):
-    """_uncertified_subspace(4, 9, 0) has a consistent L y = b at degree 4
-    and no PSD point: under either top degree it is refused at rung 4
-    with a conic certificate, and the note names that rung."""
+    """The Tiles complement has a consistent L y = b at degree 4 and no
+    PSD point.  It is 0.0698-far from every unit rank-one, so at eps 0.05
+    no candidate can verify: under either top degree it is refused at
+    rung 4 with a conic certificate, and the note names that rung."""
     out = tmp_path / "no.txt"
-    write_subspace(out, _uncertified_subspace(4, 9, 0))
-    code, report, _ = run_cli(capsys, "solve", str(out), "--degree", degree)
+    write_subspace(out, tiles_complement())
+    code, report, _ = run_cli(capsys, "solve", str(out), "--degree", degree,
+                              "--eps", "0.05")
     assert (code, report["status"]) == (1, "FAIL")
     result = report["result"]
     assert (result["rung"], result["solver_status"]) == (4, "infeasible")
@@ -270,6 +274,40 @@ def test_missing_file_is_an_input_error(capsys):
     code, report, _ = run_cli(capsys, "solve", "/nonexistent/w.txt")
     assert code == 2
     assert report["status"] == "ERROR"
+
+
+def test_a_failed_command_echoes_its_resolved_config(tmp_path, capsys):
+    """A command that fails after its config resolved echoes that config,
+    config-file values and defaults included; one whose config file is
+    rejected echoes the raw flags."""
+    missing = str(tmp_path / "missing.txt")
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("degree = 8\n")
+    code, report, _ = run_cli(capsys, "solve", missing, "--config", str(cfg))
+    assert (code, report["error"]["type"]) == (2, "FileNotFoundError")
+    assert report["config"] == {"in_path": missing, "degree": 8, "eps": 0.25,
+                                "seed": 0, "tol": 1e-7, "out": None}
+    cfg.write_text("degree = eight\n")
+    code, report, _ = run_cli(capsys, "solve", missing, "--config", str(cfg))
+    assert (code, report["error"]["type"]) == (2, "IllFormed")
+    assert (report["config"]["config"], report["config"]["degree"]) == (str(cfg), None)
+
+
+def test_echoed_defaults_are_the_library_defaults(tmp_path, capsys):
+    """With no flags, `solve` echoes the degree, tolerance and seed
+    defaults of `solve_bss`, `rectangle` the restarts and seed defaults
+    of `find_rectangle`, and solve, rectangle and check one eps."""
+    missing = str(tmp_path / "missing.txt")
+    solve = run_cli(capsys, "solve", missing)[1]["config"]
+    rectangle = run_cli(capsys, "rectangle", missing)[1]["config"]
+    check = run_cli(capsys, "check", missing, missing)[1]["config"]
+    library = inspect.signature(solve_bss).parameters
+    assert (solve["degree"], solve["tol"], solve["seed"]) == (
+        library["degree"].default, library["solver_tol"].default, library["seed"].default)
+    library = inspect.signature(find_rectangle).parameters
+    assert (rectangle["restarts"], rectangle["seed"]) == (
+        library["restarts"].default, library["seed"].default)
+    assert solve["eps"] == rectangle["eps"] == check["eps"] == 0.25
 
 
 def with_nan_first_entry(path):

@@ -5,6 +5,7 @@ masses), problems infeasible for elementary algebraic reasons, and
 polynomials with known sum-of-squares status.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
+from instances import tiles_complement
 from moment_tables import dense_poly
 from rankone import sos_solver
 from rankone.bss import planted_yes, random_no
@@ -1062,6 +1064,72 @@ def test_accelerated_and_plain_dr_agree(monkeypatch):
         else:
             assert spread <= 1e-6, (family, seed)
     assert statuses == {"feasible", "infeasible", "iter_limit"}
+
+
+# -- the accept hook -------------------------------------------------------------
+
+
+def assert_same_report(rep, ref):
+    """Every field of two SolverReports equal, the certificate's arrays
+    entry for entry."""
+    for field in dataclasses.fields(ref):
+        got, want = getattr(rep, field.name), getattr(ref, field.name)
+        if isinstance(want, sos_solver.Certificate):
+            assert (got.kind, got.bound, got.margin) == (want.kind, want.bound, want.margin)
+            np.testing.assert_array_equal(got.multipliers, want.multipliers)
+            assert len(got.factors) == len(want.factors)
+            for h, h_ref in zip(got.factors, want.factors):
+                np.testing.assert_array_equal(h, h_ref)
+        else:
+            assert got == want, field.name
+
+
+def test_a_declining_hook_changes_nothing():
+    """An `accept` hook that always returns False leaves the moments and
+    every field of the report bit-identical, on plants feasible at checks
+    2 and 23, a plant at a limit of 50 steps, a conic refusal at check 1
+    and a linear refusal at set-up.  It is offered the iterate at checks
+    1, 2, 4, 8, ... and at the last, wherever that iterate is not
+    feasible."""
+    plant = lambda n, dim_w, seed: build_bss_problem(planted_yes(n, dim_w, seed)[0], 4)
+    cases = [(plant(2, 1, 0), DEFAULT_ITER_LIMIT, "feasible", 1),
+             (plant(3, 5, 2), DEFAULT_ITER_LIMIT, "feasible", 5),
+             (plant(3, 5, 3), 50, "iter_limit", 4),
+             (build_bss_problem(tiles_complement(), 4), DEFAULT_ITER_LIMIT, "infeasible", 1),
+             (build_bss_problem(random_no(2, 1, 0)[0], 4), DEFAULT_ITER_LIMIT, "infeasible", 0)]
+    for problem, limit, status, offers in cases:
+        seen = []
+        mu, rep = solve_feasibility(problem, iter_limit=limit,
+                                    accept=lambda dist: seen.append(dist) or False)
+        mu_ref, rep_ref = solve_feasibility(problem, iter_limit=limit)
+        assert (rep_ref.status, len(seen)) == (status, offers)
+        assert_same_report(rep, rep_ref)
+        if mu_ref is None:
+            assert mu is None
+        else:
+            np.testing.assert_array_equal(mu.moments, mu_ref.moments)
+
+
+def test_an_accepting_hook_stops_at_its_check():
+    """A hook that takes the k-th iterate it is offered ends the run with
+    status `rounded` at the check of that offer, and returns that
+    iterate's table, which meets L y = b.  planted_yes(3, 5, 2) settles at
+    check 23, so the offers come at checks 1, 2, 4, 8 and 16, iterations
+    10 * 2^(k-1); at a limit of 50 steps, planted_yes(3, 5, 3) is offered
+    its last check too."""
+    plant = build_bss_problem(planted_yes(3, 5, 2)[0], 4)
+    stopped = build_bss_problem(planted_yes(3, 5, 3)[0], 4)
+    cases = [(plant, DEFAULT_ITER_LIMIT, k, 10 * 2 ** (k - 1)) for k in range(1, 6)]
+    cases.append((stopped, 50, 4, 50))
+    for problem, limit, k, iterations in cases:
+        seen = []
+        mu, rep = solve_feasibility(problem, iter_limit=limit,
+                                    accept=lambda dist: seen.append(dist) or len(seen) == k)
+        assert (rep.status, rep.iterations, rep.certificate) == ("rounded", iterations, None)
+        np.testing.assert_array_equal(mu.moments, seen[-1].moments)
+        assert mu.moments[0] == 1.0
+        assert np.abs(problem.lmat @ mu.moments - problem.rhs).max() <= 1e-9
+        assert rep.max_constraint_residual <= 1e-9
 
 
 @pytest.mark.parametrize("tol, iter_limit", [(0.0, 10), (-1.0, 10), (np.nan, 10),
