@@ -76,6 +76,7 @@ from .errors import (
     NotSymmetric,
     PreconditionViolated,
     RankOneError,
+    ZeroCandidate,
 )
 from .linalg import BlockReader, write_blocks
 from .rectangle import (
@@ -236,7 +237,10 @@ def _cmd_gen(cfg):
 
 
 def _uncertified_subspace(n, dim_w, seed):
-    # no grid certificate exists above the limit; draw until full rank
+    # no grid certificate exists above the limit; draw until full rank,
+    # which only a dimension in [1, n^2] ever reaches
+    if not 1 <= dim_w <= n * n:
+        raise BadDims(f"need 1 <= dim_w <= n^2, got n={n}, dim_w={dim_w}")
     rng = np.random.default_rng(seed)
     while True:
         mats = [rng.standard_normal((n, n)) for _ in range(dim_w)]
@@ -370,14 +374,19 @@ def _cmd_check(cfg):
     if cand_kind != needed:
         raise IllFormed(f"a {kind} instance needs a {needed} file")
     w, measurement, wc = _read_instance(cfg["instance"], kind, "check against")
+    candidate = RankOneCandidate(u0, v0, 0.0)
+    try:
+        lift = lift_real_solution(candidate, wc) if wc is not None else None
+        record = verify_candidate(candidate, w, measurement)
+    except ZeroCandidate as err:
+        # a zero candidate is a malformed file, not an exhausted search
+        raise IllFormed(f"{cfg['candidate']}: {err}") from None
     extra = {}
-    if wc is not None:
-        lift = lift_real_solution(RankOneCandidate(u0, v0, 0.0), wc)
+    if lift is not None:
         scale = float(np.linalg.norm(np.outer(lift.u, np.conj(lift.v))))
         extra = {"lift_residual": lift.residual,
                  "lift_relative_residual": lift.residual / scale}
 
-    record = verify_candidate(RankOneCandidate(u0, v0, 0.0), w, measurement)
     passed = _meets_target(record, cfg["eps"])
     result = {"quality": record.quality, "target": _target(cfg["eps"]), **extra}
     checks = {"quality_via_complement": record.quality_via_complement,

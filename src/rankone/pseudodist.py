@@ -3,8 +3,9 @@
 A degree-d pseudo-distribution over R^n is represented by its moment
 vector: one real number per monomial of total degree <= d, indexed by a
 graded-lexicographic table.  The defining properties (normalization
-E~ 1 = 1, E~ f^2 >= 0 for deg f <= d/2, constraint residuals ~ 0) are
-checkable from that vector alone and are what `validate` measures.
+E~ 1 = 1, E~ f^2 >= 0 for deg f <= d/2, E~[q x^m] ~ 0 for each
+equality constraint q = 0) are checkable from that vector alone and are
+what `validate` measures.
 
 Every polynomial is a dense coefficient vector.  A polynomial of degree
 <= h is the vector of its coefficients over the first `count_through(h)`
@@ -22,8 +23,8 @@ same variables.  One kernel serves all of it:
 - `poly_mul` multiplies two dense vectors through a sum table, and
   `poly_pow` folds it into a power.
 
-Constraints, localizers, reweighting polynomials and their
-certificates are all dense vectors.
+Equality constraints, reweighting polynomials and their certificates
+are all dense vectors; a constraint q stands for q = 0.
 
 Reweighting by a sum-of-squares polynomial p sends the moment vector y
 to y'[a] = E~[p * x^a] / E~[p] at reduced degree.  Every
@@ -166,15 +167,6 @@ def monomial_index(num_vars: int, max_degree: int) -> MonomialIndex:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstraintSpec:
-    """Polynomial constraint `polynomial == 0` (eq) or `polynomial >= 0`
-    (ineq), the polynomial a dense coefficient vector."""
-
-    polynomial: np.ndarray
-    kind: str = "eq"
-
-
-@dataclass(frozen=True, eq=False)
 class ReweightPolynomial:
     """A sum-of-squares reweighting polynomial p with its certificate.
 
@@ -199,7 +191,8 @@ class ReweightPolynomial:
 
 @dataclass(frozen=True)
 class PseudoDistribution:
-    """Moment vector of degree `degree` over `index.num_vars` variables."""
+    """Moment vector of degree `degree` over `index.num_vars` variables,
+    with the dense polynomials q of its equality constraints q = 0."""
 
     index: MonomialIndex
     moments: np.ndarray
@@ -281,21 +274,11 @@ def poly_pow(index: MonomialIndex, a: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def moment_matrix(mu: PseudoDistribution, localizer: np.ndarray | None = None) -> np.ndarray:
-    """Moment matrix M[a,b] = E~[loc * x^(a+b)] over monomials of degree
-    <= (degree - deg loc) // 2, for the dense localizer loc; None means
-    the plain matrix."""
-    loc = np.ones(1) if localizer is None else localizer
-    dloc = mu.index.degree_of(loc)
-    if dloc > mu.degree:
-        raise DegreeExceeded("localizer degree exceeds the distribution degree")
-    half = (mu.degree - dloc) // 2
-    pairs = mu.index.sum_table(half, half)
-    shifted = mu.index.sum_table(2 * half, dloc)
-    out = np.zeros(pairs.shape)
-    for i in np.flatnonzero(loc):
-        out += loc[i] * mu.moments[shifted[pairs, i]]
-    return 0.5 * (out + out.T)
+def moment_matrix(mu: PseudoDistribution) -> np.ndarray:
+    """Moment matrix M[a,b] = E~ x^(a+b) over the monomials of degree
+    <= degree // 2."""
+    half = mu.degree // 2
+    return moment_block(mu, half, half)
 
 
 def _check_certificate(p: ReweightPolynomial) -> bool:
@@ -342,8 +325,7 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
     new_moments = moment_block(mu, new_degree, dp) @ coef
     new_moments /= norm
     new_moments[0] = 1.0
-    kept = tuple(c for c in mu.constraints
-                 if mu.index.degree_of(c.polynomial) <= new_degree)
+    kept = tuple(q for q in mu.constraints if mu.index.degree_of(q) <= new_degree)
     return PseudoDistribution(monomial_index(mu.num_vars, new_degree), new_moments,
                               new_degree, kept)
 
@@ -355,14 +337,12 @@ def reweight(mu: PseudoDistribution, p: ReweightPolynomial) -> PseudoDistributio
 class ValidationReport:
     min_moment_eig: float
     max_equality_residual: float
-    min_localizer_eig: float
     normalized: bool
 
     def ok(self) -> bool:
         return (self.normalized
                 and self.min_moment_eig >= -PSD_EPS
-                and self.max_equality_residual <= CON_EPS
-                and self.min_localizer_eig >= -PSD_EPS)
+                and self.max_equality_residual <= CON_EPS)
 
 
 def equality_residual(mu: PseudoDistribution, q: np.ndarray) -> float:
@@ -380,21 +360,12 @@ def validate(mu: PseudoDistribution) -> ValidationReport:
     normalized = abs(float(mu.moments[0]) - 1.0) <= 1e-12
     eigs = np.linalg.eigvalsh(moment_matrix(mu))
     min_eig = float(eigs[0]) if eigs.size else 0.0
-    max_res = 0.0
-    min_loc = 0.0
-    for c in mu.constraints:
-        q = c.polynomial
-        if c.kind == "eq":
-            max_res = max(max_res, equality_residual(mu, q))
-        elif mu.index.degree_of(q) <= mu.degree - 2:
-            loc_eigs = np.linalg.eigvalsh(moment_matrix(mu, q))
-            if loc_eigs.size:
-                min_loc = min(min_loc, float(loc_eigs[0]))
-    return ValidationReport(min_eig, max_res, min_loc, normalized)
+    max_res = max((equality_residual(mu, q) for q in mu.constraints), default=0.0)
+    return ValidationReport(min_eig, max_res, normalized)
 
 
 __all__ = [
-    "MonomialIndex", "ConstraintSpec", "ReweightPolynomial", "PseudoDistribution",
+    "MonomialIndex", "ReweightPolynomial", "PseudoDistribution",
     "monomial_index", "moment_block", "linear_form_powers",
     "univariate_poly", "poly_mul", "poly_pow", "moment_matrix", "reweight",
     "validate", "ValidationReport", "equality_residual", "PSD_EPS", "CON_EPS",

@@ -43,7 +43,7 @@ from .errors import BadDims, DimensionMismatch, Emptied, IllFormed, MaxRounds
 from .linalg import BlockReader, write_blocks
 
 _UNIT_TOL = 1e-10
-_SPECTRAL_TOL = 1e-10      # slack on the stopping inequality
+_SPECTRAL_TOL = 1e-10      # slack on the stopping bound
 _RETRIES = 50              # Gaussian redraws per thresholding round
 _GROWTH = 0.05             # second-moment growth that ends a round early
 _FLOOR_MARGIN = 4          # survivors kept beyond n: the density floor

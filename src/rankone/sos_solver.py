@@ -1,14 +1,15 @@
 """Semidefinite feasibility by operator splitting.
 
 A problem is a moment vector y (graded monomial table) subject to linear
-equalities (constraint polynomials times all admissible monomial
-multipliers, plus the normalization E~ 1 = 1) and to PSD conditions on
-one or more localizing moment matrices.
+equalities (equality polynomials times all admissible monomial
+multipliers, plus the normalization E~ 1 = 1) and to one PSD condition:
+the moment matrix M(y), indexed by the monomials of degree <= d/2, is
+PSD.
 
 The solver runs Douglas-Rachford splitting between two sets of stacked
 moment-matrix blocks:
 
-    C1 = product of PSD cones, with the main block restricted to the
+    C1 = product of PSD cones, one per block of M, each restricted to the
          face { M >= 0, M K = 0 } where K collects the coefficient
          vectors of truncated-ideal members q * x^m (every feasible
          moment matrix annihilates them, so the restriction is free and
@@ -45,17 +46,17 @@ enters the gap between the sets.  All dense algebra runs in NumPy, on one
 BLAS.
 
 The SDP is first reduced by its sign symmetry (Gatermann & Parrilo,
-JPAA 2004).  The flips x_i -> -x_i that fix every equality up to sign,
-every localizer term and every row with a nonzero right-hand side are
-read off the problem over GF(2) and split the monomials into sign
-classes; for the rank-one problem those are the parities of the degrees
-in u and in v.  The group average of a feasible y is feasible, and both
-projections commute with the flips, so the solver works with the moments
-of the invariant class only: each localizing matrix splits into one
-block per class of its row monomials, and every other moment is an
-exact zero.  When no flip fixes the problem there is one class and the
-blocks are the plain ones.  All reductions are in fixed order, so a
-given problem yields bit-identical output on every run.
+JPAA 2004).  The flips x_i -> -x_i that fix every equality up to sign
+and every row with a nonzero right-hand side are read off the problem
+over GF(2) and split the monomials into sign classes; for the rank-one
+problem those are the parities of the degrees in u and in v.  The group
+average of a feasible y is feasible, and both projections commute with
+the flips, so the solver works with the moments of the invariant class
+only: the moment matrix splits into one block per class of its row
+monomials, and every other moment is an exact zero.  When no flip fixes
+the problem there is one class and one block, the whole moment matrix.
+All reductions are in fixed order, so a given problem yields
+bit-identical output on every run.
 
 Infeasibility is decided only on a checked certificate, of one of two
 kinds.  A `linear` one is found at set-up: the two levels also give a
@@ -106,12 +107,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeTooSmall, IllFormed
-from .pseudodist import (
-    ConstraintSpec,
-    MonomialIndex,
-    PseudoDistribution,
-    monomial_index,
-)
+from .pseudodist import MonomialIndex, PseudoDistribution, monomial_index
 
 DEFAULT_TOL = 1e-7
 DEFAULT_ITER_LIMIT = 50_000
@@ -135,21 +131,20 @@ class SdpProblem:
 
     lmat, rhs: the equalities lmat @ y = rhs, as a CSR matrix with one
         column per moment.  Row 0 is the normalization E~ 1 = 1; then each
-        equality spec q gives one row E~[q x^m] = 0 per multiplier x^m,
+        equality q gives one row E~[q x^m] = 0 per multiplier x^m,
         in graded order.  Those rows are the coefficient vectors of the
         truncated-ideal members q x^m that back the facial reduction.
-    psd_blocks: localizer polynomials as dense coefficient vectors; the
-        constant 1 (the vector [1.0]) gives the plain moment matrix.
-    constraints: the originating ConstraintSpecs, recorded on the output.
+    constraints: the equality polynomials q as dense coefficient
+        vectors, recorded on the output.
 
-    The solver keeps only the moments of the invariant sign class (see
+    The one PSD condition is on the moment matrix of degree d/2.  The
+    solver keeps only the moments of the invariant sign class (see
     `_sign_classes`); in a solution every other moment is an exact zero.
     """
 
     index: MonomialIndex
     lmat: sp.csr_matrix
     rhs: np.ndarray
-    psd_blocks: tuple
     constraints: tuple
 
 
@@ -164,7 +159,7 @@ class Certificate:
 
     kind `conic`: also `factors` H, one per block of the solver's block
     map, so that Z = H H^T is PSD by construction, and t = T^T(Z) reads Z
-    against the localizing matrices; `margin` = b^T lam -
+    against the moment matrix; `margin` = b^T lam -
     R ||L^T lam + t||_1 > 0, scaled to b^T lam = 1.  A feasible y would
     give 0 <= t^T y = (L^T lam + t)^T y - b^T lam.
 
@@ -207,13 +202,12 @@ class SolverReport:
 
 
 def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
-    """Expand polynomial constraints into the moment feasibility problem.
+    """Expand equality constraints into the moment feasibility problem.
 
-    Equalities q = 0 become E~[q * x^m] = 0 for every multiplier with
-    deg(q x^m) <= degree; inequalities q >= 0 contribute a localizing
-    PSD block.  Each q is a dense coefficient vector over the monomial
-    table.  Degree must be even (the main moment matrix must reach every
-    stored moment).
+    Each constraint is the dense coefficient vector of a polynomial q over
+    the monomial table, standing for q = 0; it becomes E~[q * x^m] = 0 for
+    every multiplier with deg(q x^m) <= degree.  Degree must be even (the
+    moment matrix must reach every stored moment).
     """
     if degree < 2 or degree % 2 != 0:
         raise DegreeTooSmall(f"need an even degree >= 2, got {degree}")
@@ -221,35 +215,26 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
     # row 0 is the normalization E~ 1 = 1
     rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
     num_rows = 1
-    blocks = [np.ones(1)]
-    for spec in constraints:
-        q = spec.polynomial
+    for q in constraints:
         terms = np.flatnonzero(q)
         if not terms.size:
             continue
         dq = index.degree_of(q)
         if dq > degree:
             raise IllFormed(f"constraint degree {dq} exceeds problem degree {degree}")
-        if spec.kind == "eq":
-            # Row num_rows + m is q x^m: term x^e lands on column table[e, m].
-            table = index.sum_table(dq, degree - dq)
-            mult_count = table.shape[1]
-            rows.append(np.tile(np.arange(num_rows, num_rows + mult_count), terms.size))
-            cols.append(table[terms].reshape(-1))
-            data.append(np.repeat(q[terms], mult_count))
-            num_rows += mult_count
-        elif spec.kind == "ineq":
-            if dq > degree - 2:
-                raise IllFormed("inequality constraint too high-degree to localize")
-            blocks.append(q)
-        else:
-            raise IllFormed(f"unknown constraint kind {spec.kind!r}")
+        # Row num_rows + m is q x^m: term x^e lands on column table[e, m].
+        table = index.sum_table(dq, degree - dq)
+        mult_count = table.shape[1]
+        rows.append(np.tile(np.arange(num_rows, num_rows + mult_count), terms.size))
+        cols.append(table[terms].reshape(-1))
+        data.append(np.repeat(q[terms], mult_count))
+        num_rows += mult_count
     lmat = sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(num_rows, index.size))
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
-    return SdpProblem(index, lmat, rhs, tuple(blocks), tuple(constraints))
+    return SdpProblem(index, lmat, rhs, tuple(constraints))
 
 
 def build_bss_problem(w, degree: int) -> SdpProblem:
@@ -264,17 +249,17 @@ def build_bss_problem(w, degree: int) -> SdpProblem:
     index = monomial_index(2 * n, degree)
     pairs = index.sum_table(1, 1)   # pairs[1 + i, 1 + j] is the index of x_i x_j
     u, v = np.arange(1, n + 1), np.arange(n + 1, 2 * n + 1)
-    specs = []
+    constraints = []
     for block in (u, v):
         sphere = np.zeros(index.count_through(2))
         sphere[0] = -1.0
         sphere[pairs[block, block]] = 1.0
-        specs.append(ConstraintSpec(sphere))
+        constraints.append(sphere)
     for mat in w.complement_matrices():
         bilinear = np.zeros(index.count_through(2))
         bilinear[pairs[np.ix_(u, v)]] = mat
-        specs.append(ConstraintSpec(bilinear))
-    return build_problem(2 * n, degree, specs)
+        constraints.append(bilinear)
+    return build_problem(2 * n, degree, constraints)
 
 
 # -- infeasibility certificate -----------------------------------------------
@@ -282,25 +267,21 @@ def build_bss_problem(w, degree: int) -> SdpProblem:
 
 def moment_bound(problem: SdpProblem) -> float:
     """A bound R on every |y_a| over the feasible set of a problem from
-    `build_problem`: 1 when the plain moment matrix is a PSD block and
-    sphere equalities c (sum_{i in G} x_i^2 - 1) = 0 cover every variable,
-    and inf otherwise.
+    `build_problem`: 1 when sphere equalities c (sum_{i in G} x_i^2 - 1) = 0
+    cover every variable, and inf otherwise.
 
     The sphere rows give E~[x_i^2 x^2a] <= sum_{i in G} E~[x_i^2 x^2a] =
     E~[x^2a], every term a diagonal entry of the moment matrix, so
     E~ x^2a <= E~ 1 = 1 by induction on the degree, and then
     |E~ x^(a+b)| <= sqrt(E~ x^2a E~ x^2b) <= 1."""
     index = problem.index
-    if not any(loc[0] == 1.0 and not loc[1:].any() for loc in problem.psd_blocks):
-        return np.inf
     covered = set()
-    for spec in problem.constraints:
-        q = spec.polynomial
+    for q in problem.constraints:
         const = q[0]
         terms = np.flatnonzero(q[1:]) + 1
         exps = index.exponents[terms]
         squares = (q[terms] == -const) & (index.degrees[terms] == 2) & (exps.max(axis=1) == 2)
-        if spec.kind == "eq" and const and squares.all():
+        if const and squares.all():
             covered.update(exps.argmax(axis=1).tolist())
     return 1.0 if len(covered) == index.num_vars else np.inf
 
@@ -309,21 +290,20 @@ def certificate_margin(problem: SdpProblem, multipliers: np.ndarray,
                        factors=()) -> float:
     """b^T lam - R ||L^T lam + t||_1, recomputed on the problem's sparse L
     and b with R = `moment_bound(problem)`, where t = T^T(Z) reads the
-    PSD matrices Z = H H^T of the `factors` H against the localizing
-    matrices (t = 0 with no factors); a positive margin proves the
-    problem infeasible.  With no bound, L^T lam + t must vanish up to
-    rounding (||L^T lam + t||_1 <= 1e-9 (|| |L|^T |lam| ||_1 + ||t||_1));
-    the margin is then b^T lam, and -inf otherwise.
+    PSD matrices Z = H H^T of the `factors` H against the moment matrix
+    (t = 0 with no factors); a positive margin proves the problem
+    infeasible.  With no bound, L^T lam + t must vanish up to rounding
+    (||L^T lam + t||_1 <= 1e-9 (|| |L|^T |lam| ||_1 + ||t||_1)); the
+    margin is then b^T lam, and -inf otherwise.
 
     The factors are one m x r matrix per block of the solver's block map
-    (`_BlockMap`): block j is the principal submatrix of a localizing
+    (`_BlockMap`): block j is the principal submatrix of the moment
     matrix on the monomials of one sign class, so <M(y), Z> >= 0 for every
     feasible y.  Raises IllFormed when they do not fit the blocks."""
     conic = None
     if len(factors):
         labels = _sign_classes(problem)
-        block_map = _BlockMap(problem.index, problem.index.max_degree,
-                              problem.psd_blocks, labels)
+        block_map = _BlockMap(problem.index, labels)
         conic = _conic_term(problem, labels, block_map, factors)
     return _margin(problem, np.asarray(multipliers, dtype=float), moment_bound(problem), conic)
 
@@ -420,24 +400,22 @@ def _sign_classes(problem: SdpProblem) -> np.ndarray:
 
     The flip s in {+1, -1}^n sends y[a] to s^a y[a], so it acts through
     the parity bitmask par(a) of each exponent.  It fixes the problem when
-    it maps every equality row to +- itself and fixes every localizer term
-    and every term of a row with a nonzero right-hand side.  Those
-    conditions are a set V of parities that the kept flips must
-    annihilate over GF(2): the par(a) ^ par(a0) of each row, with a0 its
-    first column, and the par(e) of each fixed term.  Two monomials are
-    moved alike by every kept flip exactly when their parities differ by
-    a member of span(V), so the class is the parity reduced modulo V,
-    numbered in increasing order; class 0 is the invariant class.
+    it maps every equality row to +- itself and fixes every term of a row
+    with a nonzero right-hand side.  Those conditions are a set V of
+    parities that the kept flips must annihilate over GF(2): the
+    par(a) ^ par(a0) of each row, with a0 its first column, and the
+    par(e) of each fixed term.  Two monomials are moved alike by every
+    kept flip exactly when their parities differ by a member of span(V),
+    so the class is the parity reduced modulo V, numbered in increasing
+    order; class 0 is the invariant class.
     """
     index, lmat = problem.index, problem.lmat
     parity = ((index.exponents & 1) << np.arange(index.num_vars)).sum(axis=1)
     col_parity = parity[lmat.indices]
     row_of = _row_of(lmat)
     first = col_parity[lmat.indptr[row_of]]
-    local = np.concatenate([np.flatnonzero(loc) for loc in problem.psd_blocks])
     generators = np.concatenate([col_parity ^ first,
-                                 col_parity[problem.rhs[row_of] != 0],
-                                 parity[local]])
+                                 col_parity[problem.rhs[row_of] != 0]])
     basis: list = []
     for v in set(generators.tolist()):
         v = _reduce(v, basis)
@@ -461,55 +439,38 @@ def _class_members(labels: np.ndarray) -> list:
 
 class _BlockMap:
     """Linear map from the invariant moments to the stacked symmetric
-    blocks, with gather/scatter arrays.
+    blocks of the moment matrix, with gather/scatter arrays.
 
-    Each localizer's matrix splits into one block per sign class of its
-    row monomials, in class order: entry (a, b) reads y[a + b + e], an
+    The moment matrix of degree d/2 splits into one block per sign class
+    of its row monomials, in class order: entry (a, b) reads y[a + b], an
     invariant moment when a and b share a class, and zero otherwise."""
 
-    def __init__(self, index: MonomialIndex, degree: int, localizers, labels: np.ndarray):
+    def __init__(self, index: MonomialIndex, labels: np.ndarray):
         invariant = np.flatnonzero(labels == 0)
         column = np.full(index.size, -1)
         column[invariant] = np.arange(invariant.size)
-        self.sizes = []
-        rows = []
-        cols = []
-        data = []
-        offset = 0
-        for loc in localizers:
-            dloc = index.degree_of(loc)
-            half = (degree - dloc) // 2
-            # Entry (a, b) of the block for term c x^e reads c * y[a + b + e].
-            table = index.sum_table(half, half)
-            shift = index.sum_table(2 * half, dloc)
-            for members in _class_members(labels[:index.count_through(half)]):
-                m = members.size
-                base = table[np.ix_(members, members)].reshape(-1)
-                self.sizes.append(m)
-                for e in np.flatnonzero(loc):
-                    rows.append(np.arange(offset, offset + m * m))
-                    cols.append(column[shift[base, e]])
-                    data.append(np.full(m * m, loc[e]))
-                offset += m * m
-        self.total = offset
+        half = index.max_degree // 2
+        table = index.sum_table(half, half)
+        members = _class_members(labels[:index.count_through(half)])
+        self.sizes = [m.size for m in members]
+        cols = np.concatenate([table[np.ix_(m, m)].reshape(-1) for m in members])
         self.matrix = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.total, invariant.size))
+            (np.ones(cols.size), (np.arange(cols.size), column[cols])),
+            shape=(cols.size, invariant.size))
 
 
-def _face_basis(index: MonomialIndex, degree: int, lmat: sp.csr_matrix,
-                labels: np.ndarray) -> list:
-    """Orthonormal basis of the face of each class block of the main
-    moment matrix (complement of the span of truncated-ideal coefficient
+def _face_basis(index: MonomialIndex, lmat: sp.csr_matrix, labels: np.ndarray) -> list:
+    """Orthonormal basis of the face of each class block of the moment
+    matrix (complement of the span of truncated-ideal coefficient
     vectors), in the block order of `_BlockMap`.
 
     The ideal members are the rows of `lmat` after the normalization row;
-    those supported on the main block's monomials (the first m columns, as
-    the table is graded) are the ones it annihilates, and each lies in the
-    block of its class.  An entry is None where the class has no ideal
+    those supported on the moment matrix's monomials (the first m columns,
+    as the table is graded) are the ones it annihilates, and each lies in
+    the block of its class.  An entry is None where the class has no ideal
     member above the rank cut, which is global over the classes, and has
     no columns where the members span the whole class."""
-    m = index.count_through(degree // 2)
+    m = index.count_through(index.max_degree // 2)
     outside = np.bincount(_row_of(lmat)[lmat.indices >= m], minlength=lmat.shape[0])
     ideal = lmat[np.flatnonzero(outside[1:] == 0) + 1][:, :m]
     svds = []
@@ -830,10 +791,9 @@ class _FaceSpace:
         c_parts, b_parts = [], []
         self.off2 = 0.0
         offset = start = 0
-        for bi, m in enumerate(block_map.sizes):
+        for bi, (m, face) in enumerate(zip(block_map.sizes, faces)):
             rows = block_map.matrix[offset:offset + m * m]
             offset += m * m
-            face = faces[bi] if bi < len(faces) else None
             const = (rows @ geo.y_particular).reshape(m, m)
             moving = rows @ null  # column j: T(N e_j), flattened row-major
             k = m
@@ -1010,8 +970,8 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
             status="infeasible", iterations=0,
             max_constraint_residual=geo.residual(geo.y_particular),
             min_block_eigenvalue=0.0, gap=np.inf, certificate=certificate)
-    block_map = _BlockMap(index, index.max_degree, problem.psd_blocks, labels)
-    faces = _face_basis(index, index.max_degree, problem.lmat, labels)
+    block_map = _BlockMap(index, labels)
+    faces = _face_basis(index, problem.lmat, labels)
     space = _FaceSpace(block_map, faces, geo)
     bound = moment_bound(problem)
 

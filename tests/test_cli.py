@@ -93,6 +93,29 @@ def test_gen_random_no_flags_large_ambient_uncertified(tmp_path, capsys):
     assert report["checks"]["farness"] is None
 
 
+def test_gen_random_no_rejects_dimensions_outside_the_space(tmp_path):
+    """Above the grid limit, as at n <= 3, a dim_w outside [1, n^2] is an
+    input error (exit 2, BadDims): no draw of that many matrices can span
+    it.  Run in a subprocess with a timeout, so that a draw loop that
+    never ends fails the test instead of hanging it."""
+    script = (
+        "import contextlib, io, json\n"
+        "from rankone.cli import main\n"
+        "for dim_w in ('17', '0'):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['gen', 'random-no', '--n', '4', '--dim-w', dim_w,\n"
+        f"                     '--out', {str(tmp_path / 'no.txt')!r}])\n"
+        "    print(code, json.loads(out.getvalue())['error']['type'])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:2] == ["2 BadDims", "2 BadDims"]
+
+
 def test_gen_rejects_missing_n(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "gen", "planted-yes",
                               "--out", str(tmp_path / "w.txt"))
@@ -466,6 +489,26 @@ def test_check_rejects_bad_eps(tmp_path, capsys, eps):
     assert code == 2
     assert report["status"] == "ERROR"
     assert report["error"]["type"] == "IllFormed"
+
+
+def test_check_rejects_a_zero_candidate_as_malformed(tmp_path, capsys):
+    """A candidate whose product u0 v0^T vanishes is a malformed file:
+    exit 2 with IllFormed, for a CANDIDATE and a CCANDIDATE alike, not
+    the exit 3 of an exhausted budget."""
+    real = tmp_path / "w.txt"
+    main(["gen", "planted-yes", "--n", "2", "--out", str(real)])
+    cplx = tmp_path / "wc.txt"
+    main(["gen", "complex-planted", "--n", "2", "--out", str(cplx)])
+    capsys.readouterr()
+    zero = tmp_path / "zero.txt"
+    write_candidate(zero, np.zeros(2), np.array([1.0, 0.0]))
+    czero = tmp_path / "czero.txt"
+    write_candidate(czero, np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), complex_pair=True)
+    for inst, cand in ((real, zero), (cplx, czero)):
+        code, report, _ = run_cli(capsys, "check", str(inst), str(cand))
+        assert code == 2
+        assert report["status"] == "ERROR"
+        assert report["error"]["type"] == "IllFormed"
 
 
 def test_check_rejects_mismatched_candidate_kind(tmp_path, capsys):

@@ -5,8 +5,9 @@ uses (a line marked `# noqa: F401` keeps a deliberate re-export), every
 entry of a package module's `__all__` resolves to an attribute of that
 module, every top-level name of a package module is referenced from
 the package or the benchmark: code that only tests reach is dead code,
-and every defaulted parameter of a package function is passed by some
-package or benchmark caller: an option nothing sets is a constant.
+and every defaulted parameter of a package function or dataclass field
+is passed by some package or benchmark caller: an option nothing sets is
+a constant.
 """
 
 import ast
@@ -119,6 +120,26 @@ def _defaulted(func):
             yield arg.arg, None
 
 
+def _is_dataclass(cls) -> bool:
+    return any(getattr(d, "id", None) == "dataclass"
+               or getattr(getattr(d, "func", None), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _dataclass_defaults(cls):
+    """(name, position) of each field of the dataclass `cls` with a plain
+    default; a `field(default_factory=...)` is state, not an option."""
+    fields = [node for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    for position, node in enumerate(fields):
+        value = node.value
+        if value is None or (isinstance(value, ast.Call)
+                             and getattr(value.func, "id", None) == "field"
+                             and any(kw.arg == "default_factory" for kw in value.keywords)):
+            continue
+        yield node.target.id, position
+
+
 def _passes(call, name, position) -> bool:
     """Whether `call` writes the parameter, by keyword or by position."""
     if any(kw.arg in (name, None) for kw in call.keywords):
@@ -128,10 +149,11 @@ def _passes(call, name, position) -> bool:
 
 
 def test_every_default_is_set_by_some_caller():
-    """Each defaulted parameter of a `src/rankone` function is passed at
-    some call site in `src/` or `benchmark/` that names the function, so
-    no option is held at one value by every caller.  The exceptions are
-    exactly TEST_ORACLE_OPTIONS."""
+    """Each defaulted parameter of a `src/rankone` function, and each
+    dataclass field with a plain default, is passed at some call site in
+    `src/` or `benchmark/` that names the function or class, so no option
+    is held at one value by every caller.  The exceptions are exactly
+    TEST_ORACLE_OPTIONS."""
     calls = collections.defaultdict(list)
     for path in SOURCES + BENCHMARK:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -140,10 +162,14 @@ def test_every_default_is_set_by_some_caller():
                 calls[getattr(func, "id", None) or getattr(func, "attr", None)].append(node)
     unset = set()
     for path in SOURCES:
-        for func in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defaults = _defaulted(node)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                defaults = _dataclass_defaults(node)
+            else:
                 continue
-            for name, position in _defaulted(func):
-                if not any(_passes(c, name, position) for c in calls[func.name]):
-                    unset.add(f"{path.name}: {func.name}({name})")
+            for name, position in defaults:
+                if not any(_passes(c, name, position) for c in calls[node.name]):
+                    unset.add(f"{path.name}: {node.name}({name})")
     assert unset == TEST_ORACLE_OPTIONS

@@ -23,7 +23,6 @@ from rankone.errors import (
     NotSOS,
 )
 from rankone.pseudodist import (
-    ConstraintSpec,
     MonomialIndex,
     PseudoDistribution,
     ReweightPolynomial,
@@ -314,18 +313,6 @@ def test_cauchy_schwarz_on_pseudo_expectations():
         assert lhs <= rhs + 1e-9
 
 
-def test_localized_moment_matrix_psd_for_valid_localizer():
-    """Localizing by a polynomial nonnegative on the support keeps PSD."""
-    rng = np.random.default_rng(9)
-    pts = rng.standard_normal((7, 2))
-    pts *= (0.9 * rng.uniform(0.2, 1.0, 7) / np.linalg.norm(pts, axis=1))[:, None]
-    w = np.full(7, 1.0 / 7.0)
-    mu = atom_table(pts, w, 6)
-    ball = dense({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})  # 1 - |x|^2
-    loc = moment_matrix(mu, ball)
-    assert np.linalg.eigvalsh(loc)[0] >= -1e-10
-
-
 # -- validation ----------------------------------------------------------------
 
 
@@ -355,7 +342,7 @@ def test_equality_residual_measures_constraint():
     pts = np.array([[1.0, 0.0], [-1.0, 0.0]])  # on the circle x^2 + y^2 = 1
     w = np.array([0.5, 0.5])
     circle = dense(CIRCLE)
-    mu = atom_table(pts, w, 6, (ConstraintSpec(circle),))
+    mu = atom_table(pts, w, 6, (circle,))
     assert equality_residual(mu, circle) < 1e-12
     assert validate(mu).ok()
     off = atom_table(2.0 * pts, w, 6)
@@ -463,13 +450,24 @@ def test_reweight_rejects_degenerate_weight():
 
 
 def test_reweight_keeps_constraints_within_budget():
-    circle = ConstraintSpec(dense(CIRCLE))
+    """A reweighting keeps each equality whose degree fits the reduced
+    table, still satisfied, and drops the others: on a degree-6 table a
+    degree-2 weight keeps the circle and its degree-4 square |x|^4 = 1,
+    and a degree-4 weight keeps only the circle."""
+    circle = dense(CIRCLE)
+    quartic = dense({(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0, (0, 0): -1.0})
     pts = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0]])
-    mu = atom_table(pts, np.ones(3) / 3.0, 6, (circle,))
-    rw = square(monomial_index(2, 2), linear([1.0, 0.0], 2.0))
-    nu = reweight(mu, rw)
-    assert circle in nu.constraints
-    assert equality_residual(nu, circle.polynomial) < 1e-10
+    mu = atom_table(pts, np.ones(3) / 3.0, 6, (circle, quartic))
+    cases = [(square(monomial_index(2, 2), linear([1.0, 0.0], 2.0)), 4, (True, True)),
+             (square(monomial_index(2, 4), dense({(2, 0): 1.0, (0, 0): 1.0})), 2, (True, False))]
+    for rw, degree, kept in cases:
+        nu = reweight(mu, rw)
+        assert nu.degree == degree
+        # arrays compare elementwise, so membership is by identity
+        assert tuple(any(q is c for q in nu.constraints) for c in (circle, quartic)) == kept
+        assert len(nu.constraints) == sum(kept)
+        for q in nu.constraints:
+            assert equality_residual(nu, q) < 1e-10
 
 
 # -- dense moment kernel --------------------------------------------------------

@@ -19,12 +19,7 @@ from rankone import sos_solver
 from rankone.bss import planted_yes, random_no
 from rankone.cli import _uncertified_subspace
 from rankone.errors import DegreeTooSmall, IllFormed
-from rankone.pseudodist import (
-    ConstraintSpec,
-    MonomialIndex,
-    monomial_index,
-    validate,
-)
+from rankone.pseudodist import MonomialIndex, monomial_index, validate
 from rankone.sos_solver import (
     _RANK_EPS,
     DEFAULT_ITER_LIMIT,
@@ -71,11 +66,8 @@ def dense(terms):
 
 
 def eq(terms):
-    return ConstraintSpec(dense(terms))
-
-
-def ineq(terms):
-    return ConstraintSpec(dense(terms), "ineq")
+    """The equality constraint q = 0: the dense vector of q."""
+    return dense(terms)
 
 
 def terms_of(index, vec):
@@ -94,8 +86,6 @@ def test_build_problem_rejects_bad_degrees():
         build_problem(1, 0, [c])
     with pytest.raises(IllFormed):
         build_problem(1, 2, [eq({(4,): 1.0})])
-    with pytest.raises(IllFormed):
-        build_problem(1, 2, [ineq({(1,): 1.0})])
 
 
 def test_build_problem_counts_multipliers():
@@ -104,7 +94,6 @@ def test_build_problem_counts_multipliers():
     prob = build_problem(2, 4, [c])
     ix = MonomialIndex(2, 4)
     assert prob.lmat.shape[0] == 1 + ix.count_through(2)  # normalization + shifts
-    assert len(prob.psd_blocks) == 1
 
 
 def test_build_bss_problem_shapes():
@@ -139,15 +128,6 @@ def test_sphere_distribution_is_valid():
     assert rep.status == "feasible"
     assert validate(mu).ok()
     assert abs(mu.expect(dense({(2, 0): 1.0})) + mu.expect(dense({(0, 2): 1.0})) - 1.0) < 1e-7
-
-
-def test_inequality_localizer_selects_the_right_root():
-    """x^2 = 1 plus x >= 0 leaves only the point mass at +1."""
-    square = eq({(2,): 1.0, (0,): -1.0})
-    nonneg = ineq({(1,): 1.0})
-    mu, rep = solve_feasibility(build_problem(1, 4, [square, nonneg]))
-    assert rep.status == "feasible"
-    np.testing.assert_allclose(mu.moments, np.ones(5), atol=1e-5)
 
 
 def test_planted_line_forces_product_moment():
@@ -216,32 +196,27 @@ def test_moment_bound_needs_spheres_over_every_variable():
         {(0, 2): 1.0, (0, 0): -1.0})])) == 1.0
     assert moment_bound(build_problem(2, 4, [half])) == np.inf
     assert moment_bound(build_problem(2, 4, [tilted])) == np.inf
-    assert moment_bound(build_problem(2, 4, [ineq(
-        {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])) == np.inf
     assert moment_bound(scaled_problem()) == np.inf
 
 
 def oracle_conic_margin(problem, cert):
-    """Oracle: the margin of a certificate from the whole localizing
-    matrices of `loop_block_matrix`, with each factor's H H^T placed on
-    the rows and columns of its class, checked PSD, and a dense L.  With
-    no moment bound, L^T lam + t must vanish within 1e-9 of its terms."""
+    """Oracle: the margin of a certificate from the whole moment matrix of
+    `loop_block_matrix`, with each factor's H H^T placed on the rows and
+    columns of its class, checked PSD, and a dense L.  With no moment
+    bound, L^T lam + t must vanish within 1e-9 of its terms."""
     index = problem.index
     degree = index.max_degree
     labels = _sign_classes(problem)
-    full = loop_block_matrix(index, degree, problem.psd_blocks)
-    stacked = []
+    full = loop_block_matrix(index, degree)
+    m = index.count_through(degree // 2)
+    z = np.zeros((m, m))
     factors = iter(cert.factors)
-    for loc in problem.psd_blocks:
-        m = index.count_through((degree - index.degree_of(loc)) // 2)
-        z = np.zeros((m, m))
-        for members in sos_solver._class_members(labels[:m]):
-            h = next(factors)
-            z[np.ix_(members, members)] = h @ h.T
-        assert np.linalg.eigvalsh(z)[0] >= -1e-12 * max(1.0, np.abs(z).max())
-        stacked.append(z.reshape(-1))
+    for members in sos_solver._class_members(labels[:m]):
+        h = next(factors)
+        z[np.ix_(members, members)] = h @ h.T
+    assert np.linalg.eigvalsh(z)[0] >= -1e-12 * max(1.0, np.abs(z).max())
     assert next(factors, None) is None
-    t = full.T @ np.concatenate(stacked)
+    t = full.T @ z.reshape(-1)
     lam = cert.multipliers
     lt = problem.lmat.toarray().T * lam
     resid = lt.sum(axis=1) + t
@@ -365,16 +340,13 @@ def random_spec_poly(rng, ix, top):
 
 
 def random_problem_specs(rng, num_vars, degree):
-    """Equalities of mixed degree and parity, sometimes a degree-0 equality,
-    and sometimes a multi-term inequality localizer."""
+    """Equalities of mixed degree and parity, and sometimes a degree-0
+    equality."""
     ix = MonomialIndex(num_vars, degree)
     specs = [eq(random_spec_poly(rng, ix, int(rng.integers(1, degree + 1))))
              for _ in range(int(rng.integers(0, 3)))]
     if rng.random() < 0.2:
         specs.append(eq({ix.exponent_tuples[0]: 2.0}))
-    if rng.random() < 0.5:
-        specs.append(ineq(
-            random_spec_poly(rng, ix, int(rng.integers(0, degree - 1)))))
     rng.shuffle(specs)
     return specs
 
@@ -388,13 +360,13 @@ def random_problem(seed):
 
 
 def dict_equalities(num_vars, degree, constraints):
-    """Oracle: each equality spec times each multiplier, expanded through
+    """Oracle: each equality times each multiplier, expanded through
     dicts.  Returns the (functional, rhs) pairs, normalization first."""
     index = MonomialIndex(num_vars, degree)
     equalities = [({(0,) * num_vars: 1.0}, 1.0)]
     for spec in constraints:
-        q = terms_of(index, spec.polynomial)
-        if not q or spec.kind != "eq":
+        q = terms_of(index, spec)
+        if not q:
             continue
         for shift in index.exponent_tuples[:index.count_through(degree - max(map(sum, q)))]:
             equalities.append(
@@ -412,22 +384,17 @@ def dict_lmat(index, equalities):
     return sp.csr_matrix((data, (rows, cols)), shape=(len(equalities), index.size))
 
 
-def loop_block_matrix(index, degree, localizers):
-    """Oracle: block entry (a, b) of term c x^e reads c * y[x^(a + b + e)]."""
+def loop_block_matrix(index, degree):
+    """Oracle: moment-matrix entry (a, b) reads y[x^(a + b)]."""
     rows, cols, data = [], [], []
-    offset = 0
-    for loc in localizers:
-        terms = terms_of(index, loc)
-        m = index.count_through((degree - max(map(sum, terms))) // 2)
-        exps = index.exponents[:m]
-        for e, c in sorted(terms.items()):
-            for a in range(m):
-                for b in range(m):
-                    rows.append(offset + a * m + b)
-                    cols.append(index.index_of(tuple(int(v) for v in exps[a] + exps[b] + e)))
-                    data.append(c)
-        offset += m * m
-    return sp.csr_matrix((data, (rows, cols)), shape=(offset, index.size))
+    m = index.count_through(degree // 2)
+    exps = index.exponents[:m]
+    for a in range(m):
+        for b in range(m):
+            rows.append(a * m + b)
+            cols.append(index.index_of(tuple(int(v) for v in exps[a] + exps[b])))
+            data.append(1.0)
+    return sp.csr_matrix((data, (rows, cols)), shape=(m * m, index.size))
 
 
 def dict_face_basis(index, degree, equalities):
@@ -467,7 +434,7 @@ def scaled_problem():
     Every row has a nonzero right-hand side, odd moments included."""
     return SdpProblem(
         monomial_index(1, 4), sp.csr_matrix(np.diag([1.0, 1e3, 1e3, 1.5e-4 ** 0.5, 5e-5 ** 0.5])),
-        np.ones(5), (np.ones(1),), ())
+        np.ones(5), ())
 
 
 def one_class(problem):
@@ -496,15 +463,15 @@ def test_block_map_matches_triple_loop():
     for seed in EQUIVALENCE_SEEDS:
         num_vars, degree, specs = random_problem(100 + seed)
         prob = build_problem(num_vars, degree, specs)
-        got = _BlockMap(prob.index, degree, prob.psd_blocks, one_class(prob)).matrix
-        assert_same_csr(got, loop_block_matrix(prob.index, degree, prob.psd_blocks))
+        got = _BlockMap(prob.index, one_class(prob)).matrix
+        assert_same_csr(got, loop_block_matrix(prob.index, degree))
 
 
 def test_face_basis_matches_dict_ideal():
     for seed in EQUIVALENCE_SEEDS:
         num_vars, degree, specs = random_problem(200 + seed)
         prob = build_problem(num_vars, degree, specs)
-        got, = _face_basis(prob.index, degree, prob.lmat, one_class(prob))
+        got, = _face_basis(prob.index, prob.lmat, one_class(prob))
         ref = dict_face_basis(prob.index, degree, dict_equalities(num_vars, degree, specs))
         if ref is None:
             assert got is None
@@ -582,7 +549,7 @@ def test_two_level_null_space_matches_dense_eigh_on_workload_shapes():
     sphere = build_problem(2, 4, [eq(
         {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
     rhs = np.random.default_rng(10).standard_normal(sphere.lmat.shape[0] - 1)
-    mixed = SdpProblem(sphere.index, sphere.lmat[1:], rhs, sphere.psd_blocks, ())
+    mixed = SdpProblem(sphere.index, sphere.lmat[1:], rhs, ())
     assert all(lo == hi for lo, hi in row_degree_spans(homogeneous))
     assert all(lo < hi for lo, hi in row_degree_spans(mixed))
     for prob in (homogeneous, mixed):
@@ -594,14 +561,14 @@ def test_two_level_null_space_matches_dense_eigh_on_workload_shapes():
 
 def oracle_sign_signatures(problem):
     """Oracle: keep each sign vector s under which every row of L maps to
-    +- itself, every localizer term is fixed and every term of a row with a
-    nonzero right-hand side is fixed.  Row a of the result lists s^a over
-    the kept s, so two monomials share a class iff their rows agree."""
+    +- itself and every term of a row with a nonzero right-hand side is
+    fixed.  Row a of the result lists s^a over the kept s, so two
+    monomials share a class iff their rows agree."""
     index, lmat = problem.index, problem.lmat
     kept = []
     for signs in itertools.product((1, -1), repeat=index.num_vars):
         flip = np.prod(np.array(signs) ** index.exponents, axis=1)
-        fixed = all(flip[i] == 1 for loc in problem.psd_blocks for i in np.flatnonzero(loc))
+        fixed = True
         for r in range(lmat.shape[0]):
             row = flip[lmat.indices[lmat.indptr[r]:lmat.indptr[r + 1]]]
             fixed &= bool(np.all(row == row[:1]))
@@ -648,9 +615,9 @@ def test_sign_classes_match_brute_force_oracle():
 
 
 def symmetric_problem(seed):
-    """A unit sphere, two equalities whose terms share a parity (an even
-    one with a constant term), and a localizer with an even part: a
-    nontrivial sign group, with localizer blocks split by class."""
+    """A unit sphere and two equalities whose terms share a parity (an
+    even one with a constant term): a nontrivial sign group, with the
+    moment matrix split by class."""
     rng = np.random.default_rng(seed)
     num_vars = int(rng.integers(2, 4))
     degree = int(rng.choice([4, 6] if num_vars == 2 else [4]))
@@ -668,12 +635,7 @@ def symmetric_problem(seed):
     even = same_parity(np.zeros(num_vars, dtype=int), 2)
     even[(0,) * num_vars] = 0.3
     linked = same_parity(parities[int(rng.integers(len(terms)))], int(rng.integers(1, 4)))
-    local = {(0,) * num_vars: 1.0, tuple(2 * int(j == 0) for j in range(num_vars)): -1.5}
-    if rng.random() < 0.5:
-        local[terms[int(rng.integers(num_vars, ix.count_through(2) - 1))]] = 0.3
-    specs = [eq(sphere), eq(even),
-             eq(linked), ineq(local)]
-    return build_problem(num_vars, degree, specs)
+    return build_problem(num_vars, degree, [eq(sphere), eq(even), eq(linked)])
 
 
 def solve_both_ways(problem, monkeypatch, iter_limit=DEFAULT_ITER_LIMIT):
@@ -711,10 +673,10 @@ def test_reduced_solve_matches_one_class_path(monkeypatch):
 
 
 def face_projector(problem, labels):
-    """N N^T over the main block for the faces of `_face_basis`, with a
+    """N N^T over the moment matrix for the faces of `_face_basis`, with a
     class that has no face restriction contributing its identity."""
     m = problem.index.count_through(problem.index.max_degree // 2)
-    faces = _face_basis(problem.index, problem.index.max_degree, problem.lmat, labels)
+    faces = _face_basis(problem.index, problem.lmat, labels)
     members = sos_solver._class_members(labels[:m])
     assert len(faces) == len(members)
     proj = np.zeros((m, m))
@@ -775,15 +737,14 @@ def test_reduction_keeps_degree_four_refusals(monkeypatch):
 
 def stacked_project_cone(block_map, stacked, faces):
     """Reference cone step on the stacked blocks: each block onto its PSD
-    cone, main-block classes onto their faces.  Returns the projected
-    stack and the smallest eigenvalue seen."""
+    cone, restricted to its face.  Returns the projected stack and the
+    smallest eigenvalue seen."""
     out = np.empty_like(stacked)
     offset = 0
     min_eig = np.inf
-    for bi, m in enumerate(block_map.sizes):
+    for m, face in zip(block_map.sizes, faces):
         mat = stacked[offset:offset + m * m].reshape(m, m)
         mat = 0.5 * (mat + mat.T)
-        face = faces[bi] if bi < len(faces) else None
         if face is not None:
             if face.shape[1] == 0:
                 out[offset:offset + m * m] = 0.0
@@ -826,8 +787,8 @@ def solver_parts(problem):
     index = problem.index
     labels = _sign_classes(problem)
     invariant = np.flatnonzero(labels == 0)
-    block_map = _BlockMap(index, index.max_degree, problem.psd_blocks, labels)
-    faces = _face_basis(index, index.max_degree, problem.lmat, labels)
+    block_map = _BlockMap(index, labels)
+    faces = _face_basis(index, problem.lmat, labels)
     geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs, index.degrees[invariant])
     return invariant, block_map, faces, geo
 
@@ -835,10 +796,9 @@ def solver_parts(problem):
 def lift(block_map, faces, x):
     """Stacked blocks F X F^T of face coordinates x (zero where the face
     has no columns)."""
-    out = np.zeros(block_map.total)
+    out = np.zeros(block_map.matrix.shape[0])
     offset = start = 0
-    for bi, m in enumerate(block_map.sizes):
-        face = faces[bi] if bi < len(faces) else None
+    for m, face in zip(block_map.sizes, faces):
         if face is None:
             face = np.eye(m)
         k = face.shape[1]
@@ -1034,7 +994,7 @@ def test_cone_infeasible_seeded_problems_get_checked_conic_certificates():
 # Problems whose feasible set holds more than one moment vector, where the
 # two iterations stop at different members, both valid: random_problem(13)
 # bounds no moment, and the two answers differ by 0.33; symmetric_problem(17)
-# differs by 2.5e-4.
+# differs by 1.9e-4.
 SPREAD_FEASIBLE = {("random", 13), ("symmetric", 17)}
 
 
