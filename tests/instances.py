@@ -10,7 +10,7 @@ def tiles_complement():
     unextendible product basis (Bennett, DiVincenzo, Mor, Shor, Smolin &
     Terhal, PRL 82, 5385, 1999): five orthonormal products a b^T that no
     further product is orthogonal to.  So the dim-4 complement holds no
-    rank-one matrix; `certify_farness` puts it 0.0698 from every unit
+    rank-one matrix; `certify_farness` puts it 0.1190 from every unit
     one, a 1 vs 1 - eps instance for every eps below that."""
     e = np.eye(3)
     minus = lambda i, j: (e[i] - e[j]) / np.sqrt(2.0)

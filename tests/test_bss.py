@@ -6,10 +6,12 @@ against the hand-computed block identity (A + iB)(C + iD)* expanded
 into real parts.
 """
 
+import math
 import os
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from instances import tiles_complement
 from rankone import bss
@@ -398,17 +400,127 @@ def test_verify_candidate_rejects_zero():
 # -------------------------------------------------------------- farness
 
 
+def pair_grid_farness(w):
+    """The pair-grid certificate that `certify_farness` replaced, kept as
+    its reference: the same sphere grid for u and for v, and a bound of
+    grid_min - 2r, as the distance is 1-Lipschitz in each factor."""
+    pts_u, radius = bss._sphere_grid(w.ambient, 0.01 if w.ambient == 2 else 0.05)
+    pts_v = pts_u
+    mapped = np.array([pts_u @ b for b in w.basis])  # k x |U| x n
+    best = np.inf
+    chunk = 512
+    for start in range(0, pts_v.shape[0], chunk):
+        vt = pts_v[start:start + chunk].T
+        captured = np.zeros((pts_u.shape[0], vt.shape[1]))
+        for k in range(mapped.shape[0]):
+            captured += (mapped[k] @ vt) ** 2
+        best = min(best, float((1.0 - captured).min()))
+    grid_min = math.sqrt(max(best, 0.0))
+    return max(grid_min - 2.0 * radius, 0.0)
+
+
+def pair_distances(w, us, vs):
+    """||proj_{W-complement} u v^T||_F for every row u of us and v of vs,
+    from the coordinates of u v^T in the basis of W."""
+    captured = sum((us @ b @ vs.T) ** 2 for b in w.basis)
+    return np.sqrt(np.maximum(1.0 - captured, 0.0))
+
+
+def unit_rows(rng, count, n):
+    x = rng.standard_normal((count, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def ascent_point(w, u, v, steps=50):
+    """Alternating top-eigenvector ascent of the mass u^T B v captures:
+    each factor in turn becomes the best one for the other."""
+    for _ in range(steps):
+        mapped = np.array([u @ b for b in w.basis])  # rows u^T B
+        v = np.linalg.eigh(mapped.T @ mapped)[1][:, -1]
+        mapped = np.array([b @ v for b in w.basis])  # rows (B v)^T
+        u = np.linalg.eigh(mapped.T @ mapped)[1][:, -1]
+    return u, v
+
+
+def oracle_subspaces():
+    """24 seeded subspaces per ambient n in {2, 3}: dim_w cycles through
+    1 .. n^2 - 1, and the draws lean toward their antisymmetric parts by
+    a tilt from 0 to 1, as `random_no` does, so that the far subspaces
+    are well represented next to the ones that hold rank-ones."""
+    for n in (2, 3):
+        for seed in range(24):
+            rng = np.random.default_rng(100 + seed)
+            dim_w = 1 + seed % (n * n - 1)
+            tilt = seed / 23.0
+            mats = [rng.standard_normal((n, n)) for _ in range(dim_w)]
+            mats = [(1.0 - tilt) * m + tilt * 0.5 * (m - m.T) for m in mats]
+            yield n, seed, subspace_from_matrices(mats, ambient=n)
+
+
+def test_certify_farness_against_the_pair_grid_and_sampled_points():
+    """On every oracle subspace the exact-v certificate is at least the
+    pair-grid one (provably: g1 <= g2 <= g1 + r on the same grid, so
+    g2 - 2r <= g1 - r) and at most the distance of every point of a
+    seeded 300 x 300 sample of (u, v) and of the ascent point started at
+    the sample's nearest pair.  And for random unit u the exact best v
+    (`_farness_at`) lies below a fine sphere grid of v, by at most
+    that grid's covering radius."""
+    positive = 0
+    for n, seed, w in oracle_subspaces():
+        far = certify_farness(w)
+        assert far >= pair_grid_farness(w), (n, seed)
+        positive += far > 0.0
+
+        rng = np.random.default_rng(seed)
+        us, vs = unit_rows(rng, 300, n), unit_rows(rng, 300, n)
+        dist = pair_distances(w, us, vs)
+        assert far <= dist.min(), (n, seed)
+        i, j = np.unravel_index(dist.argmin(), dist.shape)
+        u, v = ascent_point(w, us[i], vs[j])
+        assert far <= pair_distances(w, u[None], v[None])[0, 0] + 1e-12, (n, seed)
+
+        fine, radius = bss._sphere_grid(n, 0.001 if n == 2 else 0.01)
+        probes = unit_rows(rng, 4, n)
+        exact = bss._farness_at(w, probes)
+        sampled = pair_distances(w, probes, fine).min(axis=1)
+        assert np.all(exact <= sampled + 1e-12), (n, seed)
+        assert np.all(sampled <= exact + radius), (n, seed)
+    assert positive >= 12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_grid_covers_within_its_radius(n):
+    """Every one of 4e5 seeded uniform points of the sphere is within the
+    returned geodesic radius of a grid point: the one r that
+    `certify_farness` subtracts.  At n = 2 the half-circle grid covers
+    the circle up to sign, as antipodes give the same distance."""
+    pts, radius = bss._sphere_grid(n, 0.01 if n == 2 else 0.05)
+    if n == 2:
+        pts = np.concatenate([pts, -pts])
+    x = unit_rows(np.random.default_rng(n), 400_000, n)
+    chord = cKDTree(pts).query(x)[0]
+    assert float((2.0 * np.arcsin(chord / 2.0)).max()) <= radius + 1e-12
+
+
 def test_certify_farness_rank_one_span_is_near():
     w, _, _ = planted_yes(2, 1, seed=2)
     assert certify_farness(w) <= 0.05
 
 
 def test_certify_farness_antisymmetric_value():
-    # distance from u v^T to the antisymmetric line is minimized at
-    # orthogonal u, v where the captured mass is exactly one half
+    """The distance from u v^T to the antisymmetric line is minimized at
+    orthogonal u, v, where the captured mass is exactly one half: the
+    certificate is within the grid's radius r of sqrt(1/2)."""
     j = unit(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     far = certify_farness(SubspaceBasis(2, (j,)))
-    assert 0.68 <= far <= np.sqrt(0.5) + 1e-12
+    radius = bss._sphere_grid(2, 0.01)[1]
+    assert np.sqrt(0.5) - radius - 1e-12 <= far <= np.sqrt(0.5) + 1e-12
+
+
+def test_certify_farness_tiles_complement():
+    """The Tiles complement holds no rank-one matrix; the certificate puts
+    it 0.1190 from every unit one."""
+    assert certify_farness(tiles_complement()) >= 0.11
 
 
 def test_random_no_meets_requested_farness():

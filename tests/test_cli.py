@@ -207,7 +207,7 @@ def test_solve_far_instance_reports_fail(tmp_path, capsys):
 @pytest.mark.parametrize("degree", ["4", "6"])
 def test_solve_refuses_a_cone_infeasible_subspace_at_rung_four(tmp_path, capsys, degree):
     """The Tiles complement has a consistent L y = b at degree 4 and no
-    PSD point.  It is 0.0698-far from every unit rank-one, so at eps 0.05
+    PSD point.  It is 0.1190-far from every unit rank-one, so at eps 0.05
     no candidate can verify: under either top degree it is refused at
     rung 4 with a conic certificate, and the note names that rung."""
     out = tmp_path / "no.txt"
