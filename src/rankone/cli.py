@@ -40,6 +40,7 @@ config-file values and defaults included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -411,7 +412,11 @@ _COMMANDS = {
 # -- wiring --------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree and its subcommand parsers, built once per process:
+    `parse_args` keeps no state between calls, and nothing changes the
+    tree after it is built."""
     parser = argparse.ArgumentParser(
         prog="rankone",
         description="Approximately rank-one matrices in linear subspaces.")

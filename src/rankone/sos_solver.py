@@ -333,7 +333,8 @@ def _conic_term(problem: SdpProblem, labels: np.ndarray, block_map: _BlockMap,
         raise IllFormed("certificate factors do not fit the problem's blocks")
     stacked = np.concatenate([np.zeros(0)] + [(h @ h.T).reshape(-1) for h in factors])
     out = np.zeros(problem.index.size)
-    out[labels == 0] = block_map.matrix.T @ stacked
+    out[labels == 0] = np.bincount(block_map.columns, weights=stacked,
+                                   minlength=block_map.width)
     return out
 
 
@@ -438,12 +439,14 @@ def _class_members(labels: np.ndarray) -> list:
 
 
 class _BlockMap:
-    """Linear map from the invariant moments to the stacked symmetric
-    blocks of the moment matrix, with gather/scatter arrays.
+    """The map T from the invariant moments to the stacked symmetric
+    blocks of the moment matrix, as a gather: stacked entry i reads the
+    invariant moment `columns[i]`, of `width` in all.
 
     The moment matrix of degree d/2 splits into one block per sign class
     of its row monomials, in class order: entry (a, b) reads y[a + b], an
-    invariant moment when a and b share a class, and zero otherwise."""
+    invariant moment when a and b share a class, and zero otherwise.  So
+    T(y) is y[columns], and T^T(Z) is a bincount over `columns`."""
 
     def __init__(self, index: MonomialIndex, labels: np.ndarray):
         invariant = np.flatnonzero(labels == 0)
@@ -453,10 +456,9 @@ class _BlockMap:
         table = index.sum_table(half, half)
         members = _class_members(labels[:index.count_through(half)])
         self.sizes = [m.size for m in members]
-        cols = np.concatenate([table[np.ix_(m, m)].reshape(-1) for m in members])
-        self.matrix = sp.csr_matrix(
-            (np.ones(cols.size), (np.arange(cols.size), column[cols])),
-            shape=(cols.size, invariant.size))
+        self.width = invariant.size
+        self.columns = column[np.concatenate([table[np.ix_(m, m)].reshape(-1)
+                                              for m in members])]
 
 
 def _face_basis(index: MonomialIndex, lmat: sp.csr_matrix, labels: np.ndarray) -> list:
@@ -472,13 +474,12 @@ def _face_basis(index: MonomialIndex, lmat: sp.csr_matrix, labels: np.ndarray) -
     no columns where the members span the whole class."""
     m = index.count_through(index.max_degree // 2)
     outside = np.bincount(_row_of(lmat)[lmat.indices >= m], minlength=lmat.shape[0])
-    ideal = lmat[np.flatnonzero(outside[1:] == 0) + 1][:, :m]
+    ideal = lmat[np.flatnonzero(outside[1:] == 0) + 1].toarray()[:, :m]
     svds = []
     for members in _class_members(labels[:m]):
         k = ideal[:, members]
-        k = k[np.diff(k.indptr) > 0]
-        svds.append(np.linalg.svd(k.toarray().T, full_matrices=True)
-                    if k.shape[0] else None)
+        k = k[(k != 0).any(axis=1)]
+        svds.append(np.linalg.svd(k.T, full_matrices=True) if k.shape[0] else None)
     top = max((s[0] for u, s, _ in filter(None, svds)), default=0.0)
     faces = []
     for svd in svds:
@@ -521,9 +522,13 @@ def _runs(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1], [True])))
 
 
-# The geometry works on the arrays of compressed matrices, with scipy.sparse
-# for one product: on problems of a few dozen moments each scipy.sparse call
-# costs more than the eigh it feeds.
+# The set-up works on plain arrays: on problems of a few dozen moments each
+# scipy.sparse call costs more than the eigh it feeds.  What stays sparse is
+# L itself (from `build_problem`), its class-0 column slice in
+# `solve_feasibility`, the level-1 Gram product L1^T L below and the
+# product in `residual`.  The geometry reads the rest off the arrays of
+# compressed L; `_BlockMap` is a gather, and `_face_basis` densifies its
+# rows of L once.
 
 
 def _entries(indptr: np.ndarray, rows: np.ndarray):
@@ -792,10 +797,10 @@ class _FaceSpace:
         self.off2 = 0.0
         offset = start = 0
         for bi, (m, face) in enumerate(zip(block_map.sizes, faces)):
-            rows = block_map.matrix[offset:offset + m * m]
+            rows = block_map.columns[offset:offset + m * m]
             offset += m * m
-            const = (rows @ geo.y_particular).reshape(m, m)
-            moving = rows @ null  # column j: T(N e_j), flattened row-major
+            const = geo.y_particular[rows].reshape(m, m)
+            moving = null[rows]  # column j: T(N e_j), flattened row-major
             k = m
             if face is not None:
                 kept = face @ face.T

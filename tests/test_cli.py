@@ -24,6 +24,7 @@ from rankone.bss import (
     write_measurement,
     write_subspace,
 )
+from rankone import cli
 from rankone.cli import (
     load_config,
     main,
@@ -331,6 +332,65 @@ def test_echoed_defaults_are_the_library_defaults(tmp_path, capsys):
     assert (rectangle["restarts"], rectangle["seed"]) == (
         library["restarts"].default, library["seed"].default)
     assert solve["eps"] == rectangle["eps"] == check["eps"] == 0.25
+
+
+# ------------------------------------------------------------------ reuse
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys):
+    """Repeated in-process `main` calls, of every subcommand and an
+    argparse error among them, share one parser tree."""
+    missing = str(tmp_path / "missing.txt")
+    cli._build_parser.cache_clear()
+    calls = [["gen", "planted-yes", "--n", "2", "--out", str(tmp_path / "w.txt")],
+             ["solve", missing], ["rectangle", missing], ["reduce", missing],
+             ["check", missing, missing], ["solve", missing, "--eps", "0.1"]]
+    for argv in calls:
+        main(argv)
+    with pytest.raises(SystemExit):
+        main(["solve"])
+    capsys.readouterr()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls))
+
+
+@pytest.mark.parametrize("command, operands, key, value, default", [
+    ("solve", 1, "eps", "0.1", 0.25), ("solve", 1, "degree", "8", 6),
+    ("check", 2, "eps", "0.1", 0.25), ("rectangle", 1, "k", "3", None)])
+def test_no_flag_or_config_value_reaches_the_next_call(tmp_path, capsys, command,
+                                                       operands, key, value, default):
+    """A value set by flag or by `--config` in one call is gone in the
+    next call of the same subcommand, which echoes its default and prints
+    what it printed before either."""
+    argv = [command] + [str(tmp_path / "missing.txt")] * operands
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    plain = run_cli(capsys, *argv)
+    assert plain[1]["config"][key] == default
+    flagged = run_cli(capsys, *argv, f"--{key.replace('_', '-')}", value)
+    configured = run_cli(capsys, *argv, "--config", str(cfg))
+    assert flagged[1]["config"][key] == configured[1]["config"][key] == float(value)
+    assert run_cli(capsys, *argv) == plain
+
+
+def test_an_argparse_error_leaves_the_next_call_alone(tmp_path, capsys):
+    """After calls that argparse refuses with exit status 2, some after
+    parsing a valid flag, the next valid call prints what it printed
+    before them."""
+    out = tmp_path / "w.txt"
+    argv = ["gen", "planted-yes", "--n", "2", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    before = capsys.readouterr().out
+    for bad in (["solve"], ["solve", str(out), "--eps", "0.1", "--degree", "six"],
+                ["gen", "planted-yes", "--n", "3", "--bogus"], ["nothing"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(bad)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == before
+    code, report, _ = run_cli(capsys, "solve", str(out))
+    assert (code, report["config"]["eps"], report["config"]["degree"]) == (0, 0.25, 6)
 
 
 def with_nan_first_entry(path):

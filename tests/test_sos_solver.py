@@ -257,6 +257,20 @@ def test_conic_certificate_refuses_a_no_instance_at_degree_four():
                            [np.zeros((h.shape[0] + 1, 1)) for h in cert.factors])
 
 
+def test_tiles_complement_keeps_its_conic_certificate():
+    """The Tiles complement (`tests/instances.py`), which `solve` refuses
+    at eps 0.05, is refused by the degree-4 relaxation with a conic
+    certificate: the checker reproduces its positive margin, and the
+    oracle on the whole moment matrix agrees."""
+    problem = build_bss_problem(tiles_complement(), 4)
+    mu, rep = solve_feasibility(problem)
+    assert mu is None and rep.status == "infeasible"
+    cert = rep.certificate
+    assert cert.kind == "conic"
+    assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
+    assert oracle_conic_margin(problem, cert) == pytest.approx(cert.margin, rel=1e-9)
+
+
 def test_certificate_checker_rejects_perturbed_and_flipped_multipliers():
     """A refusal's lam passes the checker; -lam, and lam moved by a tenth
     of its norm in a random direction, fail it, with a sphere bound and
@@ -459,12 +473,51 @@ def test_lmat_matches_dict_expansion():
         assert prob.index is build_problem(num_vars, degree, []).index  # memoized
 
 
+def one_hot(block_map):
+    """The block map's gather as a matrix: row i holds a single 1.0, in
+    column `columns[i]`."""
+    size = block_map.columns.size
+    return sp.csr_matrix((np.ones(size), (np.arange(size), block_map.columns)),
+                         shape=(size, block_map.width))
+
+
 def test_block_map_matches_triple_loop():
+    """Stacked entry i reads the moment that row i of the triple-loop
+    matrix holds its single 1.0 in."""
     for seed in EQUIVALENCE_SEEDS:
         num_vars, degree, specs = random_problem(100 + seed)
         prob = build_problem(num_vars, degree, specs)
-        got = _BlockMap(prob.index, one_class(prob)).matrix
-        assert_same_csr(got, loop_block_matrix(prob.index, degree))
+        block_map = _BlockMap(prob.index, one_class(prob))
+        ref = loop_block_matrix(prob.index, degree)
+        np.testing.assert_array_equal(ref.indptr, np.arange(ref.shape[0] + 1))
+        np.testing.assert_array_equal(ref.data, 1.0)
+        np.testing.assert_array_equal(block_map.columns, ref.indices)
+        assert block_map.width == prob.index.size
+
+
+def test_conic_term_matches_the_triple_loop():
+    """T^T(Z) as a bincount over the block map's columns equals the
+    triple-loop matrix's transpose applied to the whole moment-matrix
+    weight Z, with each block's H H^T placed on the rows and columns of
+    its class, to 1e-12 relative, on the reference problems."""
+    rng = np.random.default_rng(12)
+    classes = []
+    for problem in reference_cases():
+        index = problem.index
+        labels = _sign_classes(problem)
+        m = index.count_through(index.max_degree // 2)
+        z = np.zeros((m, m))
+        factors = []
+        for label in np.unique(labels[:m]):
+            members = np.flatnonzero(labels[:m] == label)
+            h = rng.standard_normal((members.size, 3))
+            z[np.ix_(members, members)] = h @ h.T
+            factors.append(h)
+        ref = loop_block_matrix(index, index.max_degree).T @ z.reshape(-1)
+        got = sos_solver._conic_term(problem, labels, _BlockMap(index, labels), factors)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        classes.append(len(factors))
+    assert min(classes) == 1 and max(classes) > 2
 
 
 def test_face_basis_matches_dict_ideal():
@@ -767,8 +820,8 @@ class StackedAffine:
     coordinates w of y = y_p + N w."""
 
     def __init__(self, geo, block_map):
-        self.geo, self.matrix = geo, block_map.matrix
-        tt = (block_map.matrix.T @ block_map.matrix).toarray()
+        self.geo, self.matrix = geo, one_hot(block_map)
+        tt = (self.matrix.T @ self.matrix).toarray()
         r = geo.null_basis.shape[1]
         self.h_factor = cho_factor(
             geo.null_basis.T @ tt @ geo.null_basis + 1e-13 * np.eye(r), lower=True)
@@ -796,7 +849,7 @@ def solver_parts(problem):
 def lift(block_map, faces, x):
     """Stacked blocks F X F^T of face coordinates x (zero where the face
     has no columns)."""
-    out = np.zeros(block_map.matrix.shape[0])
+    out = np.zeros(block_map.columns.size)
     offset = start = 0
     for m, face in zip(block_map.sizes, faces):
         if face is None:
@@ -843,7 +896,7 @@ def test_face_affine_step_is_the_stacked_projection_of_the_lift():
         _, block_map, faces, geo = solver_parts(problem)
         space = sos_solver._FaceSpace(block_map, faces, geo)
         affine = StackedAffine(geo, block_map)
-        const = block_map.matrix @ geo.y_particular
+        const = one_hot(block_map) @ geo.y_particular
         off_face = const - lift(block_map, faces, space.c)
         assert float(off_face @ off_face) == pytest.approx(space.off2, rel=1e-6, abs=1e-20)
         for _ in range(3):
@@ -869,8 +922,8 @@ def test_face_solve_matches_stacked_reference():
         _, block_map, faces, geo = solver_parts(problem)
         space = sos_solver._FaceSpace(block_map, faces, geo)
         affine = StackedAffine(geo, block_map)
-        off = block_map.matrix @ geo.y_particular - lift(block_map, faces, space.c)
-        z = block_map.matrix @ geo.y_particular
+        z = one_hot(block_map) @ geo.y_particular
+        off = z - lift(block_map, faces, space.c)
         x = space.c.copy()
         for step in range(20):
             np.testing.assert_allclose(lift(block_map, faces, x) + (step + 1) * off, z,
