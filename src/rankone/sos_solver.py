@@ -62,7 +62,7 @@ Infeasibility is decided only on a checked certificate, of one of two
 kinds.  A `linear` one is found at set-up: the two levels also give a
 vector r with L^T r = 0 up to rounding and b^T r > 0 exactly when L y = b
 has no solution, and the equality Farkas vector lam = r / b^T r has
-b^T lam = 1.  Recomputed on the sparse L, it proves the problem
+b^T lam = 1.  Recomputed on L, it proves the problem
 infeasible when b^T lam - R ||L^T lam||_1 > 0, where R bounds every |y_a|
 over the feasible set (R = 1 under sphere equalities that cover every
 variable; with no bound, L^T lam must vanish up to rounding).
@@ -73,7 +73,7 @@ meets no PSD point (Banjac, Goulart, Stellato & Boyd, JOTA 2019; Liu, Ryu
 cone point, tends to a PSD matrix orthogonal to range(B) with
 <c, Z> = -||Z||^2 < 0, which no feasible point allows.  The check keeps
 the PSD part of Z as a factor G G^T per block, lifts it to F G G^T F^T,
-splits t = T^T(Z) = L^T lam + r on the sparse L, and refuses when
+splits t = T^T(Z) = L^T lam + r on L, and refuses when
 -b^T lam - R ||r||_1 > 0: a feasible y would give 0 <= <T(y), Z> = t^T y
 = b^T lam + r^T y.  It is tried at checks 1, 2, 4, 8, ... and at the
 last, so a feasible run pays for about log2(iter_limit) tries: first on
@@ -102,9 +102,9 @@ it and the memory starts afresh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DegreeTooSmall, IllFormed
 from .pseudodist import MonomialIndex, PseudoDistribution, monomial_index
@@ -125,14 +125,25 @@ _PLAIN_STEPS = 20
 _ROUNDING = 1e-9
 
 
+class CompressedRows(NamedTuple):
+    """A matrix of the given shape as its compressed rows: row i holds
+    data[indptr[i]:indptr[i + 1]] in the columns indices[indptr[i]:
+    indptr[i + 1]], ascending and each at most once."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Moment feasibility problem over `index`.
 
-    lmat, rhs: the equalities lmat @ y = rhs, as a CSR matrix with one
-        column per moment.  Row 0 is the normalization E~ 1 = 1; then each
-        equality q gives one row E~[q x^m] = 0 per multiplier x^m,
-        in graded order.  Those rows are the coefficient vectors of the
+    lmat, rhs: the equalities lmat @ y = rhs, as the compressed rows of L
+        with one column per moment.  Row 0 is the normalization E~ 1 = 1;
+        then each equality q gives one row E~[q x^m] = 0 per multiplier
+        x^m, in graded order.  Those rows are the coefficient vectors of the
         truncated-ideal members q x^m that back the facial reduction.
     constraints: the equality polynomials q as dense coefficient
         vectors, recorded on the output.
@@ -143,7 +154,7 @@ class SdpProblem:
     """
 
     index: MonomialIndex
-    lmat: sp.csr_matrix
+    lmat: CompressedRows
     rhs: np.ndarray
     constraints: tuple
 
@@ -229,9 +240,13 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
         cols.append(table[terms].reshape(-1))
         data.append(np.repeat(q[terms], mult_count))
         num_rows += mult_count
-    lmat = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(num_rows, index.size))
+    # within a row the columns e + m of distinct terms e are distinct, so
+    # sorting the entries by row, then column, gives the compressed rows
+    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    lmat = CompressedRows(indptr, cols[order], data[order], (num_rows, index.size))
     rhs = np.zeros(num_rows)
     rhs[0] = 1.0
     return SdpProblem(index, lmat, rhs, tuple(constraints))
@@ -288,8 +303,8 @@ def moment_bound(problem: SdpProblem) -> float:
 
 def certificate_margin(problem: SdpProblem, multipliers: np.ndarray,
                        factors=()) -> float:
-    """b^T lam - R ||L^T lam + t||_1, recomputed on the problem's sparse L
-    and b with R = `moment_bound(problem)`, where t = T^T(Z) reads the
+    """b^T lam - R ||L^T lam + t||_1, recomputed on the problem's L and b
+    with R = `moment_bound(problem)`, where t = T^T(Z) reads the
     PSD matrices Z = H H^T of the `factors` H against the moment matrix
     (t = 0 with no factors); a positive margin proves the problem
     infeasible.  With no bound, L^T lam + t must vanish up to rounding
@@ -382,8 +397,8 @@ def _conic_certificate(problem: SdpProblem, labels: np.ndarray, block_map: _Bloc
 # -- sign symmetry -----------------------------------------------------------
 
 
-def _row_of(lmat: sp.csr_matrix) -> np.ndarray:
-    """Row number of each stored entry of a CSR matrix."""
+def _row_of(lmat: CompressedRows) -> np.ndarray:
+    """Row number of each stored entry of compressed rows."""
     return np.repeat(np.arange(lmat.shape[0]), np.diff(lmat.indptr))
 
 
@@ -461,7 +476,7 @@ class _BlockMap:
                                               for m in members])]
 
 
-def _face_basis(index: MonomialIndex, lmat: sp.csr_matrix, labels: np.ndarray) -> list:
+def _face_basis(index: MonomialIndex, lmat: CompressedRows, labels: np.ndarray) -> list:
     """Orthonormal basis of the face of each class block of the moment
     matrix (complement of the span of truncated-ideal coefficient
     vectors), in the block order of `_BlockMap`.
@@ -474,7 +489,9 @@ def _face_basis(index: MonomialIndex, lmat: sp.csr_matrix, labels: np.ndarray) -
     no columns where the members span the whole class."""
     m = index.count_through(index.max_degree // 2)
     outside = np.bincount(_row_of(lmat)[lmat.indices >= m], minlength=lmat.shape[0])
-    ideal = lmat[np.flatnonzero(outside[1:] == 0) + 1].toarray()[:, :m]
+    pos, counts = _entries(lmat.indptr, np.flatnonzero(outside[1:] == 0) + 1)
+    ideal = np.zeros((counts.size, m))
+    ideal[np.repeat(np.arange(counts.size), counts), lmat.indices[pos]] = lmat.data[pos]
     svds = []
     for members in _class_members(labels[:m]):
         k = ideal[:, members]
@@ -522,13 +539,9 @@ def _runs(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], labels[1:] != labels[:-1], [True])))
 
 
-# The set-up works on plain arrays: on problems of a few dozen moments each
-# scipy.sparse call costs more than the eigh it feeds.  What stays sparse is
-# L itself (from `build_problem`), its class-0 column slice in
-# `solve_feasibility`, the level-1 Gram product L1^T L below and the
-# product in `residual`.  The geometry reads the rest off the arrays of
-# compressed L; `_BlockMap` is a gather, and `_face_basis` densifies its
-# rows of L once.
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 for each k in turn."""
+    return np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def _entries(indptr: np.ndarray, rows: np.ndarray):
@@ -536,18 +549,20 @@ def _entries(indptr: np.ndarray, rows: np.ndarray):
     by row, and the number in each row."""
     lo = indptr[rows]
     counts = indptr[rows + 1] - lo
-    return np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts), counts
+    return _ranges(lo, counts), counts
 
 
-def _transpose(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-               shape: tuple) -> sp.csr_matrix:
-    """The transpose of the matrix of the given shape with entries
-    (rows, cols, data) in row order, as a CSR matrix whose rows list their
-    entries in that order."""
-    order = np.argsort(cols, kind="stable")
-    indptr = np.zeros(shape[1] + 1, dtype=cols.dtype)
-    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
-    return sp.csr_matrix((data[order], rows[order].astype(cols.dtype), indptr), shape=shape[::-1])
+def _column_slice(lmat: CompressedRows, columns: np.ndarray) -> CompressedRows:
+    """The given columns of L, ascending, renumbered in that order; a row
+    that keeps no entry stays, empty."""
+    position = np.full(lmat.shape[1], -1)
+    position[columns] = np.arange(columns.size)
+    renumbered = position[lmat.indices]
+    keep = renumbered >= 0
+    indptr = np.zeros_like(lmat.indptr)
+    np.cumsum(np.bincount(_row_of(lmat)[keep], minlength=lmat.shape[0]), out=indptr[1:])
+    return CompressedRows(indptr, renumbered[keep], lmat.data[keep],
+                          (lmat.shape[0], columns.size))
 
 
 def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -580,7 +595,7 @@ class _AffineGeometry:
     b^T r = ||b1 - L1 y1||^2 + ||r2||^2 is positive exactly when L y = b
     has no solution."""
 
-    def __init__(self, lmat: sp.csr_matrix, b: np.ndarray, degrees: np.ndarray):
+    def __init__(self, lmat: CompressedRows, b: np.ndarray, degrees: np.ndarray):
         p = lmat.shape[1]
         deg = degrees[lmat.indices]
         counts = np.diff(lmat.indptr)
@@ -607,18 +622,28 @@ class _AffineGeometry:
         cols = cols[np.argsort(label[cols], kind="stable")]
         bounds = _runs(label[cols])
         size = np.diff(bounds)
-        block = np.zeros(p, dtype=np.int64)
-        block[cols] = np.repeat(np.arange(size.size), size)
         local = np.zeros(p, dtype=np.int64)
         local[cols] = np.arange(cols.size) - np.repeat(bounds[:-1], size)
         base = np.concatenate([[0], np.cumsum(size * size)])
-        # L1^T L1 as L1^T L, the transpose indexed by the rows of L
-        product = _transpose(rows1[row1], col1, val1, lmat.shape) @ lmat
-        row = np.repeat(np.arange(p), np.diff(product.indptr))
-        gram = np.zeros(base[-1])
-        at = base[block[row]] + local[row] * size[block[row]] + local[product.indices]
-        gram[at] = product.data
-        del product
+        # The lower triangle of L1^T L1, the one `eigh` reads: entry (i, j),
+        # j <= i, of a block sits at at_row[i] + local[j] and sums
+        # L1[r, i] L1[r, j] over the rows r in order.  Columns ascend within
+        # a row and so does `local`, so the pairs of a row are each entry
+        # with those up to it.  They run column by column of i, filling one
+        # row of the Gram matrix at a time.
+        at_row = np.zeros(p, dtype=np.int64)
+        at_row[cols] = np.repeat(base[:-1], size) + local[cols] * np.repeat(size, size)
+        by_col = np.argsort(col1, kind="stable")
+        lo = ptr1[row1[by_col]]
+        repeats = by_col - lo + 1
+        right = _ranges(lo, repeats)
+        at = np.repeat(at_row[col1[by_col]], repeats)
+        at += local[col1[right]]
+        weights = np.repeat(val1[by_col], repeats)
+        weights *= val1[right]
+        del right
+        gram = np.bincount(at, weights=weights, minlength=base[-1])
+        del at, weights
         top = 0.0
         level1 = []
         for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -742,6 +767,7 @@ class _AffineGeometry:
         self.farkas[rows2] = r2
         self.lmat = lmat
         self.b = b
+        self._row_of = _row_of(lmat)
         self._level1 = [(ix, vals, vecs) for ix, vals, vecs, _ in level1]
         self._rows = (rows1, row1, col1, val1, rows2, row2, col2, val2)
         self._n1 = (n1_row, n1_col, n1_val, t.size)
@@ -772,7 +798,9 @@ class _AffineGeometry:
     def residual(self, y: np.ndarray) -> float:
         if self.b.size == 0:
             return 0.0
-        return float(np.abs(self.lmat @ y - self.b).max())
+        lmat = self.lmat
+        return float(np.abs(np.bincount(self._row_of, weights=lmat.data * y[lmat.indices],
+                                        minlength=lmat.shape[0]) - self.b).max())
 
 
 class _FaceSpace:
@@ -967,7 +995,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     invariant = np.flatnonzero(labels == 0)
     # Each row of L lies in one class, and rows with a nonzero right-hand
     # side in class 0, so the rows of other classes drop out here as empty.
-    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs,
+    geo = _AffineGeometry(_column_slice(problem.lmat, invariant), problem.rhs,
                           index.degrees[invariant])
     certificate = _linear_certificate(problem, geo)
     if certificate is not None:

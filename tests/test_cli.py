@@ -274,9 +274,11 @@ def test_solve_rejects_bad_tolerance(tmp_path, capsys, tol):
     assert report["error"]["type"] == "IllFormed"
 
 
-def test_solve_leaves_scipy_linalg_unloaded(tmp_path):
-    """A solve runs all dense algebra in NumPy: scipy.linalg, which links
-    a second BLAS and thread pool, is never imported."""
+def test_cli_loads_no_scipy(tmp_path):
+    """The package runs on NumPy alone: `gen`, `solve`, `check` and
+    `rectangle` import no module of scipy, whose linalg would also link a
+    second BLAS and thread pool."""
+    factors = orthonormal_class_factors(tmp_path)
     script = (
         "import sys\n"
         "from rankone.cli import main\n"
@@ -284,7 +286,11 @@ def test_solve_leaves_scipy_linalg_unloaded(tmp_path):
         "assert main(['gen', 'planted-yes', '--n', '2', '--dim-w', '2',"
         " '--seed', '4', '--out', path]) == 0\n"
         "assert main(['solve', path, '--degree', '4']) == 0\n"
-        "print('LOADED' if 'scipy.linalg' in sys.modules else 'CLEAN')\n")
+        "assert main(['check', path, path + '.answer']) == 0\n"
+        f"assert main(['rectangle', {str(factors)!r}, '--eps', '0.3', '--k', '2',"
+        " '--seed', '1']) == 0\n"
+        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print('LOADED ' + ' '.join(scipy) if scipy else 'CLEAN')\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -7,12 +7,14 @@ module, every top-level name of a package module is referenced from
 the package or the benchmark: code that only tests reach is dead code,
 and every defaulted parameter of a package function or dataclass field
 is passed by some package or benchmark caller: an option nothing sets is
-a constant.
+a constant.  The package imports nothing outside the standard library
+and NumPy.
 """
 
 import ast
 import collections
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,29 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# the top-level modules the package may import besides the standard library
+PACKAGE_DEPENDENCIES = {"numpy", "rankone"}
+
+
+def _imported_modules(tree) -> set:
+    """Top-level name of every module imported anywhere under `tree`,
+    imports inside functions included; a relative import is `rankone`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("rankone" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    foreign = {f"{path.name}: {name}" for path in SOURCES
+               for name in _imported_modules(ast.parse(path.read_text()))
+               if name not in sys.stdlib_module_names and name not in PACKAGE_DEPENDENCIES}
+    assert foreign == set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

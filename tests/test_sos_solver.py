@@ -25,9 +25,11 @@ from rankone.sos_solver import (
     DEFAULT_ITER_LIMIT,
     _AffineGeometry,
     _BlockMap,
+    _column_slice,
     _face_basis,
     _linear_certificate,
     _sign_classes,
+    CompressedRows,
     SdpProblem,
     build_bss_problem,
     build_problem,
@@ -55,6 +57,11 @@ def complement_of_line(n, direction, rng):
     m = direction.reshape(-1) / np.linalg.norm(direction)
     q, _ = np.linalg.qr(np.column_stack([m, rng.standard_normal((n * n, n * n - 1))]))
     return [q[:, k].reshape(n, n) for k in range(1, n * n)]
+
+
+def csr(lmat):
+    """The scipy CSR matrix of compressed rows, for the oracles."""
+    return sp.csr_matrix((lmat.data, lmat.indices, lmat.indptr), shape=lmat.shape)
 
 
 def dense(terms):
@@ -218,7 +225,7 @@ def oracle_conic_margin(problem, cert):
     assert next(factors, None) is None
     t = full.T @ z.reshape(-1)
     lam = cert.multipliers
-    lt = problem.lmat.toarray().T * lam
+    lt = csr(problem.lmat).toarray().T * lam
     resid = lt.sum(axis=1) + t
     bound = moment_bound(problem)
     if np.isfinite(bound):
@@ -447,7 +454,9 @@ def scaled_problem():
     cut 1e-10 * 1e6 frees the last moment, and 1.5e-4 sits below 1e-10 * trace.
     Every row has a nonzero right-hand side, odd moments included."""
     return SdpProblem(
-        monomial_index(1, 4), sp.csr_matrix(np.diag([1.0, 1e3, 1e3, 1.5e-4 ** 0.5, 5e-5 ** 0.5])),
+        monomial_index(1, 4),
+        CompressedRows(np.arange(6), np.arange(5),
+                       np.array([1.0, 1e3, 1e3, 1.5e-4 ** 0.5, 5e-5 ** 0.5]), (5, 5)),
         np.ones(5), ())
 
 
@@ -539,8 +548,9 @@ def assert_geometry_matches_dense(prob, columns):
     elsewhere a certificate exactly when the dense least-squares residual
     r gives one, as lam = r / ||r||^2.  Returns whether L y = b is
     consistent."""
-    lmat = prob.lmat[:, columns]
-    geo = _AffineGeometry(lmat, prob.rhs, prob.index.degrees[columns])
+    lmat = csr(prob.lmat)[:, columns]
+    geo = _AffineGeometry(_column_slice(prob.lmat, columns), prob.rhs,
+                          prob.index.degrees[columns])
     null_ref, y_ref = dense_null_space(lmat, prob.rhs)
     assert geo.null_basis.shape == null_ref.shape
     np.testing.assert_allclose(geo.null_basis @ geo.null_basis.T,
@@ -570,6 +580,27 @@ def test_block_null_space_matches_dense_eigh():
     consistent = [assert_geometry_matches_dense(prob, np.arange(prob.index.size))
                   for prob in cases]
     assert sum(consistent) == 19
+
+
+def test_class_slice_and_residual_match_scipy():
+    """The class-0 column slice equals scipy's, array for array, and the
+    geometry's residual equals max |L y - b| from scipy's product, on BSS
+    problems at n = 2 whose four sign classes leave rows of the slice
+    empty, and on scaled_problem()."""
+    rng = np.random.default_rng(21)
+    cases = [(build_bss_problem(planted_yes(2, 2, 0)[0], degree), 4) for degree in (4, 6)]
+    for prob, classes in cases + [(scaled_problem(), 1)]:
+        labels = _sign_classes(prob)
+        invariant = np.flatnonzero(labels == 0)
+        got = _column_slice(prob.lmat, invariant)
+        ref = csr(prob.lmat)[:, invariant]
+        assert_same_csr(got, ref)
+        assert labels.max() + 1 == classes
+        assert (np.diff(got.indptr) == 0).any() == (classes > 1)
+        geo = _AffineGeometry(got, prob.rhs, prob.index.degrees[invariant])
+        for _ in range(3):
+            y = rng.standard_normal(invariant.size)
+            assert geo.residual(y) == np.abs(ref @ y - prob.rhs).max()
 
 
 def row_degree_spans(prob):
@@ -602,7 +633,9 @@ def test_two_level_null_space_matches_dense_eigh_on_workload_shapes():
     sphere = build_problem(2, 4, [eq(
         {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})])
     rhs = np.random.default_rng(10).standard_normal(sphere.lmat.shape[0] - 1)
-    mixed = SdpProblem(sphere.index, sphere.lmat[1:], rhs, ())
+    tail = csr(sphere.lmat)[1:]
+    mixed = SdpProblem(sphere.index, CompressedRows(tail.indptr, tail.indices, tail.data,
+                                                    tail.shape), rhs, ())
     assert all(lo == hi for lo, hi in row_degree_spans(homogeneous))
     assert all(lo < hi for lo, hi in row_degree_spans(mixed))
     for prob in (homogeneous, mixed):
@@ -842,7 +875,8 @@ def solver_parts(problem):
     invariant = np.flatnonzero(labels == 0)
     block_map = _BlockMap(index, labels)
     faces = _face_basis(index, problem.lmat, labels)
-    geo = _AffineGeometry(problem.lmat[:, invariant], problem.rhs, index.degrees[invariant])
+    geo = _AffineGeometry(_column_slice(problem.lmat, invariant), problem.rhs,
+                          index.degrees[invariant])
     return invariant, block_map, faces, geo
 
 
@@ -1141,7 +1175,7 @@ def test_an_accepting_hook_stops_at_its_check():
         assert (rep.status, rep.iterations, rep.certificate) == ("rounded", iterations, None)
         np.testing.assert_array_equal(mu.moments, seen[-1].moments)
         assert mu.moments[0] == 1.0
-        assert np.abs(problem.lmat @ mu.moments - problem.rhs).max() <= 1e-9
+        assert np.abs(csr(problem.lmat) @ mu.moments - problem.rhs).max() <= 1e-9
         assert rep.max_constraint_residual <= 1e-9
 
 
