@@ -46,6 +46,17 @@ through `_fix_draw`, the only code that accepts a draw, with its
 certified reweightings.  A dropped draw's weight is never applied, so
 the screen changes no result and no generator state.
 
+A whole fix is decided before any draw is screened when the table has
+degree 4 and its linear and cubic moments are exactly zero, as the SDP's
+sign classes leave them.  Every draw then reaches `_fix_draw` only
+through the sign split, which leaves the mean at +-Sigma v / sigma for
+Sigma = E~ x x^T, so |mean|^2 is at most the top generalized eigenvalue
+of (R Sigma^2 R^T, R Sigma R^T) over the orthonormal rows R of S.  When
+that misses (1 - delta) of the subspace mass by the same margin, no draw
+can pass: the fix draws its whole budget unscreened, a batch at a time,
+so the generator ends where the screened loop would leave it, and raises
+the loop's RetryExhausted.
+
 Reports carry degree_spent, so the degree each fix pays is observable.
 """
 
@@ -237,6 +248,12 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     fixed.  Returns (mu', SubspaceFixReport) with
 
         |E~ x|^2  >=  (1 - delta) E~ |proj_S x|^2.
+
+    Raises RetryExhausted when no draw within the budget passes.  A
+    degree-4 table with zero linear and cubic moments on which the sign
+    split provably cannot reach the bar for any v in S raises it without
+    screening a draw, after advancing the generator by the retry_budget
+    * dim(S) normals the draws would have taken.
     """
     rows = np.atleast_2d(np.asarray(basis, dtype=float))
     if rows.size == 0:
@@ -270,6 +287,9 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     screen_power = {4: 0, 6: 1}.get(mu.degree)
     if screen_power is not None:
         screen_block = moment_block(mu, 2, 2 * screen_power + 2)
+    # a fix that no draw can pass still draws its whole budget, so the
+    # generator ends where the screened draws would have left it
+    hopeless = _split_cannot_pass(mu, rows, block_lin, mass, delta)
     # draws are screened a batch at a time; after an accepted draw the
     # generator is rewound to just past it, where a loop over single
     # draws would have left it
@@ -277,6 +297,9 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     while attempt < retry_budget:
         state = rng.bit_generator.state
         coefs = rng.standard_normal((min(_DRAW_BATCH, retry_budget - attempt), dim))
+        if hopeless:
+            attempt += coefs.shape[0]
+            continue
         if attempt == 0:
             coefs[0] = top + 1e-9 * coefs[0]
         coefs /= np.linalg.norm(coefs, axis=1, keepdims=True)
@@ -407,6 +430,31 @@ def _doomed(cur, directions, block, proj, p, mass, eps, delta):
         s2 = powers[:, quad] @ cur.moments[quad]
         doomed &= s2 < (1.0 - eps) ** 3 * mass * (1.0 - margin)
     return doomed
+
+
+def _split_cannot_pass(cur, rows, sigma, mass, delta) -> bool:
+    """Whether no draw in the span of the orthonormal `rows` can pass
+    `_fix_draw` on `cur`, a degree-4 table whose linear and cubic
+    moments are exactly zero; `sigma` is E~ x x^T.
+
+    No such draw has the degree for a power step or stage A, so it is
+    accepted only through the sign split, which leaves the mean at
+    +-sigma v / sqrt(v^T sigma v).  Its |mean|^2 peaks over unit v in S
+    at the top generalized eigenvalue of (R sigma^2 R^T, R sigma R^T).
+    A draw needs (1 - delta) mass, so the answer is yes when that peak
+    misses it by the relative margin _SCREEN_MARGIN and R sigma R^T is
+    positive definite to within it.
+    """
+    index = cur.index
+    if cur.degree != 4 or cur.moments[index.block(1)].any() \
+            or cur.moments[index.block(3)].any():
+        return False
+    vals, vecs = np.linalg.eigh(rows @ sigma @ rows.T)
+    if not vals[0] > _SCREEN_MARGIN * vals[-1]:
+        return False
+    image = sigma @ rows.T @ (vecs / np.sqrt(vals))
+    peak = np.linalg.eigvalsh(image.T @ image)[-1]
+    return bool(peak < (1.0 - delta) * mass * (1.0 - _SCREEN_MARGIN))
 
 
 def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
