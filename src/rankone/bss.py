@@ -15,6 +15,7 @@ SUBSPACE, MEASUREMENT and CSUBSPACE file formats (matrix blocks, see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,7 @@ _PSD_SLACK = 1e-8
 _ZERO_NORM = 1e-12
 _MIN_FARNESS = 0.5         # the farness `random_no` certifies
 _NO_TRIES = 40             # `random_no` draws before giving up
+_SCREEN_STRIDE = 16        # every 16th grid point screens a `random_no` draw
 _ACCEPT_TOL = 1e-7         # slack on a verified acceptance floor
 DEFAULT_DEGREE = 6         # top rung of the degree ladder
 
@@ -590,31 +592,37 @@ def planted_yes(n: int, dim_w: int, seed: int = 0):
         mats = [b.copy() for b in w.basis]  # refill the dropped directions
 
 
+@functools.lru_cache(maxsize=None)
 def _sphere_grid(n: int, step: float):
     """Covering grid of the unit sphere with its geodesic radius.
 
     n=2 walks a half circle (antipodal points project identically);
-    n=3 uses latitude rows with row-adaptive longitude counts.
+    n=3 uses latitude rows with row-adaptive longitude counts.  The grid
+    depends on (n, step) alone, so it is built once and its points are
+    returned read-only.
     """
     if n == 2:
         count = max(2, math.ceil(math.pi / step))
         theta = np.arange(count) * (math.pi / count)
         pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        return pts, (math.pi / count) / 2.0
-    if n == 3:
+        radius = (math.pi / count) / 2.0
+    elif n == 3:
         rows = max(2, math.ceil(math.pi / step))
-        h = math.pi / rows
-        pts = []
+        radius = h = math.pi / rows
+        bands = []
         for j in range(rows):
             th = (j + 0.5) * h
             m = max(1, math.ceil(2.0 * math.pi * math.sin(th) / h))
             phi = np.arange(m) * (2.0 * math.pi / m)
-            pts.append(np.column_stack([
+            bands.append(np.column_stack([
                 np.full(m, math.cos(th)),
                 math.sin(th) * np.cos(phi),
                 math.sin(th) * np.sin(phi)]))
-        return np.concatenate(pts), h
-    raise BadDims(f"grid certification supports n in {{2, 3}}, got {n}")
+        pts = np.concatenate(bands)
+    else:
+        raise BadDims(f"grid certification supports n in {{2, 3}}, got {n}")
+    pts.flags.writeable = False
+    return pts, radius
 
 
 def _farness_at(w: SubspaceBasis, pts: np.ndarray) -> np.ndarray:
@@ -629,6 +637,10 @@ def _farness_at(w: SubspaceBasis, pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(1.0 - np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
+def _certificate_grid(n: int):
+    return _sphere_grid(n, 0.01 if n == 2 else 0.05)
+
+
 def certify_farness(w: SubspaceBasis) -> float:
     """Certified lower bound on the distance of W from unit rank-ones.
 
@@ -638,8 +650,17 @@ def certify_farness(w: SubspaceBasis) -> float:
     with geodesic covering radius r (step 0.01 on a half circle at n = 2,
     0.05 at n = 3) certifies grid_min - r.
     """
-    pts, radius = _sphere_grid(w.ambient, 0.01 if w.ambient == 2 else 0.05)
+    pts, radius = _certificate_grid(w.ambient)
     return max(float(_farness_at(w, pts).min()) - radius, 0.0)
+
+
+def _screen_rejects(w: SubspaceBasis) -> bool:
+    """True when every _SCREEN_STRIDE-th point of the certificate's grid,
+    copied contiguous, already brings W nearer than _MIN_FARNESS plus the
+    grid radius to a unit rank-one."""
+    pts, radius = _certificate_grid(w.ambient)
+    sample = np.ascontiguousarray(pts[::_SCREEN_STRIDE])
+    return float(_farness_at(w, sample).min()) - radius < _MIN_FARNESS
 
 
 def _antisymmetric_part(mats):
@@ -653,6 +674,16 @@ def random_no(n: int, dim_w: int, seed: int = 0):
     with a growing antisymmetric bias (antisymmetric spans capture at
     most half the norm of any rank-one), so certification at 0.5
     eventually succeeds when dim_w fits the antisymmetric dimension.
+
+    Most draws fail, so each is screened first on every
+    _SCREEN_STRIDE-th point of the certificate's grid, and only the
+    draws it passes pay for `certify_farness`.  The screen changes no
+    result.  `_farness_at` gives each point the same bits on the
+    subsample as on the full grid, so the subsample's minimum is at
+    least the grid's, and a draw the screen rejects the certificate
+    rejects too.  Every draw is made before it is screened, so the
+    generator advances as without the screen, and an accepted draw
+    carries the full certificate's value.
     """
     if n < 1 or not 1 <= dim_w <= n * n:
         raise BadDims(f"need 1 <= dim_w <= n^2, got n={n}, dim_w={dim_w}")
@@ -667,7 +698,7 @@ def random_no(n: int, dim_w: int, seed: int = 0):
             w = subspace_from_matrices(mats, ambient=n)
         except EmptySubspace:
             continue
-        if w.dim != dim_w:
+        if w.dim != dim_w or _screen_rejects(w):
             continue
         farness = certify_farness(w)
         if farness >= _MIN_FARNESS:

@@ -48,7 +48,7 @@ def write_blocks(path, header: str, blocks) -> None:
         if not np.all(np.isfinite(a)):
             raise IllFormed("refusing to write non-finite entries")
         lines.append(f"{a.shape[0]} {a.shape[1]}")
-        lines.extend(" ".join(repr(float(x)) for x in row) for row in a)
+        lines.extend(" ".join(map(repr, row)) for row in a.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

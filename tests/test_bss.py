@@ -44,6 +44,7 @@ from rankone.errors import (
     DimensionMismatch,
     EmptySubspace,
     IllFormed,
+    RetryExhausted,
     ZeroCandidate,
 )
 from rankone.rectangle import FactorMatrix
@@ -541,10 +542,77 @@ def test_certify_farness_tiles_complement():
 
 
 def test_random_no_meets_requested_farness():
-    for seed in range(3):
-        w, far = random_no(2, 1, seed=seed)
-        assert far >= 0.5
-        assert far == pytest.approx(certify_farness(w), abs=1e-12)
+    for n, dim_w in ((2, 1), (3, 1), (3, 2), (3, 3)):
+        for seed in range(3):
+            w, far = random_no(n, dim_w, seed=seed)
+            assert far >= 0.5
+            assert far == certify_farness(w), (n, dim_w, seed)
+
+
+def random_no_outcome(n, dim_w, seed):
+    try:
+        w, far = random_no(n, dim_w, seed)
+    except RetryExhausted as err:
+        return str(err)
+    return np.array(w.basis), far
+
+
+def test_random_no_screen_changes_no_instance(monkeypatch):
+    """Over n in {2, 3}, every dim_w and seeds 0-7, `random_no` gives the
+    same basis and farness, or the same `RetryExhausted` message, with
+    the grid-subsample screen on and forced off.  The screen must also
+    spare full certificates: fewer `certify_farness` calls with it on."""
+    calls = {"on": 0, "off": 0}
+    certify = bss.certify_farness
+    cases = [(n, dim_w, seed) for n in (2, 3) for dim_w in range(1, n * n + 1)
+             for seed in range(8)]
+    outcomes = {}
+    for mode in ("on", "off"):
+        def counted(w, mode=mode):
+            calls[mode] += 1
+            return certify(w)
+        monkeypatch.setattr(bss, "certify_farness", counted)
+        if mode == "off":
+            monkeypatch.setattr(bss, "_screen_rejects", lambda w: False)
+        outcomes[mode] = [random_no_outcome(*case) for case in cases]
+    for case, on, off in zip(cases, outcomes["on"], outcomes["off"]):
+        if isinstance(off, str):
+            assert on == off, case
+        else:
+            assert np.array_equal(on[0], off[0]) and on[1] == off[1], case
+    accepted = sum(not isinstance(off, str) for off in outcomes["off"])
+    assert 0 < accepted < len(cases)
+    assert calls["on"] < calls["off"] // 4, calls
+
+
+def test_screen_points_get_their_full_grid_bits():
+    """The screen's premise: `_farness_at` on the contiguous stride
+    subsample equals the full-grid values at those indices bit for bit,
+    over 124 seeded subspaces drawn as `random_no` draws them."""
+    checked = 0
+    for n, dims in ((2, (1, 2, 3)), (3, (1, 2, 3, 5))):
+        full_pts = bss._certificate_grid(n)[0]
+        sample = np.ascontiguousarray(full_pts[::bss._SCREEN_STRIDE])
+        for dim_w in dims:
+            for seed in range(25 if n == 3 else 8):
+                rng = np.random.default_rng(1000 * n + 100 * dim_w + seed)
+                tilt = seed / 24.0
+                mats = [rng.standard_normal((n, n)) for _ in range(dim_w)]
+                mats = [(1.0 - tilt) * m + tilt * 0.5 * (m - m.T) for m in mats]
+                w = subspace_from_matrices(mats, ambient=n)
+                full = bss._farness_at(w, full_pts)
+                assert np.array_equal(bss._farness_at(w, sample),
+                                      full[::bss._SCREEN_STRIDE]), (n, dim_w, seed)
+                checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("n, step", [(2, 0.01), (3, 0.05)])
+def test_sphere_grid_is_built_once_and_read_only(n, step):
+    first = bss._sphere_grid(n, step)
+    assert bss._sphere_grid(n, step) is first
+    with pytest.raises(ValueError):
+        first[0][0, 0] = 0.0
 
 
 def test_sphere_grid_dimension_guard():

@@ -94,6 +94,20 @@ def test_gen_random_no_flags_large_ambient_uncertified(tmp_path, capsys):
     assert report["checks"]["farness"] is None
 
 
+def test_gen_random_no_without_a_certifiable_draw_writes_nothing(tmp_path, capsys):
+    """No draw at n = 3, dim_w = 4 is certified 0.5-far: the budget runs
+    out (exit 3, RetryExhausted) and neither file is written."""
+    out = tmp_path / "no.txt"
+    code, report, _ = run_cli(capsys, "gen", "random-no", "--n", "3",
+                              "--dim-w", "4", "--seed", "0",
+                              "--out", str(out))
+    assert (code, report["error"]["type"]) == (3, "RetryExhausted")
+    assert report["error"]["message"] == (
+        "no subspace certified 0.5-far in 40 draws (n=3, dim_w=4)")
+    assert not out.exists()
+    assert not (tmp_path / "no.txt.answer").exists()
+
+
 def test_gen_random_no_rejects_dimensions_outside_the_space(tmp_path):
     """Above the grid limit, as at n <= 3, a dim_w outside [1, n^2] is an
     input error (exit 2, BadDims): no draw of that many matrices can span

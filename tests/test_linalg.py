@@ -67,3 +67,24 @@ def test_matrix_text_rejects_bad_payload(tmp_path):
             BlockReader(path, "M", count=1)
     with pytest.raises(IllFormed):
         write_blocks(path, "M 1", [np.array([[1.0, np.nan]])])
+
+
+def test_write_blocks_keeps_the_element_wise_repr_bytes(tmp_path):
+    """Rows formatted from `tolist()` give the bytes of the element-wise
+    `repr(float(x))` writer, on awkward values, an int array and a 1-D
+    input, and they read back bit for bit."""
+    blocks = [np.array([[-0.0, 5e-324, 1e16], [1e-5, 0.1 + 0.2, 2.0**53 + 2]]),
+              np.arange(-3, 3).reshape(2, 3),
+              np.array([0.1, -2.5, 1e300])]
+    path = tmp_path / "m.txt"
+    write_blocks(path, "M 3", blocks)
+    lines = ["M 3"]
+    for block in blocks:
+        a = np.atleast_2d(np.asarray(block, dtype=float))
+        lines.append(f"{a.shape[0]} {a.shape[1]}")
+        lines.extend(" ".join(repr(float(x)) for x in row) for row in a)
+    assert path.read_text() == "\n".join(lines) + "\n"
+    reader = BlockReader(path, "M", count=1)
+    for block in blocks:
+        a = np.atleast_2d(np.asarray(block, dtype=float))
+        assert reader.take(a.shape).tobytes() == a.tobytes()
