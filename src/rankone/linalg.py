@@ -13,6 +13,8 @@ malformed file, a non-finite entry included, raises IllFormed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import IllFormed
@@ -30,11 +32,11 @@ def gram_schmidt(rows):
     ortho: list[np.ndarray] = []
     for row in rows:
         v = np.asarray(row, dtype=float).copy()
-        ref = max(float(np.linalg.norm(v)), 1.0)
+        ref = max(math.sqrt(v.dot(v)), 1.0)
         for _ in range(2):
             for u in ortho:
                 v -= (u @ v) * u
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v.dot(v))
         if norm > _DROP_TOL * ref:
             ortho.append(v / norm)
     return ortho

@@ -236,8 +236,15 @@ def linear_form_powers(index: MonomialIndex, v, top: int) -> np.ndarray:
     # v_i^e for every variable and every e <= top, gathered by the exponent
     # table: the factors of v^a and their product order are those of
     # v ** exponents, so the result is bit-identical, without one power per
-    # monomial and variable
-    table = v[..., :, None] ** np.arange(top + 1)
+    # monomial and variable.  pow(x, 0) = 1 and pow(x, 1) = x exactly, so
+    # the vector pow runs only for e >= 2.  Its exponents are filled in
+    # before the pow: with a broadcast single exponent 2, NumPy squares
+    # x * x instead, which is 1 ulp off pow in a few percent of entries
+    table = np.empty(v.shape + (top + 1,))
+    table[...] = np.arange(top + 1)
+    np.power(v[..., None], table[..., 2:], out=table[..., 2:])
+    table[..., 0] = 1.0
+    table[..., 1:2] = v[..., None]
     factors = table[..., np.arange(index.num_vars), index.exponents[:count]]
     return index.multinomials[:count] * np.multiply.reduce(factors, axis=-1)
 

@@ -46,16 +46,25 @@ through `_fix_draw`, the only code that accepts a draw, with its
 certified reweightings.  A dropped draw's weight is never applied, so
 the screen changes no result and no generator state.
 
-A whole fix is decided before any draw is screened when the table has
-degree 4 and its linear and cubic moments are exactly zero, as the SDP's
-sign classes leave them.  Every draw then reaches `_fix_draw` only
-through the sign split, which leaves the mean at +-Sigma v / sigma for
-Sigma = E~ x x^T, so |mean|^2 is at most the top generalized eigenvalue
-of (R Sigma^2 R^T, R Sigma R^T) over the orthonormal rows R of S.  When
-that misses (1 - delta) of the subspace mass by the same margin, no draw
-can pass: the fix draws its whole budget unscreened, a batch at a time,
-so the generator ends where the screened loop would leave it, and raises
-the loop's RetryExhausted.
+A whole fix is decided right after its subspace mass, before the top
+direction or a screen block is built, when the table has degree 4 and
+its linear and cubic moments are exactly zero, as the SDP's sign
+classes leave them.  Every draw then reaches `_fix_draw` only through
+the sign split, which leaves the mean at +-Sigma v / sigma for Sigma =
+E~ x x^T, so |mean|^2 is at most lambda*, the top generalized eigenvalue
+of (P, Q) = (R Sigma^2 R^T, R Sigma R^T) over the orthonormal rows R of
+S.  With bar = (1 - delta) mass (1 - margin), one Cholesky factor of
+bar Q - P proves lambda* < bar.  Then no draw can pass: `_skip_fix`
+advances the generator past the retry_budget * dim(S) normals the draws
+would take, in one call per 65,536 draws, which leaves the state that
+the batches would, and the fix raises the loop's RetryExhausted.
+
+`_joint_planes_cannot_pass` decides a whole family of fixes at once: the
+planes span{(alpha, 0), (0, beta)} of a table over pairs x = (u, v),
+which the structure rounds try first.  When E~ u v^T vanishes too,
+Sigma = diag(E~ u u^T, E~ v v^T), and lambda* / mass has a closed-form
+supremum over all such planes in the extreme eigenvalues of the two
+blocks.  The structure rounds replace each fix it decides by `_skip_fix`.
 
 Reports carry degree_spent, so the degree each fix pays is observable.
 """
@@ -93,6 +102,7 @@ DEFAULT_C = 2  # fix_subspace needs subspace mass E~ |proj_S x|^2 >= dim(S)^-C
 _RELAXED_SCALAR_EPS = 0.45  # fallback scalar tolerance when degree is tight
 _DRAW_BATCH = 256  # candidate directions screened per vectorized batch
 _SCREEN_MARGIN = 1e-6  # relative margin a closed-form rejection must clear
+_SKIP_CHUNK = 1 << 16  # draws per generator call when skipping a budget
 
 
 @dataclass(frozen=True)
@@ -249,11 +259,14 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
 
         |E~ x|^2  >=  (1 - delta) E~ |proj_S x|^2.
 
-    Raises RetryExhausted when no draw within the budget passes.  A
-    degree-4 table with zero linear and cubic moments on which the sign
-    split provably cannot reach the bar for any v in S raises it without
-    screening a draw, after advancing the generator by the retry_budget
-    * dim(S) normals the draws would have taken.
+    Raises RetryExhausted when no draw within the budget passes.  The
+    decisions come in this order: the arguments, the degree, the mass
+    floor, `_split_cannot_pass`, and only then the draws.  A degree-4
+    table with zero linear and cubic moments on which the sign split
+    provably cannot reach the bar for any v in S raises RetryExhausted
+    at the fourth, before the top direction and the screen block are
+    built, after advancing the generator by the retry_budget * dim(S)
+    normals the draws would have taken.
     """
     rows = np.atleast_2d(np.asarray(basis, dtype=float))
     if rows.size == 0:
@@ -271,7 +284,7 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     index = mu.index
     proj = _projection_weight(rows)
     mass = mu.expect(proj)
-    if mass < dim ** (-float(DEFAULT_C)) * (1.0 - 1e-9):
+    if mass < _mass_floor(dim):
         raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
 
     # everything the draws compare against depends on mu alone: the mass
@@ -279,6 +292,10 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     block = moment_block(mu, 2, 2)
     lin, quad = index.block(1), index.block(2)
     block_lin, block_quad = block[lin, lin], block[quad, quad]
+    if _split_cannot_pass(mu, rows, block_lin, mass, delta):
+        # no draw can pass: leave the generator where the draws would
+        _skip_fix(rng, retry_budget, dim)
+        raise _exhausted(retry_budget)
     # second-moment matrix in subspace coordinates; its top eigenvector is
     # the first candidate direction, then uniform draws take over
     top = np.linalg.eigh(rows @ block_lin @ rows.T)[1][:, -1]
@@ -287,9 +304,6 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     screen_power = {4: 0, 6: 1}.get(mu.degree)
     if screen_power is not None:
         screen_block = moment_block(mu, 2, 2 * screen_power + 2)
-    # a fix that no draw can pass still draws its whole budget, so the
-    # generator ends where the screened draws would have left it
-    hopeless = _split_cannot_pass(mu, rows, block_lin, mass, delta)
     # draws are screened a batch at a time; after an accepted draw the
     # generator is rewound to just past it, where a loop over single
     # draws would have left it
@@ -297,9 +311,6 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     while attempt < retry_budget:
         state = rng.bit_generator.state
         coefs = rng.standard_normal((min(_DRAW_BATCH, retry_budget - attempt), dim))
-        if hopeless:
-            attempt += coefs.shape[0]
-            continue
         if attempt == 0:
             coefs[0] = top + 1e-9 * coefs[0]
         coefs /= np.linalg.norm(coefs, axis=1, keepdims=True)
@@ -332,8 +343,26 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
                 tuple(factors))
             return fixed_mu, report
         attempt += coefs.shape[0]
-    raise RetryExhausted(
+    raise _exhausted(retry_budget)
+
+
+def _exhausted(retry_budget: int) -> RetryExhausted:
+    return RetryExhausted(
         f"no direction fixed the subspace within {retry_budget} draws")
+
+
+def _mass_floor(dim: int) -> float:
+    """The least subspace mass `fix_subspace` takes on a dim-dimensional S."""
+    return dim ** (-float(DEFAULT_C)) * (1.0 - 1e-9)
+
+
+def _skip_fix(rng, retry_budget: int, dim: int) -> None:
+    """Advance rng as a fix on a dim-dimensional S that draws its whole
+    retry_budget and fails would: past retry_budget draws of dim normals.
+    The normals fill row by row, so any split into batches leaves the
+    same state; the chunks only bound the memory a huge budget takes."""
+    for start in range(0, retry_budget, _SKIP_CHUNK):
+        rng.standard_normal((min(_SKIP_CHUNK, retry_budget - start), dim))
 
 
 def _require_count(name: str, value) -> None:
@@ -432,29 +461,82 @@ def _doomed(cur, directions, block, proj, p, mass, eps, delta):
     return doomed
 
 
+def _split_only(cur) -> bool:
+    """Whether every draw on `cur` can pass `_fix_draw` only through the
+    sign split: a degree-4 table, so no degree for a power step or stage
+    A, whose linear and cubic moments are exactly zero."""
+    index = cur.index
+    return cur.degree == 4 and not cur.moments[index.block(1)].any() \
+        and not cur.moments[index.block(3)].any()
+
+
 def _split_cannot_pass(cur, rows, sigma, mass, delta) -> bool:
     """Whether no draw in the span of the orthonormal `rows` can pass
-    `_fix_draw` on `cur`, a degree-4 table whose linear and cubic
-    moments are exactly zero; `sigma` is E~ x x^T.
+    `_fix_draw` on `cur`, a table that `_split_only` admits; `sigma` is
+    E~ x x^T.
 
-    No such draw has the degree for a power step or stage A, so it is
-    accepted only through the sign split, which leaves the mean at
-    +-sigma v / sqrt(v^T sigma v).  Its |mean|^2 peaks over unit v in S
-    at the top generalized eigenvalue of (R sigma^2 R^T, R sigma R^T).
-    A draw needs (1 - delta) mass, so the answer is yes when that peak
-    misses it by the relative margin _SCREEN_MARGIN and R sigma R^T is
-    positive definite to within it.
+    The sign split leaves the mean at +-sigma v / sqrt(v^T sigma v), so
+    |mean|^2 peaks over unit v in S at lambda*, the top generalized
+    eigenvalue of (P, Q) = (R sigma^2 R^T, R sigma R^T).  A draw needs
+    (1 - delta) of the mass.  With bar that share less the relative
+    margin _SCREEN_MARGIN, a Cholesky factor of bar Q - P proves the
+    answer yes: positive definiteness gives lambda* < bar, and Q > 0
+    with it, as P >= 0.
     """
-    index = cur.index
-    if cur.degree != 4 or cur.moments[index.block(1)].any() \
-            or cur.moments[index.block(3)].any():
+    if not _split_only(cur):
         return False
-    vals, vecs = np.linalg.eigh(rows @ sigma @ rows.T)
-    if not vals[0] > _SCREEN_MARGIN * vals[-1]:
+    image = sigma @ rows.T
+    bar = (1.0 - delta) * mass * (1.0 - _SCREEN_MARGIN)
+    try:
+        np.linalg.cholesky(bar * (rows @ image) - image.T @ image)
+    except np.linalg.LinAlgError:
         return False
-    image = sigma @ rows.T @ (vecs / np.sqrt(vals))
-    peak = np.linalg.eigvalsh(image.T @ image)[-1]
-    return bool(peak < (1.0 - delta) * mass * (1.0 - _SCREEN_MARGIN))
+    return True
+
+
+def _joint_planes_cannot_pass(mu, vals_u, vals_v, delta) -> bool:
+    """Whether `fix_subspace` with this delta raises RetryExhausted, after
+    drawing its whole budget, on every plane span{(alpha, 0), (0, beta)}
+    with unit alpha and beta, for a table over x = (u, v) of two
+    n-blocks.  vals_u and vals_v hold the ascending eigenvalues a_1 <=
+    ... <= a_n of A = E~ u u^T and b_1 <= ... <= b_n of B = E~ v v^T.
+
+    The answer can be yes only on a table that `_split_only` admits and
+    whose E~ u v^T vanishes, so that Sigma = diag(A, B).  On such a plane
+    the mass is t + s for t = alpha^T A alpha and s = beta^T B beta, and
+    lambda* of `_split_cannot_pass` is the larger of alpha^T A^2 alpha /
+    t and beta^T B^2 beta / s.  At a given t, alpha^T A^2 alpha peaks at
+    t (a_1 + a_n) - a_1 a_n, with alpha on A's extreme eigenvectors, and
+    s is at least b_1.  So lambda* / mass is at most max(g(a_1, a_n,
+    b_1), g(b_1, b_n, a_1)) for
+
+        g(a, b, c) = max over t in [a, b] of (t (a + b) - a b) / (t (t + c)),
+
+    which `_plane_ratio_peak` evaluates.  The answer is yes when that
+    bound misses 1 - delta by the relative margin _SCREEN_MARGIN, so no
+    draw can pass, and a_1 + b_1 clears `_mass_floor(2)` by the same
+    margin, so no fix stops before its draws.  Each fix the answer
+    decides then advances the generator as `_skip_fix` does.
+    """
+    n = len(vals_u)
+    if not _split_only(mu) or moment_block(mu, 1, 1)[1:n + 1, n + 1:].any():
+        return False
+    a, b = vals_u[0], vals_v[0]
+    if not (a > 0.0 and b > 0.0
+            and (a + b) * (1.0 - _SCREEN_MARGIN) >= _mass_floor(2)):
+        return False
+    peak = max(_plane_ratio_peak(a, vals_u[-1], b), _plane_ratio_peak(b, vals_v[-1], a))
+    return bool(peak < (1.0 - delta) * (1.0 - _SCREEN_MARGIN))
+
+
+def _plane_ratio_peak(a, b, c) -> float:
+    """max over t in [a, b] of (t (a + b) - a b) / (t (t + c)), for 0 < a
+    <= b and c > 0.  The derivative vanishes only at t* = (a b + sqrt(a^2
+    b^2 + (a + b) a b c)) / (a + b), rising before it and falling after,
+    so the peak is at t* clipped to [a, b]."""
+    t = (a * b + math.sqrt(a * a * b * b + (a + b) * a * b * c)) / (a + b)
+    t = min(max(t, a), b)
+    return (t * (a + b) - a * b) / (t * (t + c))
 
 
 def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from instances import tiles_complement
-from rankone import bss, reweighting
+from rankone import bss, reweighting, structure
 from rankone.bss import (
     ComplexSubspace,
     MeasurementOperator,
@@ -214,12 +214,13 @@ def test_structure_rounds_lift_spectral_misses(seed, quality):
 @pytest.mark.parametrize("n,dim_w,seed", [(2, 2, 0), (3, 6, 2), (3, 6, 5), (4, 12, 2)])
 def test_whole_fix_decision_keeps_degree_4_rounding(monkeypatch, n, dim_w, seed):
     """The degree-4 spectral misses whose structure rounds run only doomed
-    fixes: with the whole-fix decision of `fix_subspace` forced off, the
-    candidate, its quality, the structure steps and the degree left are
-    the same."""
+    fixes: with the whole-fix decision of `fix_subspace` and the
+    joint-plane decision of `run_structure_2d` forced off, the candidate,
+    its quality, the structure steps and the degree left are the same."""
     w = planted_yes(n, dim_w, seed)[0]
     cand, rep = solve_bss(w, 0.25, degree=4)
     monkeypatch.setattr(reweighting, "_split_cannot_pass", lambda *args: False)
+    monkeypatch.setattr(structure, "_joint_planes_cannot_pass", lambda *args: False)
     ref_cand, ref_rep = solve_bss(w, 0.25, degree=4)
     assert rep.quality < 1.0 - 0.25 ** 2
     np.testing.assert_array_equal(cand.u0, ref_cand.u0)

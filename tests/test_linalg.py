@@ -25,6 +25,41 @@ def test_gram_schmidt_orthonormality_random():
     np.testing.assert_allclose(g @ g.T, np.eye(6), atol=1e-10)
 
 
+def gram_schmidt_reference(rows):
+    """gram_schmidt with every norm taken by np.linalg.norm."""
+    ortho = []
+    for row in rows:
+        v = np.asarray(row, dtype=float).copy()
+        ref = max(float(np.linalg.norm(v)), 1.0)
+        for _ in range(2):
+            for u in ortho:
+                v -= (u @ v) * u
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-10 * ref:
+            ortho.append(v / norm)
+    return ortho
+
+
+def test_gram_schmidt_bit_identical_to_linalg_norm():
+    """The square root of v . v is what np.linalg.norm evaluates for a
+    real vector: random rows, rows with dependents among them, and rows
+    scaled by 1e-300 and 1e300, whose squared norms underflow or
+    overflow, give the same vectors bit for bit."""
+    rng = np.random.default_rng(817)
+    for _ in range(50):
+        count, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        rows = rng.standard_normal((count, n)) * rng.uniform(0.01, 100.0)
+        mixed = rng.standard_normal((count, count)) @ rows
+        dependent = np.vstack([rows, mixed, 2.5 * rows[:1]])
+        for case in (rows, dependent, rows * 1e-300, rows * 1e300,
+                     np.vstack([rows, rows * 1e-300, rows * 1e300])):
+            with np.errstate(over="ignore"):
+                got, ref = gram_schmidt(case), gram_schmidt_reference(case)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                np.testing.assert_array_equal(g, r)
+
+
 # -- matrix text format ------------------------------------------------------
 
 

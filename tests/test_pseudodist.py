@@ -541,13 +541,14 @@ def test_linear_form_powers_match_dict_reference():
 def test_linear_form_powers_bit_identical_to_monomial_powers():
     """The gathered power table gives exactly the multinomial weights
     times prod_i v_i^{a_i} of v ** exponents, for one direction and
-    stacks of them, every top up to the table degree, 2-6 variables."""
+    stacks of them, the draw screen's batches of 120 and 256 among them,
+    every top up to the table degree, 2-6 variables."""
     rng = np.random.default_rng(61)
     for n in range(2, 7):
         ix = monomial_index(n, 6)
         for top in range(ix.max_degree + 1):
             count = ix.count_through(top)
-            for shape in [(n,), (7, n), (2, 3, n)]:
+            for shape in [(n,), (7, n), (2, 3, n), (120, n), (256, n)]:
                 v = rng.standard_normal(shape) * rng.uniform(0.1, 3.0)
                 ref = ix.multinomials[:count] * np.multiply.reduce(
                     v[..., None, :] ** ix.exponents[:count], axis=-1)

@@ -588,6 +588,38 @@ def test_whole_fix_decision_changes_no_fix(monkeypatch):
     assert any(cur.degree == 4 and not odd_moments_vanish(cur) for cur in declined)
 
 
+def test_cholesky_decision_agrees_with_the_generalized_eigenvalue():
+    """_split_cannot_pass, one Cholesky factor of bar Q - P, never says
+    yes where lambda*, the top generalized eigenvalue of (P, Q) = (R
+    Sigma^2 R^T, R Sigma R^T) by SciPy, reaches bar = (1 - delta) mass
+    (1 - _SCREEN_MARGIN), and says what lambda* says wherever lambda* /
+    bar is off 1 by more than 1e-5: over symmetric_cases() and 240
+    seeded random subspaces of dimension 1-4 of their tables."""
+    from scipy.linalg import eigh
+    cases = [(mu, basis, delta) for mu, basis, delta, _ in symmetric_cases()]
+    tables = [mu for mu, _, _ in cases[::3]]
+    rng = np.random.default_rng(606)
+    for _ in range(240):
+        mu = tables[int(rng.integers(len(tables)))]
+        dim = int(rng.integers(1, min(4, mu.num_vars) + 1))
+        cases.append((mu, rng.standard_normal((dim, mu.num_vars)),
+                      float(rng.uniform(0.02, 0.5))))
+    answers = []
+    for mu, basis, delta in cases:
+        rows = reweighting._orthonormal_rows(np.asarray(basis))
+        sigma = moment_block(mu, 1, 1)[1:, 1:]
+        mass = mu.expect(reweighting._projection_weight(rows))
+        bar = (1.0 - delta) * mass * (1.0 - reweighting._SCREEN_MARGIN)
+        image = sigma @ rows.T
+        peak = eigh(image.T @ image, rows @ image, eigvals_only=True)[-1]
+        decided = reweighting._split_cannot_pass(mu, rows, sigma, mass, delta)
+        assert not (decided and peak >= bar), (peak, bar)
+        if abs(peak / bar - 1.0) > 1e-5:
+            assert decided == (peak < bar), (peak, bar)
+        answers.append(decided)
+    assert sum(answers) >= 40 and answers.count(False) >= 40, sum(answers)
+
+
 def test_doomed_fix_with_a_huge_budget_returns_at_once():
     """A fix that the decision settles raises RetryExhausted for a budget
     of a million draws well within a second, and leaves the generator
