@@ -32,24 +32,37 @@ form: each factor is a `ReweightPolynomial` certified by its roots, as
 
 A batch passes two screens before any draw is reweighted.  The first
 is the capture test on E~ s^4 against E~ s^2.  The second decides in
-closed form every draw whose fixed table has degree 4, that is, whose
+closed form every draw whose fixed table has degree 2, that is, whose
 optional power step s^{2p}, p in {0, 1}, leaves degree 4.  On such a
 table `fix_scalar` has no degree for stage A, so the scalar fix is one
 gate on E s^4 / (E s^2)^2 at the relaxed tolerance and then the sign
 split.  The fixed table is the current one reweighted by
-r^2 = s^{2p} (s / sigma +- 1)^2, and its mean and subspace mass are
-ratios of moment quadratic forms gathered once per call.  A draw is
-dropped only when the gate fails, or when the mean-mass test fails under
-both signs, each by a relative margin of 1e-6.  A draw within the
-margin, with a non-finite value, or on a table of another degree goes
-through `_fix_draw`, the only code that accepts a draw, with its
-certified reweightings.  A dropped draw's weight is never applied, so
-the screen changes no result and no generator state.
+r^2 = s^{2p} (s / sigma +- 1)^2, and its whole moment vector, mean and
+subspace mass included, is a ratio of moment forms gathered once per
+call.  A draw is dropped only when the gate fails, or when the
+mean-mass test fails under both signs, each by a relative margin of
+1e-6.  A draw within the margin, with a non-finite value, or on a table
+of another degree goes through `_fix_draw`, the only code that returns
+a table, with its certified reweightings.  A dropped draw's weight is
+never applied, so the screen changes no result and no generator state.
+
+The same closed form proves that a draw passes: the power step surely
+runs, the gate and the mean-mass test pass, and both weights clear the
+normalization floor of `reweight`, each by the margin and under both
+signs, so the split's choice of sign, ties included, is never
+modelled.  A caller may pass `keep`, the test it would apply to the
+returned table; the structure rounds throw away a joint fix that
+leaves a block unsettled and no degree to go on.  When `keep` rejects,
+by the margin, both closed-form tables of the first draw that provably
+passes, the fix raises FixDiscarded with the generator just past that
+draw, as an accepted draw leaves it, without the draw's two certified
+reweightings.  The certified path applies `keep` exactly, so a caller
+sees one answer either way.
 
 A whole fix is decided right after its subspace mass, before the top
-direction or a screen block is built, when the table has degree 4 and
-its linear and cubic moments are exactly zero, as the SDP's sign
-classes leave them.  Every draw then reaches `_fix_draw` only through
+direction or the screen moments are gathered, when the table has
+degree 4 and its linear and cubic moments are exactly zero, as the
+SDP's sign classes leave them.  Every draw then reaches `_fix_draw` only through
 the sign split, which leaves the mean at +-Sigma v / sigma for Sigma =
 E~ x x^T, so |mean|^2 is at most lambda*, the top generalized eigenvalue
 of (P, Q) = (R Sigma^2 R^T, R Sigma R^T) over the orthonormal rows R of
@@ -58,6 +71,15 @@ bar Q - P proves lambda* < bar.  Then no draw can pass: `_skip_fix`
 advances the generator past the retry_budget * dim(S) normals the draws
 would take, in one call per 65,536 draws, which leaves the state that
 the batches would, and the fix raises the loop's RetryExhausted.
+
+A fix on a plane (dim(S) = 2) is decided the same way after its first
+batch in which no draw captures, while budget remains.
+`_plane_cannot_capture` writes E~ s^4 - c E~ s^2 |a|^2 for v = a_1 r_1
++ a_2 r_2 as a binary quartic in a and proves it negative by one
+Cholesky factor of a Gram matrix that the quartic's complex roots
+choose.  Then no later draw captures, and `_skip_fix` advances the
+generator past the rest of the budget.  Fixes whose draws capture never
+pay for the certificate.
 
 `_joint_planes_cannot_pass` decides a whole family of fixes at once: the
 planes span{(alpha, 0), (0, beta)} of a table over pairs x = (u, v),
@@ -80,11 +102,13 @@ import numpy as np
 from .errors import (
     DegenerateWeight,
     DegreeExhausted,
+    FixDiscarded,
     PreconditionViolated,
     RetryExhausted,
 )
 from .linalg import gram_schmidt
 from .pseudodist import (
+    NORM_EPS,
     PseudoDistribution,
     ReweightPolynomial,
     linear_form_powers,
@@ -245,7 +269,7 @@ def fix_scalar(mu: PseudoDistribution, direction, eps: float):
 
 
 def fix_subspace(mu: PseudoDistribution, basis, delta: float,
-                 retry_budget: int = 2000, seed=0):
+                 retry_budget: int = 2000, seed=0, keep=None):
     """Concentrate mu so its mean vector carries the subspace mass.
 
     `basis` holds rows spanning the subspace S, as an array or nested
@@ -259,14 +283,29 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
 
         |E~ x|^2  >=  (1 - delta) E~ |proj_S x|^2.
 
+    `keep(table, margin)`, when given, is the caller's test on the
+    accepted draw's fixed table, a PseudoDistribution: the fix raises
+    FixDiscarded where keep(table, 0.0) is False, with the generator just
+    past the draw, as after any accepted one.  With margin > 0, keep must
+    loosen its bars by that relative margin, so that False means the
+    table fails by the margin.  A caller that would throw the table away
+    then lets the fix skip the certified reweightings of a draw decided
+    in closed form (see below).
+
     Raises RetryExhausted when no draw within the budget passes.  The
     decisions come in this order: the arguments, the degree, the mass
     floor, `_split_cannot_pass`, and only then the draws.  A degree-4
     table with zero linear and cubic moments on which the sign split
     provably cannot reach the bar for any v in S raises RetryExhausted
-    at the fourth, before the top direction and the screen block are
-    built, after advancing the generator by the retry_budget * dim(S)
-    normals the draws would have taken.
+    at the fourth, before the top direction and the screen moments are
+    gathered, after advancing the generator by the retry_budget * dim(S)
+    normals the draws would have taken.  Each batch of draws then meets,
+    in order, the capture test, `_plane_cannot_capture` when no draw of
+    the batch captures on a two-dimensional S and budget remains (once
+    per fix: yes advances the generator past the rest of the budget and
+    raises RetryExhausted), the typical-size test and `_doomed`.  The
+    draws left go in order to `keep` on the closed-form tables of a draw
+    that `_doomed` proves to pass, then to `_fix_draw`.
     """
     rows = np.atleast_2d(np.asarray(basis, dtype=float))
     if rows.size == 0:
@@ -300,10 +339,12 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     # the first candidate direction, then uniform draws take over
     top = np.linalg.eigh(rows @ block_lin @ rows.T)[1][:, -1]
     # a draw whose power step p leaves a degree-4 table is decided in
-    # closed form by _doomed, from one block gathered here
+    # closed form by _doomed, from moments gathered here
     screen_power = {4: 0, 6: 1}.get(mu.degree)
     if screen_power is not None:
-        screen_block = moment_block(mu, 2, 2 * screen_power + 2)
+        screen = _screen_moments(mu, screen_power)
+    bar = (1.0 - eps) ** 3 * mass
+    certify = dim == 2   # _plane_cannot_capture is still to be tried
     # draws are screened a batch at a time; after an accepted draw the
     # generator is rewound to just past it, where a loop over single
     # draws would have left it
@@ -318,21 +359,36 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         powers = linear_form_powers(index, directions, 2)
         e_lo = _quadratic_forms(powers[:, lin], block_lin)
         e_hi = _quadratic_forms(powers[:, quad], block_quad)
-        captures = e_hi >= (1.0 - eps) ** 3 * mass * e_lo
+        captures = e_hi >= bar * e_lo
+        left = retry_budget - attempt - coefs.shape[0]
+        if certify and left and not captures.any():
+            certify = False
+            if _plane_cannot_capture(index, rows, block_lin, block_quad, bar):
+                # no later draw captures either
+                _skip_fix(rng, left, dim)
+                raise _exhausted(retry_budget)
         # a uniform unit v in S has E~ <v, x>^2 = mass / dim on average
         typical = e_lo >= 0.5 / dim * mass
         drawn = np.flatnonzero((e_lo > 0.0) & captures & typical)
+        passes = np.zeros(drawn.size, dtype=bool)
         if screen_power is not None and drawn.size:
-            drawn = drawn[~_doomed(mu, directions[drawn], screen_block, proj,
-                                   screen_power, mass, eps, delta)]
-        for j in drawn.tolist():
+            doomed, passes, models = _doomed(mu, powers[drawn], screen, proj,
+                                             screen_power, mass, eps, delta)
+            drawn, passes, models = drawn[~doomed], passes[~doomed], models[:, ~doomed]
+        for i, j in enumerate(drawn.tolist()):
+            if keep is not None and passes[i] and not any(
+                    keep(_degree_two(index, model), _SCREEN_MARGIN) for model in models[:, i]):
+                # _fix_draw would accept the draw, and keep reject its table
+                _rewind(rng, state, j + 1, dim)
+                raise _discarded()
             v = directions[j]
             fixed = _fix_draw(mu, v, powers[j], proj, mass, eps, delta)
             if fixed is None:
                 continue
             fixed_mu, srep, sigma, powered, target = fixed
-            rng.bit_generator.state = state
-            rng.standard_normal((j + 1, dim))
+            _rewind(rng, state, j + 1, dim)
+            if keep is not None and not keep(fixed_mu, 0.0):
+                raise _discarded()
             factors = [(_linear_square(v), 1)] if powered else []
             factors.extend(srep.factors)
             mean = fixed_mu.moments[lin]
@@ -349,6 +405,22 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
 def _exhausted(retry_budget: int) -> RetryExhausted:
     return RetryExhausted(
         f"no direction fixed the subspace within {retry_budget} draws")
+
+
+def _discarded() -> FixDiscarded:
+    return FixDiscarded("keep rejected the fixed table of the accepted draw")
+
+
+def _rewind(rng, state, draws: int, dim: int) -> None:
+    """Put rng where `draws` draws of dim normals from `state` leave it."""
+    rng.bit_generator.state = state
+    rng.standard_normal((draws, dim))
+
+
+def _degree_two(index, moments) -> PseudoDistribution:
+    """The degree-2 table of the moment vector `moments` over index's
+    variables."""
+    return PseudoDistribution(monomial_index(index.num_vars, 2), moments, 2)
 
 
 def _mass_floor(dim: int) -> float:
@@ -415,50 +487,90 @@ def _fix_draw(cur, v, powers, proj, mass, eps, delta):
     return None
 
 
-def _doomed(cur, directions, block, proj, p, mass, eps, delta):
-    """Which draws provably fail `_fix_draw` when their power step p leaves
-    a degree-4 table.
+def _doomed(cur, powers, screen, proj, p, mass, eps, delta):
+    """Which draws provably fail `_fix_draw`, and which provably pass it,
+    when their power step p leaves a degree-4 table, with the moments of
+    degree <= 2 of the table it would return.  `powers` holds the powers
+    of each draw's s = <v, x> up to degree 2, and `screen` is
+    `_screen_moments(cur, p)`.
 
     On that table `fix_scalar` has no degree for stage A: the draw passes
     the gate on E_w s^4 / (E_w s^2)^2 - 1 at the relaxed tolerance or
     fails, and the sign split reweights by (s / sigma + m)^2, m = +-1,
-    sigma^2 = E_w s^2, for s = <v, x> and w = s^{2p} * cur.  So the fixed
-    table is cur reweighted by r^2, r = s^p (s / sigma + m), and its mean
-    and subspace mass are E~ x r^2 / E~ r^2 and E~ t r^2 / E~ r^2: forms in
-    E~ x^a s^j, deg a <= 2 and 2p <= j <= 2p + 2, read off `block` =
-    moment_block(cur, 2, 2p + 2).  A draw is doomed when it fails the gate,
-    or when its mean misses (1 - delta) of the larger of the two masses
-    under both signs; every test clears a relative margin of
+    sigma^2 = E_w s^2, for w = s^{2p} * cur.  So the fixed table is cur
+    reweighted by r^2, r = s^p (s / sigma + m), and its moments are
+    E~ x^a r^2 / E~ r^2: forms in E~ x^a s^{2p} s^j, deg a <= 2 and
+    j <= 2, contractions of `screen` with the powers.  Its mean and
+    subspace mass are among them, and so is everything a caller's `keep`
+    reads of a degree-2 table.
+
+    A draw is doomed when it fails the gate, or when its mean misses
+    (1 - delta) of the larger of the two masses under both signs.  It
+    passes when the power step surely runs (p = 1; at p = 0 the degree
+    rules it out), the gate and the mean-mass test pass under both signs,
+    and the weights of both reweightings clear the normalization floor of
+    `reweight`.  The split picks its sign by comparing E_w (s / sigma +
+    m)^2 over m, and a tie, which sign-symmetric tables give bit for bit,
+    goes to m = -1; deciding only where both signs agree leaves that
+    choice unmodelled.  Every test clears a relative margin of
     _SCREEN_MARGIN, and a draw within it, with a non-finite value, or
-    whose power step is within it of the other choice, is kept.
+    whose power step is within it of the other choice, is neither.
+
+    Returns (doomed, passes, models): two boolean masks over the draws,
+    and models[k, i], the moment vector over the monomials of degree <= 2
+    of draw i's fixed table under m = (1, -1)[k].
     """
     margin = _SCREEN_MARGIN
     index = cur.index
-    powers = linear_form_powers(index, directions, 2 * p + 2)
-    low, mid, high = (powers[:, index.block(j)] @ block[:, index.block(j)].T
-                      for j in (2 * p, 2 * p + 1, 2 * p + 2))
-    quad = index.block(2)
+    lin, quad = index.block(1), index.block(2)
+    count, rows = len(powers), len(screen)
+    # E~ x^a s^{2p} s^j for j = 0, 1, 2: s^{2p} on the monomials of
+    # degree 2p, times s^j on those of degree j
+    base = powers[:, quad] if p else np.ones((count, 1))
+    low = base @ screen[:, :, 0].T
+    mid, high = ((base[:, :, None] * powers[:, None, j]).reshape(count, -1)
+                 @ screen[:, :, j].reshape(rows, -1).T for j in (lin, quad))
     bar = 1.0 + 3.0 * (_RELAXED_SCALAR_EPS * 2.0 ** -0.5) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sigma = np.sqrt(high[:, 0] / low[:, 0])[:, None]
+        sigma = np.sqrt(high[:, 0] / low[:, 0])
         kurtosis = np.einsum("ij,ij->i", powers[:, quad], high[:, quad]) \
             * low[:, 0] / high[:, 0] ** 2
         settled = (low[:, 0] > 0.0) & (high[:, 0] > 0.0) & np.isfinite(kurtosis)
         doomed = settled & (kurtosis > bar * (1.0 + margin))
-        missed = settled & (kurtosis < bar * (1.0 - margin))
-        for m in (1.0, -1.0):
-            weighted = high / sigma ** 2 + 2.0 * m * mid / sigma + low
-            norm = weighted[:, 0]
-            mean = weighted[:, index.block(1)] / norm[:, None]
-            mean_sq = np.einsum("ij,ij->i", mean, mean)
-            target = np.maximum(mass, weighted @ proj / norm)
-            missed &= (norm > 0.0) & np.isfinite(mean_sq) & np.isfinite(target) \
-                & (mean_sq < (1.0 - delta) * target * (1.0 - margin))
-    doomed |= missed
+        opened = settled & (kurtosis < bar * (1.0 - margin))
+        # reweight's floor on E~ (s / sigma + m)^2 over the powered table,
+        # here times E~ s^{2p}: the weight's absolute coefficients against
+        # |E~ x^a s^{2p}|, at least E~ s^{2p} from the constant m^2 = 1
+        size = np.abs(low)
+        floor = NORM_EPS * (1.0 + margin) * (
+            size[:, 0] + 2.0 * np.einsum("ij,ij->i", np.abs(powers[:, lin]), size[:, lin]) / sigma
+            + np.einsum("ij,ij->i", np.abs(powers[:, quad]), size[:, quad]) / sigma ** 2)
+        # both signs at once, along the first axis
+        signs = np.array([1.0, -1.0])[:, None, None]
+        weighted = high / sigma[:, None] ** 2 + 2.0 * signs * mid / sigma[:, None] + low
+        norm = weighted[..., 0]
+        models = weighted / norm[..., None]
+        mean_sq = np.einsum("sij,sij->si", models[..., lin], models[..., lin])
+        share = (1.0 - delta) * np.maximum(mass, models @ proj)
+        valid = (norm > 0.0) & np.isfinite(models).all(axis=-1)
+        doomed |= opened & (valid & (mean_sq < share * (1.0 - margin))).all(axis=0)
+        passes = opened & (valid & (norm > floor) & (mean_sq > share * (1.0 + margin))).all(axis=0)
     if p:
         s2 = powers[:, quad] @ cur.moments[quad]
-        doomed &= s2 < (1.0 - eps) ** 3 * mass * (1.0 - margin)
-    return doomed
+        powered = s2 < (1.0 - eps) ** 3 * mass * (1.0 - margin)
+        doomed &= powered
+        # the power step's weight s^2 against reweight's floor
+        passes &= powered & (s2 > NORM_EPS * (1.0 + margin) * np.maximum(
+            1.0, np.abs(powers[:, quad]) @ np.abs(cur.moments[quad])))
+    return doomed, passes, models
+
+
+def _screen_moments(cur, p) -> np.ndarray:
+    """T[a, b, c] = E~ x^(a+b+c) for deg a <= 2, deg b = 2p and deg c <=
+    2: every moment `_doomed` reads at power p, gathered once per fix."""
+    index = cur.index
+    pairs = index.sum_table(2, 2 * p)[:, index.block(2 * p)]
+    return cur.moments[index.sum_table(2 * p + 2, 2)[pairs]]
 
 
 def _split_only(cur) -> bool:
@@ -537,6 +649,55 @@ def _plane_ratio_peak(a, b, c) -> float:
     t = (a * b + math.sqrt(a * a * b * b + (a + b) * a * b * c)) / (a + b)
     t = min(max(t, a), b)
     return (t * (a + b) - a * b) / (t * (t + c))
+
+
+def _plane_cannot_capture(index, rows, block_lin, block_quad, bar) -> bool:
+    """Whether every unit v in the plane S spanned by the two orthonormal
+    `rows` with E~ s^2 > 0, s = <v, x>, misses the capture test E~ s^4 >=
+    bar E~ s^2 by the relative margin _SCREEN_MARGIN; block_lin and
+    block_quad are the moment blocks of degree 1 x 1 and 2 x 2.
+
+    Write v = a_1 r_1 + a_2 r_2 for the rows r_i.  Then s^2 is linear in
+    z = (a_1^2, a_1 a_2, a_2^2), so E~ s^4 = z^T H z for a 3 x 3 H, and
+    E~ s^2 = a^T Sigma_S a.  The answer is yes when the binary quartic
+
+        q(a) = c (a^T Sigma_S a) |a|^2 - E~ s^4,   c = bar (1 - margin),
+
+    is positive for every a != 0, which a positive definite Gram matrix
+    G(lam) with q = z^T G(lam) z proves; one Cholesky factor checks it.
+    The Gram matrices of q form a line, lam being the coefficient of
+    a_1^2 a_2^2 that G puts off the diagonal.  A positive q has roots
+    r_1, conj(r_1), r_2, conj(r_2) in t = a_1 / a_2 (Hilbert: it is a sum
+    of two squares), and its positive semidefinite Gram matrices are the
+    segment between the rank-2 ones of q_0 |(t - r_1)(t - r_2)|^2 and
+    q_0 |(t - r_1)(t - conj(r_2))|^2, at lam = q_0 Re(r_1 r_2) and q_0
+    Re(r_1 conj(r_2)).  Its midpoint lam = q_0 Re(r_1) Re(r_2) is
+    positive definite, so the roots pick lam and the factor proves it.
+    """
+    squares = linear_form_powers(index, np.array([rows[0], rows[1], rows[0] + rows[1]]),
+                                 2)[:, index.block(2)]
+    # s^2 = a_1^2 <r_1, x>^2 + a_1 a_2 2 <r_1, x><r_2, x> + a_2^2 <r_2, x>^2
+    lift = np.array([squares[0], squares[2] - squares[0] - squares[1], squares[1]])
+    h = lift @ block_quad @ lift.T
+    sigma = rows @ block_lin @ rows.T
+    c = bar * (1.0 - _SCREEN_MARGIN)
+    # coefficients of a_1^4, a_1^3 a_2, ..., a_2^4
+    q = c * np.array([sigma[0, 0], 2.0 * sigma[0, 1], sigma[0, 0] + sigma[1, 1],
+                      2.0 * sigma[0, 1], sigma[1, 1]]) \
+        - np.array([h[0, 0], 2.0 * h[0, 1], 2.0 * h[0, 2] + h[1, 1], 2.0 * h[1, 2], h[2, 2]])
+    if not (np.isfinite(q).all() and q[0] > 0.0):
+        return False
+    roots = np.roots(q)
+    upper = roots[np.argsort(-roots.imag)[:2]]
+    lam = q[0] * upper[0].real * upper[1].real
+    gram = np.array([[q[0], q[1] / 2.0, lam],
+                     [q[1] / 2.0, q[2] - 2.0 * lam, q[3] / 2.0],
+                     [lam, q[3] / 2.0, q[4]]])
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

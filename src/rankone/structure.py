@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     DegreeExhausted,
+    FixDiscarded,
     IterLimit,
     PreconditionViolated,
     RetryExhausted,
@@ -152,6 +153,19 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     as before but runs `_skip_fix` in place of each fix, which advances
     the generator past the fix's draws, so the per-coordinate fixes
     start from the same state.
+
+    A joint fix is kept only when it settles both blocks or leaves
+    degree 4 or more.  Phase one hands that test to `fix_subspace` as
+    `keep`, and the fix raises FixDiscarded for a table that fails it,
+    which phase one treats like a plane that failed.  On a degree-6
+    table a joint fix leaves degree 2, and the fix decides most such
+    discards from its draw screen's closed form, without the two
+    certified reweightings of the draw (see `reweighting`); a discard
+    found on the certified table ends the same way.  Either way the
+    generator stands just past the accepted draw, so the trial runs as
+    if the fix had returned and phase one had thrown the table away.
+    While no fix has changed the table, the top-eigenspace fixes reuse
+    phase one's stopping data and eigendecompositions of it.
     """
     if not 0.0 < eps < 1.0:
         raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
@@ -183,15 +197,25 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     # eigenvectors; later attempts draw a and b from the block
     # covariances, which explores when near-equal mixture weights make
     # the eigenvectors meaningless.  A plane where mixture components
-    # collide can still certify a superposed mean, so a fix is accepted
+    # collide can still certify a superposed mean, so a fix is kept
     # only if it settles both blocks or leaves enough degree to keep
-    # working.
+    # working: `keep` tells fix_subspace so, and it raises FixDiscarded
+    # for any other table.
+    def keep(table, margin):
+        if table.degree >= 4:
+            return True
+        bar = eps * (1.0 + margin)
+        return all(gap <= bar * mean_sq for gap, mean_sq, _, _ in
+                   (block_stopping(table, 0, n), block_stopping(table, n, n)))
+
     floor = 1.0 / (4.0 * math.sqrt(n))
-    _, m1, _, sec1 = block_stopping(cur, 0, n)
-    _, m2, _, sec2 = block_stopping(cur, n, n)
-    if m1 <= floor and m2 <= floor:
-        vals1, vecs1 = np.linalg.eigh(sec1)
-        vals2, vecs2 = np.linalg.eigh(sec2)
+    # the root table's stopping data and eigendecompositions, read again
+    # by the top-eigenspace fixes below while no fix has changed the table
+    stopping = {offset: block_stopping(cur, offset, n) for offset in (0, n)}
+    spectra = {}
+    if stopping[0][1] <= floor and stopping[n][1] <= floor:
+        spectra = {offset: np.linalg.eigh(stopping[offset][3]) for offset in (0, n)}
+        (vals1, vecs1), (vals2, vecs2) = spectra[0], spectra[n]
         root1 = vecs1 * np.sqrt(np.clip(vals1, 0.0, None))
         root2 = vecs2 * np.sqrt(np.clip(vals2, 0.0, None))
         half = math.sqrt(0.5)
@@ -215,16 +239,10 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
                 _skip_fix(rng, _JOINT_RETRY_BUDGET, len(rows))
                 continue
             try:
-                nxt, rep = fix_subspace(cur, rows, delta, seed=rng,
-                                        retry_budget=_JOINT_RETRY_BUDGET)
-            except (RetryExhausted, PreconditionViolated, DegreeExhausted):
+                cur, rep = fix_subspace(cur, rows, delta, seed=rng,
+                                        retry_budget=_JOINT_RETRY_BUDGET, keep=keep)
+            except (RetryExhausted, PreconditionViolated, DegreeExhausted, FixDiscarded):
                 continue    # next plane, or the per-coordinate schedule
-            ng1, nm1 = block_stopping(nxt, 0, n)[:2]
-            ng2, nm2 = block_stopping(nxt, n, n)[:2]
-            settled = ng1 <= eps * nm1 and ng2 <= eps * nm2
-            if not settled and nxt.degree < 4:
-                continue
-            cur = nxt
             factors.extend(rep.factors)
             record_step("initial", rep, 0)
             break
@@ -232,10 +250,11 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     # top second-moment eigenspace
     top_count = math.ceil(2.0 * math.sqrt(n))
     for coord, offset in ((0, 0), (1, n)):
-        _, mean_sq, mean, second = block_stopping(cur, offset, n)
+        unchanged = cur is mu
+        _, mean_sq, _, second = stopping[offset] if unchanged else block_stopping(cur, offset, n)
         if mean_sq > floor:
             continue
-        vals, vecs = np.linalg.eigh(second)
+        vecs = (spectra[offset] if unchanged and spectra else np.linalg.eigh(second))[1]
         small = np.array([vecs[:, -(i + 1)]
                           for i in range(min(top_count, n))])
         rows = _block_rows(small, offset, mu.num_vars)

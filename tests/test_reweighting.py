@@ -490,10 +490,11 @@ def test_draw_screen_changes_no_fix(monkeypatch):
     seen, rejected = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
     doomed = reweighting._doomed
 
-    def keep_all(cur, directions, block, proj, p, *args):
-        seen[p] += len(directions)
-        rejected[p] += doomed(cur, directions, block, proj, p, *args).sum()
-        return np.zeros(len(directions), dtype=bool)
+    def keep_all(cur, powers, screen, proj, p, *args):
+        mask, passes, models = doomed(cur, powers, screen, proj, p, *args)
+        seen[p] += len(powers)
+        rejected[p] += mask.sum()
+        return np.zeros_like(mask), passes, models
     monkeypatch.setattr(reweighting, "_doomed", keep_all)
     # every fix of the reference draws, so its counts come from real draws
     monkeypatch.setattr(reweighting, "_split_cannot_pass", lambda *args: False)
@@ -511,10 +512,12 @@ def test_draw_screen_rejects_only_draws_the_per_draw_path_rejects(monkeypatch):
     calls = []
     doomed = reweighting._doomed
 
-    def recording(cur, directions, block, proj, p, mass, eps, delta):
-        mask = doomed(cur, directions, block, proj, p, mass, eps, delta)
-        calls.append((cur, directions[mask], proj, p, mass, eps, delta))
-        return mask
+    def recording(cur, powers, screen, proj, p, mass, eps, delta):
+        screened = doomed(cur, powers, screen, proj, p, mass, eps, delta)
+        # the degree-1 block of a draw's powers is its direction
+        directions = powers[screened[0]][:, cur.index.block(1)]
+        calls.append((cur, directions, proj, p, mass, eps, delta))
+        return screened
     monkeypatch.setattr(reweighting, "_doomed", recording)
     for case in screen_cases():
         fix_outcome(*case, seed=7)
@@ -638,6 +641,113 @@ def test_doomed_fix_with_a_huge_budget_returns_at_once():
     for _ in range(10):
         ref.standard_normal((budget // 10, len(basis)))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# -- the plane capture certificate --------------------------------------------
+
+
+def capture_planes():
+    """(table, orthonormal rows of a plane) pairs: 240 seeded random planes
+    in degree-6 atom tables (2-4 variables, E~ |x|^2 = 1, Gaussian atoms
+    spread or clustered, or atoms on the sphere; half of them sign
+    symmetric), and in the degree-6 SDP
+    tables of planted_yes(2, 2, s), s in {0, 2, 3}, the planes of the two
+    blocks, where the structure rounds' top-eigenspace fixes run at
+    n = 2, and 20 random planes each."""
+    from rankone.bss import planted_yes
+    from rankone.sos_solver import build_bss_problem, solve_feasibility
+    rng = np.random.default_rng(808)
+    planes = []
+    for i in range(240):
+        n = int(rng.integers(2, 5))
+        pts = rng.standard_normal((int(rng.integers(3, 13)) * (1 + (i % 3 == 2)), n))
+        if i % 3 == 0:
+            pts *= rng.uniform(0.4, 1.4, n)
+        elif i % 3 == 1:
+            pts = rng.standard_normal(n) + 0.3 * pts
+        else:
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        w = rng.dirichlet(np.ones(len(pts)))
+        if i % 2:
+            pts, w = np.concatenate([pts, -pts]), np.concatenate([w, w]) / 2
+        pts /= math.sqrt(w @ (pts ** 2).sum(axis=1))  # E~ |x|^2 = 1
+        mu = atom_table(pts, w, 6)
+        planes.append((mu, reweighting._orthonormal_rows(rng.standard_normal((2, n)))))
+    for seed in (0, 2, 3):
+        mu, rep = solve_feasibility(build_bss_problem(planted_yes(2, 2, seed)[0], 6))
+        assert rep.status == "feasible" and mu.degree == 6
+        planes.extend((mu, np.eye(4)[rows]) for rows in ([0, 1], [2, 3]))
+        planes.extend((mu, reweighting._orthonormal_rows(rng.standard_normal((2, 4))))
+                      for _ in range(20))
+    return planes
+
+
+def capture_ratios(mu, rows, count=10 ** 4):
+    """E~ s^4 / E~ s^2 for s = <v, x> at `count` unit v evenly spaced on
+    half the circle of the plane, computed as fix_subspace computes it."""
+    angles = np.linspace(0.0, math.pi, count, endpoint=False)
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ rows
+    powers = linear_form_powers(mu.index, directions, 2)
+    block = moment_block(mu, 2, 2)
+    lin, quad = mu.index.block(1), mu.index.block(2)
+    e_lo = np.einsum("ij,ij->i", powers[:, lin] @ block[lin, lin], powers[:, lin])
+    e_hi = np.einsum("ij,ij->i", powers[:, quad] @ block[quad, quad], powers[:, quad])
+    assert e_lo.min() > 0.0
+    return e_hi / e_lo
+
+
+def test_plane_certificate_agrees_with_a_circle_grid():
+    """_plane_cannot_capture never says yes where one of 10^4 directions
+    evenly spaced on the circle reaches the bar, and says yes wherever
+    the grid's peak ratio E~ s^4 / E~ s^2 is below 1 - 1e-3 of the bar.
+    The bars: just below the peak, 2e-3 above it, and the (1 - eps)^3
+    mass of a fix at a random delta."""
+    rng = np.random.default_rng(809)
+    answers = []
+    for mu, rows in capture_planes():
+        peak = capture_ratios(mu, rows).max()
+        block = moment_block(mu, 2, 2)
+        lin, quad = mu.index.block(1), mu.index.block(2)
+        mass = mu.expect(reweighting._projection_weight(rows))
+        own = (1.0 - float(rng.uniform(0.02, 0.5)) / 10.0) ** 3 * mass
+        for bar in (peak * (1.0 - 1e-6), peak / (1.0 - 2e-3), own):
+            decided = reweighting._plane_cannot_capture(
+                mu.index, rows, block[lin, lin], block[quad, quad], bar)
+            if peak >= bar:
+                assert not decided, (peak, bar)
+            if peak < (1.0 - 1e-3) * bar:
+                assert decided, (peak, bar)
+            answers.append(decided)
+    # the fixes' own bars fall on both sides
+    own_answers = answers[2::3]
+    assert sum(own_answers) >= 20 and own_answers.count(False) >= 20, sum(own_answers)
+
+
+def test_plane_certificate_changes_no_fix(monkeypatch):
+    """With _plane_cannot_capture forced to say no, fix_subspace on the
+    planes of capture_planes(), at budgets of 600 and 2,000 draws and
+    random delta and seeds 0 and 1, gives the same result or the same RetryExhausted
+    message and leaves the generator in the same state.  The certificate
+    fires on many of the fixes."""
+    rng = np.random.default_rng(810)
+    cases = [(mu, rows, float(rng.uniform(0.02, 0.5)), budget, seed)
+             for mu, rows in capture_planes() for budget, seed in ((600, 0), (2000, 1))
+             if mu.expect(reweighting._projection_weight(rows)) >= 0.3]
+    decide = reweighting._plane_cannot_capture
+    fired = []
+
+    def recording(*args):
+        decided = decide(*args)
+        fired.append(decided)
+        return decided
+    monkeypatch.setattr(reweighting, "_plane_cannot_capture", recording)
+    certified = [fix_outcome(*case) for case in cases]
+    monkeypatch.setattr(reweighting, "_plane_cannot_capture", lambda *args: False)
+    forced = [fix_outcome(*case) for case in cases]
+    for got, ref in zip(certified, forced):
+        assert_same_fix(got, ref)
+    assert sum(fired) >= 40, sum(fired)
+    assert sum(not isinstance(result, str) for result, _ in forced) >= 100
 
 
 def test_fix_subspace_rejects_bad_counts():

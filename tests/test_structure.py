@@ -7,13 +7,20 @@ covariances from the atoms.
 """
 
 
+import functools
+
 import numpy as np
 import pytest
 
 from moment_tables import atom_table
 from rankone import reweighting, structure
-from rankone.errors import PreconditionViolated, RankOneError
-from rankone.pseudodist import PseudoDistribution, moment_block, validate
+from rankone.errors import FixDiscarded, PreconditionViolated, RankOneError
+from rankone.pseudodist import (
+    PseudoDistribution,
+    linear_form_powers,
+    moment_block,
+    validate,
+)
 from rankone.structure import (
     block_stopping,
     cross_second_moment,
@@ -227,9 +234,9 @@ def joint_cases():
     return cases
 
 
-def pair_tables(rng, count):
-    """Degree-4 atom tables over (u, v) with n of 2 or 3: 40-80 Gaussian
-    atoms, each coordinate stretched at random, E~ |u|^2 = E~ |v|^2 = 1."""
+def pair_tables(rng, count, degree=4):
+    """Atom tables over (u, v) with n of 2 or 3: 40-80 Gaussian atoms,
+    each coordinate stretched at random, E~ |u|^2 = E~ |v|^2 = 1."""
     tables = []
     for _ in range(count):
         n = int(rng.integers(2, 4))
@@ -238,7 +245,7 @@ def pair_tables(rng, count):
         w = rng.dirichlet(np.ones(len(pts)))
         pts[:, :n] /= np.sqrt(w @ (pts[:, :n] ** 2).sum(axis=1))
         pts[:, n:] /= np.sqrt(w @ (pts[:, n:] ** 2).sum(axis=1))
-        tables.append(atom_table(pts, w, 4))
+        tables.append(atom_table(pts, w, degree))
     return tables
 
 
@@ -356,3 +363,132 @@ def test_joint_plane_bound_is_the_supremum():
             x = np.sqrt(1.0 - share) * q1[:, 0] + np.sqrt(share) * q1[:, -1]
             reached.append(ratio(first, second, x[None], q2[None, :, 0])[0])
         assert max(reached) == pytest.approx(sup, rel=1e-12, abs=0.0)
+
+
+# -- the closed-form discard decision ----------------------------------------
+
+
+@functools.cache
+def degree_six_cases():
+    """(table, eps, seed) for run_structure_2d on degree-6 tables: the SDP
+    tables of planted_yes(2, 2, s), s in {0, 2, 3}, at degree 6, at the
+    four structure eps levels of an eps-0.05 solve with seeds 0-23, as
+    the `rounding` benchmark runs them, and 16 sign-symmetric degree-6
+    atom tables from `pair_tables` at eps 0.05-0.45 and seeds 0-1."""
+    from rankone import bss
+    from rankone.sos_solver import build_bss_problem, solve_feasibility
+    start = bss._default_structure_eps(0.05, 2)
+    levels = [min(bss._MAX_STRUCTURE_EPS, start * bss._EPS_GROWTH ** k)
+              for k in range(4)]
+    cases = []
+    for instance in (0, 2, 3):
+        problem = build_bss_problem(bss.planted_yes(2, 2, instance)[0], 6)
+        mu, rep = solve_feasibility(problem)
+        assert rep.status == "feasible" and mu.degree == 6
+        cases.extend((mu, eps, seed) for eps in levels for seed in range(24))
+    rng = np.random.default_rng(717)
+    for table in pair_tables(rng, 16, degree=6):
+        eps = float(rng.uniform(0.05, 0.45))
+        cases.extend((sign_classes(table), eps, seed) for seed in range(2))
+    return tuple(cases)
+
+
+def fix_log(mu, eps, seed, monkeypatch):
+    """run_structure_2d's table and factors, or its exception class and
+    message, and for every fix_subspace call: whether it was a joint fix,
+    the generator state before it, the exception class it raised (None
+    when it returned), and whether `_fix_draw` accepted a draw in it."""
+    log = []
+    fix, fix_draw = structure.fix_subspace, reweighting._fix_draw
+
+    def fix_recording(cur, rows, delta, **kwargs):
+        entry = {"joint": "keep" in kwargs, "state": kwargs["seed"].bit_generator.state,
+                 "error": None, "certified": False}
+        log.append(entry)
+        try:
+            return fix(cur, rows, delta, **kwargs)
+        except RankOneError as err:
+            entry["error"] = type(err)
+            raise
+
+    def draw_recording(*args):
+        fixed = fix_draw(*args)
+        log[-1]["certified"] |= fixed is not None
+        return fixed
+    monkeypatch.setattr(structure, "fix_subspace", fix_recording)
+    monkeypatch.setattr(reweighting, "_fix_draw", draw_recording)
+    try:
+        out, weight, _ = run_structure_2d(mu, eps, seed)
+        result = (out.moments.tolist(), [
+            (base.coefficients.tolist(), power) for base, power in weight.factors])
+    except RankOneError as err:
+        result = (type(err), str(err))
+    monkeypatch.undo()
+    return result, log
+
+
+def test_discard_decision_changes_no_trial(monkeypatch):
+    """With the closed-form pass decision of `_doomed` forced to
+    undecided, so that every accepted draw takes the certified path,
+    run_structure_2d on degree-6 tables returns the same table and
+    factors, or raises the same exception with the same message, and
+    every fix_subspace call starts from the same generator state and
+    ends the same way.  The decision replaces the certified path on at
+    least half of the joint fixes that find a draw."""
+    doomed = reweighting._doomed
+
+    def undecided(*args):
+        mask, passes, models = doomed(*args)
+        return mask, np.zeros_like(passes), models
+    decided, forced = [], []
+    for case in degree_six_cases():
+        decided.append(fix_log(*case, monkeypatch))
+        monkeypatch.setattr(reweighting, "_doomed", undecided)
+        forced.append(fix_log(*case, monkeypatch))
+    found = fired = 0
+    for (result, log), (ref_result, ref_log) in zip(decided, forced):
+        assert result == ref_result
+        assert [(e["joint"], e["state"], e["error"]) for e in log] == [
+            (e["joint"], e["state"], e["error"]) for e in ref_log]
+        for entry, ref in zip(log, ref_log):
+            if ref["joint"] and ref["error"] in (None, FixDiscarded):
+                found += 1
+                fired += not entry["certified"]
+                assert ref["certified"]
+    assert 2 * fired >= found > 100, (fired, found)
+    # the atom tables discard too, not only the SDP tables
+    assert any(e["error"] is FixDiscarded and not e["certified"]
+               for _, log in decided[288:] for e in log)
+
+
+def test_closed_form_table_is_the_certified_one(monkeypatch):
+    """On the first draw of every screened batch that `_doomed` proves to
+    pass, over the degree-6 cases, `_fix_draw` accepts, and its
+    certified table matches the closed-form moments of the sign it
+    picked to 1e-9.  Those first draws include every draw whose table
+    the fix hands to `keep` in closed form."""
+    doomed = reweighting._doomed
+    firsts = []
+
+    def recording(cur, powers, screen, proj, p, mass, eps, delta):
+        mask, passes, models = doomed(cur, powers, screen, proj, p, mass, eps, delta)
+        first = np.flatnonzero(passes)[:1]
+        firsts.extend((cur, powers[i, cur.index.block(1)], models[:, i], proj, mass, eps, delta)
+                      for i in first)
+        return mask, passes, models
+    monkeypatch.setattr(reweighting, "_doomed", recording)
+    for mu, eps, seed in degree_six_cases():
+        try:
+            run_structure_2d(mu, eps, seed)
+        except RankOneError:
+            pass
+    monkeypatch.undo()
+    assert len(firsts) > 100
+    for cur, v, models, proj, mass, eps, delta in firsts:
+        powers = linear_form_powers(cur.index, v, 2)
+        fixed = reweighting._fix_draw(cur, v, powers, proj, mass, eps, delta)
+        assert fixed is not None
+        table, srep = fixed[0], fixed[1]
+        assert table.degree == 2
+        model = models[0] if srep.m > 0 else models[1]
+        np.testing.assert_allclose(table.moments, model, rtol=0.0, atol=1e-9)

@@ -7,6 +7,7 @@ import numpy as np
 
 from moment_tables import atom_table
 from rankone import bss, cli, structure
+from rankone.errors import RankOneError
 from rankone.rectangle import random_factors
 from test_benchmark_targets import import_benchmark
 
@@ -42,3 +43,31 @@ def test_span_notes_read_real_results():
                for info in infos["reweighting.fix_subspace"])
     assert all(info["rounds"] >= 0 for info in infos["rectangle.find_rectangle"])
     assert infos["bss.solve_bss"] == [{"candidate": True}]
+
+
+def test_discarded_fix_spans_record_the_error():
+    """Under the installed tracer, a structure trial on the degree-6 SDP
+    table of planted_yes(2, 2, 0) discards joint fixes in closed form:
+    their spans record FixDiscarded and carry no info, and layer_metrics
+    aggregates the pass, counting every fix and the discarded ones'
+    samples as none."""
+    tracing = import_benchmark("tracing")
+    tracer = tracing.Tracer()
+    mu, report = bss.solve_feasibility(bss.build_bss_problem(bss.planted_yes(2, 2, 0)[0], 6))
+    assert report.status == "feasible" and mu.degree == 6
+    with tracing.installed(tracer):
+        try:
+            bss.run_structure_2d(mu, 0.05, 0)
+        except RankOneError as err:
+            assert type(err).__name__ in tracing.STRUCTURE_FAILURES
+    fixes = [span for span in tracer.spans if span.name == "reweighting.fix_subspace"]
+    discarded = [i for i, span in enumerate(tracer.spans) if span.error == "FixDiscarded"]
+    assert discarded and all(tracer.spans[i].info == {} for i in discarded)
+    # decided without a reweighting
+    parents = {span.parent for span in tracer.spans if span.name == "pseudodist.reweight"}
+    assert not parents & set(discarded)
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts, 0.0, 1.0)
+    assert metrics["structure.trials"] == (1, "count")
+    assert metrics["reweighting.fix_subspace.calls"] == (len(fixes), "count")
+    assert metrics["reweighting.samples_tried"] == (
+        sum(span.info.get("samples", 0) for span in fixes), "count")
