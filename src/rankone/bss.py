@@ -4,9 +4,10 @@ Pipeline: a subspace W of n x n matrices (given directly, or as the
 eigenvalue-1 eigenspace of a measurement operator) is turned into moment
 feasibility problems over pairs (u, v) of unit vectors with uv^T in W,
 at degrees 4, 6, ... up to a top degree, until one refuses W or rounds
-spectrally to the target; at the top degree the solved moment table is
-concentrated by the bilinear structure rounds, and the candidate u0 v0^T
-is read off the first moments.  The module also houses the verifier for
+spectrally to the target; at a top degree of 6 or more the solved
+moment table is concentrated by the bilinear structure rounds, and the
+candidate u0 v0^T is read off the first moments.  At top degree 4 the
+spectral candidate is the answer.  The module also houses the verifier for
 candidates against measurements, the complex-to-real reduction with its
 lift, instance generators with a grid-certified farness oracle, and the
 SUBSPACE, MEASUREMENT and CSUBSPACE file formats (matrix blocks, see
@@ -282,12 +283,13 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     accepted on its own recomputed quality, so a certified eps-far W can
     never be rounded.  A rung below the top otherwise climbs, as it also
     does when its solver reaches the iteration limit.
-    The top rung goes on from its spectral baseline: it retries the
-    structure rounds over fresh seeds (trial t runs `run_structure_2d`
-    with seed `seed + t`) and a gradually relaxed stopping bar until a
-    trial reaches quality 1 - eps^2; the best verified candidate wins,
-    so a top rung that cannot support the strict bar still rounds
-    whatever the moments contain.  Raises
+    A top rung of degree 6 or more goes on from its spectral baseline:
+    it retries the structure rounds over fresh seeds (trial t runs
+    `run_structure_2d` with seed `seed + t`) and a gradually relaxed
+    stopping bar until a trial reaches quality 1 - eps^2; the best
+    verified candidate wins, so a top rung that cannot support the
+    strict bar still rounds whatever the moments contain.  At top degree
+    4 the spectral baseline is the answer (see `_round`).  Raises
     DegreeTooSmall unless `degree` is even and at least 4, NoConvergence
     when the top rung's solver reaches its iteration limit with neither a
     certificate nor a feasible point, and ZeroCandidate when every
@@ -338,13 +340,24 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
 def _round(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
     """The best verified candidate of the spectral `baseline` (the top
     rung's, below the target) and the structure trials, as (quality,
-    candidate, structure steps, degree left); see `solve_bss`."""
+    candidate, structure steps, degree left); see `solve_bss`.
+
+    A degree-4 table runs no trial.  It pays for one fix, and a
+    per-coordinate fix leaves the other block's mean at zero (the sign
+    classes zero every moment odd in u or in v), so one joint fix must
+    settle both blocks.  Its sign split leaves the mean at +-Sigma d /
+    sigma, so |m_u|^2 + |m_v|^2 <= lambda_max(Sigma) <= 1, Sigma = E~ x x^T
+    having two PSD diagonal blocks of trace 1.  Settling a block, whose
+    covariance is PSD with trace 1 - |m_u|^2, needs |m_u|^2 >= 1 / (1 +
+    sqrt(n) eps_t), above 1/2 for every n <= 4 since eps_t <=
+    _MAX_STRUCTURE_EPS.  At n = 5 and 6 no such trial was seen to succeed.
+    """
     structure_eps = _default_structure_eps(eps, w.ambient)
     n = w.ambient
     target = 1.0 - eps * eps
     best = None if baseline is None else (baseline[0], baseline[1], 0, mu.degree)
     failure = None
-    for trial in range(_ROUND_TRIALS):
+    for trial in range(_ROUND_TRIALS if mu.degree > 4 else 0):
         eps_t = min(_MAX_STRUCTURE_EPS,
                     structure_eps * _EPS_GROWTH ** (trial // _SEEDS_PER_LEVEL))
         try:

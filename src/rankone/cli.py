@@ -443,7 +443,8 @@ def _build_parser():
                         f"are tried in turn (default {DEFAULT_DEGREE})")
     p.add_argument("--tol", type=float,
                    help=f"solver tolerance (default {DEFAULT_TOL:g})")
-    p.add_argument("--seed", type=int, help="structure-round seed (default 0)")
+    p.add_argument("--seed", type=int, help="structure-round seed; matters only when "
+                   "--degree is 6 or more (default 0)")
     common(p, "also write the report here")
 
     p = sub.add_parser("rectangle", help="rank-one rectangle search")

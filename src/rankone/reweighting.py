@@ -59,34 +59,16 @@ draw, as an accepted draw leaves it, without the draw's two certified
 reweightings.  The certified path applies `keep` exactly, so a caller
 sees one answer either way.
 
-A whole fix is decided right after its subspace mass, before the top
-direction or the screen moments are gathered, when the table has
-degree 4 and its linear and cubic moments are exactly zero, as the
-SDP's sign classes leave them.  Every draw then reaches `_fix_draw` only through
-the sign split, which leaves the mean at +-Sigma v / sigma for Sigma =
-E~ x x^T, so |mean|^2 is at most lambda*, the top generalized eigenvalue
-of (P, Q) = (R Sigma^2 R^T, R Sigma R^T) over the orthonormal rows R of
-S.  With bar = (1 - delta) mass (1 - margin), one Cholesky factor of
-bar Q - P proves lambda* < bar.  Then no draw can pass: `_skip_fix`
-advances the generator past the retry_budget * dim(S) normals the draws
-would take, in one call per 65,536 draws, which leaves the state that
-the batches would, and the fix raises the loop's RetryExhausted.
-
-A fix on a plane (dim(S) = 2) is decided the same way after its first
+A fix on a plane (dim(S) = 2) is decided as a whole after its first
 batch in which no draw captures, while budget remains.
 `_plane_cannot_capture` writes E~ s^4 - c E~ s^2 |a|^2 for v = a_1 r_1
 + a_2 r_2 as a binary quartic in a and proves it negative by one
 Cholesky factor of a Gram matrix that the quartic's complex roots
-choose.  Then no later draw captures, and `_skip_fix` advances the
-generator past the rest of the budget.  Fixes whose draws capture never
+choose.  Then no later draw captures: `_skip_fix` advances the generator
+past the normals the rest of the budget would take, in one call per
+65,536 draws, which leaves the state that the batches would, and the
+fix raises the loop's RetryExhausted.  Fixes whose draws capture never
 pay for the certificate.
-
-`_joint_planes_cannot_pass` decides a whole family of fixes at once: the
-planes span{(alpha, 0), (0, beta)} of a table over pairs x = (u, v),
-which the structure rounds try first.  When E~ u v^T vanishes too,
-Sigma = diag(E~ u u^T, E~ v v^T), and lambda* / mass has a closed-form
-supremum over all such planes in the extreme eigenvalues of the two
-blocks.  The structure rounds replace each fix it decides by `_skip_fix`.
 
 Reports carry degree_spent, so the degree each fix pays is observable.
 """
@@ -294,15 +276,10 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
 
     Raises RetryExhausted when no draw within the budget passes.  The
     decisions come in this order: the arguments, the degree, the mass
-    floor, `_split_cannot_pass`, and only then the draws.  A degree-4
-    table with zero linear and cubic moments on which the sign split
-    provably cannot reach the bar for any v in S raises RetryExhausted
-    at the fourth, before the top direction and the screen moments are
-    gathered, after advancing the generator by the retry_budget * dim(S)
-    normals the draws would have taken.  Each batch of draws then meets,
-    in order, the capture test, `_plane_cannot_capture` when no draw of
-    the batch captures on a two-dimensional S and budget remains (once
-    per fix: yes advances the generator past the rest of the budget and
+    floor, and only then the draws.  Each batch of draws meets, in
+    order, the capture test, `_plane_cannot_capture` when no draw of the
+    batch captures on a two-dimensional S and budget remains (once per
+    fix: yes advances the generator past the rest of the budget and
     raises RetryExhausted), the typical-size test and `_doomed`.  The
     draws left go in order to `keep` on the closed-form tables of a draw
     that `_doomed` proves to pass, then to `_fix_draw`.
@@ -331,10 +308,6 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     block = moment_block(mu, 2, 2)
     lin, quad = index.block(1), index.block(2)
     block_lin, block_quad = block[lin, lin], block[quad, quad]
-    if _split_cannot_pass(mu, rows, block_lin, mass, delta):
-        # no draw can pass: leave the generator where the draws would
-        _skip_fix(rng, retry_budget, dim)
-        raise _exhausted(retry_budget)
     # second-moment matrix in subspace coordinates; its top eigenvector is
     # the first candidate direction, then uniform draws take over
     top = np.linalg.eigh(rows @ block_lin @ rows.T)[1][:, -1]
@@ -571,84 +544,6 @@ def _screen_moments(cur, p) -> np.ndarray:
     index = cur.index
     pairs = index.sum_table(2, 2 * p)[:, index.block(2 * p)]
     return cur.moments[index.sum_table(2 * p + 2, 2)[pairs]]
-
-
-def _split_only(cur) -> bool:
-    """Whether every draw on `cur` can pass `_fix_draw` only through the
-    sign split: a degree-4 table, so no degree for a power step or stage
-    A, whose linear and cubic moments are exactly zero."""
-    index = cur.index
-    return cur.degree == 4 and not cur.moments[index.block(1)].any() \
-        and not cur.moments[index.block(3)].any()
-
-
-def _split_cannot_pass(cur, rows, sigma, mass, delta) -> bool:
-    """Whether no draw in the span of the orthonormal `rows` can pass
-    `_fix_draw` on `cur`, a table that `_split_only` admits; `sigma` is
-    E~ x x^T.
-
-    The sign split leaves the mean at +-sigma v / sqrt(v^T sigma v), so
-    |mean|^2 peaks over unit v in S at lambda*, the top generalized
-    eigenvalue of (P, Q) = (R sigma^2 R^T, R sigma R^T).  A draw needs
-    (1 - delta) of the mass.  With bar that share less the relative
-    margin _SCREEN_MARGIN, a Cholesky factor of bar Q - P proves the
-    answer yes: positive definiteness gives lambda* < bar, and Q > 0
-    with it, as P >= 0.
-    """
-    if not _split_only(cur):
-        return False
-    image = sigma @ rows.T
-    bar = (1.0 - delta) * mass * (1.0 - _SCREEN_MARGIN)
-    try:
-        np.linalg.cholesky(bar * (rows @ image) - image.T @ image)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _joint_planes_cannot_pass(mu, vals_u, vals_v, delta) -> bool:
-    """Whether `fix_subspace` with this delta raises RetryExhausted, after
-    drawing its whole budget, on every plane span{(alpha, 0), (0, beta)}
-    with unit alpha and beta, for a table over x = (u, v) of two
-    n-blocks.  vals_u and vals_v hold the ascending eigenvalues a_1 <=
-    ... <= a_n of A = E~ u u^T and b_1 <= ... <= b_n of B = E~ v v^T.
-
-    The answer can be yes only on a table that `_split_only` admits and
-    whose E~ u v^T vanishes, so that Sigma = diag(A, B).  On such a plane
-    the mass is t + s for t = alpha^T A alpha and s = beta^T B beta, and
-    lambda* of `_split_cannot_pass` is the larger of alpha^T A^2 alpha /
-    t and beta^T B^2 beta / s.  At a given t, alpha^T A^2 alpha peaks at
-    t (a_1 + a_n) - a_1 a_n, with alpha on A's extreme eigenvectors, and
-    s is at least b_1.  So lambda* / mass is at most max(g(a_1, a_n,
-    b_1), g(b_1, b_n, a_1)) for
-
-        g(a, b, c) = max over t in [a, b] of (t (a + b) - a b) / (t (t + c)),
-
-    which `_plane_ratio_peak` evaluates.  The answer is yes when that
-    bound misses 1 - delta by the relative margin _SCREEN_MARGIN, so no
-    draw can pass, and a_1 + b_1 clears `_mass_floor(2)` by the same
-    margin, so no fix stops before its draws.  Each fix the answer
-    decides then advances the generator as `_skip_fix` does.
-    """
-    n = len(vals_u)
-    if not _split_only(mu) or moment_block(mu, 1, 1)[1:n + 1, n + 1:].any():
-        return False
-    a, b = vals_u[0], vals_v[0]
-    if not (a > 0.0 and b > 0.0
-            and (a + b) * (1.0 - _SCREEN_MARGIN) >= _mass_floor(2)):
-        return False
-    peak = max(_plane_ratio_peak(a, vals_u[-1], b), _plane_ratio_peak(b, vals_v[-1], a))
-    return bool(peak < (1.0 - delta) * (1.0 - _SCREEN_MARGIN))
-
-
-def _plane_ratio_peak(a, b, c) -> float:
-    """max over t in [a, b] of (t (a + b) - a b) / (t (t + c)), for 0 < a
-    <= b and c > 0.  The derivative vanishes only at t* = (a b + sqrt(a^2
-    b^2 + (a + b) a b c)) / (a + b), rising before it and falling after,
-    so the peak is at t* clipped to [a, b]."""
-    t = (a * b + math.sqrt(a * a * b * b + (a + b) * a * b * c)) / (a + b)
-    t = min(max(t, a), b)
-    return (t * (a + b) - a * b) / (t * (t + c))
 
 
 def _plane_cannot_capture(index, rows, block_lin, block_quad, bar) -> bool:

@@ -4,10 +4,12 @@
 While a coordinate's second moment is large against its squared mean
 (the stopping condition ||m_i m_i^T - E~ u_i u_i^T||_F <= eps |m_i|^2
 fails), its mass concentrates on a low-dimensional subspace spanned by
-the top sqrt(n)-ish eigenvectors of the component orthogonal to the mean
-plus the mean direction, and fixing that subspace grows |m_i|^2.  The
-potential |m_1|^2 |m_2|^2 is at most 1 on the sphere, so O(log n / eps)
-rounds suffice.
+the top ceil(sqrt(n)) + 1 eigenvectors of the component orthogonal to
+the mean plus the mean direction, and fixing that subspace grows
+|m_i|^2.  The potential |m_1|^2 |m_2|^2 is at most 1 on the sphere, so
+O(log n / eps) rounds suffice.  A mean that the sign classes leave at
+zero, and that a joint fix does not seed, gets a fix on the top
+ceil(2 sqrt(n)) eigenvectors of its second moment, all of R^n for n <= 4.
 
 `run_structure_2d(mu, eps, seed)` runs these rounds and returns the
 concentrated table, a trace of its steps and the composite
@@ -33,7 +35,7 @@ from .errors import (
     RetryExhausted,
 )
 from .pseudodist import PseudoDistribution, moment_block, reweight
-from .reweighting import _joint_planes_cannot_pass, _skip_fix, fix_subspace
+from .reweighting import fix_subspace
 
 _MEAN_EPS = 1e-12
 _JOINT_PLANES = 12         # coupled planes tried per bilinear seeding phase
@@ -137,23 +139,6 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     mean.  The trace records the potential |m_1|^2 |m_2|^2 after every
     step.
 
-    The joint planes are skipped when no bound lets one pass.  Take a
-    degree-4 table whose linear and cubic moments and E~ u v^T are
-    exactly zero, as the SDP's sign classes leave them: they zero every
-    moment of odd u-degree or odd v-degree.  Then E~ x x^T = diag(A, B)
-    for A = E~ u u^T and B = E~ v v^T, and a joint plane spans (alpha,
-    0) and (0, beta).  A fix there passes only when
-    lambda* = max(alpha^T A^2 alpha / alpha^T A alpha, beta^T B^2 beta /
-    beta^T B beta) reaches (1 - delta) of the mass alpha^T A alpha +
-    beta^T B beta, and `_joint_planes_cannot_pass` bounds that ratio over
-    every unit alpha and beta by the extreme eigenvalues of A and B,
-    which phase one computes anyway.  When the bound misses the bar and
-    every plane clears the mass floor, each fix would draw its whole
-    budget and raise RetryExhausted.  The loop then draws the planes
-    as before but runs `_skip_fix` in place of each fix, which advances
-    the generator past the fix's draws, so the per-coordinate fixes
-    start from the same state.
-
     A joint fix is kept only when it settles both blocks or leaves
     degree 4 or more.  Phase one hands that test to `fix_subspace` as
     `keep`, and the fix raises FixDiscarded for a table that fails it,
@@ -219,7 +204,6 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
         root1 = vecs1 * np.sqrt(np.clip(vals1, 0.0, None))
         root2 = vecs2 * np.sqrt(np.clip(vals2, 0.0, None))
         half = math.sqrt(0.5)
-        hopeless = _joint_planes_cannot_pass(cur, vals1, vals2, delta)
         for attempt in range(_JOINT_PLANES):
             if attempt == 0:
                 alpha = vecs1[:, -1]
@@ -234,10 +218,6 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
                 beta /= nb
             rows = np.array([np.concatenate([alpha, beta]) * half,
                              np.concatenate([alpha, -beta]) * half])
-            if hopeless:
-                # the fix would draw its whole budget on the plane and fail
-                _skip_fix(rng, _JOINT_RETRY_BUDGET, len(rows))
-                continue
             try:
                 cur, rep = fix_subspace(cur, rows, delta, seed=rng,
                                         retry_budget=_JOINT_RETRY_BUDGET, keep=keep)

@@ -14,7 +14,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from instances import tiles_complement
-from rankone import bss, reweighting, structure
+from rankone import bss, structure
 from rankone.bss import (
     ComplexSubspace,
     MeasurementOperator,
@@ -47,6 +47,7 @@ from rankone.errors import (
     RetryExhausted,
     ZeroCandidate,
 )
+from rankone.pseudodist import moment_block
 from rankone.rectangle import FactorMatrix
 from rankone.sos_solver import certificate_margin
 
@@ -211,22 +212,80 @@ def test_structure_rounds_lift_spectral_misses(seed, quality):
     assert cand.quality == rep.quality
 
 
-@pytest.mark.parametrize("n,dim_w,seed", [(2, 2, 0), (3, 6, 2), (3, 6, 5), (4, 12, 2)])
-def test_whole_fix_decision_keeps_degree_4_rounding(monkeypatch, n, dim_w, seed):
-    """The degree-4 spectral misses whose structure rounds run only doomed
-    fixes: with the whole-fix decision of `fix_subspace` and the
-    joint-plane decision of `run_structure_2d` forced off, the candidate,
-    its quality, the structure steps and the degree left are the same."""
-    w = planted_yes(n, dim_w, seed)[0]
-    cand, rep = solve_bss(w, 0.25, degree=4)
-    monkeypatch.setattr(reweighting, "_split_cannot_pass", lambda *args: False)
-    monkeypatch.setattr(structure, "_joint_planes_cannot_pass", lambda *args: False)
-    ref_cand, ref_rep = solve_bss(w, 0.25, degree=4)
-    assert rep.quality < 1.0 - 0.25 ** 2
-    np.testing.assert_array_equal(cand.u0, ref_cand.u0)
-    np.testing.assert_array_equal(cand.v0, ref_cand.v0)
-    assert (cand.quality, rep.quality, rep.structure_steps, rep.degree_left) == (
-        ref_cand.quality, ref_rep.quality, ref_rep.structure_steps, ref_rep.degree_left)
+# seeded degree-4 qualities: the eps-0.25 spectral misses, then
+# planted_yes(3, 5..8, 0..7) at eps 0.05
+DEGREE_4_QUALITY = {
+    (2, 2, 0, 0.25): 0.9264437896918637, (3, 6, 2, 0.25): 0.9259952657088197,
+    (3, 6, 5, 0.25): 0.9251678690557934, (4, 12, 2, 0.25): 0.9158447758444299,
+    (3, 5, 0, 0.05): 0.9798367894263882, (3, 5, 1, 0.05): 0.9937958552371888,
+    (3, 5, 2, 0.05): 0.9978065646049689, (3, 5, 3, 0.05): 0.9982295572914621,
+    (3, 5, 4, 0.05): 0.9951503273936209, (3, 5, 5, 0.05): 0.9770661092808289,
+    (3, 5, 6, 0.05): 0.9929394377838578, (3, 5, 7, 0.05): 0.9916965099401346,
+    (3, 6, 0, 0.05): 0.9824103048583344, (3, 6, 1, 0.05): 0.9923278207791352,
+    (3, 6, 2, 0.05): 0.9259952657088197, (3, 6, 3, 0.05): 0.94508848877536,
+    (3, 6, 4, 0.05): 0.9943127009297922, (3, 6, 5, 0.05): 0.9251678690557934,
+    (3, 6, 6, 0.05): 0.9823426108781208, (3, 6, 7, 0.05): 0.9422514590941152,
+    (3, 7, 0, 0.05): 0.9925252595854293, (3, 7, 1, 0.05): 0.9786277074301293,
+    (3, 7, 2, 0.05): 0.995921553775727, (3, 7, 3, 0.05): 0.9885520699663344,
+    (3, 7, 4, 0.05): 0.9699479551215852, (3, 7, 5, 0.05): 0.9899670495057682,
+    (3, 7, 6, 0.05): 0.9977980835770395, (3, 7, 7, 0.05): 0.9950837246824703,
+    (3, 8, 0, 0.05): 0.9967575000374268, (3, 8, 1, 0.05): 0.9973433715324631,
+    (3, 8, 2, 0.05): 0.9999273007071119, (3, 8, 3, 0.05): 0.9998400612913529,
+    (3, 8, 4, 0.05): 0.992292468442707, (3, 8, 5, 0.05): 0.99713297814904,
+    (3, 8, 6, 0.05): 0.9999906765724796, (3, 8, 7, 0.05): 0.9997203429839266,
+}
+
+
+def test_degree_4_solve_runs_no_structure_trial(monkeypatch):
+    """At top degree 4 `run_structure_2d` is never called: over the
+    eps-0.25 spectral misses and planted_yes(3, 5..8, 0..7) at eps 0.05,
+    each solve rounds spectrally at rung 4 with no structure step, degree
+    4 left and its seeded quality."""
+    def trial(*args):
+        raise AssertionError("structure trial at degree 4")
+    monkeypatch.setattr(bss, "run_structure_2d", trial)
+    misses = 0
+    for (n, dim_w, seed, eps), quality in DEGREE_4_QUALITY.items():
+        cand, rep = solve_bss(planted_yes(n, dim_w, seed)[0], eps, degree=4)
+        case = (n, dim_w, seed, eps)
+        assert (rep.rung, rep.structure_steps, rep.degree_left) == (4, 0, 4), case
+        assert rep.quality == pytest.approx(quality, abs=1e-9), case
+        assert cand.quality == rep.quality
+        misses += rep.quality < 1.0 - eps * eps
+    assert misses >= 25, misses
+
+
+def test_degree_4_structure_trials_all_fail(monkeypatch):
+    """The evidence for confining the structure rounds to degree 6 and
+    up: on the degree-4 tables of the four eps-0.25 spectral misses,
+    each of the 24 (eps_t, seed) trials that the rounding would run
+    raises RetryExhausted.  Each table is what `_round`'s argument rests
+    on: E~ |u|^2 = E~ |v|^2 = 1, E~ u v^T = 0 and lambda_max(E~ x x^T) <
+    1."""
+    tables = []
+    round_ = bss._round
+
+    def recording(mu, w, eps, seed, baseline):
+        tables.append((mu, w.ambient, eps, seed))
+        return round_(mu, w, eps, seed, baseline)
+    monkeypatch.setattr(bss, "_round", recording)
+    for n, dim_w, seed in ((2, 2, 0), (3, 6, 2), (3, 6, 5), (4, 12, 2)):
+        solve_bss(planted_yes(n, dim_w, seed)[0], 0.25, degree=4)
+    monkeypatch.undo()
+    assert len(tables) == 4
+    for mu, n, eps, seed in tables:
+        assert mu.degree == 4
+        second = moment_block(mu, 1, 1)[1:, 1:]
+        assert np.trace(second[:n, :n]) == pytest.approx(1.0, abs=1e-9)
+        assert np.trace(second[n:, n:]) == pytest.approx(1.0, abs=1e-9)
+        assert not second[:n, n:].any()
+        assert np.linalg.eigvalsh(second)[-1] < 1.0
+        start = bss._default_structure_eps(eps, n)
+        for trial in range(bss._ROUND_TRIALS):
+            eps_t = min(bss._MAX_STRUCTURE_EPS,
+                        start * bss._EPS_GROWTH ** (trial // bss._SEEDS_PER_LEVEL))
+            with pytest.raises(RetryExhausted):
+                structure.run_structure_2d(mu, eps_t, seed + trial)
 
 
 def test_solve_far_instance_refuses():

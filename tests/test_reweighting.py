@@ -9,7 +9,6 @@ atoms, and Monte Carlo integration for the rest.
 
 import itertools
 import math
-import time
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from rankone.errors import (
     RetryExhausted,
 )
 from rankone.pseudodist import (
-    PseudoDistribution,
     linear_form_powers,
     moment_block,
     validate,
@@ -479,10 +477,10 @@ def assert_same_fix(got, ref):
 
 
 def test_draw_screen_changes_no_fix(monkeypatch):
-    """With the screen forced to keep every draw and every fix forced to
-    draw, fix_subspace gives the same table, direction, draws, degree and
-    factors, or the same RetryExhausted, and leaves the generator where
-    it was, over many tables and seeds.  The screen sees and rejects many
+    """With the screen forced to keep every draw, fix_subspace gives the
+    same table, direction, draws, degree and factors, or the same
+    RetryExhausted, and leaves the generator where it was, over many
+    tables and seeds.  The screen sees and rejects many
     draws at powers 0 and 1."""
     cases = screen_cases()
     seeds = range(3)
@@ -496,8 +494,6 @@ def test_draw_screen_changes_no_fix(monkeypatch):
         rejected[p] += mask.sum()
         return np.zeros_like(mask), passes, models
     monkeypatch.setattr(reweighting, "_doomed", keep_all)
-    # every fix of the reference draws, so its counts come from real draws
-    monkeypatch.setattr(reweighting, "_split_cannot_pass", lambda *args: False)
     forced = [fix_outcome(*case, seed) for case in cases for seed in seeds]
     for got, ref in zip(screened, forced):
         assert_same_fix(got, ref)
@@ -528,119 +524,6 @@ def test_draw_screen_rejects_only_draws_the_per_draw_path_rejects(monkeypatch):
             assert reweighting._fix_draw(cur, v, powers, proj, mass, eps, delta) is None
             checked += 1
     assert checked >= 100
-
-
-# -- the whole-fix decision --------------------------------------------------
-
-
-def sign_symmetric(mu):
-    """mu with every odd moment exactly zero: the table of its
-    distribution symmetrized under x -> -x, the form that the SDP's sign
-    classes give."""
-    moments = mu.moments.copy()
-    for j in range(1, mu.degree + 1, 2):
-        moments[mu.index.block(j)] = 0.0
-    return PseudoDistribution(mu.index, moments, mu.degree, mu.constraints)
-
-
-def symmetric_cases():
-    """(table, basis, delta, retry_budget) over sign-symmetric degree-4
-    atom tables: one to three mirrored clusters in 2 to 4 variables,
-    fixed on their top eigenvectors, with a budget of two batches."""
-    rng = np.random.default_rng(505)
-    cases = []
-    for _ in range(8):
-        n = int(rng.integers(2, 5))
-        _, _, mu = clusters(rng, n, int(rng.integers(1, 4)), 4, spread=0.3)
-        mu = sign_symmetric(mu)
-        top = np.linalg.eigh(moment_block(mu, 1, 1)[1:, 1:])[1][:, ::-1].T
-        for delta, dim in ((0.05, n), (0.125, 2), (0.3, min(3, n))):
-            cases.append((mu, top[:dim], delta, 300))
-    return cases
-
-
-def odd_moments_vanish(mu):
-    return not any(mu.moments[mu.index.block(j)].any()
-                   for j in range(1, mu.degree + 1, 2))
-
-
-def test_whole_fix_decision_changes_no_fix(monkeypatch):
-    """With the whole-fix decision forced off, fix_subspace gives the same
-    result, or the same RetryExhausted message, and leaves the generator
-    in the same state, over the screen's tables, sign-symmetric atom
-    tables and seeds 0-4.  The decision fires often, and only on tables
-    whose odd moments are zero."""
-    cases = screen_cases() + symmetric_cases()
-    seeds = range(5)
-    decide = reweighting._split_cannot_pass
-    fired, declined = [], []
-
-    def recording(cur, *args):
-        decided = decide(cur, *args)
-        (fired if decided else declined).append(cur)
-        return decided
-    monkeypatch.setattr(reweighting, "_split_cannot_pass", recording)
-    decided = [fix_outcome(*case, seed) for case in cases for seed in seeds]
-    monkeypatch.setattr(reweighting, "_split_cannot_pass", lambda *args: False)
-    forced = [fix_outcome(*case, seed) for case in cases for seed in seeds]
-    for got, ref in zip(decided, forced):
-        assert_same_fix(got, ref)
-    assert len(fired) >= 50, len(fired)
-    assert all(cur.degree == 4 and odd_moments_vanish(cur) for cur in fired)
-    # the tables it declined include degree-4 ones with odd moments
-    assert any(cur.degree == 4 and not odd_moments_vanish(cur) for cur in declined)
-
-
-def test_cholesky_decision_agrees_with_the_generalized_eigenvalue():
-    """_split_cannot_pass, one Cholesky factor of bar Q - P, never says
-    yes where lambda*, the top generalized eigenvalue of (P, Q) = (R
-    Sigma^2 R^T, R Sigma R^T) by SciPy, reaches bar = (1 - delta) mass
-    (1 - _SCREEN_MARGIN), and says what lambda* says wherever lambda* /
-    bar is off 1 by more than 1e-5: over symmetric_cases() and 240
-    seeded random subspaces of dimension 1-4 of their tables."""
-    from scipy.linalg import eigh
-    cases = [(mu, basis, delta) for mu, basis, delta, _ in symmetric_cases()]
-    tables = [mu for mu, _, _ in cases[::3]]
-    rng = np.random.default_rng(606)
-    for _ in range(240):
-        mu = tables[int(rng.integers(len(tables)))]
-        dim = int(rng.integers(1, min(4, mu.num_vars) + 1))
-        cases.append((mu, rng.standard_normal((dim, mu.num_vars)),
-                      float(rng.uniform(0.02, 0.5))))
-    answers = []
-    for mu, basis, delta in cases:
-        rows = reweighting._orthonormal_rows(np.asarray(basis))
-        sigma = moment_block(mu, 1, 1)[1:, 1:]
-        mass = mu.expect(reweighting._projection_weight(rows))
-        bar = (1.0 - delta) * mass * (1.0 - reweighting._SCREEN_MARGIN)
-        image = sigma @ rows.T
-        peak = eigh(image.T @ image, rows @ image, eigvals_only=True)[-1]
-        decided = reweighting._split_cannot_pass(mu, rows, sigma, mass, delta)
-        assert not (decided and peak >= bar), (peak, bar)
-        if abs(peak / bar - 1.0) > 1e-5:
-            assert decided == (peak < bar), (peak, bar)
-        answers.append(decided)
-    assert sum(answers) >= 40 and answers.count(False) >= 40, sum(answers)
-
-
-def test_doomed_fix_with_a_huge_budget_returns_at_once():
-    """A fix that the decision settles raises RetryExhausted for a budget
-    of a million draws well within a second, and leaves the generator
-    where a reference that draws the million directions leaves its own."""
-    budget = 10 ** 6
-    mu, basis, delta, _ = symmetric_cases()[0]
-    sigma = moment_block(mu, 1, 1)[1:, 1:]
-    assert reweighting._split_cannot_pass(
-        mu, basis, sigma, np.trace(basis @ sigma @ basis.T), delta)
-    rng = np.random.default_rng(3)
-    start = time.perf_counter()
-    with pytest.raises(RetryExhausted, match=f"within {budget} draws"):
-        fix_subspace(mu, basis, delta=delta, retry_budget=budget, seed=rng)
-    assert time.perf_counter() - start < 0.5
-    ref = np.random.default_rng(3)
-    for _ in range(10):
-        ref.standard_normal((budget // 10, len(basis)))
-    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # -- the plane capture certificate --------------------------------------------

@@ -18,7 +18,6 @@ from rankone.errors import FixDiscarded, PreconditionViolated, RankOneError
 from rankone.pseudodist import (
     PseudoDistribution,
     linear_form_powers,
-    moment_block,
     validate,
 )
 from rankone.structure import (
@@ -192,7 +191,7 @@ def test_2d_rejects_odd_variable_count():
         run_structure_2d(mu, 0.25)
 
 
-# -- the joint-plane decision ------------------------------------------------
+# -- the closed-form discard decision ----------------------------------------
 
 
 def sign_classes(mu):
@@ -206,35 +205,7 @@ def sign_classes(mu):
     return PseudoDistribution(mu.index, moments, mu.degree, mu.constraints)
 
 
-def joint_cases():
-    """(table, eps, seed) for run_structure_2d: the degree-4 SDP table of
-    planted_yes(2, 2, 0) at the four structure eps levels of a degree-4,
-    eps-0.25 solve with seeds 0-23, as `_round` runs it, and 16
-    sign-symmetric degree-4 atom tables over (u, v) with n of 2 or 3,
-    from `pair_tables`, at eps 0.05-0.45 and seeds 0-1, four of them also
-    shrunk below the mass floor."""
-    from rankone import bss
-    from rankone.sos_solver import build_bss_problem, solve_feasibility
-    mu, rep = solve_feasibility(build_bss_problem(bss.planted_yes(2, 2, 0)[0], 4))
-    assert rep.status == "feasible"
-    start = bss._default_structure_eps(0.25, 2)
-    levels = [min(bss._MAX_STRUCTURE_EPS, start * bss._EPS_GROWTH ** k)
-              for k in range(4)]
-    cases = [(mu, eps, seed) for eps in levels for seed in range(24)]
-    rng = np.random.default_rng(707)
-    for i, table in enumerate(pair_tables(rng, 16)):
-        eps = float(rng.uniform(0.05, 0.45))
-        cases.extend((sign_classes(table), eps, seed) for seed in range(2))
-        if i % 4 == 0:
-            # shrunk by 0.3: the same bound, but every plane's mass is
-            # below the floor, so each fix stops before drawing
-            small = table.moments * 0.3 ** table.index.degrees
-            small = PseudoDistribution(table.index, small, table.degree)
-            cases.append((sign_classes(small), eps, 0))
-    return cases
-
-
-def pair_tables(rng, count, degree=4):
+def pair_tables(rng, count, degree):
     """Atom tables over (u, v) with n of 2 or 3: 40-80 Gaussian atoms,
     each coordinate stretched at random, E~ |u|^2 = E~ |v|^2 = 1."""
     tables = []
@@ -247,125 +218,6 @@ def pair_tables(rng, count, degree=4):
         pts[:, n:] /= np.sqrt(w @ (pts[:, n:] ** 2).sum(axis=1))
         tables.append(atom_table(pts, w, degree))
     return tables
-
-
-def structure_outcome(mu, eps, seed, monkeypatch):
-    """run_structure_2d's table and factors, or its exception class and
-    message, and the generator state at every fix after the joint
-    planes."""
-    states = []
-    fix = structure.fix_subspace
-
-    def recording(cur, rows, delta, **kwargs):
-        if "retry_budget" not in kwargs:
-            states.append(kwargs["seed"].bit_generator.state)
-        return fix(cur, rows, delta, **kwargs)
-    monkeypatch.setattr(structure, "fix_subspace", recording)
-    try:
-        out, weight, _ = run_structure_2d(mu, eps, seed)
-        result = (out.moments.tolist(), [
-            (base.coefficients.tolist(), power) for base, power in weight.factors])
-    except RankOneError as err:
-        result = (type(err), str(err))
-    monkeypatch.setattr(structure, "fix_subspace", fix)
-    return result, states
-
-
-def test_joint_plane_skip_changes_no_trial(monkeypatch):
-    """With the joint-plane decision forced off, run_structure_2d returns
-    the same table and factors, or raises the same exception with the
-    same message, and the generator is in the same state at every fix
-    after the joint planes.  The decision fires on at least a third of
-    the cases."""
-    cases = joint_cases()
-    decide = structure._joint_planes_cannot_pass
-    fired = []
-
-    def recording(*args):
-        decided = decide(*args)
-        fired.append(decided)
-        return decided
-    monkeypatch.setattr(structure, "_joint_planes_cannot_pass", recording)
-    skipped = [structure_outcome(*case, monkeypatch) for case in cases]
-    monkeypatch.setattr(structure, "_joint_planes_cannot_pass", lambda *args: False)
-    forced = [structure_outcome(*case, monkeypatch) for case in cases]
-    for got, ref in zip(skipped, forced):
-        assert got == ref
-    assert all(states for _, states in forced)
-    assert 3 * sum(fired) >= len(cases), (sum(fired), len(cases))
-    # it fires on atom tables too, and not on every case
-    assert any(fired[96:]) and not all(fired)
-
-
-def test_joint_plane_decision_needs_block_diagonal_covariance():
-    """Zero linear and cubic moments are not enough: symmetrized under x
-    -> -x alone, a table keeps E~ u v^T and the decision says no, where
-    the same table with its sign classes split is decided."""
-    rng = np.random.default_rng(709)
-    decided = 0
-    for table in pair_tables(rng, 16):
-        n = table.num_vars // 2
-        odd = table.index.degrees % 2 == 1
-        joint = PseudoDistribution(table.index, np.where(odd, 0.0, table.moments), 4)
-        second = moment_block(joint, 1, 1)[1:, 1:]
-        vals_u = np.linalg.eigvalsh(second[:n, :n])
-        vals_v = np.linalg.eigvalsh(second[n:, n:])
-        assert reweighting._split_only(joint) and second[:n, n:].any()
-        assert not structure._joint_planes_cannot_pass(joint, vals_u, vals_v, 0.05)
-        decided += structure._joint_planes_cannot_pass(
-            sign_classes(table), vals_u, vals_v, 0.05)
-    assert decided >= 4, decided
-
-
-def test_joint_plane_bound_is_the_supremum():
-    """On random positive definite A and B, max over the joint planes'
-    sign splits of lambda* / mass, max(alpha^T A^2 alpha / alpha^T A
-    alpha, beta^T B^2 beta / beta^T B beta) / (alpha^T A alpha + beta^T B
-    beta), stays within 1e-12 of the closed form over 10^4 sampled unit
-    (alpha, beta) per pair, and the closed form is reached on the
-    extreme eigenvectors."""
-    rng = np.random.default_rng(708)
-    peak = reweighting._plane_ratio_peak
-
-    def ratio(a_mat, b_mat, alpha, beta):
-        ta = np.einsum("ij,jk,ik->i", alpha, a_mat, alpha)
-        tb = np.einsum("ij,jk,ik->i", beta, b_mat, beta)
-        la = np.einsum("ij,ij->i", alpha @ a_mat, alpha @ a_mat) / ta
-        lb = np.einsum("ij,ij->i", beta @ b_mat, beta @ b_mat) / tb
-        return np.maximum(la, lb) / (ta + tb)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        mats = []
-        for _ in range(2):
-            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            mats.append((q * rng.uniform(0.05, 1.0, n) ** 2) @ q.T)
-        a_mat, b_mat = mats
-        va, qa = np.linalg.eigh(a_mat)
-        vb, qb = np.linalg.eigh(b_mat)
-        sup = max(peak(va[0], va[-1], vb[0]), peak(vb[0], vb[-1], va[0]))
-        alpha = rng.standard_normal((10 ** 4, n))
-        beta = rng.standard_normal((10 ** 4, n))
-        # half the samples lie on the plane of the extreme eigenvectors
-        alpha[::2] = alpha[::2, :2] @ qa[:, [0, -1]].T
-        beta[::2, :] = qb[:, 0]
-        alpha /= np.linalg.norm(alpha, axis=1, keepdims=True)
-        beta /= np.linalg.norm(beta, axis=1, keepdims=True)
-        assert ratio(a_mat, b_mat, alpha, beta).max() <= sup + 1e-12
-        # reached: alpha mixes A's extreme eigenvectors to alpha^T A alpha
-        # = t* and beta is B's bottom one, or the same with the roles
-        # swapped, which leaves the ratio as it is
-        reached = []
-        for first, second in ((a_mat, b_mat), (b_mat, a_mat)):
-            (v1, q1), (v2, q2) = np.linalg.eigh(first), np.linalg.eigh(second)
-            a, b, c = v1[0], v1[-1], v2[0]
-            t = min(max((a * b + np.sqrt(a * a * b * b + (a + b) * a * b * c)) / (a + b), a), b)
-            share = (t - a) / (b - a)
-            x = np.sqrt(1.0 - share) * q1[:, 0] + np.sqrt(share) * q1[:, -1]
-            reached.append(ratio(first, second, x[None], q2[None, :, 0])[0])
-        assert max(reached) == pytest.approx(sup, rel=1e-12, abs=0.0)
-
-
-# -- the closed-form discard decision ----------------------------------------
 
 
 @functools.cache
