@@ -26,9 +26,13 @@ polynomial in one linear form s = <v, x>, held as a coefficient vector
 over the monomial table.  E~ s^2, E~ s^4, E~ (s^2 - m)^2 and
 E~ (s +- m)^2 are quadratic forms of s, s^2, s^2 - m and s +- m against
 moment blocks gathered once per distribution, and candidate directions
-are screened a batch at a time.  The factor reports hold the same dense
-form: each factor is a `ReweightPolynomial` certified by its roots, as
-`reweight` requires.
+are screened a batch at a time.  What `fix_subspace` reads of a table,
+its moment blocks of degree 1 x 1 and 2 x 2 and the screen's moment
+matrix below, is gathered once per table (`PseudoDistribution.derived`),
+so the many fixes that the structure rounds try on one table, over all
+their trials, pay only for their own subspace.  The factor reports hold
+the same dense form: each factor is a `ReweightPolynomial` certified by
+its roots, as `reweight` requires.
 
 A batch passes two screens before any draw is reweighted.  The first
 is the capture test on E~ s^4 against E~ s^2.  The second decides in
@@ -38,12 +42,12 @@ table `fix_scalar` has no degree for stage A, so the scalar fix is one
 gate on E s^4 / (E s^2)^2 at the relaxed tolerance and then the sign
 split.  The fixed table is the current one reweighted by
 r^2 = s^{2p} (s / sigma +- 1)^2, and its whole moment vector, mean and
-subspace mass included, is a ratio of moment forms gathered once per
-call.  A draw is dropped only when the gate fails, or when the
-mean-mass test fails under both signs, each by a relative margin of
-1e-6.  A draw within the margin, with a non-finite value, or on a table
-of another degree goes through `_fix_draw`, the only code that returns
-a table, with its certified reweightings.  A dropped draw's weight is
+subspace mass included, is a ratio of moment forms, products with
+moments gathered once per table.  A draw is dropped only when the gate
+fails, or when the mean-mass test fails under both signs, each by a
+relative margin of 1e-6.  A draw within the margin, with a non-finite
+value, or on a table of another degree goes through `_fix_draw`, the
+only code that returns a table, with its certified reweightings.  A dropped draw's weight is
 never applied, so the screen changes no result and no generator state.
 
 The same closed form proves that a draw passes: the power step surely
@@ -57,18 +61,21 @@ by the margin, both closed-form tables of the first draw that provably
 passes, the fix raises FixDiscarded with the generator just past that
 draw, as an accepted draw leaves it, without the draw's two certified
 reweightings.  The certified path applies `keep` exactly, so a caller
-sees one answer either way.
+sees one answer either way.  Since such a fix mostly ends at the first
+draw that the screen lets through, with `keep` the screen takes the
+first _SCREEN_FIRST draws of a batch before the rest.
 
 A fix on a plane (dim(S) = 2) is decided as a whole after its first
 batch in which no draw captures, while budget remains.
 `_plane_cannot_capture` writes E~ s^4 - c E~ s^2 |a|^2 for v = a_1 r_1
 + a_2 r_2 as a binary quartic in a and proves it negative by one
-Cholesky factor of a Gram matrix that the quartic's complex roots
-choose.  Then no later draw captures: `_skip_fix` advances the generator
-past the normals the rest of the budget would take, in one call per
-65,536 draws, which leaves the state that the batches would, and the
-fix raises the loop's RetryExhausted.  Fixes whose draws capture never
-pay for the certificate.
+Cholesky factor of a Gram matrix, the midpoint of its positive
+semidefinite ones, which a cubic gives in closed form.  Then no later
+draw captures: `_skip_fix` advances the generator past the normals the
+rest of the budget would take, in one call per 65,536 draws, which
+leaves the state that the batches would, and the fix raises the loop's
+RetryExhausted.  Fixes whose draws capture never pay for the
+certificate.
 
 Reports carry degree_spent, so the degree each fix pays is observable.
 """
@@ -107,8 +114,12 @@ DEFAULT_C = 2  # fix_subspace needs subspace mass E~ |proj_S x|^2 >= dim(S)^-C
 
 _RELAXED_SCALAR_EPS = 0.45  # fallback scalar tolerance when degree is tight
 _DRAW_BATCH = 256  # candidate directions screened per vectorized batch
+_SCREEN_FIRST = 8  # draws of a batch `_doomed` screens before the others
 _SCREEN_MARGIN = 1e-6  # relative margin a closed-form rejection must clear
 _SKIP_CHUNK = 1 << 16  # draws per generator call when skipping a budget
+# the bar fix_scalar's relaxed tolerance puts on E s^4 / (E s^2)^2
+_GATE_BAR = 1.0 + 3.0 * (_RELAXED_SCALAR_EPS * 2.0 ** -0.5) ** 2
+_SIGNS = np.array([1.0, -1.0])[:, None, None]  # m = +-1 along a first axis
 
 
 @dataclass(frozen=True)
@@ -265,10 +276,12 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
 
         |E~ x|^2  >=  (1 - delta) E~ |proj_S x|^2.
 
-    `keep(table, margin)`, when given, is the caller's test on the
-    accepted draw's fixed table, a PseudoDistribution: the fix raises
-    FixDiscarded where keep(table, 0.0) is False, with the generator just
-    past the draw, as after any accepted one.  With margin > 0, keep must
+    `keep(moments, degree, margin)`, when given, is the caller's test on
+    the accepted draw's fixed table, of degree `degree` and with a moment
+    vector that starts with `moments`, which holds at least the moments
+    of degree <= 2: the fix raises FixDiscarded where keep(moments,
+    degree, 0.0) is False, with the generator just past the draw, as
+    after any accepted one.  With margin > 0, keep must
     loosen its bars by that relative margin, so that False means the
     table fails by the margin.  A caller that would throw the table away
     then lets the fix skip the certified reweightings of a draw decided
@@ -303,19 +316,12 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     if mass < _mass_floor(dim):
         raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
 
-    # everything the draws compare against depends on mu alone: the mass
-    # and the moment blocks of degree 1 and 2
-    block = moment_block(mu, 2, 2)
+    # the moments the draws are compared against, gathered once per table
+    block_lin, block_quad, screen_power, screen = mu.derived(_gathered)
     lin, quad = index.block(1), index.block(2)
-    block_lin, block_quad = block[lin, lin], block[quad, quad]
     # second-moment matrix in subspace coordinates; its top eigenvector is
     # the first candidate direction, then uniform draws take over
     top = np.linalg.eigh(rows @ block_lin @ rows.T)[1][:, -1]
-    # a draw whose power step p leaves a degree-4 table is decided in
-    # closed form by _doomed, from moments gathered here
-    screen_power = {4: 0, 6: 1}.get(mu.degree)
-    if screen_power is not None:
-        screen = _screen_moments(mu, screen_power)
     bar = (1.0 - eps) ** 3 * mass
     certify = dim == 2   # _plane_cannot_capture is still to be tried
     # draws are screened a batch at a time; after an accepted draw the
@@ -343,34 +349,41 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         # a uniform unit v in S has E~ <v, x>^2 = mass / dim on average
         typical = e_lo >= 0.5 / dim * mass
         drawn = np.flatnonzero((e_lo > 0.0) & captures & typical)
-        passes = np.zeros(drawn.size, dtype=bool)
-        if screen_power is not None and drawn.size:
-            doomed, passes, models = _doomed(mu, powers[drawn], screen, proj,
-                                             screen_power, mass, eps, delta)
-            drawn, passes, models = drawn[~doomed], passes[~doomed], models[:, ~doomed]
-        for i, j in enumerate(drawn.tolist()):
-            if keep is not None and passes[i] and not any(
-                    keep(_degree_two(index, model), _SCREEN_MARGIN) for model in models[:, i]):
-                # _fix_draw would accept the draw, and keep reject its table
+        # the loop below ends at the first draw it accepts or discards; with
+        # keep, that is most often a closed-form discard of the batch's
+        # first draw, so the screen takes the first few draws before the rest
+        split = _SCREEN_FIRST if keep is not None else drawn.size
+        for chunk in (drawn[:split], drawn[split:]):
+            doomed = passes = [False] * chunk.size
+            if screen_power is not None and chunk.size:
+                doomed, passes, models = _doomed(mu, powers[chunk], screen, proj,
+                                                 screen_power, mass, eps, delta)
+                doomed, passes = doomed.tolist(), passes.tolist()
+            for i, j in enumerate(chunk.tolist()):
+                if doomed[i]:
+                    continue
+                if keep is not None and passes[i] and not any(
+                        keep(model, 2, _SCREEN_MARGIN) for model in models[:, i]):
+                    # _fix_draw would accept the draw, and keep reject its table
+                    _rewind(rng, state, j + 1, dim)
+                    raise _discarded()
+                v = directions[j]
+                fixed = _fix_draw(mu, v, powers[j], proj, mass, eps, delta)
+                if fixed is None:
+                    continue
+                fixed_mu, srep, sigma, powered, target = fixed
                 _rewind(rng, state, j + 1, dim)
-                raise _discarded()
-            v = directions[j]
-            fixed = _fix_draw(mu, v, powers[j], proj, mass, eps, delta)
-            if fixed is None:
-                continue
-            fixed_mu, srep, sigma, powered, target = fixed
-            _rewind(rng, state, j + 1, dim)
-            if keep is not None and not keep(fixed_mu, 0.0):
-                raise _discarded()
-            factors = [(_linear_square(v), 1)] if powered else []
-            factors.extend(srep.factors)
-            mean = fixed_mu.moments[lin]
-            report = SubspaceFixReport(
-                v, attempt + j + 1,
-                float(mean @ mean) / target if target > 0 else 0.0,
-                2 * powered + srep.degree_spent, srep.m * sigma, srep,
-                tuple(factors))
-            return fixed_mu, report
+                if keep is not None and not keep(fixed_mu.moments, fixed_mu.degree, 0.0):
+                    raise _discarded()
+                factors = [(_linear_square(v), 1)] if powered else []
+                factors.extend(srep.factors)
+                mean = fixed_mu.moments[lin]
+                report = SubspaceFixReport(
+                    v, attempt + j + 1,
+                    float(mean @ mean) / target if target > 0 else 0.0,
+                    2 * powered + srep.degree_spent, srep.m * sigma, srep,
+                    tuple(factors))
+                return fixed_mu, report
         attempt += coefs.shape[0]
     raise _exhausted(retry_budget)
 
@@ -388,12 +401,6 @@ def _rewind(rng, state, draws: int, dim: int) -> None:
     """Put rng where `draws` draws of dim normals from `state` leave it."""
     rng.bit_generator.state = state
     rng.standard_normal((draws, dim))
-
-
-def _degree_two(index, moments) -> PseudoDistribution:
-    """The degree-2 table of the moment vector `moments` over index's
-    variables."""
-    return PseudoDistribution(monomial_index(index.num_vars, 2), moments, 2)
 
 
 def _mass_floor(dim: int) -> float:
@@ -496,31 +503,30 @@ def _doomed(cur, powers, screen, proj, p, mass, eps, delta):
     margin = _SCREEN_MARGIN
     index = cur.index
     lin, quad = index.block(1), index.block(2)
-    count, rows = len(powers), len(screen)
-    # E~ x^a s^{2p} s^j for j = 0, 1, 2: s^{2p} on the monomials of
-    # degree 2p, times s^j on those of degree j
-    base = powers[:, quad] if p else np.ones((count, 1))
-    low = base @ screen[:, :, 0].T
-    mid, high = ((base[:, :, None] * powers[:, None, j]).reshape(count, -1)
-                 @ screen[:, :, j].reshape(rows, -1).T for j in (lin, quad))
-    bar = 1.0 + 3.0 * (_RELAXED_SCALAR_EPS * 2.0 ** -0.5) ** 2
+    # E~ x^a s^{2p} s^j for j = 0, 1, 2: the products of the coefficients
+    # of s^j and of s^{2p} (powers[:, 0] = 1 at p = 0), grouped by j, times
+    # the rows of `screen` for the monomials of degree j
+    base = powers[:, quad] if p else powers[:, :1]
+    width = base.shape[1]
+    products = (powers[:, :, None] * base[:, None, :]).reshape(len(powers), -1)
+    low, mid, high = (products[:, width * j.start:width * j.stop]
+                      @ screen[width * j.start:width * j.stop]
+                      for j in (index.block(0), lin, quad))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sigma = np.sqrt(high[:, 0] / low[:, 0])
-        kurtosis = np.einsum("ij,ij->i", powers[:, quad], high[:, quad]) \
-            * low[:, 0] / high[:, 0] ** 2
+        inverse = low[:, 0] / high[:, 0]  # 1 / sigma^2
+        kurtosis = np.einsum("ij,ij->i", powers[:, quad], high[:, quad]) * inverse / high[:, 0]
         settled = (low[:, 0] > 0.0) & (high[:, 0] > 0.0) & np.isfinite(kurtosis)
-        doomed = settled & (kurtosis > bar * (1.0 + margin))
-        opened = settled & (kurtosis < bar * (1.0 - margin))
+        doomed = settled & (kurtosis > _GATE_BAR * (1.0 + margin))
+        opened = settled & (kurtosis < _GATE_BAR * (1.0 - margin))
         # reweight's floor on E~ (s / sigma + m)^2 over the powered table,
         # here times E~ s^{2p}: the weight's absolute coefficients against
         # |E~ x^a s^{2p}|, at least E~ s^{2p} from the constant m^2 = 1
-        size = np.abs(low)
-        floor = NORM_EPS * (1.0 + margin) * (
-            size[:, 0] + 2.0 * np.einsum("ij,ij->i", np.abs(powers[:, lin]), size[:, lin]) / sigma
-            + np.einsum("ij,ij->i", np.abs(powers[:, quad]), size[:, quad]) / sigma ** 2)
+        root = np.sqrt(inverse)
+        terms = np.abs(powers * low)
+        floor = NORM_EPS * (1.0 + margin) * (terms[:, 0] + root * (
+            2.0 * terms[:, lin].sum(axis=1) + root * terms[:, quad].sum(axis=1)))
         # both signs at once, along the first axis
-        signs = np.array([1.0, -1.0])[:, None, None]
-        weighted = high / sigma[:, None] ** 2 + 2.0 * signs * mid / sigma[:, None] + low
+        weighted = high * inverse[:, None] + low + _SIGNS * (mid * (2.0 * root)[:, None])
         norm = weighted[..., 0]
         models = weighted / norm[..., None]
         mean_sq = np.einsum("sij,sij->si", models[..., lin], models[..., lin])
@@ -529,21 +535,37 @@ def _doomed(cur, powers, screen, proj, p, mass, eps, delta):
         doomed |= opened & (valid & (mean_sq < share * (1.0 - margin))).all(axis=0)
         passes = opened & (valid & (norm > floor) & (mean_sq > share * (1.0 + margin))).all(axis=0)
     if p:
-        s2 = powers[:, quad] @ cur.moments[quad]
-        powered = s2 < (1.0 - eps) ** 3 * mass * (1.0 - margin)
+        # low[:, 0] = E~ s^2, against the power step's bar and, as the
+        # step's weight, against reweight's floor
+        powered = low[:, 0] < (1.0 - eps) ** 3 * mass * (1.0 - margin)
         doomed &= powered
-        # the power step's weight s^2 against reweight's floor
-        passes &= powered & (s2 > NORM_EPS * (1.0 + margin) * np.maximum(
+        passes &= powered & (low[:, 0] > NORM_EPS * (1.0 + margin) * np.maximum(
             1.0, np.abs(powers[:, quad]) @ np.abs(cur.moments[quad])))
     return doomed, passes, models
 
 
+def _gathered(cur):
+    """What every fix on the table cur reads of it, gathered once per
+    table (`PseudoDistribution.derived`) and shared by the fixes of every
+    structure trial on it: the moment blocks of degree 1 x 1 and 2 x 2,
+    and, when a draw's power step p leaves a degree-4 table, p and
+    `_screen_moments(cur, p)`; p and the screen are None at other
+    degrees."""
+    block = moment_block(cur, 2, 2)
+    lin, quad = cur.index.block(1), cur.index.block(2)
+    p = {4: 0, 6: 1}.get(cur.degree)
+    screen = None if p is None else _screen_moments(cur, p)
+    return block[lin, lin], block[quad, quad], p, screen
+
+
 def _screen_moments(cur, p) -> np.ndarray:
-    """T[a, b, c] = E~ x^(a+b+c) for deg a <= 2, deg b = 2p and deg c <=
-    2: every moment `_doomed` reads at power p, gathered once per fix."""
+    """Every moment `_doomed` reads at power p, as the matrix it multiplies
+    by: E~ x^(a+b+c) at row (c, b) and column a, for deg a <= 2, deg b = 2p
+    and deg c <= 2."""
     index = cur.index
     pairs = index.sum_table(2, 2 * p)[:, index.block(2 * p)]
-    return cur.moments[index.sum_table(2 * p + 2, 2)[pairs]]
+    moments = cur.moments[index.sum_table(2 * p + 2, 2)[pairs]]
+    return np.ascontiguousarray(moments.transpose(2, 1, 0)).reshape(-1, len(moments))
 
 
 def _plane_cannot_capture(index, rows, block_lin, block_quad, bar) -> bool:
@@ -567,7 +589,8 @@ def _plane_cannot_capture(index, rows, block_lin, block_quad, bar) -> bool:
     segment between the rank-2 ones of q_0 |(t - r_1)(t - r_2)|^2 and
     q_0 |(t - r_1)(t - conj(r_2))|^2, at lam = q_0 Re(r_1 r_2) and q_0
     Re(r_1 conj(r_2)).  Its midpoint lam = q_0 Re(r_1) Re(r_2) is
-    positive definite, so the roots pick lam and the factor proves it.
+    positive definite; `_gram_midpoint` finds it without the roots, and
+    the factor proves it.
     """
     squares = linear_form_powers(index, np.array([rows[0], rows[1], rows[0] + rows[1]]),
                                  2)[:, index.block(2)]
@@ -582,9 +605,9 @@ def _plane_cannot_capture(index, rows, block_lin, block_quad, bar) -> bool:
         - np.array([h[0, 0], 2.0 * h[0, 1], 2.0 * h[0, 2] + h[1, 1], 2.0 * h[1, 2], h[2, 2]])
     if not (np.isfinite(q).all() and q[0] > 0.0):
         return False
-    roots = np.roots(q)
-    upper = roots[np.argsort(-roots.imag)[:2]]
-    lam = q[0] * upper[0].real * upper[1].real
+    lam = _gram_midpoint(*q.tolist())
+    if lam is None:
+        return False
     gram = np.array([[q[0], q[1] / 2.0, lam],
                      [q[1] / 2.0, q[2] - 2.0 * lam, q[3] / 2.0],
                      [lam, q[3] / 2.0, q[4]]])
@@ -593,6 +616,32 @@ def _plane_cannot_capture(index, rows, block_lin, block_quad, bar) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _gram_midpoint(q0, q1, q2, q3, q4):
+    """q_0 Re(r_1) Re(r_2) for the binary quartic with coefficients q_0..q_4
+    (see `_plane_cannot_capture`), or None when no Gram matrix of it is
+    positive definite.
+
+    det G(lam) = 2 lam^3 - q_2 lam^2 + (q_1 q_3 / 2 - 2 q_0 q_4) lam +
+    q_0 q_2 q_4 - q_0 q_3^2 / 4 - q_1^2 q_4 / 4 vanishes at both ends of
+    the segment of positive semidefinite Gram matrices, where det G >= 0,
+    so they are its two least roots and the midpoint is (q_2 / 2 -
+    lam_max) / 2, the roots summing to q_2 / 2.  The largest root
+    lam_max comes from the trigonometric form of the cubic; one real root
+    only leaves no segment."""
+    b = -q2 / 2.0
+    c = q1 * q3 / 4.0 - q0 * q4
+    d = (q0 * q2 * q4 - q0 * q3 * q3 / 4.0 - q1 * q1 * q4 / 4.0) / 2.0
+    # lam = t - b / 3 turns lam^3 + b lam^2 + c lam + d into t^3 + p t + r
+    p = c - b * b / 3.0
+    r = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    if not p < 0.0:
+        return None
+    scale = 2.0 * math.sqrt(-p / 3.0)
+    angle = math.acos(min(1.0, max(-1.0, 3.0 * r / (p * scale))))
+    top = scale * math.cos(angle / 3.0) - b / 3.0
+    return (q2 / 2.0 - top) / 2.0
 
 
 def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:

@@ -11,6 +11,14 @@ O(log n / eps) rounds suffice.  A mean that the sign classes leave at
 zero, and that a joint fix does not seed, gets a fix on the top
 ceil(2 sqrt(n)) eigenvectors of its second moment, all of R^n for n <= 4.
 
+What every trial reads of the table it starts from is computed once per
+table (`PseudoDistribution.derived`): the stopping data of both blocks
+and the eigendecompositions of their second moments here, and the
+moment blocks and the draw screen's matrix that every fix on it reads
+in `reweighting`.  The trials that `bss._round` runs on one table with
+fresh seeds share them, and a trial's fixes pay only for their own
+subspace and draws.
+
 `run_structure_2d(mu, eps, seed)` runs these rounds and returns the
 concentrated table, a trace of its steps and the composite
 reweighting, a product of certified SOS factors kept in base^power form:
@@ -118,9 +126,28 @@ def _block_rows(rows_small: np.ndarray, offset: int, total: int) -> np.ndarray:
 
 def block_stopping(mu: PseudoDistribution, offset: int, n: int):
     """Per-coordinate stopping data: ||mm^T - E~ uu^T||_F and |m|^2."""
-    mean, second = first_moments(mu, offset, n)
-    gap = float(np.linalg.norm(np.outer(mean, mean) - second))
-    return gap, float(mean @ mean), mean, second
+    return _stopping(mu.index, mu.moments, offset, n)
+
+
+def _stopping(index, moments, offset: int, n: int):
+    """`block_stopping` of the table whose moment vector, over `index`'s
+    monomials, starts with `moments`: it reads degrees 1 and 2 only."""
+    at = slice(1 + offset, 1 + offset + n)
+    mean = moments[at].copy()
+    second = moments[index.sum_table(1, 1)[at, at]]
+    # the Frobenius norm as np.linalg.norm takes it
+    diff = (mean[:, None] * mean - second).ravel()
+    return math.sqrt(diff.dot(diff)), float(mean @ mean), mean, second
+
+
+def _root_data(mu: PseudoDistribution):
+    """The stopping data of both blocks of mu and the eigendecompositions
+    of their second moments, computed once per table and read by every
+    trial on it while no fix has changed the table."""
+    n = mu.num_vars // 2
+    stopping = {offset: block_stopping(mu, offset, n) for offset in (0, n)}
+    spectra = {offset: np.linalg.eigh(stopping[offset][3]) for offset in (0, n)}
+    return stopping, spectra
 
 
 def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
@@ -149,8 +176,13 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     found on the certified table ends the same way.  Either way the
     generator stands just past the accepted draw, so the trial runs as
     if the fix had returned and phase one had thrown the table away.
-    While no fix has changed the table, the top-eigenspace fixes reuse
-    phase one's stopping data and eigendecompositions of it.
+    `keep` reads the stopping data off the moment vector it is given,
+    the closed-form one included, without building a table.  The root
+    table's stopping data and the eigendecompositions of its blocks'
+    second moments are computed once per table and shared by every trial
+    on it (`bss._round` runs many with fresh seeds), and the
+    top-eigenspace fixes read them too while no fix has changed the
+    table.
     """
     if not 0.0 < eps < 1.0:
         raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
@@ -186,20 +218,16 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     # only if it settles both blocks or leaves enough degree to keep
     # working: `keep` tells fix_subspace so, and it raises FixDiscarded
     # for any other table.
-    def keep(table, margin):
-        if table.degree >= 4:
+    def keep(moments, degree, margin):
+        if degree >= 4:
             return True
         bar = eps * (1.0 + margin)
         return all(gap <= bar * mean_sq for gap, mean_sq, _, _ in
-                   (block_stopping(table, 0, n), block_stopping(table, n, n)))
+                   (_stopping(mu.index, moments, offset, n) for offset in (0, n)))
 
     floor = 1.0 / (4.0 * math.sqrt(n))
-    # the root table's stopping data and eigendecompositions, read again
-    # by the top-eigenspace fixes below while no fix has changed the table
-    stopping = {offset: block_stopping(cur, offset, n) for offset in (0, n)}
-    spectra = {}
+    stopping, spectra = mu.derived(_root_data)
     if stopping[0][1] <= floor and stopping[n][1] <= floor:
-        spectra = {offset: np.linalg.eigh(stopping[offset][3]) for offset in (0, n)}
         (vals1, vecs1), (vals2, vecs2) = spectra[0], spectra[n]
         root1 = vecs1 * np.sqrt(np.clip(vals1, 0.0, None))
         root2 = vecs2 * np.sqrt(np.clip(vals2, 0.0, None))
@@ -234,7 +262,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
         _, mean_sq, _, second = stopping[offset] if unchanged else block_stopping(cur, offset, n)
         if mean_sq > floor:
             continue
-        vecs = (spectra[offset] if unchanged and spectra else np.linalg.eigh(second))[1]
+        vecs = (spectra[offset] if unchanged else np.linalg.eigh(second))[1]
         small = np.array([vecs[:, -(i + 1)]
                           for i in range(min(top_count, n))])
         rows = _block_rows(small, offset, mu.num_vars)

@@ -6,6 +6,7 @@ against the hand-computed block identity (A + iB)(C + iD)* expanded
 into real parts.
 """
 
+import collections
 import math
 import os
 
@@ -44,6 +45,7 @@ from rankone.errors import (
     DimensionMismatch,
     EmptySubspace,
     IllFormed,
+    RankOneError,
     RetryExhausted,
     ZeroCandidate,
 )
@@ -210,6 +212,36 @@ def test_structure_rounds_lift_spectral_misses(seed, quality):
     assert rep.quality >= 1.0 - 0.05 ** 2
     assert rep.quality == pytest.approx(quality, abs=1e-9)
     assert cand.quality == rep.quality
+
+
+def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
+    """The calls the benchmark's tracer counts, through the two module
+    attributes it wraps, on the spectral misses planted_yes(2, 2, s), s
+    in {0, 2, 3}, at degree 6 and eps 0.05: 27 trials, 3 of them kept and
+    24 raising RetryExhausted, and 331 fixes, of which 166 raise
+    FixDiscarded, 162 RetryExhausted and 3 return a table."""
+    counts = {"run_structure_2d": collections.Counter(),
+              "fix_subspace": collections.Counter()}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            try:
+                result = real(*args, **kwargs)
+            except RankOneError as err:
+                counts[name][type(err).__name__] += 1
+                raise
+            counts[name]["returned"] += 1
+            return result
+        monkeypatch.setattr(module, name, counted)
+    counting(bss, "run_structure_2d")
+    counting(structure, "fix_subspace")
+    for seed in (0, 2, 3):
+        solve_bss(planted_yes(2, 2, seed)[0], 0.05, degree=6)
+    assert counts["run_structure_2d"] == {"returned": 3, "RetryExhausted": 24}
+    assert counts["fix_subspace"] == {
+        "FixDiscarded": 166, "RetryExhausted": 162, "returned": 3}
 
 
 # seeded degree-4 qualities: the eps-0.25 spectral misses, then

@@ -633,6 +633,61 @@ def test_plane_certificate_changes_no_fix(monkeypatch):
     assert sum(not isinstance(result, str) for result, _ in forced) >= 100
 
 
+def roots_midpoint(q):
+    """q_0 Re(r_1) Re(r_2) from the roots of the quartic q, one of each
+    conjugate pair in the upper half plane."""
+    roots = np.roots(q)
+    upper = roots[np.argsort(-roots.imag)[:2]]
+    return q[0] * upper[0].real * upper[1].real
+
+
+def test_gram_midpoint_matches_the_roots():
+    """The closed-form midpoint of the Gram segment agrees with the one
+    the quartic's roots give, within 1e-6 relative, on 20,000 random
+    positive quartics q_0 |(t - r_1)(t - r_2)|^2; a quartic with real
+    roots has no positive definite Gram matrix, so either the cubic has
+    one real root only or Cholesky refuses the midpoint."""
+    rng = np.random.default_rng(811)
+    for _ in range(20000):
+        roots = (rng.standard_normal(2) * rng.uniform(0.1, 5.0)
+                 + 1j * np.abs(rng.standard_normal(2)) * rng.uniform(0.01, 5.0))
+        q = rng.uniform(0.01, 3.0) * np.real(np.poly(np.concatenate([roots, roots.conj()])))
+        ref = roots_midpoint(q)
+        assert reweighting._gram_midpoint(*q) == pytest.approx(ref, rel=1e-6, abs=1e-300)
+    for _ in range(200):
+        q = np.poly(rng.standard_normal(4))
+        lam = reweighting._gram_midpoint(*q)
+        if lam is not None:
+            gram = np.array([[q[0], q[1] / 2.0, lam],
+                             [q[1] / 2.0, q[2] - 2.0 * lam, q[3] / 2.0],
+                             [lam, q[3] / 2.0, q[4]]])
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(gram)
+
+
+def test_plane_certificate_decides_the_rounding_fixes_as_the_roots_do(monkeypatch):
+    """On the spectral misses planted_yes(2, 2, s), s in {0, 2, 3}, at
+    degree 6 and eps 0.05, the certificate runs on the 24 top-eigenspace
+    fixes and proves each of them hopeless; a certificate whose Gram
+    midpoint comes from the quartic's roots decides each the same."""
+    from rankone.bss import planted_yes, solve_bss
+    decide = reweighting._plane_cannot_capture
+    calls = []
+
+    def recording(*args):
+        decided = decide(*args)
+        calls.append((args, decided))
+        return decided
+    monkeypatch.setattr(reweighting, "_plane_cannot_capture", recording)
+    for seed in (0, 2, 3):
+        solve_bss(planted_yes(2, 2, seed)[0], 0.05, degree=6)
+    monkeypatch.setattr(reweighting, "_plane_cannot_capture", decide)
+    monkeypatch.setattr(reweighting, "_gram_midpoint", lambda *q: roots_midpoint(q))
+    assert len(calls) == 24
+    assert all(decided for _, decided in calls)
+    assert [decide(*args) for args, _ in calls] == [decided for _, decided in calls]
+
+
 def test_fix_subspace_rejects_bad_counts():
     """retry_budget must be an integer >= 1."""
     pts = np.array([[0.9, 0.1, 0.0], [0.85, -0.05, 0.2]])

@@ -279,6 +279,59 @@ def fix_log(mu, eps, seed, monkeypatch):
     return result, log
 
 
+def fix_outcome(result):
+    """A fix_subspace result as comparable data: the table and report, or
+    the exception class and message."""
+    if isinstance(result, RankOneError):
+        return type(result), str(result)
+    table, rep = result
+    return (table.moments.tolist(), table.degree, rep.chosen_direction.tolist(),
+            rep.samples_tried, rep.achieved, rep.degree_spent, rep.fixed_value,
+            [(base.coefficients.tolist(), power) for base, power in rep.factors])
+
+
+def test_gathered_table_data_changes_no_fix(monkeypatch):
+    """Every fix_subspace call that `bss._round` makes on the three
+    `rounding` root tables, of planted_yes(2, 2, s) for s in {0, 2, 3},
+    and on planted_yes(3, 5, 4)'s degree-6 table, at eps 0.05, joint
+    fixes with `keep` and the fixes without it, gives the same table and
+    report, or the same exception and message, and leaves the generator
+    in the same state, as the same call on a fresh copy of its table, on
+    which nothing is gathered yet."""
+    from rankone.bss import planted_yes, solve_bss
+    fix = structure.fix_subspace
+    calls = []
+
+    def recording(cur, rows, delta, **kwargs):
+        rng = kwargs["seed"]
+        before = rng.bit_generator.state
+        try:
+            result = fix(cur, rows, delta, **kwargs)
+        except RankOneError as err:
+            result = err
+        calls.append((cur, rows, delta, kwargs, before, fix_outcome(result),
+                       rng.bit_generator.state))
+        if isinstance(result, RankOneError):
+            raise result
+        return result
+    monkeypatch.setattr(structure, "fix_subspace", recording)
+    for n, dim_w, seed in ((2, 2, 0), (2, 2, 2), (2, 2, 3), (3, 5, 4)):
+        solve_bss(planted_yes(n, dim_w, seed)[0], 0.05, degree=6)
+    monkeypatch.undo()
+    for cur, rows, delta, kwargs, before, outcome, after in calls:
+        fresh = PseudoDistribution(cur.index, cur.moments.copy(), cur.degree, cur.constraints)
+        rng = np.random.default_rng()
+        rng.bit_generator.state = before
+        try:
+            result = fix(fresh, rows, delta, **{**kwargs, "seed": rng})
+        except RankOneError as err:
+            result = err
+        assert fix_outcome(result) == outcome
+        assert rng.bit_generator.state == after
+    joint = sum("keep" in kwargs for _, _, _, kwargs, _, _, _ in calls)
+    assert joint > 300 and len(calls) - joint > 24, (joint, len(calls))
+
+
 def test_discard_decision_changes_no_trial(monkeypatch):
     """With the closed-form pass decision of `_doomed` forced to
     undecided, so that every accepted draw takes the certified path,
