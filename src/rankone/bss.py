@@ -351,6 +351,14 @@ def _round(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
     covariance is PSD with trace 1 - |m_u|^2, needs |m_u|^2 >= 1 / (1 +
     sqrt(n) eps_t), above 1/2 for every n <= 4 since eps_t <=
     _MAX_STRUCTURE_EPS.  At n = 5 and 6 no such trial was seen to succeed.
+
+    On a degree-6 table the same parity decides most trials at their
+    root: when no joint fix is kept and u's fix must spend the last
+    degrees, v's fix cannot run, and `run_structure_2d` raises
+    DegreeExhausted before paying for either (see `structure`).  Every
+    failure caught here counts alike, the last one only chained to
+    ZeroCandidate as its cause, and each trial's generator is its own,
+    so the next trial starts as it would have.
     """
     structure_eps = _default_structure_eps(eps, w.ambient)
     n = w.ambient

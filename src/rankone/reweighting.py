@@ -36,19 +36,19 @@ its roots, as `reweight` requires.
 
 A batch passes two screens before any draw is reweighted.  The first
 is the capture test on E~ s^4 against E~ s^2.  The second decides in
-closed form every draw whose fixed table has degree 2, that is, whose
-optional power step s^{2p}, p in {0, 1}, leaves degree 4.  On such a
-table `fix_scalar` has no degree for stage A, so the scalar fix is one
-gate on E s^4 / (E s^2)^2 at the relaxed tolerance and then the sign
-split.  The fixed table is the current one reweighted by
-r^2 = s^{2p} (s / sigma +- 1)^2, and its whole moment vector, mean and
-subspace mass included, is a ratio of moment forms, products with
-moments gathered once per table.  A draw is dropped only when the gate
-fails, or when the mean-mass test fails under both signs, each by a
-relative margin of 1e-6.  A draw within the margin, with a non-finite
-value, or on a table of another degree goes through `_fix_draw`, the
-only code that returns a table, with its certified reweightings.  A dropped draw's weight is
-never applied, so the screen changes no result and no generator state.
+closed form every draw on a degree-6 table whose power step s^2 runs
+and leaves degree 4.  On that table `fix_scalar` has no degree for
+stage A, so the scalar fix is one gate on E s^4 / (E s^2)^2 at the
+relaxed tolerance and then the sign split.  The fixed table is the
+current one reweighted by r^2 = s^2 (s / sigma +- 1)^2, and its whole
+moment vector, mean and subspace mass included, is a ratio of moment
+forms, products with moments gathered once per table.  A draw is
+dropped only when the gate fails, or when the mean-mass test fails
+under both signs, each by a relative margin of 1e-6.  A draw within the
+margin, with a non-finite value, or on a table of another degree goes
+through `_fix_draw`, the only code that returns a table, with its
+certified reweightings.  A dropped draw's weight is never applied, so
+the screen changes no result and no generator state.
 
 The same closed form proves that a draw passes: the power step surely
 runs, the gate and the mean-mass test pass, and both weights clear the
@@ -65,17 +65,10 @@ sees one answer either way.  Since such a fix mostly ends at the first
 draw that the screen lets through, with `keep` the screen takes the
 first _SCREEN_FIRST draws of a batch before the rest.
 
-A fix on a plane (dim(S) = 2) is decided as a whole after its first
-batch in which no draw captures, while budget remains.
-`_plane_cannot_capture` writes E~ s^4 - c E~ s^2 |a|^2 for v = a_1 r_1
-+ a_2 r_2 as a binary quartic in a and proves it negative by one
-Cholesky factor of a Gram matrix, the midpoint of its positive
-semidefinite ones, which a cubic gives in closed form.  Then no later
-draw captures: `_skip_fix` advances the generator past the normals the
-rest of the budget would take, in one call per 65,536 draws, which
-leaves the state that the batches would, and the fix raises the loop's
-RetryExhausted.  Fixes whose draws capture never pay for the
-certificate.
+`powers_every_draw` decides from a spectrum alone that a fix on a
+degree-6 table runs the power step on every draw, and so returns a
+table of degree 2 if it returns at all; the structure rounds use it to
+decide a trial at its root.
 
 Reports carry degree_spent, so the degree each fix pays is observable.
 """
@@ -116,7 +109,6 @@ _RELAXED_SCALAR_EPS = 0.45  # fallback scalar tolerance when degree is tight
 _DRAW_BATCH = 256  # candidate directions screened per vectorized batch
 _SCREEN_FIRST = 8  # draws of a batch `_doomed` screens before the others
 _SCREEN_MARGIN = 1e-6  # relative margin a closed-form rejection must clear
-_SKIP_CHUNK = 1 << 16  # draws per generator call when skipping a budget
 # the bar fix_scalar's relaxed tolerance puts on E s^4 / (E s^2)^2
 _GATE_BAR = 1.0 + 3.0 * (_RELAXED_SCALAR_EPS * 2.0 ** -0.5) ** 2
 _SIGNS = np.array([1.0, -1.0])[:, None, None]  # m = +-1 along a first axis
@@ -290,12 +282,10 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     Raises RetryExhausted when no draw within the budget passes.  The
     decisions come in this order: the arguments, the degree, the mass
     floor, and only then the draws.  Each batch of draws meets, in
-    order, the capture test, `_plane_cannot_capture` when no draw of the
-    batch captures on a two-dimensional S and budget remains (once per
-    fix: yes advances the generator past the rest of the budget and
-    raises RetryExhausted), the typical-size test and `_doomed`.  The
-    draws left go in order to `keep` on the closed-form tables of a draw
-    that `_doomed` proves to pass, then to `_fix_draw`.
+    order, the capture test, the typical-size test and, on a degree-6
+    table, `_doomed`.  The draws left go in order to `keep` on the
+    closed-form tables of a draw that `_doomed` proves to pass, then to
+    `_fix_draw`.
     """
     rows = np.atleast_2d(np.asarray(basis, dtype=float))
     if rows.size == 0:
@@ -317,13 +307,12 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
 
     # the moments the draws are compared against, gathered once per table
-    block_lin, block_quad, screen_power, screen = mu.derived(_gathered)
+    block_lin, block_quad, screen = mu.derived(_gathered)
     lin, quad = index.block(1), index.block(2)
     # second-moment matrix in subspace coordinates; its top eigenvector is
     # the first candidate direction, then uniform draws take over
     top = np.linalg.eigh(rows @ block_lin @ rows.T)[1][:, -1]
     bar = (1.0 - eps) ** 3 * mass
-    certify = dim == 2   # _plane_cannot_capture is still to be tried
     # draws are screened a batch at a time; after an accepted draw the
     # generator is rewound to just past it, where a loop over single
     # draws would have left it
@@ -339,13 +328,6 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         e_lo = _quadratic_forms(powers[:, lin], block_lin)
         e_hi = _quadratic_forms(powers[:, quad], block_quad)
         captures = e_hi >= bar * e_lo
-        left = retry_budget - attempt - coefs.shape[0]
-        if certify and left and not captures.any():
-            certify = False
-            if _plane_cannot_capture(index, rows, block_lin, block_quad, bar):
-                # no later draw captures either
-                _skip_fix(rng, left, dim)
-                raise _exhausted(retry_budget)
         # a uniform unit v in S has E~ <v, x>^2 = mass / dim on average
         typical = e_lo >= 0.5 / dim * mass
         drawn = np.flatnonzero((e_lo > 0.0) & captures & typical)
@@ -355,9 +337,9 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         split = _SCREEN_FIRST if keep is not None else drawn.size
         for chunk in (drawn[:split], drawn[split:]):
             doomed = passes = [False] * chunk.size
-            if screen_power is not None and chunk.size:
+            if screen is not None and chunk.size:
                 doomed, passes, models = _doomed(mu, powers[chunk], screen, proj,
-                                                 screen_power, mass, eps, delta)
+                                                 mass, eps, delta)
                 doomed, passes = doomed.tolist(), passes.tolist()
             for i, j in enumerate(chunk.tolist()):
                 if doomed[i]:
@@ -385,12 +367,7 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
                     tuple(factors))
                 return fixed_mu, report
         attempt += coefs.shape[0]
-    raise _exhausted(retry_budget)
-
-
-def _exhausted(retry_budget: int) -> RetryExhausted:
-    return RetryExhausted(
-        f"no direction fixed the subspace within {retry_budget} draws")
+    raise RetryExhausted(f"no direction fixed the subspace within {retry_budget} draws")
 
 
 def _discarded() -> FixDiscarded:
@@ -406,15 +383,6 @@ def _rewind(rng, state, draws: int, dim: int) -> None:
 def _mass_floor(dim: int) -> float:
     """The least subspace mass `fix_subspace` takes on a dim-dimensional S."""
     return dim ** (-float(DEFAULT_C)) * (1.0 - 1e-9)
-
-
-def _skip_fix(rng, retry_budget: int, dim: int) -> None:
-    """Advance rng as a fix on a dim-dimensional S that draws its whole
-    retry_budget and fails would: past retry_budget draws of dim normals.
-    The normals fill row by row, so any split into batches leaves the
-    same state; the chunks only bound the memory a huge budget takes."""
-    for start in range(0, retry_budget, _SKIP_CHUNK):
-        rng.standard_normal((min(_SKIP_CHUNK, retry_budget - start), dim))
 
 
 def _require_count(name: str, value) -> None:
@@ -467,34 +435,34 @@ def _fix_draw(cur, v, powers, proj, mass, eps, delta):
     return None
 
 
-def _doomed(cur, powers, screen, proj, p, mass, eps, delta):
-    """Which draws provably fail `_fix_draw`, and which provably pass it,
-    when their power step p leaves a degree-4 table, with the moments of
-    degree <= 2 of the table it would return.  `powers` holds the powers
-    of each draw's s = <v, x> up to degree 2, and `screen` is
-    `_screen_moments(cur, p)`.
+def _doomed(cur, powers, screen, proj, mass, eps, delta):
+    """Which draws on the degree-6 table cur provably fail `_fix_draw`,
+    and which provably pass it, when their power step leaves a degree-4
+    table, with the moments of degree <= 2 of the table it would return.
+    `powers` holds the powers of each draw's s = <v, x> up to degree 2,
+    and `screen` is `_screen_moments(cur)`.
 
     On that table `fix_scalar` has no degree for stage A: the draw passes
     the gate on E_w s^4 / (E_w s^2)^2 - 1 at the relaxed tolerance or
     fails, and the sign split reweights by (s / sigma + m)^2, m = +-1,
-    sigma^2 = E_w s^2, for w = s^{2p} * cur.  So the fixed table is cur
-    reweighted by r^2, r = s^p (s / sigma + m), and its moments are
-    E~ x^a r^2 / E~ r^2: forms in E~ x^a s^{2p} s^j, deg a <= 2 and
-    j <= 2, contractions of `screen` with the powers.  Its mean and
-    subspace mass are among them, and so is everything a caller's `keep`
-    reads of a degree-2 table.
+    sigma^2 = E_w s^2, for w = s^2 * cur.  So the fixed table is cur
+    reweighted by r^2, r = s (s / sigma + m), and its moments are
+    E~ x^a r^2 / E~ r^2: forms in E~ x^a s^2 s^j, deg a <= 2 and j <= 2,
+    contractions of `screen` with the powers.  Its mean and subspace mass
+    are among them, and so is everything a caller's `keep` reads of a
+    degree-2 table.
 
     A draw is doomed when it fails the gate, or when its mean misses
     (1 - delta) of the larger of the two masses under both signs.  It
-    passes when the power step surely runs (p = 1; at p = 0 the degree
-    rules it out), the gate and the mean-mass test pass under both signs,
-    and the weights of both reweightings clear the normalization floor of
-    `reweight`.  The split picks its sign by comparing E_w (s / sigma +
-    m)^2 over m, and a tie, which sign-symmetric tables give bit for bit,
-    goes to m = -1; deciding only where both signs agree leaves that
-    choice unmodelled.  Every test clears a relative margin of
-    _SCREEN_MARGIN, and a draw within it, with a non-finite value, or
-    whose power step is within it of the other choice, is neither.
+    passes when the power step surely runs, the gate and the mean-mass
+    test pass under both signs, and the weights of both reweightings
+    clear the normalization floor of `reweight`.  The split picks its
+    sign by comparing E_w (s / sigma + m)^2 over m, and a tie, which
+    sign-symmetric tables give bit for bit, goes to m = -1; deciding only
+    where both signs agree leaves that choice unmodelled.  Every test
+    clears a relative margin of _SCREEN_MARGIN, and a draw within it,
+    with a non-finite value, or whose power step is within it of the
+    other choice, is neither.
 
     Returns (doomed, passes, models): two boolean masks over the draws,
     and models[k, i], the moment vector over the monomials of degree <= 2
@@ -503,10 +471,10 @@ def _doomed(cur, powers, screen, proj, p, mass, eps, delta):
     margin = _SCREEN_MARGIN
     index = cur.index
     lin, quad = index.block(1), index.block(2)
-    # E~ x^a s^{2p} s^j for j = 0, 1, 2: the products of the coefficients
-    # of s^j and of s^{2p} (powers[:, 0] = 1 at p = 0), grouped by j, times
-    # the rows of `screen` for the monomials of degree j
-    base = powers[:, quad] if p else powers[:, :1]
+    # E~ x^a s^2 s^j for j = 0, 1, 2: the products of the coefficients of
+    # s^j and of s^2, grouped by j, times the rows of `screen` for the
+    # monomials of degree j
+    base = powers[:, quad]
     width = base.shape[1]
     products = (powers[:, :, None] * base[:, None, :]).reshape(len(powers), -1)
     low, mid, high = (products[:, width * j.start:width * j.stop]
@@ -519,8 +487,8 @@ def _doomed(cur, powers, screen, proj, p, mass, eps, delta):
         doomed = settled & (kurtosis > _GATE_BAR * (1.0 + margin))
         opened = settled & (kurtosis < _GATE_BAR * (1.0 - margin))
         # reweight's floor on E~ (s / sigma + m)^2 over the powered table,
-        # here times E~ s^{2p}: the weight's absolute coefficients against
-        # |E~ x^a s^{2p}|, at least E~ s^{2p} from the constant m^2 = 1
+        # here times E~ s^2: the weight's absolute coefficients against
+        # |E~ x^a s^2|, at least E~ s^2 from the constant m^2 = 1
         root = np.sqrt(inverse)
         terms = np.abs(powers * low)
         floor = NORM_EPS * (1.0 + margin) * (terms[:, 0] + root * (
@@ -534,13 +502,12 @@ def _doomed(cur, powers, screen, proj, p, mass, eps, delta):
         valid = (norm > 0.0) & np.isfinite(models).all(axis=-1)
         doomed |= opened & (valid & (mean_sq < share * (1.0 - margin))).all(axis=0)
         passes = opened & (valid & (norm > floor) & (mean_sq > share * (1.0 + margin))).all(axis=0)
-    if p:
-        # low[:, 0] = E~ s^2, against the power step's bar and, as the
-        # step's weight, against reweight's floor
-        powered = low[:, 0] < (1.0 - eps) ** 3 * mass * (1.0 - margin)
-        doomed &= powered
-        passes &= powered & (low[:, 0] > NORM_EPS * (1.0 + margin) * np.maximum(
-            1.0, np.abs(powers[:, quad]) @ np.abs(cur.moments[quad])))
+    # low[:, 0] = E~ s^2, against the power step's bar and, as the step's
+    # weight, against reweight's floor
+    powered = low[:, 0] < (1.0 - eps) ** 3 * mass * (1.0 - margin)
+    doomed &= powered
+    passes &= powered & (low[:, 0] > NORM_EPS * (1.0 + margin) * np.maximum(
+        1.0, np.abs(powers[:, quad]) @ np.abs(cur.moments[quad])))
     return doomed, passes, models
 
 
@@ -548,100 +515,38 @@ def _gathered(cur):
     """What every fix on the table cur reads of it, gathered once per
     table (`PseudoDistribution.derived`) and shared by the fixes of every
     structure trial on it: the moment blocks of degree 1 x 1 and 2 x 2,
-    and, when a draw's power step p leaves a degree-4 table, p and
-    `_screen_moments(cur, p)`; p and the screen are None at other
-    degrees."""
+    and `_screen_moments(cur)` on a degree-6 table, None on others."""
     block = moment_block(cur, 2, 2)
     lin, quad = cur.index.block(1), cur.index.block(2)
-    p = {4: 0, 6: 1}.get(cur.degree)
-    screen = None if p is None else _screen_moments(cur, p)
-    return block[lin, lin], block[quad, quad], p, screen
+    screen = _screen_moments(cur) if cur.degree == 6 else None
+    return block[lin, lin], block[quad, quad], screen
 
 
-def _screen_moments(cur, p) -> np.ndarray:
-    """Every moment `_doomed` reads at power p, as the matrix it multiplies
-    by: E~ x^(a+b+c) at row (c, b) and column a, for deg a <= 2, deg b = 2p
+def _screen_moments(cur) -> np.ndarray:
+    """Every moment `_doomed` reads, as the matrix it multiplies by:
+    E~ x^(a+b+c) at row (c, b) and column a, for deg a <= 2, deg b = 2
     and deg c <= 2."""
     index = cur.index
-    pairs = index.sum_table(2, 2 * p)[:, index.block(2 * p)]
-    moments = cur.moments[index.sum_table(2 * p + 2, 2)[pairs]]
+    pairs = index.sum_table(2, 2)[:, index.block(2)]
+    moments = cur.moments[index.sum_table(4, 2)[pairs]]
     return np.ascontiguousarray(moments.transpose(2, 1, 0)).reshape(-1, len(moments))
 
 
-def _plane_cannot_capture(index, rows, block_lin, block_quad, bar) -> bool:
-    """Whether every unit v in the plane S spanned by the two orthonormal
-    `rows` with E~ s^2 > 0, s = <v, x>, misses the capture test E~ s^4 >=
-    bar E~ s^2 by the relative margin _SCREEN_MARGIN; block_lin and
-    block_quad are the moment blocks of degree 1 x 1 and 2 x 2.
+def powers_every_draw(values, delta: float) -> bool:
+    """Whether `fix_subspace(mu, rows, delta)` on a degree-6 table mu,
+    for rows spanning eigenvectors of mu's second moment whose
+    eigenvalues are `values`, passes its mass floor and runs the power
+    step on every draw, each by the relative margin _SCREEN_MARGIN.
 
-    Write v = a_1 r_1 + a_2 r_2 for the rows r_i.  Then s^2 is linear in
-    z = (a_1^2, a_1 a_2, a_2^2), so E~ s^4 = z^T H z for a 3 x 3 H, and
-    E~ s^2 = a^T Sigma_S a.  The answer is yes when the binary quartic
-
-        q(a) = c (a^T Sigma_S a) |a|^2 - E~ s^4,   c = bar (1 - margin),
-
-    is positive for every a != 0, which a positive definite Gram matrix
-    G(lam) with q = z^T G(lam) z proves; one Cholesky factor checks it.
-    The Gram matrices of q form a line, lam being the coefficient of
-    a_1^2 a_2^2 that G puts off the diagonal.  A positive q has roots
-    r_1, conj(r_1), r_2, conj(r_2) in t = a_1 / a_2 (Hilbert: it is a sum
-    of two squares), and its positive semidefinite Gram matrices are the
-    segment between the rank-2 ones of q_0 |(t - r_1)(t - r_2)|^2 and
-    q_0 |(t - r_1)(t - conj(r_2))|^2, at lam = q_0 Re(r_1 r_2) and q_0
-    Re(r_1 conj(r_2)).  Its midpoint lam = q_0 Re(r_1) Re(r_2) is
-    positive definite; `_gram_midpoint` finds it without the roots, and
-    the factor proves it.
-    """
-    squares = linear_form_powers(index, np.array([rows[0], rows[1], rows[0] + rows[1]]),
-                                 2)[:, index.block(2)]
-    # s^2 = a_1^2 <r_1, x>^2 + a_1 a_2 2 <r_1, x><r_2, x> + a_2^2 <r_2, x>^2
-    lift = np.array([squares[0], squares[2] - squares[0] - squares[1], squares[1]])
-    h = lift @ block_quad @ lift.T
-    sigma = rows @ block_lin @ rows.T
-    c = bar * (1.0 - _SCREEN_MARGIN)
-    # coefficients of a_1^4, a_1^3 a_2, ..., a_2^4
-    q = c * np.array([sigma[0, 0], 2.0 * sigma[0, 1], sigma[0, 0] + sigma[1, 1],
-                      2.0 * sigma[0, 1], sigma[1, 1]]) \
-        - np.array([h[0, 0], 2.0 * h[0, 1], 2.0 * h[0, 2] + h[1, 1], 2.0 * h[1, 2], h[2, 2]])
-    if not (np.isfinite(q).all() and q[0] > 0.0):
-        return False
-    lam = _gram_midpoint(*q.tolist())
-    if lam is None:
-        return False
-    gram = np.array([[q[0], q[1] / 2.0, lam],
-                     [q[1] / 2.0, q[2] - 2.0 * lam, q[3] / 2.0],
-                     [lam, q[3] / 2.0, q[4]]])
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _gram_midpoint(q0, q1, q2, q3, q4):
-    """q_0 Re(r_1) Re(r_2) for the binary quartic with coefficients q_0..q_4
-    (see `_plane_cannot_capture`), or None when no Gram matrix of it is
-    positive definite.
-
-    det G(lam) = 2 lam^3 - q_2 lam^2 + (q_1 q_3 / 2 - 2 q_0 q_4) lam +
-    q_0 q_2 q_4 - q_0 q_3^2 / 4 - q_1^2 q_4 / 4 vanishes at both ends of
-    the segment of positive semidefinite Gram matrices, where det G >= 0,
-    so they are its two least roots and the midpoint is (q_2 / 2 -
-    lam_max) / 2, the roots summing to q_2 / 2.  The largest root
-    lam_max comes from the trigonometric form of the cubic; one real root
-    only leaves no segment."""
-    b = -q2 / 2.0
-    c = q1 * q3 / 4.0 - q0 * q4
-    d = (q0 * q2 * q4 - q0 * q3 * q3 / 4.0 - q1 * q1 * q4 / 4.0) / 2.0
-    # lam = t - b / 3 turns lam^3 + b lam^2 + c lam + d into t^3 + p t + r
-    p = c - b * b / 3.0
-    r = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    if not p < 0.0:
-        return None
-    scale = 2.0 * math.sqrt(-p / 3.0)
-    angle = math.acos(min(1.0, max(-1.0, 3.0 * r / (p * scale))))
-    top = scale * math.cos(angle / 3.0) - b / 3.0
-    return (q2 / 2.0 - top) / 2.0
+    The subspace mass is the sum of `values`, and every unit v in S has
+    E~ <v, x>^2 <= max(values).  When that falls short of the capture
+    bar (1 - delta / 10)^3 times the mass, every draw `_fix_draw` tries
+    is reweighted by <v, x>^2 and its scalar fix spends the 2 degrees
+    left above 4, so such a fix returns a table of degree 2 or raises."""
+    mass = float(np.sum(values))
+    eps = delta / 10.0
+    return (mass * (1.0 - _SCREEN_MARGIN) >= _mass_floor(len(values))
+            and float(np.max(values)) < (1.0 - eps) ** 3 * mass * (1.0 - _SCREEN_MARGIN))
 
 
 def _quadratic_forms(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -660,5 +565,5 @@ def _projection_weight(rows: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "ScalarFixReport", "SubspaceFixReport", "fix_scalar", "fix_subspace",
-    "stage_power", "DEFAULT_C",
+    "stage_power", "powers_every_draw", "DEFAULT_C",
 ]

@@ -11,6 +11,15 @@ O(log n / eps) rounds suffice.  A mean that the sign classes leave at
 zero, and that a joint fix does not seed, gets a fix on the top
 ceil(2 sqrt(n)) eigenvectors of its second moment, all of R^n for n <= 4.
 
+On a degree-6 table those per-coordinate fixes are decided at the root.
+When no joint fix was kept, u's mean is near zero, every moment odd in
+v is zero, and the top eigenvalue of u's second moment falls short of
+the capture bar on the mass of u's fixed subspace (a mass that clears
+the fix's floor), u's fix reweights every draw by <v, x>^2 and leaves
+degree 2 if it returns.  Its weights are polynomials in u alone, so v's
+mean stays zero, and v's own fix needs degree 4.  The trial then fails
+either way, and it raises DegreeExhausted before paying for the u-fix.
+
 What every trial reads of the table it starts from is computed once per
 table (`PseudoDistribution.derived`): the stopping data of both blocks
 and the eigendecompositions of their second moments here, and the
@@ -43,7 +52,7 @@ from .errors import (
     RetryExhausted,
 )
 from .pseudodist import PseudoDistribution, moment_block, reweight
-from .reweighting import fix_subspace
+from .reweighting import fix_subspace, powers_every_draw
 
 _MEAN_EPS = 1e-12
 _JOINT_PLANES = 12         # coupled planes tried per bilinear seeding phase
@@ -141,13 +150,15 @@ def _stopping(index, moments, offset: int, n: int):
 
 
 def _root_data(mu: PseudoDistribution):
-    """The stopping data of both blocks of mu and the eigendecompositions
-    of their second moments, computed once per table and read by every
-    trial on it while no fix has changed the table."""
+    """The stopping data of both blocks of mu, the eigendecompositions of
+    their second moments, and whether every moment of odd degree in v is
+    zero, computed once per table and read by every trial on it while no
+    fix has changed the table."""
     n = mu.num_vars // 2
     stopping = {offset: block_stopping(mu, offset, n) for offset in (0, n)}
     spectra = {offset: np.linalg.eigh(stopping[offset][3]) for offset in (0, n)}
-    return stopping, spectra
+    odd_v = mu.index.exponents[:mu.moments.size, n:].sum(axis=1) % 2 == 1
+    return stopping, spectra, not mu.moments[odd_v].any()
 
 
 def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
@@ -164,7 +175,10 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     coordinate still near zero.  Phase two runs per-coordinate progress
     steps on the covariance of the component orthogonal to the current
     mean.  The trace records the potential |m_1|^2 |m_2|^2 after every
-    step.
+    step.  On a degree-6 table whose per-coordinate phase provably ends
+    in a failed fix (see the module docstring) it raises DegreeExhausted
+    before that phase, instead of the u-fix's RetryExhausted or the
+    v-fix's DegreeExhausted.
 
     A joint fix is kept only when it settles both blocks or leaves
     degree 4 or more.  Phase one hands that test to `fix_subspace` as
@@ -226,7 +240,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
                    (_stopping(mu.index, moments, offset, n) for offset in (0, n)))
 
     floor = 1.0 / (4.0 * math.sqrt(n))
-    stopping, spectra = mu.derived(_root_data)
+    stopping, spectra, odd_v_zero = mu.derived(_root_data)
     if stopping[0][1] <= floor and stopping[n][1] <= floor:
         (vals1, vecs1), (vals2, vecs2) = spectra[0], spectra[n]
         root1 = vecs1 * np.sqrt(np.clip(vals1, 0.0, None))
@@ -256,15 +270,22 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
             break
     # any coordinate whose mean is still tiny gets an initial fix on its
     # top second-moment eigenspace
-    top_count = math.ceil(2.0 * math.sqrt(n))
+    top_count = min(math.ceil(2.0 * math.sqrt(n)), n)
+    if (cur is mu and mu.degree == 6 and stopping[0][1] <= floor and odd_v_zero
+            and powers_every_draw(spectra[0][0][-top_count:], delta)):
+        # the u-fix runs the power step on every draw, so it leaves degree
+        # 2 if it returns; a weight in u alone leaves v's mean at zero,
+        # and v's own fix then needs degree 4
+        raise DegreeExhausted(
+            "u's fix would leave degree 2 and v's mean at zero, "
+            "and v's fix needs degree 4")
     for coord, offset in ((0, 0), (1, n)):
         unchanged = cur is mu
         _, mean_sq, _, second = stopping[offset] if unchanged else block_stopping(cur, offset, n)
         if mean_sq > floor:
             continue
         vecs = (spectra[offset] if unchanged else np.linalg.eigh(second))[1]
-        small = np.array([vecs[:, -(i + 1)]
-                          for i in range(min(top_count, n))])
+        small = np.array([vecs[:, -(i + 1)] for i in range(top_count)])
         rows = _block_rows(small, offset, mu.num_vars)
         cur, rep = fix_subspace(cur, rows, delta, seed=rng)
         factors.extend(rep.factors)

@@ -41,10 +41,12 @@ from rankone.bss import (
 from rankone.cli import _uncertified_subspace
 from rankone.errors import (
     BadDims,
+    DegreeExhausted,
     DegreeTooSmall,
     DimensionMismatch,
     EmptySubspace,
     IllFormed,
+    IterLimit,
     RankOneError,
     RetryExhausted,
     ZeroCandidate,
@@ -218,8 +220,9 @@ def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
     """The calls the benchmark's tracer counts, through the two module
     attributes it wraps, on the spectral misses planted_yes(2, 2, s), s
     in {0, 2, 3}, at degree 6 and eps 0.05: 27 trials, 3 of them kept and
-    24 raising RetryExhausted, and 331 fixes, of which 166 raise
-    FixDiscarded, 162 RetryExhausted and 3 return a table."""
+    24 decided at their root with DegreeExhausted, and 307 fixes, of
+    which 166 raise FixDiscarded, 138 RetryExhausted and 3 return a
+    table; every fix is a joint one, none on a top eigenspace."""
     counts = {"run_structure_2d": collections.Counter(),
               "fix_subspace": collections.Counter()}
 
@@ -237,11 +240,77 @@ def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     counting(bss, "run_structure_2d")
     counting(structure, "fix_subspace")
+    fix = structure.fix_subspace
+
+    def joint_only(*args, **kwargs):
+        assert "keep" in kwargs
+        return fix(*args, **kwargs)
+    monkeypatch.setattr(structure, "fix_subspace", joint_only)
     for seed in (0, 2, 3):
         solve_bss(planted_yes(2, 2, seed)[0], 0.05, degree=6)
-    assert counts["run_structure_2d"] == {"returned": 3, "RetryExhausted": 24}
+    assert counts["run_structure_2d"] == {"returned": 3, "DegreeExhausted": 24}
     assert counts["fix_subspace"] == {
-        "FixDiscarded": 166, "RetryExhausted": 162, "returned": 3}
+        "FixDiscarded": 166, "RetryExhausted": 138, "returned": 3}
+
+
+# seeded degree-6 outcomes at eps 0.05, (quality, structure steps, degree
+# left): the three `rounding` plants, then spectral misses at n = 2 and 3
+DEGREE_6_OUTCOME = {
+    (2, 2, 0): (0.9999923182326633, 1, 2), (2, 2, 2): (0.999418312062864, 1, 2),
+    (2, 2, 3): (0.9999693923213113, 1, 2), (2, 3, 3): (0.9999259143947681, 1, 2),
+    (3, 5, 4): (0.9494373540883141, 0, 6), (3, 6, 3): (0.8831474418117117, 0, 6),
+}
+
+
+def test_degree_6_solves_keep_their_seeded_outcomes():
+    """At degree 6 and eps 0.05 each solve of DEGREE_6_OUTCOME decides at
+    the top rung with its seeded quality, structure steps and degree
+    left: a structure step lifts each n = 2 plant, and no trial
+    succeeds at n = 3, where the spectral baseline is the answer."""
+    for (n, dim_w, seed), (quality, steps, left) in DEGREE_6_OUTCOME.items():
+        cand, rep = solve_bss(planted_yes(n, dim_w, seed)[0], 0.05, degree=6)
+        case = (n, dim_w, seed)
+        assert (rep.rung, rep.structure_steps, rep.degree_left) == (6, steps, left), case
+        assert rep.quality == pytest.approx(quality, abs=1e-9), case
+        assert cand.quality == rep.quality
+
+
+def test_root_decision_changes_no_solve(monkeypatch):
+    """With run_structure_2d's root decision forced off, every trial it
+    decides still fails with an error that `_round` catches, and
+    solve_bss returns the same candidate and report.  The solves are the
+    degree-6 eps-0.05 spectral misses at n = 2 and three at n = 3; the
+    decision fires on their 24 failed `rounding` trials and on at least
+    100 in all."""
+    cases = [(2, 2, 0), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 6, 2), (3, 6, 5), (3, 7, 5)]
+    decide, trial = structure.powers_every_draw, bss.run_structure_2d
+    log = []
+
+    def undecided(*args):
+        log[-1]["decided"] = decide(*args)
+        return False
+
+    def recording(*args):
+        log.append({"decided": False, "case": case, "error": None})
+        try:
+            return trial(*args)
+        except RankOneError as err:
+            log[-1]["error"] = type(err)
+            raise
+
+    def outcome(cand, rep):
+        return cand.u0.tolist(), cand.v0.tolist(), rep
+    decided = {case: outcome(*solve_bss(planted_yes(*case)[0], 0.05, degree=6))
+               for case in cases}
+    monkeypatch.setattr(structure, "powers_every_draw", undecided)
+    monkeypatch.setattr(bss, "run_structure_2d", recording)
+    for case in cases:
+        assert outcome(*solve_bss(planted_yes(*case)[0], 0.05, degree=6)) == decided[case]
+    fired = [entry for entry in log if entry["decided"]]
+    assert all(entry["error"] in (DegreeExhausted, RetryExhausted, IterLimit)
+               for entry in fired)
+    assert sum(entry["case"][:2] == (2, 2) for entry in fired) == 24
+    assert len(fired) >= 100, len(fired)
 
 
 # seeded degree-4 qualities: the eps-0.25 spectral misses, then

@@ -401,39 +401,37 @@ def test_subspace_factors_reproduce_output_both_paths():
 
 def screen_cases():
     """(table, basis, delta, retry_budget) over moment tables whose draws
-    reach the screen: atom tables of degree 4 and 6, spread, on the unit
-    sphere or clustered, half of them sign symmetric (x and -x with equal
-    weight), the corners of a box, and the degree-4 SDP tables of the
-    planted (2, 2, s) instances that the structure rounds run on.  Degree
-    4 screens at power 0 and degree 6 at power 1."""
+    reach the screen: degree-6 atom tables, spread, on the unit sphere or
+    clustered, half of them sign symmetric (x and -x with equal weight),
+    the corners of a box, and the degree-6 SDP tables of the planted
+    (2, 2, s) instances that the structure rounds run on."""
     from rankone.bss import planted_yes
     from rankone.sos_solver import build_bss_problem, solve_feasibility
     rng = np.random.default_rng(404)
     tables = []
-    for degree in (4, 6):
-        for shape in ("spread", "sphere", "cluster"):
-            for symmetric in (False, True):
-                n = int(rng.integers(2, 5))
-                pts = rng.standard_normal((int(rng.integers(3, 10)) * (1 + 3 * (shape == "sphere")), n))
-                if shape == "spread":
-                    pts *= rng.uniform(0.4, 1.4, n)
-                elif shape == "sphere":
-                    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-                else:
-                    pts = rng.standard_normal(n) + 0.15 * pts
-                w = rng.dirichlet(np.ones(len(pts)))
-                if symmetric:
-                    pts, w = np.concatenate([pts, -pts]), np.concatenate([w, w]) / 2
-                pts /= math.sqrt(w @ (pts ** 2).sum(axis=1))  # E~ |x|^2 = 1
-                tables.append(atom_table(pts, w, degree))
-        # the corners of a box: most draws align with no corner
-        n = int(rng.integers(2, 5))
-        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-        pts = corners * rng.uniform(0.3, 1.0, n)
-        w = np.full(len(pts), 1.0 / len(pts))
-        tables.append(atom_table(pts, w, degree))
+    for shape in ("spread", "sphere", "cluster"):
+        for symmetric in (False, True):
+            n = int(rng.integers(2, 5))
+            pts = rng.standard_normal((int(rng.integers(3, 10)) * (1 + 3 * (shape == "sphere")), n))
+            if shape == "spread":
+                pts *= rng.uniform(0.4, 1.4, n)
+            elif shape == "sphere":
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            else:
+                pts = rng.standard_normal(n) + 0.15 * pts
+            w = rng.dirichlet(np.ones(len(pts)))
+            if symmetric:
+                pts, w = np.concatenate([pts, -pts]), np.concatenate([w, w]) / 2
+            pts /= math.sqrt(w @ (pts ** 2).sum(axis=1))  # E~ |x|^2 = 1
+            tables.append(atom_table(pts, w, 6))
+    # the corners of a box: most draws align with no corner
+    n = int(rng.integers(2, 5))
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    pts = corners * rng.uniform(0.3, 1.0, n)
+    w = np.full(len(pts), 1.0 / len(pts))
+    tables.append(atom_table(pts, w, 6))
     for seed in (0, 2, 3):
-        mu, rep = solve_feasibility(build_bss_problem(planted_yes(2, 2, seed)[0], 4))
+        mu, rep = solve_feasibility(build_bss_problem(planted_yes(2, 2, seed)[0], 6))
         assert rep.status == "feasible"
         tables.append(mu)
     cases = []
@@ -480,18 +478,18 @@ def test_draw_screen_changes_no_fix(monkeypatch):
     """With the screen forced to keep every draw, fix_subspace gives the
     same table, direction, draws, degree and factors, or the same
     RetryExhausted, and leaves the generator where it was, over many
-    tables and seeds.  The screen sees and rejects many
-    draws at powers 0 and 1."""
+    tables and seeds.  The screen sees and rejects draws on them."""
     cases = screen_cases()
     seeds = range(3)
     screened = [fix_outcome(*case, seed) for case in cases for seed in seeds]
-    seen, rejected = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    seen = rejected = 0
     doomed = reweighting._doomed
 
-    def keep_all(cur, powers, screen, proj, p, *args):
-        mask, passes, models = doomed(cur, powers, screen, proj, p, *args)
-        seen[p] += len(powers)
-        rejected[p] += mask.sum()
+    def keep_all(cur, powers, *args):
+        nonlocal seen, rejected
+        mask, passes, models = doomed(cur, powers, *args)
+        seen += len(powers)
+        rejected += mask.sum()
         return np.zeros_like(mask), passes, models
     monkeypatch.setattr(reweighting, "_doomed", keep_all)
     forced = [fix_outcome(*case, seed) for case in cases for seed in seeds]
@@ -499,7 +497,7 @@ def test_draw_screen_changes_no_fix(monkeypatch):
         assert_same_fix(got, ref)
     assert sum(isinstance(result, str) for result, _ in forced) >= 10
     assert sum(not isinstance(result, str) for result, _ in forced) >= 10
-    assert seen.min() >= 100 and rejected.min() >= 100, (seen, rejected)
+    assert seen >= 100 and rejected >= 20, (seen, rejected)
 
 
 def test_draw_screen_rejects_only_draws_the_per_draw_path_rejects(monkeypatch):
@@ -508,17 +506,17 @@ def test_draw_screen_rejects_only_draws_the_per_draw_path_rejects(monkeypatch):
     calls = []
     doomed = reweighting._doomed
 
-    def recording(cur, powers, screen, proj, p, mass, eps, delta):
-        screened = doomed(cur, powers, screen, proj, p, mass, eps, delta)
+    def recording(cur, powers, screen, proj, mass, eps, delta):
+        screened = doomed(cur, powers, screen, proj, mass, eps, delta)
         # the degree-1 block of a draw's powers is its direction
         directions = powers[screened[0]][:, cur.index.block(1)]
-        calls.append((cur, directions, proj, p, mass, eps, delta))
+        calls.append((cur, directions, proj, mass, eps, delta))
         return screened
     monkeypatch.setattr(reweighting, "_doomed", recording)
     for case in screen_cases():
         fix_outcome(*case, seed=7)
     checked = 0
-    for cur, directions, proj, p, mass, eps, delta in calls:
+    for cur, directions, proj, mass, eps, delta in calls:
         for v in directions:
             powers = linear_form_powers(cur.index, v, 2)
             assert reweighting._fix_draw(cur, v, powers, proj, mass, eps, delta) is None
@@ -526,166 +524,37 @@ def test_draw_screen_rejects_only_draws_the_per_draw_path_rejects(monkeypatch):
     assert checked >= 100
 
 
-# -- the plane capture certificate --------------------------------------------
-
-
-def capture_planes():
-    """(table, orthonormal rows of a plane) pairs: 240 seeded random planes
-    in degree-6 atom tables (2-4 variables, E~ |x|^2 = 1, Gaussian atoms
-    spread or clustered, or atoms on the sphere; half of them sign
-    symmetric), and in the degree-6 SDP
-    tables of planted_yes(2, 2, s), s in {0, 2, 3}, the planes of the two
-    blocks, where the structure rounds' top-eigenspace fixes run at
-    n = 2, and 20 random planes each."""
-    from rankone.bss import planted_yes
-    from rankone.sos_solver import build_bss_problem, solve_feasibility
-    rng = np.random.default_rng(808)
-    planes = []
-    for i in range(240):
+def test_powers_every_draw_fixes_leave_degree_2():
+    """Where powers_every_draw says yes for a fix on top eigenvectors of
+    E~ x x^T of a degree-6 table, the fix raises RetryExhausted or
+    returns a degree-2 table after spending 4 degrees, over the screen
+    cases and clustered tables.  It says no on clustered tables whose
+    fixes leave degree 4, and on a spectrum below the mass floor."""
+    rng = np.random.default_rng(405)
+    cases = screen_cases()
+    for _ in range(8):
         n = int(rng.integers(2, 5))
-        pts = rng.standard_normal((int(rng.integers(3, 13)) * (1 + (i % 3 == 2)), n))
-        if i % 3 == 0:
-            pts *= rng.uniform(0.4, 1.4, n)
-        elif i % 3 == 1:
-            pts = rng.standard_normal(n) + 0.3 * pts
-        else:
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        w = rng.dirichlet(np.ones(len(pts)))
-        if i % 2:
-            pts, w = np.concatenate([pts, -pts]), np.concatenate([w, w]) / 2
-        pts /= math.sqrt(w @ (pts ** 2).sum(axis=1))  # E~ |x|^2 = 1
-        mu = atom_table(pts, w, 6)
-        planes.append((mu, reweighting._orthonormal_rows(rng.standard_normal((2, n)))))
-    for seed in (0, 2, 3):
-        mu, rep = solve_feasibility(build_bss_problem(planted_yes(2, 2, seed)[0], 6))
-        assert rep.status == "feasible" and mu.degree == 6
-        planes.extend((mu, np.eye(4)[rows]) for rows in ([0, 1], [2, 3]))
-        planes.extend((mu, reweighting._orthonormal_rows(rng.standard_normal((2, 4))))
-                      for _ in range(20))
-    return planes
-
-
-def capture_ratios(mu, rows, count=10 ** 4):
-    """E~ s^4 / E~ s^2 for s = <v, x> at `count` unit v evenly spaced on
-    half the circle of the plane, computed as fix_subspace computes it."""
-    angles = np.linspace(0.0, math.pi, count, endpoint=False)
-    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1) @ rows
-    powers = linear_form_powers(mu.index, directions, 2)
-    block = moment_block(mu, 2, 2)
-    lin, quad = mu.index.block(1), mu.index.block(2)
-    e_lo = np.einsum("ij,ij->i", powers[:, lin] @ block[lin, lin], powers[:, lin])
-    e_hi = np.einsum("ij,ij->i", powers[:, quad] @ block[quad, quad], powers[:, quad])
-    assert e_lo.min() > 0.0
-    return e_hi / e_lo
-
-
-def test_plane_certificate_agrees_with_a_circle_grid():
-    """_plane_cannot_capture never says yes where one of 10^4 directions
-    evenly spaced on the circle reaches the bar, and says yes wherever
-    the grid's peak ratio E~ s^4 / E~ s^2 is below 1 - 1e-3 of the bar.
-    The bars: just below the peak, 2e-3 above it, and the (1 - eps)^3
-    mass of a fix at a random delta."""
-    rng = np.random.default_rng(809)
+        mu = clusters(rng, n, int(rng.integers(1, 3)), 6)[2]
+        top = np.linalg.eigh(moment_block(mu, 1, 1)[1:, 1:])[1][:, ::-1].T
+        cases.extend((mu, top[:dim], delta, 90) for delta, dim in ((0.05, n), (0.3, 2)))
     answers = []
-    for mu, rows in capture_planes():
-        peak = capture_ratios(mu, rows).max()
-        block = moment_block(mu, 2, 2)
-        lin, quad = mu.index.block(1), mu.index.block(2)
-        mass = mu.expect(reweighting._projection_weight(rows))
-        own = (1.0 - float(rng.uniform(0.02, 0.5)) / 10.0) ** 3 * mass
-        for bar in (peak * (1.0 - 1e-6), peak / (1.0 - 2e-3), own):
-            decided = reweighting._plane_cannot_capture(
-                mu.index, rows, block[lin, lin], block[quad, quad], bar)
-            if peak >= bar:
-                assert not decided, (peak, bar)
-            if peak < (1.0 - 1e-3) * bar:
-                assert decided, (peak, bar)
-            answers.append(decided)
-    # the fixes' own bars fall on both sides
-    own_answers = answers[2::3]
-    assert sum(own_answers) >= 20 and own_answers.count(False) >= 20, sum(own_answers)
-
-
-def test_plane_certificate_changes_no_fix(monkeypatch):
-    """With _plane_cannot_capture forced to say no, fix_subspace on the
-    planes of capture_planes(), at budgets of 600 and 2,000 draws and
-    random delta and seeds 0 and 1, gives the same result or the same RetryExhausted
-    message and leaves the generator in the same state.  The certificate
-    fires on many of the fixes."""
-    rng = np.random.default_rng(810)
-    cases = [(mu, rows, float(rng.uniform(0.02, 0.5)), budget, seed)
-             for mu, rows in capture_planes() for budget, seed in ((600, 0), (2000, 1))
-             if mu.expect(reweighting._projection_weight(rows)) >= 0.3]
-    decide = reweighting._plane_cannot_capture
-    fired = []
-
-    def recording(*args):
-        decided = decide(*args)
-        fired.append(decided)
-        return decided
-    monkeypatch.setattr(reweighting, "_plane_cannot_capture", recording)
-    certified = [fix_outcome(*case) for case in cases]
-    monkeypatch.setattr(reweighting, "_plane_cannot_capture", lambda *args: False)
-    forced = [fix_outcome(*case) for case in cases]
-    for got, ref in zip(certified, forced):
-        assert_same_fix(got, ref)
-    assert sum(fired) >= 40, sum(fired)
-    assert sum(not isinstance(result, str) for result, _ in forced) >= 100
-
-
-def roots_midpoint(q):
-    """q_0 Re(r_1) Re(r_2) from the roots of the quartic q, one of each
-    conjugate pair in the upper half plane."""
-    roots = np.roots(q)
-    upper = roots[np.argsort(-roots.imag)[:2]]
-    return q[0] * upper[0].real * upper[1].real
-
-
-def test_gram_midpoint_matches_the_roots():
-    """The closed-form midpoint of the Gram segment agrees with the one
-    the quartic's roots give, within 1e-6 relative, on 20,000 random
-    positive quartics q_0 |(t - r_1)(t - r_2)|^2; a quartic with real
-    roots has no positive definite Gram matrix, so either the cubic has
-    one real root only or Cholesky refuses the midpoint."""
-    rng = np.random.default_rng(811)
-    for _ in range(20000):
-        roots = (rng.standard_normal(2) * rng.uniform(0.1, 5.0)
-                 + 1j * np.abs(rng.standard_normal(2)) * rng.uniform(0.01, 5.0))
-        q = rng.uniform(0.01, 3.0) * np.real(np.poly(np.concatenate([roots, roots.conj()])))
-        ref = roots_midpoint(q)
-        assert reweighting._gram_midpoint(*q) == pytest.approx(ref, rel=1e-6, abs=1e-300)
-    for _ in range(200):
-        q = np.poly(rng.standard_normal(4))
-        lam = reweighting._gram_midpoint(*q)
-        if lam is not None:
-            gram = np.array([[q[0], q[1] / 2.0, lam],
-                             [q[1] / 2.0, q[2] - 2.0 * lam, q[3] / 2.0],
-                             [lam, q[3] / 2.0, q[4]]])
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(gram)
-
-
-def test_plane_certificate_decides_the_rounding_fixes_as_the_roots_do(monkeypatch):
-    """On the spectral misses planted_yes(2, 2, s), s in {0, 2, 3}, at
-    degree 6 and eps 0.05, the certificate runs on the 24 top-eigenspace
-    fixes and proves each of them hopeless; a certificate whose Gram
-    midpoint comes from the quartic's roots decides each the same."""
-    from rankone.bss import planted_yes, solve_bss
-    decide = reweighting._plane_cannot_capture
-    calls = []
-
-    def recording(*args):
-        decided = decide(*args)
-        calls.append((args, decided))
-        return decided
-    monkeypatch.setattr(reweighting, "_plane_cannot_capture", recording)
-    for seed in (0, 2, 3):
-        solve_bss(planted_yes(2, 2, seed)[0], 0.05, degree=6)
-    monkeypatch.setattr(reweighting, "_plane_cannot_capture", decide)
-    monkeypatch.setattr(reweighting, "_gram_midpoint", lambda *q: roots_midpoint(q))
-    assert len(calls) == 24
-    assert all(decided for _, decided in calls)
-    assert [decide(*args) for args, _ in calls] == [decided for _, decided in calls]
+    for mu, basis, delta, budget in cases:
+        values = np.linalg.eigvalsh(moment_block(mu, 1, 1)[1:, 1:])[-len(basis):]
+        answers.append(reweighting.powers_every_draw(values, delta))
+        outcomes = set()
+        for seed in range(2):
+            try:
+                out, rep = fix_subspace(mu, basis, delta, retry_budget=budget, seed=seed)
+                outcomes.add((out.degree, rep.degree_spent))
+            except RetryExhausted:
+                outcomes.add(None)
+        if answers[-1]:
+            assert outcomes <= {None, (2, 4)}, outcomes
+        else:
+            assert outcomes == {(4, 2)}, outcomes
+    assert sum(answers) >= 20 and answers.count(False) >= 5, answers
+    # the spectrum passes the capture half; its mass 0.2 is below 2^-2
+    assert not reweighting.powers_every_draw([0.1, 0.1], 0.1)
 
 
 def test_fix_subspace_rejects_bad_counts():

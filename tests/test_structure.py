@@ -14,7 +14,13 @@ import pytest
 
 from moment_tables import atom_table
 from rankone import reweighting, structure
-from rankone.errors import FixDiscarded, PreconditionViolated, RankOneError
+from rankone.errors import (
+    DegreeExhausted,
+    FixDiscarded,
+    PreconditionViolated,
+    RankOneError,
+    RetryExhausted,
+)
 from rankone.pseudodist import (
     PseudoDistribution,
     linear_form_powers,
@@ -291,13 +297,14 @@ def fix_outcome(result):
 
 
 def test_gathered_table_data_changes_no_fix(monkeypatch):
-    """Every fix_subspace call that `bss._round` makes on the three
-    `rounding` root tables, of planted_yes(2, 2, s) for s in {0, 2, 3},
-    and on planted_yes(3, 5, 4)'s degree-6 table, at eps 0.05, joint
-    fixes with `keep` and the fixes without it, gives the same table and
-    report, or the same exception and message, and leaves the generator
-    in the same state, as the same call on a fresh copy of its table, on
-    which nothing is gathered yet."""
+    """Every fix_subspace call that `bss._round` makes at eps 0.05 on the
+    three `rounding` root tables, of planted_yes(2, 2, s) for s in {0, 2,
+    3}, and on planted_yes(3, 5, 4)'s degree-6 table, all joint fixes
+    with `keep`, and on the degree-8 tables of planted_yes(2, 2, s) for s
+    in {0, 2}, whose trials also fix degree-4 tables without `keep`, gives the same table
+    and report, or the same exception and message, and leaves the
+    generator in the same state, as the same call on a fresh copy of its
+    table, on which nothing is gathered yet."""
     from rankone.bss import planted_yes, solve_bss
     fix = structure.fix_subspace
     calls = []
@@ -315,8 +322,9 @@ def test_gathered_table_data_changes_no_fix(monkeypatch):
             raise result
         return result
     monkeypatch.setattr(structure, "fix_subspace", recording)
-    for n, dim_w, seed in ((2, 2, 0), (2, 2, 2), (2, 2, 3), (3, 5, 4)):
-        solve_bss(planted_yes(n, dim_w, seed)[0], 0.05, degree=6)
+    for n, dim_w, seed, degree in ((2, 2, 0, 6), (2, 2, 2, 6), (2, 2, 3, 6), (3, 5, 4, 6),
+                                   (2, 2, 0, 8), (2, 2, 2, 8)):
+        solve_bss(planted_yes(n, dim_w, seed)[0], 0.05, degree=degree)
     monkeypatch.undo()
     for cur, rows, delta, kwargs, before, outcome, after in calls:
         fresh = PseudoDistribution(cur.index, cur.moments.copy(), cur.degree, cur.constraints)
@@ -328,8 +336,8 @@ def test_gathered_table_data_changes_no_fix(monkeypatch):
             result = err
         assert fix_outcome(result) == outcome
         assert rng.bit_generator.state == after
-    joint = sum("keep" in kwargs for _, _, _, kwargs, _, _, _ in calls)
-    assert joint > 300 and len(calls) - joint > 24, (joint, len(calls))
+    unkept = [cur.degree for cur, _, _, kwargs, _, _, _ in calls if "keep" not in kwargs]
+    assert len(calls) - len(unkept) > 300 and unkept.count(4) >= 24, (len(calls), unkept)
 
 
 def test_discard_decision_changes_no_trial(monkeypatch):
@@ -375,8 +383,8 @@ def test_closed_form_table_is_the_certified_one(monkeypatch):
     doomed = reweighting._doomed
     firsts = []
 
-    def recording(cur, powers, screen, proj, p, mass, eps, delta):
-        mask, passes, models = doomed(cur, powers, screen, proj, p, mass, eps, delta)
+    def recording(cur, powers, screen, proj, mass, eps, delta):
+        mask, passes, models = doomed(cur, powers, screen, proj, mass, eps, delta)
         first = np.flatnonzero(passes)[:1]
         firsts.extend((cur, powers[i, cur.index.block(1)], models[:, i], proj, mass, eps, delta)
                       for i in first)
@@ -397,3 +405,46 @@ def test_closed_form_table_is_the_certified_one(monkeypatch):
         assert table.degree == 2
         model = models[0] if srep.m > 0 else models[1]
         np.testing.assert_allclose(table.moments, model, rtol=0.0, atol=1e-9)
+
+
+# -- the root decision of the per-coordinate phase --------------------------
+
+
+def test_root_decision_reads_degree_and_v_parity(monkeypatch):
+    """With every joint plane failing, a degree-6 table over (u, v) with
+    u on the four points +-e_i, and v = (0.6, 0.8) or, through
+    `sign_classes`, its mix with -v, goes to the per-coordinate phase
+    with u's mean at zero.  Where every moment odd in v is zero, as on
+    the mix, run_structure_2d raises
+    DegreeExhausted before u's fix, and with the decision forced off the
+    trial still fails.  Where v keeps its mean, and on the degree-8
+    table, u's fix runs."""
+    u = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    v = np.array([0.6, 0.8])
+    fixed = np.concatenate([u, np.tile(v, (4, 1))], axis=1)
+    fix = structure.fix_subspace
+    top_fixes = []
+
+    def planes_fail(cur, rows, delta, **kwargs):
+        if "keep" in kwargs:
+            raise RetryExhausted("plane")
+        top_fixes.append(cur.degree)
+        return fix(cur, rows, delta, **kwargs)
+    monkeypatch.setattr(structure, "fix_subspace", planes_fail)
+
+    def trial(symmetric, degree):
+        top_fixes.clear()
+        mu = atom_table(fixed, np.full(4, 0.25), degree)
+        if symmetric:
+            mu = sign_classes(mu)
+        try:
+            run_structure_2d(mu, 0.25, 0)
+        except RankOneError as err:
+            return type(err), list(top_fixes)
+        return None, list(top_fixes)
+    assert trial(True, 6) == (DegreeExhausted, [])
+    assert trial(False, 6)[1][:1] == [6]
+    assert trial(True, 8)[1][:1] == [8]
+    monkeypatch.setattr(structure, "powers_every_draw", lambda *args: False)
+    error, fixes = trial(True, 6)
+    assert error in (DegreeExhausted, RetryExhausted) and fixes[:1] == [6]
