@@ -302,10 +302,12 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     if degree < 4 or degree % 2 != 0:
         raise DegreeTooSmall(f"rank-one search needs an even degree >= 4, got {degree}")
     target = 1.0 - eps * eps
+    hooked = None  # the hook's last rounding: a `rounded` status returns its table
 
     def verifies(dist) -> bool:
-        rounded = _spectral_rounding(dist, w)
-        return rounded is not None and rounded[0] >= target
+        nonlocal hooked
+        hooked = _spectral_rounding(dist, w)
+        return hooked is not None and hooked[0] >= target
 
     for rung in range(4, degree + 1, 2):
         # looked up on the module at call time, so a tracer that wraps
@@ -318,9 +320,10 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
                                certificate=solver_report.certificate)
             return None, report
         if solver_report.status in ("feasible", "rounded"):
-            # a rounded table is rounded again here: the rounding is
-            # deterministic, so this is the candidate the hook verified
-            baseline = _spectral_rounding(mu, w)
+            if solver_report.status == "rounded":
+                baseline = hooked  # the hook rounded and verified this table
+            else:
+                baseline = _spectral_rounding(mu, w)
             if baseline is not None and baseline[0] >= target:
                 report = BssReport("candidate", eps, degree, rung, solver_report.status,
                                    solver_report.iterations, 0,

@@ -82,7 +82,7 @@ class BlockReader:
         tokens, pos = self._tokens, self._pos
         try:
             rows, cols = int(tokens[pos]), int(tokens[pos + 1])
-            entries = [float(t) for t in tokens[pos + 2:pos + 2 + rows * cols]]
+            entries = np.array(tokens[pos + 2:pos + 2 + rows * cols], dtype=float)
         except (ValueError, IndexError) as exc:
             raise IllFormed(f"malformed matrix block: {exc}") from None
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
@@ -90,7 +90,7 @@ class BlockReader:
         if (rows, cols) != tuple(shape):
             raise IllFormed(
                 f"{self.kind} block shape {(rows, cols)}, expected {tuple(shape)}")
-        block = np.array(entries).reshape(rows, cols)
+        block = entries.reshape(rows, cols)
         if not np.all(np.isfinite(block)):
             raise IllFormed(f"{self.kind} block at token {pos} has non-finite entries")
         self._pos = pos + 2 + rows * cols

@@ -24,7 +24,8 @@ X -> F X F^T is an isometry, C1 lies in its range, and so does every
 direction T(N w) of C2: for L_h y = 0, M(y) k reads E~[x^a q x^m], itself
 an equality row.  So both projections are exact there:
 
-    the cone step is one eigh per k x k block and a clip;
+    the cone step is one stacked eigh per block size k, over every
+         k x k block of that size, and a clip;
     the affine step onto c + range(B), with c the face part of T(y_p)
          and B the face part of T N, is c + B (G^T (x - c)) with the
          rank-r G^T = (B^T B)^-1 B^T precomputed (the splitting of
@@ -852,15 +853,25 @@ class _FaceSpace:
         # one r x r inverse, as a solve with the D right-hand sides is slower
         h = self.b.T @ self.b + 1e-13 * np.eye(r)
         self.g_t = np.linalg.inv(h) @ self.b.T
+        # the blocks grouped by size k, each group an index array of shape
+        # (count, k, k) into the stacked vector, so the cone step makes one
+        # stacked call per size; LAPACK and BLAS still run per matrix
+        starts = {}
+        for cut, k in self.blocks:
+            starts.setdefault(k, []).append(cut.start)
+        self.groups = [np.add.outer(np.array(offsets), np.arange(k * k).reshape(k, k))
+                       for k, offsets in sorted(starts.items())]
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        """Project each block onto the PSD cone: X + X^T is twice the
-        symmetric part, so its eigenvalues are halved before the clip."""
+        """Project each block onto the PSD cone, one stacked eigh per block
+        size: X + X^T is twice the symmetric part, so its eigenvalues are
+        halved before the clip."""
         out = np.empty_like(x)
-        for cut, k in self.blocks:
-            mat = x[cut].reshape(k, k)
-            vals, vecs = np.linalg.eigh(mat + mat.T)
-            out[cut] = ((vecs * np.maximum(0.5 * vals, 0.0)) @ vecs.T).reshape(-1)
+        for at in self.groups:
+            mats = x[at]
+            vals, vecs = np.linalg.eigh(mats + mats.transpose(0, 2, 1))
+            kept = np.maximum(0.5 * vals, 0.0)[:, None, :]
+            out[at] = (vecs * kept) @ vecs.transpose(0, 2, 1)
         return out
 
     def psd_part(self, z: np.ndarray):
@@ -892,10 +903,11 @@ class _FaceSpace:
         return self.c + self.b @ w
 
     def min_eigenvalue(self, x: np.ndarray) -> float:
-        if not self.blocks:
+        """The least eigenvalue over all blocks, one stacked eigvalsh per
+        block size; 0.0 when there is no block."""
+        if not self.groups:
             return 0.0
-        return float(min(np.linalg.eigvalsh(x[cut].reshape(k, k))[0]
-                         for cut, k in self.blocks))
+        return float(min(np.linalg.eigvalsh(x[at])[:, 0].min() for at in self.groups))
 
 
 class _Anderson:

@@ -515,6 +515,48 @@ def test_rounded_rungs_verify_and_far_instances_never_round(monkeypatch):
     assert rungs and all(r.status != "rounded" for _, r in rungs)
 
 
+def test_rounded_rung_reuses_the_hooks_rounding(monkeypatch):
+    """A rung with status `rounded` takes its candidate from the solver
+    hook's last spectral rounding and does not round the table again; a
+    `feasible` rung still rounds it.  Each solve's candidate and report
+    are those of rounding the returned table afresh, bit for bit."""
+    original = bss._spectral_rounding
+    calls, rungs = [], []
+
+    def counted(dist, w):
+        calls.append(dist)
+        return original(dist, w)
+    solve = bss.solve_feasibility
+
+    def solving(problem, accept, **kwargs):
+        hooks = []
+        mu, rep = solve(problem, accept=lambda dist: hooks.append(dist) or accept(dist),
+                        **kwargs)
+        rungs.append((mu, rep, len(hooks)))
+        return mu, rep
+    monkeypatch.setattr(bss, "_spectral_rounding", counted)
+    monkeypatch.setattr(bss, "solve_feasibility", solving)
+    statuses = collections.Counter()
+    for n, dim_w, seed, degree in ((2, 1, 0, 4), (2, 2, 0, 6), (2, 3, 0, 4), (3, 2, 1, 4),
+                                   (3, 6, 2, 6), (3, 7, 0, 6)):
+        w = planted_yes(n, dim_w, seed)[0]
+        calls.clear()
+        rungs.clear()
+        cand, rep = solve_bss(w, 0.25, degree=degree)
+        assert len(calls) == sum(hooks + (r.status == "feasible") for _, r, hooks in rungs)
+        mu, solver, _ = rungs[-1]
+        assert rep.status == "candidate" and rep.solver_status == solver.status
+        quality, fresh = original(mu, w)
+        assert cand.u0.tobytes() == fresh.u0.tobytes()
+        assert cand.v0.tobytes() == fresh.v0.tobytes()
+        assert cand.quality == rep.quality == quality
+        assert rep == bss.BssReport("candidate", 0.25, degree, mu.degree, solver.status,
+                                    solver.iterations, 0, quality=quality,
+                                    degree_left=mu.degree)
+        statuses[solver.status] += 1
+    assert statuses == {"rounded": 4, "feasible": 2}
+
+
 @pytest.mark.parametrize("degree", [2, 3, 5, 7])
 def test_ladder_checks_the_top_degree_before_any_rung(monkeypatch, degree):
     """An odd or too small top degree is refused before any rung's

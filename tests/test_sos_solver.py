@@ -5,6 +5,7 @@ masses), problems infeasible for elementary algebraic reasons, and
 polynomials with known sum-of-squares status.
 """
 
+import collections
 import dataclasses
 import itertools
 
@@ -16,7 +17,8 @@ from scipy.linalg import cho_factor, cho_solve
 from instances import tiles_complement
 from moment_tables import dense_poly
 from rankone import sos_solver
-from rankone.bss import planted_yes, random_no
+from rankone.bss import (complex_planted, planted_yes, random_no, reduce_complex_to_real,
+                         solve_bss)
 from rankone.cli import _uncertified_subspace
 from rankone.errors import DegreeTooSmall, IllFormed
 from rankone.pseudodist import MonomialIndex, monomial_index, validate
@@ -978,6 +980,98 @@ def test_face_solve_matches_stacked_reference():
         off_face.append(space.off2)
     assert off_face[-3] > 1e-3  # random_no(3, 1, 0): L y = b inconsistent
     assert solver_parts(pinned_problem())[3].null_basis.shape[1] == 0
+
+
+def reference_clip(space, x):
+    """The cone step block by block: one eigh per k x k block."""
+    out = np.empty_like(x)
+    for cut, k in space.blocks:
+        mat = x[cut].reshape(k, k)
+        vals, vecs = np.linalg.eigh(mat + mat.T)
+        out[cut] = ((vecs * np.maximum(0.5 * vals, 0.0)) @ vecs.T).reshape(-1)
+    return out
+
+
+def reference_min_eigenvalue(space, x):
+    """The least block eigenvalue block by block: one eigvalsh per block."""
+    if not space.blocks:
+        return 0.0
+    return float(min(np.linalg.eigvalsh(x[cut].reshape(k, k))[0] for cut, k in space.blocks))
+
+
+def test_stacked_cone_kernels_match_the_per_block_loop():
+    """`clip` and `min_eigenvalue`, one stacked call per block size, give
+    the bytes of one call per block: at DR iterates and random points, on
+    the face spaces of plants at n = 2, 3, 4 and degrees 4 and 6, of
+    random_no at n = 3, and of the reference cases.  These cover size-1
+    blocks, sizes shared by several blocks, dropped faces and spaces with
+    no block at all, whose least eigenvalue reads 0.0."""
+    rng = np.random.default_rng(10)
+    problems = [build_bss_problem(planted_yes(n, n, 1)[0], d) for n in (2, 3, 4) for d in (4, 6)]
+    problems += [build_bss_problem(random_no(3, dim_w, 0)[0], d)
+                 for dim_w in (1, 2) for d in (4, 6)]
+    problems += reference_cases()
+    seen = collections.Counter()
+    for problem in problems:
+        _, block_map, faces, geo = solver_parts(problem)
+        space = sos_solver._FaceSpace(block_map, faces, geo)
+        sizes = collections.Counter(k for _, k in space.blocks)
+        seen["size 1"] += sizes[1]
+        seen["shared size"] += any(count > 1 for count in sizes.values())
+        seen["dropped"] += sum(face is not None and face.shape[1] == 0 for face in faces)
+        if not space.blocks:
+            seen["no block"] += 1
+            assert space.min_eigenvalue(space.c) == 0.0
+        x = space.c.copy()
+        for _ in range(4):
+            for point in (x, rng.standard_normal(x.size)):
+                assert space.clip(point).tobytes() == reference_clip(space, point).tobytes()
+                least = np.float64(space.min_eigenvalue(point)).tobytes()
+                assert least == np.float64(reference_min_eigenvalue(space, point)).tobytes()
+            x = x + space.fixed_point_residual(x)[1]
+    assert min(seen[key] for key in ("size 1", "shared size", "dropped", "no block")) > 0, seen
+
+
+def test_per_block_cone_step_changes_no_solve(monkeypatch):
+    """With the per-block loops put back in place of the stacked kernels,
+    `solve_bss` returns the same candidate bytes and the same report,
+    solver status and iterations included: plants at n = 2, 3 and
+    degrees 4 and 6, random_no(3, 2, 0) at degree 8, a complex plant and
+    the eps-0.05 degree-6 plants that run structure rounds."""
+    cases = [(planted_yes(n, dim_w, seed)[0], 0.25, degree)
+             for n, dim_w, seed in ((2, 1, 0), (2, 2, 0), (2, 3, 1), (3, 2, 1), (3, 6, 2))
+             for degree in (4, 6)]
+    cases += [(random_no(3, 2, 0)[0], 0.25, 8),
+              (reduce_complex_to_real(complex_planted(2, 2, 0)[0]), 0.25, 4)]
+    cases += [(planted_yes(2, 2, seed)[0], 0.05, 6) for seed in (0, 2, 3)]
+
+    def outcomes():
+        found = []
+        for w, eps, degree in cases:
+            cand, rep = solve_bss(w, eps, degree=degree)
+            cert = rep.certificate
+            found.append((
+                None if cand is None else (cand.u0.tobytes(), cand.v0.tobytes(), cand.quality),
+                dataclasses.replace(rep, certificate=None),
+                None if cert is None else (cert.kind, cert.multipliers.tobytes(), cert.margin,
+                                           tuple(h.tobytes() for h in cert.factors))))
+        return found
+    stacked = outcomes()
+    calls = collections.Counter()
+
+    def counted(kernel):
+        def run(space, x):
+            calls[kernel.__name__] += 1
+            return kernel(space, x)
+        return run
+    monkeypatch.setattr(sos_solver._FaceSpace, "clip", counted(reference_clip))
+    monkeypatch.setattr(sos_solver._FaceSpace, "min_eigenvalue",
+                        counted(reference_min_eigenvalue))
+    assert outcomes() == stacked
+    assert calls["reference_clip"] > 0 and calls["reference_min_eigenvalue"] > 0
+    statuses = collections.Counter(rep.solver_status for _, rep, _ in stacked)
+    assert set(statuses) == {"feasible", "rounded", "infeasible"}, statuses
+    assert any(rep.structure_steps for _, rep, _ in stacked)
 
 
 # -- verdicts over seeded instances -------------------------------------------------
