@@ -277,12 +277,13 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     Each rung refuses on a certificate or returns the spectral candidate
     (top cross-moment eigendirections, immune to sign and phase
     symmetry) when it reaches 1 - eps^2.  A rung need not wait for a
-    converged table: the solver offers its iterate at each conic check,
-    and the rung stops at the first one whose spectral candidate reaches
-    1 - eps^2, with solver status `rounded`.  Either way the candidate is
-    accepted on its own recomputed quality, so a certified eps-far W can
-    never be rounded.  A rung below the top otherwise climbs, as it also
-    does when its solver reaches the iteration limit.
+    converged table: the solver offers the start's checked iterate first
+    (check 0, before any DR step), then its iterate at checks 1, 2, 4,
+    ..., and the rung stops at the first one whose spectral candidate
+    reaches 1 - eps^2, with solver status `rounded`.  Either way the
+    candidate is accepted on its own recomputed quality, so a certified
+    eps-far W can never be rounded.  A rung below the top otherwise
+    climbs, as it also does when its solver reaches the iteration limit.
     A top rung of degree 6 or more goes on from its spectral baseline:
     it retries the structure rounds over fresh seeds (trial t runs
     `run_structure_2d` with seed `seed + t`) and a gradually relaxed

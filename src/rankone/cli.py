@@ -28,8 +28,13 @@ unexpected.  `solve` climbs the relaxation degrees 4, 6, ... up to
 --degree and reports the one that decided as `result.rung`, and how the
 solve at that rung ended as `result.solver_status`: `feasible` (a
 converged moment table, then rounded), `rounded` (stopped early at an
-iterate whose spectral candidate already meets 1 - eps^2) or
-`infeasible` (refused).  It says OK for any candidate it finds; its
+iterate whose spectral candidate already meets 1 - eps^2; the solver
+offers the start's iterate at check 0, before any DR step, then its
+iterate at checks 1, 2, 4, ..., so `result.solver_iterations` may be 0)
+or `infeasible` (refused).  For a CSUBSPACE the real search
+aims at 1 - eps^2 / 2: the lift's relative residual is sqrt(2 (1 - q))
+at real quality q, so a candidate that reaches that bar also passes
+`checks.lift_within_eps`.  It says OK for any candidate it finds; its
 `checks.meets_target` applies the bar 1 - eps^2 (`result.target`) that
 `check` applies.  A refusal reports `result.certificate`: its kind
 (`linear` or `conic`) and its margin, which is positive.  A command
@@ -281,7 +286,10 @@ def _cmd_solve(cfg):
     w, measurement, wc = _read_instance(cfg["in_path"], kind, "solve")
     cfg["input_kind"] = kind
 
-    cand, report = solve_bss(w, cfg["eps"], degree=cfg["degree"],
+    # the lift's relative residual is sqrt(2 (1 - q)) at real quality q, so
+    # lift_within_eps needs q >= 1 - eps^2 / 2: the real search takes eps / sqrt(2)
+    search_eps = cfg["eps"] if wc is None else cfg["eps"] / math.sqrt(2.0)
+    cand, report = solve_bss(w, search_eps, degree=cfg["degree"],
                              seed=cfg["seed"], solver_tol=cfg["tol"])
     result = {"rung": report.rung,
               "solver_status": report.solver_status,

@@ -84,11 +84,15 @@ Without a certificate DR runs until it finds a feasible point or reaches
 the iteration limit, reported as `iter_limit`.
 
 A caller that needs less than a feasible point may pass an `accept` hook.
-At each check where a conic try is due and the iterate is not yet
-feasible, the hook sees that iterate, which meets L y = b but need not be
-PSD, before the try; when it accepts, the run stops with status
-`rounded`.  The rank-one search uses it to stop at the first iterate
-whose spectral candidate already verifies at its target quality.
+The hook sees the start first: at check 0, before any DR step, the
+checked iterate of the start c, the affine point nearest its PSD clip.
+Then, at each check where a conic try is due and the iterate is not yet
+feasible (checks 1, 2, 4, 8, ... and the last), it sees that iterate
+before the try.  Each offered iterate meets L y = b but need not be PSD;
+when the hook accepts, the run stops with status `rounded`.  A refused
+offer at check 0 changes nothing, as the run starts from c either way.
+The rank-one search uses the hook to stop at the first iterate whose
+spectral candidate already verifies at its target quality.
 
 Every 10 iterations the current iterate is checked for feasibility.  Up
 to the first check the steps are plain DR, so a problem settled there
@@ -191,7 +195,9 @@ class SolverReport:
     `certificate`: a `linear` one found at set-up with no DR iteration,
     or a `conic` one found at the check after `iterations` DR steps;
     `rounded` means the caller's `accept` hook took the iterate of the
-    check after `iterations` DR steps, which need not be feasible;
+    check after `iterations` DR steps, which need not be feasible, and
+    `rounded` with `iterations` 0 means it took the start's, offered at
+    check 0 before any DR step;
     `iter_limit` means neither a certificate nor a feasible point within
     the budget.  `iterations` counts the steps of the run, not the plain
     steps that certificate tries take aside.  `max_constraint_residual`
@@ -354,16 +360,14 @@ def _conic_term(problem: SdpProblem, labels: np.ndarray, block_map: _BlockMap,
     return out
 
 
-def _linear_certificate(problem: SdpProblem, geo: _AffineGeometry):
-    """The geometry's Farkas vector r scaled to lam = r / b^T r, when
-    b^T r > 0 (L y = b has no solution) and the margin of lam is positive;
-    else None.  The rows that the sign reduction empties have b = 0, so r
+def _linear_certificate(problem: SdpProblem, geo: _AffineGeometry, scale: float,
+                        bound: float):
+    """The geometry's Farkas vector r scaled to lam = r / b^T r, given
+    `scale` = b^T r > 0 (L y = b has no solution) and `bound` =
+    `moment_bound(problem)`, when the margin of lam is positive; else
+    None.  The rows that the sign reduction empties have b = 0, so r
     vanishes there."""
-    scale = float(problem.rhs @ geo.farkas)
-    if not scale > 0.0:
-        return None
     lam = geo.farkas / scale
-    bound = moment_bound(problem)
     margin = _margin(problem, lam, bound)
     if not margin > 0.0:
         return None
@@ -953,6 +957,19 @@ class _Anderson:
         return x + g - gamma @ self.step[:m], True
 
 
+def _check(space: _FaceSpace, geo: _AffineGeometry, s_cone: np.ndarray):
+    """The checked iterate of the cone point s_cone: the moments y = y_p +
+    N w of the affine point s_hat = c + B w nearest it, their residual
+    max |L y - b|, the least block eigenvalue of s_hat, the displacement
+    s_cone - s_hat and the gap between the DR sets."""
+    w = space.coefficients(s_cone)
+    s_hat = space.point(w)
+    displacement = s_cone - s_hat
+    gap = float(np.sqrt(displacement @ displacement + space.off2))
+    y_hat = geo.y_particular + geo.null_basis @ w
+    return y_hat, space.min_eigenvalue(s_hat), geo.residual(y_hat), displacement, gap
+
+
 def _try_conic(problem, labels, block_map, geo, space, base, z, bound):
     """A conic certificate from the displacement z at the last accepted
     iterate, else from the one after _PLAIN_STEPS plain DR steps taken
@@ -988,15 +1005,18 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     iterations.
 
     `accept(dist) -> bool`, when given, lets the caller stop on an
-    iterate that is good enough for its purpose.  It is called at the
+    iterate that is good enough for its purpose.  It is called first at
+    check 0, after set-up and before any DR step, on the start's checked
+    iterate, with no feasibility exit and no conic try there; then at the
     checks where the iterate is not yet feasible and a conic certificate
-    is due (checks 1, 2, 4, 8, ... and the last), before that try, with
-    the checked iterate as a distribution built like the `feasible` one:
-    it meets L y = b but need not be PSD.  When it returns True the
-    status is `rounded`, that distribution is returned, and `iterations`
-    is the iteration of that check.  A run that never gets True returns
-    what it returns with no hook.  Raises IllFormed unless tol is finite
-    and positive and iter_limit >= 1.
+    is due (checks 1, 2, 4, 8, ... and the last), before that try.  Each
+    time it gets the checked iterate as a distribution built like the
+    `feasible` one: it meets L y = b but need not be PSD.  When it
+    returns True the status is `rounded`, that distribution is returned,
+    and `iterations` is the iteration of that check, 0 at check 0.  A
+    run that never gets True returns what it returns with no hook.
+    Raises IllFormed unless tol is finite and positive and
+    iter_limit >= 1.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise IllFormed(f"solver tolerance must be finite and positive, got {tol}")
@@ -1009,18 +1029,34 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     # side in class 0, so the rows of other classes drop out here as empty.
     geo = _AffineGeometry(_column_slice(problem.lmat, invariant), problem.rhs,
                           index.degrees[invariant])
-    certificate = _linear_certificate(problem, geo)
-    if certificate is not None:
-        return None, SolverReport(
-            status="infeasible", iterations=0,
-            max_constraint_residual=geo.residual(geo.y_particular),
-            min_block_eigenvalue=0.0, gap=np.inf, certificate=certificate)
+    # moment_bound(problem), computed once; only certificates read it, so a
+    # run that the hook stops at check 0 never computes it
+    bound = None
+    scale = float(problem.rhs @ geo.farkas)
+    if scale > 0.0:
+        bound = moment_bound(problem)
+        certificate = _linear_certificate(problem, geo, scale, bound)
+        if certificate is not None:
+            return None, SolverReport(
+                status="infeasible", iterations=0,
+                max_constraint_residual=geo.residual(geo.y_particular),
+                min_block_eigenvalue=0.0, gap=np.inf, certificate=certificate)
     block_map = _BlockMap(index, labels)
     faces = _face_basis(index, problem.lmat, labels)
     space = _FaceSpace(block_map, faces, geo)
-    bound = moment_bound(problem)
 
     x = space.c.copy()
+    if accept is not None:
+        # check 0: the start's checked iterate, offered before any DR step;
+        # the run never reads it, so a refused offer changes nothing
+        y_hat, min_eig, resid, _, gap = _check(space, geo, space.clip(x))
+        dist = _distribution(problem, invariant, y_hat)
+        if accept(dist):
+            return dist, SolverReport(status="rounded", iterations=0,
+                                      max_constraint_residual=resid,
+                                      min_block_eigenvalue=min_eig, gap=gap)
+    if bound is None:
+        bound = moment_bound(problem)
     accel = _Anderson(_ANDERSON_MEMORY, x.size)
     base = None  # (x, g(x), clip(x), ||g(x)||^2) of the last accepted iterate
     extrapolated = False
@@ -1051,13 +1087,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
         if iterations % _CHECK_EVERY and iterations < iter_limit:
             continue
-        w = space.coefficients(base[2])
-        s_hat = space.point(w)
-        displacement = base[2] - s_hat
-        gap = float(np.sqrt(displacement @ displacement + space.off2))
-        min_eig = space.min_eigenvalue(s_hat)
-        y_hat = geo.y_particular + geo.null_basis @ w
-        resid = geo.residual(y_hat)
+        y_hat, min_eig, resid, displacement, gap = _check(space, geo, base[2])
         best = (y_hat, min_eig, resid)
         if min_eig >= -tol and resid <= max(tol, 1e-9):
             status = "feasible"

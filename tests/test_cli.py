@@ -251,6 +251,25 @@ def test_solve_complex_reduces_and_lifts(tmp_path, capsys):
     assert report["checks"]["lift_within_eps"] is True
 
 
+def test_solve_complex_ok_lifts_within_eps(tmp_path, capsys):
+    """The 36 degree-4 solves of complex_planted(2, 1..3, 0..5) at eps 0.25
+    and 0.3 each say OK with a lift within eps, as the real search aims
+    at 1 - eps^2 / 2; the reported target stays 1 - eps^2."""
+    for dim_w in ("1", "2", "3"):
+        for seed in range(6):
+            out = tmp_path / f"wc{dim_w}{seed}.txt"
+            main(["gen", "complex-planted", "--n", "2", "--dim-w", dim_w,
+                  "--seed", str(seed), "--out", str(out)])
+            capsys.readouterr()
+            for eps in (0.25, 0.3):
+                code, report, _ = run_cli(capsys, "solve", str(out), "--eps", str(eps),
+                                          "--degree", "4")
+                case = (dim_w, seed, eps)
+                assert (code, report["status"]) == (0, "OK"), case
+                assert report["checks"]["lift_within_eps"] is True, case
+                assert report["result"]["target"] == 1.0 - eps ** 2
+
+
 def test_solve_rejects_wrong_file_kind(tmp_path, capsys):
     path = tmp_path / "f.txt"
     write_factors(path, FactorMatrix(np.eye(3)))

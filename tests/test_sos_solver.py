@@ -564,7 +564,9 @@ def assert_geometry_matches_dense(prob, columns):
                                    atol=1e-10 * max(1.0, np.abs(y_ref).max()))
         return True
     refused = certificate_margin(prob, r / (r @ r)) > 0
-    assert (_linear_certificate(prob, geo) is not None) == refused
+    scale = float(prob.rhs @ geo.farkas)
+    assert (scale > 0.0 and _linear_certificate(prob, geo, scale, moment_bound(prob))
+            is not None) == refused
     return False
 
 
@@ -1229,14 +1231,15 @@ def test_a_declining_hook_changes_nothing():
     """An `accept` hook that always returns False leaves the moments and
     every field of the report bit-identical, on plants feasible at checks
     2 and 23, a plant at a limit of 50 steps, a conic refusal at check 1
-    and a linear refusal at set-up.  It is offered the iterate at checks
+    and a linear refusal at set-up.  It is offered the start's iterate
+    (check 0, before any DR step) after set-up, then the iterate at checks
     1, 2, 4, 8, ... and at the last, wherever that iterate is not
     feasible."""
     plant = lambda n, dim_w, seed: build_bss_problem(planted_yes(n, dim_w, seed)[0], 4)
-    cases = [(plant(2, 1, 0), DEFAULT_ITER_LIMIT, "feasible", 1),
-             (plant(3, 5, 2), DEFAULT_ITER_LIMIT, "feasible", 5),
-             (plant(3, 5, 3), 50, "iter_limit", 4),
-             (build_bss_problem(tiles_complement(), 4), DEFAULT_ITER_LIMIT, "infeasible", 1),
+    cases = [(plant(2, 1, 0), DEFAULT_ITER_LIMIT, "feasible", 2),
+             (plant(3, 5, 2), DEFAULT_ITER_LIMIT, "feasible", 6),
+             (plant(3, 5, 3), 50, "iter_limit", 5),
+             (build_bss_problem(tiles_complement(), 4), DEFAULT_ITER_LIMIT, "infeasible", 2),
              (build_bss_problem(random_no(2, 1, 0)[0], 4), DEFAULT_ITER_LIMIT, "infeasible", 0)]
     for problem, limit, status, offers in cases:
         seen = []
@@ -1255,13 +1258,15 @@ def test_an_accepting_hook_stops_at_its_check():
     """A hook that takes the k-th iterate it is offered ends the run with
     status `rounded` at the check of that offer, and returns that
     iterate's table, which meets L y = b.  planted_yes(3, 5, 2) settles at
-    check 23, so the offers come at checks 1, 2, 4, 8 and 16, iterations
-    10 * 2^(k-1); at a limit of 50 steps, planted_yes(3, 5, 3) is offered
-    its last check too."""
+    check 23, so the offers come at check 0, before any DR step, and at
+    checks 1, 2, 4, 8 and 16, iterations 0 and 10 * 2^(k-2); at a limit
+    of 50 steps, planted_yes(3, 5, 3) is offered its last check too.
+    Check 0's report is filled as at any check, with no Anderson step."""
     plant = build_bss_problem(planted_yes(3, 5, 2)[0], 4)
     stopped = build_bss_problem(planted_yes(3, 5, 3)[0], 4)
-    cases = [(plant, DEFAULT_ITER_LIMIT, k, 10 * 2 ** (k - 1)) for k in range(1, 6)]
-    cases.append((stopped, 50, 4, 50))
+    cases = [(plant, DEFAULT_ITER_LIMIT, 1, 0)]
+    cases += [(plant, DEFAULT_ITER_LIMIT, k, 10 * 2 ** (k - 2)) for k in range(2, 7)]
+    cases.append((stopped, 50, 5, 50))
     for problem, limit, k, iterations in cases:
         seen = []
         mu, rep = solve_feasibility(problem, iter_limit=limit,
@@ -1271,6 +1276,10 @@ def test_an_accepting_hook_stops_at_its_check():
         assert mu.moments[0] == 1.0
         assert np.abs(csr(problem.lmat) @ mu.moments - problem.rhs).max() <= 1e-9
         assert rep.max_constraint_residual <= 1e-9
+        assert np.isfinite(rep.gap) and rep.gap > 0.0
+        assert -np.inf < rep.min_block_eigenvalue < -sos_solver.DEFAULT_TOL
+        if not iterations:
+            assert (rep.anderson_accepted, rep.anderson_rejected) == (0, 0)
 
 
 @pytest.mark.parametrize("tol, iter_limit", [(0.0, 10), (-1.0, 10), (np.nan, 10),

@@ -35,7 +35,9 @@ def test_span_notes_read_real_results():
                      "reweighting.fix_subspace", "rectangle.find_rectangle", "bss.solve_bss"}
     assert noted <= infos.keys()
     for info in infos["sos_solver.solve"]:
-        assert info["status"] in ("feasible", "rounded") and info["iterations"] >= 1
+        # a run stops with no DR step only when the hook takes the start
+        assert info["status"] in ("feasible", "rounded")
+        assert info["iterations"] >= 1 or info["status"] == "rounded"
         assert info["moments"] == 70
     assert tracer.problems
     assert all(info["steps"] >= 0 for info in infos["structure.run_structure_2d"])
