@@ -4,14 +4,16 @@ Pipeline: a subspace W of n x n matrices (given directly, or as the
 eigenvalue-1 eigenspace of a measurement operator) is turned into moment
 feasibility problems over pairs (u, v) of unit vectors with uv^T in W,
 at degrees 4, 6, ... up to a top degree, until one refuses W or rounds
-spectrally to the target; at a top degree of 6 or more the solved
-moment table is concentrated by the bilinear structure rounds, and the
-candidate u0 v0^T is read off the first moments.  At top degree 4 the
-spectral candidate is the answer.  The module also houses the verifier for
-candidates against measurements, the complex-to-real reduction with its
-lift, instance generators with a grid-certified farness oracle, and the
-SUBSPACE, MEASUREMENT and CSUBSPACE file formats (matrix blocks, see
-`linalg`).
+spectrally to the target.  When the top rung's spectral candidates all
+miss, each is polished by alternating top-eigenvector ascent, and the
+first polished candidate that reaches the target is the answer.  Only
+when every polish misses, at a top degree of 6 or more, is the solved
+moment table concentrated by the bilinear structure rounds, and the
+candidate u0 v0^T read off the first moments.  The module also houses
+the verifier for candidates against measurements, the complex-to-real
+reduction with its lift, instance generators with a grid-certified
+farness oracle, and the SUBSPACE, MEASUREMENT and CSUBSPACE file formats
+(matrix blocks, see `linalg`).
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ _ROUND_TRIALS = 24
 _SEEDS_PER_LEVEL = 6
 _EPS_GROWTH = 1.5
 _MAX_STRUCTURE_EPS = 0.45
+
+# the polish of a top-rung miss: at most _ASCENT_STEPS alternating
+# ascent steps from each spectral direction, stopping at the first step
+# that gains less than _ASCENT_GAIN
+_ASCENT_STEPS = 100
+_ASCENT_GAIN = 1e-12
 
 
 # -- domain types -------------------------------------------------------------
@@ -231,20 +239,22 @@ def _default_structure_eps(eps: float, ambient: int) -> float:
     return max(0.02, eps / math.sqrt(max(ambient, 1)))
 
 
-def _spectral_rounding(mu, w: SubspaceBasis):
-    """Best candidate among the top cross-moment eigendirections.
+def _spectral_rounding(mu, w: SubspaceBasis) -> list:
+    """The candidates of the top cross-moment eigendirections, best first.
 
     The matrix E~ vec(uv^T) vec(uv^T)^T has its range inside W for any
     feasible table (the membership constraints hold multiplicatively),
     and it survives the sign and phase symmetries that zero out E~ u,
     E~ v, and E~ uv^T, so its top eigenvectors read out the bilinear
     mass even when every odd moment vanishes.  Each candidate is the
-    leading singular pair of one eigendirection, scored by its actual
-    projected mass; returns (quality, candidate) or None.
+    leading singular pair of one of the top four eigendirections, scored
+    by its actual projected mass; returns a list of (quality, candidate),
+    empty when no direction projects to a nonzero matrix of W, and ties
+    keep the order of the eigenvalues.
     """
     n = w.ambient
     vals, vecs = np.linalg.eigh(cross_second_moment(mu))
-    best = None
+    scored = []
     for col in range(1, min(4, n * n) + 1):
         y = w.project(vecs[:, -col].reshape(n, n))
         if float(np.linalg.norm(y)) <= _ZERO_NORM:
@@ -255,9 +265,43 @@ def _spectral_rounding(mu, w: SubspaceBasis):
         u0 = uu[:, 0] * math.sqrt(ss[0])
         v0 = vv[0] * math.sqrt(ss[0])
         quality = projected_quality(w, np.outer(u0, v0))
-        if best is None or quality > best[0]:
-            best = (quality, RankOneCandidate(u0, v0, quality))
-    return best
+        scored.append((quality, RankOneCandidate(u0, v0, quality)))
+    scored.sort(key=lambda pair: -pair[0])
+    return scored
+
+
+def _top_factor(mapped: np.ndarray) -> np.ndarray:
+    """The unit vector x maximizing |mapped x|: the top eigenvector of
+    mapped^T mapped."""
+    return np.linalg.eigh(mapped.T @ mapped)[1][:, -1]
+
+
+def _ascend(w: SubspaceBasis, start: RankOneCandidate, target: float):
+    """Alternating top-eigenvector ascent of the mass u^T B v captures,
+    from the candidate `start`; returns (quality, candidate).
+
+    For unit u and v the quality is sum_B (u^T B v)^2 over the
+    orthonormal basis of W.  With v fixed the best u is the top
+    eigenvector of sum_B (B v)(B v)^T, and then with u fixed the best v
+    is that of sum_B (B^T u)(B^T u)^T, so no half-step lowers the
+    quality (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal.
+    Appl. 2000).  The ascent stops at `target`, after a step that gains
+    less than _ASCENT_GAIN, or after _ASCENT_STEPS steps; it returns the
+    best candidate seen, `start` itself when no step gained.
+    """
+    basis = np.array(w.basis)
+    quality, best = start.quality, start
+    v = start.v0
+    for _ in range(_ASCENT_STEPS):
+        if quality >= target:
+            break
+        u = _top_factor(basis @ v)       # rows (B v)^T
+        v = _top_factor(u @ basis)       # rows u^T B
+        gained = projected_quality(w, np.outer(u, v))
+        if gained < quality + _ASCENT_GAIN:
+            break
+        quality, best = gained, RankOneCandidate(u, v, gained)
+    return quality, best
 
 
 def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: int = 0,
@@ -284,13 +328,18 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     candidate is accepted on its own recomputed quality, so a certified
     eps-far W can never be rounded.  A rung below the top otherwise
     climbs, as it also does when its solver reaches the iteration limit.
-    A top rung of degree 6 or more goes on from its spectral baseline:
-    it retries the structure rounds over fresh seeds (trial t runs
-    `run_structure_2d` with seed `seed + t`) and a gradually relaxed
-    stopping bar until a trial reaches quality 1 - eps^2; the best
-    verified candidate wins, so a top rung that cannot support the
-    strict bar still rounds whatever the moments contain.  At top degree
-    4 the spectral baseline is the answer (see `_round`).  Raises
+    A top rung whose spectral candidates all miss polishes each of them,
+    best first, by alternating top-eigenvector ascent (`_ascend`), which
+    never lowers a quality, and returns the first polished candidate
+    that reaches 1 - eps^2, with no structure step.  When every polish
+    misses, a top rung of degree 6 or more goes on from the best
+    polished candidate: it retries the structure rounds over fresh seeds
+    (trial t runs `run_structure_2d` with seed `seed + t`) and a
+    gradually relaxed stopping bar until a trial reaches quality
+    1 - eps^2; the best verified candidate wins, so a top rung that
+    cannot support the strict bar still rounds whatever the moments
+    contain.  At top degree 4 the best polished candidate is the answer
+    (see `_round`).  Raises
     DegreeTooSmall unless `degree` is even and at least 4, NoConvergence
     when the top rung's solver reaches its iteration limit with neither a
     certificate nor a feasible point, and ZeroCandidate when every
@@ -308,7 +357,7 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     def verifies(dist) -> bool:
         nonlocal hooked
         hooked = _spectral_rounding(dist, w)
-        return hooked is not None and hooked[0] >= target
+        return bool(hooked) and hooked[0][0] >= target
 
     for rung in range(4, degree + 1, 2):
         # looked up on the module at call time, so a tracer that wraps
@@ -322,28 +371,49 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
             return None, report
         if solver_report.status in ("feasible", "rounded"):
             if solver_report.status == "rounded":
-                baseline = hooked  # the hook rounded and verified this table
+                scored = hooked  # the hook rounded and verified this table
             else:
-                baseline = _spectral_rounding(mu, w)
-            if baseline is not None and baseline[0] >= target:
+                scored = _spectral_rounding(mu, w)
+            if scored and scored[0][0] >= target:
                 report = BssReport("candidate", eps, degree, rung, solver_report.status,
                                    solver_report.iterations, 0,
-                                   quality=baseline[0], degree_left=mu.degree)
-                return baseline[1], report
+                                   quality=scored[0][0], degree_left=mu.degree)
+                return scored[0][1], report
         elif rung == degree:
             raise NoConvergence(
                 f"feasibility solver returned {solver_report.status} after "
                 f"{solver_report.iterations} iterations")
-    quality, candidate, steps, degree_left = _round(mu, w, eps, seed, baseline)
+    quality, candidate, steps, degree_left = _round(mu, w, eps, seed, scored)
     report = BssReport("candidate", eps, degree, degree, solver_report.status,
                        solver_report.iterations, steps,
                        quality=quality, degree_left=degree_left)
     return candidate, report
 
 
-def _round(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
-    """The best verified candidate of the spectral `baseline` (the top
-    rung's, below the target) and the structure trials, as (quality,
+def _round(mu, w: SubspaceBasis, eps: float, seed: int, scored: list):
+    """The best verified candidate of the top rung, whose spectral
+    candidates `scored` (best first) all miss the target, as (quality,
+    candidate, structure steps, degree left); see `solve_bss`.
+
+    Each scored direction is first polished by `_ascend`, and the first
+    polished candidate that reaches 1 - eps^2 is the answer, with no
+    structure step.  Only when every polished start misses do the
+    structure trials run, from the best polished candidate.
+    """
+    target = 1.0 - eps * eps
+    best = None
+    for _, start in scored:
+        polished = _ascend(w, start, target)
+        if best is None or polished[0] > best[0]:
+            best = polished
+        if best[0] >= target:
+            return best[0], best[1], 0, mu.degree
+    return _structure_trials(mu, w, eps, seed, best)
+
+
+def _structure_trials(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
+    """The best verified candidate of `baseline` (quality, candidate),
+    below the target or None, and the structure trials, as (quality,
     candidate, structure steps, degree left); see `solve_bss`.
 
     A degree-4 table runs no trial.  It pays for one fix, and a
@@ -655,11 +725,18 @@ def _farness_at(w: SubspaceBasis, pts: np.ndarray) -> np.ndarray:
 
     With the orthonormal basis B of W the squared distance is
     1 - v^T G v for G = sum_B B^T u u^T B, so the best v is exact: the
-    minimum is 1 - lambda_max(G), one batched n x n eigvalsh over the rows.
+    minimum is 1 - lambda_max(G), one batched eigvalsh over the rows.
+    G = M^T M for the dim_w x n matrix M of rows u^T B, and M M^T has the
+    same nonzero spectrum, so below dim_w = n the smaller Gram is taken,
+    and at dim_w = 1 its one entry, a sum of squares, is lambda_max.
     """
     mapped = np.einsum("ui,kij->ukj", pts, np.array(w.basis))  # rows u^T B
-    gram = np.einsum("uki,ukj->uij", mapped, mapped)
-    return np.sqrt(np.maximum(1.0 - np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    if w.dim < w.ambient:
+        gram = np.einsum("uki,uji->ukj", mapped, mapped)
+    else:
+        gram = np.einsum("uki,ukj->uij", mapped, mapped)
+    top = gram[:, 0, 0] if w.dim == 1 else np.linalg.eigvalsh(gram)[:, -1]
+    return np.sqrt(np.maximum(1.0 - top, 0.0))
 
 
 def _certificate_grid(n: int):

@@ -24,9 +24,9 @@ What every trial reads of the table it starts from is computed once per
 table (`PseudoDistribution.derived`): the stopping data of both blocks
 and the eigendecompositions of their second moments here, and the
 moment blocks and the draw screen's matrix that every fix on it reads
-in `reweighting`.  The trials that `bss._round` runs on one table with
-fresh seeds share them, and a trial's fixes pay only for their own
-subspace and draws.
+in `reweighting`.  The trials that `bss._structure_trials` runs on one
+table with fresh seeds share them, and a trial's fixes pay only for
+their own subspace and draws.
 
 `run_structure_2d(mu, eps, seed)` runs these rounds and returns the
 concentrated table, a trace of its steps and the composite
@@ -194,7 +194,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     the closed-form one included, without building a table.  The root
     table's stopping data and the eigendecompositions of its blocks'
     second moments are computed once per table and shared by every trial
-    on it (`bss._round` runs many with fresh seeds), and the
+    on it (`bss._structure_trials` runs many with fresh seeds), and the
     top-eigenspace fixes read them too while no fix has changed the
     table.
     """

@@ -1,9 +1,11 @@
 """Moment tables of finitely supported distributions, built exactly in
-NumPy, so the tests can check the moment path against the atoms, and
-dense polynomials written down from {exponent: coefficient} literals."""
+NumPy, so the tests can check the moment path against the atoms, dense
+polynomials written down from {exponent: coefficient} literals, and the
+top-rung tables that `solve_bss` rounds."""
 
 import numpy as np
 
+from rankone import bss
 from rankone.errors import DegreeExceeded
 from rankone.pseudodist import MonomialIndex, PseudoDistribution, monomial_index
 
@@ -36,3 +38,25 @@ def dense_poly(index: MonomialIndex, terms: dict, degree: int) -> np.ndarray:
             raise DegreeExceeded(f"monomial {e} above degree {degree}")
         out[i] += c
     return out
+
+
+def root_tables(cases):
+    """For each (n, dim_w, seed, eps, degree) of `cases`, the arguments
+    (table, W, eps, seed, scored spectral candidates) that `bss._round`
+    receives from solve_bss(planted_yes(n, dim_w, seed)[0], eps,
+    degree=degree), with the solve's (candidate, report): the tables
+    the structure trials start from.  Every case must reach `_round`."""
+    found = []
+    round_ = bss._round
+
+    def recording(*args):
+        found.append(args)
+        return round_(*args)
+    bss._round = recording
+    try:
+        solves = [bss.solve_bss(bss.planted_yes(n, dim_w, seed)[0], eps, degree=degree)
+                  for n, dim_w, seed, eps, degree in cases]
+    finally:
+        bss._round = round_
+    assert len(found) == len(cases), cases
+    return list(zip(found, solves))

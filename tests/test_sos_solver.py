@@ -15,10 +15,10 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 from instances import tiles_complement
-from moment_tables import dense_poly
+from moment_tables import dense_poly, root_tables
 from rankone import sos_solver
-from rankone.bss import (complex_planted, planted_yes, random_no, reduce_complex_to_real,
-                         solve_bss)
+from rankone.bss import (_structure_trials, complex_planted, planted_yes, random_no,
+                         reduce_complex_to_real, solve_bss)
 from rankone.cli import _uncertified_subspace
 from rankone.errors import DegreeTooSmall, IllFormed
 from rankone.pseudodist import MonomialIndex, monomial_index, validate
@@ -1039,7 +1039,10 @@ def test_per_block_cone_step_changes_no_solve(monkeypatch):
     `solve_bss` returns the same candidate bytes and the same report,
     solver status and iterations included: plants at n = 2, 3 and
     degrees 4 and 6, random_no(3, 2, 0) at degree 8, a complex plant and
-    the eps-0.05 degree-6 plants that run structure rounds."""
+    the eps-0.05 degree-6 plants whose top-rung misses are polished.
+    The structure trials, run from the best spectral candidate on those
+    plants' top-rung tables, return the same candidate bytes, quality,
+    steps and degree left."""
     cases = [(planted_yes(n, dim_w, seed)[0], 0.25, degree)
              for n, dim_w, seed in ((2, 1, 0), (2, 2, 0), (2, 3, 1), (3, 2, 1), (3, 6, 2))
              for degree in (4, 6)]
@@ -1057,6 +1060,10 @@ def test_per_block_cone_step_changes_no_solve(monkeypatch):
                 dataclasses.replace(rep, certificate=None),
                 None if cert is None else (cert.kind, cert.multipliers.tobytes(), cert.margin,
                                            tuple(h.tobytes() for h in cert.factors))))
+        for (mu, w, eps, seed, scored), _ in root_tables(
+                [(2, 2, seed, 0.05, 6) for seed in (0, 2, 3)]):
+            quality, cand, steps, left = _structure_trials(mu, w, eps, seed, scored[0])
+            found.append((cand.u0.tobytes(), cand.v0.tobytes(), quality, steps, left))
         return found
     stacked = outcomes()
     calls = collections.Counter()
@@ -1071,9 +1078,10 @@ def test_per_block_cone_step_changes_no_solve(monkeypatch):
                         counted(reference_min_eigenvalue))
     assert outcomes() == stacked
     assert calls["reference_clip"] > 0 and calls["reference_min_eigenvalue"] > 0
-    statuses = collections.Counter(rep.solver_status for _, rep, _ in stacked)
+    solves, trials = stacked[:len(cases)], stacked[len(cases):]
+    statuses = collections.Counter(rep.solver_status for _, rep, _ in solves)
     assert set(statuses) == {"feasible", "rounded", "infeasible"}, statuses
-    assert any(rep.structure_steps for _, rep, _ in stacked)
+    assert all(steps for *_, steps, _ in trials)
 
 
 # -- verdicts over seeded instances -------------------------------------------------

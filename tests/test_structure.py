@@ -12,7 +12,7 @@ import functools
 import numpy as np
 import pytest
 
-from moment_tables import atom_table
+from moment_tables import atom_table, root_tables
 from rankone import reweighting, structure
 from rankone.errors import (
     DegreeExhausted,
@@ -297,15 +297,18 @@ def fix_outcome(result):
 
 
 def test_gathered_table_data_changes_no_fix(monkeypatch):
-    """Every fix_subspace call that `bss._round` makes at eps 0.05 on the
-    three `rounding` root tables, of planted_yes(2, 2, s) for s in {0, 2,
-    3}, and on planted_yes(3, 5, 4)'s degree-6 table, all joint fixes
-    with `keep`, and on the degree-8 tables of planted_yes(2, 2, s) for s
-    in {0, 2}, whose trials also fix degree-4 tables without `keep`, gives the same table
-    and report, or the same exception and message, and leaves the
+    """Every fix_subspace call that the structure trials make at eps 0.05,
+    run from the best spectral candidate, on the three `rounding` root
+    tables, of planted_yes(2, 2, s) for s in {0, 2, 3}, and on
+    planted_yes(3, 5, 4)'s degree-6 table, all joint fixes with `keep`,
+    and on the degree-8 tables of planted_yes(2, 2, s) for s in {0, 2},
+    whose trials also fix degree-4 tables without `keep`, gives the same
+    table and report, or the same exception and message, and leaves the
     generator in the same state, as the same call on a fresh copy of its
     table, on which nothing is gathered yet."""
-    from rankone.bss import planted_yes, solve_bss
+    from rankone.bss import _structure_trials
+    tables = root_tables([(n, dim_w, seed, 0.05, degree) for n, dim_w, seed, degree in (
+        (2, 2, 0, 6), (2, 2, 2, 6), (2, 2, 3, 6), (3, 5, 4, 6), (2, 2, 0, 8), (2, 2, 2, 8))])
     fix = structure.fix_subspace
     calls = []
 
@@ -322,9 +325,8 @@ def test_gathered_table_data_changes_no_fix(monkeypatch):
             raise result
         return result
     monkeypatch.setattr(structure, "fix_subspace", recording)
-    for n, dim_w, seed, degree in ((2, 2, 0, 6), (2, 2, 2, 6), (2, 2, 3, 6), (3, 5, 4, 6),
-                                   (2, 2, 0, 8), (2, 2, 2, 8)):
-        solve_bss(planted_yes(n, dim_w, seed)[0], 0.05, degree=degree)
+    for (mu, w, eps, seed, scored), _ in tables:
+        _structure_trials(mu, w, eps, seed, scored[0])
     monkeypatch.undo()
     for cur, rows, delta, kwargs, before, outcome, after in calls:
         fresh = PseudoDistribution(cur.index, cur.moments.copy(), cur.degree, cur.constraints)
