@@ -452,7 +452,8 @@ def _build_parser():
     p.add_argument("--tol", type=float,
                    help=f"solver tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--seed", type=int, help="structure-round seed; matters only when "
-                   "--degree is 6 or more (default 0)")
+                   "every polished candidate of a top rung of degree 6 or more "
+                   "misses (default 0)")
     common(p, "also write the report here")
 
     p = sub.add_parser("rectangle", help="rank-one rectangle search")

@@ -57,12 +57,6 @@ class PreconditionViolated(RankOneError):
     """A pipeline stage was invoked on input that violates its contract."""
 
 
-class FixDiscarded(RankOneError):
-    """A subspace fix accepted a draw, and the caller's `keep` test rejects
-    the fixed table; the generator stands just past that draw, as after
-    an accepted one."""
-
-
 # -- SDP solver -------------------------------------------------------------
 
 class IterLimit(RankOneError):

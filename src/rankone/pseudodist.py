@@ -253,9 +253,10 @@ def linear_form_powers(index: MonomialIndex, v, top: int) -> np.ndarray:
             f"direction of shape {v.shape} for a table over {index.num_vars} variables")
     count = index.count_through(top)
     if top == 2:
-        # the draw screens' case, without the general gather: 1, then v,
-        # then 2 v_i v_j off the squares and on them the vector pow with
-        # an array exponent, as below, so the result is bit-identical
+        # the case of fix_subspace's batched capture test, without the
+        # general gather: 1, then v, then 2 v_i v_j off the squares and on
+        # them the vector pow with an array exponent, as below, so the
+        # result is bit-identical
         first, second = index.quadratic_pairs
         n = index.num_vars
         out = np.empty(v.shape[:-1] + (count,))

@@ -26,44 +26,14 @@ polynomial in one linear form s = <v, x>, held as a coefficient vector
 over the monomial table.  E~ s^2, E~ s^4, E~ (s^2 - m)^2 and
 E~ (s +- m)^2 are quadratic forms of s, s^2, s^2 - m and s +- m against
 moment blocks gathered once per distribution, and candidate directions
-are screened a batch at a time.  What `fix_subspace` reads of a table,
-its moment blocks of degree 1 x 1 and 2 x 2 and the screen's moment
-matrix below, is gathered once per table (`PseudoDistribution.derived`),
-so the many fixes that the structure rounds try on one table, over all
-their trials, pay only for their own subspace.  The factor reports hold
-the same dense form: each factor is a `ReweightPolynomial` certified by
-its roots, as `reweight` requires.
-
-A batch passes two screens before any draw is reweighted.  The first
-is the capture test on E~ s^4 against E~ s^2.  The second decides in
-closed form every draw on a degree-6 table whose power step s^2 runs
-and leaves degree 4.  On that table `fix_scalar` has no degree for
-stage A, so the scalar fix is one gate on E s^4 / (E s^2)^2 at the
-relaxed tolerance and then the sign split.  The fixed table is the
-current one reweighted by r^2 = s^2 (s / sigma +- 1)^2, and its whole
-moment vector, mean and subspace mass included, is a ratio of moment
-forms, products with moments gathered once per table.  A draw is
-dropped only when the gate fails, or when the mean-mass test fails
-under both signs, each by a relative margin of 1e-6.  A draw within the
-margin, with a non-finite value, or on a table of another degree goes
-through `_fix_draw`, the only code that returns a table, with its
-certified reweightings.  A dropped draw's weight is never applied, so
-the screen changes no result and no generator state.
-
-The same closed form proves that a draw passes: the power step surely
-runs, the gate and the mean-mass test pass, and both weights clear the
-normalization floor of `reweight`, each by the margin and under both
-signs, so the split's choice of sign, ties included, is never
-modelled.  A caller may pass `keep`, the test it would apply to the
-returned table; the structure rounds throw away a joint fix that
-leaves a block unsettled and no degree to go on.  When `keep` rejects,
-by the margin, both closed-form tables of the first draw that provably
-passes, the fix raises FixDiscarded with the generator just past that
-draw, as an accepted draw leaves it, without the draw's two certified
-reweightings.  The certified path applies `keep` exactly, so a caller
-sees one answer either way.  Since such a fix mostly ends at the first
-draw that the screen lets through, with `keep` the screen takes the
-first _SCREEN_FIRST draws of a batch before the rest.
+are screened a batch at a time, by the capture test on E~ s^4 against
+E~ s^2 and a typical-size test on E~ s^2.  What `fix_subspace` reads of
+a table, its moment blocks of degree 1 x 1 and 2 x 2, is gathered once
+per table (`PseudoDistribution.derived`), so the many fixes that the
+structure rounds try on one table, over all their trials, pay only for
+their own subspace.  The factor reports hold the same dense form: each
+factor is a `ReweightPolynomial` certified by its roots, as `reweight`
+requires.
 
 `powers_every_draw` decides from a spectrum alone that a fix on a
 degree-6 table runs the power step on every draw, and so returns a
@@ -84,13 +54,11 @@ import numpy as np
 from .errors import (
     DegenerateWeight,
     DegreeExhausted,
-    FixDiscarded,
     PreconditionViolated,
     RetryExhausted,
 )
 from .linalg import gram_schmidt
 from .pseudodist import (
-    NORM_EPS,
     PseudoDistribution,
     ReweightPolynomial,
     linear_form_powers,
@@ -107,11 +75,9 @@ DEFAULT_C = 2  # fix_subspace needs subspace mass E~ |proj_S x|^2 >= dim(S)^-C
 
 _RELAXED_SCALAR_EPS = 0.45  # fallback scalar tolerance when degree is tight
 _DRAW_BATCH = 256  # candidate directions screened per vectorized batch
-_SCREEN_FIRST = 8  # draws of a batch `_doomed` screens before the others
-_SCREEN_MARGIN = 1e-6  # relative margin a closed-form rejection must clear
-# the bar fix_scalar's relaxed tolerance puts on E s^4 / (E s^2)^2
-_GATE_BAR = 1.0 + 3.0 * (_RELAXED_SCALAR_EPS * 2.0 ** -0.5) ** 2
-_SIGNS = np.array([1.0, -1.0])[:, None, None]  # m = +-1 along a first axis
+# relative margin by which the structure rounds' root decision
+# (`powers_every_draw`) must clear each of its bars
+_SCREEN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -254,7 +220,7 @@ def fix_scalar(mu: PseudoDistribution, direction, eps: float):
 
 
 def fix_subspace(mu: PseudoDistribution, basis, delta: float,
-                 retry_budget: int = 2000, seed=0, keep=None):
+                 retry_budget: int = 2000, seed=0):
     """Concentrate mu so its mean vector carries the subspace mass.
 
     `basis` holds rows spanning the subspace S, as an array or nested
@@ -268,24 +234,11 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
 
         |E~ x|^2  >=  (1 - delta) E~ |proj_S x|^2.
 
-    `keep(moments, degree, margin)`, when given, is the caller's test on
-    the accepted draw's fixed table, of degree `degree` and with a moment
-    vector that starts with `moments`, which holds at least the moments
-    of degree <= 2: the fix raises FixDiscarded where keep(moments,
-    degree, 0.0) is False, with the generator just past the draw, as
-    after any accepted one.  With margin > 0, keep must
-    loosen its bars by that relative margin, so that False means the
-    table fails by the margin.  A caller that would throw the table away
-    then lets the fix skip the certified reweightings of a draw decided
-    in closed form (see below).
-
     Raises RetryExhausted when no draw within the budget passes.  The
     decisions come in this order: the arguments, the degree, the mass
     floor, and only then the draws.  Each batch of draws meets, in
-    order, the capture test, the typical-size test and, on a degree-6
-    table, `_doomed`.  The draws left go in order to `keep` on the
-    closed-form tables of a draw that `_doomed` proves to pass, then to
-    `_fix_draw`.
+    order, the capture test and the typical-size test, and the draws
+    left go in order to `_fix_draw`.
     """
     rows = np.atleast_2d(np.asarray(basis, dtype=float))
     if rows.size == 0:
@@ -307,7 +260,7 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
 
     # the moments the draws are compared against, gathered once per table
-    block_lin, block_quad, screen = mu.derived(_gathered)
+    block_lin, block_quad = mu.derived(_gathered)
     lin, quad = index.block(1), index.block(2)
     # second-moment matrix in subspace coordinates; its top eigenvector is
     # the first candidate direction, then uniform draws take over
@@ -331,47 +284,24 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
         # a uniform unit v in S has E~ <v, x>^2 = mass / dim on average
         typical = e_lo >= 0.5 / dim * mass
         drawn = np.flatnonzero((e_lo > 0.0) & captures & typical)
-        # the loop below ends at the first draw it accepts or discards; with
-        # keep, that is most often a closed-form discard of the batch's
-        # first draw, so the screen takes the first few draws before the rest
-        split = _SCREEN_FIRST if keep is not None else drawn.size
-        for chunk in (drawn[:split], drawn[split:]):
-            doomed = passes = [False] * chunk.size
-            if screen is not None and chunk.size:
-                doomed, passes, models = _doomed(mu, powers[chunk], screen, proj,
-                                                 mass, eps, delta)
-                doomed, passes = doomed.tolist(), passes.tolist()
-            for i, j in enumerate(chunk.tolist()):
-                if doomed[i]:
-                    continue
-                if keep is not None and passes[i] and not any(
-                        keep(model, 2, _SCREEN_MARGIN) for model in models[:, i]):
-                    # _fix_draw would accept the draw, and keep reject its table
-                    _rewind(rng, state, j + 1, dim)
-                    raise _discarded()
-                v = directions[j]
-                fixed = _fix_draw(mu, v, powers[j], proj, mass, eps, delta)
-                if fixed is None:
-                    continue
-                fixed_mu, srep, sigma, powered, target = fixed
-                _rewind(rng, state, j + 1, dim)
-                if keep is not None and not keep(fixed_mu.moments, fixed_mu.degree, 0.0):
-                    raise _discarded()
-                factors = [(_linear_square(v), 1)] if powered else []
-                factors.extend(srep.factors)
-                mean = fixed_mu.moments[lin]
-                report = SubspaceFixReport(
-                    v, attempt + j + 1,
-                    float(mean @ mean) / target if target > 0 else 0.0,
-                    2 * powered + srep.degree_spent, srep.m * sigma, srep,
-                    tuple(factors))
-                return fixed_mu, report
+        for j in drawn.tolist():
+            v = directions[j]
+            fixed = _fix_draw(mu, v, powers[j], proj, mass, eps, delta)
+            if fixed is None:
+                continue
+            fixed_mu, srep, sigma, powered, target = fixed
+            _rewind(rng, state, j + 1, dim)
+            factors = [(_linear_square(v), 1)] if powered else []
+            factors.extend(srep.factors)
+            mean = fixed_mu.moments[lin]
+            report = SubspaceFixReport(
+                v, attempt + j + 1,
+                float(mean @ mean) / target if target > 0 else 0.0,
+                2 * powered + srep.degree_spent, srep.m * sigma, srep,
+                tuple(factors))
+            return fixed_mu, report
         attempt += coefs.shape[0]
     raise RetryExhausted(f"no direction fixed the subspace within {retry_budget} draws")
-
-
-def _discarded() -> FixDiscarded:
-    return FixDiscarded("keep rejected the fixed table of the accepted draw")
 
 
 def _rewind(rng, state, draws: int, dim: int) -> None:
@@ -435,101 +365,13 @@ def _fix_draw(cur, v, powers, proj, mass, eps, delta):
     return None
 
 
-def _doomed(cur, powers, screen, proj, mass, eps, delta):
-    """Which draws on the degree-6 table cur provably fail `_fix_draw`,
-    and which provably pass it, when their power step leaves a degree-4
-    table, with the moments of degree <= 2 of the table it would return.
-    `powers` holds the powers of each draw's s = <v, x> up to degree 2,
-    and `screen` is `_screen_moments(cur)`.
-
-    On that table `fix_scalar` has no degree for stage A: the draw passes
-    the gate on E_w s^4 / (E_w s^2)^2 - 1 at the relaxed tolerance or
-    fails, and the sign split reweights by (s / sigma + m)^2, m = +-1,
-    sigma^2 = E_w s^2, for w = s^2 * cur.  So the fixed table is cur
-    reweighted by r^2, r = s (s / sigma + m), and its moments are
-    E~ x^a r^2 / E~ r^2: forms in E~ x^a s^2 s^j, deg a <= 2 and j <= 2,
-    contractions of `screen` with the powers.  Its mean and subspace mass
-    are among them, and so is everything a caller's `keep` reads of a
-    degree-2 table.
-
-    A draw is doomed when it fails the gate, or when its mean misses
-    (1 - delta) of the larger of the two masses under both signs.  It
-    passes when the power step surely runs, the gate and the mean-mass
-    test pass under both signs, and the weights of both reweightings
-    clear the normalization floor of `reweight`.  The split picks its
-    sign by comparing E_w (s / sigma + m)^2 over m, and a tie, which
-    sign-symmetric tables give bit for bit, goes to m = -1; deciding only
-    where both signs agree leaves that choice unmodelled.  Every test
-    clears a relative margin of _SCREEN_MARGIN, and a draw within it,
-    with a non-finite value, or whose power step is within it of the
-    other choice, is neither.
-
-    Returns (doomed, passes, models): two boolean masks over the draws,
-    and models[k, i], the moment vector over the monomials of degree <= 2
-    of draw i's fixed table under m = (1, -1)[k].
-    """
-    margin = _SCREEN_MARGIN
-    index = cur.index
-    lin, quad = index.block(1), index.block(2)
-    # E~ x^a s^2 s^j for j = 0, 1, 2: the products of the coefficients of
-    # s^j and of s^2, grouped by j, times the rows of `screen` for the
-    # monomials of degree j
-    base = powers[:, quad]
-    width = base.shape[1]
-    products = (powers[:, :, None] * base[:, None, :]).reshape(len(powers), -1)
-    low, mid, high = (products[:, width * j.start:width * j.stop]
-                      @ screen[width * j.start:width * j.stop]
-                      for j in (index.block(0), lin, quad))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inverse = low[:, 0] / high[:, 0]  # 1 / sigma^2
-        kurtosis = np.einsum("ij,ij->i", powers[:, quad], high[:, quad]) * inverse / high[:, 0]
-        settled = (low[:, 0] > 0.0) & (high[:, 0] > 0.0) & np.isfinite(kurtosis)
-        doomed = settled & (kurtosis > _GATE_BAR * (1.0 + margin))
-        opened = settled & (kurtosis < _GATE_BAR * (1.0 - margin))
-        # reweight's floor on E~ (s / sigma + m)^2 over the powered table,
-        # here times E~ s^2: the weight's absolute coefficients against
-        # |E~ x^a s^2|, at least E~ s^2 from the constant m^2 = 1
-        root = np.sqrt(inverse)
-        terms = np.abs(powers * low)
-        floor = NORM_EPS * (1.0 + margin) * (terms[:, 0] + root * (
-            2.0 * terms[:, lin].sum(axis=1) + root * terms[:, quad].sum(axis=1)))
-        # both signs at once, along the first axis
-        weighted = high * inverse[:, None] + low + _SIGNS * (mid * (2.0 * root)[:, None])
-        norm = weighted[..., 0]
-        models = weighted / norm[..., None]
-        mean_sq = np.einsum("sij,sij->si", models[..., lin], models[..., lin])
-        share = (1.0 - delta) * np.maximum(mass, models @ proj)
-        valid = (norm > 0.0) & np.isfinite(models).all(axis=-1)
-        doomed |= opened & (valid & (mean_sq < share * (1.0 - margin))).all(axis=0)
-        passes = opened & (valid & (norm > floor) & (mean_sq > share * (1.0 + margin))).all(axis=0)
-    # low[:, 0] = E~ s^2, against the power step's bar and, as the step's
-    # weight, against reweight's floor
-    powered = low[:, 0] < (1.0 - eps) ** 3 * mass * (1.0 - margin)
-    doomed &= powered
-    passes &= powered & (low[:, 0] > NORM_EPS * (1.0 + margin) * np.maximum(
-        1.0, np.abs(powers[:, quad]) @ np.abs(cur.moments[quad])))
-    return doomed, passes, models
-
-
 def _gathered(cur):
     """What every fix on the table cur reads of it, gathered once per
     table (`PseudoDistribution.derived`) and shared by the fixes of every
-    structure trial on it: the moment blocks of degree 1 x 1 and 2 x 2,
-    and `_screen_moments(cur)` on a degree-6 table, None on others."""
+    structure trial on it: the moment blocks of degree 1 x 1 and 2 x 2."""
     block = moment_block(cur, 2, 2)
     lin, quad = cur.index.block(1), cur.index.block(2)
-    screen = _screen_moments(cur) if cur.degree == 6 else None
-    return block[lin, lin], block[quad, quad], screen
-
-
-def _screen_moments(cur) -> np.ndarray:
-    """Every moment `_doomed` reads, as the matrix it multiplies by:
-    E~ x^(a+b+c) at row (c, b) and column a, for deg a <= 2, deg b = 2
-    and deg c <= 2."""
-    index = cur.index
-    pairs = index.sum_table(2, 2)[:, index.block(2)]
-    moments = cur.moments[index.sum_table(4, 2)[pairs]]
-    return np.ascontiguousarray(moments.transpose(2, 1, 0)).reshape(-1, len(moments))
+    return block[lin, lin], block[quad, quad]
 
 
 def powers_every_draw(values, delta: float) -> bool:

@@ -23,10 +23,9 @@ either way, and it raises DegreeExhausted before paying for the u-fix.
 What every trial reads of the table it starts from is computed once per
 table (`PseudoDistribution.derived`): the stopping data of both blocks
 and the eigendecompositions of their second moments here, and the
-moment blocks and the draw screen's matrix that every fix on it reads
-in `reweighting`.  The trials that `bss._structure_trials` runs on one
-table with fresh seeds share them, and a trial's fixes pay only for
-their own subspace and draws.
+moment blocks that every fix on it reads in `reweighting`.  The trials
+that `bss._structure_trials` runs on one table with fresh seeds share
+them, and a trial's fixes pay only for their own subspace and draws.
 
 `run_structure_2d(mu, eps, seed)` runs these rounds and returns the
 concentrated table, a trace of its steps and the composite
@@ -46,7 +45,6 @@ import numpy as np
 
 from .errors import (
     DegreeExhausted,
-    FixDiscarded,
     IterLimit,
     PreconditionViolated,
     RetryExhausted,
@@ -135,15 +133,9 @@ def _block_rows(rows_small: np.ndarray, offset: int, total: int) -> np.ndarray:
 
 def block_stopping(mu: PseudoDistribution, offset: int, n: int):
     """Per-coordinate stopping data: ||mm^T - E~ uu^T||_F and |m|^2."""
-    return _stopping(mu.index, mu.moments, offset, n)
-
-
-def _stopping(index, moments, offset: int, n: int):
-    """`block_stopping` of the table whose moment vector, over `index`'s
-    monomials, starts with `moments`: it reads degrees 1 and 2 only."""
     at = slice(1 + offset, 1 + offset + n)
-    mean = moments[at].copy()
-    second = moments[index.sum_table(1, 1)[at, at]]
+    mean = mu.moments[at].copy()
+    second = mu.moments[mu.index.sum_table(1, 1)[at, at]]
     # the Frobenius norm as np.linalg.norm takes it
     diff = (mean[:, None] * mean - second).ravel()
     return math.sqrt(diff.dot(diff)), float(mean @ mean), mean, second
@@ -181,22 +173,13 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     v-fix's DegreeExhausted.
 
     A joint fix is kept only when it settles both blocks or leaves
-    degree 4 or more.  Phase one hands that test to `fix_subspace` as
-    `keep`, and the fix raises FixDiscarded for a table that fails it,
-    which phase one treats like a plane that failed.  On a degree-6
-    table a joint fix leaves degree 2, and the fix decides most such
-    discards from its draw screen's closed form, without the two
-    certified reweightings of the draw (see `reweighting`); a discard
-    found on the certified table ends the same way.  Either way the
-    generator stands just past the accepted draw, so the trial runs as
-    if the fix had returned and phase one had thrown the table away.
-    `keep` reads the stopping data off the moment vector it is given,
-    the closed-form one included, without building a table.  The root
-    table's stopping data and the eigendecompositions of its blocks'
-    second moments are computed once per table and shared by every trial
-    on it (`bss._structure_trials` runs many with fresh seeds), and the
-    top-eigenspace fixes read them too while no fix has changed the
-    table.
+    degree 4 or more; otherwise phase one throws the table away and goes
+    on to the next plane, with the generator just past the accepted
+    draw.  The root table's stopping data and the eigendecompositions of
+    its blocks' second moments are computed once per table and shared by
+    every trial on it (`bss._structure_trials` runs many with fresh
+    seeds), and the top-eigenspace fixes read them too while no fix has
+    changed the table.
     """
     if not 0.0 < eps < 1.0:
         raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
@@ -230,15 +213,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     # the eigenvectors meaningless.  A plane where mixture components
     # collide can still certify a superposed mean, so a fix is kept
     # only if it settles both blocks or leaves enough degree to keep
-    # working: `keep` tells fix_subspace so, and it raises FixDiscarded
-    # for any other table.
-    def keep(moments, degree, margin):
-        if degree >= 4:
-            return True
-        bar = eps * (1.0 + margin)
-        return all(gap <= bar * mean_sq for gap, mean_sq, _, _ in
-                   (_stopping(mu.index, moments, offset, n) for offset in (0, n)))
-
+    # working
     floor = 1.0 / (4.0 * math.sqrt(n))
     stopping, spectra, odd_v_zero = mu.derived(_root_data)
     if stopping[0][1] <= floor and stopping[n][1] <= floor:
@@ -261,10 +236,15 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
             rows = np.array([np.concatenate([alpha, beta]) * half,
                              np.concatenate([alpha, -beta]) * half])
             try:
-                cur, rep = fix_subspace(cur, rows, delta, seed=rng,
-                                        retry_budget=_JOINT_RETRY_BUDGET, keep=keep)
-            except (RetryExhausted, PreconditionViolated, DegreeExhausted, FixDiscarded):
+                fixed, rep = fix_subspace(cur, rows, delta, seed=rng,
+                                          retry_budget=_JOINT_RETRY_BUDGET)
+            except (RetryExhausted, PreconditionViolated, DegreeExhausted):
                 continue    # next plane, or the per-coordinate schedule
+            if fixed.degree < 4 and not all(
+                    gap <= eps * mean_sq for gap, mean_sq, _, _ in
+                    (block_stopping(fixed, offset, n) for offset in (0, n))):
+                continue
+            cur = fixed
             factors.extend(rep.factors)
             record_step("initial", rep, 0)
             break

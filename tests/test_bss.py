@@ -225,9 +225,10 @@ def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
     spectral candidate on the top-rung tables of the spectral misses
     planted_yes(2, 2, s), s in {0, 2, 3}, at degree 6 and eps 0.05: 27
     trials, 3 of them kept and 24 decided at their root with
-    DegreeExhausted, and 307 fixes, of which 166 raise FixDiscarded, 138
-    RetryExhausted and 3 return a table; every fix is a joint one, none
-    on a top eigenspace.  (`solve_bss` polishes these misses to the bar
+    DegreeExhausted, and 307 fixes, of which 138 raise RetryExhausted and
+    169 return a table, 166 of them thrown away for leaving a block
+    unsettled at degree 2; every fix is a joint one, none on a top
+    eigenspace.  (`solve_bss` polishes these misses to the bar
     first, so it runs no trial on them.)"""
     tables = root_tables([(2, 2, seed, 0.05, 6) for seed in (0, 2, 3)])
     counts = {"run_structure_2d": collections.Counter(),
@@ -250,14 +251,13 @@ def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
     fix = structure.fix_subspace
 
     def joint_only(*args, **kwargs):
-        assert "keep" in kwargs
+        assert kwargs["retry_budget"] == structure._JOINT_RETRY_BUDGET
         return fix(*args, **kwargs)
     monkeypatch.setattr(structure, "fix_subspace", joint_only)
     for (mu, w, eps, seed, scored), _ in tables:
         bss._structure_trials(mu, w, eps, seed, scored[0])
     assert counts["run_structure_2d"] == {"returned": 3, "DegreeExhausted": 24}
-    assert counts["fix_subspace"] == {
-        "FixDiscarded": 166, "RetryExhausted": 138, "returned": 3}
+    assert counts["fix_subspace"] == {"returned": 169, "RetryExhausted": 138}
 
 
 # seeded degree-6 outcomes at eps 0.05 of the structure trials run from
@@ -268,6 +268,12 @@ DEGREE_6_OUTCOME = {
     (2, 2, 0): (0.9999923182326633, 1, 2), (2, 2, 2): (0.999418312062864, 1, 2),
     (2, 2, 3): (0.9999693923213113, 1, 2), (2, 3, 3): (0.9999259143947681, 1, 2),
     (3, 5, 4): (0.9494373540883141, 0, 6), (3, 6, 3): (0.8831474418117117, 0, 6),
+}
+
+# seeded degree-8 outcomes of the same trials, in the same form: their
+# progress fixes run on degree-6 and degree-4 tables
+DEGREE_8_OUTCOME = {
+    (2, 2, 0): (0.9998246629388192, 2, 2), (2, 2, 2): (0.9804224607183428, 0, 8),
 }
 
 # the best spectral quality of each top rung above, and the quality that
@@ -304,6 +310,40 @@ def test_degree_6_solves_keep_their_seeded_outcomes():
         expected, expected_steps, expected_left = DEGREE_6_OUTCOME[case]
         assert (steps, left) == (expected_steps, expected_left), case
         assert quality == pytest.approx(expected, abs=1e-9), case
+
+
+def test_degree_8_trials_keep_their_seeded_outcomes():
+    """At degree 8 and eps 0.05 the structure trials, run from the best
+    spectral candidate on the top rung's table, keep the seeded outcomes
+    of DEGREE_8_OUTCOME: two structure steps lift planted_yes(2, 2, 0),
+    and no trial succeeds on planted_yes(2, 2, 2)."""
+    cases = [(*case, 0.05, 8) for case in DEGREE_8_OUTCOME]
+    for ((mu, w, eps, seed, scored), _), case in zip(root_tables(cases), DEGREE_8_OUTCOME):
+        assert mu.degree == 8
+        quality, _, steps, left = bss._structure_trials(mu, w, eps, seed, scored[0])
+        expected, expected_steps, expected_left = DEGREE_8_OUTCOME[case]
+        assert (steps, left) == (expected_steps, expected_left), case
+        assert quality == pytest.approx(expected, abs=1e-9), case
+
+
+def test_degree_6_plants_reach_no_structure_trial(monkeypatch):
+    """Every degree-6 solve of planted_yes(n, dim, s), n in {2, 3}, dim
+    from 1 to n^2 - 1, s in 0-7, at eps 0.05 and 0.25, meets 1 - eps^2
+    with no structure step, and none enters the structure trials: the
+    rounding's polish or an earlier rung decides them all."""
+    def no_trials(*args):
+        raise AssertionError("a solve reached the structure trials")
+    monkeypatch.setattr(bss, "_structure_trials", no_trials)
+    solves = 0
+    for n in (2, 3):
+        for dim in range(1, n * n):
+            for seed in range(8):
+                for eps in (0.05, 0.25):
+                    _, rep = bss.solve_bss(planted_yes(n, dim, seed)[0], eps, degree=6)
+                    assert rep.quality >= 1.0 - eps ** 2, (n, dim, seed, eps)
+                    assert rep.structure_steps == 0, (n, dim, seed, eps)
+                    solves += 1
+    assert solves == 176
 
 
 def test_root_decision_changes_no_solve(monkeypatch):

@@ -563,7 +563,7 @@ def test_degree_two_powers_bit_identical_to_the_general_path():
 def test_linear_form_powers_bit_identical_to_monomial_powers():
     """The gathered power table gives exactly the multinomial weights
     times prod_i v_i^{a_i} of v ** exponents, for one direction and
-    stacks of them, the draw screen's batches of 120 and 256 among them,
+    stacks of them, fix_subspace's draw batches of 120 and 256 among them,
     every top up to the table degree, 2-6 variables."""
     rng = np.random.default_rng(61)
     for n in range(2, 7):

@@ -20,11 +20,7 @@ from rankone.errors import (
     PreconditionViolated,
     RetryExhausted,
 )
-from rankone.pseudodist import (
-    linear_form_powers,
-    moment_block,
-    validate,
-)
+from rankone.pseudodist import moment_block, validate
 from rankone.reweighting import fix_scalar, fix_subspace, stage_power
 
 
@@ -396,15 +392,16 @@ def test_subspace_factors_reproduce_output_both_paths():
     assert again2.degree == out2.degree
 
 
-# -- the closed-form draw screen ---------------------------------------------
+# -- fixes on degree-6 tables ------------------------------------------------
 
 
-def screen_cases():
-    """(table, basis, delta, retry_budget) over moment tables whose draws
-    reach the screen: degree-6 atom tables, spread, on the unit sphere or
-    clustered, half of them sign symmetric (x and -x with equal weight),
-    the corners of a box, and the degree-6 SDP tables of the planted
-    (2, 2, s) instances that the structure rounds run on."""
+def degree_six_fixes():
+    """(table, basis, delta, retry_budget) for fixes on top eigenvectors
+    of E~ x x^T of degree-6 tables, as the structure rounds pick them:
+    atom tables, spread, on the unit sphere or clustered, half of them
+    sign symmetric (x and -x with equal weight), the corners of a box,
+    and the SDP tables of the planted (2, 2, s) instances that the
+    structure rounds run on."""
     from rankone.bss import planted_yes
     from rankone.sos_solver import build_bss_problem, solve_feasibility
     rng = np.random.default_rng(404)
@@ -444,94 +441,15 @@ def screen_cases():
     return cases
 
 
-def fix_outcome(mu, basis, delta, budget, seed):
-    """fix_subspace's result, or its RetryExhausted message, and the
-    generator state afterwards."""
-    rng = np.random.default_rng(seed)
-    try:
-        result = fix_subspace(mu, basis, delta=delta, retry_budget=budget, seed=rng)
-    except RetryExhausted as err:
-        result = str(err)
-    return result, rng.bit_generator.state
-
-
-def assert_same_fix(got, ref):
-    (result, state), (ref_result, ref_state) = got, ref
-    assert state == ref_state
-    if isinstance(ref_result, str):
-        assert result == ref_result
-        return
-    (out, rep), (ref_out, ref_rep) = result, ref_result
-    np.testing.assert_array_equal(out.moments, ref_out.moments)
-    np.testing.assert_array_equal(rep.chosen_direction, ref_rep.chosen_direction)
-    assert (rep.samples_tried, rep.degree_spent) == (
-        ref_rep.samples_tried, ref_rep.degree_spent)
-    assert len(rep.factors) == len(ref_rep.factors)
-    for (base, power), (ref_base, ref_power) in zip(rep.factors, ref_rep.factors):
-        assert power == ref_power
-        np.testing.assert_array_equal(base.coefficients, ref_base.coefficients)
-        for root, ref_root in zip(base.certificate, ref_base.certificate, strict=True):
-            np.testing.assert_array_equal(root, ref_root)
-
-
-def test_draw_screen_changes_no_fix(monkeypatch):
-    """With the screen forced to keep every draw, fix_subspace gives the
-    same table, direction, draws, degree and factors, or the same
-    RetryExhausted, and leaves the generator where it was, over many
-    tables and seeds.  The screen sees and rejects draws on them."""
-    cases = screen_cases()
-    seeds = range(3)
-    screened = [fix_outcome(*case, seed) for case in cases for seed in seeds]
-    seen = rejected = 0
-    doomed = reweighting._doomed
-
-    def keep_all(cur, powers, *args):
-        nonlocal seen, rejected
-        mask, passes, models = doomed(cur, powers, *args)
-        seen += len(powers)
-        rejected += mask.sum()
-        return np.zeros_like(mask), passes, models
-    monkeypatch.setattr(reweighting, "_doomed", keep_all)
-    forced = [fix_outcome(*case, seed) for case in cases for seed in seeds]
-    for got, ref in zip(screened, forced):
-        assert_same_fix(got, ref)
-    assert sum(isinstance(result, str) for result, _ in forced) >= 10
-    assert sum(not isinstance(result, str) for result, _ in forced) >= 10
-    assert seen >= 100 and rejected >= 20, (seen, rejected)
-
-
-def test_draw_screen_rejects_only_draws_the_per_draw_path_rejects(monkeypatch):
-    """Every draw the screen rejects, run alone through the per-draw path,
-    is rejected there too."""
-    calls = []
-    doomed = reweighting._doomed
-
-    def recording(cur, powers, screen, proj, mass, eps, delta):
-        screened = doomed(cur, powers, screen, proj, mass, eps, delta)
-        # the degree-1 block of a draw's powers is its direction
-        directions = powers[screened[0]][:, cur.index.block(1)]
-        calls.append((cur, directions, proj, mass, eps, delta))
-        return screened
-    monkeypatch.setattr(reweighting, "_doomed", recording)
-    for case in screen_cases():
-        fix_outcome(*case, seed=7)
-    checked = 0
-    for cur, directions, proj, mass, eps, delta in calls:
-        for v in directions:
-            powers = linear_form_powers(cur.index, v, 2)
-            assert reweighting._fix_draw(cur, v, powers, proj, mass, eps, delta) is None
-            checked += 1
-    assert checked >= 100
-
-
 def test_powers_every_draw_fixes_leave_degree_2():
     """Where powers_every_draw says yes for a fix on top eigenvectors of
     E~ x x^T of a degree-6 table, the fix raises RetryExhausted or
-    returns a degree-2 table after spending 4 degrees, over the screen
-    cases and clustered tables.  It says no on clustered tables whose
-    fixes leave degree 4, and on a spectrum below the mass floor."""
+    returns a degree-2 table after spending 4 degrees, over
+    `degree_six_fixes` and clustered tables.  It says no on clustered
+    tables whose fixes leave degree 4, and on a spectrum below the mass
+    floor."""
     rng = np.random.default_rng(405)
-    cases = screen_cases()
+    cases = degree_six_fixes()
     for _ in range(8):
         n = int(rng.integers(2, 5))
         mu = clusters(rng, n, int(rng.integers(1, 3)), 6)[2]

@@ -7,25 +7,18 @@ covariances from the atoms.
 """
 
 
-import functools
-
 import numpy as np
 import pytest
 
 from moment_tables import atom_table, root_tables
-from rankone import reweighting, structure
+from rankone import structure
 from rankone.errors import (
     DegreeExhausted,
-    FixDiscarded,
     PreconditionViolated,
     RankOneError,
     RetryExhausted,
 )
-from rankone.pseudodist import (
-    PseudoDistribution,
-    linear_form_powers,
-    validate,
-)
+from rankone.pseudodist import PseudoDistribution, validate
 from rankone.structure import (
     block_stopping,
     cross_second_moment,
@@ -197,7 +190,7 @@ def test_2d_rejects_odd_variable_count():
         run_structure_2d(mu, 0.25)
 
 
-# -- the closed-form discard decision ----------------------------------------
+# -- joint fixes on degree-6 tables -------------------------------------------
 
 
 def sign_classes(mu):
@@ -226,7 +219,6 @@ def pair_tables(rng, count, degree):
     return tables
 
 
-@functools.cache
 def degree_six_cases():
     """(table, eps, seed) for run_structure_2d on degree-6 tables: the SDP
     tables of planted_yes(2, 2, s), s in {0, 2, 3}, at degree 6, at the
@@ -251,38 +243,9 @@ def degree_six_cases():
     return tuple(cases)
 
 
-def fix_log(mu, eps, seed, monkeypatch):
-    """run_structure_2d's table and factors, or its exception class and
-    message, and for every fix_subspace call: whether it was a joint fix,
-    the generator state before it, the exception class it raised (None
-    when it returned), and whether `_fix_draw` accepted a draw in it."""
-    log = []
-    fix, fix_draw = structure.fix_subspace, reweighting._fix_draw
-
-    def fix_recording(cur, rows, delta, **kwargs):
-        entry = {"joint": "keep" in kwargs, "state": kwargs["seed"].bit_generator.state,
-                 "error": None, "certified": False}
-        log.append(entry)
-        try:
-            return fix(cur, rows, delta, **kwargs)
-        except RankOneError as err:
-            entry["error"] = type(err)
-            raise
-
-    def draw_recording(*args):
-        fixed = fix_draw(*args)
-        log[-1]["certified"] |= fixed is not None
-        return fixed
-    monkeypatch.setattr(structure, "fix_subspace", fix_recording)
-    monkeypatch.setattr(reweighting, "_fix_draw", draw_recording)
-    try:
-        out, weight, _ = run_structure_2d(mu, eps, seed)
-        result = (out.moments.tolist(), [
-            (base.coefficients.tolist(), power) for base, power in weight.factors])
-    except RankOneError as err:
-        result = (type(err), str(err))
-    monkeypatch.undo()
-    return result, log
+def joint(kwargs):
+    """Whether a fix_subspace call of run_structure_2d is a joint fix."""
+    return kwargs.get("retry_budget") == structure._JOINT_RETRY_BUDGET
 
 
 def fix_outcome(result):
@@ -300,9 +263,9 @@ def test_gathered_table_data_changes_no_fix(monkeypatch):
     """Every fix_subspace call that the structure trials make at eps 0.05,
     run from the best spectral candidate, on the three `rounding` root
     tables, of planted_yes(2, 2, s) for s in {0, 2, 3}, and on
-    planted_yes(3, 5, 4)'s degree-6 table, all joint fixes with `keep`,
-    and on the degree-8 tables of planted_yes(2, 2, s) for s in {0, 2},
-    whose trials also fix degree-4 tables without `keep`, gives the same
+    planted_yes(3, 5, 4)'s degree-6 table, all joint fixes, and on the
+    degree-8 tables of planted_yes(2, 2, s) for s in {0, 2}, whose trials
+    also make progress fixes on degree-4 tables, gives the same
     table and report, or the same exception and message, and leaves the
     generator in the same state, as the same call on a fresh copy of its
     table, on which nothing is gathered yet."""
@@ -338,75 +301,44 @@ def test_gathered_table_data_changes_no_fix(monkeypatch):
             result = err
         assert fix_outcome(result) == outcome
         assert rng.bit_generator.state == after
-    unkept = [cur.degree for cur, _, _, kwargs, _, _, _ in calls if "keep" not in kwargs]
-    assert len(calls) - len(unkept) > 300 and unkept.count(4) >= 24, (len(calls), unkept)
+    single = [cur.degree for cur, _, _, kwargs, _, _, _ in calls if not joint(kwargs)]
+    assert len(calls) - len(single) > 300 and single.count(4) >= 24, (len(calls), single)
 
 
-def test_discard_decision_changes_no_trial(monkeypatch):
-    """With the closed-form pass decision of `_doomed` forced to
-    undecided, so that every accepted draw takes the certified path,
-    run_structure_2d on degree-6 tables returns the same table and
-    factors, or raises the same exception with the same message, and
-    every fix_subspace call starts from the same generator state and
-    ends the same way.  The decision replaces the certified path on at
-    least half of the joint fixes that find a draw."""
-    doomed = reweighting._doomed
+def test_unsettled_joint_fixes_are_thrown_away(monkeypatch):
+    """On every eighth of the degree-6 cases, a joint fix that returns a
+    table of degree below 4 with a block short of the stopping bar is
+    thrown away: the trial's next fix starts from its root table again.
+    Any other joint fix that returns is kept, and the next fix starts
+    from its table.  Over 100 fixes are thrown away, on the SDP tables
+    and on the atom tables."""
+    fix = structure.fix_subspace
+    log = []
 
-    def undecided(*args):
-        mask, passes, models = doomed(*args)
-        return mask, np.zeros_like(passes), models
-    decided, forced = [], []
-    for case in degree_six_cases():
-        decided.append(fix_log(*case, monkeypatch))
-        monkeypatch.setattr(reweighting, "_doomed", undecided)
-        forced.append(fix_log(*case, monkeypatch))
-    found = fired = 0
-    for (result, log), (ref_result, ref_log) in zip(decided, forced):
-        assert result == ref_result
-        assert [(e["joint"], e["state"], e["error"]) for e in log] == [
-            (e["joint"], e["state"], e["error"]) for e in ref_log]
-        for entry, ref in zip(log, ref_log):
-            if ref["joint"] and ref["error"] in (None, FixDiscarded):
-                found += 1
-                fired += not entry["certified"]
-                assert ref["certified"]
-    assert 2 * fired >= found > 100, (fired, found)
-    # the atom tables discard too, not only the SDP tables
-    assert any(e["error"] is FixDiscarded and not e["certified"]
-               for _, log in decided[288:] for e in log)
-
-
-def test_closed_form_table_is_the_certified_one(monkeypatch):
-    """On the first draw of every screened batch that `_doomed` proves to
-    pass, over the degree-6 cases, `_fix_draw` accepts, and its
-    certified table matches the closed-form moments of the sign it
-    picked to 1e-9.  Those first draws include every draw whose table
-    the fix hands to `keep` in closed form."""
-    doomed = reweighting._doomed
-    firsts = []
-
-    def recording(cur, powers, screen, proj, mass, eps, delta):
-        mask, passes, models = doomed(cur, powers, screen, proj, mass, eps, delta)
-        first = np.flatnonzero(passes)[:1]
-        firsts.extend((cur, powers[i, cur.index.block(1)], models[:, i], proj, mass, eps, delta)
-                      for i in first)
-        return mask, passes, models
-    monkeypatch.setattr(reweighting, "_doomed", recording)
-    for mu, eps, seed in degree_six_cases():
+    def recording(cur, rows, delta, **kwargs):
+        out = fix(cur, rows, delta, **kwargs)
+        log.append((cur, joint(kwargs), out[0]))
+        return out
+    monkeypatch.setattr(structure, "fix_subspace", recording)
+    thrown = []
+    for number, (mu, eps, seed) in enumerate(degree_six_cases()[::8]):
+        log.clear()
         try:
             run_structure_2d(mu, eps, seed)
         except RankOneError:
             pass
-    monkeypatch.undo()
-    assert len(firsts) > 100
-    for cur, v, models, proj, mass, eps, delta in firsts:
-        powers = linear_form_powers(cur.index, v, 2)
-        fixed = reweighting._fix_draw(cur, v, powers, proj, mass, eps, delta)
-        assert fixed is not None
-        table, srep = fixed[0], fixed[1]
-        assert table.degree == 2
-        model = models[0] if srep.m > 0 else models[1]
-        np.testing.assert_allclose(table.moments, model, rtol=0.0, atol=1e-9)
+        n = mu.num_vars // 2
+        for (_, is_joint, table), (after, _, _) in zip(log, log[1:]):
+            if not is_joint:
+                continue
+            settled = all(gap <= eps * mean_sq for gap, mean_sq, _, _ in (
+                block_stopping(table, offset, n) for offset in (0, n)))
+            if table.degree < 4 and not settled:
+                assert after is mu
+                thrown.append(number)
+            else:
+                assert after is table
+    assert len(thrown) > 100 and min(thrown) < 36 <= max(thrown), thrown
 
 
 # -- the root decision of the per-coordinate phase --------------------------
@@ -428,7 +360,7 @@ def test_root_decision_reads_degree_and_v_parity(monkeypatch):
     top_fixes = []
 
     def planes_fail(cur, rows, delta, **kwargs):
-        if "keep" in kwargs:
+        if joint(kwargs):
             raise RetryExhausted("plane")
         top_fixes.append(cur.degree)
         return fix(cur, rows, delta, **kwargs)

@@ -49,10 +49,10 @@ def test_span_notes_read_real_results():
 
 def test_discarded_fix_spans_record_the_error():
     """Under the installed tracer, a structure trial on the degree-6 SDP
-    table of planted_yes(2, 2, 0) discards joint fixes in closed form:
-    their spans record FixDiscarded and carry no info, and layer_metrics
-    aggregates the pass, counting every fix and the discarded ones'
-    samples as none."""
+    table of planted_yes(2, 2, 0) makes joint fixes that raise
+    RetryExhausted: their spans record the error and carry no info, and
+    layer_metrics aggregates the pass, counting every fix and the failed
+    ones' samples as none."""
     tracing = import_benchmark("tracing")
     tracer = tracing.Tracer()
     mu, report = bss.solve_feasibility(bss.build_bss_problem(bss.planted_yes(2, 2, 0)[0], 6))
@@ -63,11 +63,8 @@ def test_discarded_fix_spans_record_the_error():
         except RankOneError as err:
             assert type(err).__name__ in tracing.STRUCTURE_FAILURES
     fixes = [span for span in tracer.spans if span.name == "reweighting.fix_subspace"]
-    discarded = [i for i, span in enumerate(tracer.spans) if span.error == "FixDiscarded"]
-    assert discarded and all(tracer.spans[i].info == {} for i in discarded)
-    # decided without a reweighting
-    parents = {span.parent for span in tracer.spans if span.name == "pseudodist.reweight"}
-    assert not parents & set(discarded)
+    failed = [span for span in fixes if span.error == "RetryExhausted"]
+    assert failed and all(span.info == {} for span in failed)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts, 0.0, 1.0)
     assert metrics["structure.trials"] == (1, "count")
     assert metrics["reweighting.fix_subspace.calls"] == (len(fixes), "count")
