@@ -59,6 +59,23 @@ the problem there is one class and one block, the whole moment matrix.
 All reductions are in fixed order, so a given problem yields
 bit-identical output on every run.
 
+Much of that set-up depends only on the sparsity pattern of (L, b) and
+on the monomial table, not on the numbers: where L stores its entries,
+the sign classes, the class-0 columns, level 1's split into L1 and L2,
+its blocks and the layout of their Gram matrices, the block map, and
+which rows of L back the facial reduction.  `build_problem` keys each
+problem by its pattern: the variable count, the degree, and the degree
+and nonzero positions of each kept constraint.  `_pattern` builds that
+part once per key and keeps the last `_PATTERN_CACHE_SIZE` = 32 keys
+used; a pass of the desk corpus meets 16.  Sharing it is sound: its
+arrays are read-only and hold no coefficient, no value of W and no
+result, and every number (each weight and Gram sum, each eigh and svd,
+each rank cut) is computed afresh on every call, from the same operands
+in the same order, so a solve gives the same bits warm or cold.  Level 2
+is not kept: its layout follows the null widths of level 1, which rank
+cuts on numbers decide.  A problem built by hand has no key, and its
+set-up is built for the one call.
+
 Infeasibility is decided only on a checked certificate, of one of two
 kinds.  A `linear` one is found at set-up: the two levels also give a
 vector r with L^T r = 0 up to rounding and b^T r > 0 exactly when L y = b
@@ -106,13 +123,14 @@ it and the memory starts afresh.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegreeTooSmall, IllFormed
-from .pseudodist import MonomialIndex, PseudoDistribution, monomial_index
+from .pseudodist import MonomialIndex, PseudoDistribution, _frozen, monomial_index
 
 DEFAULT_TOL = 1e-7
 DEFAULT_ITER_LIMIT = 50_000
@@ -128,6 +146,9 @@ _RIDGE = 1e-10
 # save no try there
 _PLAIN_STEPS = 20
 _ROUNDING = 1e-9
+# sparsity patterns whose set-up `_pattern` keeps, least recently used out
+# first; a pass of the desk corpus meets 16
+_PATTERN_CACHE_SIZE = 32
 
 
 class CompressedRows(NamedTuple):
@@ -152,6 +173,11 @@ class SdpProblem:
         truncated-ideal members q x^m that back the facial reduction.
     constraints: the equality polynomials q as dense coefficient
         vectors, recorded on the output.
+    pattern: the key under which `_pattern` keeps the set-up that the
+        sparsity pattern of (L, b) fixes: the variable count, the degree,
+        and the degree and nonzero positions of each constraint that
+        `build_problem` kept.  None for a problem built by hand, whose
+        set-up is built afresh on each call.
 
     The one PSD condition is on the moment matrix of degree d/2.  The
     solver keeps only the moments of the invariant sign class (see
@@ -162,6 +188,7 @@ class SdpProblem:
     lmat: CompressedRows
     rhs: np.ndarray
     constraints: tuple
+    pattern: tuple | None
 
 
 @dataclass(frozen=True)
@@ -226,13 +253,16 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
     the monomial table, standing for q = 0; it becomes E~[q * x^m] = 0 for
     every multiplier with deg(q x^m) <= degree.  Degree must be even (the
     moment matrix must reach every stored moment).
+
+    Where L stores its entries depends only on the degree and the nonzero
+    positions of each q.  That layout, L's `indptr` and `indices`, is
+    built once per pattern and shared read-only (`_pattern`); each call
+    gathers its own coefficients into it.
     """
     if degree < 2 or degree % 2 != 0:
         raise DegreeTooSmall(f"need an even degree >= 2, got {degree}")
     index = monomial_index(num_vars, degree)
-    # row 0 is the normalization E~ 1 = 1
-    rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
-    num_rows = 1
+    coefficients, supports = [np.ones(1)], []  # row 0 is the normalization E~ 1 = 1
     for q in constraints:
         terms = np.flatnonzero(q)
         if not terms.size:
@@ -240,23 +270,15 @@ def build_problem(num_vars: int, degree: int, constraints) -> SdpProblem:
         dq = index.degree_of(q)
         if dq > degree:
             raise IllFormed(f"constraint degree {dq} exceeds problem degree {degree}")
-        # Row num_rows + m is q x^m: term x^e lands on column table[e, m].
-        table = index.sum_table(dq, degree - dq)
-        mult_count = table.shape[1]
-        rows.append(np.tile(np.arange(num_rows, num_rows + mult_count), terms.size))
-        cols.append(table[terms].reshape(-1))
-        data.append(np.repeat(q[terms], mult_count))
-        num_rows += mult_count
-    # within a row the columns e + m of distinct terms e are distinct, so
-    # sorting the entries by row, then column, gives the compressed rows
-    rows, cols, data = (np.concatenate(a) for a in (rows, cols, data))
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-    lmat = CompressedRows(indptr, cols[order], data[order], (num_rows, index.size))
-    rhs = np.zeros(num_rows)
+        coefficients.append(q[terms])
+        supports.append((dq, terms.tobytes()))
+    key = (num_vars, degree, tuple(supports))
+    pattern = _pattern(key)
+    lmat = pattern.problem.lmat
+    rhs = np.zeros(lmat.shape[0])
     rhs[0] = 1.0
-    return SdpProblem(index, lmat, rhs, tuple(constraints))
+    return SdpProblem(index, lmat._replace(data=np.concatenate(coefficients)[pattern.source]),
+                      rhs, tuple(constraints), key)
 
 
 def build_bss_problem(w, degree: int) -> SdpProblem:
@@ -282,6 +304,96 @@ def build_bss_problem(w, degree: int) -> SdpProblem:
         bilinear[pairs[np.ix_(u, v)]] = mat
         constraints.append(bilinear)
     return build_problem(2 * n, degree, constraints)
+
+
+# -- the set-up of a sparsity pattern ----------------------------------------
+
+
+class _Pattern:
+    """The set-up that the sparsity pattern of (L, b) and the monomial
+    table fix, shared by every problem of that pattern.  Each part is
+    built at its first use and every array in it is read-only:
+
+        labels, invariant: the sign classes and the class-0 moments;
+        level1: the pattern half of `_AffineGeometry` on the class-0
+            columns;
+        block_map: the `_BlockMap`;
+        ideal: the ideal rows of `_face_basis`.
+
+    `problem` stands for every problem of the pattern: only its index and
+    where its L and b are nonzero are read.  `source` holds, for
+    `build_problem`, the position of each stored entry of L among the
+    concatenated coefficients of the kept constraints (None for a problem
+    built by hand)."""
+
+    def __init__(self, problem: SdpProblem, source):
+        self.problem = problem
+        self.source = source
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        return _frozen(_sign_classes(self.problem))
+
+    @functools.cached_property
+    def invariant(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(self.labels == 0))
+
+    @functools.cached_property
+    def level1(self) -> _Level1:
+        return _Level1(self.problem.lmat, self.invariant, self.problem.index.degrees)
+
+    @functools.cached_property
+    def block_map(self) -> _BlockMap:
+        return _BlockMap(self.problem.index, self.labels)
+
+    @functools.cached_property
+    def ideal(self) -> _IdealRows:
+        return _IdealRows(self.problem.index, self.problem.lmat, self.labels)
+
+
+@functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _pattern(key: tuple) -> _Pattern:
+    """The set-up of the problems `build_problem` makes under `key`:
+    (num_vars, degree, supports), with one (degree, bytes of the nonzero
+    positions) per kept constraint.  It holds no coefficient: `problem`
+    has L's layout with no data and b = e_0.
+
+    Row 0 of L is the normalization, and each constraint q of degree dq
+    adds the rows q x^m, one per multiplier x^m of degree <= degree - dq,
+    in graded order; term x^e of q lands on column table[e, m].  Within a
+    row the columns e + m of distinct terms e are distinct, so sorting
+    the entries by row, then column, gives the compressed rows."""
+    num_vars, degree, supports = key
+    index = monomial_index(num_vars, degree)
+    rows, cols, source = [np.array([0])], [np.array([0])], [np.array([0])]
+    num_rows = count = 1  # rows so far, and coefficients so far (the normalization's 1)
+    for dq, support in supports:
+        terms = np.frombuffer(support, dtype=np.int64)
+        table = index.sum_table(dq, degree - dq)
+        mult_count = table.shape[1]
+        rows.append(np.tile(np.arange(num_rows, num_rows + mult_count), terms.size))
+        cols.append(table[terms].reshape(-1))
+        source.append(np.repeat(np.arange(count, count + terms.size), mult_count))
+        num_rows += mult_count
+        count += terms.size
+    rows, cols, source = (np.concatenate(a) for a in (rows, cols, source))
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    rhs = np.zeros(num_rows)
+    rhs[0] = 1.0
+    lmat = CompressedRows(_frozen(indptr), _frozen(cols[order]), None, (num_rows, index.size))
+    # int32 halves the array: it serves one gather per build
+    return _Pattern(SdpProblem(index, lmat, _frozen(rhs), (), key),
+                    _frozen(source[order].astype(np.int32)))
+
+
+def _pattern_of(problem: SdpProblem) -> _Pattern:
+    """The shared set-up of the problem's pattern, or for a problem built
+    by hand, a set-up of its own."""
+    if problem.pattern is None:
+        return _Pattern(problem, None)
+    return _pattern(problem.pattern)
 
 
 # -- infeasibility certificate -----------------------------------------------
@@ -324,9 +436,8 @@ def certificate_margin(problem: SdpProblem, multipliers: np.ndarray,
     feasible y.  Raises IllFormed when they do not fit the blocks."""
     conic = None
     if len(factors):
-        labels = _sign_classes(problem)
-        block_map = _BlockMap(problem.index, labels)
-        conic = _conic_term(problem, labels, block_map, factors)
+        pattern = _pattern_of(problem)
+        conic = _conic_term(problem, pattern.labels, pattern.block_map, factors)
     return _margin(problem, np.asarray(multipliers, dtype=float), moment_bound(problem), conic)
 
 
@@ -475,31 +586,44 @@ class _BlockMap:
         half = index.max_degree // 2
         table = index.sum_table(half, half)
         members = _class_members(labels[:index.count_through(half)])
-        self.sizes = [m.size for m in members]
+        self.sizes = tuple(m.size for m in members)
         self.width = invariant.size
-        self.columns = column[np.concatenate([table[np.ix_(m, m)].reshape(-1)
-                                              for m in members])]
+        self.columns = _frozen(column[np.concatenate([table[np.ix_(m, m)].reshape(-1)
+                                                      for m in members])])
 
 
-def _face_basis(index: MonomialIndex, lmat: CompressedRows, labels: np.ndarray) -> list:
+class _IdealRows:
+    """Where the truncated-ideal members that the moment matrix
+    annihilates sit in L.  They are the rows of L after the normalization
+    row that are supported on the moment matrix's monomials (the first m
+    columns, as the table is graded); each lies in the block of its class.
+    `pos` holds the positions of their entries in L, and `flat` where
+    each entry goes in the row-major (rows x m) matrix of the members.
+    `members` lists the monomials of each class among the first m, in the
+    block order of `_BlockMap`."""
+
+    def __init__(self, index: MonomialIndex, lmat: CompressedRows, labels: np.ndarray):
+        m = index.count_through(index.max_degree // 2)
+        outside = np.bincount(_row_of(lmat)[lmat.indices >= m], minlength=lmat.shape[0])
+        pos, counts = _entries(lmat.indptr, np.flatnonzero(outside[1:] == 0) + 1)
+        self.pos = _frozen(pos)
+        self.flat = _frozen(np.repeat(np.arange(counts.size) * m, counts) + lmat.indices[pos])
+        self.shape = (counts.size, m)
+        self.members = tuple(_frozen(c) for c in _class_members(labels[:m]))
+
+
+def _face_basis(ideal: _IdealRows, data: np.ndarray) -> list:
     """Orthonormal basis of the face of each class block of the moment
     matrix (complement of the span of truncated-ideal coefficient
-    vectors), in the block order of `_BlockMap`.
-
-    The ideal members are the rows of `lmat` after the normalization row;
-    those supported on the moment matrix's monomials (the first m columns,
-    as the table is graded) are the ones it annihilates, and each lies in
-    the block of its class.  An entry is None where the class has no ideal
-    member above the rank cut, which is global over the classes, and has
-    no columns where the members span the whole class."""
-    m = index.count_through(index.max_degree // 2)
-    outside = np.bincount(_row_of(lmat)[lmat.indices >= m], minlength=lmat.shape[0])
-    pos, counts = _entries(lmat.indptr, np.flatnonzero(outside[1:] == 0) + 1)
-    ideal = np.zeros((counts.size, m))
-    ideal[np.repeat(np.arange(counts.size), counts), lmat.indices[pos]] = lmat.data[pos]
+    vectors), in the block order of `_BlockMap`, for the L whose entries
+    are `data`.  An entry is None where the class has no ideal member
+    above the rank cut, which is global over the classes, and has no
+    columns where the members span the whole class."""
+    rows = np.zeros(ideal.shape)
+    rows.reshape(-1)[ideal.flat] = data[ideal.pos]
     svds = []
-    for members in _class_members(labels[:m]):
-        k = ideal[:, members]
+    for members in ideal.members:
+        k = rows[:, members]
         k = k[(k != 0).any(axis=1)]
         svds.append(np.linalg.svd(k.T, full_matrices=True) if k.shape[0] else None)
     top = max((s[0] for u, s, _ in filter(None, svds)), default=0.0)
@@ -557,17 +681,19 @@ def _entries(indptr: np.ndarray, rows: np.ndarray):
     return _ranges(lo, counts), counts
 
 
-def _column_slice(lmat: CompressedRows, columns: np.ndarray) -> CompressedRows:
-    """The given columns of L, ascending, renumbered in that order; a row
-    that keeps no entry stays, empty."""
+def _column_slice(lmat: CompressedRows, columns: np.ndarray):
+    """The layout of the given columns of L, ascending, renumbered in that
+    order, with no data (a row that keeps no entry stays, empty), and the
+    positions in L of the entries it keeps: with L's data read there, it
+    is the slice."""
     position = np.full(lmat.shape[1], -1)
     position[columns] = np.arange(columns.size)
     renumbered = position[lmat.indices]
     keep = renumbered >= 0
     indptr = np.zeros_like(lmat.indptr)
     np.cumsum(np.bincount(_row_of(lmat)[keep], minlength=lmat.shape[0]), out=indptr[1:])
-    return CompressedRows(indptr, renumbered[keep], lmat.data[keep],
-                          (lmat.shape[0], columns.size))
+    return (CompressedRows(indptr, renumbered[keep], None, (lmat.shape[0], columns.size)),
+            np.flatnonzero(keep))
 
 
 def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -575,11 +701,74 @@ def _eigen_solve(vals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray) -> np.ndar
     return vecs @ ((vecs.T @ rhs) / vals)
 
 
+class _Level1:
+    """What `_AffineGeometry` reads of the pattern of L on the given
+    columns, renumbered in ascending order (`_column_slice`), and of the
+    total degree of each column's monomial (`degrees`, one per column of
+    L): everything of level 1 but its numbers.
+
+    The slice, of `shape`, splits into the homogeneous rows L1 (`rows1`),
+    whose entries all sit on monomials of one total degree, and the other
+    rows L2 (`rows2`); `at1` and `at2` are the positions in L of their
+    entries, so that L's data read there are the slice's.  The columns
+    fall into level 1's connected blocks, each labelled by its smallest
+    column (`label`), and `free` marks the columns that no row of L1
+    touches.  Block k is cols[bounds[k]:bounds[k + 1]], and its dense
+    Gram matrix is gram[base[k]:base[k + 1]].
+
+    The lower triangle of L1^T L1, the one `eigh` reads: entry (i, j),
+    j <= i, of a block sits at at_row[i] + local[j] and sums L1[r, i]
+    L1[r, j] over the rows r in order.  Columns ascend within a row and so
+    does `local`, so the pairs of a row are each entry with those up to
+    it.  They run column by column of i (the entries of L1 in `by_col`
+    order), filling one row of the Gram matrix at a time; row r of L1
+    starts at entry ptr1[r].  The pair arrays grow with the squares of
+    the row lengths, so each set-up builds them afresh from these."""
+
+    def __init__(self, lmat: CompressedRows, columns: np.ndarray, degrees: np.ndarray):
+        sliced, kept = _column_slice(lmat, columns)
+        p = columns.size
+        self.shape = sliced.shape
+        deg = degrees[columns][sliced.indices]
+        counts = np.diff(sliced.indptr)
+        filled = np.flatnonzero(counts)
+        starts = sliced.indptr[filled]
+        mixed = np.zeros(sliced.shape[0], dtype=bool)
+        mixed[filled] = np.minimum.reduceat(deg, starts) < np.maximum.reduceat(deg, starts)
+        self.rows1, self.rows2 = np.flatnonzero(~mixed), np.flatnonzero(mixed)
+        in_l2 = np.repeat(mixed, counts)
+        self.at1, self.at2 = kept[~in_l2], kept[in_l2]
+        ptr1 = self.ptr1 = np.zeros(self.rows1.size + 1, dtype=sliced.indptr.dtype)
+        np.cumsum(counts[self.rows1], out=ptr1[1:])
+        col1 = self.col1 = sliced.indices[~in_l2]
+        self.row1 = np.repeat(np.arange(self.rows1.size), counts[self.rows1])
+        self.row2 = np.repeat(np.arange(self.rows2.size), counts[self.rows2])
+        self.col2 = sliced.indices[in_l2]
+
+        label = self.label = _column_components(ptr1, col1, p)
+        self.free = np.bincount(col1, minlength=p) == 0
+        cols = np.flatnonzero(~self.free)
+        cols = self.cols = cols[np.argsort(label[cols], kind="stable")]
+        self.bounds = _runs(label[cols])
+        size = self.size = np.diff(self.bounds)
+        local = self.local = np.zeros(p, dtype=np.int64)
+        local[cols] = np.arange(cols.size) - np.repeat(self.bounds[:-1], size)
+        self.base = np.concatenate([[0], np.cumsum(size * size)])
+        self.at_row = np.zeros(p, dtype=np.int64)
+        self.at_row[cols] = np.repeat(self.base[:-1], size) + local[cols] * np.repeat(size, size)
+        self.by_col = np.argsort(col1, kind="stable")
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                _frozen(value)
+
+
 class _AffineGeometry:
     """The solution set of L y = b as y_particular + range(null_basis),
     and the equality Farkas vector `farkas`, in two levels that each take
-    one eigh per connected block.  `degrees` holds the total degree of the
-    monomial of each column.
+    one eigh per connected block, for the L whose entries are `data` on
+    the columns of `layout`, a `_Level1`.  The layout is shared by the
+    problems of one pattern; everything numeric, and all of level 2, is
+    built here.
 
     Level 1 takes the homogeneous rows L1, whose entries all sit on
     monomials of one total degree.  The eigh of each block of L1^T L1
@@ -590,7 +779,9 @@ class _AffineGeometry:
     level-1 blocks that rows of L2 join, and the eigh of each group's
     M^T M gives its null basis V2 and t = M^+ (b2 - L2 y1).  Level 1 cuts
     at _RANK_EPS times its top eigenvalue, level 2 at _RANK_EPS times the
-    top of both levels, each at least _RANK_EPS.
+    top of both levels, each at least _RANK_EPS.  Level 2's layout hangs
+    on the null widths of level 1, which are numbers, so it is laid out
+    afresh on every call.
 
     N = N1 V2 is orthonormal, and y_particular = y0 - N N^T y0, with
     y0 = y1 + N1 t, is the minimum-norm solution whenever L y = b is
@@ -600,53 +791,25 @@ class _AffineGeometry:
     b^T r = ||b1 - L1 y1||^2 + ||r2||^2 is positive exactly when L y = b
     has no solution."""
 
-    def __init__(self, lmat: CompressedRows, b: np.ndarray, degrees: np.ndarray):
-        p = lmat.shape[1]
-        deg = degrees[lmat.indices]
-        counts = np.diff(lmat.indptr)
-        filled = np.flatnonzero(counts)
-        starts = lmat.indptr[filled]
-        mixed = np.zeros(lmat.shape[0], dtype=bool)
-        mixed[filled] = np.minimum.reduceat(deg, starts) < np.maximum.reduceat(deg, starts)
-        rows1, rows2 = np.flatnonzero(~mixed), np.flatnonzero(mixed)
+    def __init__(self, data: np.ndarray, b: np.ndarray, layout: _Level1):
+        p = layout.shape[1]
+        rows1, row1, col1 = layout.rows1, layout.row1, layout.col1
+        rows2, row2, col2 = layout.rows2, layout.row2, layout.col2
+        label, free = layout.label, layout.free
         b1, b2 = b[rows1], b[rows2]
-        in_l2 = np.repeat(mixed, counts)
-        ptr1 = np.zeros(rows1.size + 1, dtype=lmat.indptr.dtype)
-        np.cumsum(counts[rows1], out=ptr1[1:])
-        col1, val1 = lmat.indices[~in_l2], lmat.data[~in_l2]
-        row1 = np.repeat(np.arange(rows1.size), counts[rows1])
-        row2 = np.repeat(np.arange(rows2.size), counts[rows2])
-        col2, val2 = lmat.indices[in_l2], lmat.data[in_l2]
+        val1, val2 = data[layout.at1], data[layout.at2]
 
-        # Level 1.  A block is labelled by its smallest column, which
-        # leads its run in `cols`; its dense Gram matrix is
-        # gram[base[k]:base[k + 1]].
-        label = _column_components(ptr1, col1, p)
-        free = np.bincount(col1, minlength=p) == 0
-        cols = np.flatnonzero(~free)
-        cols = cols[np.argsort(label[cols], kind="stable")]
-        bounds = _runs(label[cols])
-        size = np.diff(bounds)
-        local = np.zeros(p, dtype=np.int64)
-        local[cols] = np.arange(cols.size) - np.repeat(bounds[:-1], size)
-        base = np.concatenate([[0], np.cumsum(size * size)])
-        # The lower triangle of L1^T L1, the one `eigh` reads: entry (i, j),
-        # j <= i, of a block sits at at_row[i] + local[j] and sums
-        # L1[r, i] L1[r, j] over the rows r in order.  Columns ascend within
-        # a row and so does `local`, so the pairs of a row are each entry
-        # with those up to it.  They run column by column of i, filling one
-        # row of the Gram matrix at a time.
-        at_row = np.zeros(p, dtype=np.int64)
-        at_row[cols] = np.repeat(base[:-1], size) + local[cols] * np.repeat(size, size)
-        by_col = np.argsort(col1, kind="stable")
-        lo = ptr1[row1[by_col]]
+        # Level 1, block by block (see `_Level1` for the Gram layout).
+        by_col = layout.by_col
+        lo = layout.ptr1[row1[by_col]]
         repeats = by_col - lo + 1
         right = _ranges(lo, repeats)
-        at = np.repeat(at_row[col1[by_col]], repeats)
-        at += local[col1[right]]
+        at = np.repeat(layout.at_row[col1[by_col]], repeats)
+        at += layout.local[col1[right]]
         weights = np.repeat(val1[by_col], repeats)
         weights *= val1[right]
         del right
+        cols, bounds, size, base = layout.cols, layout.bounds, layout.size, layout.base
         gram = np.bincount(at, weights=weights, minlength=base[-1])
         del at, weights
         top = 0.0
@@ -766,13 +929,11 @@ class _AffineGeometry:
         z = np.zeros(p)
         for ix, vals, vecs, _ in level1:
             z[ix] = _eigen_solve(vals, vecs, lift[ix])
-        self.farkas = np.zeros(lmat.shape[0])
+        self.farkas = np.zeros(b.size)
         self.farkas[rows1] = b1 - np.bincount(row1, weights=val1 * (y1 + z)[col1],
                                               minlength=rows1.size)
         self.farkas[rows2] = r2
-        self.lmat = lmat
         self.b = b
-        self._row_of = _row_of(lmat)
         self._level1 = [(ix, vals, vecs) for ix, vals, vecs, _ in level1]
         self._rows = (rows1, row1, col1, val1, rows2, row2, col2, val2)
         self._n1 = (n1_row, n1_col, n1_val, t.size)
@@ -795,17 +956,20 @@ class _AffineGeometry:
         z = np.zeros(p)
         for ix, vals, vecs in self._level1:
             z[ix] = _eigen_solve(vals, vecs, u[ix])
-        lam = np.zeros(self.lmat.shape[0])
+        lam = np.zeros(self.b.size)
         lam[rows1] = np.bincount(row1, weights=val1 * z[col1], minlength=rows1.size)
         lam[rows2] = lam2
         return lam
 
     def residual(self, y: np.ndarray) -> float:
+        """max |L y - b|, each row summed over its entries in order."""
         if self.b.size == 0:
             return 0.0
-        lmat = self.lmat
-        return float(np.abs(np.bincount(self._row_of, weights=lmat.data * y[lmat.indices],
-                                        minlength=lmat.shape[0]) - self.b).max())
+        rows1, row1, col1, val1, rows2, row2, col2, val2 = self._rows
+        ly = np.empty(self.b.size)
+        ly[rows1] = np.bincount(row1, weights=val1 * y[col1], minlength=rows1.size)
+        ly[rows2] = np.bincount(row2, weights=val2 * y[col2], minlength=rows2.size)
+        return float(np.abs(ly - self.b).max())
 
 
 class _FaceSpace:
@@ -1022,13 +1186,11 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
         raise IllFormed(f"solver tolerance must be finite and positive, got {tol}")
     if not iter_limit >= 1:
         raise IllFormed(f"iteration limit must be at least 1, got {iter_limit}")
-    index = problem.index
-    labels = _sign_classes(problem)
-    invariant = np.flatnonzero(labels == 0)
+    pattern = _pattern_of(problem)
+    labels, invariant = pattern.labels, pattern.invariant
     # Each row of L lies in one class, and rows with a nonzero right-hand
     # side in class 0, so the rows of other classes drop out here as empty.
-    geo = _AffineGeometry(_column_slice(problem.lmat, invariant), problem.rhs,
-                          index.degrees[invariant])
+    geo = _AffineGeometry(problem.lmat.data, problem.rhs, pattern.level1)
     # moment_bound(problem), computed once; only certificates read it, so a
     # run that the hook stops at check 0 never computes it
     bound = None
@@ -1041,9 +1203,8 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
                 status="infeasible", iterations=0,
                 max_constraint_residual=geo.residual(geo.y_particular),
                 min_block_eigenvalue=0.0, gap=np.inf, certificate=certificate)
-    block_map = _BlockMap(index, labels)
-    faces = _face_basis(index, problem.lmat, labels)
-    space = _FaceSpace(block_map, faces, geo)
+    block_map = pattern.block_map
+    space = _FaceSpace(block_map, _face_basis(pattern.ideal, problem.lmat.data), geo)
 
     x = space.c.copy()
     if accept is not None:

@@ -7,6 +7,7 @@ polynomials with known sum-of-squares status.
 
 import collections
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -29,6 +30,8 @@ from rankone.sos_solver import (
     _BlockMap,
     _column_slice,
     _face_basis,
+    _IdealRows,
+    _Level1,
     _linear_certificate,
     _sign_classes,
     CompressedRows,
@@ -459,7 +462,7 @@ def scaled_problem():
         monomial_index(1, 4),
         CompressedRows(np.arange(6), np.arange(5),
                        np.array([1.0, 1e3, 1e3, 1.5e-4 ** 0.5, 5e-5 ** 0.5]), (5, 5)),
-        np.ones(5), ())
+        np.ones(5), (), None)
 
 
 def one_class(problem):
@@ -535,7 +538,7 @@ def test_face_basis_matches_dict_ideal():
     for seed in EQUIVALENCE_SEEDS:
         num_vars, degree, specs = random_problem(200 + seed)
         prob = build_problem(num_vars, degree, specs)
-        got, = _face_basis(prob.index, prob.lmat, one_class(prob))
+        got, = _face_basis(_IdealRows(prob.index, prob.lmat, one_class(prob)), prob.lmat.data)
         ref = dict_face_basis(prob.index, degree, dict_equalities(num_vars, degree, specs))
         if ref is None:
             assert got is None
@@ -551,8 +554,7 @@ def assert_geometry_matches_dense(prob, columns):
     r gives one, as lam = r / ||r||^2.  Returns whether L y = b is
     consistent."""
     lmat = csr(prob.lmat)[:, columns]
-    geo = _AffineGeometry(_column_slice(prob.lmat, columns), prob.rhs,
-                          prob.index.degrees[columns])
+    geo = geometry(prob, columns)
     null_ref, y_ref = dense_null_space(lmat, prob.rhs)
     assert geo.null_basis.shape == null_ref.shape
     np.testing.assert_allclose(geo.null_basis @ geo.null_basis.T,
@@ -568,6 +570,12 @@ def assert_geometry_matches_dense(prob, columns):
     assert (scale > 0.0 and _linear_certificate(prob, geo, scale, moment_bound(prob))
             is not None) == refused
     return False
+
+
+def geometry(prob, columns):
+    """The two-level geometry of L y = b on the given columns."""
+    return _AffineGeometry(prob.lmat.data, prob.rhs,
+                           _Level1(prob.lmat, columns, prob.index.degrees))
 
 
 def test_block_null_space_matches_dense_eigh():
@@ -596,12 +604,13 @@ def test_class_slice_and_residual_match_scipy():
     for prob, classes in cases + [(scaled_problem(), 1)]:
         labels = _sign_classes(prob)
         invariant = np.flatnonzero(labels == 0)
-        got = _column_slice(prob.lmat, invariant)
+        layout, kept = _column_slice(prob.lmat, invariant)
+        got = layout._replace(data=prob.lmat.data[kept])
         ref = csr(prob.lmat)[:, invariant]
         assert_same_csr(got, ref)
         assert labels.max() + 1 == classes
         assert (np.diff(got.indptr) == 0).any() == (classes > 1)
-        geo = _AffineGeometry(got, prob.rhs, prob.index.degrees[invariant])
+        geo = geometry(prob, invariant)
         for _ in range(3):
             y = rng.standard_normal(invariant.size)
             assert geo.residual(y) == np.abs(ref @ y - prob.rhs).max()
@@ -639,7 +648,7 @@ def test_two_level_null_space_matches_dense_eigh_on_workload_shapes():
     rhs = np.random.default_rng(10).standard_normal(sphere.lmat.shape[0] - 1)
     tail = csr(sphere.lmat)[1:]
     mixed = SdpProblem(sphere.index, CompressedRows(tail.indptr, tail.indices, tail.data,
-                                                    tail.shape), rhs, ())
+                                                    tail.shape), rhs, (), None)
     assert all(lo == hi for lo, hi in row_degree_spans(homogeneous))
     assert all(lo < hi for lo, hi in row_degree_spans(mixed))
     for prob in (homogeneous, mixed):
@@ -729,10 +738,27 @@ def symmetric_problem(seed):
 
 
 def solve_both_ways(problem, monkeypatch, iter_limit=DEFAULT_ITER_LIMIT):
+    """The solve, and the same solve with every monomial in one class.
+    The pattern cache is emptied before the one-class solve, so that it
+    builds its set-up with the patched `_sign_classes`, which it must
+    call, and after it, so that no later solve reads that set-up."""
     reduced = solve_feasibility(problem, iter_limit=iter_limit)
+    calls = []
+
+    def counted_one_class(prob):
+        calls.append(prob)
+        return one_class(prob)
+
     with monkeypatch.context() as m:
-        m.setattr(sos_solver, "_sign_classes", one_class)
-        whole = solve_feasibility(problem, iter_limit=iter_limit)
+        m.setattr(sos_solver, "_sign_classes", counted_one_class)
+        sos_solver._pattern.cache_clear()
+        try:
+            whole = solve_feasibility(problem, iter_limit=iter_limit)
+            assert len(calls) == 1
+            setup = sos_solver._pattern_of(problem)
+            assert not setup.labels.any() and len(setup.block_map.sizes) == 1
+        finally:
+            sos_solver._pattern.cache_clear()
     return reduced, whole
 
 
@@ -766,7 +792,7 @@ def face_projector(problem, labels):
     """N N^T over the moment matrix for the faces of `_face_basis`, with a
     class that has no face restriction contributing its identity."""
     m = problem.index.count_through(problem.index.max_degree // 2)
-    faces = _face_basis(problem.index, problem.lmat, labels)
+    faces = _face_basis(_IdealRows(problem.index, problem.lmat, labels), problem.lmat.data)
     members = sos_solver._class_members(labels[:m])
     assert len(faces) == len(members)
     proj = np.zeros((m, m))
@@ -878,9 +904,8 @@ def solver_parts(problem):
     labels = _sign_classes(problem)
     invariant = np.flatnonzero(labels == 0)
     block_map = _BlockMap(index, labels)
-    faces = _face_basis(index, problem.lmat, labels)
-    geo = _AffineGeometry(_column_slice(problem.lmat, invariant), problem.rhs,
-                          index.degrees[invariant])
+    faces = _face_basis(_IdealRows(index, problem.lmat, labels), problem.lmat.data)
+    geo = geometry(problem, invariant)
     return invariant, block_map, faces, geo
 
 
@@ -1295,3 +1320,139 @@ def test_an_accepting_hook_stops_at_its_check():
 def test_solver_rejects_bad_tolerance_and_limit(tol, iter_limit):
     with pytest.raises(IllFormed):
         solve_feasibility(pinned_problem(), tol=tol, iter_limit=iter_limit)
+
+
+# -- the pattern cache ------------------------------------------------------------
+
+
+def solve_record(problem, iter_limit):
+    """Everything a solve returns, as bytes and plain values: the status,
+    the moments, each report field, and the certificate's multipliers and
+    factors."""
+    mu, rep = solve_feasibility(problem, iter_limit=iter_limit)
+    cert = rep.certificate
+    fields = [(f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep)
+              if f.name != "certificate"]
+    return (rep.status, None if mu is None else mu.moments.tobytes(), repr(fields),
+            None if cert is None else (cert.kind, cert.bound, cert.margin,
+                                       cert.multipliers.tobytes(),
+                                       tuple(h.tobytes() for h in cert.factors)))
+
+
+def fill_pattern_cache():
+    """Build one more problem than the cache holds, each of a pattern that
+    no other test makes (nine variables), so every earlier entry goes."""
+    index = monomial_index(9, 2)
+    for i in range(1, sos_solver._PATTERN_CACHE_SIZE + 2):
+        build_problem(9, 2, [np.eye(index.size)[i]])
+
+
+def padded_complement_stub(rng, count):
+    """A SpanStub at n = 3 whose complement matrices have an exact zero
+    last row and column: W holds everything there and a 2 x 2 part."""
+    return SpanStub(3, [np.pad(rng.standard_normal((2, 2)), ((0, 1), (0, 1)))
+                        for _ in range(count)])
+
+
+def cache_cases():
+    """(problem factory, iteration limit) for the warm-versus-cold oracle: the
+    random and symmetric equivalence problems, plants at n = 2-4 and
+    degrees 4 and 6, random_no refusals, the Tiles complement, a reduced
+    complex plant, and two n = 3 stubs of one dimension whose complements
+    differ only in their supports."""
+    cases = [(functools.partial(build_problem, *random_problem(seed)), 3000)
+             for seed in EQUIVALENCE_SEEDS]
+    cases += [(functools.partial(symmetric_problem, seed), 3000) for seed in EQUIVALENCE_SEEDS]
+    bss = lambda w, degree: functools.partial(build_bss_problem, w, degree)
+    cases += [(bss(planted_yes(n, n, 1)[0], degree), 3000)
+              for n in (2, 3, 4) for degree in (4, 6)]
+    cases += [(bss(random_no(n, dim_w, 0)[0], 4), DEFAULT_ITER_LIMIT)
+              for n, dim_w in ((2, 1), (3, 1), (3, 2))]
+    cases += [(bss(tiles_complement(), 4), DEFAULT_ITER_LIMIT),
+              (bss(reduce_complex_to_real(complex_planted(2, 1, 0)[0]), 4), 3000)]
+    rng = np.random.default_rng(35)
+    cases += [(bss(SpanStub(3, [rng.standard_normal((3, 3)) for _ in range(2)]), 4), 3000),
+              (bss(padded_complement_stub(rng, 2), 4), 3000)]
+    return cases
+
+
+def test_cached_set_up_changes_no_solve():
+    """Each problem solves to the same bytes from an empty pattern cache
+    (cold), from its own entry (warm, with no new entry built) and after
+    its entry was evicted (built again): moments, report fields and
+    certificate multipliers and factors."""
+    statuses = set()
+    for build, limit in cache_cases():
+        sos_solver._pattern.cache_clear()
+        problem = build()
+        cold = solve_record(problem, limit)
+        misses = sos_solver._pattern.cache_info().misses
+        assert solve_record(build(), limit) == cold
+        assert sos_solver._pattern.cache_info().misses == misses
+        fill_pattern_cache()
+        assert solve_record(build(), limit) == cold
+        assert sos_solver._pattern.cache_info().misses == misses + sos_solver._PATTERN_CACHE_SIZE + 2
+        statuses.add(cold[0])
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_complements_of_one_dimension_get_their_own_entries():
+    """Two n = 3 subspaces of one dimension, one complement dense and one
+    with exact zeros in its last row and column, make two patterns and
+    two entries.  Built one after the other, each L equals the dict
+    expansion of its constraints, and each solves as its copy with no
+    key does, whose set-up bypasses the cache."""
+    rng = np.random.default_rng(36)
+    sos_solver._pattern.cache_clear()
+    problems = [build_bss_problem(SpanStub(3, [rng.standard_normal((3, 3)) for _ in range(2)]), 4),
+                build_bss_problem(padded_complement_stub(rng, 2), 4)]
+    first, second = (sos_solver._pattern(p.pattern) for p in problems)
+    assert first is not second
+    assert sos_solver._pattern.cache_info().currsize == 2
+    for problem in problems:
+        assert_same_csr(problem.lmat, dict_lmat(problem.index, dict_equalities(
+            6, 4, problem.constraints)))
+        assert solve_record(problem, 3000) == solve_record(
+            dataclasses.replace(problem, pattern=None), 3000)
+
+
+def arrays_in(obj, seen=None):
+    """Every array reachable from obj through attributes, tuples, lists
+    and dict values."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from arrays_in(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from arrays_in(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from arrays_in(vars(obj), seen)
+
+
+def test_pattern_cache_is_read_only_and_bounded():
+    """Every array of a filled entry, and the layout it lends a problem's
+    L, raises ValueError when written; past its bound the cache keeps
+    _PATTERN_CACHE_SIZE entries."""
+    sos_solver._pattern.cache_clear()
+    problems = [build_bss_problem(planted_yes(3, 5, 1)[0], 4),
+                build_bss_problem(tiles_complement(), 4),
+                symmetric_problem(3)]
+    for problem in problems:
+        solve_feasibility(problem, iter_limit=3000)
+        entry = sos_solver._pattern(problem.pattern)
+        parts = (entry.labels, entry.invariant, entry.level1, entry.block_map, entry.ideal)
+        arrays = list(arrays_in((entry, parts, problem.lmat.indptr, problem.lmat.indices)))
+        assert len(arrays) > 25
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+    assert sos_solver._pattern.cache_info().currsize == len(problems)
+    fill_pattern_cache()
+    info = sos_solver._pattern.cache_info()
+    assert info.maxsize == info.currsize == sos_solver._PATTERN_CACHE_SIZE
