@@ -4,12 +4,12 @@ Pipeline: a subspace W of n x n matrices (given directly, or as the
 eigenvalue-1 eigenspace of a measurement operator) is turned into moment
 feasibility problems over pairs (u, v) of unit vectors with uv^T in W,
 at degrees 4, 6, ... up to a top degree, until one refuses W or rounds
-spectrally to the target.  When the top rung's spectral candidates all
-miss, each is polished by alternating top-eigenvector ascent, and the
-first polished candidate that reaches the target is the answer.  Only
-when every polish misses, at a top degree of 6 or more, is the solved
-moment table concentrated by the bilinear structure rounds, and the
-candidate u0 v0^T read off the first moments.  The module also houses
+to the target.  A rung whose spectral candidates all miss polishes each
+by alternating top-eigenvector ascent, and the first polished candidate
+that reaches the target is the answer.  Only when every polish of the
+top rung misses, at a top degree of 6 or more, is its solved moment
+table concentrated by the bilinear structure rounds, and the candidate
+u0 v0^T read off the first moments.  The module also houses
 the verifier for candidates against measurements, the complex-to-real
 reduction with its lift, instance generators with a grid-certified
 farness oracle, and the SUBSPACE, MEASUREMENT and CSUBSPACE file formats
@@ -60,7 +60,7 @@ _SEEDS_PER_LEVEL = 6
 _EPS_GROWTH = 1.5
 _MAX_STRUCTURE_EPS = 0.45
 
-# the polish of a top-rung miss: at most _ASCENT_STEPS alternating
+# the polish of a rung's spectral miss: at most _ASCENT_STEPS alternating
 # ascent steps from each spectral direction, stopping at the first step
 # that gains less than _ASCENT_GAIN
 _ASCENT_STEPS = 100
@@ -326,20 +326,22 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     ..., and the rung stops at the first one whose spectral candidate
     reaches 1 - eps^2, with solver status `rounded`.  Either way the
     candidate is accepted on its own recomputed quality, so a certified
-    eps-far W can never be rounded.  A rung below the top otherwise
-    climbs, as it also does when its solver reaches the iteration limit.
-    A top rung whose spectral candidates all miss polishes each of them,
-    best first, by alternating top-eigenvector ascent (`_ascend`), which
-    never lowers a quality, and returns the first polished candidate
-    that reaches 1 - eps^2, with no structure step.  When every polish
-    misses, a top rung of degree 6 or more goes on from the best
-    polished candidate: it retries the structure rounds over fresh seeds
-    (trial t runs `run_structure_2d` with seed `seed + t`) and a
-    gradually relaxed stopping bar until a trial reaches quality
-    1 - eps^2; the best verified candidate wins, so a top rung that
-    cannot support the strict bar still rounds whatever the moments
-    contain.  At top degree 4 the best polished candidate is the answer
-    (see `_round`).  Raises
+    eps-far W can never be rounded.  A converged (`feasible`) rung whose
+    spectral candidates all miss polishes each of them, best first, by
+    alternating top-eigenvector ascent (`_polish`), which never lowers a
+    quality, and returns the first polished candidate that reaches
+    1 - eps^2, with no structure step; so `rung` may lie below `degree`
+    because the polish decided there.  A rung below the top whose polish
+    misses climbs, as it also does when its solver reaches the iteration
+    limit.  When every polish of the top rung misses, a top rung of
+    degree 6 or more goes on from the best polished candidate: it
+    retries the structure rounds over fresh seeds (trial t runs
+    `run_structure_2d` with seed `seed + t`) and a gradually relaxed
+    stopping bar until a trial reaches quality 1 - eps^2; the best
+    verified candidate wins, so a top rung that cannot support the
+    strict bar still rounds whatever the moments contain.  At top degree
+    4 the best polished candidate is the answer (see
+    `_structure_trials`).  Raises
     DegreeTooSmall unless `degree` is even and at least 4, NoConvergence
     when the top rung's solver reaches its iteration limit with neither a
     certificate nor a feasible point, and ZeroCandidate when every
@@ -374,47 +376,44 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
                 scored = hooked  # the hook rounded and verified this table
             else:
                 scored = _spectral_rounding(mu, w)
-            if scored and scored[0][0] >= target:
+            best = _polish(w, scored, target)
+            if best is not None and best[0] >= target:
                 report = BssReport("candidate", eps, degree, rung, solver_report.status,
                                    solver_report.iterations, 0,
-                                   quality=scored[0][0], degree_left=mu.degree)
-                return scored[0][1], report
+                                   quality=best[0], degree_left=mu.degree)
+                return best[1], report
         elif rung == degree:
             raise NoConvergence(
                 f"feasibility solver returned {solver_report.status} after "
                 f"{solver_report.iterations} iterations")
-    quality, candidate, steps, degree_left = _round(mu, w, eps, seed, scored)
+    quality, candidate, steps, degree_left = _structure_trials(mu, w, eps, seed, best)
     report = BssReport("candidate", eps, degree, degree, solver_report.status,
                        solver_report.iterations, steps,
                        quality=quality, degree_left=degree_left)
     return candidate, report
 
 
-def _round(mu, w: SubspaceBasis, eps: float, seed: int, scored: list):
-    """The best verified candidate of the top rung, whose spectral
-    candidates `scored` (best first) all miss the target, as (quality,
-    candidate, structure steps, degree left); see `solve_bss`.
-
-    Each scored direction is first polished by `_ascend`, and the first
-    polished candidate that reaches 1 - eps^2 is the answer, with no
-    structure step.  Only when every polished start misses do the
-    structure trials run, from the best polished candidate.
-    """
-    target = 1.0 - eps * eps
+def _polish(w: SubspaceBasis, scored: list, target: float):
+    """The first of the spectral candidates `scored` (best first) whose
+    `_ascend` reaches `target`, else the best polished one, as (quality,
+    candidate); None when `scored` is empty.  A candidate already at the
+    target is its own polish: `_ascend` takes no step from it."""
     best = None
     for _, start in scored:
         polished = _ascend(w, start, target)
         if best is None or polished[0] > best[0]:
             best = polished
         if best[0] >= target:
-            return best[0], best[1], 0, mu.degree
-    return _structure_trials(mu, w, eps, seed, best)
+            break
+    return best
 
 
 def _structure_trials(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
-    """The best verified candidate of `baseline` (quality, candidate),
-    below the target or None, and the structure trials, as (quality,
-    candidate, structure steps, degree left); see `solve_bss`.
+    """The best verified candidate of `baseline`, the top rung's best
+    polished candidate (quality, candidate) from `_polish`, below the
+    target or None, and the structure trials on the top rung's table
+    `mu`, as (quality, candidate, structure steps, degree left); see
+    `solve_bss`.
 
     A degree-4 table runs no trial.  It pays for one fix, and a
     per-coordinate fix leaves the other block's mean at zero (the sign

@@ -25,21 +25,24 @@ malformed inputs or files, 3 exhausted search or solver budgets (for
 `solve`, neither an infeasibility certificate nor a feasible point
 within the solver's iteration limit at the top degree), 4 anything
 unexpected.  `solve` climbs the relaxation degrees 4, 6, ... up to
---degree and reports the one that decided as `result.rung`, and how the
-solve at that rung ended as `result.solver_status`: `feasible` (a
-converged moment table, then rounded), `rounded` (stopped early at an
-iterate whose spectral candidate already meets 1 - eps^2; the solver
-offers the start's iterate at check 0, before any DR step, then its
-iterate at checks 1, 2, 4, ..., so `result.solver_iterations` may be 0)
-or `infeasible` (refused).  For a CSUBSPACE the real search
-aims at 1 - eps^2 / 2: the lift's relative residual is sqrt(2 (1 - q))
-at real quality q, so a candidate that reaches that bar also passes
-`checks.lift_within_eps`.  It says OK for any candidate it finds; its
-`checks.meets_target` applies the bar 1 - eps^2 (`result.target`) that
-`check` applies.  A refusal reports `result.certificate`: its kind
-(`linear` or `conic`) and its margin, which is positive.  A command
-that fails after its configuration resolved echoes that configuration,
-config-file values and defaults included.
+--degree and reports the one that decided as `result.rung`, which lies
+below --degree when a lower rung already refused, or rounded or polished
+its table to 1 - eps^2.  How the solve at that rung ended is
+`result.solver_status`: `feasible` (a converged moment table, rounded
+and, on a spectral miss, polished by alternating ascent), `rounded`
+(stopped early at an iterate whose spectral candidate already meets
+1 - eps^2; the solver offers the start's iterate at check 0, before any
+DR step, then its iterate at checks 1, 2, 4, ..., so
+`result.solver_iterations` may be 0) or `infeasible` (refused).  For a
+CSUBSPACE the real search aims at 1 - eps^2 / 2: the lift's relative
+residual is sqrt(2 (1 - q)) at real quality q, so a candidate that
+reaches that bar also passes `checks.lift_within_eps`.  It says OK for
+any candidate it finds; its `checks.meets_target` applies the bar
+1 - eps^2 (`result.target`) that `check` applies.  A refusal reports
+`result.certificate`: its kind (`linear` or `conic`) and its margin,
+which is positive.  A command that fails after its configuration
+resolved echoes that configuration, config-file values and defaults
+included.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Moment tables of finitely supported distributions, built exactly in
 NumPy, so the tests can check the moment path against the atoms, dense
 polynomials written down from {exponent: coefficient} literals, and the
-top-rung tables that `solve_bss` rounds."""
+top-rung tables that the structure trials of `solve_bss` start from."""
 
 import numpy as np
 
@@ -42,21 +42,19 @@ def dense_poly(index: MonomialIndex, terms: dict, degree: int) -> np.ndarray:
 
 def root_tables(cases):
     """For each (n, dim_w, seed, eps, degree) of `cases`, the arguments
-    (table, W, eps, seed, scored spectral candidates) that `bss._round`
-    receives from solve_bss(planted_yes(n, dim_w, seed)[0], eps,
-    degree=degree), with the solve's (candidate, report): the tables
-    the structure trials start from.  Every case must reach `_round`."""
+    (table, W, eps, trial seed, scored spectral candidates) that the
+    structure trials of solve_bss(planted_yes(n, dim_w, seed)[0], eps,
+    degree=degree) start from when every polish misses: the top rung's
+    converged table, with the solve's default trial seed 0.  The rung is
+    solved directly, with no accept hook; a hook that declines every
+    check changes no iterate, so the table is the one `solve_bss` would
+    hold there.  Every case's top rung must converge to a table whose
+    spectral candidates miss 1 - eps^2."""
     found = []
-    round_ = bss._round
-
-    def recording(*args):
-        found.append(args)
-        return round_(*args)
-    bss._round = recording
-    try:
-        solves = [bss.solve_bss(bss.planted_yes(n, dim_w, seed)[0], eps, degree=degree)
-                  for n, dim_w, seed, eps, degree in cases]
-    finally:
-        bss._round = round_
-    assert len(found) == len(cases), cases
-    return list(zip(found, solves))
+    for n, dim_w, seed, eps, degree in cases:
+        w = bss.planted_yes(n, dim_w, seed)[0]
+        mu, report = bss.solve_feasibility(bss.build_bss_problem(w, degree))
+        scored = bss._spectral_rounding(mu, w)
+        assert report.status == "feasible" and scored[0][0] < 1.0 - eps * eps, (n, dim_w, seed)
+        found.append((mu, w, eps, 0, scored))
+    return found

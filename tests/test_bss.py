@@ -208,9 +208,10 @@ def test_structure_rounds_lift_spectral_misses(seed, quality):
     """At eps = 0.05 the spectral candidates of planted_yes(2, 2, seed)
     miss 1 - eps^2 at both rungs, and on the top rung's table the
     structure trials, run from the best spectral candidate, reach it in
-    one structure step; the qualities are the seeded values.  `_round`
-    polishes first, which reaches the bar too (DEGREE_6_OUTCOME)."""
-    ((mu, w, eps, trial_seed, scored), _), = root_tables([(2, 2, seed, 0.05, 6)])
+    one structure step; the qualities are the seeded values.  `solve_bss`
+    never builds this table: the polish of the rung-4 miss reaches the
+    bar (DEGREE_6_RUNG_4)."""
+    (mu, w, eps, trial_seed, scored), = root_tables([(2, 2, seed, 0.05, 6)])
     assert mu.degree == 6 and scored[0][0] < 1.0 - eps ** 2
     found, cand, steps, left = bss._structure_trials(mu, w, eps, trial_seed, scored[0])
     assert (steps, left) == (1, 2)
@@ -228,8 +229,8 @@ def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
     DegreeExhausted, and 307 fixes, of which 138 raise RetryExhausted and
     169 return a table, 166 of them thrown away for leaving a block
     unsettled at degree 2; every fix is a joint one, none on a top
-    eigenspace.  (`solve_bss` polishes these misses to the bar
-    first, so it runs no trial on them.)"""
+    eigenspace.  (`solve_bss` polishes the rung-4 misses of these plants
+    to the bar, so it builds none of these tables.)"""
     tables = root_tables([(2, 2, seed, 0.05, 6) for seed in (0, 2, 3)])
     counts = {"run_structure_2d": collections.Counter(),
               "fix_subspace": collections.Counter()}
@@ -254,7 +255,7 @@ def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
         assert kwargs["retry_budget"] == structure._JOINT_RETRY_BUDGET
         return fix(*args, **kwargs)
     monkeypatch.setattr(structure, "fix_subspace", joint_only)
-    for (mu, w, eps, seed, scored), _ in tables:
+    for mu, w, eps, seed, scored in tables:
         bss._structure_trials(mu, w, eps, seed, scored[0])
     assert counts["run_structure_2d"] == {"returned": 3, "DegreeExhausted": 24}
     assert counts["fix_subspace"] == {"returned": 169, "RetryExhausted": 138}
@@ -276,9 +277,8 @@ DEGREE_8_OUTCOME = {
     (2, 2, 0): (0.9998246629388192, 2, 2), (2, 2, 2): (0.9804224607183428, 0, 8),
 }
 
-# the best spectral quality of each top rung above, and the quality that
-# `solve_bss` now returns: the polish of the spectral candidates reaches
-# the bar, so no structure trial runs
+# the best spectral quality of each top rung above, and the quality its
+# polish reaches: the bar, so no structure trial would run there
 DEGREE_6_POLISHED = {
     (2, 2, 0): (0.9606766174716204, 0.9989121614079972),
     (2, 2, 2): (0.9767499793751495, 0.9980374916953721),
@@ -289,23 +289,41 @@ DEGREE_6_POLISHED = {
 }
 
 
-def test_degree_6_solves_keep_their_seeded_outcomes():
+# the quality that `solve_bss` returns on each plant of DEGREE_6_OUTCOME at
+# eps 0.05 and degree 6: the polish of its rung-4 spectral miss
+DEGREE_6_RUNG_4 = {
+    (2, 2, 0): 0.9999919037043283, (2, 2, 2): 0.9994801728956044,
+    (2, 2, 3): 0.9983203334416878, (2, 3, 3): 1.0000000000000007,
+    (3, 5, 4): 0.9979629236967351, (3, 6, 3): 0.9998878974453431,
+}
+
+
+def test_degree_6_solves_keep_their_seeded_outcomes(monkeypatch):
     """At degree 6 and eps 0.05 each solve of DEGREE_6_OUTCOME decides at
-    the top rung, whose best spectral candidate misses the bar, with the
-    polished quality of DEGREE_6_POLISHED, at least the spectral one and
-    at least 1 - eps^2, no structure step and degree 6 left.  The
-    structure trials, run from the best spectral candidate on the same
-    table, keep their seeded outcome: a structure step lifts each n = 2
-    plant, and no trial succeeds at n = 3."""
+    rung 4, whose converged table it polishes to the quality of
+    DEGREE_6_RUNG_4, at least 1 - eps^2, with no structure step, and it
+    builds no rung-6 problem.  On the top rung's table, whose best
+    spectral candidate misses the bar, the polish reaches the quality of
+    DEGREE_6_POLISHED, at least the spectral one and at least 1 - eps^2,
+    and the structure trials, run from the best spectral candidate, keep
+    their seeded outcome: a structure step lifts each n = 2 plant, and no
+    trial succeeds at n = 3."""
+    rungs = record_rungs(monkeypatch)
+    for case in DEGREE_6_OUTCOME:
+        rungs.clear()
+        cand, rep = solve_bss(planted_yes(*case)[0], 0.05, degree=6)
+        assert [p.index.max_degree for p, _ in rungs] == [4], case
+        assert (rep.rung, rep.solver_status, rep.structure_steps, rep.degree_left) == (
+            4, "feasible", 0, 4), case
+        assert rep.quality == pytest.approx(DEGREE_6_RUNG_4[case], abs=1e-9), case
+        assert cand.quality == rep.quality >= 1.0 - 0.05 ** 2
+    monkeypatch.undo()
     cases = [(*case, 0.05, 6) for case in DEGREE_6_OUTCOME]
-    for ((mu, w, eps, seed, scored), (cand, rep)), case in zip(root_tables(cases),
-                                                               DEGREE_6_OUTCOME):
+    for (mu, w, eps, seed, scored), case in zip(root_tables(cases), DEGREE_6_OUTCOME):
         spectral, polished = DEGREE_6_POLISHED[case]
         assert scored[0][0] == pytest.approx(spectral, abs=1e-9), case
         assert polished >= max(spectral, 1.0 - 0.05 ** 2)
-        assert (rep.rung, rep.structure_steps, rep.degree_left) == (6, 0, 6), case
-        assert rep.quality == pytest.approx(polished, abs=1e-9), case
-        assert cand.quality == rep.quality
+        assert bss._polish(w, scored, 1.0 - eps ** 2)[0] == pytest.approx(polished, abs=1e-9)
         quality, _, steps, left = bss._structure_trials(mu, w, eps, seed, scored[0])
         expected, expected_steps, expected_left = DEGREE_6_OUTCOME[case]
         assert (steps, left) == (expected_steps, expected_left), case
@@ -318,7 +336,7 @@ def test_degree_8_trials_keep_their_seeded_outcomes():
     of DEGREE_8_OUTCOME: two structure steps lift planted_yes(2, 2, 0),
     and no trial succeeds on planted_yes(2, 2, 2)."""
     cases = [(*case, 0.05, 8) for case in DEGREE_8_OUTCOME]
-    for ((mu, w, eps, seed, scored), _), case in zip(root_tables(cases), DEGREE_8_OUTCOME):
+    for (mu, w, eps, seed, scored), case in zip(root_tables(cases), DEGREE_8_OUTCOME):
         assert mu.degree == 8
         quality, _, steps, left = bss._structure_trials(mu, w, eps, seed, scored[0])
         expected, expected_steps, expected_left = DEGREE_8_OUTCOME[case]
@@ -329,21 +347,40 @@ def test_degree_8_trials_keep_their_seeded_outcomes():
 def test_degree_6_plants_reach_no_structure_trial(monkeypatch):
     """Every degree-6 solve of planted_yes(n, dim, s), n in {2, 3}, dim
     from 1 to n^2 - 1, s in 0-7, at eps 0.05 and 0.25, meets 1 - eps^2
-    with no structure step, and none enters the structure trials: the
-    rounding's polish or an earlier rung decides them all."""
+    with no structure step, and none enters the structure trials: a
+    rung's spectral candidate or its polish decides them all.  No solve
+    builds a rung above the one that decided, and the deciding rung's
+    candidate meets the bar.  29 solves decide at rung 4 only because
+    the polish lifts a spectral miss of its converged table to the bar."""
     def no_trials(*args):
         raise AssertionError("a solve reached the structure trials")
     monkeypatch.setattr(bss, "_structure_trials", no_trials)
+    rungs = record_rungs(monkeypatch)
+    polish = bss._polish
+    lifts = []
+
+    def recording(w, scored, target):
+        best = polish(w, scored, target)
+        if scored[0][0] < target <= best[0]:
+            lifts.append(rungs[-1][0].index.max_degree)
+        return best
+    monkeypatch.setattr(bss, "_polish", recording)
     solves = 0
     for n in (2, 3):
         for dim in range(1, n * n):
             for seed in range(8):
                 for eps in (0.05, 0.25):
-                    _, rep = bss.solve_bss(planted_yes(n, dim, seed)[0], eps, degree=6)
-                    assert rep.quality >= 1.0 - eps ** 2, (n, dim, seed, eps)
-                    assert rep.structure_steps == 0, (n, dim, seed, eps)
+                    case = (n, dim, seed, eps)
+                    rungs.clear()
+                    cand, rep = bss.solve_bss(planted_yes(n, dim, seed)[0], eps, degree=6)
+                    assert [p.index.max_degree for p, _ in rungs] == list(
+                        range(4, rep.rung + 1, 2)), case
+                    assert rep.quality >= 1.0 - eps ** 2, case
+                    assert cand.quality == rep.quality
+                    assert rep.structure_steps == 0, case
                     solves += 1
     assert solves == 176
+    assert lifts == [4] * 29
 
 
 def test_root_decision_changes_no_solve(monkeypatch):
@@ -355,8 +392,7 @@ def test_root_decision_changes_no_solve(monkeypatch):
     the decision fires on their 24 failed `rounding` trials and on at
     least 100 in all."""
     cases = [(2, 2, 0), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 6, 2), (3, 6, 5), (3, 7, 5)]
-    tables = dict(zip(cases, (args for args, _ in root_tables(
-        [(*case, 0.05, 6) for case in cases]))))
+    tables = dict(zip(cases, root_tables([(*case, 0.05, 6) for case in cases])))
     decide, trial = structure.powers_every_draw, bss.run_structure_2d
     log = []
 
@@ -451,26 +487,18 @@ def test_degree_4_solve_runs_no_structure_trial(monkeypatch):
         assert cand.quality == rep.quality
 
 
-def test_degree_4_structure_trials_all_fail(monkeypatch):
+def test_degree_4_structure_trials_all_fail():
     """The evidence for confining the structure rounds to degree 6 and
     up: on the converged degree-4 tables of four plants that miss the
     eps-0.25 bar there, each of the 24 (eps_t, seed) trials that the
-    rounding would run raises RetryExhausted.  Each table is what
-    `_round`'s argument rests on: E~ |u|^2 = E~ |v|^2 = 1, E~ u v^T = 0
-    and lambda_max(E~ x x^T) < 1.  The first three are the tables that
-    `_round` receives; (4, 12, 2) now rounds at the solver's check 0, so
-    its table is the one the solver returns with no hook, which a
-    declining hook leaves bit-identical."""
-    tables = []
-    round_ = bss._round
-
-    def recording(mu, w, eps, seed, baseline):
-        tables.append((mu, w.ambient, eps, seed))
-        return round_(mu, w, eps, seed, baseline)
-    monkeypatch.setattr(bss, "_round", recording)
-    for n, dim_w, seed in ((2, 2, 0), (3, 6, 2), (3, 6, 5)):
-        solve_bss(planted_yes(n, dim_w, seed)[0], 0.25, degree=4)
-    monkeypatch.undo()
+    rounding would run raises RetryExhausted.  Each table is what the
+    argument of `_structure_trials` rests on: E~ |u|^2 = E~ |v|^2 = 1,
+    E~ u v^T = 0 and lambda_max(E~ x x^T) < 1.  The first three are the
+    tables whose spectral misses `_polish` receives; (4, 12, 2) now
+    rounds at the solver's check 0, so its table is the one the solver
+    returns with no hook, which a declining hook leaves bit-identical."""
+    tables = [(mu, w.ambient, eps, seed) for mu, w, eps, seed, _ in root_tables(
+        [(n, dim_w, seed, 0.25, 4) for n, dim_w, seed in ((2, 2, 0), (3, 6, 2), (3, 6, 5))])]
     mu, report = bss.solve_feasibility(bss.build_bss_problem(planted_yes(4, 12, 2)[0], 4))
     assert report.status == "feasible"
     tables.append((mu, 4, 0.25, 0))
@@ -647,10 +675,12 @@ def test_ladder_never_refuses_a_planted_yes_instance(monkeypatch):
     """planted_yes(n, dim_w, seed) for n in {2, 3}, every dim_w and seeds
     8-15, with eps 0.05 so that most climb to the top rung 6: no rung is
     refused, and a rung below the top decides only with a candidate at
-    1 - eps^2.  The top rung's rounding, which the ladder leaves as it
-    was, is stubbed out."""
+    1 - eps^2.  The polish is stubbed to return the best spectral
+    candidate unpolished, so that a rung-4 miss still climbs to rung 6,
+    and the top rung's structure trials are stubbed out."""
     rungs = record_rungs(monkeypatch)
-    monkeypatch.setattr(bss, "_round",
+    monkeypatch.setattr(bss, "_polish", lambda w, scored, target: scored[0])
+    monkeypatch.setattr(bss, "_structure_trials",
                         lambda mu, w, eps, seed, baseline: (0.0, None, 0, mu.degree))
     decided = []
     for n in (2, 3):
@@ -665,6 +695,47 @@ def test_ladder_never_refuses_a_planted_yes_instance(monkeypatch):
                     assert cand.quality >= 1.0 - 0.05 ** 2
                 decided.append(rep.rung)
     assert set(decided) == {4, 6}
+
+
+def test_a_lower_rung_polish_miss_climbs(monkeypatch):
+    """A rung-4 table whose polish misses the bar climbs.  With the polish
+    forced to return the rung-4 best spectral candidate unpolished,
+    planted_yes(2, 2, 0) at eps 0.05 climbs from its converged rung-4
+    table to rung 6, whose own polish decides with the quality of
+    DEGREE_6_POLISHED.  With rung 6's problem swapped for the degree-6
+    problem of the antisymmetric line, which holds no rank-one, the solve
+    is refused at rung 6: the report names rung 6 and carries that
+    rung's certificate, whose margin `certificate_margin` reproduces on
+    its problem."""
+    rungs = record_rungs(monkeypatch)
+    polish = bss._polish
+
+    def rung_4_misses(w, scored, target):
+        if rungs[-1][0].index.max_degree == 4:
+            return scored[0]
+        return polish(w, scored, target)
+    monkeypatch.setattr(bss, "_polish", rung_4_misses)
+    w = planted_yes(2, 2, 0)[0]
+    cand, rep = solve_bss(w, 0.05, degree=6)
+    assert [(p.index.max_degree, r.status) for p, r in rungs] == [
+        (4, "feasible"), (6, "feasible")]
+    assert (rep.rung, rep.structure_steps, rep.degree_left) == (6, 0, 6)
+    assert rep.quality == pytest.approx(DEGREE_6_POLISHED[2, 2, 0][1], abs=1e-9)
+    assert cand.quality == rep.quality >= 1.0 - 0.05 ** 2
+
+    line = SubspaceBasis(2, (unit(np.array([[0.0, 1.0], [-1.0, 0.0]])),))
+    build = bss.build_bss_problem
+    monkeypatch.setattr(bss, "build_bss_problem",
+                        lambda space, degree: build(space if degree == 4 else line, degree))
+    rungs.clear()
+    cand, rep = solve_bss(w, 0.05, degree=6)
+    assert cand is None and (rep.status, rep.rung) == ("infeasible", 6)
+    assert [(p.index.max_degree, r.status) for p, r in rungs] == [
+        (4, "feasible"), (6, "infeasible")]
+    problem, solver = rungs[-1]
+    cert = rep.certificate
+    assert solver.certificate is cert
+    assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
 
 
 def test_ladder_refusals_check_on_their_own_rung(monkeypatch):
@@ -721,7 +792,7 @@ def test_rounded_rungs_verify_and_far_instances_never_round(monkeypatch):
     certified 0.5-far, is never rounded on any rung.  The structure
     rounds, which only a converged top rung runs, are stubbed out."""
     rungs = record_rungs(monkeypatch)
-    monkeypatch.setattr(bss, "_round",
+    monkeypatch.setattr(bss, "_structure_trials",
                         lambda mu, w, eps, seed, baseline: (0.0, None, 0, mu.degree))
     rounded = 0
     for eps in (0.25, 0.05):
@@ -750,8 +821,9 @@ def test_rounded_rung_reuses_the_hooks_rounding(monkeypatch):
     hook's last spectral rounding and does not round the table again; a
     `feasible` rung still rounds it.  Each solve's candidate and report
     are those of rounding the returned table afresh, bit for bit: its
-    best spectral candidate, or for the spectral miss (2, 2, 0)@4 that
-    of `_round` on its scored candidates."""
+    best spectral candidate, or for the spectral misses of (2, 2, 0) and
+    (3, 6, 2) that of `_polish` on its scored candidates, which decides
+    at rung 4 even when the top rung is 6."""
     original = bss._spectral_rounding
     calls, rungs = [], []
 
@@ -781,7 +853,7 @@ def test_rounded_rung_reuses_the_hooks_rounding(monkeypatch):
         scored = original(mu, w)
         quality, fresh = scored[0]
         if quality < 1.0 - 0.25 ** 2:
-            quality, fresh, _, _ = bss._round(mu, w, 0.25, 0, scored)
+            quality, fresh = bss._polish(w, scored, 1.0 - 0.25 ** 2)
         assert cand.u0.tobytes() == fresh.u0.tobytes()
         assert cand.v0.tobytes() == fresh.v0.tobytes()
         assert cand.quality == rep.quality == quality
@@ -789,7 +861,7 @@ def test_rounded_rung_reuses_the_hooks_rounding(monkeypatch):
                                     solver.iterations, 0, quality=quality,
                                     degree_left=mu.degree)
         statuses[solver.status] += 1
-    assert statuses == {"rounded": 6, "feasible": 1}
+    assert statuses == {"rounded": 4, "feasible": 3}
 
 
 @pytest.mark.parametrize("degree", [2, 3, 5, 7])

@@ -162,11 +162,10 @@ def test_solve_reports_meets_target_below_the_bar(tmp_path, capsys, monkeypatch)
     """A candidate below 1 - eps^2 keeps the OK verdict and exit 0, and
     meets_target says what `check` would say of it.  The polish lifts
     every natural spectral miss searched for (random W at n = 3, dim 4-5
-    and n = 4, dim 9-10, seeds 0-11, eps 0.25 and 0.05), so `_round` is
-    stubbed to return the top rung's best spectral candidate unpolished:
+    and n = 4, dim 9-10, seeds 0-11, eps 0.25 and 0.05), so `_polish` is
+    stubbed to return each rung's best spectral candidate unpolished:
     planted_yes(2, 2, 0)'s at degree 4, quality 0.926."""
-    monkeypatch.setattr(bss, "_round",
-                        lambda mu, w, eps, seed, scored: (*scored[0], 0, mu.degree))
+    monkeypatch.setattr(bss, "_polish", lambda w, scored, target: scored[0])
     out = tmp_path / "w.txt"
     write_subspace(out, planted_yes(2, 2, 0)[0])
     code, report, _ = run_cli(capsys, "solve", str(out), "--degree", "4",

@@ -1064,7 +1064,7 @@ def test_per_block_cone_step_changes_no_solve(monkeypatch):
     `solve_bss` returns the same candidate bytes and the same report,
     solver status and iterations included: plants at n = 2, 3 and
     degrees 4 and 6, random_no(3, 2, 0) at degree 8, a complex plant and
-    the eps-0.05 degree-6 plants whose top-rung misses are polished.
+    the eps-0.05 degree-6 plants whose rung-4 misses are polished.
     The structure trials, run from the best spectral candidate on those
     plants' top-rung tables, return the same candidate bytes, quality,
     steps and degree left."""
@@ -1085,7 +1085,7 @@ def test_per_block_cone_step_changes_no_solve(monkeypatch):
                 dataclasses.replace(rep, certificate=None),
                 None if cert is None else (cert.kind, cert.multipliers.tobytes(), cert.margin,
                                            tuple(h.tobytes() for h in cert.factors))))
-        for (mu, w, eps, seed, scored), _ in root_tables(
+        for mu, w, eps, seed, scored in root_tables(
                 [(2, 2, seed, 0.05, 6) for seed in (0, 2, 3)]):
             quality, cand, steps, left = _structure_trials(mu, w, eps, seed, scored[0])
             found.append((cand.u0.tobytes(), cand.v0.tobytes(), quality, steps, left))

@@ -261,8 +261,8 @@ def fix_outcome(result):
 
 def test_gathered_table_data_changes_no_fix(monkeypatch):
     """Every fix_subspace call that the structure trials make at eps 0.05,
-    run from the best spectral candidate, on the three `rounding` root
-    tables, of planted_yes(2, 2, s) for s in {0, 2, 3}, and on
+    run from the best spectral candidate, on the top-rung tables of the
+    three `rounding` plants, planted_yes(2, 2, s) for s in {0, 2, 3}, and on
     planted_yes(3, 5, 4)'s degree-6 table, all joint fixes, and on the
     degree-8 tables of planted_yes(2, 2, s) for s in {0, 2}, whose trials
     also make progress fixes on degree-4 tables, gives the same
@@ -288,7 +288,7 @@ def test_gathered_table_data_changes_no_fix(monkeypatch):
             raise result
         return result
     monkeypatch.setattr(structure, "fix_subspace", recording)
-    for (mu, w, eps, seed, scored), _ in tables:
+    for mu, w, eps, seed, scored in tables:
         _structure_trials(mu, w, eps, seed, scored[0])
     monkeypatch.undo()
     for cur, rows, delta, kwargs, before, outcome, after in calls:
