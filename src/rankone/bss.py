@@ -6,14 +6,15 @@ feasibility problems over pairs (u, v) of unit vectors with uv^T in W,
 at degrees 4, 6, ... up to a top degree, until one refuses W or rounds
 to the target.  A rung whose spectral candidates all miss polishes each
 by alternating top-eigenvector ascent, and the first polished candidate
-that reaches the target is the answer.  Only when every polish of the
-top rung misses, at a top degree of 6 or more, is its solved moment
-table concentrated by the bilinear structure rounds, and the candidate
-u0 v0^T read off the first moments.  The module also houses
-the verifier for candidates against measurements, the complex-to-real
-reduction with its lift, instance generators with a grid-certified
-farness oracle, and the SUBSPACE, MEASUREMENT and CSUBSPACE file formats
-(matrix blocks, see `linalg`).
+that reaches the target is the answer; a rung whose solver stalls at
+its iteration limit polishes the candidates of its last iterate the
+same way.  Only when every polish of a converged top rung misses, at a
+top degree of 6 or more, is its solved moment table concentrated by the
+bilinear structure rounds, and the candidate u0 v0^T read off the first
+moments.  The module also houses the verifier for candidates against
+measurements, the complex-to-real reduction with its lift, instance
+generators with a grid-certified farness oracle, and the SUBSPACE,
+MEASUREMENT and CSUBSPACE file formats (matrix blocks, see `linalg`).
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from .errors import (
     NoConvergence,
     NotPSD,
     NotSymmetric,
+    PreconditionViolated,
     RetryExhausted,
     ZeroCandidate,
 )
 from .linalg import BlockReader, gram_schmidt, write_blocks
-from .sos_solver import DEFAULT_TOL, Certificate, build_bss_problem, solve_feasibility
-from .structure import cross_second_moment, first_moments, run_structure_2d
+from .pseudodist import PseudoDistribution, moment_block
+from .sos_solver import Certificate, build_bss_problem, solve_feasibility
+from .structure import first_moments, run_structure_2d
 
 _ORTHO_TOL = 1e-10
 _PSD_SLACK = 1e-8
@@ -177,10 +180,6 @@ class RankOneCandidate:
     def matrix(self) -> np.ndarray:
         return np.outer(self.u0, self.v0)
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.u0) * np.linalg.norm(self.v0))
-
 
 @dataclass(frozen=True)
 class BssReport:
@@ -192,7 +191,7 @@ class BssReport:
     eps: float
     degree: int
     rung: int
-    solver_status: str       # feasible | rounded | infeasible
+    solver_status: str       # feasible | rounded | iter_limit | infeasible
     solver_iterations: int
     structure_steps: int
     quality: float | None = None
@@ -237,6 +236,24 @@ def _default_structure_eps(eps: float, ambient: int) -> float:
     # eps of E~[uv^T] in relative Frobenius norm (Cauchy-Schwarz over the
     # sphere constraints), and E~[uv^T] lies in W exactly
     return max(0.02, eps / math.sqrt(max(ambient, 1)))
+
+
+def cross_second_moment(mu: PseudoDistribution) -> np.ndarray:
+    """E~ vec(u v^T) vec(u v^T)^T for a table over pairs (u, v).
+
+    The result is the n^2 x n^2 PSD matrix of fourth moments
+    M[(i,j),(k,l)] = E~ u_i v_j u_k v_l.  It survives sign and phase
+    symmetries that zero out every odd moment, which makes it the
+    readout of choice when the mean vectors vanish."""
+    if mu.num_vars % 2:
+        raise PreconditionViolated("cross moments need an even variable count")
+    if mu.degree < 4:
+        raise PreconditionViolated(
+            f"cross moments need degree >= 4, table has {mu.degree}")
+    n = mu.num_vars // 2
+    # index of the monomial u_i v_j at position i * n + j
+    pairs = mu.index.sum_table(1, 1)[1:n + 1, n + 1:].ravel()
+    return moment_block(mu, 2, 2)[np.ix_(pairs, pairs)]
 
 
 def _spectral_rounding(mu, w: SubspaceBasis) -> list:
@@ -304,8 +321,7 @@ def _ascend(w: SubspaceBasis, start: RankOneCandidate, target: float):
     return quality, best
 
 
-def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: int = 0,
-              solver_tol: float = DEFAULT_TOL):
+def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE):
     """Find an approximately-in-W rank-one matrix, or certify none, by
     climbing the degree ladder 4, 6, ..., `degree`.
 
@@ -326,26 +342,27 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     ..., and the rung stops at the first one whose spectral candidate
     reaches 1 - eps^2, with solver status `rounded`.  Either way the
     candidate is accepted on its own recomputed quality, so a certified
-    eps-far W can never be rounded.  A converged (`feasible`) rung whose
-    spectral candidates all miss polishes each of them, best first, by
-    alternating top-eigenvector ascent (`_polish`), which never lowers a
-    quality, and returns the first polished candidate that reaches
-    1 - eps^2, with no structure step; so `rung` may lie below `degree`
-    because the polish decided there.  A rung below the top whose polish
-    misses climbs, as it also does when its solver reaches the iteration
-    limit.  When every polish of the top rung misses, a top rung of
-    degree 6 or more goes on from the best polished candidate: it
-    retries the structure rounds over fresh seeds (trial t runs
-    `run_structure_2d` with seed `seed + t`) and a gradually relaxed
-    stopping bar until a trial reaches quality 1 - eps^2; the best
-    verified candidate wins, so a top rung that cannot support the
-    strict bar still rounds whatever the moments contain.  At top degree
-    4 the best polished candidate is the answer (see
-    `_structure_trials`).  Raises
+    eps-far W can never be rounded.  A rung whose spectral candidates all
+    miss polishes each of them, best first, by alternating
+    top-eigenvector ascent (`_polish`), which never lowers a quality, and
+    returns the first polished candidate that reaches 1 - eps^2, with no
+    structure step; so `rung` may lie below `degree` because the polish
+    decided there.  A `feasible` rung polishes its converged table's
+    candidates; a rung whose solver reaches the iteration limit polishes
+    those of the last iterate the solver offered, and its report keeps
+    the status `iter_limit`.  A rung below the top whose polish misses
+    climbs.  When every polish of a converged top rung misses, a top
+    rung of degree 6 or more goes on from the best polished candidate:
+    it retries the structure rounds over fresh seeds (trial t runs
+    `run_structure_2d` with seed t) and a gradually relaxed stopping bar
+    until a trial reaches quality 1 - eps^2; the best verified candidate
+    wins, so a top rung that cannot support the strict bar still rounds
+    whatever the moments contain.  At top degree 4 the best polished
+    candidate is the answer (see `_structure_trials`).  Raises
     DegreeTooSmall unless `degree` is even and at least 4, NoConvergence
-    when the top rung's solver reaches its iteration limit with neither a
-    certificate nor a feasible point, and ZeroCandidate when every
-    rounding path fails outright.
+    when the top rung's solver reaches its iteration limit with neither
+    a certificate nor a polished candidate at 1 - eps^2, and
+    ZeroCandidate when every rounding path fails outright.
     """
     if w.dim == 0:
         raise EmptySubspace("cannot search an empty subspace")
@@ -354,7 +371,6 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
     if degree < 4 or degree % 2 != 0:
         raise DegreeTooSmall(f"rank-one search needs an even degree >= 4, got {degree}")
     target = 1.0 - eps * eps
-    hooked = None  # the hook's last rounding: a `rounded` status returns its table
 
     def verifies(dist) -> bool:
         nonlocal hooked
@@ -362,31 +378,29 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE, seed: 
         return bool(hooked) and hooked[0][0] >= target
 
     for rung in range(4, degree + 1, 2):
+        hooked = None  # the rounding of the last iterate this rung's solver offered
         # looked up on the module at call time, so a tracer that wraps
         # these names sees every rung
         problem = build_bss_problem(w, rung)
-        mu, solver_report = solve_feasibility(problem, tol=solver_tol, accept=verifies)
+        mu, solver_report = solve_feasibility(problem, accept=verifies)
         if solver_report.status == "infeasible":
             report = BssReport("infeasible", eps, degree, rung, solver_report.status,
                                solver_report.iterations, 0,
                                certificate=solver_report.certificate)
             return None, report
-        if solver_report.status in ("feasible", "rounded"):
-            if solver_report.status == "rounded":
-                scored = hooked  # the hook rounded and verified this table
-            else:
-                scored = _spectral_rounding(mu, w)
-            best = _polish(w, scored, target)
-            if best is not None and best[0] >= target:
-                report = BssReport("candidate", eps, degree, rung, solver_report.status,
-                                   solver_report.iterations, 0,
-                                   quality=best[0], degree_left=mu.degree)
-                return best[1], report
-        elif rung == degree:
+        # a `rounded` or stalled rung's table is the last one the hook rounded
+        scored = _spectral_rounding(mu, w) if solver_report.status == "feasible" else hooked
+        best = _polish(w, scored, target)
+        if best is not None and best[0] >= target:
+            report = BssReport("candidate", eps, degree, rung, solver_report.status,
+                               solver_report.iterations, 0,
+                               quality=best[0], degree_left=rung)
+            return best[1], report
+        if solver_report.status == "iter_limit" and rung == degree:
             raise NoConvergence(
                 f"feasibility solver returned {solver_report.status} after "
                 f"{solver_report.iterations} iterations")
-    quality, candidate, steps, degree_left = _structure_trials(mu, w, eps, seed, best)
+    quality, candidate, steps, degree_left = _structure_trials(mu, w, eps, best)
     report = BssReport("candidate", eps, degree, degree, solver_report.status,
                        solver_report.iterations, steps,
                        quality=quality, degree_left=degree_left)
@@ -408,7 +422,7 @@ def _polish(w: SubspaceBasis, scored: list, target: float):
     return best
 
 
-def _structure_trials(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
+def _structure_trials(mu, w: SubspaceBasis, eps: float, baseline):
     """The best verified candidate of `baseline`, the top rung's best
     polished candidate (quality, candidate) from `_polish`, below the
     target or None, and the structure trials on the top rung's table
@@ -442,7 +456,7 @@ def _structure_trials(mu, w: SubspaceBasis, eps: float, seed: int, baseline):
         eps_t = min(_MAX_STRUCTURE_EPS,
                     structure_eps * _EPS_GROWTH ** (trial // _SEEDS_PER_LEVEL))
         try:
-            out, _, trace = run_structure_2d(mu, eps_t, seed + trial)
+            out, _, trace = run_structure_2d(mu, eps_t, trial)
         except (DegreeExhausted, RetryExhausted, IterLimit) as err:
             failure = err
             continue
@@ -885,7 +899,7 @@ __all__ = [
     "SubspaceBasis", "MeasurementOperator", "RankOneCandidate", "BssReport",
     "ComplexSubspace", "LiftResult", "VerificationRecord",
     "subspace_from_matrices", "measurement_to_subspace", "projected_quality",
-    "solve_bss", "verify_candidate", "reduce_complex_to_real",
+    "cross_second_moment", "solve_bss", "verify_candidate", "reduce_complex_to_real",
     "lift_real_solution",
     "planted_yes", "random_no", "complex_planted", "certify_farness",
     "write_subspace", "read_subspace", "write_measurement",

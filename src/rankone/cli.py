@@ -8,33 +8,36 @@ Subcommands
     check      verify a CANDIDATE file against its instance file
 
 Every command prints a JSON report (schema 1) to stdout that echoes the
-full effective configuration, defaults and seed included.  Identical
-inputs, flags, and seed produce byte-identical stdout, so wall-clock
-timing goes to stderr.  For gen and reduce the --out flag names the
-generated artifact (gen also writes an `.answer` sidecar next to it);
-for the other commands --out stores a copy of the report.  A --config
-file holds `key = value` lines.  Every key is a flag of the subcommand
-(`dim_w` or `dim-w` for --dim-w), and its value is typed like the
-flag's, so an unknown key or a value the flag would reject is an input
-error.  Flags win when both are given, and all randomness flows from
-the single seed.
+full effective configuration, defaults included, and the seed of gen
+and rectangle.  Identical inputs, flags, and seed produce byte-identical
+stdout, so wall-clock timing goes to stderr.  For gen and reduce the
+--out flag names the generated artifact (gen also writes an `.answer`
+sidecar next to it); for the other commands --out stores a copy of the
+report.  A --config file holds `key = value` lines.  Every key is a
+flag of the subcommand (`dim_w` or `dim-w` for --dim-w), and its value
+is typed like the flag's, so an unknown key or a value the flag would
+reject is an input error.  Flags win when both are given.  All
+randomness of gen and rectangle flows from their single seed.  solve
+takes no seed: trial t of its structure rounds runs on seed t.
 
 Exit codes: 0 positive verdict, 1 clean negative verdict (an instance
 whose relaxation is certified infeasible, quality below the bar), 2
 malformed inputs or files, 3 exhausted search or solver budgets (for
-`solve`, neither an infeasibility certificate nor a feasible point
-within the solver's iteration limit at the top degree), 4 anything
-unexpected.  `solve` climbs the relaxation degrees 4, 6, ... up to
---degree and reports the one that decided as `result.rung`, which lies
-below --degree when a lower rung already refused, or rounded or polished
-its table to 1 - eps^2.  How the solve at that rung ended is
-`result.solver_status`: `feasible` (a converged moment table, rounded
-and, on a spectral miss, polished by alternating ascent), `rounded`
-(stopped early at an iterate whose spectral candidate already meets
-1 - eps^2; the solver offers the start's iterate at check 0, before any
-DR step, then its iterate at checks 1, 2, 4, ..., so
-`result.solver_iterations` may be 0) or `infeasible` (refused).  For a
-CSUBSPACE the real search aims at 1 - eps^2 / 2: the lift's relative
+`solve`, a top rung whose solver reaches its iteration limit with
+neither an infeasibility certificate nor a polished candidate of its
+last iterate at 1 - eps^2), 4 anything unexpected.  `solve` climbs the
+relaxation degrees 4, 6, ... up to --degree and reports the one that
+decided as `result.rung`, which lies below --degree when a lower rung
+already refused, or rounded or polished its table to 1 - eps^2.  How
+the solve at that rung ended is `result.solver_status`: `feasible` (a
+converged moment table, rounded and, on a spectral miss, polished by
+alternating ascent), `rounded` (stopped early at an iterate whose
+spectral candidate already meets 1 - eps^2; the solver offers the
+start's iterate at check 0, before any DR step, then its iterate at
+checks 1, 2, 4, ..., so `result.solver_iterations` may be 0),
+`iter_limit` (the solver reached its iteration limit, and a polished
+candidate of the last iterate it offered meets 1 - eps^2) or
+`infeasible` (refused).  For a CSUBSPACE the real search aims at 1 - eps^2 / 2: the lift's relative
 residual is sqrt(2 (1 - q)) at real quality q, so a candidate that
 reaches that bar also passes `checks.lift_within_eps`.  It says OK for
 any candidate it finds; its `checks.meets_target` applies the bar
@@ -95,7 +98,6 @@ from .rectangle import (
     find_rectangle,
     read_factors,
 )
-from .sos_solver import DEFAULT_TOL
 
 _SCHEMA = 1
 _GRID_LIMIT = 3            # largest ambient with a farness grid certificate
@@ -292,8 +294,7 @@ def _cmd_solve(cfg):
     # the lift's relative residual is sqrt(2 (1 - q)) at real quality q, so
     # lift_within_eps needs q >= 1 - eps^2 / 2: the real search takes eps / sqrt(2)
     search_eps = cfg["eps"] if wc is None else cfg["eps"] / math.sqrt(2.0)
-    cand, report = solve_bss(w, search_eps, degree=cfg["degree"],
-                             seed=cfg["seed"], solver_tol=cfg["tol"])
+    cand, report = solve_bss(w, search_eps, degree=cfg["degree"])
     result = {"rung": report.rung,
               "solver_status": report.solver_status,
               "solver_iterations": report.solver_iterations,
@@ -412,8 +413,7 @@ def _cmd_check(cfg):
 # each command with the defaults of its unset flags
 _COMMANDS = {
     "gen": (_cmd_gen, {"seed": 0}),
-    "solve": (_cmd_solve, {"eps": _EPS, "degree": DEFAULT_DEGREE, "seed": 0,
-                           "tol": DEFAULT_TOL}),
+    "solve": (_cmd_solve, {"eps": _EPS, "degree": DEFAULT_DEGREE}),
     "rectangle": (_cmd_rectangle, {"eps": _EPS, "seed": 0, "restarts": DEFAULT_RESTARTS}),
     "reduce": (_cmd_reduce, {}),
     "check": (_cmd_check, {"eps": _EPS}),
@@ -452,11 +452,6 @@ def _build_parser():
     p.add_argument("--degree", type=int,
                    help="top relaxation degree: the rungs 4, 6, ... up to it "
                         f"are tried in turn (default {DEFAULT_DEGREE})")
-    p.add_argument("--tol", type=float,
-                   help=f"solver tolerance (default {DEFAULT_TOL:g})")
-    p.add_argument("--seed", type=int, help="structure-round seed; matters only when "
-                   "every polished candidate of a top rung of degree 6 or more "
-                   "misses (default 0)")
     common(p, "also write the report here")
 
     p = sub.add_parser("rectangle", help="rank-one rectangle search")

@@ -19,8 +19,7 @@ same variables.  One kernel serves all of it:
 - `linear_form_powers` expands every power of one linear form <v, x>
   with multinomial weights, and `univariate_poly` combines them into a
   polynomial in <v, x>; even powers and shifted powers are then quadratic
-  forms against a block gathered once per distribution, which
-  `PseudoDistribution.derived` keeps with the table for every caller;
+  forms against a gathered moment block;
 - `poly_mul` multiplies two dense vectors through a sum table, and
   `poly_pow` folds it into a power.
 
@@ -144,14 +143,6 @@ class MonomialIndex:
         return table
 
     @functools.cached_property
-    def quadratic_pairs(self) -> tuple:
-        """(first, second): x_first[k] x_second[k] is the k-th monomial of
-        degree 2, first[k] <= second[k]."""
-        pairs = [[j for j, e in enumerate(exp) for _ in range(e)]
-                 for exp in self.exponent_tuples[self.block(2)]]
-        return tuple(_frozen(np.array(col, dtype=np.int64)) for col in zip(*pairs))
-
-    @functools.cached_property
     def multinomials(self) -> np.ndarray:
         """|a|! / prod_i a_i! per monomial: the coefficient of x^a in
         (x_1 + ... + x_n)^|a|."""
@@ -212,16 +203,6 @@ class PseudoDistribution:
     def num_vars(self) -> int:
         return self.index.num_vars
 
-    def derived(self, build):
-        """build(self), computed at the first call and kept with the table.
-        For data that depends on the moments alone, such as gathered
-        blocks, which every later caller then shares; the moments are
-        never written after the table is made."""
-        memo = self.__dict__.setdefault("_derived", {})
-        if build not in memo:
-            memo[build] = build(self)
-        return memo[build]
-
     def expect(self, vec: np.ndarray) -> float:
         """E~ of the dense polynomial vec.  Raises DegreeExceeded when vec
         runs past the moment table."""
@@ -252,21 +233,6 @@ def linear_form_powers(index: MonomialIndex, v, top: int) -> np.ndarray:
         raise DimensionMismatch(
             f"direction of shape {v.shape} for a table over {index.num_vars} variables")
     count = index.count_through(top)
-    if top == 2:
-        # the case of fix_subspace's batched capture test, without the
-        # general gather: 1, then v, then 2 v_i v_j off the squares and on
-        # them the vector pow with an array exponent, as below, so the
-        # result is bit-identical
-        first, second = index.quadratic_pairs
-        n = index.num_vars
-        out = np.empty(v.shape[:-1] + (count,))
-        out[..., 0] = 1.0
-        out[..., 1:n + 1] = v
-        quad = out[..., n + 1:]
-        np.multiply(v[..., first], v[..., second], out=quad)
-        quad *= index.multinomials[n + 1:count]
-        quad[..., first == second] = np.power(v, np.full(v.shape, 2.0))
-        return out
     # v_i^e for every variable and every e <= top, gathered by the exponent
     # table: the factors of v^a and their product order are those of
     # v ** exponents, so the result is bit-identical, without one power per

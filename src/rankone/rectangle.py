@@ -269,8 +269,6 @@ def _search(u, v, eps, k, max_rounds, rng, floor):
         densities.append(idx.size / total)
         growth_log.append((before, after))
 
-    raise MaxRounds(f"spectral test still failing after {max_rounds} rounds")
-
 
 # -- text format --------------------------------------------------------------
 

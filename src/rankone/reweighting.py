@@ -25,15 +25,11 @@ The fixes run on the dense kernel of `pseudodist`.  Every weight is a
 polynomial in one linear form s = <v, x>, held as a coefficient vector
 over the monomial table.  E~ s^2, E~ s^4, E~ (s^2 - m)^2 and
 E~ (s +- m)^2 are quadratic forms of s, s^2, s^2 - m and s +- m against
-moment blocks gathered once per distribution, and candidate directions
-are screened a batch at a time, by the capture test on E~ s^4 against
-E~ s^2 and a typical-size test on E~ s^2.  What `fix_subspace` reads of
-a table, its moment blocks of degree 1 x 1 and 2 x 2, is gathered once
-per table (`PseudoDistribution.derived`), so the many fixes that the
-structure rounds try on one table, over all their trials, pay only for
-their own subspace.  The factor reports hold the same dense form: each
-factor is a `ReweightPolynomial` certified by its roots, as `reweight`
-requires.
+moment blocks gathered once per fix, and candidate directions are
+screened a batch at a time, by the capture test on E~ s^4 against
+E~ s^2 and a typical-size test on E~ s^2.  The factor reports hold the
+same dense form: each factor is a `ReweightPolynomial` certified by its
+roots, as `reweight` requires.
 
 `powers_every_draw` decides from a spectrum alone that a fix on a
 degree-6 table runs the power step on every draw, and so returns a
@@ -259,9 +255,10 @@ def fix_subspace(mu: PseudoDistribution, basis, delta: float,
     if mass < _mass_floor(dim):
         raise PreconditionViolated(f"subspace mass below dim^-{DEFAULT_C}")
 
-    # the moments the draws are compared against, gathered once per table
-    block_lin, block_quad = mu.derived(_gathered)
+    # the moments the draws are compared against: the 1 x 1 and 2 x 2 blocks
     lin, quad = index.block(1), index.block(2)
+    block = moment_block(mu, 2, 2)
+    block_lin, block_quad = block[lin, lin], block[quad, quad]
     # second-moment matrix in subspace coordinates; its top eigenvector is
     # the first candidate direction, then uniform draws take over
     top = np.linalg.eigh(rows @ block_lin @ rows.T)[1][:, -1]
@@ -363,15 +360,6 @@ def _fix_draw(cur, v, powers, proj, mass, eps, delta):
     if float(mean @ mean) >= (1.0 - delta) * target:
         return fixed_mu, srep, sigma, powered, target
     return None
-
-
-def _gathered(cur):
-    """What every fix on the table cur reads of it, gathered once per
-    table (`PseudoDistribution.derived`) and shared by the fixes of every
-    structure trial on it: the moment blocks of degree 1 x 1 and 2 x 2."""
-    block = moment_block(cur, 2, 2)
-    lin, quad = cur.index.block(1), cur.index.block(2)
-    return block[lin, lin], block[quad, quad]
 
 
 def powers_every_draw(values, delta: float) -> bool:

@@ -1157,16 +1157,16 @@ def _try_conic(problem, labels, block_map, geo, space, base, z, bound):
     return None
 
 
-def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
-                      iter_limit: int = DEFAULT_ITER_LIMIT, accept=None):
+def solve_feasibility(problem: SdpProblem, iter_limit: int = DEFAULT_ITER_LIMIT,
+                      accept=None):
     """Find a moment vector satisfying the problem, or prove there is none.
 
     Returns (PseudoDistribution | None, SolverReport).  Status `feasible`
     comes with a distribution whose equality residuals are at solver
-    precision and whose moment matrices clear -tol; `infeasible` comes
-    with a checked certificate, linear from set-up or conic from the DR
-    displacement; `iter_limit` means neither within iter_limit DR
-    iterations.
+    precision and whose moment matrices clear -DEFAULT_TOL, read at call
+    time; `infeasible` comes with a checked certificate, linear from
+    set-up or conic from the DR displacement; `iter_limit` means neither
+    within iter_limit DR iterations.
 
     `accept(dist) -> bool`, when given, lets the caller stop on an
     iterate that is good enough for its purpose.  It is called first at
@@ -1179,11 +1179,8 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
     returns True the status is `rounded`, that distribution is returned,
     and `iterations` is the iteration of that check, 0 at check 0.  A
     run that never gets True returns what it returns with no hook.
-    Raises IllFormed unless tol is finite and positive and
-    iter_limit >= 1.
+    Raises IllFormed unless iter_limit >= 1.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise IllFormed(f"solver tolerance must be finite and positive, got {tol}")
     if not iter_limit >= 1:
         raise IllFormed(f"iteration limit must be at least 1, got {iter_limit}")
     pattern = _pattern_of(problem)
@@ -1250,7 +1247,7 @@ def solve_feasibility(problem: SdpProblem, tol: float = DEFAULT_TOL,
             continue
         y_hat, min_eig, resid, displacement, gap = _check(space, geo, base[2])
         best = (y_hat, min_eig, resid)
-        if min_eig >= -tol and resid <= max(tol, 1e-9):
+        if min_eig >= -DEFAULT_TOL and resid <= max(DEFAULT_TOL, 1e-9):
             status = "feasible"
             break
         checks = iterations // _CHECK_EVERY

@@ -20,13 +20,6 @@ degree 2 if it returns.  Its weights are polynomials in u alone, so v's
 mean stays zero, and v's own fix needs degree 4.  The trial then fails
 either way, and it raises DegreeExhausted before paying for the u-fix.
 
-What every trial reads of the table it starts from is computed once per
-table (`PseudoDistribution.derived`): the stopping data of both blocks
-and the eigendecompositions of their second moments here, and the
-moment blocks that every fix on it reads in `reweighting`.  The trials
-that `bss._structure_trials` runs on one table with fresh seeds share
-them, and a trial's fixes pay only for their own subspace and draws.
-
 `run_structure_2d(mu, eps, seed)` runs these rounds and returns the
 concentrated table, a trace of its steps and the composite
 reweighting, a product of certified SOS factors kept in base^power form:
@@ -104,24 +97,6 @@ def first_moments(mu: PseudoDistribution, offset: int = 0, count: int | None = N
     return block[0, sel], block[np.ix_(sel, sel)]
 
 
-def cross_second_moment(mu: PseudoDistribution) -> np.ndarray:
-    """E~ vec(u v^T) vec(u v^T)^T for a table over pairs (u, v).
-
-    The result is the n^2 x n^2 PSD matrix of fourth moments
-    M[(i,j),(k,l)] = E~ u_i v_j u_k v_l.  It survives sign and phase
-    symmetries that zero out every odd moment, which makes it the
-    readout of choice when the mean vectors vanish."""
-    if mu.num_vars % 2:
-        raise PreconditionViolated("cross moments need an even variable count")
-    if mu.degree < 4:
-        raise PreconditionViolated(
-            f"cross moments need degree >= 4, table has {mu.degree}")
-    n = mu.num_vars // 2
-    # index of the monomial u_i v_j at position i * n + j
-    pairs = mu.index.sum_table(1, 1)[1:n + 1, n + 1:].ravel()
-    return moment_block(mu, 2, 2)[np.ix_(pairs, pairs)]
-
-
 # -- the rounds --------------------------------------------------------------
 
 
@@ -144,8 +119,8 @@ def block_stopping(mu: PseudoDistribution, offset: int, n: int):
 def _root_data(mu: PseudoDistribution):
     """The stopping data of both blocks of mu, the eigendecompositions of
     their second moments, and whether every moment of odd degree in v is
-    zero, computed once per table and read by every trial on it while no
-    fix has changed the table."""
+    zero: what a trial reads of its root table while no fix has changed
+    it."""
     n = mu.num_vars // 2
     stopping = {offset: block_stopping(mu, offset, n) for offset in (0, n)}
     spectra = {offset: np.linalg.eigh(stopping[offset][3]) for offset in (0, n)}
@@ -175,11 +150,8 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     A joint fix is kept only when it settles both blocks or leaves
     degree 4 or more; otherwise phase one throws the table away and goes
     on to the next plane, with the generator just past the accepted
-    draw.  The root table's stopping data and the eigendecompositions of
-    its blocks' second moments are computed once per table and shared by
-    every trial on it (`bss._structure_trials` runs many with fresh
-    seeds), and the top-eigenspace fixes read them too while no fix has
-    changed the table.
+    draw.  The top-eigenspace fixes read the root table's
+    eigendecompositions while no fix has changed the table.
     """
     if not 0.0 < eps < 1.0:
         raise PreconditionViolated(f"eps must be in (0, 1), got {eps}")
@@ -215,7 +187,7 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
     # only if it settles both blocks or leaves enough degree to keep
     # working
     floor = 1.0 / (4.0 * math.sqrt(n))
-    stopping, spectra, odd_v_zero = mu.derived(_root_data)
+    stopping, spectra, odd_v_zero = _root_data(mu)
     if stopping[0][1] <= floor and stopping[n][1] <= floor:
         (vals1, vecs1), (vals2, vecs2) = spectra[0], spectra[n]
         root1 = vecs1 * np.sqrt(np.clip(vals1, 0.0, None))
@@ -310,6 +282,6 @@ def run_structure_2d(mu: PseudoDistribution, eps: float, seed: int = 0):
 
 
 __all__ = [
-    "StructureTrace", "StepRecord", "CompositeWeight", "cross_second_moment",
-    "run_structure_2d", "block_stopping", "first_moments",
+    "StructureTrace", "StepRecord", "CompositeWeight", "run_structure_2d",
+    "block_stopping", "first_moments",
 ]

@@ -42,10 +42,10 @@ def dense_poly(index: MonomialIndex, terms: dict, degree: int) -> np.ndarray:
 
 def root_tables(cases):
     """For each (n, dim_w, seed, eps, degree) of `cases`, the arguments
-    (table, W, eps, trial seed, scored spectral candidates) that the
-    structure trials of solve_bss(planted_yes(n, dim_w, seed)[0], eps,
+    (table, W, eps, scored spectral candidates) that the structure
+    trials of solve_bss(planted_yes(n, dim_w, seed)[0], eps,
     degree=degree) start from when every polish misses: the top rung's
-    converged table, with the solve's default trial seed 0.  The rung is
+    converged table.  The rung is
     solved directly, with no accept hook; a hook that declines every
     check changes no iterate, so the table is the one `solve_bss` would
     hold there.  Every case's top rung must converge to a table whose
@@ -56,5 +56,5 @@ def root_tables(cases):
         mu, report = bss.solve_feasibility(bss.build_bss_problem(w, degree))
         scored = bss._spectral_rounding(mu, w)
         assert report.status == "feasible" and scored[0][0] < 1.0 - eps * eps, (n, dim_w, seed)
-        found.append((mu, w, eps, 0, scored))
+        found.append((mu, w, eps, scored))
     return found

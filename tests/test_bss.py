@@ -7,6 +7,7 @@ into real parts.
 """
 
 import collections
+import functools
 import math
 import os
 
@@ -15,7 +16,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from instances import tiles_complement
-from moment_tables import root_tables
+from moment_tables import atom_table, root_tables
 from rankone import bss, structure
 from rankone.bss import (
     ComplexSubspace,
@@ -24,6 +25,7 @@ from rankone.bss import (
     SubspaceBasis,
     certify_farness,
     complex_planted,
+    cross_second_moment,
     lift_real_solution,
     measurement_to_subspace,
     planted_yes,
@@ -48,6 +50,8 @@ from rankone.errors import (
     EmptySubspace,
     IllFormed,
     IterLimit,
+    NoConvergence,
+    PreconditionViolated,
     RankOneError,
     RetryExhausted,
     ZeroCandidate,
@@ -55,6 +59,7 @@ from rankone.errors import (
 from rankone.pseudodist import moment_block
 from rankone.rectangle import FactorMatrix
 from rankone.sos_solver import certificate_margin
+from rankone.structure import first_moments
 
 
 def unit(mat):
@@ -180,12 +185,54 @@ def test_measurement_to_subspace_threshold():
             measurement_to_subspace(MeasurementOperator(np.diag(eigs)))
 
 
+# ------------------------------------------------------ spectral readout
+
+
+def sphere_points(rng, n_pts, dim):
+    pts = rng.standard_normal((n_pts, dim))
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def test_cross_second_moment_matches_direct_computation():
+    rng = np.random.default_rng(5)
+    pts = sphere_points(rng, 7, 4)        # (u, v) pairs with n = 2
+    w = rng.dirichlet(np.ones(7))
+    mu = atom_table(pts, w, 4)
+    got = cross_second_moment(mu)
+    outer = np.array([np.outer(p[:2], p[2:]).ravel() for p in pts])
+    expect = outer.T @ (w[:, None] * outer)
+    np.testing.assert_allclose(got, expect, atol=1e-12)
+    assert np.linalg.eigvalsh(got)[0] >= -1e-12
+
+
+def test_cross_second_moment_survives_sign_symmetry():
+    # mirrored atoms zero the means but leave the cross matrix intact
+    pair = np.array([0.6, 0.8, 1.0, 0.0])
+    pts = np.vstack([pair, -pair])
+    mu = atom_table(pts, np.array([0.5, 0.5]), 4)
+    mean, _ = first_moments(mu)
+    assert np.linalg.norm(mean) < 1e-12
+    single = np.outer(pair[:2], pair[2:]).ravel()
+    np.testing.assert_allclose(cross_second_moment(mu),
+                               np.outer(single, single), atol=1e-12)
+
+
+def test_cross_second_moment_rejects_bad_tables():
+    rng = np.random.default_rng(0)
+    odd = atom_table(sphere_points(rng, 3, 3), np.ones(3) / 3, 4)
+    with pytest.raises(PreconditionViolated):
+        cross_second_moment(odd)
+    shallow = atom_table(sphere_points(rng, 3, 4), np.ones(3) / 3, 2)
+    with pytest.raises(PreconditionViolated):
+        cross_second_moment(shallow)
+
+
 # ---------------------------------------------------------------- solve
 
 
 def test_solve_trivial_line():
     w = SubspaceBasis(1, (np.array([[1.0]]),))
-    cand, rep = solve_bss(w, eps=0.25, degree=6, seed=0)
+    cand, rep = solve_bss(w, eps=0.25, degree=6)
     assert rep.status == "candidate"
     assert cand.quality == pytest.approx(1.0, abs=1e-9)
 
@@ -193,7 +240,7 @@ def test_solve_trivial_line():
 @pytest.mark.parametrize("n,dim_w,seed", [(2, 1, 0), (2, 2, 0), (3, 2, 0)])
 def test_solve_planted_instances(n, dim_w, seed):
     w, u, v = planted_yes(n, dim_w, seed=seed)
-    cand, rep = solve_bss(w, eps=0.25, degree=6, seed=seed)
+    cand, rep = solve_bss(w, eps=0.25, degree=6)
     assert rep.status == "candidate"
     assert cand.quality >= 1.0 - 0.25 ** 2
     # the reported quality is exactly the projected mass ratio
@@ -211,9 +258,9 @@ def test_structure_rounds_lift_spectral_misses(seed, quality):
     one structure step; the qualities are the seeded values.  `solve_bss`
     never builds this table: the polish of the rung-4 miss reaches the
     bar (DEGREE_6_RUNG_4)."""
-    (mu, w, eps, trial_seed, scored), = root_tables([(2, 2, seed, 0.05, 6)])
+    (mu, w, eps, scored), = root_tables([(2, 2, seed, 0.05, 6)])
     assert mu.degree == 6 and scored[0][0] < 1.0 - eps ** 2
-    found, cand, steps, left = bss._structure_trials(mu, w, eps, trial_seed, scored[0])
+    found, cand, steps, left = bss._structure_trials(mu, w, eps, scored[0])
     assert (steps, left) == (1, 2)
     assert found >= 1.0 - 0.05 ** 2
     assert found == pytest.approx(quality, abs=1e-9)
@@ -255,8 +302,8 @@ def test_structure_round_counts_of_the_rounding_solves(monkeypatch):
         assert kwargs["retry_budget"] == structure._JOINT_RETRY_BUDGET
         return fix(*args, **kwargs)
     monkeypatch.setattr(structure, "fix_subspace", joint_only)
-    for mu, w, eps, seed, scored in tables:
-        bss._structure_trials(mu, w, eps, seed, scored[0])
+    for mu, w, eps, scored in tables:
+        bss._structure_trials(mu, w, eps, scored[0])
     assert counts["run_structure_2d"] == {"returned": 3, "DegreeExhausted": 24}
     assert counts["fix_subspace"] == {"returned": 169, "RetryExhausted": 138}
 
@@ -319,12 +366,12 @@ def test_degree_6_solves_keep_their_seeded_outcomes(monkeypatch):
         assert cand.quality == rep.quality >= 1.0 - 0.05 ** 2
     monkeypatch.undo()
     cases = [(*case, 0.05, 6) for case in DEGREE_6_OUTCOME]
-    for (mu, w, eps, seed, scored), case in zip(root_tables(cases), DEGREE_6_OUTCOME):
+    for (mu, w, eps, scored), case in zip(root_tables(cases), DEGREE_6_OUTCOME):
         spectral, polished = DEGREE_6_POLISHED[case]
         assert scored[0][0] == pytest.approx(spectral, abs=1e-9), case
         assert polished >= max(spectral, 1.0 - 0.05 ** 2)
         assert bss._polish(w, scored, 1.0 - eps ** 2)[0] == pytest.approx(polished, abs=1e-9)
-        quality, _, steps, left = bss._structure_trials(mu, w, eps, seed, scored[0])
+        quality, _, steps, left = bss._structure_trials(mu, w, eps, scored[0])
         expected, expected_steps, expected_left = DEGREE_6_OUTCOME[case]
         assert (steps, left) == (expected_steps, expected_left), case
         assert quality == pytest.approx(expected, abs=1e-9), case
@@ -336,9 +383,9 @@ def test_degree_8_trials_keep_their_seeded_outcomes():
     of DEGREE_8_OUTCOME: two structure steps lift planted_yes(2, 2, 0),
     and no trial succeeds on planted_yes(2, 2, 2)."""
     cases = [(*case, 0.05, 8) for case in DEGREE_8_OUTCOME]
-    for (mu, w, eps, seed, scored), case in zip(root_tables(cases), DEGREE_8_OUTCOME):
+    for (mu, w, eps, scored), case in zip(root_tables(cases), DEGREE_8_OUTCOME):
         assert mu.degree == 8
-        quality, _, steps, left = bss._structure_trials(mu, w, eps, seed, scored[0])
+        quality, _, steps, left = bss._structure_trials(mu, w, eps, scored[0])
         expected, expected_steps, expected_left = DEGREE_8_OUTCOME[case]
         assert (steps, left) == (expected_steps, expected_left), case
         assert quality == pytest.approx(expected, abs=1e-9), case
@@ -352,8 +399,6 @@ def test_degree_6_plants_reach_no_structure_trial(monkeypatch):
     builds a rung above the one that decided, and the deciding rung's
     candidate meets the bar.  29 solves decide at rung 4 only because
     the polish lifts a spectral miss of its converged table to the bar."""
-    def no_trials(*args):
-        raise AssertionError("a solve reached the structure trials")
     monkeypatch.setattr(bss, "_structure_trials", no_trials)
     rungs = record_rungs(monkeypatch)
     polish = bss._polish
@@ -409,8 +454,8 @@ def test_root_decision_changes_no_solve(monkeypatch):
             raise
 
     def outcome(case):
-        mu, w, eps, seed, scored = tables[case]
-        quality, cand, steps, left = bss._structure_trials(mu, w, eps, seed, scored[0])
+        mu, w, eps, scored = tables[case]
+        quality, cand, steps, left = bss._structure_trials(mu, w, eps, scored[0])
         return cand.u0.tolist(), cand.v0.tolist(), quality, steps, left
     decided = {case: outcome(case) for case in cases}
     monkeypatch.setattr(structure, "powers_every_draw", undecided)
@@ -497,13 +542,13 @@ def test_degree_4_structure_trials_all_fail():
     tables whose spectral misses `_polish` receives; (4, 12, 2) now
     rounds at the solver's check 0, so its table is the one the solver
     returns with no hook, which a declining hook leaves bit-identical."""
-    tables = [(mu, w.ambient, eps, seed) for mu, w, eps, seed, _ in root_tables(
+    tables = [(mu, w.ambient, eps) for mu, w, eps, _ in root_tables(
         [(n, dim_w, seed, 0.25, 4) for n, dim_w, seed in ((2, 2, 0), (3, 6, 2), (3, 6, 5))])]
     mu, report = bss.solve_feasibility(bss.build_bss_problem(planted_yes(4, 12, 2)[0], 4))
     assert report.status == "feasible"
-    tables.append((mu, 4, 0.25, 0))
+    tables.append((mu, 4, 0.25))
     assert len(tables) == 4
-    for mu, n, eps, seed in tables:
+    for mu, n, eps in tables:
         assert mu.degree == 4
         second = moment_block(mu, 1, 1)[1:, 1:]
         assert np.trace(second[:n, :n]) == pytest.approx(1.0, abs=1e-9)
@@ -515,7 +560,7 @@ def test_degree_4_structure_trials_all_fail():
             eps_t = min(bss._MAX_STRUCTURE_EPS,
                         start * bss._EPS_GROWTH ** (trial // bss._SEEDS_PER_LEVEL))
             with pytest.raises(RetryExhausted):
-                structure.run_structure_2d(mu, eps_t, seed + trial)
+                structure.run_structure_2d(mu, eps_t, trial)
 
 
 # planted_yes(n, dim_w, seed) at degree 4, n = 2, 3, every dim_w < n^2,
@@ -652,7 +697,7 @@ def test_solve_far_instance_refuses():
     j = unit(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     w = SubspaceBasis(2, (j,))
     assert certify_farness(w) > 0.5
-    cand, rep = solve_bss(w, eps=0.25, degree=6, seed=0)
+    cand, rep = solve_bss(w, eps=0.25, degree=6)
     assert rep.status == "infeasible"
     assert cand is None
 
@@ -681,7 +726,7 @@ def test_ladder_never_refuses_a_planted_yes_instance(monkeypatch):
     rungs = record_rungs(monkeypatch)
     monkeypatch.setattr(bss, "_polish", lambda w, scored, target: scored[0])
     monkeypatch.setattr(bss, "_structure_trials",
-                        lambda mu, w, eps, seed, baseline: (0.0, None, 0, mu.degree))
+                        lambda mu, w, eps, baseline: (0.0, None, 0, mu.degree))
     decided = []
     for n in (2, 3):
         for dim_w in range(1, n * n + 1):
@@ -736,6 +781,73 @@ def test_a_lower_rung_polish_miss_climbs(monkeypatch):
     cert = rep.certificate
     assert solver.certificate is cert
     assert certificate_margin(problem, cert.multipliers, cert.factors) == cert.margin > 0
+
+
+def cap_the_solver(monkeypatch, limit):
+    """Every rung's solver stops at `limit` DR iterations, through the name
+    that `solve_bss` looks up on its module at call time."""
+    monkeypatch.setattr(bss, "solve_feasibility",
+                        functools.partial(bss.solve_feasibility, iter_limit=limit))
+
+
+def no_trials(*args):
+    raise AssertionError("a solve reached the structure trials")
+
+
+def test_a_stalled_rung_polishes_its_last_iterate(monkeypatch):
+    """A rung whose solver reaches its iteration limit polishes the
+    spectral candidates of the last iterate the solver offered the hook,
+    as a converged rung polishes its table's.  With every rung's solver
+    capped at 40 DR iterations, planted_yes(3, 5, s) for s in {0, 4, 5}
+    at eps 0.05 stalls at rung 4 with no offer accepted.  At degree 6
+    each solve still decides there, with status `iter_limit`, 4 degrees
+    left and a candidate that verifies at 1 - eps^2; it builds no rung 6
+    and runs no structure trial."""
+    cap_the_solver(monkeypatch, 40)
+    rungs = record_rungs(monkeypatch)
+    monkeypatch.setattr(bss, "_structure_trials", no_trials)
+    rounding, polish = bss._spectral_rounding, bss._polish
+    offered = []
+
+    def rounding_recorded(dist, w):
+        offered.append(rounding(dist, w))
+        return offered[-1]
+
+    def polish_checked(w, scored, target):
+        assert scored is offered[-1]
+        return polish(w, scored, target)
+    monkeypatch.setattr(bss, "_spectral_rounding", rounding_recorded)
+    monkeypatch.setattr(bss, "_polish", polish_checked)
+    for seed in (0, 4, 5):
+        rungs.clear()
+        w = planted_yes(3, 5, seed)[0]
+        cand, rep = solve_bss(w, 0.05, degree=6)
+        assert [(p.index.max_degree, r.status, r.iterations) for p, r in rungs] == [
+            (4, "iter_limit", 40)], seed
+        assert (rep.rung, rep.solver_status, rep.solver_iterations, rep.structure_steps,
+                rep.degree_left) == (4, "iter_limit", 40, 0, 4), seed
+        record = verify_candidate(cand, w)
+        assert record.ok() and record.quality == rep.quality == cand.quality, seed
+        assert rep.quality >= 1.0 - 0.05 ** 2, seed
+
+
+def test_a_stalled_polish_miss_raises_only_on_the_top_rung(monkeypatch):
+    """A stalled rung whose polish misses climbs, and only a stalled top
+    rung raises NoConvergence.  With every rung's solver capped at 40 DR
+    iterations and `_polish` stubbed to find nothing, planted_yes(3, 5, 0)
+    at eps 0.05 raises at degree 4; at degree 6 its stalled rung 4 climbs
+    to rung 6, which stalls too and raises.  No structure trial runs."""
+    cap_the_solver(monkeypatch, 40)
+    rungs = record_rungs(monkeypatch)
+    monkeypatch.setattr(bss, "_structure_trials", no_trials)
+    monkeypatch.setattr(bss, "_polish", lambda w, scored, target: None)
+    w = planted_yes(3, 5, 0)[0]
+    for degree in (4, 6):
+        rungs.clear()
+        with pytest.raises(NoConvergence):
+            solve_bss(w, 0.05, degree=degree)
+        assert [(p.index.max_degree, r.status) for p, r in rungs] == [
+            (rung, "iter_limit") for rung in range(4, degree + 1, 2)]
 
 
 def test_ladder_refusals_check_on_their_own_rung(monkeypatch):
@@ -793,7 +905,7 @@ def test_rounded_rungs_verify_and_far_instances_never_round(monkeypatch):
     rounds, which only a converged top rung runs, are stubbed out."""
     rungs = record_rungs(monkeypatch)
     monkeypatch.setattr(bss, "_structure_trials",
-                        lambda mu, w, eps, seed, baseline: (0.0, None, 0, mu.degree))
+                        lambda mu, w, eps, baseline: (0.0, None, 0, mu.degree))
     rounded = 0
     for eps in (0.25, 0.05):
         for n in (2, 3):
@@ -1209,7 +1321,7 @@ def test_solve_complex_round_trip():
     # this also exercises the spectral rounding baseline
     wc, x, y = complex_planted(2, 2, seed=1)
     w = reduce_complex_to_real(wc)
-    cand, report = solve_bss(w, 0.3, degree=6, seed=1)
+    cand, report = solve_bss(w, 0.3, degree=6)
     assert report.status == "candidate"
     res = lift_real_solution(cand, wc)
     scale = np.linalg.norm(np.outer(res.u, np.conj(res.v)))

@@ -297,21 +297,6 @@ def test_solve_rejects_bad_degree(tmp_path, capsys, degree):
     assert report["error"]["type"] == "DegreeTooSmall"
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_solve_rejects_bad_tolerance(tmp_path, capsys, tol):
-    """A tolerance that is not finite and positive is an input error, not
-    a false `infeasible` or a run to the iteration limit."""
-    out = tmp_path / "w.txt"
-    main(["gen", "planted-yes", "--n", "2", "--dim-w", "2", "--seed", "1",
-          "--out", str(out)])
-    capsys.readouterr()
-    code, report, _ = run_cli(capsys, "solve", str(out), "--degree", "4",
-                              "--tol", tol)
-    assert code == 2
-    assert report["status"] == "ERROR"
-    assert report["error"]["type"] == "IllFormed"
-
-
 def test_cli_loads_no_scipy(tmp_path):
     """The package runs on NumPy alone: `gen`, `solve`, `check` and
     `rectangle` import no module of scipy, whose linalg would also link a
@@ -354,7 +339,7 @@ def test_a_failed_command_echoes_its_resolved_config(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "solve", missing, "--config", str(cfg))
     assert (code, report["error"]["type"]) == (2, "FileNotFoundError")
     assert report["config"] == {"in_path": missing, "degree": 8, "eps": 0.25,
-                                "seed": 0, "tol": 1e-7, "out": None}
+                                "out": None}
     cfg.write_text("degree = eight\n")
     code, report, _ = run_cli(capsys, "solve", missing, "--config", str(cfg))
     assert (code, report["error"]["type"]) == (2, "IllFormed")
@@ -362,16 +347,15 @@ def test_a_failed_command_echoes_its_resolved_config(tmp_path, capsys):
 
 
 def test_echoed_defaults_are_the_library_defaults(tmp_path, capsys):
-    """With no flags, `solve` echoes the degree, tolerance and seed
-    defaults of `solve_bss`, `rectangle` the restarts and seed defaults
-    of `find_rectangle`, and solve, rectangle and check one eps."""
+    """With no flags, `solve` echoes the degree default of `solve_bss`,
+    `rectangle` the restarts and seed defaults of `find_rectangle`, and
+    solve, rectangle and check one eps."""
     missing = str(tmp_path / "missing.txt")
     solve = run_cli(capsys, "solve", missing)[1]["config"]
     rectangle = run_cli(capsys, "rectangle", missing)[1]["config"]
     check = run_cli(capsys, "check", missing, missing)[1]["config"]
     library = inspect.signature(solve_bss).parameters
-    assert (solve["degree"], solve["tol"], solve["seed"]) == (
-        library["degree"].default, library["solver_tol"].default, library["seed"].default)
+    assert solve["degree"] == library["degree"].default
     library = inspect.signature(find_rectangle).parameters
     assert (rectangle["restarts"], rectangle["seed"]) == (
         library["restarts"].default, library["seed"].default)
@@ -701,7 +685,7 @@ def test_config_values_are_typed_by_their_flags(tmp_path, capsys, command, line)
 
 
 FLAGS = {"gen": {"n", "dim_w", "seed", "out"},
-         "solve": {"eps", "degree", "tol", "seed", "out"},
+         "solve": {"eps", "degree", "out"},
          "rectangle": {"right", "eps", "k", "restarts", "max_iters", "seed", "out"},
          "reduce": {"out"},
          "check": {"eps", "out"}}
@@ -709,11 +693,12 @@ FLAGS = {"gen": {"n", "dim_w", "seed", "out"},
 
 def test_config_keys_are_exactly_the_flags(tmp_path, capsys):
     """Each subcommand takes as config keys its flags and nothing else:
-    not its operands, not --config, not the removed rectangle settings.
-    reduce and check take no --seed."""
+    not its operands, not --config, not the removed rectangle and solve
+    settings.  solve, reduce and check take no --seed, and solve no
+    --tol."""
     keys = set().union(*FLAGS.values()) | {
         "in_path", "kind", "instance", "candidate", "config",
-        "growth", "min_size", "two_sided", "retries"}
+        "growth", "min_size", "two_sided", "retries", "tol"}
     missing = str(tmp_path / "missing.txt")
     operands = {"gen": ["planted-yes"], "solve": [missing], "rectangle": [missing],
                 "reduce": [missing], "check": [missing, missing]}
@@ -728,9 +713,11 @@ def test_config_keys_are_exactly_the_flags(tmp_path, capsys):
             if "unknown config key" not in report["error"]["message"]:
                 accepted.add(key)
         assert accepted == flags, command
-    for command in ("reduce", "check"):
+    for command in ("solve", "reduce", "check"):
         with pytest.raises(SystemExit):
             main([command, *operands[command], "--seed", "7"])
+    with pytest.raises(SystemExit):
+        main(["solve", missing, "--tol", "1e-8"])
 
 
 def test_load_config_parses_types(tmp_path):

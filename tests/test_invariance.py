@@ -12,14 +12,9 @@ import numpy as np
 import pytest
 
 from rankone.bss import SubspaceBasis, planted_yes, solve_bss
-from rankone.errors import NoConvergence
 
 EPS = 0.05
 COPIES = ("original", "basis", "rotated", "transposed")
-
-# a copy whose degree-4 relaxation stalls: DR runs through its 50,000
-# iterations (about 10 s) without a certificate or a feasible point
-STALLS = {((4, 10, 6), "rotated")}
 
 
 def orthogonal(rng, n):
@@ -45,12 +40,7 @@ def cases():
         for dim_w in range(1, n * n):
             for seed in range(8):
                 for kind in COPIES:
-                    marks = ()
-                    if ((n, dim_w, seed), kind) in STALLS:
-                        marks = pytest.mark.xfail(
-                            strict=True, raises=NoConvergence,
-                            reason="degree-4 DR stalls through its iteration limit")
-                    yield pytest.param(n, dim_w, seed, kind, marks=marks,
+                    yield pytest.param(n, dim_w, seed, kind,
                                        id=f"{n}-{dim_w}-{seed}-{kind}")
 
 

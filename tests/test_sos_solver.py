@@ -315,11 +315,13 @@ def test_solver_is_deterministic():
     assert rep1.iterations == rep2.iterations
 
 
-def test_tighter_tolerance_still_converges():
+def test_tighter_tolerance_still_converges(monkeypatch):
+    """The solver reads DEFAULT_TOL when it runs, so a tighter one holds."""
     rng = np.random.default_rng(4)
     comp = complement_of_line(2, np.outer([0.6, 0.8], [1.0, 0.0]), rng)
     prob = build_bss_problem(SpanStub(2, comp), 4)
-    mu, rep = solve_feasibility(prob, tol=1e-8)
+    monkeypatch.setattr(sos_solver, "DEFAULT_TOL", 1e-8)
+    mu, rep = solve_feasibility(prob)
     assert rep.status == "feasible"
     assert rep.min_block_eigenvalue >= -1e-8
     assert validate(mu).ok()
@@ -1085,9 +1087,9 @@ def test_per_block_cone_step_changes_no_solve(monkeypatch):
                 dataclasses.replace(rep, certificate=None),
                 None if cert is None else (cert.kind, cert.multipliers.tobytes(), cert.margin,
                                            tuple(h.tobytes() for h in cert.factors))))
-        for mu, w, eps, seed, scored in root_tables(
+        for mu, w, eps, scored in root_tables(
                 [(2, 2, seed, 0.05, 6) for seed in (0, 2, 3)]):
-            quality, cand, steps, left = _structure_trials(mu, w, eps, seed, scored[0])
+            quality, cand, steps, left = _structure_trials(mu, w, eps, scored[0])
             found.append((cand.u0.tobytes(), cand.v0.tobytes(), quality, steps, left))
         return found
     stacked = outcomes()
@@ -1315,11 +1317,9 @@ def test_an_accepting_hook_stops_at_its_check():
             assert (rep.anderson_accepted, rep.anderson_rejected) == (0, 0)
 
 
-@pytest.mark.parametrize("tol, iter_limit", [(0.0, 10), (-1.0, 10), (np.nan, 10),
-                                             (np.inf, 10), (1e-7, 0)])
-def test_solver_rejects_bad_tolerance_and_limit(tol, iter_limit):
+def test_solver_rejects_a_bad_iteration_limit():
     with pytest.raises(IllFormed):
-        solve_feasibility(pinned_problem(), tol=tol, iter_limit=iter_limit)
+        solve_feasibility(pinned_problem(), iter_limit=0)
 
 
 # -- the pattern cache ------------------------------------------------------------

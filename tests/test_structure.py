@@ -10,7 +10,7 @@ covariances from the atoms.
 import numpy as np
 import pytest
 
-from moment_tables import atom_table, root_tables
+from moment_tables import atom_table
 from rankone import structure
 from rankone.errors import (
     DegreeExhausted,
@@ -21,7 +21,6 @@ from rankone.errors import (
 from rankone.pseudodist import PseudoDistribution, validate
 from rankone.structure import (
     block_stopping,
-    cross_second_moment,
     first_moments,
     run_structure_2d,
 )
@@ -49,40 +48,6 @@ def test_first_moments_match_direct_computation():
     mean, second = first_moments(mu)
     np.testing.assert_allclose(mean, w @ pts, atol=1e-12)
     np.testing.assert_allclose(second, pts.T @ (w[:, None] * pts), atol=1e-12)
-
-
-def test_cross_second_moment_matches_direct_computation():
-    rng = np.random.default_rng(5)
-    pts = sphere_points(rng, 7, 4)        # (u, v) pairs with n = 2
-    w = rng.dirichlet(np.ones(7))
-    mu = atom_table(pts, w, 4)
-    got = cross_second_moment(mu)
-    outer = np.array([np.outer(p[:2], p[2:]).ravel() for p in pts])
-    expect = outer.T @ (w[:, None] * outer)
-    np.testing.assert_allclose(got, expect, atol=1e-12)
-    assert np.linalg.eigvalsh(got)[0] >= -1e-12
-
-
-def test_cross_second_moment_survives_sign_symmetry():
-    # mirrored atoms zero the means but leave the cross matrix intact
-    pair = np.array([0.6, 0.8, 1.0, 0.0])
-    pts = np.vstack([pair, -pair])
-    mu = atom_table(pts, np.array([0.5, 0.5]), 4)
-    mean, _ = first_moments(mu)
-    assert np.linalg.norm(mean) < 1e-12
-    single = np.outer(pair[:2], pair[2:]).ravel()
-    np.testing.assert_allclose(cross_second_moment(mu),
-                               np.outer(single, single), atol=1e-12)
-
-
-def test_cross_second_moment_rejects_bad_tables():
-    rng = np.random.default_rng(0)
-    odd = atom_table(sphere_points(rng, 3, 3), np.ones(3) / 3, 4)
-    with pytest.raises(PreconditionViolated):
-        cross_second_moment(odd)
-    shallow = atom_table(sphere_points(rng, 3, 4), np.ones(3) / 3, 2)
-    with pytest.raises(PreconditionViolated):
-        cross_second_moment(shallow)
 
 
 # -- bilinear rounds ---------------------------------------------------------
@@ -246,63 +211,6 @@ def degree_six_cases():
 def joint(kwargs):
     """Whether a fix_subspace call of run_structure_2d is a joint fix."""
     return kwargs.get("retry_budget") == structure._JOINT_RETRY_BUDGET
-
-
-def fix_outcome(result):
-    """A fix_subspace result as comparable data: the table and report, or
-    the exception class and message."""
-    if isinstance(result, RankOneError):
-        return type(result), str(result)
-    table, rep = result
-    return (table.moments.tolist(), table.degree, rep.chosen_direction.tolist(),
-            rep.samples_tried, rep.achieved, rep.degree_spent, rep.fixed_value,
-            [(base.coefficients.tolist(), power) for base, power in rep.factors])
-
-
-def test_gathered_table_data_changes_no_fix(monkeypatch):
-    """Every fix_subspace call that the structure trials make at eps 0.05,
-    run from the best spectral candidate, on the top-rung tables of the
-    three `rounding` plants, planted_yes(2, 2, s) for s in {0, 2, 3}, and on
-    planted_yes(3, 5, 4)'s degree-6 table, all joint fixes, and on the
-    degree-8 tables of planted_yes(2, 2, s) for s in {0, 2}, whose trials
-    also make progress fixes on degree-4 tables, gives the same
-    table and report, or the same exception and message, and leaves the
-    generator in the same state, as the same call on a fresh copy of its
-    table, on which nothing is gathered yet."""
-    from rankone.bss import _structure_trials
-    tables = root_tables([(n, dim_w, seed, 0.05, degree) for n, dim_w, seed, degree in (
-        (2, 2, 0, 6), (2, 2, 2, 6), (2, 2, 3, 6), (3, 5, 4, 6), (2, 2, 0, 8), (2, 2, 2, 8))])
-    fix = structure.fix_subspace
-    calls = []
-
-    def recording(cur, rows, delta, **kwargs):
-        rng = kwargs["seed"]
-        before = rng.bit_generator.state
-        try:
-            result = fix(cur, rows, delta, **kwargs)
-        except RankOneError as err:
-            result = err
-        calls.append((cur, rows, delta, kwargs, before, fix_outcome(result),
-                       rng.bit_generator.state))
-        if isinstance(result, RankOneError):
-            raise result
-        return result
-    monkeypatch.setattr(structure, "fix_subspace", recording)
-    for mu, w, eps, seed, scored in tables:
-        _structure_trials(mu, w, eps, seed, scored[0])
-    monkeypatch.undo()
-    for cur, rows, delta, kwargs, before, outcome, after in calls:
-        fresh = PseudoDistribution(cur.index, cur.moments.copy(), cur.degree, cur.constraints)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = before
-        try:
-            result = fix(fresh, rows, delta, **{**kwargs, "seed": rng})
-        except RankOneError as err:
-            result = err
-        assert fix_outcome(result) == outcome
-        assert rng.bit_generator.state == after
-    single = [cur.degree for cur, _, _, kwargs, _, _, _ in calls if not joint(kwargs)]
-    assert len(calls) - len(single) > 300 and single.count(4) >= 24, (len(calls), single)
 
 
 def test_unsettled_joint_fixes_are_thrown_away(monkeypatch):
