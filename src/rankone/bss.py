@@ -636,15 +636,17 @@ class LiftResult:
     quality_real: float      # recomputed quality of the real candidate
 
 
-def lift_real_solution(candidate: RankOneCandidate,
-                       wc: ComplexSubspace) -> LiftResult:
+def lift_real_solution(candidate: RankOneCandidate, wc: ComplexSubspace,
+                       lifted: SubspaceBasis) -> LiftResult:
     """Map a real 2n-block candidate back to a complex rank-one.
 
     U = u1 + i u2 and V = v1 + i v2 come from the block halves; the
     returned x is the projection of U V* into the complex subspace, and
     the certified bound follows the deviation of the real candidate
     from the lifted subspace (which dominates sqrt(2) times it and is
-    itself dominated by the four block residuals summed).
+    itself dominated by the four block residuals summed).  `lifted` is
+    that subspace, `reduce_complex_to_real(wc)`, which every caller
+    already holds.
     """
     n = wc.ambient
     if candidate.u0.shape != (2 * n,) or candidate.v0.shape != (2 * n,):
@@ -660,7 +662,6 @@ def lift_real_solution(candidate: RankOneCandidate,
     x = wc.project(uv_star)
     residual = float(np.linalg.norm(x - uv_star))
 
-    lifted = reduce_complex_to_real(wc)
     y = candidate.matrix
     dev = y - lifted.project(y)
     blocks = (float(np.linalg.norm(dev[:n, :n])),

@@ -21,11 +21,12 @@ randomness of gen and rectangle flows from their single seed.  solve
 takes no seed: trial t of its structure rounds runs on seed t.
 
 Exit codes: 0 positive verdict, 1 clean negative verdict (an instance
-whose relaxation is certified infeasible, quality below the bar), 2
-malformed inputs or files, 3 exhausted search or solver budgets (for
-`solve`, a top rung whose solver reaches its iteration limit with
-neither an infeasibility certificate nor a polished candidate of its
-last iterate at 1 - eps^2), 4 anything unexpected.  `solve` climbs the
+whose relaxation is certified infeasible, a MEASUREMENT that accepts no
+state with probability 1, quality below the bar), 2 malformed inputs or
+files, 3 exhausted search or solver budgets (for `solve`, a top rung
+whose solver reaches its iteration limit with neither an infeasibility
+certificate nor a polished candidate of its last iterate at 1 - eps^2),
+4 anything unexpected.  `solve` climbs the
 relaxation degrees 4, 6, ... up to --degree and reports the one that
 decided as `result.rung`, which lies below --degree when a lower rung
 already refused, or rounded or polished its table to 1 - eps^2.  How
@@ -43,9 +44,13 @@ reaches that bar also passes `checks.lift_within_eps`.  It says OK for
 any candidate it finds; its `checks.meets_target` applies the bar
 1 - eps^2 (`result.target`) that `check` applies.  A refusal reports
 `result.certificate`: its kind (`linear` or `conic`) and its margin,
-which is positive.  A command that fails after its configuration
-resolved echoes that configuration, config-file values and defaults
-included.
+which is positive.  A valid MEASUREMENT with no eigenvalue-1 direction
+refutes the YES case without a solve: `solve` reports FAIL with a
+`spectral` certificate whose margin is 1 minus the largest eigenvalue,
+and a note naming that eigenvalue (`check` still rejects such a file as
+input with no subspace to check against).  A command that fails after
+its configuration resolved echoes that configuration, config-file
+values and defaults included.
 """
 
 from __future__ import annotations
@@ -288,7 +293,21 @@ def _meets_target(record, eps: float) -> bool:
 
 def _cmd_solve(cfg):
     kind = _sniff(cfg["in_path"])
-    w, measurement, wc = _read_instance(cfg["in_path"], kind, "solve")
+    try:
+        w, measurement, wc = _read_instance(cfg["in_path"], kind, "solve")
+    except EmptySubspace:
+        if kind != "MEASUREMENT":
+            raise
+        # a valid measurement with no eigenvalue-1 direction accepts every
+        # state with probability at most its largest eigenvalue, below 1
+        cfg["input_kind"] = kind
+        m = read_measurement(cfg["in_path"]).matrix
+        top = float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
+        result = {"target": _target(cfg["eps"]),
+                  "note": f"the measurement accepts no state with probability 1: "
+                          f"its largest eigenvalue is {top!r}",
+                  "certificate": {"kind": "spectral", "margin": 1.0 - top}}
+        return "FAIL", result, {"meets_target": False}
     cfg["input_kind"] = kind
 
     # the lift's relative residual is sqrt(2 (1 - q)) at real quality q, so
@@ -320,7 +339,7 @@ def _cmd_solve(cfg):
         checks["acceptance"] = record.acceptance
         checks["acceptance_floor"] = record.acceptance_floor
     if wc is not None:
-        lift = lift_real_solution(cand, wc)
+        lift = lift_real_solution(cand, wc, w)
         scale = float(np.linalg.norm(np.outer(lift.u, np.conj(lift.v))))
         result["lift"] = {
             "x_real": [[float(v) for v in row] for row in lift.x.real],
@@ -389,7 +408,7 @@ def _cmd_check(cfg):
     w, measurement, wc = _read_instance(cfg["instance"], kind, "check against")
     candidate = RankOneCandidate(u0, v0, 0.0)
     try:
-        lift = lift_real_solution(candidate, wc) if wc is not None else None
+        lift = lift_real_solution(candidate, wc, w) if wc is not None else None
         record = verify_candidate(candidate, w, measurement)
     except ZeroCandidate as err:
         # a zero candidate is a malformed file, not an exhausted search

@@ -71,10 +71,17 @@ used; a pass of the desk corpus meets 16.  Sharing it is sound: its
 arrays are read-only and hold no coefficient, no value of W and no
 result, and every number (each weight and Gram sum, each eigh and svd,
 each rank cut) is computed afresh on every call, from the same operands
-in the same order, so a solve gives the same bits warm or cold.  Level 2
-is not kept: its layout follows the null widths of level 1, which rank
-cuts on numbers decide.  A problem built by hand has no key, and its
-set-up is built for the one call.
+in the same order, so a solve gives the same bits warm or cold.  The
+layout of level 2 (its groups, the columns of N1 and the blocks of
+M = L2 N1) follows the pattern and the null count of each level-1
+block, which rank cuts on numbers decide.  So the entry keeps one level-2
+layout per null-count signature, keyed by the counts' bytes, the last
+`_LEVEL2_CACHE_SIZE` = 4 used; a pass of the desk corpus meets 19
+signatures over its 16 patterns, at most 2 on one.  Sharing it is sound
+for the same reasons: the pattern and the counts fix every index in it,
+and N1's entries, M and every number of level 2 are computed on each
+call.  A problem built by hand has no key, and its set-up is built for
+the one call.
 
 Infeasibility is decided only on a checked certificate, of one of two
 kinds.  A `linear` one is found at set-up: the two levels also give a
@@ -123,6 +130,7 @@ it and the memory starts afresh.
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -149,6 +157,9 @@ _ROUNDING = 1e-9
 # sparsity patterns whose set-up `_pattern` keeps, least recently used out
 # first; a pass of the desk corpus meets 16
 _PATTERN_CACHE_SIZE = 32
+# level-2 layouts that each pattern's `_Level1` keeps, least recently used
+# out first, one per null-count signature; the desk corpus meets at most 2
+_LEVEL2_CACHE_SIZE = 4
 
 
 class CompressedRows(NamedTuple):
@@ -316,7 +327,8 @@ class _Pattern:
 
         labels, invariant: the sign classes and the class-0 moments;
         level1: the pattern half of `_AffineGeometry` on the class-0
-            columns;
+            columns, which keeps the level-2 layout (`_Level2`) of each
+            null-count signature it has met, up to `_LEVEL2_CACHE_SIZE`;
         block_map: the `_BlockMap`;
         ideal: the ideal rows of `_face_basis`.
 
@@ -412,10 +424,12 @@ def moment_bound(problem: SdpProblem) -> float:
     covered = set()
     for q in problem.constraints:
         const = q[0]
+        if not const:
+            continue
         terms = np.flatnonzero(q[1:]) + 1
         exps = index.exponents[terms]
         squares = (q[terms] == -const) & (index.degrees[terms] == 2) & (exps.max(axis=1) == 2)
-        if const and squares.all():
+        if squares.all():
             covered.update(exps.argmax(axis=1).tolist())
     return 1.0 if len(covered) == index.num_vars else np.inf
 
@@ -723,7 +737,13 @@ class _Level1:
     it.  They run column by column of i (the entries of L1 in `by_col`
     order), filling one row of the Gram matrix at a time; row r of L1
     starts at entry ptr1[r].  The pair arrays grow with the squares of
-    the row lengths, so each set-up builds them afresh from these."""
+    the row lengths, so each set-up builds them afresh from these.
+
+    `level2(nulls)` gives the `_Level2` layout for the null count of each
+    block, kept in `level2s` by the counts' bytes, the last
+    `_LEVEL2_CACHE_SIZE` used.  The counts and the pattern fix every index
+    of level 2, so a layout serves every problem that meets them; its
+    arrays are read-only and linear in p and the entries of L."""
 
     def __init__(self, lmat: CompressedRows, columns: np.ndarray, degrees: np.ndarray):
         sliced, kept = _column_slice(lmat, columns)
@@ -760,15 +780,107 @@ class _Level1:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 _frozen(value)
+        self.level2s = collections.OrderedDict()
+
+    def level2(self, nulls: list) -> _Level2:
+        """The `_Level2` layout for the null count of each level-1 block,
+        in block order: built at its first use and kept among the last
+        `_LEVEL2_CACHE_SIZE` used, keyed by the counts' bytes."""
+        key = np.array(nulls, dtype=np.int32).tobytes()
+        found = self.level2s.get(key)
+        if found is None:
+            found = self.level2s[key] = _Level2(self, nulls)
+            if len(self.level2s) > _LEVEL2_CACHE_SIZE:
+                self.level2s.popitem(last=False)
+        else:
+            self.level2s.move_to_end(key)
+        return found
+
+
+class _Level2:
+    """What `_AffineGeometry` reads of level 2 that a `_Level1` layout and
+    the null count of each level-1 block fix: everything of level 2 but
+    its numbers, its N1 entries and its pairs of entries.
+
+    N1 has `width[c]` columns at column c of L: the null count of its
+    block at the block's label, 1 at a free column and 0 elsewhere, and
+    the `columns` in all.  The rows of L2 join the blocks with null
+    vectors (`keep` marks the entries of L2 on their columns) into
+    groups; the columns of N1 run over the blocks that rows of L2 touch,
+    group by group, then over the rest.  A block starts at column
+    offset[label] of N1, the linked blocks fill the first `head`, and
+    group k spans columns spans[k]:spans[k + 1].  Row c of N1, in
+    compressed rows, starts at entry n1_ptr[c]; a free column's one entry
+    sits at `free_at`, in column `free_col`.
+
+    M = L2 N1 has one dense block per group, of shape[k] columns: rows
+    order[row_bounds[k]:row_bounds[k + 1]] of L2, flattened row-major
+    at m_flat[base[k]:base[k + 1]], where kept entry e of L2, in column
+    col2[e] of L, adds its products to the row at m_row[e].  The free columns of L split into
+    the linked ones, `linked_free` at their N1 columns
+    `linked_free_col`, and the rest, `other_free` at `other_free_col`,
+    columns of N1 that V2 leaves alone.  Every array is read-only and
+    linear in the size of the pattern."""
+
+    def __init__(self, layout: _Level1, nulls: list):
+        p = layout.shape[1]
+        label, free = layout.label, layout.free
+        rows2, row2, col2 = layout.rows2, layout.row2, layout.col2
+        width = free.astype(np.int64)
+        width[layout.cols[layout.bounds[:-1]]] = nulls
+        self.columns = int(width.sum())
+
+        # The groups: blocks with null vectors, joined by the rows of L2
+        # (the columns of other blocks drop out of L2 N1).
+        unit = np.where(width[label] > 0, label, -1)[col2]
+        keep = self.keep = unit >= 0
+        indptr = np.zeros(rows2.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row2[keep], minlength=rows2.size), out=indptr[1:])
+        group = _column_components(indptr, unit[keep], p)
+        linked = np.zeros(p, dtype=bool)
+        linked[unit[keep]] = True
+        units = np.flatnonzero(width)
+        units = units[np.lexsort((units, group[units], ~linked[units]))]
+        offset = self.offset = np.zeros(p, dtype=np.int64)
+        offset[units] = np.cumsum(width[units]) - width[units]
+        head = self.head = int(width[linked].sum())
+        self.spans = _runs(np.repeat(group[units], width[units])[:head])
+        n1_ptr = self.n1_ptr = np.zeros(p + 1, dtype=np.int64)
+        np.cumsum(width[label], out=n1_ptr[1:])
+        self.free_at, self.free_col = n1_ptr[:-1][free], offset[free]
+
+        row_group = np.full(rows2.size, -1)
+        row_group[row2[keep]] = group[unit[keep]]
+        order = np.argsort(row_group, kind="stable")
+        order = self.order = order[row_group[order] >= 0]
+        row_bounds = self.row_bounds = _runs(row_group[order])
+        shape = self.shape = np.diff(self.spans)
+        height = np.diff(row_bounds)
+        base = self.base = np.concatenate([[0], np.cumsum(height * shape)])
+        # entry (i, j) of M sits at m_flat[at_row[i] + j]
+        at_row = np.zeros(rows2.size, dtype=np.int64)
+        at_row[order] = (np.repeat(base[:-1] - row_bounds[:-1] * shape - self.spans[:-1], height)
+                         + np.arange(order.size) * np.repeat(shape, height))
+        self.m_row = at_row[row2[keep]]
+        self.col2 = col2[keep]
+
+        fr = np.flatnonzero(free)
+        linked_fr = offset[fr] < head
+        self.linked_free, self.other_free = fr[linked_fr], fr[~linked_fr]
+        self.linked_free_col = offset[self.linked_free]
+        self.other_free_col = offset[self.other_free]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                _frozen(value)
 
 
 class _AffineGeometry:
     """The solution set of L y = b as y_particular + range(null_basis),
     and the equality Farkas vector `farkas`, in two levels that each take
     one eigh per connected block, for the L whose entries are `data` on
-    the columns of `layout`, a `_Level1`.  The layout is shared by the
-    problems of one pattern; everything numeric, and all of level 2, is
-    built here.
+    the columns of `layout`, a `_Level1`.  The layout, and the level-2
+    layout it keeps per null-count signature, are shared by the problems
+    of one pattern; everything numeric is built here.
 
     Level 1 takes the homogeneous rows L1, whose entries all sit on
     monomials of one total degree.  The eigh of each block of L1^T L1
@@ -780,8 +892,10 @@ class _AffineGeometry:
     M^T M gives its null basis V2 and t = M^+ (b2 - L2 y1).  Level 1 cuts
     at _RANK_EPS times its top eigenvalue, level 2 at _RANK_EPS times the
     top of both levels, each at least _RANK_EPS.  Level 2's layout hangs
-    on the null widths of level 1, which are numbers, so it is laid out
-    afresh on every call.
+    on the null count of each level-1 block, which rank cuts decide: it is
+    looked up by those counts (`_Level1.level2`), and every number of it
+    (N1's entries, M, each eigh, cut and solve) is computed here, in the
+    same order on every call.
 
     N = N1 V2 is orthonormal, and y_particular = y0 - N N^T y0, with
     y0 = y1 + N1 t, is the minimum-norm solution whenever L y = b is
@@ -795,7 +909,6 @@ class _AffineGeometry:
         p = layout.shape[1]
         rows1, row1, col1 = layout.rows1, layout.row1, layout.col1
         rows2, row2, col2 = layout.rows2, layout.row2, layout.col2
-        label, free = layout.label, layout.free
         b1, b2 = b[rows1], b[rows2]
         val1, val2 = data[layout.at1], data[layout.at2]
 
@@ -822,36 +935,20 @@ class _AffineGeometry:
         cut = _RANK_EPS * max(top, 1.0)
         ltb = np.bincount(col1, weights=val1 * b1[row1], minlength=p)
         y1 = np.zeros(p)
-        width = free.astype(np.int64)  # columns of N1: per block at its label, 1 per free column
+        nulls = []
         for k, (ix, vals, vecs) in enumerate(level1):
             null = int(np.searchsorted(vals, cut, side="right"))
             y1[ix] = _eigen_solve(vals[null:], vecs[:, null:], ltb[ix])
-            width[ix[0]] = null
+            nulls.append(null)
             level1[k] = (ix, vals[null:], vecs[:, null:], vecs[:, :null])
 
-        # The groups: blocks with null vectors, joined by the rows of L2
-        # (the columns of other blocks drop out of L2 N1).  The columns of
-        # N1 run over the blocks that rows of L2 touch, group by group,
-        # then over the rest.
-        unit = np.where(width[label] > 0, label, -1)[col2]
-        keep = unit >= 0
-        indptr = np.zeros(rows2.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row2[keep], minlength=rows2.size), out=indptr[1:])
-        group = _column_components(indptr, unit[keep], p)
-        linked = np.zeros(p, dtype=bool)
-        linked[unit[keep]] = True
-        units = np.flatnonzero(width)
-        units = units[np.lexsort((units, group[units], ~linked[units]))]
-        offset = np.zeros(p, dtype=np.int64)
-        offset[units] = np.cumsum(width[units]) - width[units]
-        head = int(width[linked].sum())
-        spans = _runs(np.repeat(group[units], width[units])[:head])
-        # N1 in compressed rows, one row per column of L
-        n1_ptr = np.zeros(p + 1, dtype=np.int64)
-        np.cumsum(width[label], out=n1_ptr[1:])
+        # N1 in compressed rows, one row per column of L, its columns laid
+        # out by level 2's layout for these null counts (see `_Level2`)
+        layout2 = layout.level2(nulls)
+        n1_ptr, offset, spans, head = layout2.n1_ptr, layout2.offset, layout2.spans, layout2.head
         n1_col = np.zeros(n1_ptr[-1], dtype=np.int64)
         n1_val = np.ones(n1_ptr[-1])
-        n1_col[n1_ptr[:-1][free]] = offset[free]
+        n1_col[layout2.free_at] = layout2.free_col
         for ix, _, _, vecs in level1:
             pos = n1_ptr[ix][:, None] + np.arange(vecs.shape[1])
             n1_col[pos] = offset[ix[0]] + np.arange(vecs.shape[1])
@@ -860,21 +957,11 @@ class _AffineGeometry:
 
         # Level 2: M = L2 N1, one dense block per group, each entry summed
         # over the row of L2 in order.
-        row_group = np.full(rows2.size, -1)
-        row_group[row2[keep]] = group[unit[keep]]
-        order = np.argsort(row_group, kind="stable")
-        order = order[row_group[order] >= 0]
-        row_bounds = _runs(row_group[order])
-        shape = np.diff(spans)
-        height = np.diff(row_bounds)
-        base = np.concatenate([[0], np.cumsum(height * shape)])
-        # entry (i, j) of M sits at m_flat[at_row[i] + j]
-        at_row = np.zeros(rows2.size, dtype=np.int64)
-        at_row[order] = (np.repeat(base[:-1] - row_bounds[:-1] * shape - spans[:-1], height)
-                         + np.arange(order.size) * np.repeat(shape, height))
-        pos, repeats = _entries(n1_ptr, col2[keep])
-        m_flat = np.bincount(np.repeat(at_row[row2[keep]], repeats) + n1_col[pos],
-                             weights=np.repeat(val2[keep], repeats) * n1_val[pos],
+        order, row_bounds = layout2.order, layout2.row_bounds
+        shape, base = layout2.shape, layout2.base
+        pos, repeats = _entries(n1_ptr, layout2.col2)
+        m_flat = np.bincount(np.repeat(layout2.m_row, repeats) + n1_col[pos],
+                             weights=np.repeat(val2[layout2.keep], repeats) * n1_val[pos],
                              minlength=base[-1])
         rhs2 = b2 - np.bincount(row2, weights=val2 * y1[col2], minlength=rows2.size)
         level2 = []
@@ -884,7 +971,7 @@ class _AffineGeometry:
             top = max(top, float(vals[-1]))
             level2.append((vals, vecs, part.T @ rhs2[order[row_bounds[k]:row_bounds[k + 1]]]))
         cut = _RANK_EPS * max(top, 1.0)
-        t = np.zeros(int(width.sum()))
+        t = np.zeros(layout2.columns)
         v2_parts = []
         self._level2 = []
         for k, ((vals, vecs, rhs), start, stop) in enumerate(zip(level2, spans[:-1], spans[1:])):
@@ -905,10 +992,8 @@ class _AffineGeometry:
             v2[start:stop, lo:hi] = v
         shift = ends[-1] - head
         self.null_basis = np.zeros((p, t.size + shift))
-        fr = np.flatnonzero(free)
-        linked_fr = offset[fr] < head
-        self.null_basis[fr[linked_fr], :ends[-1]] = v2[offset[fr[linked_fr]]]
-        self.null_basis[fr[~linked_fr], shift + offset[fr[~linked_fr]]] = 1.0
+        self.null_basis[layout2.linked_free, :ends[-1]] = v2[layout2.linked_free_col]
+        self.null_basis[layout2.other_free, shift + layout2.other_free_col] = 1.0
         for ix, _, _, vecs in level1:
             start, stop = offset[ix[0]], offset[ix[0]] + vecs.shape[1]
             if start >= head:

@@ -1309,7 +1309,7 @@ def test_lift_recovers_planted_product():
     wc, x, y = complex_planted(2, 1, seed=2)
     u0 = np.concatenate([x.real, x.imag])
     v0 = np.concatenate([y.real, y.imag])
-    res = lift_real_solution(RankOneCandidate(u0, v0, 1.0), wc)
+    res = lift_real_solution(RankOneCandidate(u0, v0, 1.0), wc, reduce_complex_to_real(wc))
     target = np.outer(x, np.conj(y))
     assert np.linalg.norm(res.x - target) < 1e-10
     assert res.residual < 1e-10
@@ -1323,7 +1323,7 @@ def test_solve_complex_round_trip():
     w = reduce_complex_to_real(wc)
     cand, report = solve_bss(w, 0.3, degree=6)
     assert report.status == "candidate"
-    res = lift_real_solution(cand, wc)
+    res = lift_real_solution(cand, wc, w)
     scale = np.linalg.norm(np.outer(res.u, np.conj(res.v)))
     assert res.residual <= 0.3 * scale
     assert np.linalg.norm(wc.project(res.x) - res.x) < 1e-8
@@ -1338,9 +1338,10 @@ def test_lift_residual_is_fixed_by_the_real_quality():
     for dim_w in (1, 2, 3):
         for seed in range(6):
             wc = complex_planted(2, dim_w, seed)[0]
+            lifted = reduce_complex_to_real(wc)
             for _ in range(200):
                 u0, v0 = rng.standard_normal(4), rng.standard_normal(4)
-                res = lift_real_solution(RankOneCandidate(u0, v0, 0.0), wc)
+                res = lift_real_solution(RankOneCandidate(u0, v0, 0.0), wc, lifted)
                 scale = np.linalg.norm(res.u) * np.linalg.norm(res.v)
                 assert res.residual / scale == pytest.approx(
                     np.sqrt(2.0 * (1.0 - res.quality_real)), rel=1e-9, abs=1e-12)
@@ -1352,7 +1353,7 @@ def test_lift_bound_chain():
     rng = np.random.default_rng(7)
     u0 = np.concatenate([x.real, x.imag]) + 0.1 * rng.standard_normal(4)
     v0 = np.concatenate([y.real, y.imag]) + 0.1 * rng.standard_normal(4)
-    res = lift_real_solution(RankOneCandidate(u0, v0, 0.9), wc)
+    res = lift_real_solution(RankOneCandidate(u0, v0, 0.9), wc, reduce_complex_to_real(wc))
     assert res.residual <= res.bound + 1e-10
     assert res.bound <= sum(res.block_residuals) + 1e-10
 
@@ -1362,16 +1363,17 @@ def test_lift_keeps_real_data_real():
     wc = ComplexSubspace(2, ((c, np.zeros((2, 2))),))
     u0 = np.array([1.0, 0.0, 0.0, 0.0])
     v0 = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
-    res = lift_real_solution(RankOneCandidate(u0, v0, 1.0), wc)
+    res = lift_real_solution(RankOneCandidate(u0, v0, 1.0), wc, reduce_complex_to_real(wc))
     assert np.linalg.norm(res.x.imag) == 0.0
 
 
 def test_lift_rejects_mismatched_blocks():
     wc, _, _ = complex_planted(2, 1, seed=0)
+    lifted = reduce_complex_to_real(wc)
     with pytest.raises(DimensionMismatch):
-        lift_real_solution(RankOneCandidate(np.ones(3), np.ones(3), 1.0), wc)
+        lift_real_solution(RankOneCandidate(np.ones(3), np.ones(3), 1.0), wc, lifted)
     with pytest.raises(ZeroCandidate):
-        lift_real_solution(RankOneCandidate(np.zeros(4), np.ones(4), 0.0), wc)
+        lift_real_solution(RankOneCandidate(np.zeros(4), np.ones(4), 0.0), wc, lifted)
 
 
 # ------------------------------------------------------------ generators

@@ -32,6 +32,7 @@ from rankone.cli import (
     write_candidate,
 )
 from rankone.errors import DimensionMismatch, IllFormed
+from rankone.linalg import write_blocks
 from rankone.rectangle import FactorMatrix, find_rectangle, write_factors
 
 
@@ -207,6 +208,45 @@ def test_solve_measurement_searches_the_eigenvalue_one_space(tmp_path, capsys):
     assert (code, report["status"]) == (1, "FAIL")
     assert report["result"]["certificate"]["kind"] == "linear"
     assert report["result"]["certificate"]["margin"] > 0
+
+
+def test_a_no_measurement_is_refused_by_its_largest_eigenvalue(tmp_path, capsys):
+    """M = Q diag(0.1 ... 0.7) Q^T at n = 3 accepts every state with
+    probability at most 0.7, so no state with probability 1: `solve`
+    refuses it (FAIL, exit 1) with a spectral certificate of margin
+    1 - lambda_max, and the note names lambda_max.  `check` still
+    rejects the file as input, with no subspace to check against."""
+    q, _ = np.linalg.qr(np.random.default_rng(17).standard_normal((9, 9)))
+    m = q @ np.diag(np.linspace(0.1, 0.7, 9)) @ q.T
+    m = 0.5 * (m + m.T)
+    path = tmp_path / "m.txt"
+    write_measurement(path, MeasurementOperator(m))
+    code, report, _ = run_cli(capsys, "solve", str(path), "--eps", "0.25")
+    top = float(np.linalg.eigvalsh(m)[-1])
+    assert (code, report["status"]) == (1, "FAIL")
+    assert report["config"]["input_kind"] == "MEASUREMENT"
+    assert report["result"]["certificate"] == {"kind": "spectral", "margin": 1.0 - top}
+    assert report["result"]["certificate"]["margin"] == pytest.approx(0.3)
+    assert repr(top) in report["result"]["note"]
+    assert report["checks"] == {"meets_target": False}
+    cand = tmp_path / "c.txt"
+    write_candidate(cand, np.eye(3)[0], np.eye(3)[0])
+    code, check, _ = run_cli(capsys, "check", str(path), str(cand))
+    assert (code, check["error"]["type"]) == (2, "EmptySubspace")
+
+
+@pytest.mark.parametrize("matrix, error", [
+    (np.triu(np.full((4, 4), 0.2)), "NotSymmetric"),
+    (np.diag([1.0, 0.5, 0.2, -0.1]), "NotPSD"),
+    (np.diag([1.5, 0.5, 0.2, 0.1]), "NotPSD")],
+    ids=["not-symmetric", "not-psd", "eigenvalue-above-one"])
+def test_a_malformed_measurement_is_an_input_error(tmp_path, capsys, matrix, error):
+    """A MEASUREMENT file whose matrix is no measurement exits 2 from
+    `solve`, with no eigenvalue below 1 taken for a refusal."""
+    path = tmp_path / "m.txt"
+    write_blocks(path, "MEASUREMENT 2", [matrix])
+    code, report, _ = run_cli(capsys, "solve", str(path), "--eps", "0.25")
+    assert (code, report["status"], report["error"]["type"]) == (2, "ERROR", error)
 
 
 def test_solve_far_instance_reports_fail(tmp_path, capsys):
@@ -665,9 +705,9 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, line", [
-    ("solve", "eps = abc"), ("solve", "tol = abc"), ("solve", "degree = 6.0"),
-    ("solve", "seed = 1.5"), ("check", "eps = abc"), ("gen", "n = 2.0"),
-    ("rectangle", "restarts = x"), ("rectangle", "growth = 0.5")])
+    ("solve", "eps = abc"), ("solve", "degree = 6.0"), ("check", "eps = abc"),
+    ("gen", "n = 2.0"), ("gen", "dim_w = 2.5"), ("rectangle", "restarts = x"),
+    ("rectangle", "seed = 1.5"), ("rectangle", "growth = 0.5")])
 def test_config_values_are_typed_by_their_flags(tmp_path, capsys, command, line):
     """A config value its flag's type rejects, or a key that is no flag,
     is an input error that names the key."""

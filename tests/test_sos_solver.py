@@ -19,7 +19,7 @@ from instances import tiles_complement
 from moment_tables import dense_poly, root_tables
 from rankone import sos_solver
 from rankone.bss import (_structure_trials, complex_planted, planted_yes, random_no,
-                         reduce_complex_to_real, solve_bss)
+                         reduce_complex_to_real, solve_bss, subspace_from_matrices)
 from rankone.cli import _uncertified_subspace
 from rankone.errors import DegreeTooSmall, IllFormed
 from rankone.pseudodist import MonomialIndex, monomial_index, validate
@@ -1376,24 +1376,81 @@ def cache_cases():
     return cases
 
 
+def geometry_record(problem):
+    """The bytes of the problem's two-level geometry, built on its
+    pattern's level-1 layout as a solve builds it: the null basis, the
+    particular point, the Farkas vector and the multipliers of a seeded
+    t."""
+    layout = sos_solver._pattern_of(problem).level1
+    geo = _AffineGeometry(problem.lmat.data, problem.rhs, layout)
+    t = np.random.default_rng(38).standard_normal(layout.shape[1])
+    return tuple(a.tobytes() for a in (geo.null_basis, geo.y_particular, geo.farkas,
+                                       geo.multipliers(t)))
+
+
+def level2_layouts(problem):
+    """The level-2 layouts that the problem's pattern entry holds, by key."""
+    return dict(sos_solver._pattern_of(problem).level1.level2s)
+
+
 def test_cached_set_up_changes_no_solve():
     """Each problem solves to the same bytes from an empty pattern cache
-    (cold), from its own entry (warm, with no new entry built) and after
-    its entry was evicted (built again): moments, report fields and
-    certificate multipliers and factors."""
+    (cold), from its own entry (warm, with no new entry and no new level-2
+    layout built) and after its entry was evicted (built again): moments,
+    report fields and certificate multipliers and factors, and the null
+    basis, particular point, Farkas vector and multipliers of its
+    geometry."""
     statuses = set()
     for build, limit in cache_cases():
         sos_solver._pattern.cache_clear()
         problem = build()
-        cold = solve_record(problem, limit)
+        cold = solve_record(problem, limit), geometry_record(problem)
         misses = sos_solver._pattern.cache_info().misses
-        assert solve_record(build(), limit) == cold
+        layouts = level2_layouts(problem)
+        assert len(layouts) == 1
+        assert (solve_record(build(), limit), geometry_record(build())) == cold
         assert sos_solver._pattern.cache_info().misses == misses
+        assert level2_layouts(build()) == layouts
         fill_pattern_cache()
-        assert solve_record(build(), limit) == cold
+        assert (solve_record(build(), limit), geometry_record(build())) == cold
         assert sos_solver._pattern.cache_info().misses == misses + sos_solver._PATTERN_CACHE_SIZE + 2
-        statuses.add(cold[0])
+        assert level2_layouts(build()).keys() == layouts.keys()
+        statuses.add(cold[0][0])
     assert statuses == {"feasible", "infeasible"}
+
+
+def test_one_pattern_keeps_a_level2_layout_per_null_signature():
+    """At degree 4, planted_yes(2, 1, 0) and a Gaussian W of the same n
+    and dim share a pattern, but level 1 leaves them different null
+    counts, so level 2 has one group for the plant and four for W, which
+    is refused.  Solved alternately, each warm solve picks its own
+    layout from the one entry and gives its cold bytes; after other
+    signatures push both layouts out of the bounded store, each is built
+    again to the same bytes."""
+    sos_solver._pattern.cache_clear()
+    plant = build_bss_problem(planted_yes(2, 1, 0)[0], 4)
+    gaussian = build_bss_problem(subspace_from_matrices(
+        [np.random.default_rng(38).standard_normal((2, 2))], ambient=2), 4)
+    assert plant.pattern == gaussian.pattern
+    problems = (plant, gaussian)
+    cold = [(solve_record(p, 3000), geometry_record(p)) for p in problems]
+    assert [record[0][0] for record in cold] == ["feasible", "infeasible"]
+    layout1 = sos_solver._pattern_of(plant).level1
+    layouts = dict(layout1.level2s)
+    assert sorted(layout.shape.size for layout in layouts.values()) == [1, 4]
+    for evict in (False, False, True):
+        if evict:
+            # blocks of sizes 1 and 9: null counts (0, k) for k >= 2 are
+            # signatures neither problem has
+            assert layout1.size.tolist() == [1, 9]
+            for k in range(2, 2 + sos_solver._LEVEL2_CACHE_SIZE):
+                layout1.level2([0, k])
+            assert not layouts.keys() & layout1.level2s.keys()
+        for i in (0, 1, 0, 1):
+            assert (solve_record(problems[i], 3000), geometry_record(problems[i])) == cold[i]
+        assert sos_solver._pattern_of(plant).level1 is layout1
+        assert len(layout1.level2s) <= sos_solver._LEVEL2_CACHE_SIZE
+        assert (dict(layout1.level2s) == layouts) != evict
 
 
 def test_complements_of_one_dimension_get_their_own_entries():
@@ -1448,7 +1505,9 @@ def test_pattern_cache_is_read_only_and_bounded():
         entry = sos_solver._pattern(problem.pattern)
         parts = (entry.labels, entry.invariant, entry.level1, entry.block_map, entry.ideal)
         arrays = list(arrays_in((entry, parts, problem.lmat.indptr, problem.lmat.indices)))
-        assert len(arrays) > 25
+        (level2,) = entry.level1.level2s.values()
+        assert {id(a) for a in arrays_in(level2)} <= {id(a) for a in arrays}
+        assert len(arrays) > 40
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -1456,3 +1515,29 @@ def test_pattern_cache_is_read_only_and_bounded():
     fill_pattern_cache()
     info = sos_solver._pattern.cache_info()
     assert info.maxsize == info.currsize == sos_solver._PATTERN_CACHE_SIZE
+
+
+# at most this many bytes per stored entry of L and per moment, over all
+# arrays an entry holds, and over its level-2 layouts alone: the plants
+# and refusals of the oracle read at most 4.8 * 8 and 0.8 * 8.  Keeping
+# level 1's pair arrays adds 2.4-5.6 * 8 at p = 210-3003, and keeping
+# N1's columns and rows adds 1.2-1.6 * 8 to the layouts at p = 210 and 495.
+ENTRY_BYTES = 6 * 8
+LEVEL2_BYTES = 1 * 8
+
+
+def test_pattern_cache_holds_memory_linear_in_the_pattern():
+    """After the plants and refusals of the oracle solve, each pattern
+    entry holds arrays of at most ENTRY_BYTES per moment and stored entry
+    of L, and its level-2 layouts at most LEVEL2_BYTES: nothing that grows
+    with N1's entries or with pairs of entries of L.  The monomial table
+    is not counted: `monomial_index` keeps it for every caller."""
+    for build, limit in cache_cases()[2 * len(EQUIVALENCE_SEEDS):]:
+        sos_solver._pattern.cache_clear()
+        problem = build()
+        solve_feasibility(problem, iter_limit=limit)
+        entry = sos_solver._pattern(problem.pattern)
+        size = problem.index.size + problem.lmat.indices.size
+        held = arrays_in(entry, {id(problem.index)})
+        assert sum(a.nbytes for a in held) <= ENTRY_BYTES * size
+        assert sum(a.nbytes for a in arrays_in(entry.level1.level2s)) <= LEVEL2_BYTES * size
