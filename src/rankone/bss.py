@@ -41,7 +41,7 @@ from .errors import (
     ZeroCandidate,
 )
 from .linalg import BlockReader, gram_schmidt, write_blocks
-from .pseudodist import PseudoDistribution, moment_block
+from .pseudodist import PseudoDistribution, _frozen, moment_block
 from .sos_solver import Certificate, build_bss_problem, solve_feasibility
 from .structure import first_moments, run_structure_2d
 
@@ -94,7 +94,7 @@ class SubspaceBasis:
                     f"basis matrix shape {b.shape} does not match ambient {n}")
             if not np.all(np.isfinite(b)):
                 raise IllFormed("basis matrix has non-finite entries")
-        rows = self.matrix_rows()
+        rows = self._rows
         gram = rows @ rows.T
         if gram.size and float(np.abs(gram - np.eye(len(self.basis))).max()) > _ORTHO_TOL:
             raise IllFormed("basis matrices are not orthonormal within 1e-10")
@@ -103,21 +103,34 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrix_rows(self) -> np.ndarray:
-        return np.array([b.reshape(-1) for b in self.basis]).reshape(
-            len(self.basis), self.ambient * self.ambient)
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        return _frozen(np.array([b.reshape(-1) for b in self.basis]).reshape(
+            len(self.basis), self.ambient * self.ambient))
 
-    def complement_matrices(self) -> tuple:
-        """Orthonormal basis of the Frobenius-orthogonal complement."""
+    @functools.cached_property
+    def complement_rows(self) -> np.ndarray:
+        """Orthonormal basis of the Frobenius-orthogonal complement, the
+        matrices flattened one per row: one SVD per basis, read-only."""
         n = self.ambient
         if not self.basis:
-            return tuple(np.eye(n * n)[i].reshape(n, n) for i in range(n * n))
-        _, _, vh = np.linalg.svd(self.matrix_rows(), full_matrices=True)
-        return tuple(row.reshape(n, n) for row in vh[len(self.basis):])
+            return _frozen(np.eye(n * n))
+        _, _, vh = np.linalg.svd(self._rows, full_matrices=True)
+        return _frozen(vh[len(self.basis):])
+
+    def matrix_rows(self) -> np.ndarray:
+        """The basis matrices flattened, one per row: built once per
+        basis, read-only."""
+        return self._rows
+
+    def complement_matrices(self) -> tuple:
+        """`complement_rows` as n x n matrices."""
+        n = self.ambient
+        return tuple(row.reshape(n, n) for row in self.complement_rows)
 
     def project(self, mat: np.ndarray) -> np.ndarray:
         """Orthogonal projection of an n x n matrix onto the span."""
-        rows = self.matrix_rows()
+        rows = self._rows
         coefs = rows @ np.asarray(mat, dtype=float).reshape(-1)
         return (rows.T @ coefs).reshape(self.ambient, self.ambient)
 
@@ -337,13 +350,14 @@ def solve_bss(w: SubspaceBasis, eps: float, degree: int = DEFAULT_DEGREE):
     Each rung refuses on a certificate or returns the spectral candidate
     (top cross-moment eigendirections, immune to sign and phase
     symmetry) when it reaches 1 - eps^2.  A rung need not wait for a
-    converged table: the solver offers the start's checked iterate first
-    (check 0, before any DR step), then its iterate at checks 1, 2, 4,
-    ..., and the rung stops at the first one whose spectral candidate
-    reaches 1 - eps^2, with solver status `rounded`.  Either way the
-    candidate is accepted on its own recomputed quality, so a certified
-    eps-far W can never be rounded.  A rung whose spectral candidates all
-    miss polishes each of them, best first, by alternating
+    converged table: the solver offers y_p, the least-norm solution of
+    the rung's equalities, first (check 0, before any cone set-up), then
+    its iterate at checks 1, 2, 4, ..., and the rung stops at the first
+    one whose spectral candidate reaches 1 - eps^2, with solver status
+    `rounded`.  Either way the candidate is accepted on its own
+    recomputed quality, so a certified eps-far W can never be rounded.
+    A rung whose spectral candidates all miss polishes each of them,
+    best first, by alternating
     top-eigenvector ascent (`_polish`), which never lowers a quality, and
     returns the first polished candidate that reaches 1 - eps^2, with no
     structure step; so `rung` may lie below `degree` because the polish
@@ -515,7 +529,7 @@ def verify_candidate(candidate: RankOneCandidate, w: SubspaceBasis,
     if total <= _ZERO_NORM ** 2:
         raise ZeroCandidate("candidate outer product has vanishing norm")
     quality = projected_quality(w, mat)
-    comp_rows = np.array([c.reshape(-1) for c in w.complement_matrices()])
+    comp_rows = w.complement_rows
     if comp_rows.size:
         comp_mass = float(np.linalg.norm(comp_rows @ mat.reshape(-1)) ** 2)
     else:

@@ -34,8 +34,9 @@ the solve at that rung ended is `result.solver_status`: `feasible` (a
 converged moment table, rounded and, on a spectral miss, polished by
 alternating ascent), `rounded` (stopped early at an iterate whose
 spectral candidate already meets 1 - eps^2; the solver offers the
-start's iterate at check 0, before any DR step, then its iterate at
-checks 1, 2, 4, ..., so `result.solver_iterations` may be 0),
+least-norm solution of the rung's equalities at check 0, before any
+cone set-up, then its iterate at checks 1, 2, 4, ..., so
+`result.solver_iterations` may be 0),
 `iter_limit` (the solver reached its iteration limit, and a polished
 candidate of the last iterate it offered meets 1 - eps^2) or
 `infeasible` (refused).  For a CSUBSPACE the real search aims at 1 - eps^2 / 2: the lift's relative

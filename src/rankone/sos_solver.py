@@ -108,14 +108,15 @@ Without a certificate DR runs until it finds a feasible point or reaches
 the iteration limit, reported as `iter_limit`.
 
 A caller that needs less than a feasible point may pass an `accept` hook.
-The hook sees the start first: at check 0, before any DR step, the
-checked iterate of the start c, the affine point nearest its PSD clip.
-Then, at each check where a conic try is due and the iterate is not yet
+The hook sees y_p first: at check 0, right after the linear-certificate
+test and before any cone set-up (no face basis, no face space, no dense
+N), so a run it stops there pays for level 1 and level 2 alone.  Then,
+at each check where a conic try is due and the iterate is not yet
 feasible (checks 1, 2, 4, 8, ... and the last), it sees that iterate
-before the try.  Each offered iterate meets L y = b but need not be PSD;
+before the try.  Each offered point meets L y = b but need not be PSD;
 when the hook accepts, the run stops with status `rounded`.  A refused
 offer at check 0 changes nothing, as the run starts from c either way.
-The rank-one search uses the hook to stop at the first iterate whose
+The rank-one search uses the hook to stop at the first point whose
 spectral candidate already verifies at its target quality.
 
 Every 10 iterations the current iterate is checked for feasibility.  Up
@@ -234,8 +235,8 @@ class SolverReport:
     or a `conic` one found at the check after `iterations` DR steps;
     `rounded` means the caller's `accept` hook took the iterate of the
     check after `iterations` DR steps, which need not be feasible, and
-    `rounded` with `iterations` 0 means it took the start's, offered at
-    check 0 before any DR step;
+    `rounded` with `iterations` 0 means it took y_p, the least-norm
+    solution of L y = b, offered at check 0 before any cone set-up;
     `iter_limit` means neither a certificate nor a feasible point within
     the budget.  `iterations` counts the steps of the run, not the plain
     steps that certificate tries take aside.  `max_constraint_residual`
@@ -245,7 +246,10 @@ class SolverReport:
     least-squares point.  `gap` is the distance between the DR sets at
     the last check, and the Anderson counts tell how many extrapolated DR
     steps the safeguard accepted and how many it replaced by the plain
-    step."""
+    step.  A check-0 report reads y_p alone: its residual is max
+    |L y_p - b|, `min_block_eigenvalue` the least eigenvalue of the
+    moment matrix M(y_p), `gap` the Frobenius distance of M(y_p) to the
+    PSD cone, and both Anderson counts 0."""
 
     status: str  # feasible | rounded | infeasible | iter_limit
     iterations: int
@@ -945,7 +949,7 @@ class _AffineGeometry:
         # N1 in compressed rows, one row per column of L, its columns laid
         # out by level 2's layout for these null counts (see `_Level2`)
         layout2 = layout.level2(nulls)
-        n1_ptr, offset, spans, head = layout2.n1_ptr, layout2.offset, layout2.spans, layout2.head
+        n1_ptr, offset, spans = layout2.n1_ptr, layout2.offset, layout2.spans
         n1_col = np.zeros(n1_ptr[-1], dtype=np.int64)
         n1_val = np.ones(n1_ptr[-1])
         n1_col[layout2.free_at] = layout2.free_col
@@ -982,27 +986,6 @@ class _AffineGeometry:
             self._level2.append((order[row_bounds[k]:row_bounds[k + 1]], part,
                                  vals[null:], vecs[:, null:], start, stop))
 
-        # N = N1 V2, with V2 block diagonal over the groups and the
-        # identity on the columns of N1 that no row of L2 touches.
-        ends = [0]
-        for v in v2_parts:
-            ends.append(ends[-1] + v.shape[1])
-        v2 = np.zeros((head, ends[-1]))
-        for v, start, stop, lo, hi in zip(v2_parts, spans[:-1], spans[1:], ends[:-1], ends[1:]):
-            v2[start:stop, lo:hi] = v
-        shift = ends[-1] - head
-        self.null_basis = np.zeros((p, t.size + shift))
-        self.null_basis[layout2.linked_free, :ends[-1]] = v2[layout2.linked_free_col]
-        self.null_basis[layout2.other_free, shift + layout2.other_free_col] = 1.0
-        for ix, _, _, vecs in level1:
-            start, stop = offset[ix[0]], offset[ix[0]] + vecs.shape[1]
-            if start >= head:
-                self.null_basis[ix, shift + start:shift + stop] = vecs
-            elif stop > start:
-                k = int(np.searchsorted(spans, start, side="right")) - 1
-                into = slice(ends[k], ends[k + 1])
-                self.null_basis[ix, into] = vecs @ v2[start:stop, into]
-
         y0 = y1 + np.bincount(n1_row, weights=n1_val * t[n1_col], minlength=p)
         coef = np.bincount(n1_col, weights=n1_val * y0[n1_row], minlength=t.size)
         for v, start, stop in zip(v2_parts, spans[:-1], spans[1:]):
@@ -1022,6 +1005,35 @@ class _AffineGeometry:
         self._level1 = [(ix, vals, vecs) for ix, vals, vecs, _ in level1]
         self._rows = (rows1, row1, col1, val1, rows2, row2, col2, val2)
         self._n1 = (n1_row, n1_col, n1_val, t.size)
+        self._nulls = (layout2, [(ix, vecs) for ix, _, _, vecs in level1], v2_parts)
+
+    @functools.cached_property
+    def null_basis(self) -> np.ndarray:
+        """N = N1 V2, dense p x r, with V2 block diagonal over the groups
+        and the identity on the columns of N1 that no row of L2 touches.
+        Built at its first read, by the face space or a certificate, so a
+        solve that check 0 decides never forms it."""
+        layout2, level1, v2_parts = self._nulls
+        offset, spans, head = layout2.offset, layout2.spans, layout2.head
+        ends = [0]
+        for v in v2_parts:
+            ends.append(ends[-1] + v.shape[1])
+        v2 = np.zeros((head, ends[-1]))
+        for v, start, stop, lo, hi in zip(v2_parts, spans[:-1], spans[1:], ends[:-1], ends[1:]):
+            v2[start:stop, lo:hi] = v
+        shift = ends[-1] - head
+        null = np.zeros((self.y_particular.size, self._n1[3] + shift))
+        null[layout2.linked_free, :ends[-1]] = v2[layout2.linked_free_col]
+        null[layout2.other_free, shift + layout2.other_free_col] = 1.0
+        for ix, vecs in level1:
+            start, stop = offset[ix[0]], offset[ix[0]] + vecs.shape[1]
+            if start >= head:
+                null[ix, shift + start:shift + stop] = vecs
+            elif stop > start:
+                k = int(np.searchsorted(spans, start, side="right")) - 1
+                into = slice(ends[k], ends[k + 1])
+                null[ix, into] = vecs @ v2[start:stop, into]
+        return null
 
     def multipliers(self, t: np.ndarray) -> np.ndarray:
         """lam, one per row of L, with L^T lam the least-squares fit of t,
@@ -1219,6 +1231,21 @@ def _check(space: _FaceSpace, geo: _AffineGeometry, s_cone: np.ndarray):
     return y_hat, space.min_eigenvalue(s_hat), geo.residual(y_hat), displacement, gap
 
 
+def _psd_distance(block_map: _BlockMap, y: np.ndarray):
+    """The least eigenvalue over the blocks of the moment matrix M(y) of
+    the invariant moments y, and the Frobenius distance of M(y) to the
+    PSD cone, from one stacked eigvalsh per block size."""
+    stacked = y[block_map.columns]
+    by_size = {}
+    start = 0
+    for m in block_map.sizes:
+        by_size.setdefault(m, []).append(stacked[start:start + m * m].reshape(m, m))
+        start += m * m
+    vals = np.concatenate([np.linalg.eigvalsh(np.array(mats)).reshape(-1)
+                           for mats in by_size.values()])
+    return float(vals.min()), float(np.linalg.norm(np.minimum(vals, 0.0)))
+
+
 def _try_conic(problem, labels, block_map, geo, space, base, z, bound):
     """A conic certificate from the displacement z at the last accepted
     iterate, else from the one after _PLAIN_STEPS plain DR steps taken
@@ -1255,15 +1282,17 @@ def solve_feasibility(problem: SdpProblem, iter_limit: int = DEFAULT_ITER_LIMIT,
 
     `accept(dist) -> bool`, when given, lets the caller stop on an
     iterate that is good enough for its purpose.  It is called first at
-    check 0, after set-up and before any DR step, on the start's checked
-    iterate, with no feasibility exit and no conic try there; then at the
+    check 0, after the linear-certificate test and before the face basis
+    and the face space are built, on y_p, the least-norm solution of
+    L y = b, with no feasibility exit and no conic try there; then at the
     checks where the iterate is not yet feasible and a conic certificate
     is due (checks 1, 2, 4, 8, ... and the last), before that try.  Each
-    time it gets the checked iterate as a distribution built like the
-    `feasible` one: it meets L y = b but need not be PSD.  When it
-    returns True the status is `rounded`, that distribution is returned,
-    and `iterations` is the iteration of that check, 0 at check 0.  A
-    run that never gets True returns what it returns with no hook.
+    time it gets the point as a distribution built like the `feasible`
+    one: it meets L y = b but need not be PSD.  When it returns True the
+    status is `rounded`, that distribution is returned, and `iterations`
+    is the iteration of that check, 0 at check 0, whose report reads
+    M(y_p) (see `SolverReport`).  A run that never gets True returns what
+    it returns with no hook.
     Raises IllFormed unless iter_limit >= 1.
     """
     if not iter_limit >= 1:
@@ -1286,18 +1315,18 @@ def solve_feasibility(problem: SdpProblem, iter_limit: int = DEFAULT_ITER_LIMIT,
                 max_constraint_residual=geo.residual(geo.y_particular),
                 min_block_eigenvalue=0.0, gap=np.inf, certificate=certificate)
     block_map = pattern.block_map
+    if accept is not None:
+        # check 0: y_p, offered before any cone set-up; the run never
+        # reads it, so a refused offer changes nothing
+        dist = _distribution(problem, invariant, geo.y_particular)
+        if accept(dist):
+            min_eig, gap = _psd_distance(block_map, geo.y_particular)
+            return dist, SolverReport(status="rounded", iterations=0,
+                                      max_constraint_residual=geo.residual(geo.y_particular),
+                                      min_block_eigenvalue=min_eig, gap=gap)
     space = _FaceSpace(block_map, _face_basis(pattern.ideal, problem.lmat.data), geo)
 
     x = space.c.copy()
-    if accept is not None:
-        # check 0: the start's checked iterate, offered before any DR step;
-        # the run never reads it, so a refused offer changes nothing
-        y_hat, min_eig, resid, _, gap = _check(space, geo, space.clip(x))
-        dist = _distribution(problem, invariant, y_hat)
-        if accept(dist):
-            return dist, SolverReport(status="rounded", iterations=0,
-                                      max_constraint_residual=resid,
-                                      min_block_eigenvalue=min_eig, gap=gap)
     if bound is None:
         bound = moment_bound(problem)
     accel = _Anderson(_ANDERSON_MEMORY, x.size)

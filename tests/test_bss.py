@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from instances import tiles_complement
 from moment_tables import atom_table, root_tables
-from rankone import bss, structure
+from rankone import bss, sos_solver, structure
 from rankone.bss import (
     ComplexSubspace,
     MeasurementOperator,
@@ -397,7 +397,7 @@ def test_degree_6_plants_reach_no_structure_trial(monkeypatch):
     with no structure step, and none enters the structure trials: a
     rung's spectral candidate or its polish decides them all.  No solve
     builds a rung above the one that decided, and the deciding rung's
-    candidate meets the bar.  29 solves decide at rung 4 only because
+    candidate meets the bar.  30 solves decide at rung 4 only because
     the polish lifts a spectral miss of its converged table to the bar."""
     monkeypatch.setattr(bss, "_structure_trials", no_trials)
     rungs = record_rungs(monkeypatch)
@@ -425,7 +425,28 @@ def test_degree_6_plants_reach_no_structure_trial(monkeypatch):
                     assert rep.structure_steps == 0, case
                     solves += 1
     assert solves == 176
-    assert lifts == [4] * 29
+    assert lifts == [4] * 30
+
+
+def test_sweep_plants_decide_before_any_cone_set_up(monkeypatch):
+    """Every planted_yes of the `sweep` corpus, planted_yes(2, 1..4, 1..4)
+    and planted_yes(3, 1..9, 1), meets 1 - eps^2 at eps 0.25 and top
+    degrees 4 and 6 with the face basis and the face space made to raise:
+    the rung-4 solver's check 0 takes y_p, so no solve builds the cone
+    geometry."""
+    def unbuilt(*args):
+        raise AssertionError("cone set-up built")
+    monkeypatch.setattr(sos_solver, "_face_basis", unbuilt)
+    monkeypatch.setattr(sos_solver, "_FaceSpace", unbuilt)
+    cases = [(2, dim, seed) for dim in range(1, 5) for seed in range(1, 5)]
+    cases += [(3, dim, 1) for dim in range(1, 10)]
+    for case in cases:
+        w = planted_yes(*case)[0]
+        for degree in (4, 6):
+            cand, rep = solve_bss(w, 0.25, degree=degree)
+            assert (rep.rung, rep.solver_status, rep.solver_iterations) == (4, "rounded", 0), case
+            assert rep.quality >= 1.0 - 0.25 ** 2, case
+            assert cand.quality == rep.quality
 
 
 def test_root_decision_changes_no_solve(monkeypatch):
@@ -469,45 +490,47 @@ def test_root_decision_changes_no_solve(monkeypatch):
     assert len(fired) >= 100, len(fired)
 
 
-# seeded degree-4 qualities: four plants whose converged table misses
-# the eps-0.25 bar ((4, 12, 2) hits at the solver's check 0), then
-# planted_yes(3, 5..8, 0..7) at eps 0.05
+# seeded degree-4 qualities, each the spectral quality of the table that
+# decides: four eps-0.25 plants, two whose converged table misses the bar
+# and two that hit at the solver's check 0 ((3, 6, 5) and (4, 12, 2)),
+# then planted_yes(3, 5..8, 0..7) at eps 0.05
 DEGREE_4_QUALITY = {
     (2, 2, 0, 0.25): 0.9264437896918637, (3, 6, 2, 0.25): 0.9259952657088197,
-    (3, 6, 5, 0.25): 0.9251678690557934, (4, 12, 2, 0.25): 0.9610587368824834,
+    (3, 6, 5, 0.25): 0.9734307466123184, (4, 12, 2, 0.25): 0.9773118690068417,
     (3, 5, 0, 0.05): 0.9798367894263882, (3, 5, 1, 0.05): 0.9937958552371888,
-    (3, 5, 2, 0.05): 0.9977952083601306, (3, 5, 3, 0.05): 0.9982295572914621,
+    (3, 5, 2, 0.05): 0.9978065646049689, (3, 5, 3, 0.05): 0.9982295572914621,
     (3, 5, 4, 0.05): 0.9951503273936209, (3, 5, 5, 0.05): 0.9770661092808289,
     (3, 5, 6, 0.05): 0.9929394377838578, (3, 5, 7, 0.05): 0.9916965099401346,
-    (3, 6, 0, 0.05): 0.9979209120204711, (3, 6, 1, 0.05): 0.9923278207791352,
+    (3, 6, 0, 0.05): 0.9824103048583344, (3, 6, 1, 0.05): 0.9923278207791352,
     (3, 6, 2, 0.05): 0.9259952657088197, (3, 6, 3, 0.05): 0.94508848877536,
     (3, 6, 4, 0.05): 0.9943127009297922, (3, 6, 5, 0.05): 0.9251678690557934,
     (3, 6, 6, 0.05): 0.9823426108781208, (3, 6, 7, 0.05): 0.9422514590941152,
-    (3, 7, 0, 0.05): 0.9985768526294695, (3, 7, 1, 0.05): 0.9786277074301293,
+    (3, 7, 0, 0.05): 0.9925252595854293, (3, 7, 1, 0.05): 0.9786277074301293,
     (3, 7, 2, 0.05): 0.995921553775727, (3, 7, 3, 0.05): 0.9885520699663344,
     (3, 7, 4, 0.05): 0.9699479551215852, (3, 7, 5, 0.05): 0.9899670495057682,
-    (3, 7, 6, 0.05): 0.9977980835770395, (3, 7, 7, 0.05): 0.9950837246824703,
-    (3, 8, 0, 0.05): 0.9978918891851783, (3, 8, 1, 0.05): 0.9973433715324631,
-    (3, 8, 2, 0.05): 0.9998100712447306, (3, 8, 3, 0.05): 0.9999627032186247,
-    (3, 8, 4, 0.05): 0.992292468442707, (3, 8, 5, 0.05): 0.9996225164039144,
-    (3, 8, 6, 0.05): 0.9997813775076576, (3, 8, 7, 0.05): 0.9997203429839266,
+    (3, 7, 6, 0.05): 0.9977980835770395, (3, 7, 7, 0.05): 0.9987636647663297,
+    (3, 8, 0, 0.05): 0.9967575000374268, (3, 8, 1, 0.05): 0.9973433715324631,
+    (3, 8, 2, 0.05): 0.9996960446493393, (3, 8, 3, 0.05): 0.9999947461071208,
+    (3, 8, 4, 0.05): 0.992292468442707, (3, 8, 5, 0.05): 0.9986540313636857,
+    (3, 8, 6, 0.05): 0.9996249239480055, (3, 8, 7, 0.05): 0.9997203429839266,
 }
 
-# the qualities that the polish lifts the 24 spectral misses of
+# the qualities that the polish lifts the 25 spectral misses of
 # DEGREE_4_QUALITY to
 DEGREE_4_POLISHED = {
     (2, 2, 0, 0.25): 0.9945507922994098, (3, 6, 2, 0.25): 0.9989964570943365,
-    (3, 6, 5, 0.25): 0.998435651567758, (3, 5, 0, 0.05): 0.9985245554783709,
-    (3, 5, 1, 0.05): 0.9987656812677538, (3, 5, 4, 0.05): 0.9979629236967351,
-    (3, 5, 5, 0.05): 0.9995476444174891, (3, 5, 6, 0.05): 0.999140689416559,
-    (3, 5, 7, 0.05): 0.9994684160271298, (3, 6, 1, 0.05): 0.9999999770081812,
+    (3, 5, 0, 0.05): 0.9985245554783709, (3, 5, 1, 0.05): 0.9987656812677538,
+    (3, 5, 4, 0.05): 0.9979629236967351, (3, 5, 5, 0.05): 0.9995476444174891,
+    (3, 5, 6, 0.05): 0.999140689416559, (3, 5, 7, 0.05): 0.9994684160271298,
+    (3, 6, 0, 0.05): 0.9994223080329693, (3, 6, 1, 0.05): 0.9999999770081812,
     (3, 6, 2, 0.05): 0.9989964570943365, (3, 6, 3, 0.05): 0.9998878974453431,
     (3, 6, 4, 0.05): 0.9999999950857876, (3, 6, 5, 0.05): 0.998435651567758,
     (3, 6, 6, 0.05): 0.9980879874757166, (3, 6, 7, 0.05): 0.9999294207134162,
-    (3, 7, 1, 0.05): 1.0, (3, 7, 2, 0.05): 1.0000000000000004,
-    (3, 7, 3, 0.05): 1.0000000000000002, (3, 7, 4, 0.05): 1.0000000000000004,
-    (3, 7, 5, 0.05): 0.9999999999999998, (3, 7, 7, 0.05): 0.9999999999999991,
-    (3, 8, 1, 0.05): 1.0000000000000002, (3, 8, 4, 0.05): 1.0000000000000004,
+    (3, 7, 0, 0.05): 1.0000000000000002, (3, 7, 1, 0.05): 1.0,
+    (3, 7, 2, 0.05): 1.0000000000000004, (3, 7, 3, 0.05): 1.0000000000000002,
+    (3, 7, 4, 0.05): 1.0000000000000004, (3, 7, 5, 0.05): 0.9999999999999998,
+    (3, 8, 0, 0.05): 1.0, (3, 8, 1, 0.05): 1.0000000000000002,
+    (3, 8, 4, 0.05): 1.0000000000000004,
 }
 
 
@@ -515,7 +538,7 @@ def test_degree_4_solve_runs_no_structure_trial(monkeypatch):
     """At top degree 4 `run_structure_2d` is never called: over the
     four eps-0.25 plants and planted_yes(3, 5..8, 0..7) at eps 0.05, each
     solve decides at rung 4 with no structure step and degree 4 left.  A
-    spectral hit keeps its seeded quality; each of the 24 spectral
+    spectral hit keeps its seeded quality; each of the 25 spectral
     misses is polished to the quality of DEGREE_4_POLISHED, at least
     its spectral one and at least the bar."""
     def trial(*args):
@@ -538,10 +561,11 @@ def test_degree_4_structure_trials_all_fail():
     eps-0.25 bar there, each of the 24 (eps_t, seed) trials that the
     rounding would run raises RetryExhausted.  Each table is what the
     argument of `_structure_trials` rests on: E~ |u|^2 = E~ |v|^2 = 1,
-    E~ u v^T = 0 and lambda_max(E~ x x^T) < 1.  The first three are the
-    tables whose spectral misses `_polish` receives; (4, 12, 2) now
-    rounds at the solver's check 0, so its table is the one the solver
-    returns with no hook, which a declining hook leaves bit-identical."""
+    E~ u v^T = 0 and lambda_max(E~ x x^T) < 1.  The first two are the
+    tables whose spectral misses `_polish` receives; (3, 6, 5) and
+    (4, 12, 2) now round at the solver's check 0, so their tables are the
+    ones the solver returns with no hook, which a declining hook leaves
+    bit-identical."""
     tables = [(mu, w.ambient, eps) for mu, w, eps, _ in root_tables(
         [(n, dim_w, seed, 0.25, 4) for n, dim_w, seed in ((2, 2, 0), (3, 6, 2), (3, 6, 5))])]
     mu, report = bss.solve_feasibility(bss.build_bss_problem(planted_yes(4, 12, 2)[0], 4))
@@ -591,8 +615,8 @@ PLANTED_MISSES = {
 def test_offering_the_start_loses_no_hit():
     """Over the grid of PLANTED_MISSES, every degree-4 solve reaches
     1 - eps^2, and a listed miss reaches at least its listed quality:
-    offering the hook the start at check 0 loses no hit, and the polish
-    of a top-rung miss only raises its quality."""
+    offering the hook y_p at check 0 loses no hit, and the polish of a
+    top-rung miss only raises its quality."""
     for n in (2, 3):
         for dim_w in range(1, n * n):
             for seed in range(8):
@@ -1318,10 +1342,12 @@ def test_lift_recovers_planted_product():
 
 def test_solve_complex_round_trip():
     # phase symmetry zeroes every odd moment of the reduced problem, so
-    # this also exercises the spectral rounding baseline
+    # this also exercises the spectral rounding baseline; the lift's
+    # relative residual is sqrt(2 (1 - q)) at real quality q, so a lift
+    # within 0.3 needs the real search at 0.3 / sqrt(2), as `solve` runs it
     wc, x, y = complex_planted(2, 2, seed=1)
     w = reduce_complex_to_real(wc)
-    cand, report = solve_bss(w, 0.3, degree=6)
+    cand, report = solve_bss(w, 0.3 / np.sqrt(2.0), degree=6)
     assert report.status == "candidate"
     res = lift_real_solution(cand, wc, w)
     scale = np.linalg.norm(np.outer(res.u, np.conj(res.v)))

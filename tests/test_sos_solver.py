@@ -22,7 +22,7 @@ from rankone.bss import (_structure_trials, complex_planted, planted_yes, random
                          reduce_complex_to_real, solve_bss, subspace_from_matrices)
 from rankone.cli import _uncertified_subspace
 from rankone.errors import DegreeTooSmall, IllFormed
-from rankone.pseudodist import MonomialIndex, monomial_index, validate
+from rankone.pseudodist import MonomialIndex, moment_matrix, monomial_index, validate
 from rankone.sos_solver import (
     _RANK_EPS,
     DEFAULT_ITER_LIMIT,
@@ -1266,10 +1266,10 @@ def test_a_declining_hook_changes_nothing():
     """An `accept` hook that always returns False leaves the moments and
     every field of the report bit-identical, on plants feasible at checks
     2 and 23, a plant at a limit of 50 steps, a conic refusal at check 1
-    and a linear refusal at set-up.  It is offered the start's iterate
-    (check 0, before any DR step) after set-up, then the iterate at checks
-    1, 2, 4, 8, ... and at the last, wherever that iterate is not
-    feasible."""
+    and a linear refusal at set-up.  It is offered y_p (check 0, after
+    the linear-certificate test and before any cone set-up), then the
+    iterate at checks 1, 2, 4, 8, ... and at the last, wherever that
+    iterate is not feasible."""
     plant = lambda n, dim_w, seed: build_bss_problem(planted_yes(n, dim_w, seed)[0], 4)
     cases = [(plant(2, 1, 0), DEFAULT_ITER_LIMIT, "feasible", 2),
              (plant(3, 5, 2), DEFAULT_ITER_LIMIT, "feasible", 6),
@@ -1293,10 +1293,13 @@ def test_an_accepting_hook_stops_at_its_check():
     """A hook that takes the k-th iterate it is offered ends the run with
     status `rounded` at the check of that offer, and returns that
     iterate's table, which meets L y = b.  planted_yes(3, 5, 2) settles at
-    check 23, so the offers come at check 0, before any DR step, and at
-    checks 1, 2, 4, 8 and 16, iterations 0 and 10 * 2^(k-2); at a limit
-    of 50 steps, planted_yes(3, 5, 3) is offered its last check too.
-    Check 0's report is filled as at any check, with no Anderson step."""
+    check 23, so the offers come at check 0, before any cone set-up, and
+    at checks 1, 2, 4, 8 and 16, iterations 0 and 10 * 2^(k-2); at a
+    limit of 50 steps, planted_yes(3, 5, 3) is offered its last check
+    too.  Check 0 offers y_p, the least-norm solution of L y = b, and its
+    report reads the moment matrix of y_p: its least eigenvalue, and its
+    Frobenius distance to the PSD cone as the gap, with no Anderson
+    step."""
     plant = build_bss_problem(planted_yes(3, 5, 2)[0], 4)
     stopped = build_bss_problem(planted_yes(3, 5, 3)[0], 4)
     cases = [(plant, DEFAULT_ITER_LIMIT, 1, 0)]
@@ -1315,6 +1318,9 @@ def test_an_accepting_hook_stops_at_its_check():
         assert -np.inf < rep.min_block_eigenvalue < -sos_solver.DEFAULT_TOL
         if not iterations:
             assert (rep.anderson_accepted, rep.anderson_rejected) == (0, 0)
+            vals = np.linalg.eigvalsh(moment_matrix(mu))
+            assert rep.min_block_eigenvalue == pytest.approx(vals[0], abs=1e-12)
+            assert rep.gap == pytest.approx(np.linalg.norm(np.minimum(vals, 0.0)), abs=1e-12)
 
 
 def test_solver_rejects_a_bad_iteration_limit():
